@@ -348,6 +348,8 @@ def cmd_verify(args) -> int:
     tol = args.tol
     records = []
     SUITES[args.suite](args, qp, rng, records, tol)
+    if not records:
+        raise ConfigError(f"suite {args.suite!r} ran no checks with these arguments")
     ok = all(r["pass"] for r in records)
     report = {
         "schema_version": "1",
@@ -375,8 +377,13 @@ def cmd_sweep(args) -> int:
     z = _parse_zlist(args.z)[0]
 
     def _range(spec):
-        lo, hi, num = spec.split(":")
-        lo, hi, num = float(lo), float(hi), int(num)
+        try:
+            lo, hi, num = spec.split(":")
+            lo, hi, num = float(lo), float(hi), int(num)
+        except ValueError:
+            raise ConfigError(f"cannot parse grid range from {spec!r}: expected lo:hi:num") from None
+        if not np.isfinite([lo, hi]).all():
+            raise ConfigError(f"grid range bounds must be finite, got {spec!r}")
         if num < 0:
             raise ConfigError("grid size must be >= 0")
         return list(np.linspace(lo, hi, num)) if num else []

@@ -16,11 +16,15 @@ unquotiented degree.
 
 A nullspace solver recovers intertwiners of arbitrary module pairs
 directly from the coproduct constraints; on cyclic modules it probes
-the curve empirically.
+the curve empirically.  The constraints preserve the charge
+deg(i) - deg(j) mod gcd(d1, d2) of an unknown R[i, j], with
+deg(m1, m2) = m1 + m2, so the solver assembles and diagonalizes one
+charge block at a time instead of the whole D^2 x D^2 system.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,35 +162,83 @@ def fn_commutation_residual(z: complex, sc1: Rep, sc2: Rep, R: TensorOperator,
     }
 
 
+def _charge_modulus(rep1: Rep, rep2: Rep) -> int:
+    """Modulus g of the charge grading deg(m1, m2) = m1 + m2 (mod g), or 1.
+
+    With g = gcd(d1, d2), E lowers and F raises the basis index by one
+    modulo g (the cyclic wrap entries included) and K keeps it, so every
+    coproduct image shifts deg by a fixed amount.  The modules' nonzero
+    patterns are checked; g = 1, a single block, is returned when they
+    break the grading.
+    """
+    g = math.gcd(rep1.dim, rep2.dim)
+    for rep in (rep1, rep2):
+        m = np.arange(rep.dim)
+        shift = np.subtract.outer(m, m) % g  # row index minus column index
+        for M, s in ((rep.E, -1), (rep.F, 1), (rep.K, 0)):
+            if np.any(M[shift != s % g]):
+                return 1
+    return g
+
+
 def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex,
                       sv_ratio: float = 1e-7) -> tuple:
     """Nullspace solve of R D(a) = D'(a) R over the affine generator images.
 
-    Builds the Gram matrix of the stacked constraints for
-    a in {E0, F0, E1, F1, K0} and counts near-zero eigenvalues (eigenvalue
-    below (sv_ratio)^2 times the largest counts as zero).  Returns
-    (R, nullspace_dim) with R normalized so its largest entry is 1, or
-    (None, 0) when no intertwiner exists.
+    The constraints for a in {E0, F0, E1, F1, K0} are collected in the Gram
+    matrix G = sum_a A_a^H A_a of L(R) = R L_a - R_a R.  Unknown R[i, j] has
+    charge deg(i) - deg(j) mod g (see _charge_modulus); every image is
+    homogeneous, so G is exactly block-diagonal with g charge blocks of
+    D^2/g unknowns (N^3 for a pair of N-dimensional modules).  Each block
+    is assembled by index arithmetic from D x D matrices,
+
+        G[(i,j),(i',j')] = d_ii' P[j,j'] + Q[i,i'] d_jj' - X - X^H,
+        X = sum_a R_a[i,i'] conj(L_a)[j,j'],
+        P = sum_a conj(L_a) L_a^T,   Q = sum_a R_a^H R_a,
+
+    and diagonalized on its own.  An eigenvalue below (sv_ratio)^2 times
+    the largest eigenvalue of all blocks counts as zero.  Returns
+    (R, nullspace_dim), R the eigenvector of the smallest eigenvalue
+    normalized so its largest entry is 1, or (None, 0) when no
+    intertwiner exists.
     """
     if rep1.qp != rep2.qp:
         raise ValueError("modules must share the deformation parameter")
     D = rep1.dim * rep2.dim
     left = affine_coproduct_images(rep1, rep2, x, y, opposite=False)
     right = affine_coproduct_images(rep1, rep2, x, y, opposite=True)
-    gram = np.zeros((D * D, D * D), dtype=complex)
-    for name in ("E0", "F0", "E1", "F1", "K0"):
-        A = np.kron(np.eye(D), left[name].T) - np.kron(right[name], np.eye(D))
-        gram += A.conj().T @ A
+    names = ("E0", "F0", "E1", "F1", "K0")
+    conj_left = {a: left[a].conj() for a in names}
+    P = sum(conj_left[a] @ left[a].T for a in names)
+    Q = sum(right[a].conj().T @ right[a] for a in names)
+    g = _charge_modulus(rep1, rep2)
+    deg = np.add.outer(np.arange(rep1.dim), np.arange(rep2.dim)).reshape(-1)
+    charge = np.subtract.outer(deg, deg) % g
     from scipy.linalg import eigh
-    w, v = eigh(gram)
-    wmax = float(w[-1]) if w[-1] > 0 else 1.0
-    null = w < (sv_ratio**2) * wmax
-    dim = int(null.sum())
+    eigvals = []
+    best = None  # (smallest eigenvalue, its eigenvector, row indices, column indices)
+    for c in range(g):
+        rows, cols = np.nonzero(charge == c)
+        ii, jj = np.ix_(rows, rows), np.ix_(cols, cols)
+        X = sum(right[a][ii] * conj_left[a][jj] for a in names)
+        gram = (np.equal.outer(rows, rows) * P[jj] + Q[ii] * np.equal.outer(cols, cols)
+                - X - X.conj().T)
+        w, v = eigh(gram)
+        eigvals.append(w)
+        if best is None or w[0] < best[0]:
+            best = (w[0], v[:, 0], rows, cols)
+    w = np.concatenate(eigvals)
+    wmax = float(w.max()) if w.max() > 0 else 1.0
+    dim = int((w < (sv_ratio**2) * wmax).sum())
     if dim == 0:
         return None, 0
-    vec = v[:, 0]
-    R = vec.reshape(D, D)
-    k = int(np.argmax(np.abs(R)))
+    _, vec, rows, cols = best
+    R = np.zeros((D, D), dtype=complex)
+    R[rows, cols] = vec
+    # normalize by the first entry within 1e-9 of the largest modulus, so
+    # rounding cannot choose between entries of equal modulus
+    mag = np.abs(R)
+    k = int(np.argmax(mag >= (1 - 1e-9) * mag.max()))
     R = R / R.flat[k]
     return TensorOperator((rep1.dim, rep2.dim), R), dim
 

@@ -150,6 +150,9 @@ def cyclic(beta: complex, alpha: complex, lam: complex, qp: QParam,
     alpha = complex(alpha)
     beta = complex(beta)
     lam = complex(lam)
+    if not np.isfinite([alpha, beta, lam]).all():
+        raise InadmissibleParameters(
+            f"non-finite parameters (beta={beta}, alpha={alpha}, lambda={lam})")
     c = np.array([qnumber(lam - 2 * m, qp) for m in range(N)])
     sig = np.zeros(N, dtype=complex)  # sig[m] = c_1 + ... + c_{m-1}, so e_m = e_1 + sig[m]
     for m in range(2, N):
@@ -184,7 +187,7 @@ def cyclic(beta: complex, alpha: complex, lam: complex, qp: QParam,
     rep = Rep(qp=qp, lam=lam, E=E, F=base.F, K=base.K, hvec=base.hvec,
               kind="cyclic", params={"alpha": alpha, "beta": beta})
     res = defining_relations_residual(rep)
-    if res > max(tol, 1e-7):
+    if not (res <= max(tol, 1e-7)):
         raise InadmissibleParameters(
             f"no cyclic module at (beta={beta}, alpha={alpha}, lambda={lam}): residual {res:.2e}"
         )

@@ -145,6 +145,15 @@ class TestVerify:
         res = run_cli("verify", "ybe", "--Nprime", "3", "--tol", "-1")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("draws", ["0", "-3"])
+    def test_no_checks_exits_2(self, draws, tmp_path):
+        # a report with no records in it must not pass
+        out = tmp_path / "report.json"
+        res = run_cli("verify", "curve", "--Nprime", "3", "--draws", draws, "-o", str(out))
+        assert res.returncode == 2
+        assert json.loads(res.stderr.strip())["code"] == 2
+        assert not out.exists()
+
     def test_failing_check_exits_1(self, tmp_path):
         out = tmp_path / "r.json"
         res = run_cli("verify", "ybe", "--Nprime", "3", "--seed", "1",
@@ -171,6 +180,15 @@ class TestSweep:
                 "--alpha1-range", "0.3:0.9:0", "-o", str(out))
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 1
+
+    @pytest.mark.parametrize("flag,spec", [("--lambda1-range", "1:2"),
+                                           ("--alpha1-range", "0.2:1.0:x"),
+                                           ("--lambda1-range", "nan:1:2")])
+    def test_bad_range_exits_2(self, flag, spec):
+        res = run_cli("sweep", "--Nprime", "3", flag, spec)
+        assert res.returncode == 2
+        diag = json.loads(res.stderr.strip())
+        assert diag["code"] == 2 and spec in diag["error"]
 
     def test_on_curve_rows(self, tmp_path):
         out = tmp_path / "s.csv"

@@ -1,13 +1,16 @@
 import cmath
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from uqsl2 import (CurveSpec, PoleError, QParam, affine_intertwine_residual,
-                   curve_residual, cyclic, export_boltzmann, fn_commutation_residual,
-                   import_boltzmann, on_curve_partner, r_semicyclic, r_spectral,
-                   semicyclic, solve_intertwiner, truncated_verma)
+from uqsl2 import (CurveSpec, PoleError, QParam, affine_coproduct_images,
+                   affine_intertwine_residual, curve_residual, cyclic, export_boltzmann,
+                   fn_commutation_residual, import_boltzmann, on_curve_partner,
+                   r_semicyclic, r_spectral, semicyclic, solve_intertwiner,
+                   truncated_verma)
+from uqsl2.cpotts import _charge_modulus
 
 QP3 = QParam.root_of_unity(3)
 QP5 = QParam.root_of_unity(5)
@@ -17,6 +20,15 @@ LAM1, LAM2 = 0.8 + 0.05j, 1.3 - 0.11j
 def on_curve_pair(qp, a1=0.7, lam1=LAM1, lam2=LAM2):
     a2 = on_curve_partner(a1, lam1, lam2, qp)
     return semicyclic(a1, lam1, qp), semicyclic(a2, lam2, qp)
+
+
+def on_curve_cyclic_pair(qp, a1=0.7, b1=0.3):
+    """Cyclic pair on both the alpha and the beta curve."""
+    L1 = qp.qpow(qp.N * LAM1)
+    L2 = qp.qpow(qp.N * LAM2)
+    a2 = a1 * (1 - L2) / (1 - L1)
+    b2 = b1 * (1 - 1 / L2) / (1 - 1 / L1)
+    return cyclic(b1, a1, LAM1, qp), cyclic(b2, a2, LAM2, qp)
 
 
 class TestCurveResidual:
@@ -183,19 +195,14 @@ class TestIntertwinerSolver:
         R, dim = solve_intertwiner(sc1, bad, 1.0, 1.0)
         assert dim == 0 and R is None
 
-    def test_cyclic_on_curve_probe(self):
-        # empirical probe of the sufficiency question for cyclic modules:
-        # the result is recorded, not asserted
-        qp = QP3
-        a1, b1 = 0.7, 0.3
-        L1 = qp.qpow(qp.N * LAM1)
-        L2 = qp.qpow(qp.N * LAM2)
-        a2 = a1 * (1 - L2) / (1 - L1)
-        b2 = b1 * (1 - 1 / L2) / (1 - 1 / L1)
-        cy1 = cyclic(b1, a1, LAM1, qp)
-        cy2 = cyclic(b2, a2, LAM2, qp)
+    @pytest.mark.parametrize("nprime", [3, 5, 7])
+    def test_cyclic_on_curve_probe(self, nprime):
+        # empirical probe of the sufficiency question for cyclic modules
+        # (Bazhanov-Stroganov, J. Stat. Phys. 59, 1990): the result is
+        # recorded, not asserted
+        cy1, cy2 = on_curve_cyclic_pair(QParam.root_of_unity(nprime))
         _, dim = solve_intertwiner(cy1, cy2, 1.0, 1.0)
-        print(f"[probe] cyclic on-curve intertwiner: nullspace dim {dim}")
+        print(f"[probe] N'={nprime} cyclic on-curve intertwiner: nullspace dim {dim}")
         assert dim >= 0  # probe only: the outcome is recorded, not asserted
 
     def test_off_curve_cyclic_empty(self):
@@ -204,6 +211,71 @@ class TestIntertwinerSolver:
         cy2 = cyclic(0.45, 1.3, LAM2, qp)
         _, dim = solve_intertwiner(cy1, cy2, 1.0, 1.0)
         assert dim == 0
+
+
+def dense_intertwiner(rep1, rep2, x, y, sv_ratio=1e-7):
+    """Reference solver: one eigh over all D^2 unknowns of the Kronecker constraints.
+
+    Independent of the charge grading solve_intertwiner uses; only the
+    nullspace threshold and the normalization rule are shared.
+    """
+    from scipy.linalg import eigh
+    D = rep1.dim * rep2.dim
+    left = affine_coproduct_images(rep1, rep2, x, y, opposite=False)
+    right = affine_coproduct_images(rep1, rep2, x, y, opposite=True)
+    gram = np.zeros((D * D, D * D), dtype=complex)
+    for name in ("E0", "F0", "E1", "F1", "K0"):
+        A = np.kron(np.eye(D), left[name].T) - np.kron(right[name], np.eye(D))
+        gram += A.conj().T @ A
+    w, v = eigh(gram)
+    wmax = float(w[-1]) if w[-1] > 0 else 1.0
+    dim = int((w < (sv_ratio**2) * wmax).sum())
+    if dim == 0:
+        return None, 0
+    R = v[:, 0].reshape(D, D)
+    mag = np.abs(R)
+    return R / R.flat[np.argmax(mag >= (1 - 1e-9) * mag.max())], dim
+
+
+def solver_pairs(qp):
+    sc1, sc2 = on_curve_pair(qp)
+    return {
+        "nilpotent": (semicyclic(0.0, LAM1, qp), semicyclic(0.0, LAM2, qp)),
+        "on-curve": (sc1, sc2),
+        "off-curve": (sc1, semicyclic(1.9, LAM2, qp)),
+        "cyclic": on_curve_cyclic_pair(qp),
+    }
+
+
+class TestSolverAgainstDense:
+    @pytest.mark.parametrize("kind", ["nilpotent", "on-curve", "off-curve", "cyclic"])
+    @pytest.mark.parametrize("nprime", [3, 4, 5])
+    @pytest.mark.parametrize("z_root", [False, True], ids=["z-generic", "z-root"])
+    def test_matches_dense_reference(self, nprime, kind, z_root):
+        qp = QParam.root_of_unity(nprime)
+        z = cmath.exp(2j * cmath.pi / qp.N) if z_root else 1.1 + 0.1j
+        rep1, rep2 = solver_pairs(qp)[kind]
+        R_ref, dim_ref = dense_intertwiner(rep1, rep2, z, 1.0)
+        R, dim = solve_intertwiner(rep1, rep2, z, 1.0)
+        assert dim == dim_ref
+        if dim == 1:
+            assert np.max(np.abs(R.mat - R_ref)) < 1e-8
+
+    def test_ungraded_basis_uses_one_block(self):
+        # swapping v_0 and v_1 of a 5-dimensional module is not affine mod 5,
+        # so its E and F no longer shift the index by a fixed amount
+        qp = QP5
+        sc1, sc2 = on_curve_pair(qp)
+        p = [1, 0, 2, 3, 4]
+        swapped = replace(sc1, E=sc1.E[np.ix_(p, p)], F=sc1.F[np.ix_(p, p)],
+                          K=sc1.K[np.ix_(p, p)], hvec=sc1.hvec[p])
+        assert _charge_modulus(sc1, sc2) == 5
+        assert _charge_modulus(swapped, sc2) == 1
+        z = cmath.exp(2j * cmath.pi / qp.N)
+        R_ref, dim_ref = dense_intertwiner(swapped, sc2, z, 1.0)
+        R, dim = solve_intertwiner(swapped, sc2, z, 1.0)
+        assert dim == dim_ref == solve_intertwiner(sc1, sc2, z, 1.0)[1] == 1
+        assert np.max(np.abs(R.mat - R_ref)) < 1e-8
 
 
 class TestBoltzmannExport:

@@ -96,6 +96,15 @@ class TestCyclic:
         with pytest.raises(InadmissibleParameters):
             cyclic(0.5, 0.0, 1.0, QP3)
 
+    @pytest.mark.parametrize("beta,alpha,lam", [
+        (float("nan"), 0.7, 0.8 + 0.05j),
+        (float("nan"), 0.0, 0.8 + 0.05j),
+        (0.3, 0.0, complex("nan")),
+    ])
+    def test_non_finite_parameters_raise(self, beta, alpha, lam):
+        with pytest.raises(InadmissibleParameters):
+            cyclic(beta, alpha, lam, QP3)
+
 
 class TestCoproduct:
     def setup_method(self):
