@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import os
 import sys
 
@@ -36,23 +37,30 @@ from .cpotts import (CurveSpec, curve_residual, export_boltzmann,
                      solve_intertwiner)
 from .tensorop import masked_max_abs, safe_mask
 
-DEFAULT_TOL = float(os.environ.get("UQSL2_TOL", "1e-9"))
-
 
 class ConfigError(ValueError):
     pass
 
 
-def _parse_complex(s: str) -> complex:
-    parts = s.split(",")
+def _default_tol() -> float:
+    """The --tol default: $UQSL2_TOL if set, else 1e-9."""
+    raw = os.environ.get("UQSL2_TOL", "1e-9")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        return float(raw)
     except ValueError:
-        pass
-    raise ConfigError(f"cannot parse complex number from {s!r}")
+        raise ConfigError(f"cannot parse UQSL2_TOL={raw!r} as a number") from None
+
+
+def _parse_complex(s: str) -> complex:
+    try:
+        vals = [float(p) for p in s.split(",")]
+    except ValueError:
+        vals = []
+    if not 1 <= len(vals) <= 2:
+        raise ConfigError(f"cannot parse complex number from {s!r}")
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"complex number {s!r} must be finite")
+    return complex(*vals)
 
 
 def _parse_depths(s: str, n: int | None = None) -> list:
@@ -69,7 +77,10 @@ def _parse_depths(s: str, n: int | None = None) -> list:
 
 def _parse_zlist(s: str) -> list:
     if s.startswith("roots:"):
-        k = int(s.split(":", 1)[1])
+        try:
+            k = int(s.split(":", 1)[1])
+        except ValueError:
+            raise ConfigError(f"cannot parse {s!r}: expected roots:N") from None
         if k < 1:
             raise ConfigError("roots:N needs N >= 1")
         return [cmath.exp(2j * cmath.pi * m / k) for m in range(k)]
@@ -342,8 +353,8 @@ SUITES = {
 
 def cmd_verify(args) -> int:
     qp = _qparam(args)
-    if args.tol <= 0:
-        raise ConfigError("tolerance must be positive")
+    if not (args.tol > 0) or math.isinf(args.tol):
+        raise ConfigError("tolerance must be positive and finite")
     rng = np.random.default_rng(args.seed)
     tol = args.tol
     records = []
@@ -374,6 +385,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError("curve sweeps need a root of unity")
     N = qp.N
     lam2 = _parse_complex(args.lambda2)
+    if not math.isfinite(args.lambda_imag):
+        raise ConfigError(f"--lambda-imag must be finite, got {args.lambda_imag}")
     z = _parse_zlist(args.z)[0]
 
     def _range(spec):
@@ -427,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--q", help="generic q as 're' or 're,im'")
         sp.add_argument("--Nprime", type=int, default=0, help="root-of-unity order N'")
-        sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        sp.add_argument("--tol", type=float, default=None,
+                        help="residual tolerance (default: $UQSL2_TOL, else 1e-9)")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("-o", "--out", default=None)
 
@@ -468,6 +482,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.tol is None:
+            args.tol = _default_tol()
         return args.func(args)
     except ConfigError as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "code": 2}) + "\n")

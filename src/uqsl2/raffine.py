@@ -30,7 +30,7 @@ The two agree at n = 1 and differ from n = 2 on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -152,7 +152,7 @@ def eval_imaginary_prime(rep: Rep, x: complex, n_max: int,
                                eprime=eprime, fprime=fprime)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ImaginaryRootImages:
     """Imaginary root-vector images: primed generators and their Schur conversion."""
 
@@ -173,50 +173,52 @@ class ImaginaryRootImages:
         return out
 
 
-def _formal_log_series(coeffs: list, c: complex) -> list:
-    """Given U(z) = sum_n u_n z^n (matrix coefficients, commuting), return the
-    coefficients of log(1 + c*U)/c through the same order."""
-    M = len(coeffs)
-    if M == 0:
-        return []
-    d = coeffs[0].shape[0]
-    prev = {n + 1: coeffs[n].copy() for n in range(M)}  # z^n coefficients of U^k
-    out = [np.zeros((d, d), dtype=complex) for _ in range(M + 1)]
-    k = 1
-    while prev and k <= M:
-        sign = (-1) ** (k - 1)
-        for n, mat in prev.items():
-            out[n] += sign * (c ** (k - 1) / k) * mat
-        nxt = {}
-        for n, mat in prev.items():
-            for m in range(1, M - n + 1):
-                acc = nxt.get(n + m)
-                term = mat @ coeffs[m - 1]
-                nxt[n + m] = term if acc is None else acc + term
-        prev = nxt
-        k += 1
-    return out[1:]
+def _weight_diagonals(mats: list, tol: float) -> np.ndarray:
+    """Stack the diagonals of weight-diagonal images as an (M, d) array.
+
+    Raises ValueError when an image has an off-diagonal entry above tol times
+    its own scale (or any non-finite entry)."""
+    stack = np.asarray(mats, dtype=complex)
+    diag = np.diagonal(stack, axis1=1, axis2=2)
+    off = np.abs(stack - diag[:, :, None] * np.eye(stack.shape[1])).max(axis=(1, 2))
+    bound = tol * np.maximum(1.0, np.abs(diag).max(axis=1))
+    if not np.all(off <= bound):
+        n = int(np.argmin(off <= bound))
+        raise ValueError(f"imaginary root image of order {n + 1} is not diagonal on the "
+                         f"weight basis (off-diagonal {off[n]:.2e})")
+    return diag
+
+
+def _log_series_diagonal(u: np.ndarray, c: complex) -> np.ndarray:
+    """Coefficients l_1..l_M of log(1 + c U(z))/c for U(z) = sum_n u_n z^n.
+
+    u has shape (M, d): one power series per weight.  Differentiating
+    log(1 + cU) gives the recurrence n l_n = n u_n - c sum_{k<n} k l_k u_{n-k}."""
+    M = u.shape[0]
+    kl = np.zeros_like(u)  # row k-1 holds k l_k
+    for n in range(1, M + 1):
+        kl[n - 1] = n * u[n - 1] - c * (kl[:n - 1] * u[:n - 1][::-1]).sum(axis=0)
+    return kl / np.arange(1, M + 1)[:, None]
 
 
 def schur_to_imaginary(images: ImaginaryRootImages, tol: float = 1e-10) -> ImaginaryRootImages:
     """Recover the unprimed imaginary root images by inverting the Schur relation.
 
     With P(z) = sum E'_{nd} z^n the generating identity reads
-    1 + (q^2 - q^-2) P(z) = exp((q^2 - q^-2) Q(z)); the log is taken as a
-    truncated formal series (coefficients commute at central charge zero).
+    1 + (q^2 - q^-2) P(z) = exp((q^2 - q^-2) Q(z)).  The images are diagonal
+    on the weight basis (EF and q^{nH} are), so the log is taken weight by
+    weight as a truncated scalar series; inputs that are not diagonal raise.
     The mirrored family carries the sign flip of q -> q^-1.
+    Returns a copy with ``e`` and ``f`` filled in.
     """
     qp = images.qp
     _guard_order(qp)
-    defect = images.commutativity_defect()
-    scale = max((float(np.max(np.abs(m))) for m in images.eprime), default=1.0)
-    if defect > tol * max(1.0, scale) * 10:
-        raise ValueError(f"imaginary root images fail to commute (defect {defect:.2e})")
+    if not images.eprime:
+        return images
     c = qp.qpow(2) - qp.qpow(-2)
-    images.e = _formal_log_series(images.eprime, c)
-    neg = [-m for m in images.fprime]
-    images.f = [-m for m in _formal_log_series(neg, c)]
-    return images
+    e = _log_series_diagonal(_weight_diagonals(images.eprime, tol), c)
+    f = -_log_series_diagonal(-_weight_diagonals(images.fprime, tol), c)
+    return replace(images, e=[np.diag(v) for v in e], f=[np.diag(v) for v in f])
 
 
 def _partitions(n: int):
@@ -545,14 +547,13 @@ def rzero_exponential(z: complex, rep1: Rep, rep2: Rep,
         n_max = max(30, _auto_terms(z, rep1, rep2))
     im1 = schur_to_imaginary(eval_imaginary_prime(rep1, 1.0, n_max, family="loop"))
     im2 = schur_to_imaginary(eval_imaginary_prime(rep2, 1.0, n_max, family="loop"))
-    D = rep1.dim * rep2.dim
     C = (qp.qpow(2) - qp.qpow(-2)) ** 2
-    acc = np.zeros((D, D), dtype=complex)
+    acc = np.zeros(rep1.dim * rep2.dim, dtype=complex)  # the exponent is diagonal
     for n in range(1, n_max + 1):
         coeff = C * n * z**n / (qp.qpow(2 * n) - qp.qpow(-2 * n))
-        acc += coeff * kron2(im1.e[n - 1], im2.f[n - 1])
+        acc += coeff * np.kron(np.diagonal(im1.e[n - 1]), np.diagonal(im2.f[n - 1]))
     from scipy.linalg import expm
-    return TensorOperator((rep1.dim, rep2.dim), expm(acc))
+    return TensorOperator((rep1.dim, rep2.dim), expm(np.diag(acc)))
 
 
 def decompos_product(z: complex, rep1: Rep, rep2: Rep, n_max: int | None = None,

@@ -10,6 +10,13 @@ def run_cli(*args):
                           capture_output=True, text=True)
 
 
+def assert_config_error(argv, capsys):
+    from uqsl2.cli import main
+    assert main(list(argv)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and json.loads(err)["code"] == 2
+
+
 class TestRMatrix:
     def test_verma_top_entry(self, tmp_path):
         out = tmp_path / "r.json"
@@ -145,6 +152,33 @@ class TestVerify:
         res = run_cli("verify", "ybe", "--Nprime", "3", "--tol", "-1")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "ybe", "--q", "nan"),
+        ("verify", "ybe", "--Nprime", "3", "--tol", "nan"),
+        ("verify", "ybe", "--Nprime", "3", "--tol", "inf"),
+        ("sweep", "--Nprime", "3", "--lambda2", "nan", "--lambda1-range", "1:1:1",
+         "--alpha1-range", "0.2:0.2:1"),
+        ("sweep", "--Nprime", "3", "--lambda-imag", "nan", "--lambda1-range", "1:1:1",
+         "--alpha1-range", "0.2:0.2:1"),
+        ("rmatrix", "--kind", "spectral", "--Nprime", "3", "--lambda1", "inf"),
+    ], ids=["q-nan", "tol-nan", "tol-inf", "lambda2-nan", "lambda-imag-nan", "lambda1-inf"])
+    def test_non_finite_input_exits_2(self, argv, capsys):
+        assert_config_error(argv, capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "product-oracle", "--q", "1.1,0.02", "--depths", "5,5"),
+        ("verify", "central", "--Nprime", "13"),
+    ], ids=["product-oracle-depth-5", "central-13"])
+    def test_imaginary_root_suites_pass_at_default_tolerance(self, argv, tmp_path, monkeypatch):
+        # the dense log series failed both: a false commutator alarm, and
+        # 2.8e-9 of rounding in the loop-F centrality residual
+        from uqsl2.cli import main
+        monkeypatch.delenv("UQSL2_TOL", raising=False)
+        out = tmp_path / "report.json"
+        assert main([*argv, "-o", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["tolerance"] == 1e-9 and doc["all_pass"]
+
     @pytest.mark.parametrize("draws", ["0", "-3"])
     def test_no_checks_exits_2(self, draws, tmp_path):
         # a report with no records in it must not pass
@@ -190,6 +224,9 @@ class TestSweep:
         diag = json.loads(res.stderr.strip())
         assert diag["code"] == 2 and spec in diag["error"]
 
+    def test_bad_root_count_exits_2(self, capsys):
+        assert_config_error(("sweep", "--Nprime", "3", "--z", "roots:abc"), capsys)
+
     def test_on_curve_rows(self, tmp_path):
         out = tmp_path / "s.csv"
         run_cli("sweep", "--Nprime", "3", "--lambda1-range", "0.5:1.5:2",
@@ -224,3 +261,7 @@ class TestDeterminism:
             capture_output=True, text=True, env=env)
         assert res.returncode == 0
         assert json.loads(out.read_text())["tolerance"] == 1e-5
+
+    def test_bad_env_tolerance_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("UQSL2_TOL", "abc")
+        assert_config_error(("verify", "ybe", "--Nprime", "3"), capsys)

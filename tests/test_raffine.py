@@ -1,7 +1,9 @@
 import cmath
+import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from uqsl2 import (PoleError, QParam, UnsupportedOrder, affine_intertwine_residual,
                    central_affine_check, decompos_product, drinfeld_relation_check,
@@ -159,6 +161,76 @@ class TestSchur:
     def test_noncommuting_inputs_rejected(self):
         im = eval_imaginary_prime(self.rep, self.x, 2)
         im.eprime[1] = self.rep.E.copy()  # breaks commutativity
+        with pytest.raises(ValueError):
+            schur_to_imaginary(im)
+
+
+def _formal_log_series(coeffs: list, c: complex) -> list:
+    """Given U(z) = sum_n u_n z^n (matrix coefficients, commuting), return the
+    coefficients of log(1 + c*U)/c through the same order.
+
+    Dense power-sum reference: sum_k (-1)^(k-1) c^(k-1)/k U^k with about M^3/6
+    matrix products, kept here to check the diagonal recurrence against."""
+    M = len(coeffs)
+    if M == 0:
+        return []
+    d = coeffs[0].shape[0]
+    prev = {n + 1: coeffs[n].copy() for n in range(M)}  # z^n coefficients of U^k
+    out = [np.zeros((d, d), dtype=complex) for _ in range(M + 1)]
+    k = 1
+    while prev and k <= M:
+        sign = (-1) ** (k - 1)
+        for n, mat in prev.items():
+            out[n] += sign * (c ** (k - 1) / k) * mat
+        nxt = {}
+        for n, mat in prev.items():
+            for m in range(1, M - n + 1):
+                acc = nxt.get(n + m)
+                term = mat @ coeffs[m - 1]
+                nxt[n + m] = term if acc is None else acc + term
+        prev = nxt
+        k += 1
+    return out[1:]
+
+
+class TestDiagonalLogSeries:
+    MODULES = {"verma-generic": lambda: truncated_verma(L1, 4, QP),
+               "semicyclic-5": lambda: semicyclic(0.4, 0.7 + 0.1j, QParam.root_of_unity(5))}
+
+    @pytest.mark.parametrize("module", sorted(MODULES))
+    @pytest.mark.parametrize("family", ["closed", "loop"])
+    @pytest.mark.parametrize("M", [4, 30, 70])
+    def test_matches_dense_reference(self, M, family, module):
+        rep = self.MODULES[module]()
+        d = rep.dim
+        im = eval_imaginary_prime(rep, 0.8 + 0.3j, M, family=family)
+        got = schur_to_imaginary(im)
+        c = rep.qp.qpow(2) - rep.qp.qpow(-2)
+        # E' and -F' as the two blocks of one dense series
+        u = [block_diag(a, -b) for a, b in zip(im.eprime, im.fprime)]
+        ref = _formal_log_series(u, c)
+        # the moduli of every term the dense sum adds; it may lose up to
+        # M eps times this to cancellation (every digit at N'=5, M=70, loop)
+        terms = _formal_log_series([np.abs(m) for m in u], -abs(c))
+        scale = max(np.abs(m).max() for m in ref)
+        eps = np.finfo(float).eps
+        for n in range(M):
+            mine = block_diag(got.e[n], -got.f[n])
+            bound = 1e-12 * scale + M * eps * terms[n].real
+            assert np.all(np.abs(mine - ref[n]) <= bound), n
+        assert got.e[0].shape == got.f[0].shape == (d, d)
+
+    def test_input_left_unchanged(self):
+        im = eval_imaginary_prime(truncated_verma(L1, 4, QP), 0.8 + 0.3j, 3)
+        out = schur_to_imaginary(im)
+        assert im.e == [] and im.f == []
+        assert len(out.e) == len(out.f) == 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            im.e = out.e
+
+    def test_non_finite_image_rejected(self):
+        im = eval_imaginary_prime(truncated_verma(L1, 4, QP), 0.8 + 0.3j, 3)
+        im.fprime[2] = np.full((4, 4), np.nan)
         with pytest.raises(ValueError):
             schur_to_imaginary(im)
 
