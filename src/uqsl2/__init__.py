@@ -4,7 +4,8 @@ from .qnum import (DEFAULT_TOL, DenominatorVanishes, QParam, gauss_binom, gen_bi
                    matrix_fractional_power, nilpotent_expm, qbinom, qbracket,
                    qexp_truncated, qfact, qint, qnumber, qpochhammer_truncated,
                    unsym_qfact, unsym_qnum)
-from .tensorop import TensorOperator, embed_two_site, kron2, masked_max_abs, safe_mask
+from .tensorop import (TensorOperator, apply_two_site, embed_two_site, kron2, masked_max_abs,
+                       safe_mask, ybe_defect)
 from .reps import (InadmissibleParameters, Rep, casimir, central_check, coproduct,
                    cyclic, defining_relations_residual, opposite_coproduct,
                    semicyclic, tensor_rep, truncated_verma)
@@ -12,7 +13,7 @@ from .rfinite import (RFiniteOptions, cartan_weight_vector, e_derivation_matrix,
                       intertwine_residual, quasitriangularity_residual,
                       r_generic_universal, r_reshetikhin_product, r_verma_direct,
                       renormalized_raising_power, ybe_residual)
-from .raffine import (EvalRep, ImaginaryRootImages, PoleError, UnsupportedOrder,
+from .raffine import (ImaginaryRootImages, PoleError, UnsupportedOrder,
                       affine_coproduct_images, affine_intertwine_residual,
                       central_affine_check, decompos_product, drinfeld_generators,
                       drinfeld_relation_check, eval_generators, eval_imaginary_prime,

@@ -352,11 +352,11 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
+    tol = _default_tol() if args.tol is None else args.tol
     qp = _qparam(args)
-    if not (args.tol > 0) or math.isinf(args.tol):
+    if not (tol > 0) or math.isinf(tol):
         raise ConfigError("tolerance must be positive and finite")
     rng = np.random.default_rng(args.seed)
-    tol = args.tol
     records = []
     SUITES[args.suite](args, qp, rng, records, tol)
     if not records:
@@ -440,8 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--q", help="generic q as 're' or 're,im'")
         sp.add_argument("--Nprime", type=int, default=0, help="root-of-unity order N'")
-        sp.add_argument("--tol", type=float, default=None,
-                        help="residual tolerance (default: $UQSL2_TOL, else 1e-9)")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("-o", "--out", default=None)
 
@@ -462,6 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run a residual suite")
     common(sp)
     sp.add_argument("suite", choices=sorted(SUITES))
+    sp.add_argument("--tol", type=float, default=None,
+                    help="residual tolerance (default: $UQSL2_TOL, else 1e-9)")
     sp.add_argument("--depths", default=None)
     sp.add_argument("--sweep", choices=("on-curve", "off-curve"), default=None)
     sp.add_argument("--draws", type=int, default=5)
@@ -482,8 +482,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.tol is None:
-            args.tol = _default_tol()
         return args.func(args)
     except ConfigError as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "code": 2}) + "\n")

@@ -51,6 +51,8 @@ class QParam:
                 raise ValueError(f"root-of-unity order must be >= 3, got {self.nprime}")
         else:
             q = complex(self.q)
+            if not cmath.isfinite(q):
+                raise ValueError(f"q must be finite, got {q}")
             if q == 0:
                 raise ValueError("q must be nonzero")
             for k in range(1, GENERIC_GUARD_ORDER + 1):

@@ -37,7 +37,7 @@ import numpy as np
 from .qnum import QParam, qnumber, qexp_truncated
 from .reps import Rep
 from .rfinite import cartan_weight_vector, renormalized_raising_power
-from .tensorop import TensorOperator, embed_two_site, kron2, masked_max_abs, safe_mask
+from .tensorop import TensorOperator, kron2, masked_max_abs, safe_mask, ybe_defect
 
 CARTAN_MODES = ("normalized", "raw", "none")
 
@@ -53,18 +53,6 @@ class PoleError(ArithmeticError):
 
 class UnsupportedOrder(ValueError):
     """The construction needs [2]_q != 0 (root order N' with q^4 != 1)."""
-
-
-@dataclass(frozen=True)
-class EvalRep:
-    """A finite sl2 module promoted to a level-zero affine module at parameter x."""
-
-    rep: Rep
-    x: complex = 1.0
-
-    def __post_init__(self):
-        if self.x == 0:
-            raise ValueError("the evaluation parameter must be nonzero")
 
 
 def _diag_left(dvec: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -625,13 +613,10 @@ def spectral_ybe_residual(x1: complex, x2: complex, x3: complex,
     def build(za, ra, rb):
         return r_spectral(za, ra, rb, cartan=cartan).mat
 
-    R12 = embed_two_site(build(x1 / x2, rep1, rep2), dims, (0, 1))
-    R13 = embed_two_site(build(x1 / x3, rep1, rep3), dims, (0, 2))
-    R23 = embed_two_site(build(x2 / x3, rep2, rep3), dims, (1, 2))
-    diff = R12 @ R13 @ R23 - R23 @ R13 @ R12
     trunc = [d for d, r in zip(dims, (rep1, rep2, rep3)) if r.kind == "verma"]
     mask = safe_mask(dims, margin) if trunc else None
-    return masked_max_abs(diff, mask)
+    return ybe_defect(build(x1 / x2, rep1, rep2), build(x1 / x3, rep1, rep3),
+                      build(x2 / x3, rep2, rep3), dims, mask)
 
 
 def central_affine_check(rep: Rep, x: complex, k_max: int = 1,

@@ -40,7 +40,11 @@ class Rep:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not np.isfinite(self.lam):
+            raise ValueError(f"weight lambda must be finite, got {self.lam}")
         for M in (self.E, self.F, self.K):
+            if not np.isfinite(M).all():
+                raise ValueError(f"{self.kind} module has non-finite generator entries")
             M.setflags(write=False)
         self.hvec.setflags(write=False)
 

@@ -11,6 +11,11 @@ Three routes to the same operator:
                            terminating exponential in the renormalized
                            N-th power of E.
 
+The series and the fractional powers are all functions of the one nilpotent
+X = E (x) F.  Their factors are multiplied as truncated scalar series in X,
+and the result is summed as sum_k c_k E^k (x) F^k, since X^k = E^k (x) F^k;
+no dense power of X is ever formed.
+
 Verifiers for the intertwining property, the Yang-Baxter equation and
 quasitriangularity, all restricted to safe source windows of the
 truncations, round out the module.
@@ -22,17 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qnum import (DEFAULT_TOL, QParam, matrix_fractional_power, nilpotent_expm,
-                   qbinom, qexp_truncated, qnumber)
+from .qnum import (DenominatorVanishes, QParam, gen_binom, nilpotent_expm, qbinom,
+                   qnumber, unsym_qnum)
 from .reps import Rep, coproduct, opposite_coproduct, tensor_rep
-from .tensorop import TensorOperator, embed_two_site, kron2, masked_max_abs, safe_mask
+from .tensorop import (TensorOperator, apply_two_site, kron2, masked_max_abs, safe_mask,
+                       ybe_defect)
 
 
 @dataclass(frozen=True)
 class RFiniteOptions:
-    safe_margin: int = 1
     include_cartan_factor: bool = True
-    tolerance: float = DEFAULT_TOL
 
 
 def cartan_weight_vector(rep1: Rep, rep2: Rep) -> np.ndarray:
@@ -107,9 +111,36 @@ def r_verma_direct(rep1: Rep, rep2: Rep, opts: RFiniteOptions | None = None) -> 
     return TensorOperator((d1, d2), mat)
 
 
+def _kron_powers(A: np.ndarray, B: np.ndarray, limit: int) -> list:
+    """The pairs (A^k, B^k), k = 1, 2, ..., at most `limit`, while A^k (x) B^k != 0.
+
+    By the mixed-product rule (A (x) B)^k = A^k (x) B^k, so the powers of the
+    tensor operator never have to be formed.
+    """
+    out = []
+    Ak, Bk = A, B
+    while len(out) < limit and Ak.any() and Bk.any():
+        out.append((Ak, Bk))
+        Ak, Bk = Ak @ A, Bk @ B
+    return out
+
+
+def _kron_power_sum(coeffs, powers: list, d: int) -> np.ndarray:
+    """1 + sum_{k>=1} coeffs[k] A^k (x) B^k over `powers`, added one term at a time."""
+    mat = np.eye(d, dtype=complex)
+    for c, (Ak, Bk) in zip(coeffs[1:], powers):
+        mat += c * kron2(Ak, Bk)
+    return mat
+
+
 def r_generic_universal(rep1: Rep, rep2: Rep, terms: int | None = None,
                         opts: RFiniteOptions | None = None) -> TensorOperator:
-    """exp_{q^-2}((q - q^-1) E (x) F) times the Cartan weight factor; generic q only."""
+    """exp_{q^-2}((q - q^-1) E (x) F) times the Cartan weight factor; generic q only.
+
+    The q-exponential is summed as sum_n (q - q^-1)^n / (n)_{q^-2}! E^n (x) F^n
+    up to `terms`; DenominatorVanishes is raised when a q-factorial vanishes
+    while E^n (x) F^n is still nonzero.
+    """
     opts = opts or RFiniteOptions()
     qp = rep1.qp
     if qp.is_root:
@@ -117,8 +148,17 @@ def r_generic_universal(rep1: Rep, rep2: Rep, terms: int | None = None,
     if terms is None:
         terms = min(rep1.dim, rep2.dim)
     q = qp.q
-    X = kron2(rep1.E, rep2.F)
-    mat = qexp_truncated((q - 1 / q) * X, qp.qpow(-2), terms)
+    powers = _kron_powers(rep1.E, rep2.F, terms)
+    base = qp.qpow(-2)
+    coeffs = [1.0 + 0j]
+    for n in range(1, len(powers) + 1):
+        bracket = unsym_qnum(n, base)
+        if abs(bracket) < 1e-9:
+            raise DenominatorVanishes(
+                f"q-factorial vanished at order {n} before the series terminated"
+            )
+        coeffs.append(coeffs[-1] * (q - 1 / q) / bracket)
+    mat = _kron_power_sum(coeffs, powers, rep1.dim * rep2.dim)
     if opts.include_cartan_factor:
         mat = mat * cartan_weight_vector(rep1, rep2)[None, :]
     return TensorOperator((rep1.dim, rep2.dim), mat)
@@ -153,9 +193,11 @@ def r_reshetikhin_product(rep1: Rep, rep2: Rep, opts: RFiniteOptions | None = No
         * exp(wrap_const * (E^N/(N)_{q^-2}!) (x) F^N)
         * q^{H(x)H/2}.
 
-    ``literal_factors=True`` switches to the factors (1 - eps^m X)^{-m/N}
-    of the alternative normalization, which does not reproduce the direct
-    form; it is kept as a negative control.
+    The fractional powers are multiplied as truncated series in X, with
+    coefficients gen_binom(p, k) (-a)^k, and the product is summed as
+    sum_k c_k E^k (x) F^k.  ``literal_factors=True`` switches to the factors
+    (1 - eps^m X)^{-m/N} of the alternative normalization, which does not
+    reproduce the direct form; it is kept as a negative control.
     """
     opts = opts or RFiniteOptions()
     qp = rep1.qp
@@ -163,17 +205,19 @@ def r_reshetikhin_product(rep1: Rep, rep2: Rep, opts: RFiniteOptions | None = No
         raise ValueError("the product form is a root-of-unity construction")
     N = qp.N
     eps = qp.q
-    X = kron2(rep1.E, rep2.F)
-    d = X.shape[0]
-    mat = np.eye(d, dtype=complex)
-    for r in range(N):
-        if literal_factors:
-            if r == 0:
-                continue
-            mat = mat @ matrix_fractional_power(qp.qpow(r), X, -r / N)
-        else:
-            a = qp.qpow(-2 * r - 1) * (eps - 1 / eps) ** 2
-            mat = mat @ matrix_fractional_power(a, X, r / N)
+    d = rep1.dim * rep2.dim
+    powers = _kron_powers(rep1.E, rep2.F, 4 * d + 1)
+    if len(powers) > 4 * d:
+        raise ValueError("the product form requires a nilpotent E (x) F")
+    if literal_factors:
+        factors = [(qp.qpow(r), -r / N) for r in range(1, N)]
+    else:
+        factors = [(qp.qpow(-2 * r - 1) * (eps - 1 / eps) ** 2, r / N) for r in range(N)]
+    coeffs = np.ones(1, dtype=complex)
+    for a, p in factors:
+        series = [gen_binom(p, k) * (-a) ** k for k in range(len(powers) + 1)]
+        coeffs = np.convolve(coeffs, series)[:len(powers) + 1]
+    mat = _kron_power_sum(coeffs, powers, d)
     FN = np.linalg.matrix_power(rep2.F, N)
     if FN.any():
         e1 = e_derivation_matrix(rep1)
@@ -203,11 +247,8 @@ def ybe_residual(rep1: Rep, rep2: Rep, rep3: Rep, builder=None,
     if builder is None:
         builder = r_verma_direct
     dims = (rep1.dim, rep2.dim, rep3.dim)
-    R12 = embed_two_site(builder(rep1, rep2).mat, dims, (0, 1))
-    R13 = embed_two_site(builder(rep1, rep3).mat, dims, (0, 2))
-    R23 = embed_two_site(builder(rep2, rep3).mat, dims, (1, 2))
-    diff = R12 @ R13 @ R23 - R23 @ R13 @ R12
-    return masked_max_abs(diff, safe_mask(dims, margin))
+    return ybe_defect(builder(rep1, rep2).mat, builder(rep1, rep3).mat,
+                      builder(rep2, rep3).mat, dims, safe_mask(dims, margin))
 
 
 def quasitriangularity_residual(rep1: Rep, rep2: Rep, rep3: Rep,
@@ -217,11 +258,12 @@ def quasitriangularity_residual(rep1: Rep, rep2: Rep, rep3: Rep,
         raise ValueError("quasitriangularity checks run at generic q only")
     dims = (rep1.dim, rep2.dim, rep3.dim)
     mask = safe_mask(dims, margin)
-    R12 = embed_two_site(r_generic_universal(rep1, rep2).mat, dims, (0, 1))
-    R13 = embed_two_site(r_generic_universal(rep1, rep3).mat, dims, (0, 2))
-    R23 = embed_two_site(r_generic_universal(rep2, rep3).mat, dims, (1, 2))
-    lhs1 = r_generic_universal(tensor_rep(rep1, rep2), rep3).mat
-    res1 = masked_max_abs(lhs1 - R13 @ R23, mask)
-    lhs2 = r_generic_universal(rep1, tensor_rep(rep2, rep3)).mat
-    res2 = masked_max_abs(lhs2 - R13 @ R12, mask)
+    cols = np.eye(rep1.dim * rep2.dim * rep3.dim, dtype=complex)[:, mask]
+    R13 = r_generic_universal(rep1, rep3).mat
+    R23_cols = apply_two_site(r_generic_universal(rep2, rep3).mat, cols, dims, (1, 2))
+    R12_cols = apply_two_site(r_generic_universal(rep1, rep2).mat, cols, dims, (0, 1))
+    lhs1 = r_generic_universal(tensor_rep(rep1, rep2), rep3).mat[:, mask]
+    res1 = masked_max_abs(lhs1 - apply_two_site(R13, R23_cols, dims, (0, 2)))
+    lhs2 = r_generic_universal(rep1, tensor_rep(rep2, rep3)).mat[:, mask]
+    res2 = masked_max_abs(lhs2 - apply_two_site(R13, R12_cols, dims, (0, 2)))
     return max(res1, res2)

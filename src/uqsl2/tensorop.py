@@ -24,10 +24,6 @@ class TensorOperator:
         if self.mat.shape != (d, d):
             raise ValueError(f"matrix shape {self.mat.shape} inconsistent with dims {self.dims}")
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.mat
-
     def to_json(self) -> dict:
         return {
             "schema_version": "1",
@@ -62,6 +58,42 @@ def embed_two_site(M: np.ndarray, dims: tuple[int, int, int], pos: tuple[int, in
         D = d0 * d1 * d2
         return T.reshape(D, D)
     raise ValueError(f"unsupported embedding positions {pos}")
+
+
+def apply_two_site(M: np.ndarray, X: np.ndarray, dims: tuple[int, int, int],
+                   pos: tuple[int, int]) -> np.ndarray:
+    """embed_two_site(M, dims, pos) @ X, without forming the embedded operator.
+
+    The rows of X are viewed as a (d0, d1, d2) grid; the factor left out of
+    pos is moved to the front and M acts on the other two, batched over it.
+    """
+    if tuple(pos) not in ((0, 1), (0, 2), (1, 2)):
+        raise ValueError(f"unsupported embedding positions {pos}")
+    (spare,) = {0, 1, 2} - set(pos)
+    m = X.shape[1]
+    grid = np.moveaxis(np.asarray(X).reshape(*dims, m), spare, 0)
+    shape = grid.shape
+    out = M @ grid.reshape(shape[0], shape[1] * shape[2], m)
+    return np.moveaxis(out.reshape(shape), 0, spare).reshape(-1, m)
+
+
+def ybe_defect(R12: np.ndarray, R13: np.ndarray, R23: np.ndarray,
+               dims: tuple[int, int, int], col_mask: np.ndarray | None = None) -> float:
+    """Max-abs entry of R12 R13 R23 - R23 R13 R12 on the source columns in col_mask.
+
+    The R's are two-site operators for positions (0, 1), (0, 2) and (1, 2);
+    both products are applied to the selected basis columns only (all of
+    them when col_mask is None).
+    """
+    cols = np.eye(dims[0] * dims[1] * dims[2], dtype=complex)
+    if col_mask is not None:
+        cols = cols[:, col_mask]
+    sites = ((R12, (0, 1)), (R13, (0, 2)), (R23, (1, 2)))
+    lhs = rhs = cols
+    for (Ml, pl), (Mr, pr) in zip(reversed(sites), sites):
+        lhs = apply_two_site(Ml, lhs, dims, pl)  # R12 R13 R23, rightmost factor first
+        rhs = apply_two_site(Mr, rhs, dims, pr)  # R23 R13 R12
+    return masked_max_abs(lhs - rhs)
 
 
 def total_degree_mask(depths, max_total: int) -> np.ndarray:

@@ -79,6 +79,14 @@ class TestRMatrix:
         res = run_cli("rmatrix", "--kind", "verma", "--q", "1.3", "--Nprime", "5")
         assert res.returncode == 2
 
+    def test_tolerance_flag_rejected(self):
+        # an export has no residual bound to apply a tolerance to
+        from uqsl2.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(["rmatrix", "--kind", "verma", "--q", "1.3", "--depths", "2,2",
+                  "--tol", "nan"])
+        assert exc.value.code == 2
+
     def test_z_sweep_keyed_by_z(self, tmp_path):
         import importlib.resources as res_
         import jsonschema
@@ -223,6 +231,14 @@ class TestSweep:
         assert res.returncode == 2
         diag = json.loads(res.stderr.strip())
         assert diag["code"] == 2 and spec in diag["error"]
+
+    def test_tolerance_flag_rejected(self):
+        # sweep has no residual bound to apply a tolerance to
+        from uqsl2.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--Nprime", "3", "--tol", "-1", "--lambda1-range", "1:1:1",
+                  "--alpha1-range", "0.2:0.2:1"])
+        assert exc.value.code == 2
 
     def test_bad_root_count_exits_2(self, capsys):
         assert_config_error(("sweep", "--Nprime", "3", "--z", "roots:abc"), capsys)

@@ -50,6 +50,13 @@ class TestQParam:
         with pytest.raises(ValueError):
             QParam.root_of_unity(2)
 
+    @pytest.mark.parametrize("q", [complex("nan"), complex(1.2, float("nan")),
+                                   complex(float("inf"), 0.1)],
+                             ids=["nan", "nan-imag", "inf"])
+    def test_non_finite_generic_q_rejected(self, q):
+        with pytest.raises(ValueError, match="finite"):
+            QParam.generic(q)
+
 
 class TestQIntegers:
     def test_qint_zero(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -27,6 +28,21 @@ class TestTruncatedVerma:
         assert defining_relations_residual(rep, skip_cols=(5,)) < 1e-12
         # the cut really breaks the commutator on the last column
         assert defining_relations_residual(rep) > 0.1
+
+    def test_non_finite_weight_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            truncated_verma(complex("nan"), 2, QP)
+        rep = truncated_verma(0.83 + 0.21j, 2, QP)
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(rep, lam=complex(0.8, float("inf")))
+
+    @pytest.mark.parametrize("gen", ["E", "F", "K"])
+    def test_non_finite_generator_entries_rejected(self, gen):
+        rep = truncated_verma(0.83 + 0.21j, 3, QP)
+        bad = getattr(rep, gen).copy()
+        bad[0, 0] = complex("nan")
+        with pytest.raises(ValueError, match="non-finite"):
+            dataclasses.replace(rep, **{gen: bad})
 
     def test_spin_half_block_against_direct_solve(self):
         # brute-force the 2x2 module: F fixed, K = diag(q, 1/q), solve [E,F]

@@ -1,11 +1,17 @@
+import cmath
+
 import numpy as np
 import pytest
 
-from uqsl2 import (QParam, coproduct, e_derivation_matrix, intertwine_residual,
-                   qnumber, quasitriangularity_residual, r_generic_universal,
-                   r_reshetikhin_product, r_verma_direct, renormalized_raising_power,
-                   safe_mask, truncated_verma, ybe_residual)
+from uqsl2 import (DenominatorVanishes, QParam, apply_two_site, cartan_weight_vector,
+                   coproduct, cyclic, e_derivation_matrix, embed_two_site,
+                   intertwine_residual, kron2, masked_max_abs, matrix_fractional_power,
+                   nilpotent_expm, qexp_truncated, qnumber, quasitriangularity_residual,
+                   r_generic_universal, r_reshetikhin_product, r_verma_direct,
+                   renormalized_raising_power, safe_mask, tensor_rep, truncated_verma,
+                   ybe_defect, ybe_residual)
 from uqsl2.qnum import unsym_qfact
+from uqsl2.rfinite import _wrap_constant
 
 QP = QParam.generic(1.17 + 0.06j)
 LAMS = (0.43 + 0.11j, 1.27 - 0.23j, 0.9 + 0.05j)
@@ -145,6 +151,123 @@ class TestProductForm:
         r1, r2 = vermas((3, 3))
         with pytest.raises(ValueError):
             r_reshetikhin_product(r1, r2)
+
+
+def dense_reshetikhin_product(rep1, rep2, wrap_constant="auto", literal_factors=False):
+    """The product form as a product of dense fractional-power matrices.
+
+    This was the implementation before the factors were multiplied as
+    series in X = E (x) F; it is kept as an independent reference.
+    """
+    qp = rep1.qp
+    N = qp.N
+    eps = qp.q
+    X = kron2(rep1.E, rep2.F)
+    mat = np.eye(X.shape[0], dtype=complex)
+    for r in range(N):
+        if literal_factors:
+            if r == 0:
+                continue
+            mat = mat @ matrix_fractional_power(qp.qpow(r), X, -r / N)
+        else:
+            a = qp.qpow(-2 * r - 1) * (eps - 1 / eps) ** 2
+            mat = mat @ matrix_fractional_power(a, X, r / N)
+    FN = np.linalg.matrix_power(rep2.F, N)
+    if FN.any():
+        e1 = e_derivation_matrix(rep1)
+        if e1.any():
+            C = _wrap_constant(qp, wrap_constant)
+            mat = mat @ nilpotent_expm(C * kron2(e1, FN))
+    return mat * cartan_weight_vector(rep1, rep2)[None, :]
+
+
+def dense_generic_universal(rep1, rep2, terms=None):
+    """exp_{q^-2}((q - q^-1) X) on the dense X = E (x) F: the former implementation."""
+    qp = rep1.qp
+    q = qp.q
+    if terms is None:
+        terms = min(rep1.dim, rep2.dim)
+    mat = qexp_truncated((q - 1 / q) * kron2(rep1.E, rep2.F), qp.qpow(-2), terms)
+    return mat * cartan_weight_vector(rep1, rep2)[None, :]
+
+
+def assert_close_to_scale(got, ref, rel=1e-12):
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(got - ref)) <= rel * scale
+
+
+class TestSeriesFormsAgainstDense:
+    @pytest.mark.parametrize("wrap", ["auto", "plus", "minus"])
+    @pytest.mark.parametrize("literal", [False, True], ids=["calibrated", "literal"])
+    @pytest.mark.parametrize("depth", ["N", "2N+1"])
+    @pytest.mark.parametrize("nprime", [3, 4, 5, 6])
+    def test_product_form(self, nprime, depth, literal, wrap):
+        qp = QParam.root_of_unity(nprime)
+        d = qp.N if depth == "N" else 2 * qp.N + 1
+        r1, r2 = vermas((d, d), qp)
+        got = r_reshetikhin_product(r1, r2, wrap_constant=wrap, literal_factors=literal)
+        assert_close_to_scale(got.mat, dense_reshetikhin_product(r1, r2, wrap, literal))
+
+    def test_product_form_refuses_non_nilpotent_argument(self):
+        qp = QParam.root_of_unity(3)
+        rep = cyclic(0.3, 0.7, LAMS[0], qp)  # E^N and F^N are nonzero scalars
+        with pytest.raises(ValueError, match="nilpotent"):
+            r_reshetikhin_product(rep, rep)
+
+    @pytest.mark.parametrize("depths,terms", [((3, 3), None), ((4, 6), None),
+                                              ((6, 4), None), ((5, 5), 2), ((3, 4), 20)])
+    def test_universal_form(self, depths, terms):
+        r1, r2 = vermas(depths)
+        got = r_generic_universal(r1, r2, terms=terms)
+        assert_close_to_scale(got.mat, dense_generic_universal(r1, r2, terms))
+
+    @pytest.mark.parametrize("first", [True, False], ids=["(12)3", "1(23)"])
+    def test_universal_form_on_tensor_factor(self, first):
+        r1, r2, r3 = vermas((3, 4, 3))
+        pair = (tensor_rep(r1, r2), r3) if first else (r1, tensor_rep(r2, r3))
+        assert_close_to_scale(r_generic_universal(*pair).mat, dense_generic_universal(*pair))
+
+    def test_vanishing_q_factorial_raises_while_powers_survive(self):
+        qp = QParam.generic(cmath.exp(2j * cmath.pi / 66))  # (33)_{q^-2} = 0
+        r1, r2 = vermas((34, 34), qp)
+        with pytest.raises(DenominatorVanishes):
+            r_generic_universal(r1, r2)
+        # F^2 = 0 on a depth-2 factor ends the series long before order 33
+        r2 = truncated_verma(LAMS[1], 2, qp)
+        assert np.isfinite(r_generic_universal(r1, r2, terms=40).mat).all()
+
+
+class TestTwoSiteApplication:
+    DIMS = (2, 3, 4)
+    POS = [(0, 1), (0, 2), (1, 2)]
+
+    @pytest.mark.parametrize("pos", POS)
+    def test_matches_embedding(self, pos):
+        rng = np.random.default_rng(3)
+        d = self.DIMS[pos[0]] * self.DIMS[pos[1]]
+        M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        X = rng.normal(size=(24, 5)) + 1j * rng.normal(size=(24, 5))
+        ref = embed_two_site(M, self.DIMS, pos) @ X
+        assert_close_to_scale(apply_two_site(M, X, self.DIMS, pos), ref)
+
+    def test_unsupported_positions(self):
+        with pytest.raises(ValueError):
+            apply_two_site(np.eye(6), np.eye(24), self.DIMS, (1, 0))
+
+    @pytest.mark.parametrize("masked", [True, False], ids=["safe-window", "all-columns"])
+    def test_ybe_defect_matches_dense_products(self, masked):
+        # random operators: the defect is far from zero, so the comparison
+        # checks the evaluation order and the column selection
+        rng = np.random.default_rng(5)
+        d0, d1, d2 = self.DIMS
+        ops = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+               for n in (d0 * d1, d0 * d2, d1 * d2)]
+        mask = safe_mask(self.DIMS, 1) if masked else None
+        R12, R13, R23 = (embed_two_site(M, self.DIMS, pos) for M, pos in zip(ops, self.POS))
+        lhs, rhs = R12 @ R13 @ R23, R23 @ R13 @ R12
+        ref = masked_max_abs(lhs - rhs, mask)
+        scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
+        assert abs(ybe_defect(*ops, self.DIMS, mask) - ref) <= 1e-12 * scale
 
 
 class TestIntertwining:
