@@ -26,16 +26,16 @@ from .qnum import QParam
 from .reps import central_check, semicyclic, truncated_verma
 from .rfinite import (intertwine_residual, quasitriangularity_residual,
                       r_reshetikhin_product, r_verma_direct, ybe_residual)
-from .raffine import (PoleError, UnsupportedOrder, affine_intertwine_residual,
-                      central_affine_check, decompos_product, drinfeld_relation_check,
-                      eval_imaginary_prime, f_scalar, noncentral_residual,
-                      r_spectral, rminus_closed, rminus_product, rplus_closed,
-                      rplus_product, rzero_bar, rzero_exponential, schur_forward,
-                      schur_to_imaginary, spectral_ybe_residual)
-from .cpotts import (CurveSpec, curve_residual, export_boltzmann,
+from .raffine import (OracleDiverges, PoleError, UnsupportedOrder,
+                      affine_intertwine_residual, central_affine_check, decompos_product,
+                      drinfeld_relation_check, eval_imaginary_prime, f_scalar,
+                      noncentral_residual, r_spectral, rminus_closed, rminus_product,
+                      rplus_closed, rplus_product, rzero_bar, rzero_exponential,
+                      schur_forward, schur_to_imaginary, spectral_ybe_residual)
+from .cpotts import (CurveSpec, DegenerateCurve, curve_residual, export_boltzmann,
                      fn_commutation_residual, on_curve_partner, r_semicyclic,
                      solve_intertwiner)
-from .tensorop import masked_max_abs, safe_mask
+from .tensorop import EmptySafeWindow, masked_max_abs, safe_mask
 
 
 class ConfigError(ValueError):
@@ -388,6 +388,8 @@ def cmd_sweep(args) -> int:
     if not math.isfinite(args.lambda_imag):
         raise ConfigError(f"--lambda-imag must be finite, got {args.lambda_imag}")
     z = _parse_zlist(args.z)[0]
+    if z == 0:
+        raise ConfigError("--z must be nonzero: it is the evaluation parameter of V1")
 
     def _range(spec):
         try:
@@ -433,8 +435,16 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with the same one-line JSON diagnostic as any other
+    configuration error (subparsers inherit the class)."""
+
+    def error(self, message):
+        self.exit(2, json.dumps({"error": f"{self.prog}: {message}", "code": 2}) + "\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="uqsl2", description=__doc__)
+    p = _Parser(prog="uqsl2", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -483,7 +493,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, DegenerateCurve, EmptySafeWindow, OracleDiverges) as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "code": 2}) + "\n")
         return 2
     except UnsupportedOrder as exc:

@@ -61,12 +61,20 @@ class CurveSpec:
         }
 
 
+class DegenerateCurve(ValueError):
+    """K^N takes the value 1 on a module, so a curve denominator 1 - L vanishes."""
+
+
 def _central_powers(spec: CurveSpec, qp: QParam, convention: str):
     if convention == "central":
-        return qp.qpow(qp.N * spec.lambda1), qp.qpow(qp.N * spec.lambda2)
-    if convention == "raw":
-        return spec.lambda1 ** qp.N, spec.lambda2 ** qp.N
-    raise ValueError(f"unknown curve convention {convention!r}")
+        L1, L2 = qp.qpow(qp.N * spec.lambda1), qp.qpow(qp.N * spec.lambda2)
+    elif convention == "raw":
+        L1, L2 = spec.lambda1 ** qp.N, spec.lambda2 ** qp.N
+    else:
+        raise ValueError(f"unknown curve convention {convention!r}")
+    if abs(1 - L1) < 1e-12 or abs(1 - L2) < 1e-12:
+        raise DegenerateCurve("degenerate curve denominator: K^N takes the value 1")
+    return L1, L2
 
 
 def curve_residual(spec: CurveSpec, qp: QParam, convention: str = "central") -> tuple:
@@ -76,8 +84,6 @@ def curve_residual(spec: CurveSpec, qp: QParam, convention: str = "central") -> 
     given, r3 = |b1/(1-1/L1) - b2/(1-1/L2)|.
     """
     L1, L2 = _central_powers(spec, qp, convention)
-    if abs(1 - L1) < 1e-12 or abs(1 - L2) < 1e-12:
-        raise ValueError("degenerate curve denominator: K^N takes the value 1")
     r1 = abs(spec.alpha1 / (1 - L1) - spec.alpha2 / (1 - L2))
     r2 = abs(spec.z ** qp.N - 1)
     if spec.beta1 is None or spec.beta2 is None:

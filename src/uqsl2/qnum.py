@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, factorial
 
 import numpy as np
@@ -82,7 +83,7 @@ class QParam:
             raise ValueError("N is defined only at a root of unity")
         return self.nprime if self.nprime % 2 else self.nprime // 2
 
-    @property
+    @cached_property
     def logq(self) -> complex:
         # principal branch; the root-of-unity constructor stores the exact
         # primitive root, so this is (+/-) 2 pi i / N' there
@@ -91,6 +92,10 @@ class QParam:
     def qpow(self, e) -> complex:
         """q**e for arbitrary complex e, principal branch of log q."""
         return cmath.exp(complex(e) * self.logq)
+
+    def qpow_array(self, e) -> np.ndarray:
+        """q**e elementwise over an array of exponents, same branch as qpow."""
+        return np.exp(np.asarray(e, dtype=complex) * self.logq)
 
     def perturbed(self, h: float) -> "QParam":
         """Generic parameter q = eps * e^h, used by limit oracles near a root."""
@@ -103,6 +108,12 @@ def qnumber(x, qp: QParam) -> complex:
     """Symmetric bracket [x] = (q^x - q^-x)/(q - q^-1); x may be complex."""
     q = qp.q
     return (qp.qpow(x) - qp.qpow(-x)) / (q - 1 / q)
+
+
+def qnumber_array(x, qp: QParam) -> np.ndarray:
+    """[x] elementwise over an array x."""
+    q = qp.q
+    return (qp.qpow_array(x) - qp.qpow_array(-np.asarray(x))) / (q - 1 / q)
 
 
 def qint(n: int, qp: QParam) -> complex:
@@ -180,6 +191,42 @@ def qbinom(s: int, n: int, qp: QParam) -> complex:
     # integer powers of q have period N'; reduce the exponent to avoid drift
     phase = qp.qpow((-(n * (s - n))) % qp.nprime)
     return phase * comb(s1, n1) * gauss_binom(s0, n0, qp.qpow(2))
+
+
+def qbinom_table(d: int, qp: QParam) -> np.ndarray:
+    """The d x d table C[s, n] = qbinom(s, n, qp), zero above the diagonal (n > s).
+
+    At generic q, column n follows from column n-1 by the factor
+    [s-n+1]/[n].  At a root of unity every entry is the index-split limit of
+    ``qbinom``: a phase, an ordinary binomial of the top parts and a
+    Gaussian binomial of the bottom parts, whose N x N table follows the
+    same recurrence in base q^2 (its denominators never vanish below N).
+    """
+    s = np.arange(d)
+    if not qp.is_root:
+        return _binom_recurrence(qnumber_array(s + 1, qp), qnumber_array(s, qp))
+    N = qp.N
+    one_minus = 1 - qp.qpow(2) ** np.arange(N + 1)  # 1 - b^k, b = q^2
+    gauss = _binom_recurrence(one_minus[1:], one_minus[:-1])
+    top = np.array([[comb(a, b) for b in range(d // N + 1)] for a in range(d // N + 1)],
+                   dtype=float)
+    s1, s0 = np.divmod(s[:, None], N)
+    n1, n0 = np.divmod(s[None, :], N)
+    # integer powers of q have period N'; reduce the exponent to avoid drift
+    phase = qp.qpow_array((-(s[None, :] * (s[:, None] - s[None, :]))) % qp.nprime)
+    return phase * top[s1, n1] * gauss[s0, n0]
+
+
+def _binom_recurrence(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """B[s, n] = prod_{k=1}^n num[s-n+k-1] / den[k] for s, n < len(den); zero for n > s.
+
+    Filled column by column with B[s, n] = B[s, n-1] * num[s-n] / den[n]."""
+    d = len(den)
+    out = np.zeros((d, d), dtype=complex)
+    out[:, 0] = 1.0
+    for n in range(1, d):
+        out[n:, n] = out[n:, n - 1] * num[:d - n] / den[n]
+    return out
 
 
 def gen_binom(a: complex, k: int) -> complex:

@@ -30,14 +30,16 @@ The two agree at n = 1 and differ from n = 2 on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .qnum import QParam, qnumber, qexp_truncated
 from .reps import Rep
-from .rfinite import cartan_weight_vector, renormalized_raising_power
-from .tensorop import TensorOperator, kron2, masked_max_abs, safe_mask, ybe_defect
+from .rfinite import _ladder_table, _table_power, cartan_weight_vector
+from .tensorop import (EmptySafeWindow, TensorOperator, kron2, masked_max_abs, safe_mask,
+                       ybe_defect)
 
 CARTAN_MODES = ("normalized", "raw", "none")
 
@@ -49,6 +51,10 @@ class PoleError(ArithmeticError):
         super().__init__(message)
         self.z = z
         self.weight_pair = weight_pair
+
+
+class OracleDiverges(ValueError):
+    """An independent series or product oracle does not converge at these parameters."""
 
 
 class UnsupportedOrder(ValueError):
@@ -229,8 +235,6 @@ def schur_forward(e_images: list, qp: QParam, n: int) -> np.ndarray:
     E'_{nd} = sum over partitions {k^p} of n of
               (q^2-q^-2)^{sum p - 1} / prod p! * prod E_{kd}^p.
     """
-    from math import factorial
-
     c = qp.qpow(2) - qp.qpow(-2)
     d = e_images[0].shape[0]
     out = np.zeros((d, d), dtype=complex)
@@ -238,7 +242,7 @@ def schur_forward(e_images: list, qp: QParam, n: int) -> np.ndarray:
         coeff = c ** (sum(part.values()) - 1)
         term = np.eye(d, dtype=complex)
         for k, p in part.items():
-            coeff /= factorial(p)
+            coeff /= math.factorial(p)
             term = term @ np.linalg.matrix_power(e_images[k - 1], p)
         out += coeff * term
     return out
@@ -267,8 +271,9 @@ def rplus_closed(z: complex, rep1: Rep, rep2: Rep, pole_tol: float = 1e-12) -> T
     mat = np.eye(D, dtype=complex)
     den = np.ones(D, dtype=complex)
     Fn = np.eye(d2, dtype=complex)
+    table = _ladder_table(rep1)
     for n in range(1, d1):
-        En = renormalized_raising_power(rep1, n)
+        En = _table_power(table, n)
         if not En.any():
             break
         Fn = Fn @ rep2.F
@@ -297,8 +302,9 @@ def rminus_closed(z: complex, rep1: Rep, rep2: Rep, pole_tol: float = 1e-12) -> 
     mat = np.eye(D, dtype=complex)
     den = np.ones(D, dtype=complex)
     Fn = np.eye(d1, dtype=complex)
+    table = _ladder_table(rep2)
     for n in range(1, d2):
-        En = renormalized_raising_power(rep2, n)
+        En = _table_power(table, n)
         if not En.any():
             break
         Fn = Fn @ rep1.F
@@ -317,14 +323,6 @@ def rminus_closed(z: complex, rep1: Rep, rep2: Rep, pole_tol: float = 1e-12) -> 
     return TensorOperator((d1, d2), mat)
 
 
-def _cancel_exponents(num: list, den: list) -> tuple:
-    """Remove exponents appearing in both lists (exact integer matches)."""
-    from collections import Counter
-    cn, cd = Counter(num), Counter(den)
-    common = cn & cd
-    return list((cn - common).elements()), list((cd - common).elements())
-
-
 def rzero_bar_eigenvalue(z: complex, i: int, j: int, lam1: complex, lam2: complex,
                          qp: QParam, pole_tol: float = 1e-12) -> complex:
     """Diagonal eigenvalue of Rbar^0(z) on v_i (x) v_j.
@@ -336,24 +334,23 @@ def rzero_bar_eigenvalue(z: complex, i: int, j: int, lam1: complex, lam2: comple
         prod_{l=i-j+1}^{i} (1 - q^{M+2l} z)     prod_{l=0}^{i-1} (1 - q^{-P+2l} z)
 
     The two index ranges of the first ratio are mirror images of each other
-    (i-j+1..i below, j-i+1..j above); factors shared by the numerator and the
-    denominator cancel before evaluation, which keeps the expression finite
-    at roots of unity.  Calibrated entry by entry against intertwiners solved
-    independently on honest evaluation modules.
+    (i-j+1..i below, j-i+1..j above).  No exponent -2l of the numerator
+    equals an exponent 2l' of the denominator (that would need l' = -l <=
+    i-j-1), so nothing cancels; a vanishing denominator factor raises
+    PoleError.  This is the scalar form of one entry of ``rzero_bar``.
+    Calibrated entry by entry against intertwiners solved independently on
+    honest evaluation modules.
     """
-    num1 = [-2 * l for l in range(j - i + 1, j + 1)]
-    den1 = [2 * l for l in range(i - j + 1, i + 1)]
-    num1, den1 = _cancel_exponents(num1, den1)
     w1 = qp.qpow(lam2 - lam1) * z
     w2 = qp.qpow(lam2 + lam1) * z
     w3 = qp.qpow(-lam2 - lam1) * z
     val = 1.0 + 0j
-    for e in num1:
-        val *= 1 - qp.qpow(e) * w1
+    for l in range(j - i + 1, j + 1):
+        val *= 1 - qp.qpow(-2 * l) * w1
     for e in range(0, j):
         val *= 1 - qp.qpow(-2 * e) * w2
-    for e in den1:
-        d = 1 - qp.qpow(e) * w1
+    for l in range(i - j + 1, i + 1):
+        d = 1 - qp.qpow(2 * l) * w1
         if abs(d) < pole_tol:
             raise PoleError(f"diagonal factor pole at weight pair ({i},{j}), z={z}",
                             z=z, weight_pair=(i, j))
@@ -367,15 +364,41 @@ def rzero_bar_eigenvalue(z: complex, i: int, j: int, lam1: complex, lam2: comple
     return val
 
 
+def _prefix_products(factors: np.ndarray) -> np.ndarray:
+    """[1, f_0, f_0 f_1, ...]: entry k is the product of the first k factors."""
+    return np.concatenate([[1.0 + 0j], np.cumprod(factors)])
+
+
 def rzero_bar(z: complex, rep1: Rep, rep2: Rep, pole_tol: float = 1e-12) -> TensorOperator:
-    """Diagonal factor Rbar^0(z) on V1 (x) V2."""
+    """Diagonal factor Rbar^0(z) on V1 (x) V2.
+
+    Every entry of ``rzero_bar_eigenvalue`` at once: the first ratio is a
+    product over the exponents l, masked to each weight pair's range; the
+    other two are prefix products over j and over i.  A pole raises
+    PoleError at the first weight pair (row-major) with a vanishing
+    denominator factor.
+    """
+    qp = rep1.qp
     d1, d2 = rep1.dim, rep2.dim
-    diag = np.empty(d1 * d2, dtype=complex)
-    for i in range(d1):
-        for j in range(d2):
-            diag[i * d2 + j] = rzero_bar_eigenvalue(
-                z, i, j, rep1.lam, rep2.lam, rep1.qp, pole_tol)
-    return TensorOperator((d1, d2), np.diag(diag))
+    lam1, lam2 = rep1.lam, rep2.lam
+    i = np.arange(d1)[:, None, None]
+    j = np.arange(d2)[None, :, None]
+    m = max(d1, d2)
+    l = np.arange(1 - m, m)  # covers j-i+1..j and i-j+1..i on the whole grid
+    w1 = qp.qpow(lam2 - lam1) * z
+    num1 = np.where((j - i < l) & (l <= j), 1 - qp.qpow_array(-2 * l) * w1, 1).prod(axis=2)
+    den1 = np.where((i - j < l) & (l <= i), 1 - qp.qpow_array(2 * l) * w1, 1)
+    f2 = 1 - qp.qpow_array(-2 * np.arange(d2 - 1)) * (qp.qpow(lam2 + lam1) * z)
+    f3 = 1 - qp.qpow_array(2 * np.arange(d1 - 1)) * (qp.qpow(-lam2 - lam1) * z)
+    small3 = np.concatenate([[False], np.logical_or.accumulate(np.abs(f3) < pole_tol)])
+    bad = (np.abs(den1) < pole_tol).any(axis=2) | small3[:, None]
+    if bad.any():
+        a, b = divmod(int(np.argmax(bad)), d2)
+        raise PoleError(f"diagonal factor pole at weight pair ({a},{b}), z={z}",
+                        z=z, weight_pair=(a, b))
+    diag = (num1 * _prefix_products(f2)[None, :]
+            / (den1.prod(axis=2) * _prefix_products(f3)[:, None]))
+    return TensorOperator((d1, d2), np.diag(diag.reshape(-1)))
 
 
 def f_scalar(z: complex, lam1: complex, lam2: complex, qp: QParam,
@@ -403,7 +426,7 @@ def f_scalar(z: complex, lam1: complex, lam2: complex, qp: QParam,
             term = cn * z**n / n
             mag = abs(term)
             if n > 5 and mag > 4 * last and mag > 1e3:
-                raise ValueError("exponential form of the scalar factor diverges here")
+                raise OracleDiverges("exponential form of the scalar factor diverges here")
             last = mag
             acc += term
         return np.exp(acc)
@@ -411,7 +434,7 @@ def f_scalar(z: complex, lam1: complex, lam2: complex, qp: QParam,
         raise ValueError(f"unknown form {form!r}")
     base = qp.qpow(-4)
     if abs(base) >= 1 - 1e-12:
-        raise ValueError("the product form needs |q^-4| < 1 to converge")
+        raise OracleDiverges("the product form needs |q^-4| < 1 to converge")
 
     def poch(arg):
         out = 1.0 + 0j
@@ -469,10 +492,9 @@ def _family_ratio(z: complex, rep1: Rep, rep2: Rep) -> float:
 
 
 def _auto_terms(z, rep1, rep2, tail_tol=1e-12, cap=2000):
-    import math
     r = _family_ratio(z, rep1, rep2)
     if r >= 0.999:
-        raise ValueError(
+        raise OracleDiverges(
             f"ordered-product oracle does not converge here (growth ratio {r:.3f})")
     n = max(10, int(math.log(tail_tol) / math.log(r)) + 5) if r > 0 else 10
     return min(n, cap)
@@ -571,14 +593,16 @@ def affine_coproduct_images(rep1: Rep, rep2: Rep, x: complex, y: complex,
     I2 = np.eye(rep2.dim, dtype=complex)
     out = {}
     # D(E_i) = E_i (x) 1 + q^{-H_i} (x) E_i;  D(F_i) = F_i (x) q^{H_i} + 1 (x) F_i
-    ks = {"0": (rep1.K, rep2.K), "1": (rep1.Kinv, rep2.Kinv)}
+    # with K_0 = K and K_1 = K^-1 on each factor
+    ks = {"0": (rep1.K, rep2.K, rep1.Kinv, rep2.Kinv),
+          "1": (rep1.Kinv, rep2.Kinv, rep1.K, rep2.K)}
     for i in ("0", "1"):
-        K1i, K2i = ks[i]
+        K1i, K2i, K1i_inv, K2i_inv = ks[i]
         if not opposite:
-            out["E" + i] = kron2(g1["E" + i], I2) + kron2(np.linalg.inv(K1i), g2["E" + i])
+            out["E" + i] = kron2(g1["E" + i], I2) + kron2(K1i_inv, g2["E" + i])
             out["F" + i] = kron2(g1["F" + i], K2i) + kron2(I1, g2["F" + i])
         else:
-            out["E" + i] = kron2(I1, g2["E" + i]) + kron2(g1["E" + i], np.linalg.inv(K2i))
+            out["E" + i] = kron2(I1, g2["E" + i]) + kron2(g1["E" + i], K2i_inv)
             out["F" + i] = kron2(g1["F" + i], I2) + kron2(K1i, g2["F" + i])
         out["K" + i] = kron2(K1i, K2i)
     return out
@@ -718,6 +742,8 @@ def drinfeld_relation_check(rep: Rep, x: complex, selection=DRINFELD_RELATIONS,
     keep = np.ones(rep.dim, dtype=bool)
     if rep.kind == "verma" and margin:
         keep[-margin:] = False
+    if not keep.any():
+        raise EmptySafeWindow(f"depth {rep.dim} leaves no safe window at margin {margin}")
 
     def nrm(M):
         return float(np.max(np.abs(M[np.ix_(keep, keep)])))

@@ -58,7 +58,7 @@ class Rep:
 
     def qpow_h(self, a) -> np.ndarray:
         """Diagonal of q^{a*H} as a vector."""
-        return np.array([self.qp.qpow(a * h) for h in self.hvec])
+        return self.qp.qpow_array(a * self.hvec)
 
     def to_json(self) -> dict:
         if self.kind == "tensor":

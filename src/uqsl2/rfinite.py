@@ -24,11 +24,12 @@ truncations, round out the module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 
-from .qnum import (DenominatorVanishes, QParam, gen_binom, nilpotent_expm, qbinom,
-                   qnumber, unsym_qnum)
+from .qnum import (DenominatorVanishes, QParam, gen_binom, qbinom_table, qnumber_array,
+                   unsym_qnum)
 from .reps import Rep, coproduct, opposite_coproduct, tensor_rep
 from .tensorop import (TensorOperator, apply_two_site, kron2, masked_max_abs, safe_mask,
                        ybe_defect)
@@ -41,14 +42,38 @@ class RFiniteOptions:
 
 def cartan_weight_vector(rep1: Rep, rep2: Rep) -> np.ndarray:
     """Diagonal of q^{H(x)H/2}: q^{h_i h_j / 2} over weight pairs."""
-    qp = rep1.qp
-    out = np.empty(rep1.dim * rep2.dim, dtype=complex)
-    k = 0
-    for hi in rep1.hvec:
-        for hj in rep2.hvec:
-            out[k] = qp.qpow(0.5 * hi * hj)
-            k += 1
-    return out
+    return rep1.qp.qpow_array(0.5 * np.outer(rep1.hvec, rep2.hvec)).reshape(-1)
+
+
+def _raising_table(rep: Rep) -> np.ndarray:
+    """T[s, n] = q^{n(n-1)/2} qbinom(s, n) prod_{r=1}^n [lam - s + r], zero for n > s.
+
+    Column n holds the entries (s-n, s) of E^n / (n)_{q^-2}!; the q-binomial
+    is the root-of-unity limit value where applicable, so no vanishing
+    factorial is ever divided.  The ladder products accumulate over n.
+    """
+    qp = rep.qp
+    d = rep.dim
+    n = np.arange(d)
+    ladder = np.ones((d, d), dtype=complex)
+    brackets = qnumber_array(rep.lam - n[:, None] + n[None, 1:], qp)  # [lam - s + r]
+    ladder[:, 1:] = np.cumprod(brackets, axis=1)
+    return qp.qpow_array(0.5 * n * (n - 1)) * qbinom_table(d, qp) * ladder
+
+
+def _ladder_table(rep: Rep) -> np.ndarray:
+    """The raising table of a ladder (Verma or semicyclic) module."""
+    if rep.kind not in ("verma", "semicyclic"):
+        raise ValueError("renormalized raising powers need a ladder module")
+    return _raising_table(rep)
+
+
+def _table_power(table: np.ndarray, n: int) -> np.ndarray:
+    """E^n / (n)_{q^-2}! from column n of a raising table (zero once n >= dim)."""
+    d = table.shape[0]
+    if n >= d:
+        return np.zeros((d, d), dtype=complex)
+    return np.diag(table[n:, n], n)
 
 
 def renormalized_raising_power(rep: Rep, n: int) -> np.ndarray:
@@ -58,21 +83,7 @@ def renormalized_raising_power(rep: Rep, n: int) -> np.ndarray:
     the q-binomial is the root-of-unity limit value where applicable, so the
     expression is never assembled from vanishing factorials.
     """
-    if rep.kind not in ("verma", "semicyclic"):
-        raise ValueError("renormalized raising powers need a ladder module")
-    qp = rep.qp
-    d = rep.dim
-    out = np.zeros((d, d), dtype=complex)
-    if n == 0:
-        return np.eye(d, dtype=complex)
-    pref = qp.qpow(0.5 * n * (n - 1))
-    for s in range(n, d):
-        prod = 1.0 + 0j
-        for r in range(1, n + 1):
-            prod *= qnumber(rep.lam - s + r, qp)
-        coeff = pref * qbinom(s, n, qp) * prod
-        out[s - n, s] = coeff
-    return out
+    return _table_power(_ladder_table(rep), n)
 
 
 def e_derivation_matrix(rep: Rep) -> np.ndarray:
@@ -87,27 +98,21 @@ def r_verma_direct(rep1: Rep, rep2: Rep, opts: RFiniteOptions | None = None) -> 
 
     R(v_s (x) v_s') = sum_n q^{(l1-2s)(l2-2s')/2} q^{n(n-1)/2} (q-q^-1)^n
                       qbinom(s,n) prod_{r=1}^n [l1-s+r]  v_{s-n} (x) v_{s'+n},
-    terms leaving the second truncation dropped.
+    terms leaving the second truncation dropped.  The coefficients come from
+    the raising table of V1 and are scattered to every s' at once.
     """
     opts = opts or RFiniteOptions()
     if rep1.qp != rep2.qp:
         raise ValueError("both modules must share the deformation parameter")
-    qp = rep1.qp
-    q = qp.q
+    q = rep1.qp.q
     d1, d2 = rep1.dim, rep2.dim
+    s, sp, n = np.meshgrid(np.arange(d1), np.arange(d2), np.arange(d1), indexing="ij")
+    coeff = (_raising_table(rep1) * (q - 1 / q) ** np.arange(d1))[s, n]
+    if opts.include_cartan_factor:
+        coeff = coeff * cartan_weight_vector(rep1, rep2).reshape(d1, d2)[:, :, None]
+    keep = (n <= s) & (sp + n < d2)
     mat = np.zeros((d1 * d2, d1 * d2), dtype=complex)
-    for s in range(d1):
-        for sp in range(d2):
-            col = s * d2 + sp
-            cart = qp.qpow(0.5 * rep1.hvec[s] * rep2.hvec[sp]) \
-                if opts.include_cartan_factor else 1.0
-            prod = 1.0 + 0j
-            for n in range(0, min(s, d2 - 1 - sp) + 1):
-                if n > 0:
-                    prod *= qnumber(rep1.lam - s + n, qp)
-                coeff = (qp.qpow(0.5 * n * (n - 1)) * (q - 1 / q) ** n
-                         * qbinom(s, n, qp) * prod)
-                mat[(s - n) * d2 + (sp + n), col] += cart * coeff
+    mat[((s - n) * d2 + sp + n)[keep], (s * d2 + sp)[keep]] = coeff[keep]
     return TensorOperator((d1, d2), mat)
 
 
@@ -131,6 +136,15 @@ def _kron_power_sum(coeffs, powers: list, d: int) -> np.ndarray:
     for c, (Ak, Bk) in zip(coeffs[1:], powers):
         mat += c * kron2(Ak, Bk)
     return mat
+
+
+def _kron_expm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """exp(A (x) B) for nilpotent A (x) B, summed as sum_k A^k (x) B^k / k!."""
+    d = A.shape[0] * B.shape[0]
+    powers = _kron_powers(A, B, 4 * d + 1)
+    if len(powers) > 4 * d:
+        raise ValueError("the wrap exponential requires a nilpotent argument")
+    return _kron_power_sum([1 / factorial(k) for k in range(len(powers) + 1)], powers, d)
 
 
 def r_generic_universal(rep1: Rep, rep2: Rep, terms: int | None = None,
@@ -195,7 +209,8 @@ def r_reshetikhin_product(rep1: Rep, rep2: Rep, opts: RFiniteOptions | None = No
 
     The fractional powers are multiplied as truncated series in X, with
     coefficients gen_binom(p, k) (-a)^k, and the product is summed as
-    sum_k c_k E^k (x) F^k.  ``literal_factors=True`` switches to the factors
+    sum_k c_k E^k (x) F^k; the wrap exponential is summed the same way, as
+    sum_k C^k/k! e^k (x) (F^N)^k.  ``literal_factors=True`` switches to the factors
     (1 - eps^m X)^{-m/N} of the alternative normalization, which does not
     reproduce the direct form; it is kept as a negative control.
     """
@@ -223,7 +238,7 @@ def r_reshetikhin_product(rep1: Rep, rep2: Rep, opts: RFiniteOptions | None = No
         e1 = e_derivation_matrix(rep1)
         if e1.any():
             C = _wrap_constant(qp, wrap_constant)
-            mat = mat @ nilpotent_expm(C * kron2(e1, FN))
+            mat = mat @ _kron_expm(C * e1, FN)
     if opts.include_cartan_factor:
         mat = mat * cartan_weight_vector(rep1, rep2)[None, :]
     return TensorOperator((rep1.dim, rep2.dim), mat)

@@ -103,10 +103,16 @@ def total_degree_mask(depths, max_total: int) -> np.ndarray:
     return (total <= max_total).reshape(-1)
 
 
+class EmptySafeWindow(ValueError):
+    """The truncation depths are too small for the margin: no source is safe."""
+
+
 def safe_mask(depths, margin: int) -> np.ndarray:
     """Sources whose images under the compared operators stay inside every truncation."""
-    if margin < 0 or margin >= min(depths):
-        raise ValueError(f"margin {margin} out of range for depths {depths}")
+    if margin < 0:
+        raise ValueError(f"margin must be >= 0, got {margin}")
+    if margin >= min(depths):
+        raise EmptySafeWindow(f"depths {tuple(depths)} leave no safe window at margin {margin}")
     return total_degree_mask(depths, min(depths) - 1 - margin)
 
 

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 
 def run_cli(*args):
@@ -281,3 +284,117 @@ class TestDeterminism:
     def test_bad_env_tolerance_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("UQSL2_TOL", "abc")
         assert_config_error(("verify", "ybe", "--Nprime", "3"), capsys)
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over the argument space
+
+COMPLEX = st.sampled_from(["1", "0.8,0.05", "1.3,-0.11", "0", "-1", "2,0.5", "nan", "1,inf",
+                           "abc", "1,2,3", ""])
+QFLAGS = st.one_of(
+    st.integers(-1, 7).map(lambda n: ["--Nprime", str(n)]),
+    st.sampled_from(["1.17,0.06", "1.3", "0.9,-0.2", "1", "-1", "0", "nan", "abc", "1,2,3",
+                     "x"]).map(lambda q: ["--q", q]),
+    st.just([]),
+    st.just(["--q", "1.2", "--Nprime", "3"]),
+    st.just(["--Nprime", "x"]),
+)
+DEPTHS = st.sampled_from(["1", "2", "3", "1,1", "1,2", "2,2", "3,2", "2,3", "1,1,1", "2,1,2",
+                          "2,2,2", "3,2,3", "0,2", "-1,2", "x", "2,,2"])
+ZS = st.sampled_from(["1", "0.5,0.2", "0.3;1", "roots:3", "roots:0", "roots:x", "0", "nan", "2",
+                      "-1"])
+#: sweep grids stay at most 2 x 2 points
+RANGES = st.sampled_from(["0.5:1.5:2", "1:1:1", "1:1:0", "1:2", "a:b:c", "0:1:-1", "nan:1:1",
+                          "0.8:0.8:1"])
+
+
+def optional(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+RMATRIX_ARGS = st.tuples(
+    st.just(["rmatrix"]), QFLAGS,
+    optional("--kind", st.sampled_from(["verma", "reshetikhin", "spectral", "semicyclic", "x"])),
+    optional("--lambda1", COMPLEX), optional("--lambda2", COMPLEX), optional("--depths", DEPTHS),
+    optional("--alpha1", COMPLEX), optional("--alpha2", COMPLEX), optional("--z", ZS),
+    optional("--cartan", st.sampled_from(["normalized", "raw", "none"])),
+    optional("--tol", st.just("1e-9")))
+VERIFY_ARGS = st.tuples(
+    st.just(["verify"]),
+    st.sampled_from(["ybe", "intertwine", "quasi", "central", "drinfeld", "curve",
+                     "schur-oracle", "product-oracle", "coincidence", "x"]).map(lambda s: [s]),
+    QFLAGS, optional("--depths", DEPTHS), optional("--seed", st.sampled_from(["0", "3", "x"])),
+    optional("--tol", st.sampled_from(["1e-9", "1e-3", "0", "-1", "nan", "inf", "1e-300", "x"])),
+    optional("--sweep", st.sampled_from(["on-curve", "off-curve"])),
+    st.sampled_from(["0", "1", "2", "-1", "x"]).map(lambda v: ["--draws", v]))
+SWEEP_ARGS = st.tuples(
+    st.just(["sweep"]), QFLAGS,
+    RANGES.map(lambda v: ["--lambda1-range", v]), RANGES.map(lambda v: ["--alpha1-range", v]),
+    optional("--lambda-imag", st.sampled_from(["0.1", "0", "nan", "x"])),
+    optional("--lambda2", COMPLEX), optional("--z", ZS))
+CLI_ARGS = st.one_of(RMATRIX_ARGS, VERIFY_ARGS, SWEEP_ARGS).map(
+    lambda parts: [a for part in parts for a in part])
+
+
+def run_main(argv):
+    """cli.main in-process: (exit code, stderr); an uncaught exception propagates."""
+    from uqsl2.cli import main
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+class TestExitCodeContract:
+    @given(CLI_ARGS)
+    @settings(max_examples=60, deadline=None)
+    def test_exit_codes_and_diagnostics(self, argv):
+        code, err = run_main(argv)
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert "Traceback" not in err, argv
+        if code in (2, 3):
+            assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+            assert json.loads(err)["code"] == code, (argv, err)
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "ybe", "--q", "1.17,0.06", "--depths", "2,1,2"),
+        ("verify", "intertwine", "--Nprime", "3", "--depths", "1,1"),
+        ("verify", "drinfeld", "--q", "1.17,0.06", "--depths", "2"),
+    ], ids=["ybe", "intertwine", "drinfeld"])
+    def test_depths_without_safe_window_exit_2(self, argv):
+        code, err = run_main(list(argv))
+        assert code == 2
+        assert "safe window" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ("rmatrix", "--kind", "semicyclic", "--Nprime", "3", "--z", "0.5,0.2"),
+        ("sweep", "--Nprime", "3", "--lambda1-range", "1:1:1", "--alpha1-range", "0.2:0.2:1",
+         "--lambda-imag", "0"),
+    ], ids=["rmatrix", "sweep"])
+    def test_degenerate_curve_exits_2(self, argv):
+        # lambda = 1 at N' = 3 makes K^N = 1, where the curve has no denominator
+        code, err = run_main(list(argv))
+        assert code == 2
+        assert "degenerate curve" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "product-oracle", "--q", "0.9,-0.2"),
+        ("verify", "product-oracle", "--q", "1.3", "--seed", "3"),
+    ], ids=["pochhammer-base", "growth-ratio"])
+    def test_diverging_oracle_exits_2(self, argv):
+        code, err = run_main(list(argv))
+        assert code == 2
+        assert "converge" in json.loads(err)["error"]
+
+    def test_sweep_at_zero_spectral_parameter_exits_2(self):
+        code, err = run_main(["sweep", "--Nprime", "3", "--lambda1-range", "0.5:0.5:1",
+                              "--alpha1-range", "0.5:0.5:1", "--z", "0"])
+        assert code == 2 and json.loads(err)["code"] == 2
+
+    def test_usage_error_writes_one_json_line(self):
+        code, err = run_main(["verify", "ybe", "--Nprime", "x"])
+        assert code == 2
+        assert err.count("\n") == 1 and json.loads(err)["code"] == 2

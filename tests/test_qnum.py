@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uqsl2 import (DenominatorVanishes, QParam, gauss_binom, qbinom, qbracket,
-                   qexp_truncated, qint, qnumber, qpochhammer_truncated,
+from uqsl2 import (DenominatorVanishes, QParam, gauss_binom, qbinom, qbinom_table,
+                   qbracket, qexp_truncated, qint, qnumber, qpochhammer_truncated,
                    unsym_qfact)
 
 
@@ -141,6 +141,19 @@ class TestQBinomial:
         for s in range(0, 9):
             for n in range(0, s + 1):
                 assert abs(qbinom(s, n, qp) - qbinom(s, s - n, qp)) < 1e-10
+
+
+class TestQBinomialTable:
+    @pytest.mark.parametrize("d", [1, 2, 27])
+    @pytest.mark.parametrize("qp", [QParam.generic(1.17 + 0.06j), QParam.generic(0.8 - 0.45j),
+                                    QParam.generic(cmath.exp(0.41j))]
+                             + [QParam.root_of_unity(n) for n in (3, 4, 5, 6, 9, 12)],
+                             ids=lambda qp: f"N'={qp.nprime}" if qp.nprime else f"q={qp.q:.3g}")
+    def test_matches_scalar_qbinom(self, qp, d):
+        got = qbinom_table(d, qp)
+        ref = np.array([[qbinom(s, n, qp) for n in range(d)] for s in range(d)])
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(got == 0, ref == 0)
 
 
 class TestQExponential:

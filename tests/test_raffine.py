@@ -8,7 +8,7 @@ from scipy.linalg import block_diag
 from uqsl2 import (PoleError, QParam, UnsupportedOrder, affine_intertwine_residual,
                    central_affine_check, decompos_product, drinfeld_relation_check,
                    eval_generators, eval_imaginary_prime, eval_root_vectors, f_scalar,
-                   noncentral_residual, qnumber, r_spectral, rminus_closed,
+                   kron2, noncentral_residual, qbinom, qnumber, r_spectral, rminus_closed,
                    rminus_product, rplus_closed, rplus_product, rzero_bar,
                    rzero_bar_eigenvalue, rzero_exponential, schur_forward,
                    schur_to_imaginary, semicyclic, spectral_ybe_residual, safe_mask,
@@ -308,6 +308,154 @@ class TestClosedFactors:
         r2 = truncated_verma(1.0, 3, qp)
         with pytest.raises(PoleError):
             rplus_closed(1.0, r1, r2)
+
+
+def scalar_raising_power(rep, n):
+    """E^n / (n)_{q^-2}! entry by entry: the former implementation, kept as a reference."""
+    qp = rep.qp
+    d = rep.dim
+    out = np.zeros((d, d), dtype=complex)
+    if n == 0:
+        return np.eye(d, dtype=complex)
+    pref = qp.qpow(0.5 * n * (n - 1))
+    for s in range(n, d):
+        prod = 1.0 + 0j
+        for r in range(1, n + 1):
+            prod *= qnumber(rep.lam - s + r, qp)
+        coeff = pref * qbinom(s, n, qp) * prod
+        out[s - n, s] = coeff
+    return out
+
+
+def _kinv_k_vector(rep1, rep2):
+    v1 = np.array([rep1.qp.qpow(-h) for h in rep1.hvec])
+    v2 = np.array([rep2.qp.qpow(h) for h in rep2.hvec])
+    return (v1[:, None] * v2[None, :]).reshape(-1)
+
+
+def scalar_rplus_closed(z, rep1, rep2, pole_tol=1e-12):
+    """R^+(z) with one scalar-built raising power per order: the former implementation."""
+    qp = rep1.qp
+    q = qp.q
+    d1, d2 = rep1.dim, rep2.dim
+    D = d1 * d2
+    W = _kinv_k_vector(rep1, rep2)
+    mat = np.eye(D, dtype=complex)
+    den = np.ones(D, dtype=complex)
+    Fn = np.eye(d2, dtype=complex)
+    for n in range(1, d1):
+        En = scalar_raising_power(rep1, n)
+        if not En.any():
+            break
+        Fn = Fn @ rep2.F
+        op = kron2(En, Fn)
+        if not op.any():
+            break
+        den = den * (1 - z * qp.qpow(-2 * n) * W)
+        support = np.abs(op).sum(axis=0) > 0
+        bad = support & (np.abs(den) < pole_tol)
+        if bad.any():
+            i, j = divmod(int(np.argmax(bad)), d2)
+            raise PoleError(
+                f"raising-factor denominator vanished at weight pair ({i},{j}), z={z}",
+                z=z, weight_pair=(i, j))
+        mat += (q - 1 / q) ** n * op * (1 / np.where(support, den, 1.0))[None, :]
+    return mat
+
+
+def scalar_rminus_closed(z, rep1, rep2, pole_tol=1e-12):
+    """R^-(z) with one scalar-built raising power per order: the former implementation."""
+    qp = rep1.qp
+    q = qp.q
+    d1, d2 = rep1.dim, rep2.dim
+    D = d1 * d2
+    W = _kinv_k_vector(rep1, rep2)
+    mat = np.eye(D, dtype=complex)
+    den = np.ones(D, dtype=complex)
+    Fn = np.eye(d1, dtype=complex)
+    for n in range(1, d2):
+        En = scalar_raising_power(rep2, n)
+        if not En.any():
+            break
+        Fn = Fn @ rep1.F
+        op = kron2(Fn, En)
+        if not op.any():
+            break
+        den = den * (1 - z * qp.qpow(-2 * n) * W)
+        support = np.abs(op).sum(axis=1) > 0
+        bad = support & (np.abs(den) < pole_tol)
+        if bad.any():
+            i, j = divmod(int(np.argmax(bad)), d2)
+            raise PoleError(
+                f"lowering-factor denominator vanished at weight pair ({i},{j}), z={z}",
+                z=z, weight_pair=(i, j))
+        mat += z**n * (q - 1 / q) ** n * (1 / np.where(support, den, 1.0))[:, None] * op
+    return mat
+
+
+def scalar_rzero_bar(z, rep1, rep2, pole_tol=1e-12):
+    """Rbar^0(z) one eigenvalue at a time: the former implementation, kept as a reference."""
+    d1, d2 = rep1.dim, rep2.dim
+    diag = np.empty(d1 * d2, dtype=complex)
+    for i in range(d1):
+        for j in range(d2):
+            diag[i * d2 + j] = rzero_bar_eigenvalue(
+                z, i, j, rep1.lam, rep2.lam, rep1.qp, pole_tol)
+    return np.diag(diag)
+
+
+def assert_close_to_scale(got, ref, rel=1e-12):
+    assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
+
+
+def closed_factor_pairs():
+    """(id, rep1, rep2, z): d1 != d2, generic q and roots of unity, Verma and semicyclic."""
+    out = [("generic-5x3", truncated_verma(L1, 5, QP), truncated_verma(L2, 3, QP), 0.31 + 0.12j),
+           ("generic-3x6", truncated_verma(L1, 3, QP), truncated_verma(L2, 6, QP), 0.8 - 0.4j)]
+    for nprime in (3, 4, 5, 6, 9):
+        qp = QParam.root_of_unity(nprime)
+        N = qp.N
+        z = cmath.exp(0.37j + 0.1 * nprime)
+        out.append((f"{nprime}-verma", truncated_verma(L1, 2 * N + 1, qp),
+                    truncated_verma(L2, N + 1, qp), z))
+        out.append((f"{nprime}-semicyclic", semicyclic(0.5, L1, qp),
+                    semicyclic(0.7 + 0.1j, L2, qp), z))
+    return out
+
+
+CLOSED_PAIRS = closed_factor_pairs()
+
+
+class TestClosedFactorsAgainstScalar:
+    @pytest.mark.parametrize("rid,rep1,rep2,z", CLOSED_PAIRS, ids=[c[0] for c in CLOSED_PAIRS])
+    def test_raising_and_lowering(self, rid, rep1, rep2, z):
+        for a, b in ((rep1, rep2), (rep2, rep1)):
+            assert_close_to_scale(rplus_closed(z, a, b).mat, scalar_rplus_closed(z, a, b))
+            assert_close_to_scale(rminus_closed(z, a, b).mat, scalar_rminus_closed(z, a, b))
+
+    @pytest.mark.parametrize("rid,rep1,rep2,z", CLOSED_PAIRS, ids=[c[0] for c in CLOSED_PAIRS])
+    def test_diagonal_factor_entry_by_entry(self, rid, rep1, rep2, z):
+        for a, b in ((rep1, rep2), (rep2, rep1)):
+            got = rzero_bar(z, a, b).mat
+            assert not (got - np.diag(np.diagonal(got))).any()
+            ref = np.diagonal(scalar_rzero_bar(z, a, b))
+            for k, g in enumerate(np.diagonal(got)):
+                assert abs(g - ref[k]) <= 1e-12 * max(1.0, abs(ref[k])), divmod(k, b.dim)
+
+    @pytest.mark.parametrize("hit", ["first-ratio", "first-ratio-negative-l", "third-ratio"])
+    def test_pole_reports_the_scalar_loops_weight_pair(self, hit):
+        r1, r2 = truncated_verma(L1, 5, QP), truncated_verma(L2, 6, QP)
+        M, P = L2 - L1, L2 + L1
+        # z on a denominator factor: 1 - q^{M+2l} z (l = 2 or -1) or 1 - q^{-P+2l} z (l = 3)
+        z = {"first-ratio": QP.qpow(-(M + 4)), "first-ratio-negative-l": QP.qpow(-(M - 2)),
+             "third-ratio": QP.qpow(P - 6)}[hit]
+        with pytest.raises(PoleError) as ref:
+            scalar_rzero_bar(z, r1, r2)
+        with pytest.raises(PoleError) as got:
+            rzero_bar(z, r1, r2)
+        assert got.value.weight_pair == ref.value.weight_pair
+        assert str(got.value) == str(ref.value)
+        assert got.value.z == z
 
 
 class TestDiagonalFactor:

@@ -3,15 +3,15 @@ import cmath
 import numpy as np
 import pytest
 
-from uqsl2 import (DenominatorVanishes, QParam, apply_two_site, cartan_weight_vector,
-                   coproduct, cyclic, e_derivation_matrix, embed_two_site,
-                   intertwine_residual, kron2, masked_max_abs, matrix_fractional_power,
-                   nilpotent_expm, qexp_truncated, qnumber, quasitriangularity_residual,
-                   r_generic_universal, r_reshetikhin_product, r_verma_direct,
-                   renormalized_raising_power, safe_mask, tensor_rep, truncated_verma,
-                   ybe_defect, ybe_residual)
+from uqsl2 import (DenominatorVanishes, QParam, RFiniteOptions, apply_two_site,
+                   cartan_weight_vector, coproduct, cyclic, e_derivation_matrix,
+                   embed_two_site, intertwine_residual, kron2, masked_max_abs,
+                   matrix_fractional_power, nilpotent_expm, qbinom, qexp_truncated, qnumber,
+                   quasitriangularity_residual, r_generic_universal, r_reshetikhin_product,
+                   r_verma_direct, renormalized_raising_power, safe_mask, semicyclic,
+                   tensor_rep, truncated_verma, ybe_defect, ybe_residual)
 from uqsl2.qnum import unsym_qfact
-from uqsl2.rfinite import _wrap_constant
+from uqsl2.rfinite import _kron_expm, _wrap_constant
 
 QP = QParam.generic(1.17 + 0.06j)
 LAMS = (0.43 + 0.11j, 1.27 - 0.23j, 0.9 + 0.05j)
@@ -235,6 +235,128 @@ class TestSeriesFormsAgainstDense:
         # F^2 = 0 on a depth-2 factor ends the series long before order 33
         r2 = truncated_verma(LAMS[1], 2, qp)
         assert np.isfinite(r_generic_universal(r1, r2, terms=40).mat).all()
+
+
+def scalar_cartan_weight_vector(rep1, rep2):
+    """q^{h_i h_j / 2} entry by entry: the former implementation, kept as a reference."""
+    qp = rep1.qp
+    out = np.empty(rep1.dim * rep2.dim, dtype=complex)
+    k = 0
+    for hi in rep1.hvec:
+        for hj in rep2.hvec:
+            out[k] = qp.qpow(0.5 * hi * hj)
+            k += 1
+    return out
+
+
+def scalar_raising_power(rep, n):
+    """E^n / (n)_{q^-2}! entry by entry: the former implementation, kept as a reference."""
+    qp = rep.qp
+    d = rep.dim
+    out = np.zeros((d, d), dtype=complex)
+    if n == 0:
+        return np.eye(d, dtype=complex)
+    pref = qp.qpow(0.5 * n * (n - 1))
+    for s in range(n, d):
+        prod = 1.0 + 0j
+        for r in range(1, n + 1):
+            prod *= qnumber(rep.lam - s + r, qp)
+        coeff = pref * qbinom(s, n, qp) * prod
+        out[s - n, s] = coeff
+    return out
+
+
+def scalar_verma_direct(rep1, rep2, include_cartan_factor=True):
+    """The weightwise sum entry by entry: the former implementation, kept as a reference."""
+    qp = rep1.qp
+    q = qp.q
+    d1, d2 = rep1.dim, rep2.dim
+    mat = np.zeros((d1 * d2, d1 * d2), dtype=complex)
+    for s in range(d1):
+        for sp in range(d2):
+            col = s * d2 + sp
+            cart = qp.qpow(0.5 * rep1.hvec[s] * rep2.hvec[sp]) \
+                if include_cartan_factor else 1.0
+            prod = 1.0 + 0j
+            for n in range(0, min(s, d2 - 1 - sp) + 1):
+                if n > 0:
+                    prod *= qnumber(rep1.lam - s + n, qp)
+                coeff = (qp.qpow(0.5 * n * (n - 1)) * (q - 1 / q) ** n
+                         * qbinom(s, n, qp) * prod)
+                mat[(s - n) * d2 + (sp + n), col] += cart * coeff
+    return mat
+
+
+#: generic q and the root-of-unity orders the coefficient tables are checked at
+QCASES = ["generic", 3, 4, 5, 6, 9]
+
+
+def qparam_of(case):
+    return QP if case == "generic" else QParam.root_of_unity(case)
+
+
+class TestCoefficientTablesAgainstScalar:
+    @pytest.mark.parametrize("cartan", [True, False], ids=["cartan", "no-cartan"])
+    @pytest.mark.parametrize("shape", ["tall", "wide"])
+    @pytest.mark.parametrize("case", QCASES)
+    def test_direct_form(self, case, shape, cartan):
+        qp = qparam_of(case)
+        N = 3 if case == "generic" else qp.N
+        depths = (2 * N + 1, N + 1) if shape == "tall" else (N, 2 * N)
+        r1, r2 = vermas(depths, qp)
+        got = r_verma_direct(r1, r2, RFiniteOptions(include_cartan_factor=cartan))
+        assert_close_to_scale(got.mat, scalar_verma_direct(r1, r2, cartan))
+
+    @pytest.mark.parametrize("case", [3, 4, 5, 6, 9])
+    def test_direct_form_semicyclic_second_factor(self, case):
+        qp = QParam.root_of_unity(case)
+        r1 = truncated_verma(LAMS[0], 2 * qp.N + 1, qp)
+        r2 = semicyclic(0.6 + 0.2j, LAMS[1], qp)
+        assert_close_to_scale(r_verma_direct(r1, r2).mat, scalar_verma_direct(r1, r2))
+
+    @pytest.mark.parametrize("case", QCASES)
+    def test_raising_powers(self, case):
+        qp = qparam_of(case)
+        d = 7 if case == "generic" else 2 * qp.N + 1
+        for rep in (truncated_verma(LAMS[2], d, qp),) + (
+                (semicyclic(0.4, LAMS[0], qp),) if qp.is_root else ()):
+            for n in range(rep.dim + 2):
+                ref = scalar_raising_power(rep, n)
+                got = renormalized_raising_power(rep, n)
+                if ref.any():
+                    assert_close_to_scale(got, ref)
+                else:
+                    assert not got.any()
+
+    def test_raising_power_needs_a_ladder_module(self):
+        rep = cyclic(0.3, 0.7, LAMS[0], QParam.root_of_unity(3))
+        with pytest.raises(ValueError, match="ladder"):
+            renormalized_raising_power(rep, 1)
+
+    @pytest.mark.parametrize("case", QCASES)
+    def test_cartan_weights_and_weight_powers(self, case):
+        qp = qparam_of(case)
+        r1, r2 = vermas((5, 3), qp)
+        assert_close_to_scale(cartan_weight_vector(r1, r2), scalar_cartan_weight_vector(r1, r2))
+        for a in (1, -1, 2.5, 0.3 - 0.2j):
+            ref = np.array([qp.qpow(a * h) for h in r1.hvec])
+            assert_close_to_scale(r1.qpow_h(a), ref)
+
+    @pytest.mark.parametrize("case", [3, 4, 5, 6, 9])
+    def test_wrap_exponential(self, case):
+        qp = QParam.root_of_unity(case)
+        N = qp.N
+        r1, r2 = vermas((2 * N + 1, 2 * N + 1), qp)
+        e1 = e_derivation_matrix(r1)
+        FN = np.linalg.matrix_power(r2.F, N)
+        C = _wrap_constant(qp, "auto")
+        ref = nilpotent_expm(C * kron2(e1, FN))
+        assert (ref != np.eye(len(ref))).any()  # the wrap term is switched on
+        assert_close_to_scale(_kron_expm(C * e1, FN), ref)
+
+    def test_wrap_exponential_refuses_non_nilpotent_argument(self):
+        with pytest.raises(ValueError, match="nilpotent"):
+            _kron_expm(np.eye(2), np.eye(3))
 
 
 class TestTwoSiteApplication:
