@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -35,7 +36,7 @@ from .raffine import (OracleDiverges, PoleError, UnsupportedOrder,
 from .cpotts import (CurveSpec, DegenerateCurve, curve_residual, export_boltzmann,
                      fn_commutation_residual, on_curve_partner, r_semicyclic,
                      solve_intertwiner)
-from .tensorop import EmptySafeWindow, masked_max_abs, safe_mask
+from .tensorop import EmptySafeWindow, cnum, masked_max_abs, safe_mask
 
 
 class ConfigError(ValueError):
@@ -102,17 +103,16 @@ def _qparam(args) -> QParam:
     raise ConfigError("one of --q or --Nprime is required")
 
 
-def _cnum(v: complex) -> list:
-    return [v.real, v.imag]
+def _write(text: str, path: str | None):
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _dump(obj, path: str | None):
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    _write(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
 
 
 def _random_lambda(rng) -> complex:
@@ -125,13 +125,18 @@ def _random_lambda(rng) -> complex:
 
 
 def cmd_rmatrix(args) -> int:
+    _dump(_rmatrix_doc(args), args.out)
+    return 0
+
+
+def _rmatrix_doc(args) -> dict:
     qp = _qparam(args)
     lam1 = _parse_complex(args.lambda1)
     lam2 = _parse_complex(args.lambda2)
     kind = args.kind
     meta = {"schema_version": "1", "kind": kind,
-            "qparam": {"nprime": qp.nprime, "q": _cnum(qp.q)},
-            "lambda1": _cnum(lam1), "lambda2": _cnum(lam2)}
+            "qparam": {"nprime": qp.nprime, "q": cnum(qp.q)},
+            "lambda1": cnum(lam1), "lambda2": cnum(lam2)}
     if kind in ("verma", "reshetikhin"):
         depths = _parse_depths(args.depths, 2)
         r1 = truncated_verma(lam1, depths[0], qp)
@@ -152,13 +157,13 @@ def cmd_rmatrix(args) -> int:
         if len(zs) > 1:
             meta["cartan"] = args.cartan
             meta["operators"] = [
-                {"z": _cnum(z), "operator": r_spectral(z, r1, r2, cartan=args.cartan).to_json()}
+                {"z": cnum(z), "operator": r_spectral(z, r1, r2, cartan=args.cartan).to_json()}
                 for z in zs
             ]
-            return _finish_rmatrix(args, meta)
+            return meta
         z = zs[0]
         R = r_spectral(z, r1, r2, cartan=args.cartan)
-        meta["z"] = _cnum(z)
+        meta["z"] = cnum(z)
         meta["cartan"] = args.cartan
     elif kind == "semicyclic":
         if not qp.is_root:
@@ -172,17 +177,12 @@ def cmd_rmatrix(args) -> int:
         sc2 = semicyclic(a2, lam2, qp)
         R = r_semicyclic(z, sc1, sc2)
         spec = CurveSpec(z, lam1, lam2, a1, a2, N=qp.N)
-        return _finish_rmatrix(args, export_boltzmann(R, spec, qp))
+        return export_boltzmann(R, spec, qp)
     else:
         raise ConfigError(f"unknown kind {kind!r}")
-    meta["normalization"] = _cnum(R.mat[0, 0])
+    meta["normalization"] = cnum(R.mat[0, 0])
     meta["operator"] = R.to_json()
-    return _finish_rmatrix(args, meta)
-
-
-def _finish_rmatrix(args, doc) -> int:
-    _dump(doc, args.out)
-    return 0
+    return meta
 
 
 # ---------------------------------------------------------------------------
@@ -198,16 +198,13 @@ def _record(records, check, params, residual, tol, invert=False):
 
 def _suite_ybe(args, qp, rng, records, tol):
     depths = _parse_depths(args.depths, 3) if args.depths else None
-    if qp.is_root:
-        d = depths or [qp.N] * 3
-    else:
-        d = depths or [3, 3, 3]
+    d = depths or ([qp.N] * 3 if qp.is_root else [3, 3, 3])
     lams = [_random_lambda(rng) for _ in range(3)]
     reps = [truncated_verma(l, dd, qp) for l, dd in zip(lams, d)]
-    _record(records, "ybe-finite", {"depths": d, "lambdas": [_cnum(l) for l in lams]},
+    _record(records, "ybe-finite", {"depths": d, "lambdas": [cnum(l) for l in lams]},
             ybe_residual(*reps), tol)
     xs = [1.0, cmath.exp(1j * rng.uniform(0.2, 1.2)), cmath.exp(-1j * rng.uniform(0.2, 1.2))]
-    _record(records, "ybe-spectral", {"x": [_cnum(x) for x in xs]},
+    _record(records, "ybe-spectral", {"x": [cnum(x) for x in xs]},
             spectral_ybe_residual(*xs, *reps), tol)
 
 
@@ -220,7 +217,7 @@ def _suite_intertwine(args, qp, rng, records, tol):
     _record(records, "intertwine-finite", {"depths": d},
             intertwine_residual(R, reps[0], reps[1]), tol)
     z = cmath.exp(1j * rng.uniform(0.2, 1.2)) if qp.is_root else 0.3 + 0.1j
-    _record(records, "intertwine-spectral", {"z": _cnum(z)},
+    _record(records, "intertwine-spectral", {"z": cnum(z)},
             affine_intertwine_residual(z, reps[0], reps[1]), tol)
 
 
@@ -240,7 +237,7 @@ def _suite_central(args, qp, rng, records, tol):
     rep = semicyclic(0.4, lam, qp)
     chk = central_check(rep)
     for name, row in chk.items():
-        _record(records, f"central-{name}", {"lambda": _cnum(lam)},
+        _record(records, f"central-{name}", {"lambda": cnum(lam)},
                 row["max_commutator"], tol)
     for row in central_affine_check(rep, 1.0, k_max=1):
         _record(records, f"central-loop-{row['family']}",
@@ -254,7 +251,7 @@ def _suite_drinfeld(args, qp, rng, records, tol):
     rep = truncated_verma(_random_lambda(rng), d, qp)
     x = cmath.exp(1j * rng.uniform(0.1, 1.0)) * rng.uniform(0.7, 1.3)
     for name, val in drinfeld_relation_check(rep, x).items():
-        _record(records, f"drinfeld-{name}", {"depth": d, "x": _cnum(x)}, val, tol)
+        _record(records, f"drinfeld-{name}", {"depth": d, "x": cnum(x)}, val, tol)
 
 
 def _suite_curve(args, qp, rng, records, tol):
@@ -266,18 +263,16 @@ def _suite_curve(args, qp, rng, records, tol):
     for t in range(draws):
         lam1, lam2 = _random_lambda(rng), _random_lambda(rng)
         a1 = complex(rng.uniform(0.2, 1.0), rng.uniform(-0.3, 0.3))
-        if sweep == "on-curve":
-            a2 = on_curve_partner(a1, lam1, lam2, qp)
-            z = cmath.exp(2j * cmath.pi * int(rng.integers(0, N)) / N)
-        else:
-            a2 = on_curve_partner(a1, lam1, lam2, qp) * 1.9 + 0.3
-            z = cmath.exp(2j * cmath.pi * int(rng.integers(0, N)) / N)
+        a2 = on_curve_partner(a1, lam1, lam2, qp)
+        if sweep != "on-curve":
+            a2 = a2 * 1.9 + 0.3
+        z = cmath.exp(2j * cmath.pi * int(rng.integers(0, N)) / N)
         sc1, sc2 = semicyclic(a1, lam1, qp), semicyclic(a2, lam2, qp)
         spec = CurveSpec(z, lam1, lam2, a1, a2, N=N)
         r1, r2 = curve_residual(spec, qp)
         R = r_semicyclic(z, sc1, sc2)
         resid = affine_intertwine_residual(z, sc1, sc2, R=R)
-        params = {"draw": t, "alpha1": _cnum(a1), "alpha2": _cnum(a2), "z": _cnum(z)}
+        params = {"draw": t, "alpha1": cnum(a1), "alpha2": cnum(a2), "z": cnum(z)}
         if sweep == "on-curve":
             _record(records, "curve-alpha", params, r1, tol)
             _record(records, "curve-intertwine", params, resid, max(tol, 1e-6))
@@ -310,18 +305,18 @@ def _suite_product_oracle(args, qp, rng, records, tol):
     r1 = truncated_verma(lam1, d[0], qp)
     r2 = truncated_verma(lam2, d[1], qp)
     z = 0.2
-    _record(records, "product-raising", {"z": _cnum(z)},
+    _record(records, "product-raising", {"z": cnum(z)},
             float(np.max(np.abs(rplus_closed(z, r1, r2).mat - rplus_product(z, r1, r2).mat))), tol)
-    _record(records, "product-lowering", {"z": _cnum(z)},
+    _record(records, "product-lowering", {"z": cnum(z)},
             float(np.max(np.abs(rminus_closed(z, r1, r2).mat - rminus_product(z, r1, r2).mat))), tol)
     f = f_scalar(z, lam1, lam2, qp, terms=90)
     mask = safe_mask((d[0], d[1]), 1)
     lhs = f * np.diag(rzero_bar(z, r1, r2).mat)
     rhs = np.diag(rzero_exponential(z, r1, r2, n_max=70).mat)
-    _record(records, "product-diagonal", {"z": _cnum(z)},
+    _record(records, "product-diagonal", {"z": cnum(z)},
             masked_max_abs(np.diag(lhs - rhs), mask), tol)
     full = decompos_product(z, r1, r2)
-    _record(records, "product-full", {"z": _cnum(z)},
+    _record(records, "product-full", {"z": cnum(z)},
             masked_max_abs(f * r_spectral(z, r1, r2, cartan="raw").mat - full.mat, mask), tol)
 
 
@@ -367,7 +362,7 @@ def cmd_verify(args) -> int:
         "suite": args.suite,
         "seed": args.seed,
         "tolerance": tol,
-        "qparam": {"nprime": qp.nprime, "q": _cnum(qp.q)},
+        "qparam": {"nprime": qp.nprime, "q": cnum(qp.q)},
         "records": records,
         "all_pass": ok,
     }
@@ -423,12 +418,7 @@ def cmd_sweep(args) -> int:
                 f"{z.real:.12g}{z.imag:+.12g}j,"
                 f"{r1:.6e},{r2:.6e},{resid:.6e},{dim}"
             )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -443,7 +433,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, json.dumps({"error": f"{self.prog}: {message}", "code": 2}) + "\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     p = _Parser(prog="uqsl2", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -489,24 +481,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, DegenerateCurve, EmptySafeWindow, OracleDiverges) as exc:
-        sys.stderr.write(json.dumps({"error": str(exc), "code": 2}) + "\n")
-        return 2
+        diag = {"error": str(exc), "code": 2}
     except UnsupportedOrder as exc:
-        sys.stderr.write(json.dumps({"error": f"unsupported order: {exc}", "code": 2}) + "\n")
-        return 2
+        diag = {"error": f"unsupported order: {exc}", "code": 2}
     except PoleError as exc:
         diag = {"error": str(exc), "code": 3}
         if exc.z is not None:
-            diag["z"] = [complex(exc.z).real, complex(exc.z).imag]
+            diag["z"] = cnum(exc.z)
         if exc.weight_pair is not None:
             diag["weight_pair"] = list(exc.weight_pair)
-        sys.stderr.write(json.dumps(diag) + "\n")
-        return 3
+    sys.stderr.write(json.dumps(diag) + "\n")
+    return diag["code"]
 
 
 if __name__ == "__main__":

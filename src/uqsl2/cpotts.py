@@ -32,7 +32,7 @@ import numpy as np
 from .qnum import QParam
 from .reps import Rep, truncated_verma
 from .raffine import affine_coproduct_images, r_spectral
-from .tensorop import TensorOperator, kron2
+from .tensorop import TensorOperator, cnum, kron2
 
 CURVE_CONVENTIONS = ("central", "raw")
 
@@ -52,7 +52,7 @@ class CurveSpec:
 
     def to_json(self) -> dict:
         def c(v):
-            return None if v is None else [complex(v).real, complex(v).imag]
+            return None if v is None else cnum(v)
 
         return {
             "z": c(self.z), "lambda1": c(self.lambda1), "lambda2": c(self.lambda2),
@@ -65,11 +65,12 @@ class DegenerateCurve(ValueError):
     """K^N takes the value 1 on a module, so a curve denominator 1 - L vanishes."""
 
 
-def _central_powers(spec: CurveSpec, qp: QParam, convention: str):
+def _central_powers(lam1: complex, lam2: complex, qp: QParam, convention: str):
+    """The central values L1, L2 of K^N on the two modules."""
     if convention == "central":
-        L1, L2 = qp.qpow(qp.N * spec.lambda1), qp.qpow(qp.N * spec.lambda2)
+        L1, L2 = qp.qpow(qp.N * lam1), qp.qpow(qp.N * lam2)
     elif convention == "raw":
-        L1, L2 = spec.lambda1 ** qp.N, spec.lambda2 ** qp.N
+        L1, L2 = lam1 ** qp.N, lam2 ** qp.N
     else:
         raise ValueError(f"unknown curve convention {convention!r}")
     if abs(1 - L1) < 1e-12 or abs(1 - L2) < 1e-12:
@@ -83,7 +84,7 @@ def curve_residual(spec: CurveSpec, qp: QParam, convention: str = "central") -> 
     r1 = |a1/(1-L1) - a2/(1-L2)|, r2 = |z^N - 1| and, when both beta's are
     given, r3 = |b1/(1-1/L1) - b2/(1-1/L2)|.
     """
-    L1, L2 = _central_powers(spec, qp, convention)
+    L1, L2 = _central_powers(spec.lambda1, spec.lambda2, qp, convention)
     r1 = abs(spec.alpha1 / (1 - L1) - spec.alpha2 / (1 - L2))
     r2 = abs(spec.z ** qp.N - 1)
     if spec.beta1 is None or spec.beta2 is None:
@@ -95,8 +96,7 @@ def curve_residual(spec: CurveSpec, qp: QParam, convention: str = "central") -> 
 def on_curve_partner(alpha1: complex, lam1: complex, lam2: complex, qp: QParam,
                      convention: str = "central") -> complex:
     """The alpha2 that puts (alpha1, lam1; alpha2, lam2) on the curve."""
-    spec = CurveSpec(1.0, lam1, lam2, alpha1, 0.0, N=qp.N)
-    L1, L2 = _central_powers(spec, qp, convention)
+    L1, L2 = _central_powers(lam1, lam2, qp, convention)
     return alpha1 * (1 - L2) / (1 - L1)
 
 
@@ -104,10 +104,7 @@ def _quotient_maps(alpha: complex, N: int, depth: int):
     P = np.zeros((N, depth), dtype=complex)
     for i in range(depth):
         P[i % N, i] = alpha ** (i // N)
-    S = np.zeros((depth, N), dtype=complex)
-    for i in range(N):
-        S[i, i] = 1.0
-    return P, S
+    return P, np.eye(depth, N, dtype=complex)
 
 
 def r_semicyclic(z: complex, sc1: Rep, sc2: Rep, cartan: str = "normalized",
@@ -149,9 +146,7 @@ def fn_commutation_residual(z: complex, sc1: Rep, sc2: Rep, R: TensorOperator,
     """
     qp = sc1.qp
     N = qp.N
-    spec = CurveSpec(z, sc1.lam, sc2.lam, sc1.params.get("alpha", 0),
-                     sc2.params.get("alpha", 0), N=N)
-    L1, L2 = _central_powers(spec, qp, convention)
+    L1, L2 = _central_powers(sc1.lam, sc2.lam, qp, convention)
     I1 = np.eye(sc1.dim, dtype=complex)
     I2 = np.eye(sc2.dim, dtype=complex)
     F1N = np.linalg.matrix_power(sc1.F, N)
@@ -267,7 +262,7 @@ def export_boltzmann(R: TensorOperator, meta: CurveSpec, qp: QParam,
             for i in range(d1):
                 for j in range(d2):
                     v = R.mat[ip * d2 + jp, i * d2 + j]
-                    weights.append([i, j, ip, jp, [v.real, v.imag]])
+                    weights.append([i, j, ip, jp, cnum(v)])
     return {
         "schema_version": "1",
         "nprime": qp.nprime,
@@ -275,7 +270,7 @@ def export_boltzmann(R: TensorOperator, meta: CurveSpec, qp: QParam,
         "dims": [d1, d2],
         "parameters": meta.to_json(),
         "residuals": residuals,
-        "normalization": [R.mat[0, 0].real, R.mat[0, 0].imag],
+        "normalization": cnum(R.mat[0, 0]),
         "weights": weights,
     }
 

@@ -23,9 +23,6 @@ from math import comb, factorial
 
 import numpy as np
 
-#: default absolute tolerance for residual checks across the package
-DEFAULT_TOL = 1e-9
-
 #: a Generic QParam is rejected when q is this close to a low-order root of unity
 GENERIC_GUARD_ORDER = 64
 GENERIC_GUARD_TOL = 1e-6

@@ -35,13 +35,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .qnum import QParam, qnumber, qexp_truncated
-from .reps import Rep
+from .qnum import QParam, qexp_truncated, qnumber, qpochhammer_truncated
+from .reps import Rep, _delta, _row_window, commutator_report
 from .rfinite import _ladder_table, _table_power, cartan_weight_vector
-from .tensorop import (EmptySafeWindow, TensorOperator, kron2, masked_max_abs, safe_mask,
-                       ybe_defect)
+from .tensorop import TensorOperator, intertwine_defect, kron2, safe_mask, ybe_defect
 
 CARTAN_MODES = ("normalized", "raw", "none")
+
+#: exp overflows float64 above this argument
+_LOG_MAX_FLOAT = math.log(np.finfo(float).max)
 
 
 class PoleError(ArithmeticError):
@@ -255,6 +257,17 @@ def _kinv_k_vector(rep1: Rep, rep2: Rep) -> np.ndarray:
     return (v1[:, None] * v2[None, :]).reshape(-1)
 
 
+def _inverse_on_support(den: np.ndarray, support: np.ndarray, d2: int, z: complex,
+                        which: str, pole_tol: float) -> np.ndarray:
+    """1/den on the support (1 elsewhere); PoleError at the first vanishing entry."""
+    bad = support & (np.abs(den) < pole_tol)
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), d2)
+        raise PoleError(f"{which} denominator vanished at weight pair ({i},{j}), z={z}",
+                        z=z, weight_pair=(i, j))
+    return 1 / np.where(support, den, 1.0)
+
+
 def rplus_closed(z: complex, rep1: Rep, rep2: Rep, pole_tol: float = 1e-12) -> TensorOperator:
     """Raising factor R^+(z): terminating series with spectral denominators.
 
@@ -281,14 +294,9 @@ def rplus_closed(z: complex, rep1: Rep, rep2: Rep, pole_tol: float = 1e-12) -> T
         if not op.any():
             break
         den = den * (1 - z * qp.qpow(-2 * n) * W)
-        support = np.abs(op).sum(axis=0) > 0
-        bad = support & (np.abs(den) < pole_tol)
-        if bad.any():
-            i, j = divmod(int(np.argmax(bad)), d2)
-            raise PoleError(
-                f"raising-factor denominator vanished at weight pair ({i},{j}), z={z}",
-                z=z, weight_pair=(i, j))
-        mat += (q - 1 / q) ** n * _diag_right(op, 1 / np.where(support, den, 1.0))
+        inv = _inverse_on_support(den, np.abs(op).sum(axis=0) > 0, d2, z, "raising-factor",
+                                  pole_tol)
+        mat += (q - 1 / q) ** n * _diag_right(op, inv)
     return TensorOperator((d1, d2), mat)
 
 
@@ -312,14 +320,9 @@ def rminus_closed(z: complex, rep1: Rep, rep2: Rep, pole_tol: float = 1e-12) -> 
         if not op.any():
             break
         den = den * (1 - z * qp.qpow(-2 * n) * W)
-        support = np.abs(op).sum(axis=1) > 0
-        bad = support & (np.abs(den) < pole_tol)
-        if bad.any():
-            i, j = divmod(int(np.argmax(bad)), d2)
-            raise PoleError(
-                f"lowering-factor denominator vanished at weight pair ({i},{j}), z={z}",
-                z=z, weight_pair=(i, j))
-        mat += z**n * (q - 1 / q) ** n * _diag_left(1 / np.where(support, den, 1.0), op)
+        inv = _inverse_on_support(den, np.abs(op).sum(axis=1) > 0, d2, z, "lowering-factor",
+                                  pole_tol)
+        mat += z**n * (q - 1 / q) ** n * _diag_left(inv, op)
     return TensorOperator((d1, d2), mat)
 
 
@@ -349,14 +352,9 @@ def rzero_bar_eigenvalue(z: complex, i: int, j: int, lam1: complex, lam2: comple
         val *= 1 - qp.qpow(-2 * l) * w1
     for e in range(0, j):
         val *= 1 - qp.qpow(-2 * e) * w2
-    for l in range(i - j + 1, i + 1):
-        d = 1 - qp.qpow(2 * l) * w1
-        if abs(d) < pole_tol:
-            raise PoleError(f"diagonal factor pole at weight pair ({i},{j}), z={z}",
-                            z=z, weight_pair=(i, j))
-        val /= d
-    for e in range(0, i):
-        d = 1 - qp.qpow(2 * e) * w3
+    dens = ([1 - qp.qpow(2 * l) * w1 for l in range(i - j + 1, i + 1)]
+            + [1 - qp.qpow(2 * e) * w3 for e in range(0, i)])
+    for d in dens:
         if abs(d) < pole_tol:
             raise PoleError(f"diagonal factor pole at weight pair ({i},{j}), z={z}",
                             z=z, weight_pair=(i, j))
@@ -435,17 +433,10 @@ def f_scalar(z: complex, lam1: complex, lam2: complex, qp: QParam,
     base = qp.qpow(-4)
     if abs(base) >= 1 - 1e-12:
         raise OracleDiverges("the product form needs |q^-4| < 1 to converge")
-
-    def poch(arg):
-        out = 1.0 + 0j
-        a = arg
-        for _ in range(terms):
-            out *= 1 - a
-            a *= base
-        return out
-
-    num = poch(z * qp.qpow(lam1 - lam2 - 2)) * poch(z * qp.qpow(lam2 - lam1 - 2))
-    den = poch(z * qp.qpow(lam1 + lam2 - 2)) * poch(z * qp.qpow(-lam1 - lam2 - 2))
+    num = (qpochhammer_truncated(z * qp.qpow(lam1 - lam2 - 2), base, terms)
+           * qpochhammer_truncated(z * qp.qpow(lam2 - lam1 - 2), base, terms))
+    den = (qpochhammer_truncated(z * qp.qpow(lam1 + lam2 - 2), base, terms)
+           * qpochhammer_truncated(z * qp.qpow(-lam1 - lam2 - 2), base, terms))
     return num / den
 
 
@@ -500,12 +491,9 @@ def _auto_terms(z, rep1, rep2, tail_tol=1e-12, cap=2000):
     return min(n, cap)
 
 
-def rplus_product(z: complex, rep1: Rep, rep2: Rep, n_max: int | None = None,
-                  order: str = "ascending") -> TensorOperator:
-    """Ordered product prod_n exp_{q^-2}((q-1/q) z^n (q^{-nH}E (x) F q^{nH})).
-
-    The raising family multiplies in ascending order of n (the closed form
-    reproduces exactly this order)."""
+def _qexp_product(z: complex, rep1: Rep, rep2: Rep, n_max: int | None, order: str,
+                  factor, shift: int) -> TensorOperator:
+    """prod_n exp_{q^-2}((q-1/q) z^{n+shift} factor(n)) over n = 0..n_max, in order."""
     qp = rep1.qp
     q = qp.q
     if n_max is None:
@@ -515,10 +503,21 @@ def rplus_product(z: complex, rep1: Rep, rep2: Rep, n_max: int | None = None,
     rng = range(n_max + 1) if order == "ascending" else range(n_max, -1, -1)
     mat = np.eye(d1 * d2, dtype=complex)
     for n in rng:
-        A = kron2(_diag_left(rep1.qpow_h(-n), rep1.E),
-                  _diag_right(rep2.F, rep2.qpow_h(n)))
-        mat = mat @ qexp_truncated((q - 1 / q) * z**n * A, qp.qpow(-2), terms)
+        mat = mat @ qexp_truncated((q - 1 / q) * z ** (n + shift) * factor(n), qp.qpow(-2),
+                                   terms)
     return TensorOperator((d1, d2), mat)
+
+
+def rplus_product(z: complex, rep1: Rep, rep2: Rep, n_max: int | None = None,
+                  order: str = "ascending") -> TensorOperator:
+    """Ordered product prod_n exp_{q^-2}((q-1/q) z^n (q^{-nH}E (x) F q^{nH})).
+
+    The raising family multiplies in ascending order of n (the closed form
+    reproduces exactly this order)."""
+    def factor(n):
+        return kron2(_diag_left(rep1.qpow_h(-n), rep1.E), _diag_right(rep2.F, rep2.qpow_h(n)))
+
+    return _qexp_product(z, rep1, rep2, n_max, order, factor, 0)
 
 
 def rminus_product(z: complex, rep1: Rep, rep2: Rep, n_max: int | None = None,
@@ -527,19 +526,10 @@ def rminus_product(z: complex, rep1: Rep, rep2: Rep, n_max: int | None = None,
 
     The lowering family multiplies in descending order of n (normal order runs
     back towards the plain lowering root)."""
-    qp = rep1.qp
-    q = qp.q
-    if n_max is None:
-        n_max = _auto_terms(z, rep1, rep2)
-    d1, d2 = rep1.dim, rep2.dim
-    terms = min(d1, d2)
-    rng = range(n_max + 1) if order == "ascending" else range(n_max, -1, -1)
-    mat = np.eye(d1 * d2, dtype=complex)
-    for n in rng:
-        B = kron2(_diag_right(rep1.F, rep1.qpow_h(-n)),
-                  _diag_left(rep2.qpow_h(n), rep2.E))
-        mat = mat @ qexp_truncated((q - 1 / q) * z ** (n + 1) * B, qp.qpow(-2), terms)
-    return TensorOperator((d1, d2), mat)
+    def factor(n):
+        return kron2(_diag_right(rep1.F, rep1.qpow_h(-n)), _diag_left(rep2.qpow_h(n), rep2.E))
+
+    return _qexp_product(z, rep1, rep2, n_max, order, factor, 1)
 
 
 def rzero_exponential(z: complex, rep1: Rep, rep2: Rep,
@@ -550,7 +540,8 @@ def rzero_exponential(z: complex, rep1: Rep, rep2: Rep,
     over the loop-bracket imaginary family; equivalently the pairing
     (q-q^-1)^2 n/(q^{2n}-q^{-2n}) of the rescaled Cartan-current modes.
     The truncation order follows the geometric tail of the mode norms
-    unless given explicitly.
+    unless given explicitly.  An exponent whose real part would overflow exp
+    raises OracleDiverges.
     """
     qp = rep1.qp
     if n_max is None:
@@ -562,6 +553,10 @@ def rzero_exponential(z: complex, rep1: Rep, rep2: Rep,
     for n in range(1, n_max + 1):
         coeff = C * n * z**n / (qp.qpow(2 * n) - qp.qpow(-2 * n))
         acc += coeff * np.kron(np.diagonal(im1.e[n - 1]), np.diagonal(im2.f[n - 1]))
+    top = acc.real.max()
+    if not top < _LOG_MAX_FLOAT:
+        raise OracleDiverges(f"exponential form of the diagonal factor does not converge here "
+                             f"(exponent real part {top:.3g} overflows exp)")
     from scipy.linalg import expm
     return TensorOperator((rep1.dim, rep2.dim), expm(np.diag(acc)))
 
@@ -586,25 +581,17 @@ def decompos_product(z: complex, rep1: Rep, rep2: Rep, n_max: int | None = None,
 
 def affine_coproduct_images(rep1: Rep, rep2: Rep, x: complex, y: complex,
                             opposite: bool = False) -> dict:
-    """Images of the affine coproduct (or its opposite) on V1(x) (x) V2(y)."""
+    """Images of the affine coproduct (or its opposite) on V1(x) (x) V2(y).
+
+    Each Chevalley triple (E_i, F_i, K_i) goes through the finite coproduct,
+    with K_0 = K and K_1 = K^-1 on each factor."""
     g1 = eval_generators(rep1, x)
     g2 = eval_generators(rep2, y)
-    I1 = np.eye(rep1.dim, dtype=complex)
-    I2 = np.eye(rep2.dim, dtype=complex)
     out = {}
-    # D(E_i) = E_i (x) 1 + q^{-H_i} (x) E_i;  D(F_i) = F_i (x) q^{H_i} + 1 (x) F_i
-    # with K_0 = K and K_1 = K^-1 on each factor
-    ks = {"0": (rep1.K, rep2.K, rep1.Kinv, rep2.Kinv),
-          "1": (rep1.Kinv, rep2.Kinv, rep1.K, rep2.K)}
-    for i in ("0", "1"):
-        K1i, K2i, K1i_inv, K2i_inv = ks[i]
-        if not opposite:
-            out["E" + i] = kron2(g1["E" + i], I2) + kron2(K1i_inv, g2["E" + i])
-            out["F" + i] = kron2(g1["F" + i], K2i) + kron2(I1, g2["F" + i])
-        else:
-            out["E" + i] = kron2(I1, g2["E" + i]) + kron2(g1["E" + i], K2i_inv)
-            out["F" + i] = kron2(g1["F" + i], I2) + kron2(K1i, g2["F" + i])
-        out["K" + i] = kron2(K1i, K2i)
+    for i, j in (("0", "1"), ("1", "0")):  # K_i^-1 = K_j
+        a, b = ((g["E" + i], g["F" + i], g["K" + i], g["K" + j]) for g in (g1, g2))
+        for gen in ("E", "F", "K"):
+            out[gen + i] = _delta(a, b, gen, opposite)
     return out
 
 
@@ -621,11 +608,7 @@ def affine_intertwine_residual(z: complex, rep1: Rep, rep2: Rep,
         mask = safe_mask((rep1.dim, rep2.dim), margin)
     else:
         mask = None  # honest representations: no truncation defect
-    out = 0.0
-    for name in ("E0", "F0", "E1", "F1", "K0", "K1"):
-        diff = R.mat @ left[name] - right[name] @ R.mat
-        out = max(out, masked_max_abs(diff, mask))
-    return out
+    return intertwine_defect(R.mat, left, right, mask)
 
 
 def spectral_ybe_residual(x1: complex, x2: complex, x3: complex,
@@ -654,37 +637,23 @@ def central_affine_check(rep: Rep, x: complex, k_max: int = 1,
     if not qp.is_root:
         raise ValueError("centrality of imaginary root vectors is a root-of-unity statement")
     N = qp.N
-    images = schur_to_imaginary(eval_imaginary_prime(rep, x, k_max * N, family=family))
     if margin is None:
         margin = 1 if rep.kind == "verma" else 0
-    keep = np.ones(rep.dim, dtype=bool)
-    if margin:
-        keep[-margin:] = False
-    gens = {"E": rep.E, "F": rep.F, "K": rep.K}
+    keep = _row_window(rep, margin)
+    images = schur_to_imaginary(eval_imaginary_prime(rep, x, k_max * N, family=family))
     out = []
     for k in range(1, k_max + 1):
         for fam, mats in (("E", images.e), ("F", images.f)):
-            M = mats[k * N - 1]
-            resid = max(float(np.max(np.abs((M @ g - g @ M)[np.ix_(keep, keep)])))
-                        for g in gens.values())
-            sub = M[np.ix_(keep, keep)]
-            mu = np.trace(sub) / sub.shape[0]
-            scal = float(np.max(np.abs(sub - mu * np.eye(sub.shape[0]))))
             out.append({"family": fam, "k": k, "order": k * N,
-                        "max_commutator": resid, "scalar_deviation": scal,
-                        "scalar_value": [mu.real, mu.imag]})
+                        **commutator_report(mats[k * N - 1], rep, keep)})
     return out
 
 
 def noncentral_residual(rep: Rep, x: complex, n: int, family: str = "loop") -> float:
     """Commutator residual of the order-n imaginary root image (negative control)."""
+    keep = _row_window(rep, 1 if rep.kind == "verma" else 0)
     images = schur_to_imaginary(eval_imaginary_prime(rep, x, n, family=family))
-    M = images.e[n - 1]
-    keep = np.ones(rep.dim, dtype=bool)
-    if rep.kind == "verma":
-        keep[-1] = False
-    return max(float(np.max(np.abs((M @ g - g @ M)[np.ix_(keep, keep)])))
-               for g in (rep.E, rep.F, rep.K))
+    return commutator_report(images.e[n - 1], rep, keep)["max_commutator"]
 
 
 # ---------------------------------------------------------------------------
@@ -739,11 +708,7 @@ def drinfeld_relation_check(rep: Rep, x: complex, selection=DRINFELD_RELATIONS,
     qp = rep.qp
     q = qp.q
     g = drinfeld_generators(rep, x, n_max + 2)
-    keep = np.ones(rep.dim, dtype=bool)
-    if rep.kind == "verma" and margin:
-        keep[-margin:] = False
-    if not keep.any():
-        raise EmptySafeWindow(f"depth {rep.dim} leaves no safe window at margin {margin}")
+    keep = _row_window(rep, margin if rep.kind == "verma" else 0)
 
     def nrm(M):
         return float(np.max(np.abs(M[np.ix_(keep, keep)])))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qnum import QParam, qnumber
-from .tensorop import TensorOperator, kron2
+from .tensorop import EmptySafeWindow, TensorOperator, cmat, cnum, from_cmat, kron2
 
 
 class InadmissibleParameters(ValueError):
@@ -63,39 +63,30 @@ class Rep:
     def to_json(self) -> dict:
         if self.kind == "tensor":
             raise ValueError("tensor-product representations are not serialized")
-
-        def cm(M):
-            return [[[v.real, v.imag] for v in row] for row in M]
-
-        params = {k: ([v.real, v.imag] if isinstance(v, complex) else v)
-                  for k, v in self.params.items()}
+        params = {k: (cnum(v) if isinstance(v, complex) else v) for k, v in self.params.items()}
         return {
             "schema_version": "1",
             "dim": self.dim,
-            "lambda": [self.lam.real, self.lam.imag],
+            "lambda": cnum(self.lam),
             "kind": self.kind,
             "params": params,
-            "qparam": {"nprime": self.qp.nprime, "q": [self.qp.q.real, self.qp.q.imag]},
-            "E": cm(self.E),
-            "F": cm(self.F),
-            "K": cm(self.K),
+            "qparam": {"nprime": self.qp.nprime, "q": cnum(self.qp.q)},
+            "E": cmat(self.E),
+            "F": cmat(self.F),
+            "K": cmat(self.K),
         }
 
     @classmethod
     def from_json(cls, doc: dict) -> "Rep":
-        def mc(rows):
-            return np.array([[complex(re, im) for re, im in row] for row in rows])
-
         qdoc = doc["qparam"]
         qp = (QParam.root_of_unity(qdoc["nprime"]) if qdoc["nprime"]
               else QParam.generic(complex(*qdoc["q"])))
         lam = complex(*doc["lambda"])
-        K = mc(doc["K"])
-        dk = np.diag(K)
-        hvec = np.array([lam - 2 * m for m in range(doc["dim"])])
+        K = from_cmat(doc["K"])
+        hvec = _ladder_weights(lam, doc["dim"])
         params = {k: (complex(v[0], v[1]) if isinstance(v, list) else v)
                   for k, v in doc["params"].items()}
-        rep = cls(qp=qp, lam=lam, E=mc(doc["E"]), F=mc(doc["F"]), K=K,
+        rep = cls(qp=qp, lam=lam, E=from_cmat(doc["E"]), F=from_cmat(doc["F"]), K=K,
                   hvec=hvec, kind=doc["kind"], params=params)
         if not np.allclose(np.diag(rep.qpow_h(1.0)), K, atol=1e-9):
             raise ValueError("K matrix inconsistent with weight ladder")
@@ -200,8 +191,6 @@ def cyclic(beta: complex, alpha: complex, lam: complex, qp: QParam,
 
 def tensor_rep(rep1: Rep, rep2: Rep) -> Rep:
     """The tensor-product representation, generators acting through the coproduct."""
-    if rep1.qp != rep2.qp:
-        raise ValueError("tensor factors must share the deformation parameter")
     E = coproduct(rep1, rep2, "E").mat
     F = coproduct(rep1, rep2, "F").mat
     K = coproduct(rep1, rep2, "K").mat
@@ -210,44 +199,41 @@ def tensor_rep(rep1: Rep, rep2: Rep) -> Rep:
                kind="tensor", params={"dims": (rep1.dim, rep2.dim)})
 
 
-_GENS = ("E", "F", "K", "Kinv")
+def _delta(a: tuple, b: tuple, gen: str, opposite: bool) -> np.ndarray:
+    """Image of generator gen under the coproduct (or, with opposite=True, the
+    opposite coproduct), from the (E, F, K, K^-1) images a and b of the two
+    tensor factors.  The one place both coproducts are written down."""
+    E1, F1, K1, Ki1 = a
+    E2, F2, K2, Ki2 = b
+    if gen == "K":
+        return kron2(K1, K2)
+    if gen == "Kinv":
+        return kron2(Ki1, Ki2)
+    I1 = np.eye(len(E1), dtype=complex)
+    I2 = np.eye(len(E2), dtype=complex)
+    if gen == "E":
+        return kron2(I1, E2) + kron2(E1, Ki2) if opposite else kron2(E1, I2) + kron2(Ki1, E2)
+    if gen == "F":
+        return kron2(F1, I2) + kron2(K1, F2) if opposite else kron2(F1, K2) + kron2(I1, F2)
+    raise ValueError(f"unknown generator {gen!r}")
+
+
+def _rep_delta(rep1: Rep, rep2: Rep, gen: str, opposite: bool) -> TensorOperator:
+    if rep1.qp != rep2.qp:
+        raise ValueError("coproduct factors must share the deformation parameter")
+    a, b = ((r.E, r.F, r.K, r.Kinv) for r in (rep1, rep2))
+    return TensorOperator((rep1.dim, rep2.dim), _delta(a, b, gen, opposite))
 
 
 def coproduct(rep1: Rep, rep2: Rep, gen: str) -> TensorOperator:
     """Coproduct action on V1 (x) V2:  D(E) = E(x)1 + K^-1(x)E,
     D(F) = F(x)K + 1(x)F,  D(K) = K(x)K."""
-    if rep1.qp != rep2.qp:
-        raise ValueError("coproduct factors must share the deformation parameter")
-    if gen not in _GENS:
-        raise ValueError(f"unknown generator {gen!r}")
-    I1 = np.eye(rep1.dim, dtype=complex)
-    I2 = np.eye(rep2.dim, dtype=complex)
-    if gen == "E":
-        M = kron2(rep1.E, I2) + kron2(rep1.Kinv, rep2.E)
-    elif gen == "F":
-        M = kron2(rep1.F, rep2.K) + kron2(I1, rep2.F)
-    elif gen == "K":
-        M = kron2(rep1.K, rep2.K)
-    else:
-        M = kron2(rep1.Kinv, rep2.Kinv)
-    return TensorOperator((rep1.dim, rep2.dim), M)
+    return _rep_delta(rep1, rep2, gen, False)
 
 
 def opposite_coproduct(rep1: Rep, rep2: Rep, gen: str) -> TensorOperator:
     """Opposite coproduct (tensor factors swapped): D'(E) = 1(x)E + E(x)K^-1, etc."""
-    if gen not in _GENS:
-        raise ValueError(f"unknown generator {gen!r}")
-    I1 = np.eye(rep1.dim, dtype=complex)
-    I2 = np.eye(rep2.dim, dtype=complex)
-    if gen == "E":
-        M = kron2(I1, rep2.E) + kron2(rep1.E, rep2.Kinv)
-    elif gen == "F":
-        M = kron2(rep1.F, I2) + kron2(rep1.K, rep2.F)
-    elif gen == "K":
-        M = kron2(rep1.K, rep2.K)
-    else:
-        M = kron2(rep1.Kinv, rep2.Kinv)
-    return TensorOperator((rep1.dim, rep2.dim), M)
+    return _rep_delta(rep1, rep2, gen, True)
 
 
 def casimir(rep: Rep) -> np.ndarray:
@@ -265,10 +251,29 @@ def defining_relations_residual(rep: Rep, skip_cols: tuple = ()) -> float:
         K @ F @ Kinv - F / q**2,
         E @ F - F @ E - (K - Kinv) / (q - 1 / q),
     ]
-    keep = np.ones(rep.dim, dtype=bool)
-    for c in skip_cols:
-        keep[c] = False
+    keep = np.delete(np.arange(rep.dim), list(skip_cols))
     return max(float(np.max(np.abs(M[:, keep]))) for M in rel)
+
+
+def _row_window(rep: Rep, margin: int) -> np.ndarray:
+    """Basis vectors kept by a check that drops the last `margin` of them."""
+    keep = np.ones(rep.dim, dtype=bool)
+    if margin:
+        keep[-margin:] = False
+    if not keep.any():
+        raise EmptySafeWindow(f"depth {rep.dim} leaves no safe window at margin {margin}")
+    return keep
+
+
+def commutator_report(M: np.ndarray, rep: Rep, keep: np.ndarray) -> dict:
+    """How central M is on the rows and columns in keep: max || [M, g] || over
+    g in {E, F, K}, and the deviation of M from its mean diagonal value."""
+    win = np.ix_(keep, keep)
+    comm = max(float(np.max(np.abs((M @ g - g @ M)[win]))) for g in (rep.E, rep.F, rep.K))
+    sub = M[win]
+    mu = np.trace(sub) / sub.shape[0]
+    scal = float(np.max(np.abs(sub - mu * np.eye(sub.shape[0]))))
+    return {"max_commutator": comm, "scalar_deviation": scal, "scalar_value": cnum(mu)}
 
 
 def central_check(rep: Rep, tol: float = 1e-9) -> dict:
@@ -276,18 +281,9 @@ def central_check(rep: Rep, tol: float = 1e-9) -> dict:
     if not rep.qp.is_root:
         raise ValueError("central powers are specific to roots of unity")
     N = rep.qp.N
-    gens = {"E": rep.E, "F": rep.F, "K": rep.K}
+    keep = _row_window(rep, 0)
     out = {}
-    for name, M in (("E^N", np.linalg.matrix_power(rep.E, N)),
-                    ("F^N", np.linalg.matrix_power(rep.F, N)),
-                    ("K^N", np.linalg.matrix_power(rep.K, N))):
-        comm = max(float(np.max(np.abs(M @ g - g @ M))) for g in gens.values())
-        mu = np.trace(M) / rep.dim
-        scal = float(np.max(np.abs(M - mu * np.eye(rep.dim))))
-        out[name] = {
-            "max_commutator": comm,
-            "scalar_deviation": scal,
-            "is_scalar": scal < tol,
-            "scalar_value": [mu.real, mu.imag],
-        }
+    for name, g in (("E^N", rep.E), ("F^N", rep.F), ("K^N", rep.K)):
+        row = commutator_report(np.linalg.matrix_power(g, N), rep, keep)
+        out[name] = {**row, "is_scalar": row["scalar_deviation"] < tol}
     return out

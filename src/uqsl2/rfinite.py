@@ -31,8 +31,8 @@ import numpy as np
 from .qnum import (DenominatorVanishes, QParam, gen_binom, qbinom_table, qnumber_array,
                    unsym_qnum)
 from .reps import Rep, coproduct, opposite_coproduct, tensor_rep
-from .tensorop import (TensorOperator, apply_two_site, kron2, masked_max_abs, safe_mask,
-                       ybe_defect)
+from .tensorop import (TensorOperator, apply_two_site, intertwine_defect, kron2,
+                       masked_max_abs, safe_mask, ybe_defect)
 
 
 @dataclass(frozen=True)
@@ -248,12 +248,9 @@ def intertwine_residual(R: TensorOperator, rep1: Rep, rep2: Rep,
                         margin: int = 1) -> float:
     """max_a || R D(a) - D'(a) R || over a in {E, F, K}, on safe source columns."""
     mask = safe_mask((rep1.dim, rep2.dim), margin)
-    out = 0.0
-    for gen in ("E", "F", "K"):
-        lhs = R.mat @ coproduct(rep1, rep2, gen).mat
-        rhs = opposite_coproduct(rep1, rep2, gen).mat @ R.mat
-        out = max(out, masked_max_abs(lhs - rhs, mask))
-    return out
+    left = {gen: coproduct(rep1, rep2, gen).mat for gen in ("E", "F", "K")}
+    right = {gen: opposite_coproduct(rep1, rep2, gen).mat for gen in ("E", "F", "K")}
+    return intertwine_defect(R.mat, left, right, mask)
 
 
 def ybe_residual(rep1: Rep, rep2: Rep, rep3: Rep, builder=None,

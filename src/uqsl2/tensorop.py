@@ -12,6 +12,22 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def cnum(v) -> list:
+    """A complex number as its JSON pair [re, im]."""
+    v = complex(v)
+    return [v.real, v.imag]
+
+
+def cmat(M) -> list:
+    """A complex matrix as row-major nested [re, im] pairs."""
+    return [[cnum(v) for v in row] for row in M]
+
+
+def from_cmat(rows) -> np.ndarray:
+    """The inverse of cmat."""
+    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+
+
 @dataclass(frozen=True)
 class TensorOperator:
     """A dense complex operator on V1 (x) V2."""
@@ -28,16 +44,12 @@ class TensorOperator:
         return {
             "schema_version": "1",
             "dims": list(self.dims),
-            "matrix": [[[v.real, v.imag] for v in row] for row in self.mat],
+            "matrix": cmat(self.mat),
         }
 
     @classmethod
     def from_json(cls, doc: dict) -> "TensorOperator":
-        dims = tuple(doc["dims"])
-        mat = np.array(
-            [[complex(re, im) for re, im in row] for row in doc["matrix"]], dtype=complex
-        )
-        return cls(dims, mat)
+        return cls(tuple(doc["dims"]), from_cmat(doc["matrix"]))
 
 
 def kron2(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -94,6 +106,13 @@ def ybe_defect(R12: np.ndarray, R13: np.ndarray, R23: np.ndarray,
         lhs = apply_two_site(Ml, lhs, dims, pl)  # R12 R13 R23, rightmost factor first
         rhs = apply_two_site(Mr, rhs, dims, pr)  # R23 R13 R12
     return masked_max_abs(lhs - rhs)
+
+
+def intertwine_defect(R: np.ndarray, left: dict, right: dict,
+                      col_mask: np.ndarray | None) -> float:
+    """max over generators a of the max-abs entry of R left[a] - right[a] R, on the
+    source columns in col_mask (all of them when None)."""
+    return max(0.0, *(masked_max_abs(R @ left[a] - right[a] @ R, col_mask) for a in left))
 
 
 def total_degree_mask(depths, max_total: int) -> np.ndarray:

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -383,10 +384,14 @@ class TestExitCodeContract:
     @pytest.mark.parametrize("argv", [
         ("verify", "product-oracle", "--q", "0.9,-0.2"),
         ("verify", "product-oracle", "--q", "1.3", "--seed", "3"),
-    ], ids=["pochhammer-base", "growth-ratio"])
+        ("verify", "product-oracle", "--q", "-1.1"),
+    ], ids=["pochhammer-base", "growth-ratio", "exponent-overflow"])
     def test_diverging_oracle_exits_2(self, argv):
-        code, err = run_main(list(argv))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any overflow, not after
+            code, err = run_main(list(argv))
         assert code == 2
+        assert err.count("\n") == 1
         assert "converge" in json.loads(err)["error"]
 
     def test_sweep_at_zero_spectral_parameter_exits_2(self):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from uqsl2 import (PoleError, QParam, UnsupportedOrder, affine_intertwine_residual,
-                   central_affine_check, decompos_product, drinfeld_relation_check,
+from uqsl2 import (EmptySafeWindow, PoleError, QParam, UnsupportedOrder,
+                   affine_coproduct_images, affine_intertwine_residual, central_affine_check,
+                   coproduct, opposite_coproduct, decompos_product, drinfeld_relation_check,
                    eval_generators, eval_imaginary_prime, eval_root_vectors, f_scalar,
                    kron2, noncentral_residual, qbinom, qnumber, r_spectral, rminus_closed,
                    rminus_product, rplus_closed, rplus_product, rzero_bar,
@@ -20,6 +21,25 @@ L1, L2, L3 = 0.63 + 0.17j, 1.21 - 0.09j, 0.44 + 0.21j
 
 def pair(d=4, qp=QP):
     return truncated_verma(L1, d, qp), truncated_verma(L2, d, qp)
+
+
+class TestAffineCoproduct:
+    @pytest.mark.parametrize("opposite", [False, True])
+    def test_index_zero_is_the_finite_coproduct(self, opposite):
+        r1, r2 = truncated_verma(L1, 3, QP), truncated_verma(L2, 4, QP)
+        images = affine_coproduct_images(r1, r2, 0.7, 1.3, opposite=opposite)
+        delta = opposite_coproduct if opposite else coproduct
+        for gen in ("E", "F", "K"):
+            assert np.array_equal(images[gen + "0"], delta(r1, r2, gen).mat)
+
+    def test_index_one_uses_the_inverse_cartan(self):
+        # D(E_1) = E_1 (x) 1 + K (x) E_1 with E_1 = x F and K_1^-1 = K
+        r1, r2 = truncated_verma(L1, 3, QP), truncated_verma(L2, 4, QP)
+        x, y = 0.7, 1.3
+        images = affine_coproduct_images(r1, r2, x, y)
+        ref = np.kron(x * r1.F, np.eye(4)) + np.kron(r1.K, y * r2.F)
+        assert np.max(np.abs(images["E1"] - ref)) < 1e-14
+        assert np.max(np.abs(images["K1"] - np.kron(r1.Kinv, r2.Kinv))) == 0
 
 
 class TestEvaluationMap:
@@ -595,6 +615,13 @@ class TestLoopCentrality:
         qp = QParam.root_of_unity(3)
         rep = semicyclic(0.0, 1.0, qp)
         assert noncentral_residual(rep, 1.0, 1) > 1e-6
+
+    def test_depth_one_module_leaves_no_window(self):
+        rep = truncated_verma(0.5, 1, QParam.root_of_unity(3))
+        with pytest.raises(EmptySafeWindow):
+            noncentral_residual(rep, 1.0, 1)
+        with pytest.raises(EmptySafeWindow):
+            central_affine_check(rep, 1.0)
 
     def test_generic_not_central(self):
         rep = truncated_verma(L1, 4, QP)

@@ -182,6 +182,8 @@ class TestCoproduct:
     def test_qparam_mismatch_rejected(self):
         with pytest.raises(ValueError):
             coproduct(self.r1, truncated_verma(1.0, 3, QP3), "E")
+        with pytest.raises(ValueError):
+            opposite_coproduct(self.r1, truncated_verma(1.0, 3, QP3), "E")
 
 
 class TestCasimir:
