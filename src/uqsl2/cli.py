@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .qnum import QParam
-from .reps import central_check, semicyclic, truncated_verma
+from .reps import central_check, safe_window, semicyclic, truncated_verma
 from .rfinite import (intertwine_residual, quasitriangularity_residual,
                       r_reshetikhin_product, r_verma_direct, ybe_residual)
 from .raffine import (OracleDiverges, PoleError, UnsupportedOrder,
@@ -36,7 +36,7 @@ from .raffine import (OracleDiverges, PoleError, UnsupportedOrder,
 from .cpotts import (CurveSpec, DegenerateCurve, curve_residual, export_boltzmann,
                      fn_commutation_residual, on_curve_partner, r_semicyclic,
                      solve_intertwiner)
-from .tensorop import EmptySafeWindow, cnum, masked_max_abs, safe_mask
+from .tensorop import EmptySafeWindow, cnum, masked_max_abs
 
 
 class ConfigError(ValueError):
@@ -290,10 +290,8 @@ def _suite_schur_oracle(args, qp, rng, records, tol):
     x = 0.8 + 0.3j
     for family in ("closed", "loop"):
         im = schur_to_imaginary(eval_imaginary_prime(rep, x, 4, family=family))
-        worst = 0.0
-        for n in range(1, 5):
-            fwd = schur_forward(im.e, qp, n)
-            worst = max(worst, float(np.max(np.abs(fwd - im.eprime[n - 1]))))
+        worst = np.max([np.max(np.abs(schur_forward(im.e, qp, n) - im.eprime[n - 1]))
+                        for n in range(1, 5)])
         _record(records, f"schur-roundtrip-{family}", {"depth": d}, worst, tol)
 
 
@@ -310,7 +308,7 @@ def _suite_product_oracle(args, qp, rng, records, tol):
     _record(records, "product-lowering", {"z": cnum(z)},
             float(np.max(np.abs(rminus_closed(z, r1, r2).mat - rminus_product(z, r1, r2).mat))), tol)
     f = f_scalar(z, lam1, lam2, qp, terms=90)
-    mask = safe_mask((d[0], d[1]), 1)
+    mask = safe_window((r1, r2), 1)
     lhs = f * np.diag(rzero_bar(z, r1, r2).mat)
     rhs = np.diag(rzero_exponential(z, r1, r2, n_max=70).mat)
     _record(records, "product-diagonal", {"z": cnum(z)},
@@ -449,8 +447,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--kind", required=True,
                     choices=("verma", "reshetikhin", "spectral", "semicyclic"))
-    sp.add_argument("--lambda1", default="1")
-    sp.add_argument("--lambda2", default="1")
+    weight = ("weight of V%d as 're' or 're,im'; at odd N' the default 1 gives K^N = 1, so "
+              "--kind semicyclic needs another weight (else exit 2)")
+    sp.add_argument("--lambda1", default="1", help=weight % 1)
+    sp.add_argument("--lambda2", default="1", help=weight % 2)
     sp.add_argument("--depths", default="3,3")
     sp.add_argument("--alpha1", default="0")
     sp.add_argument("--alpha2", default=None)

@@ -36,6 +36,9 @@ from .tensorop import TensorOperator, cnum, kron2
 
 CURVE_CONVENTIONS = ("central", "raw")
 
+SOLVABILITY_TOL = 1e-9  # fn_commutation_residual: solvable when |z^N - L1 L2| exceeds it
+NULLSPACE_RATIO = 1e-7  # solve_intertwiner: eigenvalues below its square (relative) are zero
+
 
 @dataclass(frozen=True)
 class CurveSpec:
@@ -107,8 +110,7 @@ def _quotient_maps(alpha: complex, N: int, depth: int):
     return P, np.eye(depth, N, dtype=complex)
 
 
-def r_semicyclic(z: complex, sc1: Rep, sc2: Rep, cartan: str = "normalized",
-                 pole_tol: float = 1e-12) -> TensorOperator:
+def r_semicyclic(z: complex, sc1: Rep, sc2: Rep, cartan: str = "normalized") -> TensorOperator:
     """Spectral R-matrix carried to the semicyclic quotient pair.
 
     Evaluates R(z) on depth-2N truncations of the parent highest-weight
@@ -126,7 +128,7 @@ def r_semicyclic(z: complex, sc1: Rep, sc2: Rep, cartan: str = "normalized",
     depth = 2 * N
     v1 = truncated_verma(sc1.lam, depth, qp)
     v2 = truncated_verma(sc2.lam, depth, qp)
-    Rv = r_spectral(z, v1, v2, cartan=cartan, pole_tol=pole_tol)
+    Rv = r_spectral(z, v1, v2, cartan=cartan)
     P1, S1 = _quotient_maps(sc1.params["alpha"], N, depth)
     P2, S2 = _quotient_maps(sc2.params["alpha"], N, depth)
     mat = kron2(P1, P2) @ Rv.mat @ kron2(S1, S2)
@@ -134,7 +136,7 @@ def r_semicyclic(z: complex, sc1: Rep, sc2: Rep, cartan: str = "normalized",
 
 
 def fn_commutation_residual(z: complex, sc1: Rep, sc2: Rep, R: TensorOperator,
-                            convention: str = "central", tol: float = 1e-9) -> dict:
+                            convention: str = "central") -> dict:
     """Residuals of the two exchange relations between R and the N-th power of F.
 
     rel1: R (L2 F^N (x) 1 + 1 (x) F^N) = (L1 1 (x) F^N + F^N (x) 1) R
@@ -159,7 +161,7 @@ def fn_commutation_residual(z: complex, sc1: Rep, sc2: Rep, R: TensorOperator,
     return {
         "ideal_exchange": float(np.max(np.abs(rel1))),
         "spectral_exchange": float(np.max(np.abs(rel2))),
-        "solvable": bool(abs(xN / yN - L1 * L2) > tol),
+        "solvable": bool(abs(xN / yN - L1 * L2) > SOLVABILITY_TOL),
     }
 
 
@@ -182,8 +184,7 @@ def _charge_modulus(rep1: Rep, rep2: Rep) -> int:
     return g
 
 
-def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex,
-                      sv_ratio: float = 1e-7) -> tuple:
+def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
     """Nullspace solve of R D(a) = D'(a) R over the affine generator images.
 
     The constraints for a in {E0, F0, E1, F1, K0} are collected in the Gram
@@ -197,7 +198,7 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex,
         X = sum_a R_a[i,i'] conj(L_a)[j,j'],
         P = sum_a conj(L_a) L_a^T,   Q = sum_a R_a^H R_a,
 
-    and diagonalized on its own.  An eigenvalue below (sv_ratio)^2 times
+    and diagonalized on its own.  An eigenvalue below NULLSPACE_RATIO^2 times
     the largest eigenvalue of all blocks counts as zero.  Returns
     (R, nullspace_dim), R the eigenvector of the smallest eigenvalue
     normalized so its largest entry is 1, or (None, 0) when no
@@ -230,7 +231,7 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex,
             best = (w[0], v[:, 0], rows, cols)
     w = np.concatenate(eigvals)
     wmax = float(w.max()) if w.max() > 0 else 1.0
-    dim = int((w < (sv_ratio**2) * wmax).sum())
+    dim = int((w < (NULLSPACE_RATIO**2) * wmax).sum())
     if dim == 0:
         return None, 0
     _, vec, rows, cols = best

@@ -19,7 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qnum import QParam, qnumber
-from .tensorop import EmptySafeWindow, TensorOperator, cmat, cnum, from_cmat, kron2
+from .tensorop import EmptySafeWindow, TensorOperator, cmat, cnum, from_cmat, kron2, safe_mask
+
+CYCLIC_RESIDUAL_TOL = 1e-7  # largest defining-relations residual of a cyclic module
+SCALAR_TOL = 1e-9  # central_check calls a power scalar below this deviation
 
 
 class InadmissibleParameters(ValueError):
@@ -51,6 +54,10 @@ class Rep:
     @property
     def dim(self) -> int:
         return self.E.shape[0]
+
+    @property
+    def truncated(self) -> bool:  # fails the relations on its last basis vectors
+        return self.kind == "verma"
 
     @property
     def Kinv(self) -> np.ndarray:
@@ -130,8 +137,7 @@ def semicyclic(alpha: complex, lam: complex, qp: QParam) -> Rep:
                kind="semicyclic", params={"alpha": complex(alpha)})
 
 
-def cyclic(beta: complex, alpha: complex, lam: complex, qp: QParam,
-           tol: float = 1e-9) -> Rep:
+def cyclic(beta: complex, alpha: complex, lam: complex, qp: QParam) -> Rep:
     """Dimension-N module with F^N = alpha, E^N = beta, K^N = q^{N*lam}.
 
     E v_m = e_m v_{m-1} with the e_m fixed row by row from the commutator
@@ -182,7 +188,7 @@ def cyclic(beta: complex, alpha: complex, lam: complex, qp: QParam,
     rep = Rep(qp=qp, lam=lam, E=E, F=base.F, K=base.K, hvec=base.hvec,
               kind="cyclic", params={"alpha": alpha, "beta": beta})
     res = defining_relations_residual(rep)
-    if not (res <= max(tol, 1e-7)):
+    if not (res <= CYCLIC_RESIDUAL_TOL):
         raise InadmissibleParameters(
             f"no cyclic module at (beta={beta}, alpha={alpha}, lambda={lam}): residual {res:.2e}"
         )
@@ -252,31 +258,39 @@ def defining_relations_residual(rep: Rep, skip_cols: tuple = ()) -> float:
         E @ F - F @ E - (K - Kinv) / (q - 1 / q),
     ]
     keep = np.delete(np.arange(rep.dim), list(skip_cols))
-    return max(float(np.max(np.abs(M[:, keep]))) for M in rel)
+    return float(np.max([np.max(np.abs(M[:, keep])) for M in rel]))
 
 
 def _row_window(rep: Rep, margin: int) -> np.ndarray:
-    """Basis vectors kept by a check that drops the last `margin` of them."""
+    """Basis vectors a check keeps: all but the last `margin` of a truncated module."""
     keep = np.ones(rep.dim, dtype=bool)
-    if margin:
+    if margin and rep.truncated:
         keep[-margin:] = False
     if not keep.any():
         raise EmptySafeWindow(f"depth {rep.dim} leaves no safe window at margin {margin}")
     return keep
 
 
+def safe_window(modules, margin: int) -> np.ndarray | None:
+    """Source columns of the tensor product that a check compares: None (all of
+    them) when no factor is truncated, else safe_mask of the dimensions."""
+    if not any(rep.truncated for rep in modules):
+        return None
+    return safe_mask([rep.dim for rep in modules], margin)
+
+
 def commutator_report(M: np.ndarray, rep: Rep, keep: np.ndarray) -> dict:
     """How central M is on the rows and columns in keep: max || [M, g] || over
     g in {E, F, K}, and the deviation of M from its mean diagonal value."""
     win = np.ix_(keep, keep)
-    comm = max(float(np.max(np.abs((M @ g - g @ M)[win]))) for g in (rep.E, rep.F, rep.K))
+    comm = float(np.max([np.max(np.abs((M @ g - g @ M)[win])) for g in (rep.E, rep.F, rep.K)]))
     sub = M[win]
     mu = np.trace(sub) / sub.shape[0]
     scal = float(np.max(np.abs(sub - mu * np.eye(sub.shape[0]))))
     return {"max_commutator": comm, "scalar_deviation": scal, "scalar_value": cnum(mu)}
 
 
-def central_check(rep: Rep, tol: float = 1e-9) -> dict:
+def central_check(rep: Rep) -> dict:
     """Report on E^N, F^N, K^N: commutator residuals with E, F, K and scalarity."""
     if not rep.qp.is_root:
         raise ValueError("central powers are specific to roots of unity")
@@ -285,5 +299,5 @@ def central_check(rep: Rep, tol: float = 1e-9) -> dict:
     out = {}
     for name, g in (("E^N", rep.E), ("F^N", rep.F), ("K^N", rep.K)):
         row = commutator_report(np.linalg.matrix_power(g, N), rep, keep)
-        out[name] = {**row, "is_scalar": row["scalar_deviation"] < tol}
+        out[name] = {**row, "is_scalar": row["scalar_deviation"] < SCALAR_TOL}
     return out

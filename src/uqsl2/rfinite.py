@@ -30,9 +30,9 @@ import numpy as np
 
 from .qnum import (DenominatorVanishes, QParam, gen_binom, qbinom_table, qnumber_array,
                    unsym_qnum)
-from .reps import Rep, coproduct, opposite_coproduct, tensor_rep
+from .reps import Rep, coproduct, opposite_coproduct, safe_window, tensor_rep
 from .tensorop import (TensorOperator, apply_two_site, intertwine_defect, kron2,
-                       masked_max_abs, safe_mask, ybe_defect)
+                       masked_max_abs, ybe_defect)
 
 
 @dataclass(frozen=True)
@@ -147,15 +147,13 @@ def _kron_expm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return _kron_power_sum([1 / factorial(k) for k in range(len(powers) + 1)], powers, d)
 
 
-def r_generic_universal(rep1: Rep, rep2: Rep, terms: int | None = None,
-                        opts: RFiniteOptions | None = None) -> TensorOperator:
+def r_generic_universal(rep1: Rep, rep2: Rep, terms: int | None = None) -> TensorOperator:
     """exp_{q^-2}((q - q^-1) E (x) F) times the Cartan weight factor; generic q only.
 
     The q-exponential is summed as sum_n (q - q^-1)^n / (n)_{q^-2}! E^n (x) F^n
     up to `terms`; DenominatorVanishes is raised when a q-factorial vanishes
     while E^n (x) F^n is still nonzero.
     """
-    opts = opts or RFiniteOptions()
     qp = rep1.qp
     if qp.is_root:
         raise ValueError("the q-exponential form is singular at roots of unity")
@@ -173,9 +171,7 @@ def r_generic_universal(rep1: Rep, rep2: Rep, terms: int | None = None,
             )
         coeffs.append(coeffs[-1] * (q - 1 / q) / bracket)
     mat = _kron_power_sum(coeffs, powers, rep1.dim * rep2.dim)
-    if opts.include_cartan_factor:
-        mat = mat * cartan_weight_vector(rep1, rep2)[None, :]
-    return TensorOperator((rep1.dim, rep2.dim), mat)
+    return TensorOperator((rep1.dim, rep2.dim), mat * cartan_weight_vector(rep1, rep2)[None, :])
 
 
 #: wrap-constant choices for the product form at a root of unity.  "auto" is the
@@ -196,8 +192,7 @@ def _wrap_constant(qp: QParam, choice: str) -> complex:
     raise ValueError(f"unknown wrap constant choice {choice!r}")
 
 
-def r_reshetikhin_product(rep1: Rep, rep2: Rep, opts: RFiniteOptions | None = None,
-                          wrap_constant: str = "auto",
+def r_reshetikhin_product(rep1: Rep, rep2: Rep, wrap_constant: str = "auto",
                           literal_factors: bool = False) -> TensorOperator:
     """Finite product form of the R-matrix at a root of unity.
 
@@ -214,7 +209,6 @@ def r_reshetikhin_product(rep1: Rep, rep2: Rep, opts: RFiniteOptions | None = No
     (1 - eps^m X)^{-m/N} of the alternative normalization, which does not
     reproduce the direct form; it is kept as a negative control.
     """
-    opts = opts or RFiniteOptions()
     qp = rep1.qp
     if not qp.is_root:
         raise ValueError("the product form is a root-of-unity construction")
@@ -239,28 +233,24 @@ def r_reshetikhin_product(rep1: Rep, rep2: Rep, opts: RFiniteOptions | None = No
         if e1.any():
             C = _wrap_constant(qp, wrap_constant)
             mat = mat @ _kron_expm(C * e1, FN)
-    if opts.include_cartan_factor:
-        mat = mat * cartan_weight_vector(rep1, rep2)[None, :]
-    return TensorOperator((rep1.dim, rep2.dim), mat)
+    return TensorOperator((rep1.dim, rep2.dim), mat * cartan_weight_vector(rep1, rep2)[None, :])
 
 
 def intertwine_residual(R: TensorOperator, rep1: Rep, rep2: Rep,
                         margin: int = 1) -> float:
     """max_a || R D(a) - D'(a) R || over a in {E, F, K}, on safe source columns."""
-    mask = safe_mask((rep1.dim, rep2.dim), margin)
+    mask = safe_window((rep1, rep2), margin)
     left = {gen: coproduct(rep1, rep2, gen).mat for gen in ("E", "F", "K")}
     right = {gen: opposite_coproduct(rep1, rep2, gen).mat for gen in ("E", "F", "K")}
     return intertwine_defect(R.mat, left, right, mask)
 
 
-def ybe_residual(rep1: Rep, rep2: Rep, rep3: Rep, builder=None,
-                 margin: int = 1) -> float:
-    """|| R12 R13 R23 - R23 R13 R12 || on the threefold product, safe window."""
-    if builder is None:
-        builder = r_verma_direct
-    dims = (rep1.dim, rep2.dim, rep3.dim)
-    return ybe_defect(builder(rep1, rep2).mat, builder(rep1, rep3).mat,
-                      builder(rep2, rep3).mat, dims, safe_mask(dims, margin))
+def ybe_residual(rep1: Rep, rep2: Rep, rep3: Rep, margin: int = 1) -> float:
+    """|| R12 R13 R23 - R23 R13 R12 || of r_verma_direct on the safe window."""
+    reps = (rep1, rep2, rep3)
+    return ybe_defect(r_verma_direct(rep1, rep2).mat, r_verma_direct(rep1, rep3).mat,
+                      r_verma_direct(rep2, rep3).mat, tuple(r.dim for r in reps),
+                      safe_window(reps, margin))
 
 
 def quasitriangularity_residual(rep1: Rep, rep2: Rep, rep3: Rep,
@@ -269,8 +259,10 @@ def quasitriangularity_residual(rep1: Rep, rep2: Rep, rep3: Rep,
     if rep1.qp.is_root:
         raise ValueError("quasitriangularity checks run at generic q only")
     dims = (rep1.dim, rep2.dim, rep3.dim)
-    mask = safe_mask(dims, margin)
-    cols = np.eye(rep1.dim * rep2.dim * rep3.dim, dtype=complex)[:, mask]
+    mask = safe_window((rep1, rep2, rep3), margin)
+    if mask is None:  # no truncated factor: every source column
+        mask = np.ones(rep1.dim * rep2.dim * rep3.dim, dtype=bool)
+    cols = np.eye(mask.size, dtype=complex)[:, mask]
     R13 = r_generic_universal(rep1, rep3).mat
     R23_cols = apply_two_site(r_generic_universal(rep2, rep3).mat, cols, dims, (1, 2))
     R12_cols = apply_two_site(r_generic_universal(rep1, rep2).mat, cols, dims, (0, 1))
@@ -278,4 +270,4 @@ def quasitriangularity_residual(rep1: Rep, rep2: Rep, rep3: Rep,
     res1 = masked_max_abs(lhs1 - apply_two_site(R13, R23_cols, dims, (0, 2)))
     lhs2 = r_generic_universal(rep1, tensor_rep(rep2, rep3)).mat[:, mask]
     res2 = masked_max_abs(lhs2 - apply_two_site(R13, R12_cols, dims, (0, 2)))
-    return max(res1, res2)
+    return float(np.max([res1, res2]))

@@ -111,8 +111,9 @@ def ybe_defect(R12: np.ndarray, R13: np.ndarray, R23: np.ndarray,
 def intertwine_defect(R: np.ndarray, left: dict, right: dict,
                       col_mask: np.ndarray | None) -> float:
     """max over generators a of the max-abs entry of R left[a] - right[a] R, on the
-    source columns in col_mask (all of them when None)."""
-    return max(0.0, *(masked_max_abs(R @ left[a] - right[a] @ R, col_mask) for a in left))
+    source columns in col_mask (all of them when None); NaN if any residual is NaN."""
+    return float(np.max([0.0, *(masked_max_abs(R @ left[a] - right[a] @ R, col_mask)
+                                for a in left)]))
 
 
 def total_degree_mask(depths, max_total: int) -> np.ndarray:

@@ -1,10 +1,12 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -285,6 +287,63 @@ class TestDeterminism:
     def test_bad_env_tolerance_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("UQSL2_TOL", "abc")
         assert_config_error(("verify", "ybe", "--Nprime", "3"), capsys)
+
+
+class TestNanResidual:
+    """A NaN residual fails its record and the report exits 1: it never reads as 0."""
+
+    @staticmethod
+    def report(argv):
+        from uqsl2.cli import main
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        return code, {r["check"]: r for r in json.loads(out.getvalue())["records"]}
+
+    @staticmethod
+    def assert_nan_fails(code, records, check):
+        assert math.isnan(records[check]["residual"]) and not records[check]["pass"]
+        assert code == 1
+
+    def test_intertwine_with_nan_rmatrix(self, monkeypatch):
+        import uqsl2.cli
+        from uqsl2 import TensorOperator, r_verma_direct
+
+        def nan_r(rep1, rep2):
+            mat = r_verma_direct(rep1, rep2).mat.copy()
+            mat[0, 0] = np.nan
+            return TensorOperator((rep1.dim, rep2.dim), mat)
+
+        monkeypatch.setattr(uqsl2.cli, "r_verma_direct", nan_r)
+        self.assert_nan_fails(*self.report(["verify", "intertwine", "--Nprime", "3"]),
+                              "intertwine-finite")
+
+    def test_schur_oracle_with_nan_forward_image(self, monkeypatch):
+        import uqsl2.cli
+        from uqsl2 import schur_forward
+
+        def nan_forward(e_images, qp, n):
+            out = schur_forward(e_images, qp, n)
+            out[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(uqsl2.cli, "schur_forward", nan_forward)
+        code, records = self.report(["verify", "schur-oracle", "--q", "1.13,0.03"])
+        self.assert_nan_fails(code, records, "schur-roundtrip-closed")
+
+    def test_drinfeld_with_nan_generator(self, monkeypatch):
+        import uqsl2.raffine
+        build = uqsl2.raffine.drinfeld_generators
+
+        def nan_generators(rep, x, n_max):
+            g = build(rep, x, n_max)
+            g[("a", 2)] = g[("a", 2)].copy()
+            g[("a", 2)][0, 0] = np.nan
+            return g
+
+        monkeypatch.setattr(uqsl2.raffine, "drinfeld_generators", nan_generators)
+        code, records = self.report(["verify", "drinfeld", "--q", "1.13,0.03"])
+        self.assert_nan_fails(code, records, "drinfeld-aa")
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,12 @@ class TestImaginaryRoots:
         for n in (1, 2, 3):
             assert np.max(np.abs(b.eprime[n - 1] - 2**n * a.eprime[n - 1])) < 1e-10
 
+    def test_commutativity_defect_keeps_nan(self):
+        im = eval_imaginary_prime(truncated_verma(L1, 4, QP), 0.8, 3)
+        assert im.commutativity_defect() < 1e-10
+        im.eprime[1][0, 0] = np.nan
+        assert np.isnan(im.commutativity_defect())
+
     def test_unsupported_order(self):
         qp4 = QParam.root_of_unity(4)
         rep = truncated_verma(1.0 + 0.2j, 2, qp4)
@@ -413,14 +419,14 @@ def scalar_rminus_closed(z, rep1, rep2, pole_tol=1e-12):
     return mat
 
 
-def scalar_rzero_bar(z, rep1, rep2, pole_tol=1e-12):
+def scalar_rzero_bar(z, rep1, rep2):
     """Rbar^0(z) one eigenvalue at a time: the former implementation, kept as a reference."""
     d1, d2 = rep1.dim, rep2.dim
     diag = np.empty(d1 * d2, dtype=complex)
     for i in range(d1):
         for j in range(d2):
             diag[i * d2 + j] = rzero_bar_eigenvalue(
-                z, i, j, rep1.lam, rep2.lam, rep1.qp, pole_tol)
+                z, i, j, rep1.lam, rep2.lam, rep1.qp)
     return np.diag(diag)
 
 

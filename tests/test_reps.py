@@ -7,6 +7,8 @@ import pytest
 from uqsl2 import (InadmissibleParameters, QParam, Rep, casimir, central_check,
                    coproduct, cyclic, defining_relations_residual, opposite_coproduct,
                    qnumber, semicyclic, tensor_rep, truncated_verma)
+from uqsl2.reps import _row_window, safe_window
+from uqsl2.tensorop import EmptySafeWindow, safe_mask
 
 QP = QParam.generic(1.17 + 0.06j)
 QP3 = QParam.root_of_unity(3)
@@ -228,6 +230,51 @@ class TestCentralCheck:
     def test_generic_rejected(self):
         with pytest.raises(ValueError):
             central_check(truncated_verma(1.0, 3, QP))
+
+
+class TestWindowRule:
+    """Truncated (Verma) factors get a safe window; honest modules are compared whole."""
+
+    BUILD = {"verma": lambda: truncated_verma(0.9 + 0.2j, 4, QP3),
+             "semicyclic": lambda: semicyclic(0.7, 0.6 - 0.1j, QP3),
+             "cyclic": lambda: cyclic(0.3, 0.7, 1.0, QP3)}
+
+    @pytest.mark.parametrize("kinds", [
+        ("verma", "verma"), ("semicyclic", "semicyclic"), ("verma", "semicyclic"),
+        ("semicyclic", "verma"), ("cyclic", "semicyclic"),
+        ("verma", "verma", "verma"), ("semicyclic", "semicyclic", "semicyclic"),
+        ("verma", "semicyclic", "semicyclic"), ("semicyclic", "verma", "semicyclic"),
+        ("semicyclic", "semicyclic", "verma"), ("cyclic", "verma", "semicyclic")])
+    @pytest.mark.parametrize("margin", [0, 1, 2])
+    def test_safe_window(self, kinds, margin):
+        mods = [self.BUILD[k]() for k in kinds]
+        got = safe_window(mods, margin)
+        if "verma" not in kinds:
+            assert got is None
+        else:
+            assert np.array_equal(got, safe_mask([m.dim for m in mods], margin))
+
+    @pytest.mark.parametrize("kind", ["semicyclic", "cyclic"])
+    @pytest.mark.parametrize("margin", [0, 1, 3, 7])
+    def test_row_window_ignores_margin_on_honest_modules(self, kind, margin):
+        rep = self.BUILD[kind]()
+        assert _row_window(rep, margin).all()
+        assert safe_window([rep, rep], margin) is None
+
+    @pytest.mark.parametrize("margin", [0, 1, 3])
+    def test_row_window_drops_the_last_rows_of_a_truncation(self, margin):
+        keep = _row_window(self.BUILD["verma"](), margin)
+        assert keep.tolist() == [True] * (4 - margin) + [False] * margin
+
+    @pytest.mark.parametrize("other", ["verma", "semicyclic"])
+    def test_shallow_truncation_has_no_window(self, other):
+        shallow = truncated_verma(0.5, 1, QP3)
+        with pytest.raises(EmptySafeWindow):
+            _row_window(shallow, 1)
+        with pytest.raises(EmptySafeWindow):
+            safe_window([shallow, self.BUILD[other]()], 1)
+        with pytest.raises(EmptySafeWindow):
+            _row_window(truncated_verma(0.5, 3, QP3), 3)
 
 
 class TestSerialization:

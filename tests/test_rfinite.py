@@ -411,6 +411,15 @@ class TestIntertwining:
         R = r_verma_direct(r1, r2)
         assert intertwine_residual(R, r1, r2) < 1e-8
 
+    def test_nan_entry_is_not_an_intertwiner(self):
+        from uqsl2 import TensorOperator, affine_intertwine_residual
+        r1, r2 = vermas((3, 3))
+        mat = r_verma_direct(r1, r2).mat.copy()
+        mat[0, 0] = np.nan
+        R = TensorOperator((3, 3), mat)
+        assert np.isnan(intertwine_residual(R, r1, r2))
+        assert np.isnan(affine_intertwine_residual(0.3, r1, r2, R=R))
+
 
 class TestYangBaxter:
     def test_one_dimensional_trivial(self):

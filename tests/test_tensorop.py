@@ -37,3 +37,9 @@ class TestIntertwineDefect:
         right = {"a": np.zeros((2, 2)), "b": np.array([[0, 0], [3, 0]], dtype=complex)}
         assert intertwine_defect(R, left, right, None) == 3.0
         assert intertwine_defect(R, left, right, np.array([False, True])) == 1.0
+
+    def test_nan_residual_propagates(self):
+        R = np.eye(2, dtype=complex)
+        R[1, 1] = np.nan
+        A = np.array([[0, 1], [0, 0]], dtype=complex)
+        assert np.isnan(intertwine_defect(R, {"a": A}, {"a": A}, None))
