@@ -4,8 +4,8 @@ from .qnum import (DenominatorVanishes, QParam, gauss_binom, gen_binom,
                    matrix_fractional_power, nilpotent_expm, qbinom, qbinom_table, qbracket,
                    qexp_truncated, qfact, qint, qnumber, qpochhammer_truncated,
                    unsym_qfact, unsym_qnum)
-from .tensorop import (EmptySafeWindow, TensorOperator, apply_two_site, embed_two_site,
-                       kron2, masked_max_abs, safe_mask, ybe_defect)
+from .tensorop import (EmptySafeWindow, TensorOperator, embed_two_site, kron2,
+                       masked_max_abs, safe_mask, ybe_defect)
 from .reps import (InadmissibleParameters, Rep, casimir, central_check, coproduct,
                    cyclic, defining_relations_residual, opposite_coproduct,
                    semicyclic, tensor_rep, truncated_verma)

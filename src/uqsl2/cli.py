@@ -325,10 +325,9 @@ def _suite_coincidence(args, qp, rng, records, tol):
     lam1, lam2 = _random_lambda(rng), _random_lambda(rng)
     r1 = truncated_verma(lam1, d[0], qp)
     r2 = truncated_verma(lam2, d[1], qp)
-    Rd = r_verma_direct(r1, r2)
-    Rp = r_reshetikhin_product(r1, r2)
-    _record(records, "coincidence", {"depths": d},
-            float(np.max(np.abs(Rd.mat - Rp.mat))), tol)
+    diff = r_verma_direct(r1, r2).mat
+    diff -= r_reshetikhin_product(r1, r2).mat  # in place: one D x D buffer fewer
+    _record(records, "coincidence", {"depths": d}, float(np.max(np.abs(diff))), tol)
 
 
 SUITES = {

@@ -38,7 +38,8 @@ import numpy as np
 from .qnum import QParam, qexp_truncated, qnumber, qpochhammer_truncated
 from .reps import Rep, _delta, _row_window, commutator_report, safe_window
 from .rfinite import _ladder_table, _table_power, cartan_weight_vector
-from .tensorop import TensorOperator, intertwine_defect, kron2, ybe_defect
+from .tensorop import (TensorOperator, identity_plus_kron_sum, intertwine_defect, kron2,
+                       ybe_defect)
 
 CARTAN_MODES = ("normalized", "raw", "none")
 
@@ -273,6 +274,45 @@ def _inverse_on_support(den: np.ndarray, support: np.ndarray, d2: int, z: comple
     return 1 / np.where(support, den, 1.0)
 
 
+def _closed_factor(z: complex, rep1: Rep, rep2: Rep, lowering: bool) -> TensorOperator:
+    """R^+(z) or, with lowering, its mirror R^-(z), as one contraction.
+
+    R^+ = 1 + sum_n (q-q^-1)^n (E^n/(n)_{q^-2}! (x) F^n) diag(w_n), with the
+    renormalized powers on the first factor and w_n = 1 / prod_{k=1}^n
+    (1 - z q^-2k K^-1 (x) K) at the source; R^- = 1 + sum_n z^n (q-q^-1)^n
+    diag(w_n) (F^n (x) E^n/(n)_{q^-2}!), the renormalized powers on the second
+    factor and w_n at the target.  w_n is taken on the support of term n only:
+    the outer product of its factors' column (R^+) or row (R^-) supports,
+    where PoleError reports the first vanishing denominator.
+    """
+    qp = rep1.qp
+    q = qp.q
+    d2 = rep2.dim
+    W = _kinv_k_vector(rep1, rep2)
+    ladder, other = (rep2, rep1) if lowering else (rep1, rep2)
+    which, axis = ("lowering-factor", 1) if lowering else ("raising-factor", 0)
+    table = _ladder_table(ladder)
+    den = np.ones(rep1.dim * d2, dtype=complex)
+    Fn = np.eye(other.dim, dtype=complex)
+    left, right, weights = [], [], []
+    for n in range(1, ladder.dim):
+        En = _table_power(table, n)
+        if not En.any():
+            break
+        Fn = Fn @ other.F
+        if not Fn.any():
+            break
+        A, B = (Fn, En) if lowering else (En, Fn)
+        den = den * (1 - z * qp.qpow(-2 * n) * W)
+        support = np.outer(A.any(axis=axis), B.any(axis=axis)).reshape(-1)
+        weights.append(_inverse_on_support(den, support, d2, z, which))
+        coeff = z**n * (q - 1 / q) ** n if lowering else (q - 1 / q) ** n
+        left.append(coeff * A)
+        right.append(B)
+    mat = identity_plus_kron_sum(left, right, rep1.dim, d2, weights, at_target=lowering)
+    return TensorOperator((rep1.dim, d2), mat)
+
+
 def rplus_closed(z: complex, rep1: Rep, rep2: Rep) -> TensorOperator:
     """Raising factor R^+(z): terminating series with spectral denominators.
 
@@ -281,52 +321,12 @@ def rplus_closed(z: complex, rep1: Rep, rep2: Rep) -> TensorOperator:
     Equals the ordered product over the raising root family (ascending order);
     finite at roots of unity through the renormalized powers of E.
     """
-    qp = rep1.qp
-    q = qp.q
-    d1, d2 = rep1.dim, rep2.dim
-    D = d1 * d2
-    W = _kinv_k_vector(rep1, rep2)
-    mat = np.eye(D, dtype=complex)
-    den = np.ones(D, dtype=complex)
-    Fn = np.eye(d2, dtype=complex)
-    table = _ladder_table(rep1)
-    for n in range(1, d1):
-        En = _table_power(table, n)
-        if not En.any():
-            break
-        Fn = Fn @ rep2.F
-        op = kron2(En, Fn)
-        if not op.any():
-            break
-        den = den * (1 - z * qp.qpow(-2 * n) * W)
-        inv = _inverse_on_support(den, np.abs(op).sum(axis=0) > 0, d2, z, "raising-factor")
-        mat += (q - 1 / q) ** n * _diag_right(op, inv)
-    return TensorOperator((d1, d2), mat)
+    return _closed_factor(z, rep1, rep2, lowering=False)
 
 
 def rminus_closed(z: complex, rep1: Rep, rep2: Rep) -> TensorOperator:
     """Lowering factor R^-(z): mirror series with the diagonal acting at the target."""
-    qp = rep1.qp
-    q = qp.q
-    d1, d2 = rep1.dim, rep2.dim
-    D = d1 * d2
-    W = _kinv_k_vector(rep1, rep2)
-    mat = np.eye(D, dtype=complex)
-    den = np.ones(D, dtype=complex)
-    Fn = np.eye(d1, dtype=complex)
-    table = _ladder_table(rep2)
-    for n in range(1, d2):
-        En = _table_power(table, n)
-        if not En.any():
-            break
-        Fn = Fn @ rep1.F
-        op = kron2(Fn, En)
-        if not op.any():
-            break
-        den = den * (1 - z * qp.qpow(-2 * n) * W)
-        inv = _inverse_on_support(den, np.abs(op).sum(axis=1) > 0, d2, z, "lowering-factor")
-        mat += z**n * (q - 1 / q) ** n * _diag_left(inv, op)
-    return TensorOperator((d1, d2), mat)
+    return _closed_factor(z, rep1, rep2, lowering=True)
 
 
 def rzero_bar_eigenvalue(z: complex, i: int, j: int, lam1: complex, lam2: complex,

@@ -57,6 +57,9 @@ class Rep:
 
     @property
     def truncated(self) -> bool:  # fails the relations on its last basis vectors
+        if self.params.get("truncated_factor"):
+            raise ValueError("a tensor product of truncated modules has no safe window of "
+                             "its own; pass the factors")
         return self.kind == "verma"
 
     @property
@@ -201,8 +204,10 @@ def tensor_rep(rep1: Rep, rep2: Rep) -> Rep:
     F = coproduct(rep1, rep2, "F").mat
     K = coproduct(rep1, rep2, "K").mat
     h = (rep1.hvec[:, None] + rep2.hvec[None, :]).reshape(-1)
-    return Rep(qp=rep1.qp, lam=rep1.lam + rep2.lam, E=E, F=F, K=K, hvec=h,
-               kind="tensor", params={"dims": (rep1.dim, rep2.dim)})
+    truncated_factor = any(r.kind == "verma" or r.params.get("truncated_factor", False)
+                           for r in (rep1, rep2))
+    return Rep(qp=rep1.qp, lam=rep1.lam + rep2.lam, E=E, F=F, K=K, hvec=h, kind="tensor",
+               params={"dims": (rep1.dim, rep2.dim), "truncated_factor": truncated_factor})
 
 
 def _delta(a: tuple, b: tuple, gen: str, opposite: bool) -> np.ndarray:
@@ -264,7 +269,7 @@ def defining_relations_residual(rep: Rep, skip_cols: tuple = ()) -> float:
 def _row_window(rep: Rep, margin: int) -> np.ndarray:
     """Basis vectors a check keeps: all but the last `margin` of a truncated module."""
     keep = np.ones(rep.dim, dtype=bool)
-    if margin and rep.truncated:
+    if rep.truncated and margin:
         keep[-margin:] = False
     if not keep.any():
         raise EmptySafeWindow(f"depth {rep.dim} leaves no safe window at margin {margin}")

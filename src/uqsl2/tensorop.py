@@ -72,21 +72,84 @@ def embed_two_site(M: np.ndarray, dims: tuple[int, int, int], pos: tuple[int, in
     raise ValueError(f"unsupported embedding positions {pos}")
 
 
-def apply_two_site(M: np.ndarray, X: np.ndarray, dims: tuple[int, int, int],
-                   pos: tuple[int, int]) -> np.ndarray:
-    """embed_two_site(M, dims, pos) @ X, without forming the embedded operator.
+def identity_plus_kron_sum(As, Bs, d1: int, d2: int, weights=None,
+                           at_target: bool = False) -> np.ndarray:
+    """1 + sum_n As[n] (x) Bs[n], for d1 x d1 matrices As[n] and d2 x d2 matrices Bs[n].
 
-    The rows of X are viewed as a (d0, d1, d2) grid; the factor left out of
-    pos is moved to the front and M acts on the other two, batched over it.
+    With weights (one vector over the d1*d2 pair basis per term), term n is
+    multiplied by diag(weights[n]) at its source (on the right) or, with
+    at_target, at its target (on the left).  Entry ((i, j), (k, l)) of the
+    sum is sum_n As[n][i, k] Bs[n][j, l] (times the weight at (k, l) or at
+    (i, j)): for each (j, k) one (d1, K) @ (K, d2) product over the stacked
+    terms, all of them in one batched matmul written straight into a
+    (d1, d2, d1, d2) view of the result.  No Kronecker product and no
+    transposed copy is formed.
     """
-    if tuple(pos) not in ((0, 1), (0, 2), (1, 2)):
-        raise ValueError(f"unsupported embedding positions {pos}")
-    (spare,) = {0, 1, 2} - set(pos)
-    m = X.shape[1]
-    grid = np.moveaxis(np.asarray(X).reshape(*dims, m), spare, 0)
-    shape = grid.shape
-    out = M @ grid.reshape(shape[0], shape[1] * shape[2], m)
-    return np.moveaxis(out.reshape(shape), 0, spare).reshape(-1, m)
+    D = d1 * d2
+    if not len(As):
+        return np.eye(D, dtype=complex)
+    left = np.stack(As, axis=-1).astype(complex, copy=False).transpose(1, 0, 2)[None]
+    right = np.stack(Bs).astype(complex, copy=False).transpose(1, 0, 2)[:, None]
+    # left is indexed [., k, i, n] and right [j, ., n, l]: the product is [j, k, i, l]
+    if weights is not None:
+        w = np.reshape(weights, (len(As), d1, d2))
+        if at_target:
+            left = left * w.transpose(2, 1, 0)[:, None]  # w[n, i, j] at [j, ., i, n]
+        else:
+            right = right * w.transpose(1, 0, 2)[None]   # w[n, k, l] at [., k, n, l]
+    out = np.empty((D, D), dtype=complex)
+    np.matmul(left, right, out=out.reshape(d1, d2, d1, d2).transpose(1, 2, 0, 3))
+    out.reshape(-1)[::D + 1] += 1
+    return out
+
+
+def _conserves(M: np.ndarray, deg: np.ndarray) -> bool:
+    """True when M maps each degree to itself, read off its nonzero pattern.
+
+    Every nonzero entry must join two indices of the same degree, and no
+    entry may be non-finite (a NaN has no degree)."""
+    same = deg[:, None] == deg[None, :]
+    return bool(np.isfinite(M).all()) and np.count_nonzero(M[same]) == np.count_nonzero(M)
+
+
+def weight_sectors(ops, dims: tuple[int, int, int], col_mask: np.ndarray | None):
+    """Restrictions of operators on V0 (x) V1 (x) V2 to the sectors of fixed total degree.
+
+    ops holds (M, sites) pairs: sites (0, 1), (0, 2) or (1, 2) embed a
+    two-site M at those factors, and (0, 1, 2) means M acts on the whole
+    product.  Basis vector v_a (x) v_b (x) v_c has total degree t = a + b + c.
+    When every operator conserves its degree (checked exactly on its nonzero
+    pattern), each sector of fixed t is closed under all of them; otherwise
+    one sector holds every index, so the same code gives the dense answer.
+    Yields, for each sector that meets col_mask (all columns when None), the
+    n_t x n_t restrictions of the ops, in order, and a boolean mask of the
+    sector's indices that are in col_mask.
+    """
+    ops = list(ops)
+    parts = np.unravel_index(np.arange(dims[0] * dims[1] * dims[2]), dims)
+    total = sum(parts)
+
+    def degree(sites):
+        if len(sites) == 3:
+            return total
+        return np.add.outer(np.arange(dims[sites[0]]), np.arange(dims[sites[1]])).reshape(-1)
+
+    graded = all(_conserves(M, degree(sites)) for M, sites in ops)
+    sector = total if graded else np.zeros_like(total)
+    keep = np.ones(total.size, dtype=bool) if col_mask is None else np.asarray(col_mask)
+
+    def restrict(M, sites, idx):
+        if len(sites) == 3:
+            return M[np.ix_(idx, idx)]
+        s1, s2 = sites
+        (spare,) = {0, 1, 2} - set(sites)
+        pair = parts[s1][idx] * dims[s2] + parts[s2][idx]
+        other = parts[spare][idx]
+        return M[np.ix_(pair, pair)] * (other[:, None] == other[None, :])
+
+    for t in np.unique(sector[keep]):
+        idx = np.flatnonzero(sector == t)
+        yield [restrict(M, sites, idx) for M, sites in ops], keep[idx]
 
 
 def ybe_defect(R12: np.ndarray, R13: np.ndarray, R23: np.ndarray,
@@ -94,18 +157,17 @@ def ybe_defect(R12: np.ndarray, R13: np.ndarray, R23: np.ndarray,
     """Max-abs entry of R12 R13 R23 - R23 R13 R12 on the source columns in col_mask.
 
     The R's are two-site operators for positions (0, 1), (0, 2) and (1, 2);
-    both products are applied to the selected basis columns only (all of
-    them when col_mask is None).
+    both products are evaluated sector by sector (see weight_sectors), on the
+    selected columns of each sector only (all of them when col_mask is None).
+    NaN if any entry is NaN.
     """
-    cols = np.eye(dims[0] * dims[1] * dims[2], dtype=complex)
-    if col_mask is not None:
-        cols = cols[:, col_mask]
-    sites = ((R12, (0, 1)), (R13, (0, 2)), (R23, (1, 2)))
-    lhs = rhs = cols
-    for (Ml, pl), (Mr, pr) in zip(reversed(sites), sites):
-        lhs = apply_two_site(Ml, lhs, dims, pl)  # R12 R13 R23, rightmost factor first
-        rhs = apply_two_site(Mr, rhs, dims, pr)  # R23 R13 R12
-    return masked_max_abs(lhs - rhs)
+    worst = [0.0]
+    ops = ((R12, (0, 1)), (R13, (0, 2)), (R23, (1, 2)))
+    for (S12, S13, S23), cols in weight_sectors(ops, dims, col_mask):
+        lhs = S12 @ (S13 @ S23[:, cols])  # R12 R13 R23, rightmost factor first
+        rhs = S23 @ (S13 @ S12[:, cols])  # R23 R13 R12
+        worst.append(masked_max_abs(lhs - rhs))
+    return float(np.max(worst))
 
 
 def intertwine_defect(R: np.ndarray, left: dict, right: dict,

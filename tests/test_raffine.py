@@ -484,6 +484,44 @@ class TestClosedFactorsAgainstScalar:
         assert got.value.z == z
 
 
+class TestClosedFactorContraction:
+    """R^+ and R^- as one contraction, against the per-term np.kron loops above."""
+
+    @pytest.mark.parametrize("nprime", [3, 5])
+    @pytest.mark.parametrize("verma_first", [True, False], ids=["verma-semicyclic",
+                                                                 "semicyclic-verma"])
+    def test_wrapping_semicyclic_factor(self, nprime, verma_first):
+        # F^n of a semicyclic module wraps around (F^N = alpha), so every
+        # order of the series has a nonzero term up to the Verma's depth
+        qp = QParam.root_of_unity(nprime)
+        v, s = truncated_verma(L1, 2 * qp.N + 1, qp), semicyclic(0.6 - 0.2j, L2, qp)
+        a, b = (v, s) if verma_first else (s, v)
+        z = cmath.exp(0.41j)
+        assert_close_to_scale(rplus_closed(z, a, b).mat, scalar_rplus_closed(z, a, b))
+        assert_close_to_scale(rminus_closed(z, a, b).mat, scalar_rminus_closed(z, a, b))
+
+    def test_one_dimensional_factor_leaves_no_term(self):
+        r1, r2 = truncated_verma(L1, 1, QP), truncated_verma(L2, 4, QP)
+        for a, b in ((r1, r2), (r2, r1)):
+            assert np.array_equal(rplus_closed(0.3, a, b).mat, np.eye(4))
+            assert np.array_equal(rminus_closed(0.3, a, b).mat, np.eye(4))
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("factor", ["raising", "lowering"])
+    def test_pole_reports_the_kron_loops_weight_pair(self, factor, order):
+        r1, r2 = truncated_verma(L1, 5, QP), truncated_verma(L2, 4, QP)
+        # z on the order-`order` denominator 1 - z q^-2n K^-1 (x) K at weight pair (2, 1)
+        z = QP.qpow(2 * order) / (QP.qpow(-r1.hvec[2]) * QP.qpow(r2.hvec[1]))
+        build, ref_build = ((rplus_closed, scalar_rplus_closed) if factor == "raising"
+                            else (rminus_closed, scalar_rminus_closed))
+        with pytest.raises(PoleError) as ref:
+            ref_build(z, r1, r2)
+        with pytest.raises(PoleError) as got:
+            build(z, r1, r2)
+        assert got.value.weight_pair == ref.value.weight_pair
+        assert str(got.value) == str(ref.value)
+
+
 class TestDiagonalFactor:
     def test_highest_weight_and_z_zero(self):
         r1, r2 = pair()

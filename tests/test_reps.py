@@ -266,6 +266,23 @@ class TestWindowRule:
         keep = _row_window(self.BUILD["verma"](), margin)
         assert keep.tolist() == [True] * (4 - margin) + [False] * margin
 
+    def test_tensor_of_truncations_asks_for_the_factors(self):
+        # the tensor product of two truncations fails the relations far from its
+        # last basis vector, so no window of its own dimensions is safe
+        t = tensor_rep(truncated_verma(0.43 + 0.11j, 3, QP), truncated_verma(1.27 - 0.23j, 3, QP))
+        assert defining_relations_residual(t) > 1
+        nested = tensor_rep(tensor_rep(self.BUILD["verma"](), self.BUILD["semicyclic"]()),
+                            self.BUILD["semicyclic"]())
+        for check in (lambda: safe_window([t, t], 1), lambda: safe_window([nested], 0),
+                      lambda: _row_window(t, 1), lambda: _row_window(t, 0)):
+            with pytest.raises(ValueError, match="pass the factors"):
+                check()
+
+    def test_tensor_of_honest_modules_is_compared_whole(self):
+        s = tensor_rep(self.BUILD["semicyclic"](), self.BUILD["cyclic"]())
+        assert safe_window([s, s], 1) is None
+        assert _row_window(s, 1).all()
+
     @pytest.mark.parametrize("other", ["verma", "semicyclic"])
     def test_shallow_truncation_has_no_window(self, other):
         shallow = truncated_verma(0.5, 1, QP3)

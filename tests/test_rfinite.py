@@ -3,15 +3,16 @@ import cmath
 import numpy as np
 import pytest
 
-from uqsl2 import (DenominatorVanishes, QParam, RFiniteOptions, apply_two_site,
-                   cartan_weight_vector, coproduct, cyclic, e_derivation_matrix,
-                   embed_two_site, intertwine_residual, kron2, masked_max_abs,
-                   matrix_fractional_power, nilpotent_expm, qbinom, qexp_truncated, qnumber,
-                   quasitriangularity_residual, r_generic_universal, r_reshetikhin_product,
-                   r_verma_direct, renormalized_raising_power, safe_mask, semicyclic,
-                   tensor_rep, truncated_verma, ybe_defect, ybe_residual)
+from uqsl2 import (DenominatorVanishes, QParam, RFiniteOptions, cartan_weight_vector,
+                   coproduct, cyclic, e_derivation_matrix, embed_two_site,
+                   intertwine_residual, kron2, masked_max_abs, matrix_fractional_power,
+                   nilpotent_expm, qbinom, qexp_truncated, qnumber, quasitriangularity_residual,
+                   r_generic_universal, r_reshetikhin_product, r_verma_direct,
+                   renormalized_raising_power, safe_mask, semicyclic, tensor_rep,
+                   truncated_verma, ybe_defect, ybe_residual)
 from uqsl2.qnum import unsym_qfact
-from uqsl2.rfinite import _kron_expm, _wrap_constant
+from uqsl2.rfinite import _kron_expm, _kron_power_sum, _kron_powers, _wrap_constant
+from uqsl2.tensorop import weight_sectors
 
 QP = QParam.generic(1.17 + 0.06j)
 LAMS = (0.43 + 0.11j, 1.27 - 0.23j, 0.9 + 0.05j)
@@ -359,6 +360,24 @@ class TestCoefficientTablesAgainstScalar:
             _kron_expm(np.eye(2), np.eye(3))
 
 
+def apply_two_site(M, X, dims, pos):
+    """embed_two_site(M, dims, pos) @ X, without forming the embedded operator.
+
+    The rows of X are viewed as a (d0, d1, d2) grid; the factor left out of
+    pos is moved to the front and M acts on the other two, batched over it.
+    This was the Yang-Baxter and quasitriangularity kernel before the
+    weight-sector one; it is kept as a dense reference.
+    """
+    if tuple(pos) not in ((0, 1), (0, 2), (1, 2)):
+        raise ValueError(f"unsupported embedding positions {pos}")
+    (spare,) = {0, 1, 2} - set(pos)
+    m = X.shape[1]
+    grid = np.moveaxis(np.asarray(X).reshape(*dims, m), spare, 0)
+    shape = grid.shape
+    out = M @ grid.reshape(shape[0], shape[1] * shape[2], m)
+    return np.moveaxis(out.reshape(shape), 0, spare).reshape(-1, m)
+
+
 class TestTwoSiteApplication:
     DIMS = (2, 3, 4)
     POS = [(0, 1), (0, 2), (1, 2)]
@@ -390,6 +409,162 @@ class TestTwoSiteApplication:
         ref = masked_max_abs(lhs - rhs, mask)
         scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
         assert abs(ybe_defect(*ops, self.DIMS, mask) - ref) <= 1e-12 * scale
+
+
+def kron_loop_power_sum(coeffs, powers, d1, d2):
+    """1 + sum_k coeffs[k] A^k (x) B^k, one np.kron per term: the former _kron_power_sum."""
+    mat = np.eye(d1 * d2, dtype=complex)
+    for c, (Ak, Bk) in zip(coeffs[1:], powers):
+        mat += c * np.kron(Ak, Bk)
+    return mat
+
+
+def dense_ybe_defect(R12, R13, R23, dims, mask):
+    """R12 R13 R23 - R23 R13 R12 from dense embedded operators, and the scale of
+    the two products (their largest entry)."""
+    E12, E13, E23 = (embed_two_site(M, dims, pos)
+                     for M, pos in ((R12, (0, 1)), (R13, (0, 2)), (R23, (1, 2))))
+    lhs, rhs = E12 @ E13 @ E23, E23 @ E13 @ E12
+    return masked_max_abs(lhs - rhs, mask), max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
+
+
+def dense_quasi_residual(rep1, rep2, rep3, margin):
+    """quasitriangularity_residual from dense embedded operators, and its scale."""
+    dims = (rep1.dim, rep2.dim, rep3.dim)
+    mask = safe_mask(dims, margin)
+    E12 = embed_two_site(r_generic_universal(rep1, rep2).mat, dims, (0, 1))
+    E13 = embed_two_site(r_generic_universal(rep1, rep3).mat, dims, (0, 2))
+    E23 = embed_two_site(r_generic_universal(rep2, rep3).mat, dims, (1, 2))
+    lhs1 = r_generic_universal(tensor_rep(rep1, rep2), rep3).mat
+    lhs2 = r_generic_universal(rep1, tensor_rep(rep2, rep3)).mat
+    res = [masked_max_abs(lhs1 - E13 @ E23, mask), masked_max_abs(lhs2 - E13 @ E12, mask)]
+    return max(res), max(np.max(np.abs(lhs1)), np.max(np.abs(lhs2)))
+
+
+class TestKronPowerSum:
+    @pytest.mark.parametrize("depths", [(4, 6), (6, 3)])
+    def test_matches_kron_loop(self, depths):
+        r1, r2 = vermas(depths)
+        powers = _kron_powers(r1.E, r2.F, 10)
+        coeffs = [1.0] + [0.3 - 0.1j * k for k in range(1, len(powers) + 1)]
+        ref = kron_loop_power_sum(coeffs, powers, *depths)
+        assert_close_to_scale(_kron_power_sum(coeffs, powers, *depths), ref, rel=1e-14)
+
+    def test_empty_power_list_is_the_identity(self):
+        assert np.array_equal(_kron_power_sum([1.0], [], 2, 3), np.eye(6))
+
+    @pytest.mark.parametrize("nprime", [3, 5])
+    def test_wrap_of_a_semicyclic_second_factor(self, nprime):
+        # F^N = alpha on a semicyclic factor: E^k (x) F^k ends only with E^k
+        qp = QParam.root_of_unity(nprime)
+        r1 = truncated_verma(LAMS[0], 2 * qp.N + 1, qp)
+        r2 = semicyclic(0.6 + 0.2j, LAMS[1], qp)
+        powers = _kron_powers(r1.E, r2.F, 100)
+        assert len(powers) == 2 * qp.N
+        coeffs = [1.0] + [1 / (k + 0.5) for k in range(1, len(powers) + 1)]
+        ref = kron_loop_power_sum(coeffs, powers, r1.dim, r2.dim)
+        assert_close_to_scale(_kron_power_sum(coeffs, powers, r1.dim, r2.dim), ref, rel=1e-14)
+
+
+#: Verma triples for the sector kernel: generic q and N' = 3, 5, 9, mostly unequal depths
+SECTOR_CASES = [("generic", (3, 4, 5)), ("generic", (5, 3, 4)), (3, (3, 3, 3)), (3, (4, 2, 5)),
+                (5, (5, 4, 6)), (9, (9, 5, 7))]
+
+
+def sector_triple(case, depths):
+    qp = qparam_of(case)
+    return vermas(depths, qp)
+
+
+class TestSectorKernel:
+    @pytest.mark.parametrize("masked", [True, False], ids=["safe-window", "all-columns"])
+    @pytest.mark.parametrize("case,depths", SECTOR_CASES)
+    def test_ybe_defect_matches_dense_products(self, case, depths, masked):
+        reps = sector_triple(case, depths)
+        mask = safe_mask(depths, 1) if masked else None
+        # the R-matrices themselves, then a triple that does not satisfy the
+        # equation (no Cartan factor on R13), so the defect is far from 0
+        plain = RFiniteOptions(include_cartan_factor=False)
+        for opts13 in (None, plain):
+            ops = (r_verma_direct(reps[0], reps[1]).mat,
+                   r_verma_direct(reps[0], reps[2], opts13).mat,
+                   r_verma_direct(reps[1], reps[2]).mat)
+            ref, scale = dense_ybe_defect(*ops, depths, mask)
+            assert abs(ybe_defect(*ops, depths, mask) - ref) <= 1e-13 * scale
+        if masked:
+            ref, scale = dense_ybe_defect(*ops[:1], r_verma_direct(reps[0], reps[2]).mat,
+                                          ops[2], depths, mask)
+            assert abs(ybe_residual(*reps) - ref) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("case,depths", SECTOR_CASES)
+    def test_spectral_ybe_matches_dense_products(self, case, depths):
+        from uqsl2 import r_spectral, spectral_ybe_residual
+        reps = sector_triple(case, depths)
+        xs = (1.0, cmath.exp(0.7j), cmath.exp(-0.4j))
+        ops = (r_spectral(xs[0] / xs[1], reps[0], reps[1]).mat,
+               r_spectral(xs[0] / xs[2], reps[0], reps[2]).mat,
+               r_spectral(xs[1] / xs[2], reps[1], reps[2]).mat)
+        ref, scale = dense_ybe_defect(*ops, depths, safe_mask(depths, 1))
+        assert abs(spectral_ybe_residual(*xs, *reps) - ref) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("margin", [0, 1, 2])
+    @pytest.mark.parametrize("depths", [(3, 4, 5), (5, 3, 4), (4, 4, 4)])
+    def test_quasitriangularity_matches_dense_products(self, depths, margin):
+        reps = vermas(depths)
+        ref, scale = dense_quasi_residual(*reps, margin)
+        assert abs(quasitriangularity_residual(*reps, margin=margin) - ref) <= 1e-13 * scale
+
+    def test_off_sector_entry_takes_the_one_sector_path(self):
+        depths = (3, 4, 3)
+        reps = vermas(depths)
+        ops = [r_verma_direct(a, b).mat for a, b in
+               ((reps[0], reps[1]), (reps[0], reps[2]), (reps[1], reps[2]))]
+        ops[0] = ops[0].copy()
+        ops[0][-1, 0] = 0.5  # degree 5 <- degree 0: breaks the grading
+        sectors = list(weight_sectors(list(zip(ops, ((0, 1), (0, 2), (1, 2)))), depths, None))
+        assert len(sectors) == 1 and sectors[0][0][0].shape == (36, 36)
+        for mask in (safe_mask(depths, 1), None):
+            ref, scale = dense_ybe_defect(*ops, depths, mask)
+            assert ref > 1e-3
+            assert abs(ybe_defect(*ops, depths, mask) - ref) <= 1e-13 * scale
+
+    def test_graded_operators_split_into_degree_sectors(self):
+        depths = (3, 4, 3)
+        reps = vermas(depths)
+        ops = [(r_verma_direct(reps[0], reps[1]).mat, (0, 1)),
+               (r_verma_direct(reps[0], reps[2]).mat, (0, 2))]
+        sizes = [len(cols) for _, cols in weight_sectors(ops, depths, None)]
+        # one sector per total degree 0..7, sized by the number of (a, b, c) with that sum
+        total = np.add.outer(np.add.outer(np.arange(3), np.arange(4)), np.arange(3))
+        assert sizes == np.bincount(total.reshape(-1)).tolist()
+        masked = [cols.sum() for _, cols in weight_sectors(ops, depths, safe_mask(depths, 1))]
+        assert masked == [1, 3]
+
+    def test_nan_outside_the_window_still_propagates(self):
+        depths = (3, 3, 3)
+        reps = vermas(depths)
+        R12 = r_verma_direct(reps[0], reps[1]).mat.copy()
+        R12[-1, -1] = np.nan  # on its sector (degree 4), outside the window
+        R = r_verma_direct(reps[1], reps[2]).mat
+        assert np.isnan(ybe_defect(R12, R, R, depths, safe_mask(depths, 1)))
+
+    @pytest.mark.parametrize("which", ["finite", "spectral"])
+    def test_large_order_memory(self, which):
+        # N' = 13: D = 2197, where one dense D x D identity alone takes 77 MB
+        import tracemalloc
+        from uqsl2 import spectral_ybe_residual
+        qp = QParam.root_of_unity(13)
+        reps = vermas((13, 13, 13), qp)
+        tracemalloc.start()
+        try:
+            if which == "finite":
+                ybe_residual(*reps)
+            else:
+                spectral_ybe_residual(1.0, cmath.exp(0.7j), cmath.exp(-0.4j), *reps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 class TestIntertwining:

@@ -1,18 +1,23 @@
 """Exit code and stdout digest of every benchmark job, known failure and demo.
 
-    python3 tools/output_digests.py --src DIR --out FILE
+    python3 tools/output_digests.py --src DIR --out FILE [--against BEFORE]
 
 DIR is a checkout of this repository (default: the one holding this script).
 Its ``src/uqsl2`` runs every job of every workload in ``perfbench/workloads.py``
 in-process, through ``perfbench/jobs.run_job``, and its ``demos/*.py`` run as
 subprocesses.  The job list always comes from this script's own checkout, so
 two checkouts are compared on the same jobs.  FILE receives
-``{job: [exit_code, sha256 of stdout]}``; two runs with identical CLI output
-give identical files:
+``{job: [exit_code, sha256 of stdout, records]}``, where records lists each
+``verify`` record as ``[check, residual, pass]`` (empty for other outputs);
+two runs with identical CLI output give identical files:
 
     python3 tools/output_digests.py --src ../parent --out before.json
-    python3 tools/output_digests.py --out after.json
-    diff before.json after.json
+    python3 tools/output_digests.py --out after.json --against before.json
+
+With ``--against``, the outputs whose digest differs from BEFORE are
+summarized: per check name, how many records moved and the largest relative
+move of a residual, then every change of exit code or of a record's pass
+flag.  The exit status is 1 when any exit code or pass flag changed.
 """
 
 import os
@@ -53,15 +58,76 @@ def demo_digests(src: Path) -> dict:
     for script in sorted((src / "demos").glob("*.py")):
         proc = subprocess.run([sys.executable, str(script)], capture_output=True,
                               env=env, cwd=src, timeout=600)
-        out[f"demo {script.name}"] = [proc.returncode, hashlib.sha256(proc.stdout).hexdigest()]
+        digest = hashlib.sha256(proc.stdout).hexdigest()
+        out[f"demo {script.name}"] = [proc.returncode, digest, []]
     return out
+
+
+def verify_records(output: str) -> list:
+    """[check, residual, pass] of each record of a verify report; [] for other output."""
+    try:
+        doc = json.loads(output)
+    except ValueError:
+        return []
+    if not isinstance(doc, dict):
+        return []
+    return [[r["check"], r["residual"], r["pass"]] for r in doc.get("records", [])]
+
+
+def relative_move(before: float, after: float) -> float:
+    if before == after:
+        return 0.0
+    return abs(after - before) / abs(before) if before else float("inf")
+
+
+def compare(before: dict, after: dict) -> int:
+    """Print what moved between two digest files; 1 if a verdict changed."""
+    changed = sorted(k for k in after if k in before and before[k][1] != after[k][1])
+    print(f"{len(changed)} of {len(after)} outputs differ from the earlier run")
+    for k in sorted(set(before) ^ set(after)):
+        print(f"  only in {'the earlier' if k in before else 'this'} run: {k}")
+    moved = {}        # check -> [records moved, largest relative move, job, before, after]
+    verdicts = []
+    for k in changed:
+        (code0, _, recs0), (code1, _, recs1) = before[k], after[k]
+        if code0 != code1:
+            verdicts.append(f"  exit code {code0} -> {code1}: {k}")
+        if not recs0 and not recs1:
+            print(f"  differs, no verify records: {k}")
+        if [r[0] for r in recs0] != [r[0] for r in recs1]:
+            verdicts.append(f"  record names changed: {k}")
+            continue
+        for (check, res0, ok0), (_, res1, ok1) in zip(recs0, recs1):
+            if ok0 != ok1:
+                verdicts.append(f"  pass {ok0} -> {ok1}: {check} in {k}")
+            rel = relative_move(res0, res1)
+            if rel:
+                row = moved.setdefault(check, [0, 0.0, "", 0.0, 0.0])
+                row[0] += 1
+                if rel > row[1]:
+                    row[1:] = [rel, k, res0, res1]
+    print("moved residuals, by check (records moved, largest relative move, where):")
+    for check, (n, rel, k, res0, res1) in sorted(moved.items()):
+        print(f"  {check:28s} {n:4d}  {rel:9.3g}  {res0:.4g} -> {res1:.4g}  ({k})")
+    if not verdicts:
+        print("exit codes and pass flags: unchanged")
+        return 0
+    print("exit code and pass flag changes:")
+    for line in verdicts:
+        print(line)
+    return 1
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--src", type=Path, default=ROOT, help="repository checkout to run")
     p.add_argument("--out", required=True, help="JSON file to write")
+    p.add_argument("--against", help="digest file of an earlier run to compare with")
     args = p.parse_args(argv)
+    before = None
+    if args.against:
+        with open(args.against) as fh:
+            before = json.load(fh)
     cli = import_cli(args.src)
     jobs = [argv for w in WORKLOADS for argv in cycle_jobs(w)] + [list(a) for a in KNOWN_FAILURES]
     digests = {}
@@ -69,13 +135,13 @@ def main(argv=None) -> int:
         key = job_key(argv)
         if key not in digests:
             res = run_job(cli, argv)
-            digests[key] = [res.exit_code, res.digest]
+            digests[key] = [res.exit_code, res.digest, verify_records(res.output)]
     digests.update(demo_digests(args.src))
     lines = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in sorted(digests.items())]
     with open(args.out, "w") as fh:
         fh.write("{\n" + ",\n".join(lines) + "\n}\n")  # one job per line, for diff
     print(f"{len(digests)} outputs written to {args.out}")
-    return 0
+    return 0 if before is None else compare(before, digests)
 
 
 if __name__ == "__main__":
