@@ -196,13 +196,14 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
 
         G[(i,j),(i',j')] = d_ii' P[j,j'] + Q[i,i'] d_jj' - X - X^H,
         X = sum_a R_a[i,i'] conj(L_a)[j,j'],
-        P = sum_a conj(L_a) L_a^T,   Q = sum_a R_a^H R_a,
+        P = sum_a conj(L_a) L_a^T,   Q = sum_a R_a^H R_a.
 
-    and diagonalized on its own.  An eigenvalue below NULLSPACE_RATIO^2 times
-    the largest eigenvalue of all blocks counts as zero.  Returns
-    (R, nullspace_dim), R the eigenvector of the smallest eigenvalue
-    normalized so its largest entry is 1, or (None, 0) when no
-    intertwiner exists.
+    Only the eigenvalues of each block are computed; an eigenvalue below
+    NULLSPACE_RATIO^2 times the largest eigenvalue of all blocks counts as
+    zero.  When the nullspace is not empty, the first block holding the
+    smallest eigenvalue is assembled again and only that eigenvector is
+    computed.  Returns (R, nullspace_dim), R the eigenvector normalized so
+    its largest entry is 1, or (None, 0) when no intertwiner exists.
     """
     if rep1.qp != rep2.qp:
         raise ValueError("modules must share the deformation parameter")
@@ -217,26 +218,47 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
     deg = np.add.outer(np.arange(rep1.dim), np.arange(rep2.dim)).reshape(-1)
     charge = np.subtract.outer(deg, deg) % g
     from scipy.linalg import eigh
-    eigvals = []
-    best = None  # (smallest eigenvalue, its eigenvector, row indices, column indices)
-    for c in range(g):
+
+    def block(c):
+        """Indices (rows, cols) of the unknowns of charge c, and their Gram block.
+
+        Each D x D factor is gathered through one pair of flat-index arrays.
+        Every buffer is dropped once used, so a few blocks are alive at a time.
+        """
         rows, cols = np.nonzero(charge == c)
-        ii, jj = np.ix_(rows, rows), np.ix_(cols, cols)
-        X = sum(right[a][ii] * conj_left[a][jj] for a in names)
-        gram = (np.equal.outer(rows, rows) * P[jj] + Q[ii] * np.equal.outer(cols, cols)
-                - X - X.conj().T)
-        w, v = eigh(gram)
+        ii = np.add.outer(rows * D, rows)  # flat indices of [rows[k], rows[l]]
+        jj = np.add.outer(cols * D, cols)
+        X = np.zeros(ii.shape, dtype=complex)
+        for a in names:  # from zero, in generator order: the bits sum() would give
+            t = right[a].take(ii)
+            t *= conj_left[a].take(jj)
+            X += t
+        del t
+        gram = np.equal.outer(rows, rows) * P.take(jj)
+        del jj
+        gram += Q.take(ii) * np.equal.outer(cols, cols)
+        del ii
+        gram -= X
+        gram -= X.conj().T
+        return rows, cols, gram
+
+    eigvals = []
+    best = 0  # the first block holding the smallest eigenvalue
+    for c in range(g):
+        w = eigh(block(c)[2], eigvals_only=True, overwrite_a=True)
         eigvals.append(w)
-        if best is None or w[0] < best[0]:
-            best = (w[0], v[:, 0], rows, cols)
+        if w[0] < eigvals[best][0]:
+            best = c
     w = np.concatenate(eigvals)
     wmax = float(w.max()) if w.max() > 0 else 1.0
     dim = int((w < (NULLSPACE_RATIO**2) * wmax).sum())
     if dim == 0:
         return None, 0
-    _, vec, rows, cols = best
+    rows, cols, gram = block(best)
+    _, vec = eigh(gram, subset_by_index=[0, 0], overwrite_a=True)
+    del gram
     R = np.zeros((D, D), dtype=complex)
-    R[rows, cols] = vec
+    R[rows, cols] = vec[:, 0]
     # normalize by the first entry within 1e-9 of the largest modulus, so
     # rounding cannot choose between entries of equal modulus
     mag = np.abs(R)
@@ -257,13 +279,9 @@ def export_boltzmann(R: TensorOperator, meta: CurveSpec, qp: QParam,
     residuals = {"curve_alpha": res[0], "unimodularity": res[1]}
     if len(res) > 2:
         residuals["curve_beta"] = res[2]
-    weights = []
-    for ip in range(d1):
-        for jp in range(d2):
-            for i in range(d1):
-                for j in range(d2):
-                    v = R.mat[ip * d2 + jp, i * d2 + j]
-                    weights.append([i, j, ip, jp, cnum(v)])
+    # row ip*d2 + jp, column i*d2 + j: R.mat in row-major order is (ip, jp, i, j) order
+    ip, jp, i, j = np.indices((d1, d2, d1, d2)).reshape(4, -1).tolist()
+    weights = [[*k, cnum(v)] for *k, v in zip(i, j, ip, jp, R.mat.reshape(-1).tolist())]
     return {
         "schema_version": "1",
         "nprime": qp.nprime,

@@ -278,6 +278,52 @@ class TestSolverAgainstDense:
         assert np.max(np.abs(R.mat - R_ref)) < 1e-8
 
 
+def doubled(rep):
+    """V (+) V: the module's E, F, K and weights repeated in a second diagonal block."""
+    from scipy.linalg import block_diag
+    return replace(rep, E=block_diag(rep.E, rep.E), F=block_diag(rep.F, rep.F),
+                   K=block_diag(rep.K, rep.K), hvec=np.concatenate([rep.hvec, rep.hvec]))
+
+
+class TestSolverNullspaceCount:
+    @pytest.mark.parametrize("qp", [QP3, QP5], ids=["N'=3", "N'=5"])
+    @pytest.mark.parametrize("doubled_first", [True, False], ids=["VV-W", "W-VV"])
+    def test_doubled_module_has_four_intertwiners(self, qp, doubled_first):
+        # the intertwiners of (V (+) V) (x) W are 2 x 2 copies of those of V (x) W
+        sc1, sc2 = on_curve_pair(qp)
+        rep1, rep2 = (doubled(sc1), sc2) if doubled_first else (sc2, doubled(sc1))
+        assert _charge_modulus(rep1, rep2) == qp.N
+        R, dim = solve_intertwiner(rep1, rep2, 1.0, 1.0)
+        if qp.N == 3:
+            dim_ref = dense_intertwiner(rep1, rep2, 1.0, 1.0)[1]
+        else:  # the dense D^2 = 2500 system costs ~20 s; use the 2 x 2 copies instead
+            dim_ref = 4 * dense_intertwiner(*((sc1, sc2) if doubled_first else (sc2, sc1)),
+                                            1.0, 1.0)[1]
+        assert dim == dim_ref == 4
+        assert affine_intertwine_residual(1.0, rep1, rep2, R=R) < 1e-12
+
+    def test_peak_memory_is_a_few_blocks(self):
+        # The solver holds a fixed number of block-sized buffers at a time.
+        # While X is summed: the flat index pair (two int64 blocks, the bytes of
+        # one complex block), X, one generator product and its other gathered
+        # factor.  Then X, the Gram block, one index array, one gathered P or Q
+        # and its product; then the Gram block and at most a copy of it inside
+        # eigh.  Six complex blocks bound each stage; the whole D^2 x D^2 Gram is
+        # g^2 = 49 blocks.
+        import tracemalloc
+        qp = QParam.root_of_unity(7)
+        sc1, sc2 = on_curve_pair(qp)
+        n = (sc1.dim * sc2.dim) ** 2 // qp.N  # unknowns per charge block
+        tracemalloc.start()
+        try:
+            _, dim = solve_intertwiner(sc1, sc2, 1.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dim == 1
+        assert peak < 6 * n * n * np.dtype(complex).itemsize
+
+
 class TestBoltzmannExport:
     def setup_method(self):
         self.sc1, self.sc2 = on_curve_pair(QP3)

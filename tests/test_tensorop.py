@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from uqsl2 import TensorOperator
-from uqsl2.tensorop import cmat, cnum, from_cmat, identity_plus_kron_sum, intertwine_defect
+from uqsl2.tensorop import (cmat, cnum, from_cmat, identity_plus_kron_sum, intertwine_defect,
+                            kron2)
 
 
 class TestComplexCodec:
@@ -44,6 +45,29 @@ class TestIntertwineDefect:
         R[1, 1] = np.nan
         A = np.array([[0, 1], [0, 0]], dtype=complex)
         assert np.isnan(intertwine_defect(R, {"a": A}, {"a": A}, None))
+
+
+class TestKron2:
+    """kron2 forms each entry as the one product np.kron forms, so they agree bit for bit."""
+
+    @staticmethod
+    def reference(A, B):
+        return np.kron(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
+
+    @pytest.mark.parametrize("case", ["real-x-complex", "rectangular", "d1-ne-d2", "1x1"])
+    def test_equals_np_kron(self, case):
+        rng = np.random.default_rng(7)
+        A, B = {
+            "real-x-complex": (rng.normal(size=(3, 3)), random_matrix(rng, 3)),
+            "rectangular": (rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5)),
+                            rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))),
+            "d1-ne-d2": (random_matrix(rng, 2), random_matrix(rng, 5)),
+            "1x1": (np.array([[-1.5 + 2j]]), np.array([[-0.0]])),
+        }[case]
+        B[-1, 0] = -0.0  # signed zeros must come out as np.kron gives them
+        got, ref = kron2(A, B), self.reference(A, B)
+        assert got.dtype == complex and got.shape == ref.shape
+        assert np.array_equal(got, ref) and got.tobytes() == ref.tobytes()
 
 
 def kron_loop(As, Bs, d1, d2, weights=None, at_target=False):
