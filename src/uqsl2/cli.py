@@ -27,8 +27,8 @@ from .qnum import QParam
 from .reps import central_check, safe_window, semicyclic, truncated_verma
 from .rfinite import (intertwine_residual, quasitriangularity_residual,
                       r_reshetikhin_product, r_verma_direct, ybe_residual)
-from .raffine import (OracleDiverges, PoleError, UnsupportedOrder,
-                      affine_intertwine_residual, central_affine_check, decompos_product,
+from .raffine import (OracleDiverges, PoleError, UnsupportedOrder, _assemble_product,
+                      affine_intertwine_residual, central_affine_check,
                       drinfeld_relation_check, eval_imaginary_prime, f_scalar,
                       noncentral_residual, r_spectral, rminus_closed, rminus_product,
                       rplus_closed, rplus_product, rzero_bar, rzero_exponential,
@@ -172,10 +172,13 @@ def _rmatrix_doc(args) -> dict:
             raise ConfigError(f"unsupported order: N' = {qp.nprime} makes [2]_q = 0")
         z = _parse_zlist(args.z)[0]
         a1 = _parse_complex(args.alpha1)
-        a2 = _parse_complex(args.alpha2) if args.alpha2 else on_curve_partner(a1, lam1, lam2, qp)
-        sc1 = semicyclic(a1, lam1, qp)
-        sc2 = semicyclic(a2, lam2, qp)
-        R = r_semicyclic(z, sc1, sc2)
+        try:
+            a2 = (_parse_complex(args.alpha2) if args.alpha2
+                  else on_curve_partner(a1, lam1, lam2, qp))
+            R = r_semicyclic(z, semicyclic(a1, lam1, qp), semicyclic(a2, lam2, qp))
+        except DegenerateCurve as exc:
+            raise DegenerateCurve(f"{exc}; pass another --lambda{exc.module}",
+                                  module=exc.module) from exc
         spec = CurveSpec(z, lam1, lam2, a1, a2, N=qp.N)
         return export_boltzmann(R, spec, qp)
     else:
@@ -303,17 +306,24 @@ def _suite_product_oracle(args, qp, rng, records, tol):
     r1 = truncated_verma(lam1, d[0], qp)
     r2 = truncated_verma(lam2, d[1], qp)
     z = 0.2
+    # each ordered product is built once, for its record and for the full product.
+    # R^- comes before its closed form, so that no closed factor is alive while it
+    # is built; that cannot change which error a job reports, because R^- cannot
+    # fail once R^+ was built (the same truncation order and q-factorials)
     _record(records, "product-raising", {"z": cnum(z)},
-            float(np.max(np.abs(rplus_closed(z, r1, r2).mat - rplus_product(z, r1, r2).mat))), tol)
+            float(np.max(np.abs(rplus_closed(z, r1, r2).mat
+                                - (rp := rplus_product(z, r1, r2)).mat))), tol)
+    rm = rminus_product(z, r1, r2)
     _record(records, "product-lowering", {"z": cnum(z)},
-            float(np.max(np.abs(rminus_closed(z, r1, r2).mat - rminus_product(z, r1, r2).mat))), tol)
+            float(np.max(np.abs(rminus_closed(z, r1, r2).mat - rm.mat))), tol)
     f = f_scalar(z, lam1, lam2, qp, terms=90)
     mask = safe_window((r1, r2), 1)
     lhs = f * np.diag(rzero_bar(z, r1, r2).mat)
     rhs = np.diag(rzero_exponential(z, r1, r2, n_max=70).mat)
     _record(records, "product-diagonal", {"z": cnum(z)},
             masked_max_abs(np.diag(lhs - rhs), mask), tol)
-    full = decompos_product(z, r1, r2)
+    full = _assemble_product(rp, rzero_exponential(z, r1, r2), rm, r1, r2)  # decompos_product
+    del rp, rm  # not alive while r_spectral is built
     _record(records, "product-full", {"z": cnum(z)},
             masked_max_abs(f * r_spectral(z, r1, r2, cartan="raw").mat - full.mat, mask), tol)
 

@@ -65,7 +65,13 @@ class CurveSpec:
 
 
 class DegenerateCurve(ValueError):
-    """K^N takes the value 1 on a module, so a curve denominator 1 - L vanishes."""
+    """K^N takes the value 1 on a module, so a curve denominator 1 - L vanishes.
+
+    ``module`` is 1 or 2, the first module of the pair where it happens."""
+
+    def __init__(self, message, *, module=None):
+        super().__init__(message)
+        self.module = module
 
 
 def _central_powers(lam1: complex, lam2: complex, qp: QParam, convention: str):
@@ -76,8 +82,10 @@ def _central_powers(lam1: complex, lam2: complex, qp: QParam, convention: str):
         L1, L2 = lam1 ** qp.N, lam2 ** qp.N
     else:
         raise ValueError(f"unknown curve convention {convention!r}")
-    if abs(1 - L1) < 1e-12 or abs(1 - L2) < 1e-12:
-        raise DegenerateCurve("degenerate curve denominator: K^N takes the value 1")
+    for module, (lam, L) in enumerate(((lam1, L1), (lam2, L2)), start=1):
+        if abs(1 - L) < 1e-12:
+            raise DegenerateCurve(f"degenerate curve denominator: K^N takes the value 1 on "
+                                  f"module {module} (weight {lam})", module=module)
     return L1, L2
 
 

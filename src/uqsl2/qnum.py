@@ -235,15 +235,17 @@ def gen_binom(a: complex, k: int) -> complex:
 
 
 def qexp_truncated(X: np.ndarray, base: complex, terms: int) -> np.ndarray:
-    """Truncated q-exponential sum_{n=0}^{terms} X^n / (n)_base!.
+    """Truncated q-exponential sum_{n=0}^{terms} X^n / (n)_base!, of X or of each
+    d x d slice of a stack X of shape (..., d, d).
 
-    Exact once X is nilpotent and `terms` reaches the nilpotency index.
-    Raises if a vanishing q-factorial is hit while X^n is still nonzero.
+    Exact once X is nilpotent and `terms` reaches the nilpotency index.  The
+    sum stops once every slice's power X^n is zero, and raises if a vanishing
+    q-factorial is hit while any slice's X^n is still nonzero.  Each slice
+    gets the same products and sums as a call on that slice alone.
     """
     X = np.asarray(X, dtype=complex)
-    d = X.shape[0]
-    out = np.eye(d, dtype=complex)
-    power = np.eye(d, dtype=complex)
+    power = np.eye(X.shape[-1], dtype=complex)
+    out = np.broadcast_to(power, X.shape).copy()
     fact = 1.0 + 0j
     for n in range(1, terms + 1):
         power = power @ X

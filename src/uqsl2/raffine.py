@@ -30,6 +30,8 @@ The two agree at n = 1 and differ from n = 2 on.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -38,8 +40,7 @@ import numpy as np
 from .qnum import QParam, qexp_truncated, qnumber, qpochhammer_truncated
 from .reps import Rep, _delta, _row_window, commutator_report, safe_window
 from .rfinite import _ladder_table, _table_power, cartan_weight_vector
-from .tensorop import (TensorOperator, identity_plus_kron_sum, intertwine_defect, kron2,
-                       ybe_defect)
+from .tensorop import TensorOperator, identity_plus_kron_sum, intertwine_defect, ybe_defect
 
 CARTAN_MODES = ("normalized", "raw", "none")
 
@@ -47,6 +48,7 @@ POLE_TOL = 1e-12  # a denominator factor of smaller modulus raises PoleError
 DIAGONAL_TOL = 1e-10  # relative off-diagonal part allowed in an imaginary root image
 TAIL_TOL = 1e-12  # the ordered-product oracles truncate where their tail drops below
 MAX_PRODUCT_TERMS = 2000  # and never take more factors than this
+ORACLE_STACK_ENTRIES = 1 << 14  # entries per stack of ordered-product factors (256 KiB)
 
 #: exp overflows float64 above this argument
 _LOG_MAX_FLOAT = math.log(np.finfo(float).max)
@@ -69,12 +71,10 @@ class UnsupportedOrder(ValueError):
     """The construction needs [2]_q != 0 (root order N' with q^4 != 1)."""
 
 
-def _diag_left(dvec: np.ndarray, M: np.ndarray) -> np.ndarray:
-    return dvec[:, None] * M
-
-
-def _diag_right(M: np.ndarray, dvec: np.ndarray) -> np.ndarray:
-    return M * dvec[None, :]
+def _require_finite(z):
+    """Refuse a non-finite spectral parameter where it enters a factor or an oracle."""
+    if not cmath.isfinite(complex(z)):
+        raise ValueError(f"the spectral parameter z must be finite, got {z}")
 
 
 def eval_generators(rep: Rep, x: complex) -> dict:
@@ -88,22 +88,31 @@ def eval_generators(rep: Rep, x: complex) -> dict:
     }
 
 
+def _scalars(values) -> np.ndarray:
+    """Per-order scalar coefficients as a (k, 1, 1) array, to scale a stack of matrices.
+
+    Each value is computed as a Python scalar, exactly as a per-order loop
+    would, and is the left operand of the product: `c * X`, never `X *= c`
+    (numpy's complex multiply rounds the two operand orders differently)."""
+    return np.array(list(values), dtype=complex).reshape(-1, 1, 1)
+
+
 def eval_root_vectors(rep: Rep, x: complex, n_max: int) -> dict:
-    """Real root-vector images, n = 0..n_max.
+    """Real root-vector images, n = 0..n_max, each family a stack of shape (n_max+1, d, d).
 
     E_{a0+nd} = (-1)^n x^n  q^{-nH} E,      F_{a0+nd} = (-1)^n x^-n  F q^{nH},
     E_{a1+nd} = (-1)^n x^{n+1} F q^{-nH},   F_{a1+nd} = (-1)^n x^-{n+1} q^{nH} E.
     """
-    out = {"E0": [], "F0": [], "E1": [], "F1": []}
-    for n in range(n_max + 1):
-        sgn = (-1) ** n
-        dm = rep.qpow_h(-n)
-        dp = rep.qpow_h(n)
-        out["E0"].append(sgn * x**n * _diag_left(dm, rep.E))
-        out["F0"].append(sgn * x ** (-n) * _diag_right(rep.F, dp))
-        out["E1"].append(sgn * x ** (n + 1) * _diag_right(rep.F, dm))
-        out["F1"].append(sgn * x ** (-n - 1) * _diag_left(dp, rep.E))
-    return out
+    ns = range(n_max + 1)
+    column = np.arange(n_max + 1)[:, None]
+    dm = rep.qpow_h(-column)  # row n: the diagonal of q^{-nH}
+    dp = rep.qpow_h(column)
+    return {
+        "E0": _scalars((-1) ** n * x**n for n in ns) * (dm[:, :, None] * rep.E),
+        "F0": _scalars((-1) ** n * x ** (-n) for n in ns) * (rep.F * dp[:, None, :]),
+        "E1": _scalars((-1) ** n * x ** (n + 1) for n in ns) * (rep.F * dm[:, None, :]),
+        "F1": _scalars((-1) ** n * x ** (-n - 1) for n in ns) * (dp[:, :, None] * rep.E),
+    }
 
 
 def _guard_order(qp: QParam):
@@ -126,28 +135,30 @@ def eval_imaginary_prime(rep: Rep, x: complex, n_max: int,
     mirror F'_{nd} = [2]^-1 (F_{a1} F_{a0+(n-1)d} - q^2 F_{a0+(n-1)d} F_{a1}).
     This family obeys the loop-algebra relations; it coincides with "closed"
     at n = 1 only.
+
+    Both families come as stacks of shape (n_max, d, d), order n at index n-1.
     """
     qp = rep.qp
     _guard_order(qp)
     two = qnumber(2, qp)
-    eprime, fprime = [], []
+    ns = range(1, n_max + 1)
     if family == "closed":
         q2 = qp.qpow(2)
         W = rep.E @ rep.F - rep.F @ rep.E / q2
         Wf = rep.F @ rep.E - rep.E @ rep.F / q2
-        for n in range(1, n_max + 1):
-            sgn = (-1) ** (n - 1)
-            eprime.append(sgn / two * x**n * _diag_left(rep.qpow_h(-(n - 1)), W))
-            fprime.append(sgn / two * x ** (-n) * _diag_left(rep.qpow_h(n - 1), Wf))
+        shift = np.arange(n_max)[:, None]  # n - 1
+        eprime = (_scalars((-1) ** (n - 1) / two * x**n for n in ns)
+                  * (rep.qpow_h(-shift)[:, :, None] * W))
+        fprime = (_scalars((-1) ** (n - 1) / two * x ** (-n) for n in ns)
+                  * (rep.qpow_h(shift)[:, :, None] * Wf))
     elif family == "loop":
         rv = eval_root_vectors(rep, x, n_max)
         E1 = x * rep.F
         F1 = rep.E / x
-        for n in range(1, n_max + 1):
-            A = rv["E0"][n - 1]
-            B = rv["F0"][n - 1]
-            eprime.append((A @ E1 - E1 @ A / qp.qpow(2)) / two)
-            fprime.append((F1 @ B - qp.qpow(2) * B @ F1) / two)
+        A = rv["E0"][:n_max]  # E_{a0+(n-1)d}
+        B = rv["F0"][:n_max]
+        eprime = (A @ E1 - E1 @ A / qp.qpow(2)) / two
+        fprime = (F1 @ B - qp.qpow(2) * B @ F1) / two
     else:
         raise ValueError(f"unknown imaginary family {family!r}")
     return ImaginaryRootImages(qp=qp, order=n_max, family=family,
@@ -156,13 +167,14 @@ def eval_imaginary_prime(rep: Rep, x: complex, n_max: int,
 
 @dataclass(frozen=True)
 class ImaginaryRootImages:
-    """Imaginary root-vector images: primed generators and their Schur conversion."""
+    """Imaginary root-vector images: primed generators (stacks over the order n)
+    and their Schur conversion (lists of matrices)."""
 
     qp: QParam
     order: int
     family: str = "closed"
-    eprime: list = field(default_factory=list)
-    fprime: list = field(default_factory=list)
+    eprime: np.ndarray | list = field(default_factory=list)
+    fprime: np.ndarray | list = field(default_factory=list)
     e: list = field(default_factory=list)
     f: list = field(default_factory=list)
 
@@ -203,6 +215,16 @@ def _log_series_diagonal(u: np.ndarray, c: complex) -> np.ndarray:
     return kl / np.arange(1, M + 1)[:, None]
 
 
+def _imaginary_diagonals(primes, c: complex, mirrored: bool) -> np.ndarray:
+    """Diagonals (M, d) of the unprimed images from the primed ones, E' or (mirrored) F'.
+
+    The images are checked to be weight-diagonal (_weight_diagonals), and
+    the log is taken weight by weight (_log_series_diagonal); the mirrored
+    family carries the sign flip of q -> q^-1."""
+    u = _weight_diagonals(primes, DIAGONAL_TOL)
+    return -_log_series_diagonal(-u, c) if mirrored else _log_series_diagonal(u, c)
+
+
 def schur_to_imaginary(images: ImaginaryRootImages) -> ImaginaryRootImages:
     """Recover the unprimed imaginary root images by inverting the Schur relation.
 
@@ -215,11 +237,11 @@ def schur_to_imaginary(images: ImaginaryRootImages) -> ImaginaryRootImages:
     """
     qp = images.qp
     _guard_order(qp)
-    if not images.eprime:
+    if not len(images.eprime):
         return images
     c = qp.qpow(2) - qp.qpow(-2)
-    e = _log_series_diagonal(_weight_diagonals(images.eprime, DIAGONAL_TOL), c)
-    f = -_log_series_diagonal(-_weight_diagonals(images.fprime, DIAGONAL_TOL), c)
+    e = _imaginary_diagonals(images.eprime, c, mirrored=False)
+    f = _imaginary_diagonals(images.fprime, c, mirrored=True)
     return replace(images, e=[np.diag(v) for v in e], f=[np.diag(v) for v in f])
 
 
@@ -285,6 +307,7 @@ def _closed_factor(z: complex, rep1: Rep, rep2: Rep, lowering: bool) -> TensorOp
     the outer product of its factors' column (R^+) or row (R^-) supports,
     where PoleError reports the first vanishing denominator.
     """
+    _require_finite(z)
     qp = rep1.qp
     q = qp.q
     d2 = rep2.dim
@@ -347,6 +370,7 @@ def rzero_bar_eigenvalue(z: complex, i: int, j: int, lam1: complex, lam2: comple
     Calibrated entry by entry against intertwiners solved independently on
     honest evaluation modules.
     """
+    _require_finite(z)
     w1 = qp.qpow(lam2 - lam1) * z
     w2 = qp.qpow(lam2 + lam1) * z
     w3 = qp.qpow(-lam2 - lam1) * z
@@ -379,6 +403,7 @@ def rzero_bar(z: complex, rep1: Rep, rep2: Rep) -> TensorOperator:
     PoleError at the first weight pair (row-major) with a vanishing
     denominator factor.
     """
+    _require_finite(z)
     qp = rep1.qp
     d1, d2 = rep1.dim, rep2.dim
     lam1, lam2 = rep1.lam, rep2.lam
@@ -413,6 +438,7 @@ def f_scalar(z: complex, lam1: complex, lam2: complex, qp: QParam,
     symmetric pair; the exponential sum forces that symmetry.)  Singular as q
     approaches a root of unity; generic q is required and divergence raises.
     """
+    _require_finite(z)
     if qp.is_root:
         raise ValueError("the scalar factor is singular at roots of unity")
     if terms < 1:
@@ -478,28 +504,43 @@ def r_spectral(z: complex, rep1: Rep, rep2: Rep, cartan: str = "normalized") -> 
 def _auto_terms(z, rep1, rep2):
     """Truncation order of the ordered products, from the growth ratio of their factors."""
     r = abs(z) * max(abs(rep1.qp.qpow(hj - hi)) for hi in rep1.hvec for hj in rep2.hvec)
-    if r >= 0.999:
+    if not r < 0.999:
         raise OracleDiverges(
             f"ordered-product oracle does not converge here (growth ratio {r:.3f})")
     n = max(10, int(math.log(TAIL_TOL) / math.log(r)) + 5) if r > 0 else 10
     return min(n, MAX_PRODUCT_TERMS)
 
 
-def _qexp_product(z: complex, rep1: Rep, rep2: Rep, order: str, factor,
+def _qexp_product(z: complex, rep1: Rep, rep2: Rep, order: str, factors,
                   shift: int) -> TensorOperator:
-    """prod_n exp_{q^-2}((q-1/q) z^{n+shift} factor(n)) over n = 0..n_max, in order,
-    with n_max from the geometric tail (_auto_terms)."""
+    """prod_n exp_{q^-2}((q-1/q) z^{n+shift} A_n (x) B_n) over n = 0..n_max, in order,
+    with n_max from the geometric tail (_auto_terms).
+
+    factors(ns) returns the stacks A_n and B_n for the orders ns.  The factors
+    are built and exponentiated as stacks of at most ORACLE_STACK_ENTRIES
+    entries (at least one factor each), so memory stays O(D^2) at any n_max;
+    the exponentials are then multiplied one by one in the given order."""
+    _require_finite(z)
     qp = rep1.qp
     q = qp.q
     n_max = _auto_terms(z, rep1, rep2)
     d1, d2 = rep1.dim, rep2.dim
-    terms = min(d1, d2)
-    rng = range(n_max + 1) if order == "ascending" else range(n_max, -1, -1)
-    mat = np.eye(d1 * d2, dtype=complex)
-    for n in rng:
-        mat = mat @ qexp_truncated((q - 1 / q) * z ** (n + shift) * factor(n), qp.qpow(-2),
-                                   terms)
+    D = d1 * d2
+    ns = np.arange(n_max + 1) if order == "ascending" else np.arange(n_max, -1, -1)
+    chunk = max(1, ORACLE_STACK_ENTRIES // (D * D))
+    mat = np.eye(D, dtype=complex)
+    for part in np.split(ns, range(chunk, ns.size, chunk)):
+        c = _scalars((q - 1 / q) * z ** (int(n) + shift) for n in part)
+        mat = functools.reduce(np.matmul, qexp_truncated(_scaled_kron_stack(c, *factors(part)),
+                                                         qp.qpow(-2), min(d1, d2)), mat)
     return TensorOperator((d1, d2), mat)
+
+
+def _scaled_kron_stack(c: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The stack of c_n A_n (x) B_n: entry (i*b + k, j*b + l) of slice n is
+    c_n (A_n[i, j] B_n[k, l]), each product formed once, as np.kron forms it."""
+    (k, a, _), b = A.shape, B.shape[-1]
+    return c * (A[:, :, None, :, None] * B[:, None, :, None, :]).reshape(k, a * b, a * b)
 
 
 def rplus_product(z: complex, rep1: Rep, rep2: Rep, order: str = "ascending") -> TensorOperator:
@@ -507,10 +548,11 @@ def rplus_product(z: complex, rep1: Rep, rep2: Rep, order: str = "ascending") ->
 
     The raising family multiplies in ascending order of n (the closed form
     reproduces exactly this order)."""
-    def factor(n):
-        return kron2(_diag_left(rep1.qpow_h(-n), rep1.E), _diag_right(rep2.F, rep2.qpow_h(n)))
+    def factors(ns):
+        return (rep1.qpow_h(-ns[:, None])[:, :, None] * rep1.E,
+                rep2.F * rep2.qpow_h(ns[:, None])[:, None, :])
 
-    return _qexp_product(z, rep1, rep2, order, factor, 0)
+    return _qexp_product(z, rep1, rep2, order, factors, 0)
 
 
 def rminus_product(z: complex, rep1: Rep, rep2: Rep, order: str = "descending") -> TensorOperator:
@@ -518,10 +560,11 @@ def rminus_product(z: complex, rep1: Rep, rep2: Rep, order: str = "descending") 
 
     The lowering family multiplies in descending order of n (normal order runs
     back towards the plain lowering root)."""
-    def factor(n):
-        return kron2(_diag_right(rep1.F, rep1.qpow_h(-n)), _diag_left(rep2.qpow_h(n), rep2.E))
+    def factors(ns):
+        return (rep1.F * rep1.qpow_h(-ns[:, None])[:, None, :],
+                rep2.qpow_h(ns[:, None])[:, :, None] * rep2.E)
 
-    return _qexp_product(z, rep1, rep2, order, factor, 1)
+    return _qexp_product(z, rep1, rep2, order, factors, 1)
 
 
 def rzero_exponential(z: complex, rep1: Rep, rep2: Rep,
@@ -531,20 +574,29 @@ def rzero_exponential(z: complex, rep1: Rep, rep2: Rep,
     exp( sum_{n>0} (q^2-q^-2)^2 n z^n / (q^{2n}-q^{-2n}) E_{nd} (x) F_{nd} )
     over the loop-bracket imaginary family; equivalently the pairing
     (q-q^-1)^2 n/(q^{2n}-q^{-2n}) of the rescaled Cartan-current modes.
+    Only the diagonals it pairs are converted: E_{nd} on V1, F_{nd} on V2.
+    The exponent is summed over n = 1, 2, ... in order, starting from zero.
     The truncation order follows the geometric tail of the mode norms
     unless given explicitly.  An exponent whose real part would overflow exp
     raises OracleDiverges.
     """
+    _require_finite(z)
     qp = rep1.qp
     if n_max is None:
         n_max = max(30, _auto_terms(z, rep1, rep2))
-    im1 = schur_to_imaginary(eval_imaginary_prime(rep1, 1.0, n_max, family="loop"))
-    im2 = schur_to_imaginary(eval_imaginary_prime(rep2, 1.0, n_max, family="loop"))
-    C = (qp.qpow(2) - qp.qpow(-2)) ** 2
-    acc = np.zeros(rep1.dim * rep2.dim, dtype=complex)  # the exponent is diagonal
-    for n in range(1, n_max + 1):
-        coeff = C * n * z**n / (qp.qpow(2 * n) - qp.qpow(-2 * n))
-        acc += coeff * np.kron(np.diagonal(im1.e[n - 1]), np.diagonal(im2.f[n - 1]))
+    c = qp.qpow(2) - qp.qpow(-2)
+    e1 = _imaginary_diagonals(eval_imaginary_prime(rep1, 1.0, n_max, family="loop").eprime,
+                              c, mirrored=False)
+    f2 = _imaginary_diagonals(eval_imaginary_prime(rep2, 1.0, n_max, family="loop").fprime,
+                              c, mirrored=True)
+    C = c**2
+    coeff = _scalars(C * n * z**n / (qp.qpow(2 * n) - qp.qpow(-2 * n))
+                     for n in range(1, n_max + 1))
+    terms = coeff * (e1[:, :, None] * f2[:, None, :])
+    # the exponent is diagonal; row k of the cumulative sum adds term k to the
+    # sum of the terms before it, and row 0 is the zero it starts from
+    acc = np.cumsum(np.concatenate([np.zeros((1, rep1.dim, rep2.dim)), terms]),
+                    axis=0)[-1].reshape(-1)
     top = acc.real.max()
     if not top < _LOG_MAX_FLOAT:
         raise OracleDiverges(f"exponential form of the diagonal factor does not converge here "
@@ -553,18 +605,23 @@ def rzero_exponential(z: complex, rep1: Rep, rep2: Rep,
     return TensorOperator((rep1.dim, rep2.dim), expm(np.diag(acc)))
 
 
+def _assemble_product(rp: TensorOperator, r0: TensorOperator, rm: TensorOperator,
+                      rep1: Rep, rep2: Rep) -> TensorOperator:
+    """R^+ R^0 R^- q^{H(x)H/2} from the three factors of the ordered-product form."""
+    mat = rp.mat @ r0.mat @ rm.mat
+    mat = mat * cartan_weight_vector(rep1, rep2)[None, :]
+    return TensorOperator((rep1.dim, rep2.dim), mat)
+
+
 def decompos_product(z: complex, rep1: Rep, rep2: Rep,
                      n_imag: int | None = None) -> TensorOperator:
     """Full ordered-product evaluation image R^+ R^0 R^- q^{H(x)H/2}.
 
     Equals f(z) times the cartan="raw" closed-form spectral R-matrix.
     """
-    rp = rplus_product(z, rep1, rep2)
-    r0 = rzero_exponential(z, rep1, rep2, n_imag)
-    rm = rminus_product(z, rep1, rep2)
-    mat = rp.mat @ r0.mat @ rm.mat
-    mat = mat * cartan_weight_vector(rep1, rep2)[None, :]
-    return TensorOperator((rep1.dim, rep2.dim), mat)
+    return _assemble_product(rplus_product(z, rep1, rep2),
+                             rzero_exponential(z, rep1, rep2, n_imag),
+                             rminus_product(z, rep1, rep2), rep1, rep2)
 
 
 # ---------------------------------------------------------------------------

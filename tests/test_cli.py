@@ -440,6 +440,17 @@ class TestExitCodeContract:
         assert code == 2
         assert "degenerate curve" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("nprime", [3, 5])
+    @pytest.mark.parametrize("weights,module", [((), 1), (("--lambda1", "0.8,0.05"), 2)],
+                             ids=["defaults", "default-lambda2"])
+    def test_semicyclic_default_weight_names_module_and_flag(self, nprime, weights, module):
+        # at odd N' the default weight 1 gives K^N = q^N' = 1 on its module
+        code, err = run_main(["rmatrix", "--kind", "semicyclic", "--Nprime", str(nprime),
+                              "--z", "1", *weights])
+        assert code == 2
+        msg = json.loads(err)["error"]
+        assert f"module {module}" in msg and f"pass another --lambda{module}" in msg
+
     @pytest.mark.parametrize("argv", [
         ("verify", "product-oracle", "--q", "0.9,-0.2"),
         ("verify", "product-oracle", "--q", "1.3", "--seed", "3"),

@@ -38,3 +38,22 @@ def test_install_then_restore_leaves_nothing_wrapped(spans):
     tracer = spans.Tracer()
     tracer.install()
     assert tracer.restore() == []
+
+
+def test_trace_hooks_read_parameters_that_exist(spans):
+    # the hooks bind each call's arguments and read some of them by name: a
+    # renamed parameter would only fail inside the traced benchmark
+    from uqsl2 import QParam, cpotts, raffine, semicyclic, truncated_verma
+
+    tracer = spans.Tracer()
+    assert set(tracer._hooks) == {"raffine.eval_imaginary_prime", "cpotts.solve_intertwiner"}
+    qp = QParam.root_of_unity(3)
+    tracer.install()
+    try:  # looked up after install, so the wrapped functions run
+        raffine.eval_imaginary_prime(truncated_verma(0.7 + 0.1j, 3, qp), 1.0, 4, family="loop")
+        cpotts.solve_intertwiner(semicyclic(0.4, 0.8 + 0.05j, qp),
+                                 semicyclic(0.6, 1.3 - 0.11j, qp), 1.0, 1.0)
+    finally:
+        assert tracer.restore() == []
+    assert tracer.counts["raffine.schur.order_sum"] == 4
+    assert tracer.counts["cpotts.solver.unknowns"] == 9**2

@@ -178,6 +178,42 @@ class TestQExponential:
         with pytest.raises(DenominatorVanishes):
             qexp_truncated(np.eye(2), qp.qpow(-2), qp.N + 1)
 
+    @staticmethod
+    def nilpotent_stack(d=6, seed=0):
+        """Strictly upper triangular slices of nilpotency index 1 (zero) up to d."""
+        rng = np.random.default_rng(seed)
+        out = []
+        for band in range(d):  # nonzero only on the first `band` superdiagonals
+            X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            rows, cols = np.indices((d, d))
+            out.append(np.where((cols > rows) & (cols - rows <= band), X, 0))
+        return np.array(out)
+
+    @pytest.mark.parametrize("terms", [2, 4, 9])
+    def test_stack_equals_slices(self, terms):
+        X = self.nilpotent_stack()
+        base = 0.8 + 0.1j
+        got = qexp_truncated(X, base, terms)
+        assert got.shape == X.shape
+        for slice_, out in zip(X, got):
+            assert np.array_equal(out, qexp_truncated(slice_, base, terms))
+        nested = qexp_truncated(X.reshape(2, 3, 6, 6), base, terms)
+        assert np.array_equal(nested.reshape(X.shape), got)
+
+    def test_stack_raises_when_one_slice_is_still_nonzero(self):
+        # q^-2 at N' = 5 gives (5)_b = 0: a slice whose fifth power vanishes
+        # needs no fifth term, the 6 x 6 shift (J^5 != 0) does
+        qp = QParam.root_of_unity(5)
+        base = qp.qpow(-2)
+        short = np.diag(np.ones(5), 1) * (np.arange(6) < 2)[:, None]  # J^2 = 0
+        shift = np.diag(np.ones(5), 1)
+        stack = np.array([short, np.zeros((6, 6)), short])
+        qexp_truncated(stack, base, 6)  # every power dies before the vanishing bracket
+        with pytest.raises(DenominatorVanishes):
+            qexp_truncated(shift, base, 6)
+        with pytest.raises(DenominatorVanishes):
+            qexp_truncated(np.array([short, shift, np.zeros((6, 6))]), base, 6)
+
 
 class TestQPochhammer:
     def test_empty_product(self):
