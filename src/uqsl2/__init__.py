@@ -13,8 +13,8 @@ from .rfinite import (RFiniteOptions, cartan_weight_vector, e_derivation_matrix,
                       intertwine_residual, quasitriangularity_residual,
                       r_generic_universal, r_reshetikhin_product, r_verma_direct,
                       renormalized_raising_power, ybe_residual)
-from .raffine import (ImaginaryRootImages, OracleDiverges, PoleError, UnsupportedOrder,
-                      affine_coproduct_images, affine_intertwine_residual,
+from .raffine import (ImaginaryRootImages, OracleDiverges, PoleError, SpectralOverflow,
+                      UnsupportedOrder, affine_coproduct_images, affine_intertwine_residual,
                       central_affine_check, decompos_product, drinfeld_generators,
                       drinfeld_relation_check, eval_generators, eval_imaginary_prime,
                       eval_root_vectors, f_scalar, noncentral_residual, r_spectral,

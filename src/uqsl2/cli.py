@@ -27,8 +27,8 @@ from .qnum import QParam
 from .reps import central_check, safe_window, semicyclic, truncated_verma
 from .rfinite import (intertwine_residual, quasitriangularity_residual,
                       r_reshetikhin_product, r_verma_direct, ybe_residual)
-from .raffine import (OracleDiverges, PoleError, UnsupportedOrder, _assemble_product,
-                      affine_intertwine_residual, central_affine_check,
+from .raffine import (OracleDiverges, PoleError, SpectralOverflow, UnsupportedOrder,
+                      _assemble_product, affine_intertwine_residual, central_affine_check,
                       drinfeld_relation_check, eval_imaginary_prime, f_scalar,
                       noncentral_residual, r_spectral, rminus_closed, rminus_product,
                       rplus_closed, rplus_product, rzero_bar, rzero_exponential,
@@ -497,6 +497,8 @@ def main(argv=None) -> int:
         diag = {"error": str(exc), "code": 2}
     except UnsupportedOrder as exc:
         diag = {"error": f"unsupported order: {exc}", "code": 2}
+    except SpectralOverflow as exc:
+        diag = {"error": str(exc), "code": 2, "z": cnum(exc.z)}
     except PoleError as exc:
         diag = {"error": str(exc), "code": 3}
         if exc.z is not None:

@@ -17,22 +17,22 @@ unquotiented degree.
 A nullspace solver recovers intertwiners of arbitrary module pairs
 directly from the coproduct constraints; on cyclic modules it probes
 the curve empirically.  The constraints preserve the charge
-deg(i) - deg(j) mod gcd(d1, d2) of an unknown R[i, j], with
-deg(m1, m2) = m1 + m2, so the solver assembles and diagonalizes one
+deg(i) - deg(j) of an unknown R[i, j], deg(m1, m2) = m1 + m2, exactly or,
+on (semi)cyclic modules with their wrap entries, mod gcd(d1, d2)
+(tensorop.grading_modulus), so the solver assembles and diagonalizes one
 charge block at a time instead of the whole D^2 x D^2 system.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .qnum import QParam
 from .reps import Rep, truncated_verma
-from .raffine import affine_coproduct_images, r_spectral
-from .tensorop import TensorOperator, cnum, kron2
+from .raffine import _guard_overflow, affine_coproduct_images, r_spectral
+from .tensorop import TensorOperator, cnum, grading_modulus, kron2, total_degree
 
 CURVE_CONVENTIONS = ("central", "raw")
 
@@ -97,7 +97,7 @@ def curve_residual(spec: CurveSpec, qp: QParam, convention: str = "central") -> 
     """
     L1, L2 = _central_powers(spec.lambda1, spec.lambda2, qp, convention)
     r1 = abs(spec.alpha1 / (1 - L1) - spec.alpha2 / (1 - L2))
-    r2 = abs(spec.z ** qp.N - 1)
+    r2 = _guard_overflow(spec.z, "|z^N - 1|", lambda: abs(spec.z ** qp.N - 1))
     if spec.beta1 is None or spec.beta2 is None:
         return (r1, r2)
     r3 = abs(spec.beta1 / (1 - 1 / L1) - spec.beta2 / (1 - 1 / L2))
@@ -173,34 +173,18 @@ def fn_commutation_residual(z: complex, sc1: Rep, sc2: Rep, R: TensorOperator,
     }
 
 
-def _charge_modulus(rep1: Rep, rep2: Rep) -> int:
-    """Modulus g of the charge grading deg(m1, m2) = m1 + m2 (mod g), or 1.
-
-    With g = gcd(d1, d2), E lowers and F raises the basis index by one
-    modulo g (the cyclic wrap entries included) and K keeps it, so every
-    coproduct image shifts deg by a fixed amount.  The modules' nonzero
-    patterns are checked; g = 1, a single block, is returned when they
-    break the grading.
-    """
-    g = math.gcd(rep1.dim, rep2.dim)
-    for rep in (rep1, rep2):
-        m = np.arange(rep.dim)
-        shift = np.subtract.outer(m, m) % g  # row index minus column index
-        for M, s in ((rep.E, -1), (rep.F, 1), (rep.K, 0)):
-            if np.any(M[shift != s % g]):
-                return 1
-    return g
-
-
 def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
     """Nullspace solve of R D(a) = D'(a) R over the affine generator images.
 
     The constraints for a in {E0, F0, E1, F1, K0} are collected in the Gram
     matrix G = sum_a A_a^H A_a of L(R) = R L_a - R_a R.  Unknown R[i, j] has
-    charge deg(i) - deg(j) mod g (see _charge_modulus); every image is
-    homogeneous, so G is exactly block-diagonal with g charge blocks of
-    D^2/g unknowns (N^3 for a pair of N-dimensional modules).  Each block
-    is assembled by index arithmetic from D x D matrices,
+    charge deg(i) - deg(j), taken mod g when tensorop.grading_modulus finds
+    the modules' E (shift -1), F (+1) and K (0) graded only mod
+    g = gcd(d1, d2), and 0 for every unknown when they are not graded.
+    Every image is homogeneous, so G is exactly block-diagonal with one block
+    per charge (g blocks of N^3 unknowns for a pair of N-dimensional
+    (semi)cyclic modules).  Each block is assembled by index arithmetic from
+    D x D matrices,
 
         G[(i,j),(i',j')] = d_ii' P[j,j'] + Q[i,i'] d_jj' - X - X^H,
         X = sum_a R_a[i,i'] conj(L_a)[j,j'],
@@ -220,11 +204,14 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
     right = affine_coproduct_images(rep1, rep2, x, y, opposite=True)
     names = ("E0", "F0", "E1", "F1", "K0")
     conj_left = {a: left[a].conj() for a in names}
-    P = sum(conj_left[a] @ left[a].T for a in names)
-    Q = sum(right[a].conj().T @ right[a] for a in names)
-    g = _charge_modulus(rep1, rep2)
-    deg = np.add.outer(np.arange(rep1.dim), np.arange(rep2.dim)).reshape(-1)
-    charge = np.subtract.outer(deg, deg) % g
+    P, Q = _guard_overflow(x / y, "the intertwiner constraints", lambda: (
+        sum(conj_left[a] @ left[a].T for a in names),
+        sum(right[a].conj().T @ right[a] for a in names)))
+    g = grading_modulus([(M, np.arange(rep.dim), s) for rep in (rep1, rep2)
+                         for M, s in ((rep.E, -1), (rep.F, 1), (rep.K, 0))], (rep1.dim, rep2.dim))
+    deg = total_degree((rep1.dim, rep2.dim))
+    diff = np.subtract.outer(deg, deg)
+    charge = diff % g if g else diff
     from scipy.linalg import eigh
 
     def block(c):
@@ -250,13 +237,9 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
         gram -= X.conj().T
         return rows, cols, gram
 
-    eigvals = []
-    best = 0  # the first block holding the smallest eigenvalue
-    for c in range(g):
-        w = eigh(block(c)[2], eigvals_only=True, overwrite_a=True)
-        eigvals.append(w)
-        if w[0] < eigvals[best][0]:
-            best = c
+    charges = np.unique(charge)
+    eigvals = [eigh(block(c)[2], eigvals_only=True, overwrite_a=True) for c in charges]
+    best = charges[np.argmin([w[0] for w in eigvals])]  # the first block holding the smallest
     w = np.concatenate(eigvals)
     wmax = float(w.max()) if w.max() > 0 else 1.0
     dim = int((w < (NULLSPACE_RATIO**2) * wmax).sum())

@@ -63,6 +63,27 @@ class PoleError(ArithmeticError):
         self.weight_pair = weight_pair
 
 
+class SpectralOverflow(ArithmeticError):
+    """A value built at spectral parameter z is not finite in float64."""
+
+    def __init__(self, message, *, z):
+        super().__init__(message)
+        self.z = z
+
+
+def _guard_overflow(z, what: str, build):
+    """build(), with numpy's floating-point warnings silenced; SpectralOverflow,
+    naming z, when it raises OverflowError or returns a non-finite entry."""
+    try:
+        with np.errstate(all="ignore"):
+            out = build()
+    except OverflowError:
+        out = np.nan
+    if not np.isfinite(out).all():
+        raise SpectralOverflow(f"overflow in {what} at z={z}", z=z)
+    return out
+
+
 class OracleDiverges(ValueError):
     """An independent series or product oracle does not converge at these parameters."""
 
@@ -485,16 +506,20 @@ def r_spectral(z: complex, rep1: Rep, rep2: Rep, cartan: str = "normalized") -> 
     """
     if cartan not in CARTAN_MODES:
         raise ValueError(f"unknown cartan mode {cartan!r}")
-    rp = rplus_closed(z, rep1, rep2)
-    r0 = rzero_bar(z, rep1, rep2)
-    rm = rminus_closed(z, rep1, rep2)
-    mat = rp.mat @ (np.diag(r0.mat)[:, None] * rm.mat)
-    if cartan != "none":
-        cart = cartan_weight_vector(rep1, rep2)
-        if cartan == "normalized":
-            cart = cart / cart[0]
-        mat = mat * cart[None, :]
-    return TensorOperator((rep1.dim, rep2.dim), mat)
+
+    def build():
+        rp = rplus_closed(z, rep1, rep2)
+        r0 = rzero_bar(z, rep1, rep2)
+        rm = rminus_closed(z, rep1, rep2)
+        mat = rp.mat @ (np.diag(r0.mat)[:, None] * rm.mat)
+        if cartan != "none":
+            cart = cartan_weight_vector(rep1, rep2)
+            if cartan == "normalized":
+                cart = cart / cart[0]
+            mat = mat * cart[None, :]
+        return mat
+
+    return TensorOperator((rep1.dim, rep2.dim), _guard_overflow(z, "the spectral R-matrix", build))
 
 
 # ---------------------------------------------------------------------------

@@ -145,11 +145,6 @@ def _exp_terms(A: np.ndarray, B: np.ndarray) -> tuple:
     return [1 / factorial(k) for k in range(len(powers) + 1)], powers
 
 
-def _kron_expm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """exp(A (x) B) for nilpotent A (x) B, summed as sum_k A^k (x) B^k / k!."""
-    return _kron_power_sum(*_exp_terms(A, B), A.shape[0], B.shape[0])
-
-
 def r_generic_universal(rep1: Rep, rep2: Rep, terms: int | None = None) -> TensorOperator:
     """exp_{q^-2}((q - q^-1) E (x) F) times the Cartan weight factor; generic q only.
 

@@ -7,6 +7,7 @@ factor, B on the second".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,48 +112,61 @@ def identity_plus_kron_sum(As, Bs, d1: int, d2: int, weights=None,
     return out
 
 
-def _conserves(M: np.ndarray, deg: np.ndarray) -> bool:
-    """True when M maps each degree to itself, read off its nonzero pattern.
+def total_degree(dims) -> np.ndarray:
+    """The sum of the factor indices at each flat index of a product of factors of dims."""
+    return sum(np.unravel_index(np.arange(math.prod(dims)), dims))
 
-    Every nonzero entry must join two indices of the same degree, and no
-    entry may be non-finite (a NaN has no degree)."""
-    same = deg[:, None] == deg[None, :]
-    return bool(np.isfinite(M).all()) and np.count_nonzero(M[same]) == np.count_nonzero(M)
+
+def grading_modulus(triples, dims) -> int:
+    """The finest grading of the flat basis that every (M, deg, shift) triple respects.
+
+    M respects it when each nonzero entry M[i, j] has deg[i] - deg[j] = shift
+    in it.  Returns 0 for the exact degree, else g = gcd(dims) when every
+    triple holds mod g, else 1: the trivial grading, one block.  Only the
+    nonzero entries are read, and a non-finite one (a NaN has no degree)
+    respects the trivial grading alone.
+    """
+    g = math.gcd(*dims)
+    exact = True
+    for M, deg, shift in triples:
+        rows, cols = np.nonzero(M)
+        if not np.isfinite(M[rows, cols]).all():
+            return 1
+        off = deg[rows] - deg[cols] - shift
+        exact = exact and not off.any()
+        if not exact and (off % g).any():
+            return 1
+    return 0 if exact else g
 
 
 def weight_sectors(ops, dims: tuple[int, int, int], col_mask: np.ndarray | None):
-    """Restrictions of operators on V0 (x) V1 (x) V2 to the sectors of fixed total degree.
+    """Restrictions of operators on V0 (x) V1 (x) V2 to the sectors of their grading.
 
     ops holds (M, sites) pairs: sites (0, 1), (0, 2) or (1, 2) embed a
     two-site M at those factors, and (0, 1, 2) means M acts on the whole
     product.  Basis vector v_a (x) v_b (x) v_c has total degree t = a + b + c.
-    When every operator conserves its degree (checked exactly on its nonzero
-    pattern), each sector of fixed t is closed under all of them; otherwise
-    one sector holds every index, so the same code gives the dense answer.
-    Yields, for each sector that meets col_mask (all columns when None), the
-    n_t x n_t restrictions of the ops, in order, and a boolean mask of the
-    sector's indices that are in col_mask.
+    grading_modulus, fed with each operator and the degree of its sites,
+    picks the sectors: one per value of t (truncated Verma modules), of t mod
+    gcd(dims) (the wrap entries of (semi)cyclic modules), or one sector of
+    every index, so the same code gives the dense answer.  Yields, for each
+    sector that meets col_mask (all columns when None), the restrictions of
+    the ops, in order, and a boolean mask of the sector's indices in col_mask.
     """
     ops = list(ops)
-    parts = np.unravel_index(np.arange(dims[0] * dims[1] * dims[2]), dims)
-    total = sum(parts)
-
-    def degree(sites):
-        if len(sites) == 3:
-            return total
-        return np.add.outer(np.arange(dims[sites[0]]), np.arange(dims[sites[1]])).reshape(-1)
-
-    graded = all(_conserves(M, degree(sites)) for M, sites in ops)
-    sector = total if graded else np.zeros_like(total)
+    total = total_degree(dims)
+    g = grading_modulus([(M, total_degree([dims[s] for s in sites]), 0) for M, sites in ops],
+                        dims)
+    sector = total % g if g else total
     keep = np.ones(total.size, dtype=bool) if col_mask is None else np.asarray(col_mask)
 
     def restrict(M, sites, idx):
         if len(sites) == 3:
             return M[np.ix_(idx, idx)]
+        parts = np.unravel_index(idx, dims)
         s1, s2 = sites
         (spare,) = {0, 1, 2} - set(sites)
-        pair = parts[s1][idx] * dims[s2] + parts[s2][idx]
-        other = parts[spare][idx]
+        pair = parts[s1] * dims[s2] + parts[s2]
+        other = parts[spare]
         return M[np.ix_(pair, pair)] * (other[:, None] == other[None, :])
 
     for t in np.unique(sector[keep]):
@@ -188,9 +202,7 @@ def intertwine_defect(R: np.ndarray, left: dict, right: dict,
 
 def total_degree_mask(depths, max_total: int) -> np.ndarray:
     """Boolean mask over the flat tensor basis keeping indices with sum <= max_total."""
-    grids = np.meshgrid(*[np.arange(d) for d in depths], indexing="ij")
-    total = sum(grids)
-    return (total <= max_total).reshape(-1)
+    return total_degree(depths) <= max_total
 
 
 class EmptySafeWindow(ValueError):

@@ -362,7 +362,7 @@ QFLAGS = st.one_of(
 DEPTHS = st.sampled_from(["1", "2", "3", "1,1", "1,2", "2,2", "3,2", "2,3", "1,1,1", "2,1,2",
                           "2,2,2", "3,2,3", "0,2", "-1,2", "x", "2,,2"])
 ZS = st.sampled_from(["1", "0.5,0.2", "0.3;1", "roots:3", "roots:0", "roots:x", "0", "nan", "2",
-                      "-1"])
+                      "-1", "1e60", "1e200", "1e-300"])
 #: sweep grids stay at most 2 x 2 points
 RANGES = st.sampled_from(["0.5:1.5:2", "1:1:1", "1:1:0", "1:2", "a:b:c", "0:1:-1", "nan:1:1",
                           "0.8:0.8:1"])
@@ -463,6 +463,34 @@ class TestExitCodeContract:
         assert code == 2
         assert err.count("\n") == 1
         assert "converge" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("z,argv", [
+        ("1e200", ("rmatrix", "--kind", "spectral", "--Nprime", "3")),
+        ("1e60", ("rmatrix", "--kind", "semicyclic", "--Nprime", "3", "--lambda1", "0.8,0.05",
+                  "--lambda2", "1.3,-0.11", "--alpha1", "0.3")),
+    ], ids=["spectral", "semicyclic"])
+    def test_rmatrix_overflowing_spectral_parameter_exits_2(self, z, argv):
+        self.assert_overflow_names_z([*argv, "--z", z], z)
+
+    @pytest.mark.parametrize("nprime,z", [(3, "1e60"), (3, "1e100"), (3, "1e200"),
+                                          (5, "1e-300")])
+    def test_sweep_overflowing_spectral_parameter_exits_2(self, nprime, z):
+        # 1e60 and 1e100 overflow R(z), 1e200 already |z^N - 1|, and 1e-300 the
+        # solver's constraints through F1 = E / z
+        self.assert_overflow_names_z(["sweep", "--Nprime", str(nprime), "--z", z,
+                                      "--lambda1-range", "0.5:0.5:1",
+                                      "--alpha1-range", "0.3:0.3:1"], z)
+
+    @staticmethod
+    def assert_overflow_names_z(argv, z):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning besides the diagnostic
+            code, err = run_main(argv)
+        assert code == 2
+        assert err.count("\n") == 1
+        diag = json.loads(err)
+        assert diag["code"] == 2 and complex(*diag["z"]) == float(z)
+        assert f"z=({float(z)!r}+0j)" in diag["error"]
 
     def test_sweep_at_zero_spectral_parameter_exits_2(self):
         code, err = run_main(["sweep", "--Nprime", "3", "--lambda1-range", "0.5:0.5:1",

@@ -10,7 +10,8 @@ from uqsl2 import (CurveSpec, PoleError, QParam, affine_coproduct_images,
                    fn_commutation_residual, import_boltzmann, on_curve_partner,
                    r_semicyclic, r_spectral, semicyclic, solve_intertwiner,
                    truncated_verma)
-from uqsl2.cpotts import _charge_modulus
+from uqsl2.tensorop import (embed_two_site, grading_modulus, masked_max_abs, weight_sectors,
+                            ybe_defect)
 
 QP3 = QParam.root_of_unity(3)
 QP5 = QParam.root_of_unity(5)
@@ -237,6 +238,13 @@ def dense_intertwiner(rep1, rep2, x, y, sv_ratio=1e-7):
     return R / R.flat[np.argmax(mag >= (1 - 1e-9) * mag.max())], dim
 
 
+def module_grading(rep1, rep2):
+    """grading_modulus fed with the generators of both modules, as solve_intertwiner does."""
+    return grading_modulus([(M, np.arange(rep.dim), s) for rep in (rep1, rep2)
+                            for M, s in ((rep.E, -1), (rep.F, 1), (rep.K, 0))],
+                           (rep1.dim, rep2.dim))
+
+
 def solver_pairs(qp):
     sc1, sc2 = on_curve_pair(qp)
     return {
@@ -269,8 +277,10 @@ class TestSolverAgainstDense:
         p = [1, 0, 2, 3, 4]
         swapped = replace(sc1, E=sc1.E[np.ix_(p, p)], F=sc1.F[np.ix_(p, p)],
                           K=sc1.K[np.ix_(p, p)], hvec=sc1.hvec[p])
-        assert _charge_modulus(sc1, sc2) == 5
-        assert _charge_modulus(swapped, sc2) == 1
+        assert module_grading(sc1, sc2) == 5
+        assert module_grading(swapped, sc2) == 1
+        # alpha = 0 drops the wrap entry F^N = alpha: the exact degree holds
+        assert module_grading(*solver_pairs(qp)["nilpotent"]) == 0
         z = cmath.exp(2j * cmath.pi / qp.N)
         R_ref, dim_ref = dense_intertwiner(swapped, sc2, z, 1.0)
         R, dim = solve_intertwiner(swapped, sc2, z, 1.0)
@@ -292,7 +302,7 @@ class TestSolverNullspaceCount:
         # the intertwiners of (V (+) V) (x) W are 2 x 2 copies of those of V (x) W
         sc1, sc2 = on_curve_pair(qp)
         rep1, rep2 = (doubled(sc1), sc2) if doubled_first else (sc2, doubled(sc1))
-        assert _charge_modulus(rep1, rep2) == qp.N
+        assert module_grading(rep1, rep2) == qp.N
         R, dim = solve_intertwiner(rep1, rep2, 1.0, 1.0)
         if qp.N == 3:
             dim_ref = dense_intertwiner(rep1, rep2, 1.0, 1.0)[1]
@@ -322,6 +332,55 @@ class TestSolverNullspaceCount:
             tracemalloc.stop()
         assert dim == 1
         assert peak < 6 * n * n * np.dtype(complex).itemsize
+
+
+def on_curve_triple(qp):
+    """Three semicyclic modules pairwise on the curve, and their R12, R13, R23 at
+    x = (w^2, w, 1), w = exp(2 pi i / N), so every ratio z obeys z^N = 1."""
+    lams = (LAM1, LAM2, 0.6 + 0.2j)
+    reps = [semicyclic(on_curve_partner(0.7, LAM1, lam, qp), lam, qp) for lam in lams]
+    w = cmath.exp(2j * cmath.pi / qp.N)
+    xs = (w * w, w, 1.0)
+    return [r_semicyclic(xs[a] / xs[b], reps[a], reps[b]).mat
+            for a, b in ((0, 1), (0, 2), (1, 2))]
+
+
+def dense_ybe(ops, dims):
+    """R12 R13 R23 - R23 R13 R12 from dense embedded operators, and the products' scale."""
+    E12, E13, E23 = (embed_two_site(M, dims, pos)
+                     for M, pos in zip(ops, ((0, 1), (0, 2), (1, 2))))
+    lhs, rhs = E12 @ E13 @ E23, E23 @ E13 @ E12
+    return masked_max_abs(lhs - rhs), max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
+
+
+class TestSemicyclicSectors:
+    """The wrap entries F^N = alpha keep the total degree only mod N, so a
+    semicyclic triple splits into N sectors of N^2 indices, not one."""
+
+    @pytest.mark.parametrize("qp", [QP3, QP5], ids=["N'=3", "N'=5"])
+    def test_ybe_runs_in_n_sectors_and_matches_dense(self, qp):
+        N = qp.N
+        dims = (N, N, N)
+        ops = on_curve_triple(qp)
+        sites = ((0, 1), (0, 2), (1, 2))
+        sizes = [len(cols) for _, cols in weight_sectors(zip(ops, sites), dims, None)]
+        assert sizes == [N * N] * N
+        ref, scale = dense_ybe(ops, dims)
+        assert ref <= 1e-12 * scale  # on the curve the triple solves Yang-Baxter
+        assert abs(ybe_defect(*ops, dims) - ref) <= 1e-13 * scale
+
+    def test_swapped_basis_takes_the_one_sector_path(self):
+        qp = QP5
+        N = qp.N
+        dims = (N, N, N)
+        p = np.array([1, 0, 2, 3, 4])  # v_0 <-> v_1 on the first factor: not graded mod N
+        perm = (p[:, None] * N + np.arange(N)).reshape(-1)
+        R12, R13, R23 = on_curve_triple(qp)
+        ops = [R12[np.ix_(perm, perm)], R13[np.ix_(perm, perm)], R23]
+        sectors = list(weight_sectors(zip(ops, ((0, 1), (0, 2), (1, 2))), dims, None))
+        assert len(sectors) == 1 and len(sectors[0][1]) == N ** 3
+        ref, scale = dense_ybe(ops, dims)
+        assert abs(ybe_defect(*ops, dims) - ref) <= 1e-13 * scale
 
 
 class TestBoltzmannExport:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from uqsl2 import TensorOperator
-from uqsl2.tensorop import (cmat, cnum, from_cmat, identity_plus_kron_sum, intertwine_defect,
-                            kron2)
+from uqsl2.tensorop import (cmat, cnum, from_cmat, grading_modulus, identity_plus_kron_sum,
+                            intertwine_defect, kron2, total_degree, total_degree_mask)
 
 
 class TestComplexCodec:
@@ -109,3 +109,36 @@ class TestKronSumContraction:
     def test_empty_term_list_is_the_identity(self, weights):
         got = identity_plus_kron_sum([], [], 2, 5, weights)
         assert got.dtype == complex and np.array_equal(got, np.eye(10))
+
+
+class TestGradingRule:
+    def test_total_degree_is_the_index_sum(self):
+        ref = np.add.outer(np.add.outer(np.arange(3), np.arange(4)), np.arange(2)).reshape(-1)
+        assert np.array_equal(total_degree((3, 4, 2)), ref)
+        assert np.array_equal(total_degree_mask((3, 4, 2), 2), ref <= 2)
+
+    @staticmethod
+    def cyclic_shift(d, wrap):
+        """v_i -> v_{i+1}, and v_{d-1} -> wrap * v_0."""
+        M = np.eye(d, k=-1, dtype=complex)
+        M[0, d - 1] = wrap
+        return M
+
+    @pytest.mark.parametrize("dims,wrap,expected", [
+        ((3, 6), 0.0, 0),   # no wrap entry: the exact degree
+        ((3, 6), 0.5, 3),   # the wrap keeps the degree mod gcd(3, 6) = 3
+        ((3, 4), 0.5, 1),   # gcd 1: one block
+    ])
+    def test_finest_grading(self, dims, wrap, expected):
+        triples = [(M, np.arange(d), s) for d in dims
+                   for M, s in ((self.cyclic_shift(d, wrap), 1), (np.eye(d), 0))]
+        assert grading_modulus(triples, dims) == expected
+
+    def test_zero_matrix_respects_every_grading(self):
+        assert grading_modulus([(np.zeros((4, 4)), np.arange(4), 7)], (4,)) == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_respects_only_the_trivial_grading(self, bad):
+        M = np.eye(4, dtype=complex)
+        M[2, 2] = bad  # on the diagonal, where a finite entry would keep the degree
+        assert grading_modulus([(M, np.arange(4), 0)], (4,)) == 1
