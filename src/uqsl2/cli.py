@@ -33,9 +33,9 @@ from .raffine import (OracleDiverges, PoleError, SpectralOverflow, UnsupportedOr
                       noncentral_residual, r_spectral, rminus_closed, rminus_product,
                       rplus_closed, rplus_product, rzero_bar, rzero_exponential,
                       schur_forward, schur_to_imaginary, spectral_ybe_residual)
-from .cpotts import (CurveSpec, DegenerateCurve, curve_residual, export_boltzmann,
-                     fn_commutation_residual, on_curve_partner, r_semicyclic,
-                     solve_intertwiner)
+from .cpotts import (CurveSpec, DegenerateCurve, UnresolvedConstraints, curve_residual,
+                     export_boltzmann, fn_commutation_residual, on_curve_partner,
+                     r_semicyclic, solve_intertwiner)
 from .tensorop import EmptySafeWindow, cnum, masked_max_abs
 
 
@@ -497,7 +497,7 @@ def main(argv=None) -> int:
         diag = {"error": str(exc), "code": 2}
     except UnsupportedOrder as exc:
         diag = {"error": f"unsupported order: {exc}", "code": 2}
-    except SpectralOverflow as exc:
+    except (SpectralOverflow, UnresolvedConstraints) as exc:
         diag = {"error": str(exc), "code": 2, "z": cnum(exc.z)}
     except PoleError as exc:
         diag = {"error": str(exc), "code": 3}

@@ -20,7 +20,13 @@ the curve empirically.  The constraints preserve the charge
 deg(i) - deg(j) of an unknown R[i, j], deg(m1, m2) = m1 + m2, exactly or,
 on (semi)cyclic modules with their wrap entries, mod gcd(d1, d2)
 (tensorop.grading_modulus), so the solver assembles and diagonalizes one
-charge block at a time instead of the whole D^2 x D^2 system.
+charge block at a time instead of the whole D^2 x D^2 system.  The K0
+constraint certifies most blocks free of any nullspace without an
+eigensolve: its images are diagonal, so its term of the Gram matrix is a
+diagonal whose minimum over a block bounds the block's smallest eigenvalue
+from below (Weyl).  Only the blocks that bound cannot clear (charge 0, and
+any charge c with q^2c = 1) are diagonalized, and an eigenvalue counts as
+zero relative to the largest eigenvalue of those blocks.
 """
 
 from __future__ import annotations
@@ -173,6 +179,20 @@ def fn_commutation_residual(z: complex, sc1: Rep, sc2: Rep, R: TensorOperator,
     }
 
 
+class UnresolvedConstraints(ValueError):
+    """The nullspace threshold cannot resolve the K0 constraint at this z.
+
+    The affine images E1 = x F and F1 = E / x make the Gram matrix span about
+    max(|z|, 1/|z|)^2, while the K0 constraint stays at unit scale.  When an
+    eigenvalue below the nullspace threshold lies in a charge block whose K0
+    minimum is positive, Weyl's inequality shows it is no zero, so the count
+    cannot be trusted and the solve is refused.  ``z`` is x / y."""
+
+    def __init__(self, message, *, z):
+        super().__init__(message)
+        self.z = z
+
+
 def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
     """Nullspace solve of R D(a) = D'(a) R over the affine generator images.
 
@@ -190,9 +210,23 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
         X = sum_a R_a[i,i'] conj(L_a)[j,j'],
         P = sum_a conj(L_a) L_a^T,   Q = sum_a R_a^H R_a.
 
-    Only the eigenvalues of each block are computed; an eigenvalue below
-    NULLSPACE_RATIO^2 times the largest eigenvalue of all blocks counts as
-    zero.  When the nullspace is not empty, the first block holding the
+    Certificate.  When both K0 images are diagonal (kl, kr), the K0 term of G
+    is the diagonal |kl[j] - kr[i]|^2, one PSD summand, so by Weyl's
+    inequality its minimum over a block bounds the block's smallest
+    eigenvalue from below; U = sum_a (|L_a|_F + |R_a|_F)^2 bounds the largest
+    eigenvalue of G from above.  A block whose K0 minimum exceeds
+    NULLSPACE_RATIO^2 U holds no nullspace and is neither assembled nor
+    diagonalized (every charge c with q^2c != 1 on a (semi)cyclic pair).
+
+    Every other block gets its eigenvalues only; an eigenvalue below
+    NULLSPACE_RATIO^2 times the largest eigenvalue of the diagonalized blocks
+    counts as zero (a certified block clears that threshold, and the one of
+    all blocks, since U is at least their largest eigenvalue).  If such a
+    zero lies in a block whose K0 minimum is positive on K0's own scale
+    (above NULLSPACE_RATIO^2 times the largest K0 entry), the bound shows it
+    is spurious: the threshold cannot resolve the constraints at this z (in
+    practice |z| far below 1) and UnresolvedConstraints is raised.  When the
+    nullspace is not empty, the first diagonalized block holding the
     smallest eigenvalue is assembled again and only that eigenvector is
     computed.  Returns (R, nullspace_dim), R the eigenvector normalized so
     its largest entry is 1, or (None, 0) when no intertwiner exists.
@@ -207,17 +241,35 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
     P, Q = _guard_overflow(x / y, "the intertwiner constraints", lambda: (
         sum(conj_left[a] @ left[a].T for a in names),
         sum(right[a].conj().T @ right[a] for a in names)))
+    U = _guard_overflow(x / y, "the Gram bound", lambda: sum(
+        (np.linalg.norm(left[a]) + np.linalg.norm(right[a])) ** 2 for a in names))
     g = grading_modulus([(M, np.arange(rep.dim), s) for rep in (rep1, rep2)
                          for M, s in ((rep.E, -1), (rep.F, 1), (rep.K, 0))], (rep1.dim, rep2.dim))
     deg = total_degree((rep1.dim, rep2.dim))
     diff = np.subtract.outer(deg, deg)
     charge = diff % g if g else diff
+    charges, inverse = np.unique(charge, return_inverse=True)
+
+    floor = NULLSPACE_RATIO**2
+    kl, kr = np.diagonal(left["K0"]), np.diagonal(right["K0"])
+    kmin = np.zeros(len(charges))  # no bound unless both K0 images are diagonal
+    positive = np.zeros(len(charges), dtype=bool)
+    if np.array_equal(left["K0"], np.diag(kl)) and np.array_equal(right["K0"], np.diag(kr)):
+        k0 = np.abs(np.subtract.outer(kr, kl)) ** 2  # [i, j]: the K0 term of unknown R[i, j]
+        kmin = np.full(len(charges), np.inf)
+        np.minimum.at(kmin, inverse.ravel(), k0.ravel())
+        positive = kmin > floor * k0.max()  # nonzero on K0's own scale
+    keep = kmin <= floor * U  # the rest is certified
+    searched, positive = charges[keep], positive[keep]
+    if not len(searched):
+        return None, 0
     from scipy.linalg import eigh
 
     def block(c):
         """Indices (rows, cols) of the unknowns of charge c, and their Gram block.
 
-        Each D x D factor is gathered through one pair of flat-index arrays.
+        X is gathered through one pair of flat-index arrays; the two Kronecker
+        delta terms are scattered onto their coinciding-index pairs only.
         Every buffer is dropped once used, so a few blocks are alive at a time.
         """
         rows, cols = np.nonzero(charge == c)
@@ -228,21 +280,27 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
             t = right[a].take(ii)
             t *= conj_left[a].take(jj)
             X += t
-        del t
-        gram = np.equal.outer(rows, rows) * P.take(jj)
-        del jj
-        gram += Q.take(ii) * np.equal.outer(cols, cols)
-        del ii
+        del t, ii, jj
+        gram = np.zeros(X.shape, dtype=complex)
+        k, l = np.nonzero(np.equal.outer(rows, rows))
+        gram[k, l] = P[cols[k], cols[l]]
+        k, l = np.nonzero(np.equal.outer(cols, cols))
+        gram[k, l] += Q[rows[k], rows[l]]
         gram -= X
         gram -= X.conj().T
         return rows, cols, gram
 
-    charges = np.unique(charge)
-    eigvals = [eigh(block(c)[2], eigvals_only=True, overwrite_a=True) for c in charges]
-    best = charges[np.argmin([w[0] for w in eigvals])]  # the first block holding the smallest
+    eigvals = [eigh(block(c)[2], eigvals_only=True, overwrite_a=True) for c in searched]
+    lowest = np.array([v[0] for v in eigvals])
+    best = searched[np.argmin(lowest)]  # the first block holding the smallest
     w = np.concatenate(eigvals)
     wmax = float(w.max()) if w.max() > 0 else 1.0
-    dim = int((w < (NULLSPACE_RATIO**2) * wmax).sum())
+    if np.any(positive & (lowest < floor * wmax)):
+        raise UnresolvedConstraints(
+            f"the nullspace threshold cannot resolve the K0 constraint at z={x / y}: "
+            f"an eigenvalue below {floor * wmax:.3g} lies in a charge block whose K0 minimum "
+            f"is positive", z=x / y)
+    dim = int((w < floor * wmax).sum())
     if dim == 0:
         return None, 0
     rows, cols, gram = block(best)

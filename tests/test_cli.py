@@ -481,6 +481,36 @@ class TestExitCodeContract:
                                       "--lambda1-range", "0.5:0.5:1",
                                       "--alpha1-range", "0.3:0.3:1"], z)
 
+    @pytest.mark.parametrize("nprime,z", [(7, "1e-150"), (5, "1e-8")])
+    def test_sweep_unresolvable_constraint_scale_exits_2(self, nprime, z):
+        # F1 = E / z makes the Gram matrix span ~1/|z|^2, so the nullspace threshold
+        # lies above the unit-scale K0 constraint; the solve used to report every
+        # unknown of charge 0 (N'=7) or a spurious intertwiner (N'=5) as nullspace
+        argv = ["sweep", "--Nprime", str(nprime), "--z", z,
+                "--lambda1-range", "0.5:0.5:1", "--alpha1-range", "0.3:0.3:1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = run_main(argv)
+        assert code == 2
+        assert err.count("\n") == 1
+        diag = json.loads(err)
+        assert diag["code"] == 2 and complex(*diag["z"]) == float(z)
+        assert "cannot resolve the K0 constraint" in diag["error"]
+
+    @pytest.mark.parametrize("nprime,z", [(5, "1e7"), (5, "1e10"), (7, "1e8")])
+    def test_sweep_large_spectral_parameter_keeps_its_count(self, nprime, z, capsys):
+        # E1 = z F spans the Gram matrix too, but the cyclic F keeps every eigenvalue
+        # on that scale, so no zero is spurious: the solve answers, with the count
+        # the solver gave before the K0 certificate (nullspace_dim 0)
+        from uqsl2.cli import main
+        argv = ["sweep", "--Nprime", str(nprime), "--z", z,
+                "--lambda1-range", "0.5:0.5:1", "--alpha1-range", "0.3:0.3:1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        header, row = capsys.readouterr().out.strip().split("\n")
+        assert header.endswith(",nullspace_dim") and row.endswith(",0")
+
     @staticmethod
     def assert_overflow_names_z(argv, z):
         with warnings.catch_warnings():

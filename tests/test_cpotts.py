@@ -10,6 +10,7 @@ from uqsl2 import (CurveSpec, PoleError, QParam, affine_coproduct_images,
                    fn_commutation_residual, import_boltzmann, on_curve_partner,
                    r_semicyclic, r_spectral, semicyclic, solve_intertwiner,
                    truncated_verma)
+from uqsl2.cpotts import NULLSPACE_RATIO, UnresolvedConstraints
 from uqsl2.tensorop import (embed_two_site, grading_modulus, masked_max_abs, weight_sectors,
                             ybe_defect)
 
@@ -332,6 +333,153 @@ class TestSolverNullspaceCount:
             tracemalloc.stop()
         assert dim == 1
         assert peak < 6 * n * n * np.dtype(complex).itemsize
+
+
+def block_grams(rep1, rep2, x, y):
+    """Each charge block's Gram matrix A^H A, the columns of A built from the
+    definition L_a(E_ij) = E_ij L_a - R_a E_ij (stacked over a), and the block's
+    K0 bound min |kl[j] - kr[i]|^2.  Also U = sum_a (|L_a|_F + |R_a|_F)^2."""
+    from scipy.sparse import csc_matrix
+    D = rep1.dim * rep2.dim
+    left = affine_coproduct_images(rep1, rep2, x, y, opposite=False)
+    right = affine_coproduct_images(rep1, rep2, x, y, opposite=True)
+    names = ("E0", "F0", "E1", "F1", "K0")
+    g = module_grading(rep1, rep2)
+    deg = np.add.outer(np.arange(rep1.dim), np.arange(rep2.dim)).ravel()
+    diff = np.subtract.outer(deg, deg)
+    charge = diff % g if g else diff
+    k0 = np.abs(np.subtract.outer(np.diag(right["K0"]), np.diag(left["K0"]))) ** 2
+    s = np.arange(D)
+    out = {}
+    for c in np.unique(charge):
+        rows, cols = np.nonzero(charge == c)
+        n = len(rows)
+        entries = []  # (row of A, column of A, value)
+        for a, name in enumerate(names):
+            base = a * D * D
+            # E_ij L: row i of the D x D result holds L[j, :]; R E_ij: column j holds R[:, i]
+            entries.append((base + np.add.outer(rows * D, s), left[name][cols, :]))
+            entries.append((base + np.add.outer(cols, s * D), -right[name][:, rows].T))
+        r = np.concatenate([e[0].ravel() for e in entries])
+        v = np.concatenate([e[1].ravel() for e in entries])
+        k = np.tile(np.repeat(np.arange(n), D), len(entries))
+        A = csc_matrix((v, (r, k)), shape=(len(names) * D * D, n))  # duplicates are summed
+        out[c] = ((A.conj().T @ A).toarray(), k0[rows, cols].min())
+    U = sum((np.linalg.norm(left[a]) + np.linalg.norm(right[a])) ** 2 for a in names)
+    return out, U
+
+
+def count_block_eigensolves(monkeypatch):
+    """Patch scipy.linalg.eigh to record the eigenvalues-only calls (one per
+    diagonalized block): the list receives each call's eigenvalues."""
+    import scipy.linalg
+    calls = []
+    eigh = scipy.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        out = eigh(a, *args, **kwargs)
+        if kwargs.get("eigvals_only"):
+            calls.append(out)
+        return out
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting)
+    return calls
+
+
+class TestChargeCertificate:
+    @pytest.mark.parametrize("kind", ["nilpotent", "on-curve", "off-curve", "cyclic"])
+    @pytest.mark.parametrize("nprime", [3, 4, 5, 7])
+    @pytest.mark.parametrize("z_root", [False, True], ids=["z-generic", "z-root"])
+    def test_certified_blocks_hold_no_nullspace(self, nprime, kind, z_root, monkeypatch):
+        """A certified block's smallest eigenvalue is at least its K0 bound and clears
+        the threshold of all blocks; the solver diagonalizes exactly the other blocks,
+        and counts zeros against the largest eigenvalue of those."""
+        qp = QParam.root_of_unity(nprime)
+        z = cmath.exp(2j * cmath.pi / qp.N) if z_root else 1.1 + 0.1j
+        rep1, rep2 = solver_pairs(qp)[kind]
+        blocks, U = block_grams(rep1, rep2, z, 1.0)
+        spectra = {c: np.linalg.eigvalsh(gram) for c, (gram, _) in blocks.items()}
+        wmax = max(w[-1] for w in spectra.values())
+        assert U >= wmax
+        floor = NULLSPACE_RATIO**2
+        certified = [c for c, (_, bound) in blocks.items() if bound > floor * U]
+        searched = [c for c in blocks if c not in certified]
+        for c in certified:
+            bound = blocks[c][1]
+            assert spectra[c][0] >= bound - 1e-12 * wmax, (c, spectra[c][0], bound)
+            assert spectra[c][0] > floor * wmax
+        if module_grading(rep1, rep2):  # graded mod N: every charge but 0 is certified
+            assert searched == [0]
+        calls = count_block_eigensolves(monkeypatch)
+        _, dim = solve_intertwiner(rep1, rep2, z, 1.0)
+        assert len(calls) == len(searched)
+        for w, c in zip(calls, searched):  # the solver's assembly against the definition
+            assert np.allclose(w, spectra[c], rtol=0, atol=1e-12 * wmax)
+        wmax_searched = max(spectra[c][-1] for c in searched)
+        assert dim == sum(int((spectra[c] < floor * wmax_searched).sum()) for c in searched)
+
+    @pytest.mark.parametrize("qp", [QP3, QP5], ids=["N'=3", "N'=5"])
+    @pytest.mark.parametrize("z_root", [False, True], ids=["z-generic", "z-root"])
+    def test_exact_grading_with_uncertifiable_charges(self, qp, z_root, monkeypatch):
+        # alpha = 0 keeps the exact degree; a charge c = +-N has q^2c = 1, so its
+        # K0 minimum is zero and the block takes the eigensolve
+        z = cmath.exp(2j * cmath.pi / qp.N) if z_root else 1.1 + 0.1j
+        rep1, rep2 = solver_pairs(qp)["nilpotent"]
+        assert module_grading(rep1, rep2) == 0
+        blocks, U = block_grams(rep1, rep2, z, 1.0)
+        searched = sorted(c for c, (_, bound) in blocks.items()
+                          if bound <= NULLSPACE_RATIO**2 * U)
+        assert [c for c in searched if c] == [-qp.N, qp.N]
+        calls = count_block_eigensolves(monkeypatch)
+        R, dim = solve_intertwiner(rep1, rep2, z, 1.0)
+        assert len(calls) == len(searched)
+        R_ref, dim_ref = dense_intertwiner(rep1, rep2, z, 1.0)
+        assert dim == dim_ref == 1
+        assert np.max(np.abs(R.mat - R_ref)) < 1e-8
+
+    @pytest.mark.parametrize("z", [1e-9, 1e-8, 1e7, 1e10])
+    def test_refused_exactly_when_a_zero_is_spurious(self, z):
+        """Far from |z| = 1 the Gram matrix spans max(|z|, 1/|z|)^2. The solve is refused
+        when an eigenvalue under the threshold lies in a block whose K0 bound is positive
+        (so it is no zero): at tiny |z| through the nilpotent part of F1 = E / z. At large
+        |z| the cyclic F in E1 = z F lifts every such eigenvalue, and the count stands."""
+        rep1, rep2 = on_curve_pair(QP5)
+        blocks, U = block_grams(rep1, rep2, z, 1.0)
+        kl, kr = (np.diag(affine_coproduct_images(rep1, rep2, z, 1.0, opposite=o)["K0"])
+                  for o in (False, True))
+        floor = NULLSPACE_RATIO**2
+        k0max = (np.abs(np.subtract.outer(kr, kl)) ** 2).max()
+        searched = {c: np.linalg.eigvalsh(gram) for c, (gram, bound) in blocks.items()
+                    if bound <= floor * U}
+        wmax = max(w[-1] for w in searched.values())
+        spurious = [c for c, w in searched.items()
+                    if blocks[c][1] > floor * k0max and w[0] < floor * wmax]
+        assert bool(spurious) == (abs(z) < 1)
+        if spurious:
+            with pytest.raises(UnresolvedConstraints) as exc:
+                solve_intertwiner(rep1, rep2, z, 1.0)
+            assert exc.value.z == z
+        else:
+            _, dim = solve_intertwiner(rep1, rep2, z, 1.0)
+            assert dim == sum(int((w < floor * wmax).sum()) for w in searched.values()) == 0
+
+    def test_certificate_needs_no_closed_form(self, monkeypatch):
+        import uqsl2.cpotts
+        import uqsl2.raffine
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the solver must not use the closed forms or the curve")
+
+        for module, name in ((uqsl2.cpotts, "r_semicyclic"), (uqsl2.cpotts, "curve_residual"),
+                             (uqsl2.cpotts, "r_spectral"), (uqsl2.raffine, "r_spectral"),
+                             (uqsl2.raffine, "rplus_closed"), (uqsl2.raffine, "rminus_closed"),
+                             (uqsl2.raffine, "rzero_bar")):
+            monkeypatch.setattr(module, name, refuse)
+        sc1, sc2 = on_curve_pair(QP5)
+        R, dim = solve_intertwiner(sc1, sc2, 1.0, 1.0)
+        assert dim == 1
+        assert affine_intertwine_residual(1.0, sc1, sc2, R=R) < 1e-9
+        assert solve_intertwiner(sc1, semicyclic(1.9, LAM2, QP5), 1.0, 1.0) == (None, 0)
 
 
 def on_curve_triple(qp):

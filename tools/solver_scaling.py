@@ -1,0 +1,130 @@
+"""Wall time of the intertwiner solver at N' = 5, 7, 9 and 11, on and off the curve.
+
+    python3 tools/solver_scaling.py [--src DIR] [--outdir OUT]
+
+DIR is a checkout of this repository (default: the one holding this script);
+its ``src/uqsl2`` is imported, so two checkouts are timed by the same script.
+For each N' the script solves ``cpotts.solve_intertwiner`` on a semicyclic
+pair on the curve (z = 1, alpha1 = 0.7, alpha2 its curve partner) and on one
+off it (alpha2 = 1.9), REPEATS times each, with BLAS pinned to one thread.
+It records the wall times, the nullspace dimension, how many of the N' charge
+blocks (a pair of N'-dimensional semicyclic modules is graded mod N') were
+diagonalized (calls of ``scipy.linalg.eigh`` with ``eigvals_only``) and so
+how many were certified without an eigensolve, and the Python, numpy, scipy
+and BLAS versions.  The record goes to
+``OUT/BENCH_solver_<date>_<rev>.json`` (OUT defaults to the root of this
+checkout), <rev> being ``git describe --always --dirty`` of DIR;
+``source_sha256`` fingerprints the timed ``src/uqsl2/*.py`` either way.
+"""
+
+import os
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from output_digests import PINS, ROOT, import_cli  # noqa: E402  (pins BLAS threads first)
+
+import argparse  # noqa: E402
+import datetime  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import resource  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+import scipy.linalg  # noqa: E402
+
+NPRIMES = (5, 7, 9, 11)
+REPEATS = 3
+LAM1, LAM2 = 0.8 + 0.05j, 1.3 - 0.11j
+
+
+def revision(src: Path) -> str:
+    out = subprocess.run(["git", "-C", str(src), "describe", "--always", "--dirty"],
+                         capture_output=True, text=True)
+    return out.stdout.strip() or "unknown"
+
+
+def source_digest(src: Path) -> str:
+    h = hashlib.sha256()
+    for path in sorted((src / "src" / "uqsl2").glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def time_solve(uqsl2, nprime, rep1, rep2) -> dict:
+    eigh = scipy.linalg.eigh
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        if kwargs.get("eigvals_only"):
+            calls.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    walls = []
+    scipy.linalg.eigh = counting  # the solver imports it at call time
+    try:
+        for _ in range(REPEATS):
+            calls.clear()
+            t0 = time.perf_counter()
+            _, dim = uqsl2.solve_intertwiner(rep1, rep2, 1.0, 1.0)
+            walls.append(time.perf_counter() - t0)
+    finally:
+        scipy.linalg.eigh = eigh
+    return {"wall_s": walls, "wall_s_min": min(walls), "wall_s_median": statistics.median(walls),
+            "nullspace_dim": dim, "blocks": nprime, "diagonalized": len(calls),
+            "certified": nprime - len(calls), "unknowns": (rep1.dim * rep2.dim) ** 2}
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--src", type=Path, default=ROOT)
+    ap.add_argument("--outdir", type=Path, default=ROOT)
+    args = ap.parse_args()
+    src = args.src.resolve()
+    import_cli(src)
+    import uqsl2
+
+    QParam, semicyclic = uqsl2.QParam, uqsl2.semicyclic
+    qp3 = QParam.root_of_unity(3)  # warm-up: the lazy scipy imports
+    uqsl2.solve_intertwiner(semicyclic(0.7, LAM1, qp3), semicyclic(0.3, LAM2, qp3), 1.0, 1.0)
+    runs = []
+    for nprime in NPRIMES:
+        qp = QParam.root_of_unity(nprime)
+        sc1 = semicyclic(0.7, LAM1, qp)
+        partners = {"on-curve": uqsl2.on_curve_partner(0.7, LAM1, LAM2, qp), "off-curve": 1.9}
+        for kind, alpha2 in partners.items():
+            rec = time_solve(uqsl2, nprime, sc1, semicyclic(alpha2, LAM2, qp))
+            runs.append({"nprime": nprime, "kind": kind, **rec})
+            print(f"N'={nprime:2d} {kind:9s} dim {rec['nullspace_dim']}  "
+                  f"{rec['certified']}/{rec['blocks']} blocks certified  "
+                  f"min {rec['wall_s_min']:.3f} s", flush=True)
+    # library names and versions; the build-time directories describe the build, not the run
+    libs = {name: {k: v for k, v in np.show_config(mode="dicts")["Build Dependencies"][name].items()
+                   if "directory" not in k} for name in ("blas", "lapack")}
+    doc = {
+        "benchmark": "solver_scaling",
+        "date": datetime.date.today().isoformat(),
+        "revision": revision(src),
+        "source_sha256": source_digest(src),
+        "pairs": {"lambda1": [LAM1.real, LAM1.imag], "lambda2": [LAM2.real, LAM2.imag],
+                  "alpha1": 0.7, "off_curve_alpha2": 1.9, "z": 1.0},
+        "repeats": REPEATS,
+        "runs": runs,
+        "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "thread_pins": {k: os.environ.get(k) for k in PINS},
+        "machine": {"cpus": os.cpu_count(), "platform": platform.platform()},
+        "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                     "scipy": scipy.__version__, **libs},
+    }
+    out = args.outdir / f"BENCH_solver_{doc['date'].replace('-', '')}_{doc['revision']}.json"
+    out.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"written to {out}")
+
+
+if __name__ == "__main__":
+    main()
