@@ -26,7 +26,9 @@ eigensolve: its images are diagonal, so its term of the Gram matrix is a
 diagonal whose minimum over a block bounds the block's smallest eigenvalue
 from below (Weyl).  Only the blocks that bound cannot clear (charge 0, and
 any charge c with q^2c = 1) are diagonalized, and an eigenvalue counts as
-zero relative to the largest eigenvalue of those blocks.
+zero relative to the largest eigenvalue of those blocks.  One tridiagonal
+reduction per block yields its eigenvalues and, for the kept block, the
+intertwiner.
 """
 
 from __future__ import annotations
@@ -193,6 +195,48 @@ class UnresolvedConstraints(ValueError):
         self.z = z
 
 
+def _block_spectrum(gram: np.ndarray) -> tuple:
+    """Ascending eigenvalues of a Hermitian block, read from its lower triangle
+    (``gram`` is overwritten), and a function giving the smallest one's vector.
+
+    One tridiagonal reduction serves both, by the LAPACK steps of zheevr in
+    scipy.linalg.eigh (its n = 1 case and zlansy max-norm scaling, zhetrd,
+    dsterf; then dstebz, dstein and zunmtr for the one vector), so the bits and
+    the errors (ValueError if non-finite, LinAlgError) are those of two eighs.
+    """
+    from scipy.linalg import LinAlgError, lapack
+
+    def run(f, *args, **kwargs):
+        *out, info = f(*args, **kwargs)
+        if info:
+            raise LinAlgError(f"LAPACK {f.__name__} returned info={info}")
+        return out
+
+    gram = np.asarray_chkfinite(gram)
+    n = len(gram)
+    if n == 1:
+        return gram[0].real.copy(), lambda: np.ones(1, dtype=complex)
+    tiny, eps = np.finfo(float).tiny, np.finfo(float).eps
+    rmin, rmax = np.sqrt(tiny / eps), min(np.sqrt(eps / tiny), 1 / np.sqrt(np.sqrt(tiny)))
+    anrm = np.tril(np.abs(gram)).max()
+    sigma = rmin / anrm if 0 < anrm < rmin else rmax / anrm if anrm > rmax else None
+    if sigma is not None:
+        gram *= sigma
+    lwork = int(lapack.zheevr_lwork(n, lower=1)[0].real) - n
+    c, d, e, tau = run(lapack.zhetrd, gram, lower=1, lwork=lwork, overwrite_a=1)
+    w, = run(lapack.dsterf, d.copy(), e.copy())
+    if sigma is not None:
+        w *= 1 / sigma
+
+    def vector():
+        _, w1, iblock, isplit = run(lapack.dstebz, d, e, 2, 0.0, 0.0, 1, 1, 0.0, "B")
+        z, = run(lapack.dstein, d, e, w1[:1], iblock, isplit)
+        zq, _ = run(lapack.zunmqr, "L", "N", c[1:, :-1], tau, z[1:].astype(complex), lwork)
+        return np.concatenate([z[0], zq[:, 0]])
+
+    return w, vector
+
+
 def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
     """Nullspace solve of R D(a) = D'(a) R over the affine generator images.
 
@@ -225,10 +269,12 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
     zero lies in a block whose K0 minimum is positive on K0's own scale
     (above NULLSPACE_RATIO^2 times the largest K0 entry), the bound shows it
     is spurious: the threshold cannot resolve the constraints at this z (in
-    practice |z| far below 1) and UnresolvedConstraints is raised.  When the
-    nullspace is not empty, the first diagonalized block holding the
-    smallest eigenvalue is assembled again and only that eigenvector is
-    computed.  Returns (R, nullspace_dim), R the eigenvector normalized so
+    practice |z| far below 1) and UnresolvedConstraints is raised.  Each
+    diagonalized block is assembled and reduced to tridiagonal form once
+    (_block_spectrum: zheevr's zhetrd and dsterf); the reduction of the first
+    block holding the smallest eigenvalue is kept, and when the nullspace is
+    not empty that eigenvector alone is taken from it (dstebz, dstein,
+    zunmtr).  Returns (R, nullspace_dim), R the eigenvector normalized so
     its largest entry is 1, or (None, 0) when no intertwiner exists.
     """
     if rep1.qp != rep2.qp:
@@ -263,7 +309,6 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
     searched, positive = charges[keep], positive[keep]
     if not len(searched):
         return None, 0
-    from scipy.linalg import eigh
 
     def block(c):
         """Indices (rows, cols) of the unknowns of charge c, and their Gram block.
@@ -290,9 +335,15 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
         gram -= X.conj().T
         return rows, cols, gram
 
-    eigvals = [eigh(block(c)[2], eigvals_only=True, overwrite_a=True) for c in searched]
+    eigvals, best = [], None
+    for c in searched:
+        rows, cols, gram = block(c)
+        w, vector = _block_spectrum(gram)
+        if best is None or w[0] < best[0]:  # the first block holding the smallest
+            best = w[0], rows, cols, vector
+        eigvals.append(w)
+        del gram, vector  # only the kept block's reduction stays alive
     lowest = np.array([v[0] for v in eigvals])
-    best = searched[np.argmin(lowest)]  # the first block holding the smallest
     w = np.concatenate(eigvals)
     wmax = float(w.max()) if w.max() > 0 else 1.0
     if np.any(positive & (lowest < floor * wmax)):
@@ -303,11 +354,9 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
     dim = int((w < floor * wmax).sum())
     if dim == 0:
         return None, 0
-    rows, cols, gram = block(best)
-    _, vec = eigh(gram, subset_by_index=[0, 0], overwrite_a=True)
-    del gram
+    _, rows, cols, vector = best
     R = np.zeros((D, D), dtype=complex)
-    R[rows, cols] = vec[:, 0]
+    R[rows, cols] = vector()
     # normalize by the first entry within 1e-9 of the largest modulus, so
     # rounding cannot choose between entries of equal modulus
     mag = np.abs(R)

@@ -10,7 +10,7 @@ from uqsl2 import (CurveSpec, PoleError, QParam, affine_coproduct_images,
                    fn_commutation_residual, import_boltzmann, on_curve_partner,
                    r_semicyclic, r_spectral, semicyclic, solve_intertwiner,
                    truncated_verma)
-from uqsl2.cpotts import NULLSPACE_RATIO, UnresolvedConstraints
+from uqsl2.cpotts import NULLSPACE_RATIO, UnresolvedConstraints, _block_spectrum
 from uqsl2.tensorop import (embed_two_site, grading_modulus, masked_max_abs, weight_sectors,
                             ybe_defect)
 
@@ -318,9 +318,10 @@ class TestSolverNullspaceCount:
         # While X is summed: the flat index pair (two int64 blocks, the bytes of
         # one complex block), X, one generator product and its other gathered
         # factor.  Then X, the Gram block, one index array, one gathered P or Q
-        # and its product; then the Gram block and at most a copy of it inside
-        # eigh.  Six complex blocks bound each stage; the whole D^2 x D^2 Gram is
-        # g^2 = 49 blocks.
+        # and its product; then the Gram block with its moduli for the scaling
+        # test, or with the copy zhetrd reduces; then that reduction and the
+        # slice of it zunmqr reads.  Six complex blocks bound each stage; the
+        # whole D^2 x D^2 Gram is g^2 = 49 blocks.
         import tracemalloc
         qp = QParam.root_of_unity(7)
         sc1, sc2 = on_curve_pair(qp)
@@ -370,19 +371,18 @@ def block_grams(rep1, rep2, x, y):
 
 
 def count_block_eigensolves(monkeypatch):
-    """Patch scipy.linalg.eigh to record the eigenvalues-only calls (one per
-    diagonalized block): the list receives each call's eigenvalues."""
-    import scipy.linalg
+    """Wrap the solver's per-block spectrum helper to record each call's eigenvalues
+    (one call per diagonalized block)."""
+    import uqsl2.cpotts
     calls = []
-    eigh = scipy.linalg.eigh
+    spectrum = uqsl2.cpotts._block_spectrum
 
-    def counting(a, *args, **kwargs):
-        out = eigh(a, *args, **kwargs)
-        if kwargs.get("eigvals_only"):
-            calls.append(out)
+    def counting(gram):
+        out = spectrum(gram)
+        calls.append(out[0])
         return out
 
-    monkeypatch.setattr(scipy.linalg, "eigh", counting)
+    monkeypatch.setattr(uqsl2.cpotts, "_block_spectrum", counting)
     return calls
 
 
@@ -480,6 +480,67 @@ class TestChargeCertificate:
         assert dim == 1
         assert affine_intertwine_residual(1.0, sc1, sc2, R=R) < 1e-9
         assert solve_intertwiner(sc1, semicyclic(1.9, LAM2, QP5), 1.0, 1.0) == (None, 0)
+
+
+def two_eigh_calls(gram):
+    """The reference path: eigenvalues only, then the lowest eigenvector by a second
+    eigh on the same block."""
+    from scipy.linalg import eigh
+    return eigh(gram, eigvals_only=True), eigh(gram, subset_by_index=[0, 0])[1][:, 0]
+
+
+class TestBlockSpectrum:
+    """The solver's one reduction per block gives the two eigh calls' bits."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 125])
+    @pytest.mark.parametrize("scale", [1e-200, 1e-80, 1.0, 1e80, 1e200])
+    def test_random_psd_blocks(self, n, scale):
+        # 1e-200 and 1e80, 1e200 take zheevr's two scaling branches
+        rng = np.random.default_rng(n)
+        B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        gram = (B @ B.conj().T) * scale
+        w_ref, v_ref = two_eigh_calls(gram)
+        w, vector = _block_spectrum(gram.copy())
+        assert np.array_equal(w, w_ref)
+        assert np.array_equal(vector(), v_ref)
+
+    @pytest.mark.parametrize("kind", ["nilpotent", "on-curve", "off-curve", "cyclic"])
+    @pytest.mark.parametrize("nprime", [3, 4, 5, 7])
+    def test_solver_blocks(self, nprime, kind, monkeypatch):
+        import uqsl2.cpotts
+        spectrum = uqsl2.cpotts._block_spectrum
+        checked = []
+
+        def compare(gram):
+            w_ref, v_ref = two_eigh_calls(gram)
+            w, vector = spectrum(gram)
+            checked.append(np.array_equal(w, w_ref) and np.array_equal(vector(), v_ref))
+            return w, vector
+
+        monkeypatch.setattr(uqsl2.cpotts, "_block_spectrum", compare)
+        solve_intertwiner(*solver_pairs(QParam.root_of_unity(nprime))[kind], 1.0, 1.0)
+        assert checked and all(checked)
+
+    @pytest.mark.parametrize("qp", [QP3, QP5], ids=["demo-04", "N'=5"])
+    def test_intertwiner_bytes(self, qp, monkeypatch):
+        import uqsl2.cpotts
+        pair = on_curve_pair(qp)
+        R, dim = solve_intertwiner(*pair, 1.0, 1.0)
+
+        def reference(gram):
+            w, v = two_eigh_calls(gram)
+            return w, lambda: v
+
+        monkeypatch.setattr(uqsl2.cpotts, "_block_spectrum", reference)
+        R_ref, dim_ref = solve_intertwiner(*pair, 1.0, 1.0)
+        assert dim == dim_ref == 1
+        assert R.mat.tobytes() == R_ref.mat.tobytes()
+
+    def test_nan_block_refused(self):
+        gram = np.eye(3, dtype=complex)
+        gram[1, 0] = np.nan
+        with pytest.raises(ValueError):
+            _block_spectrum(gram)
 
 
 def on_curve_triple(qp):
