@@ -32,7 +32,7 @@ print("generic q, z = 0.25:")
 print("  R(z) v0(x)v0 component:", R.mat[0, 0])
 print("  affine intertwining residual:", affine_intertwine_residual(z, r1, r2))
 print("  without the Cartan weight tail the intertwining fails:",
-      round(affine_intertwine_residual(z, r1, r2, cartan="none"), 3))
+      round(affine_intertwine_residual(z, r1, r2, R=r_spectral(z, r1, r2, cartan="none")), 3))
 
 f = f_scalar(z, l1, l2, qp, terms=90)
 lhs = f * np.diag(rzero_bar(z, r1, r2).mat)

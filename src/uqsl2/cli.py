@@ -27,10 +27,10 @@ from .qnum import QParam
 from .reps import central_check, safe_window, semicyclic, truncated_verma
 from .rfinite import (intertwine_residual, quasitriangularity_residual,
                       r_reshetikhin_product, r_verma_direct, ybe_residual)
-from .raffine import (OracleDiverges, PoleError, SpectralOverflow, UnsupportedOrder,
-                      _assemble_product, affine_intertwine_residual, central_affine_check,
-                      drinfeld_relation_check, eval_imaginary_prime, f_scalar,
-                      noncentral_residual, r_spectral, rminus_closed, rminus_product,
+from .raffine import (CARTAN_MODES, OracleDiverges, PoleError, SpectralOverflow,
+                      UnsupportedOrder, _assemble_product, affine_intertwine_residual,
+                      central_affine_check, drinfeld_relation_check, eval_imaginary_prime,
+                      f_scalar, noncentral_residual, r_spectral, rminus_closed, rminus_product,
                       rplus_closed, rplus_product, rzero_bar, rzero_exponential,
                       schur_forward, schur_to_imaginary, spectral_ybe_residual)
 from .cpotts import (CurveSpec, DegenerateCurve, UnresolvedConstraints, curve_residual,
@@ -64,14 +64,14 @@ def _parse_complex(s: str) -> complex:
     return complex(*vals)
 
 
-def _parse_depths(s: str, n: int | None = None) -> list:
+def _parse_depths(s: str, n: int) -> list:
     try:
         depths = [int(x) for x in s.split(",")]
     except ValueError:
         raise ConfigError(f"cannot parse depths from {s!r}")
     if any(d < 1 for d in depths):
         raise ConfigError("depths must be >= 1")
-    if n is not None and len(depths) != n:
+    if len(depths) != n:
         raise ConfigError(f"expected {n} depths, got {len(depths)}")
     return depths
 
@@ -120,6 +120,23 @@ def _random_lambda(rng) -> complex:
     return complex(rng.uniform(0.1, 2.0), rng.uniform(-0.5, 0.5))
 
 
+def _vermas(args, qp, rng, default: list) -> list:
+    """Truncated Verma modules at the --depths (default: default, as many), each
+    at a drawn weight; every weight is drawn before any module is built."""
+    depths = _parse_depths(args.depths, len(default)) if args.depths else default
+    lams = [_random_lambda(rng) for _ in depths]
+    return [truncated_verma(lam, d, qp) for lam, d in zip(lams, depths)]
+
+
+def _curve_point(qp, z, lam1, lam2, a1, a2) -> tuple:
+    """The semicyclic pair at one curve point, its curve residuals (r1, r2), the
+    restricted R-matrix and that R's affine intertwining residual."""
+    sc1, sc2 = semicyclic(a1, lam1, qp), semicyclic(a2, lam2, qp)
+    r1, r2 = curve_residual(CurveSpec(z, lam1, lam2, a1, a2, N=qp.N), qp)
+    R = r_semicyclic(z, sc1, sc2)
+    return (sc1, sc2), (r1, r2), R, affine_intertwine_residual(z, sc1, sc2, R=R)
+
+
 # ---------------------------------------------------------------------------
 # rmatrix
 
@@ -133,43 +150,12 @@ def _rmatrix_doc(args) -> dict:
     qp = _qparam(args)
     lam1 = _parse_complex(args.lambda1)
     lam2 = _parse_complex(args.lambda2)
-    kind = args.kind
-    meta = {"schema_version": "1", "kind": kind,
-            "qparam": {"nprime": qp.nprime, "q": cnum(qp.q)},
-            "lambda1": cnum(lam1), "lambda2": cnum(lam2)}
-    if kind in ("verma", "reshetikhin"):
-        depths = _parse_depths(args.depths, 2)
-        r1 = truncated_verma(lam1, depths[0], qp)
-        r2 = truncated_verma(lam2, depths[1], qp)
-        if kind == "verma":
-            R = r_verma_direct(r1, r2)
-        else:
-            if not qp.is_root:
-                raise ConfigError("the product form needs a root of unity (--Nprime)")
-            R = r_reshetikhin_product(r1, r2)
-    elif kind == "spectral":
-        if qp.is_root and qp.N < 3:
-            raise ConfigError(f"unsupported order: N' = {qp.nprime} makes [2]_q = 0")
-        depths = _parse_depths(args.depths, 2)
-        zs = _parse_zlist(args.z)
-        r1 = truncated_verma(lam1, depths[0], qp)
-        r2 = truncated_verma(lam2, depths[1], qp)
-        if len(zs) > 1:
-            meta["cartan"] = args.cartan
-            meta["operators"] = [
-                {"z": cnum(z), "operator": r_spectral(z, r1, r2, cartan=args.cartan).to_json()}
-                for z in zs
-            ]
-            return meta
-        z = zs[0]
-        R = r_spectral(z, r1, r2, cartan=args.cartan)
-        meta["z"] = cnum(z)
-        meta["cartan"] = args.cartan
-    elif kind == "semicyclic":
+    kind = args.kind  # one of the parser's choices
+    if kind in ("spectral", "semicyclic") and qp.is_root and qp.N < 3:
+        raise ConfigError(f"unsupported order: N' = {qp.nprime} makes [2]_q = 0")
+    if kind == "semicyclic":
         if not qp.is_root:
             raise ConfigError("semicyclic modules need a root of unity (--Nprime)")
-        if qp.N < 3:
-            raise ConfigError(f"unsupported order: N' = {qp.nprime} makes [2]_q = 0")
         z = _parse_zlist(args.z)[0]
         a1 = _parse_complex(args.alpha1)
         try:
@@ -181,8 +167,29 @@ def _rmatrix_doc(args) -> dict:
                                   module=exc.module) from exc
         spec = CurveSpec(z, lam1, lam2, a1, a2, N=qp.N)
         return export_boltzmann(R, spec, qp)
+    meta = {"schema_version": "1", "kind": kind,
+            "qparam": {"nprime": qp.nprime, "q": cnum(qp.q)},
+            "lambda1": cnum(lam1), "lambda2": cnum(lam2)}
+    depths = _parse_depths(args.depths, 2)
+    zs = _parse_zlist(args.z) if kind == "spectral" else None
+    r1 = truncated_verma(lam1, depths[0], qp)
+    r2 = truncated_verma(lam2, depths[1], qp)
+    if kind == "verma":
+        R = r_verma_direct(r1, r2)
+    elif kind == "reshetikhin":
+        if not qp.is_root:
+            raise ConfigError("the product form needs a root of unity (--Nprime)")
+        R = r_reshetikhin_product(r1, r2)
     else:
-        raise ConfigError(f"unknown kind {kind!r}")
+        meta["cartan"] = args.cartan
+        if len(zs) > 1:
+            meta["operators"] = [
+                {"z": cnum(z), "operator": r_spectral(z, r1, r2, cartan=args.cartan).to_json()}
+                for z in zs
+            ]
+            return meta
+        R = r_spectral(zs[0], r1, r2, cartan=args.cartan)
+        meta["z"] = cnum(zs[0])
     meta["normalization"] = cnum(R.mat[0, 0])
     meta["operator"] = R.to_json()
     return meta
@@ -200,11 +207,9 @@ def _record(records, check, params, residual, tol, invert=False):
 
 
 def _suite_ybe(args, qp, rng, records, tol):
-    depths = _parse_depths(args.depths, 3) if args.depths else None
-    d = depths or ([qp.N] * 3 if qp.is_root else [3, 3, 3])
-    lams = [_random_lambda(rng) for _ in range(3)]
-    reps = [truncated_verma(l, dd, qp) for l, dd in zip(lams, d)]
-    _record(records, "ybe-finite", {"depths": d, "lambdas": [cnum(l) for l in lams]},
+    reps = _vermas(args, qp, rng, [qp.N] * 3 if qp.is_root else [3, 3, 3])
+    _record(records, "ybe-finite", {"depths": [r.dim for r in reps],
+                                    "lambdas": [cnum(r.lam) for r in reps]},
             ybe_residual(*reps), tol)
     xs = [1.0, cmath.exp(1j * rng.uniform(0.2, 1.2)), cmath.exp(-1j * rng.uniform(0.2, 1.2))]
     _record(records, "ybe-spectral", {"x": [cnum(x) for x in xs]},
@@ -212,12 +217,9 @@ def _suite_ybe(args, qp, rng, records, tol):
 
 
 def _suite_intertwine(args, qp, rng, records, tol):
-    depths = _parse_depths(args.depths, 2) if args.depths else None
-    d = depths or ([qp.N] * 2 if qp.is_root else [4, 4])
-    lams = [_random_lambda(rng) for _ in range(2)]
-    reps = [truncated_verma(l, dd, qp) for l, dd in zip(lams, d)]
+    reps = _vermas(args, qp, rng, [qp.N] * 2 if qp.is_root else [4, 4])
     R = r_verma_direct(reps[0], reps[1])
-    _record(records, "intertwine-finite", {"depths": d},
+    _record(records, "intertwine-finite", {"depths": [r.dim for r in reps]},
             intertwine_residual(R, reps[0], reps[1]), tol)
     z = cmath.exp(1j * rng.uniform(0.2, 1.2)) if qp.is_root else 0.3 + 0.1j
     _record(records, "intertwine-spectral", {"z": cnum(z)},
@@ -227,9 +229,8 @@ def _suite_intertwine(args, qp, rng, records, tol):
 def _suite_quasi(args, qp, rng, records, tol):
     if qp.is_root:
         raise ConfigError("quasitriangularity checks run at generic q")
-    d = _parse_depths(args.depths, 3) if args.depths else [3, 3, 3]
-    reps = [truncated_verma(_random_lambda(rng), dd, qp) for dd in d]
-    _record(records, "quasitriangularity", {"depths": d},
+    reps = _vermas(args, qp, rng, [3, 3, 3])
+    _record(records, "quasitriangularity", {"depths": [r.dim for r in reps]},
             quasitriangularity_residual(*reps), tol)
 
 
@@ -242,7 +243,7 @@ def _suite_central(args, qp, rng, records, tol):
     for name, row in chk.items():
         _record(records, f"central-{name}", {"lambda": cnum(lam)},
                 row["max_commutator"], tol)
-    for row in central_affine_check(rep, 1.0, k_max=1):
+    for row in central_affine_check(rep, 1.0):
         _record(records, f"central-loop-{row['family']}",
                 {"order": row["order"]}, row["max_commutator"], tol)
     _record(records, "central-negative-control", {"order": 1},
@@ -250,11 +251,10 @@ def _suite_central(args, qp, rng, records, tol):
 
 
 def _suite_drinfeld(args, qp, rng, records, tol):
-    d = _parse_depths(args.depths, 1)[0] if args.depths else 5
-    rep = truncated_verma(_random_lambda(rng), d, qp)
+    rep, = _vermas(args, qp, rng, [5])
     x = cmath.exp(1j * rng.uniform(0.1, 1.0)) * rng.uniform(0.7, 1.3)
     for name, val in drinfeld_relation_check(rep, x).items():
-        _record(records, f"drinfeld-{name}", {"depth": d, "x": cnum(x)}, val, tol)
+        _record(records, f"drinfeld-{name}", {"depth": rep.dim, "x": cnum(x)}, val, tol)
 
 
 def _suite_curve(args, qp, rng, records, tol):
@@ -262,19 +262,14 @@ def _suite_curve(args, qp, rng, records, tol):
         raise ConfigError("the curve suite needs a root of unity")
     N = qp.N
     sweep = args.sweep or "on-curve"
-    draws = args.draws
-    for t in range(draws):
+    for t in range(args.draws):
         lam1, lam2 = _random_lambda(rng), _random_lambda(rng)
         a1 = complex(rng.uniform(0.2, 1.0), rng.uniform(-0.3, 0.3))
         a2 = on_curve_partner(a1, lam1, lam2, qp)
         if sweep != "on-curve":
             a2 = a2 * 1.9 + 0.3
         z = cmath.exp(2j * cmath.pi * int(rng.integers(0, N)) / N)
-        sc1, sc2 = semicyclic(a1, lam1, qp), semicyclic(a2, lam2, qp)
-        spec = CurveSpec(z, lam1, lam2, a1, a2, N=N)
-        r1, r2 = curve_residual(spec, qp)
-        R = r_semicyclic(z, sc1, sc2)
-        resid = affine_intertwine_residual(z, sc1, sc2, R=R)
+        (sc1, sc2), (r1, r2), R, resid = _curve_point(qp, z, lam1, lam2, a1, a2)
         params = {"draw": t, "alpha1": cnum(a1), "alpha2": cnum(a2), "z": cnum(z)}
         if sweep == "on-curve":
             _record(records, "curve-alpha", params, r1, tol)
@@ -288,23 +283,19 @@ def _suite_curve(args, qp, rng, records, tol):
 
 
 def _suite_schur_oracle(args, qp, rng, records, tol):
-    d = _parse_depths(args.depths, 1)[0] if args.depths else 5
-    rep = truncated_verma(_random_lambda(rng), d, qp)
+    rep, = _vermas(args, qp, rng, [5])
     x = 0.8 + 0.3j
     for family in ("closed", "loop"):
         im = schur_to_imaginary(eval_imaginary_prime(rep, x, 4, family=family))
         worst = np.max([np.max(np.abs(schur_forward(im.e, qp, n) - im.eprime[n - 1]))
                         for n in range(1, 5)])
-        _record(records, f"schur-roundtrip-{family}", {"depth": d}, worst, tol)
+        _record(records, f"schur-roundtrip-{family}", {"depth": rep.dim}, worst, tol)
 
 
 def _suite_product_oracle(args, qp, rng, records, tol):
     if qp.is_root:
         raise ConfigError("the ordered-product oracle runs at generic q")
-    d = _parse_depths(args.depths, 2) if args.depths else [4, 4]
-    lam1, lam2 = _random_lambda(rng), _random_lambda(rng)
-    r1 = truncated_verma(lam1, d[0], qp)
-    r2 = truncated_verma(lam2, d[1], qp)
+    r1, r2 = _vermas(args, qp, rng, [4, 4])
     z = 0.2
     # each ordered product is built once, for its record and for the full product.
     # R^- comes before its closed form, so that no closed factor is alive while it
@@ -316,7 +307,7 @@ def _suite_product_oracle(args, qp, rng, records, tol):
     rm = rminus_product(z, r1, r2)
     _record(records, "product-lowering", {"z": cnum(z)},
             float(np.max(np.abs(rminus_closed(z, r1, r2).mat - rm.mat))), tol)
-    f = f_scalar(z, lam1, lam2, qp, terms=90)
+    f = f_scalar(z, r1.lam, r2.lam, qp, terms=90)
     mask = safe_window((r1, r2), 1)
     lhs = f * np.diag(rzero_bar(z, r1, r2).mat)
     rhs = np.diag(rzero_exponential(z, r1, r2, n_max=70).mat)
@@ -331,13 +322,11 @@ def _suite_product_oracle(args, qp, rng, records, tol):
 def _suite_coincidence(args, qp, rng, records, tol):
     if not qp.is_root:
         raise ConfigError("the coincidence suite compares root-of-unity forms")
-    d = _parse_depths(args.depths, 2) if args.depths else [2 * qp.N, 2 * qp.N]
-    lam1, lam2 = _random_lambda(rng), _random_lambda(rng)
-    r1 = truncated_verma(lam1, d[0], qp)
-    r2 = truncated_verma(lam2, d[1], qp)
+    r1, r2 = _vermas(args, qp, rng, [2 * qp.N, 2 * qp.N])
     diff = r_verma_direct(r1, r2).mat
     diff -= r_reshetikhin_product(r1, r2).mat  # in place: one D x D buffer fewer
-    _record(records, "coincidence", {"depths": d}, float(np.max(np.abs(diff))), tol)
+    _record(records, "coincidence", {"depths": [r1.dim, r2.dim]},
+            float(np.max(np.abs(diff))), tol)
 
 
 SUITES = {
@@ -385,7 +374,6 @@ def cmd_sweep(args) -> int:
     qp = _qparam(args)
     if not qp.is_root:
         raise ConfigError("curve sweeps need a root of unity")
-    N = qp.N
     lam2 = _parse_complex(args.lambda2)
     if not math.isfinite(args.lambda_imag):
         raise ConfigError(f"--lambda-imag must be finite, got {args.lambda_imag}")
@@ -412,11 +400,7 @@ def cmd_sweep(args) -> int:
         for a1 in a1s:
             lam1 = complex(l1, args.lambda_imag)
             a2 = on_curve_partner(a1, lam1, lam2, qp)
-            sc1, sc2 = semicyclic(a1, lam1, qp), semicyclic(a2, lam2, qp)
-            spec = CurveSpec(z, lam1, lam2, a1, a2, N=N)
-            r1, r2 = curve_residual(spec, qp)
-            R = r_semicyclic(z, sc1, sc2)
-            resid = affine_intertwine_residual(z, sc1, sc2, R=R)
+            (sc1, sc2), (r1, r2), _, resid = _curve_point(qp, z, lam1, lam2, a1, a2)
             _, dim = solve_intertwiner(sc1, sc2, z, 1.0)
             lines.append(
                 f"{qp.nprime},{lam1.real:.12g}{lam1.imag:+.12g}j,"
@@ -464,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha1", default="0")
     sp.add_argument("--alpha2", default=None)
     sp.add_argument("--z", default="1", help="spectral parameter(s): 're,im;...' or 'roots:N'")
-    sp.add_argument("--cartan", choices=("normalized", "raw", "none"), default="normalized",
+    sp.add_argument("--cartan", choices=CARTAN_MODES, default="normalized",
                     help="Cartan weight tail of the spectral R-matrix")
     sp.set_defaults(func=cmd_rmatrix)
 

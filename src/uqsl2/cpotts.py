@@ -7,7 +7,7 @@ quotients exactly when the parameters lie on the integrability curve
     alpha_1 / (1 - L_1) = alpha_2 / (1 - L_2),     z^N = 1,
 
 where L_i is the central value of K^N on module i, i.e. q^{N lam_i}
-(a raw-power convention L_i = lam_i^N is kept behind a flag for
+(curve_residual keeps the raw-power convention L_i = lam_i^N for
 comparison).  The restricted operator is realized by evaluating the
 spectral R-matrix on a depth-2N truncation and projecting through the
 quotient identification v_{i+N} = alpha v_i; folding the module matrices
@@ -22,13 +22,13 @@ on (semi)cyclic modules with their wrap entries, mod gcd(d1, d2)
 (tensorop.grading_modulus), so the solver assembles and diagonalizes one
 charge block at a time instead of the whole D^2 x D^2 system.  The K0
 constraint certifies most blocks free of any nullspace without an
-eigensolve: its images are diagonal, so its term of the Gram matrix is a
+eigensolve: every K is diagonal, so its term of the Gram matrix is a
 diagonal whose minimum over a block bounds the block's smallest eigenvalue
 from below (Weyl).  Only the blocks that bound cannot clear (charge 0, and
 any charge c with q^2c = 1) are diagonalized, and an eigenvalue counts as
 zero relative to the largest eigenvalue of those blocks.  One tridiagonal
 reduction per block yields its eigenvalues and, for the kept block, the
-intertwiner.
+intertwiner, which must meet each constraint on that constraint's scale.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ from .qnum import QParam
 from .reps import Rep, truncated_verma
 from .raffine import _guard_overflow, affine_coproduct_images, r_spectral
 from .tensorop import TensorOperator, cnum, grading_modulus, kron2, total_degree
-
-CURVE_CONVENTIONS = ("central", "raw")
 
 SOLVABILITY_TOL = 1e-9  # fn_commutation_residual: solvable when |z^N - L1 L2| exceeds it
 NULLSPACE_RATIO = 1e-7  # solve_intertwiner: eigenvalues below its square (relative) are zero
@@ -82,7 +80,7 @@ class DegenerateCurve(ValueError):
         self.module = module
 
 
-def _central_powers(lam1: complex, lam2: complex, qp: QParam, convention: str):
+def _central_powers(lam1: complex, lam2: complex, qp: QParam, convention: str = "central"):
     """The central values L1, L2 of K^N on the two modules."""
     if convention == "central":
         L1, L2 = qp.qpow(qp.N * lam1), qp.qpow(qp.N * lam2)
@@ -112,10 +110,9 @@ def curve_residual(spec: CurveSpec, qp: QParam, convention: str = "central") -> 
     return (r1, r2, r3)
 
 
-def on_curve_partner(alpha1: complex, lam1: complex, lam2: complex, qp: QParam,
-                     convention: str = "central") -> complex:
+def on_curve_partner(alpha1: complex, lam1: complex, lam2: complex, qp: QParam) -> complex:
     """The alpha2 that puts (alpha1, lam1; alpha2, lam2) on the curve."""
-    L1, L2 = _central_powers(lam1, lam2, qp, convention)
+    L1, L2 = _central_powers(lam1, lam2, qp)
     return alpha1 * (1 - L2) / (1 - L1)
 
 
@@ -126,11 +123,12 @@ def _quotient_maps(alpha: complex, N: int, depth: int):
     return P, np.eye(depth, N, dtype=complex)
 
 
-def r_semicyclic(z: complex, sc1: Rep, sc2: Rep, cartan: str = "normalized") -> TensorOperator:
+def r_semicyclic(z: complex, sc1: Rep, sc2: Rep) -> TensorOperator:
     """Spectral R-matrix carried to the semicyclic quotient pair.
 
-    Evaluates R(z) on depth-2N truncations of the parent highest-weight
-    modules and conjugates by the quotient identification v_{i+N} = alpha v_i.
+    Evaluates the normalized R(z) on depth-2N truncations of the parent
+    highest-weight modules and conjugates by the quotient identification
+    v_{i+N} = alpha v_i.
     On the curve this is the intertwiner of the semicyclic pair; off the
     curve it is representative-dependent and fails the intertwining check,
     which is the detection contract.
@@ -144,15 +142,14 @@ def r_semicyclic(z: complex, sc1: Rep, sc2: Rep, cartan: str = "normalized") -> 
     depth = 2 * N
     v1 = truncated_verma(sc1.lam, depth, qp)
     v2 = truncated_verma(sc2.lam, depth, qp)
-    Rv = r_spectral(z, v1, v2, cartan=cartan)
+    Rv = r_spectral(z, v1, v2)
     P1, S1 = _quotient_maps(sc1.params["alpha"], N, depth)
     P2, S2 = _quotient_maps(sc2.params["alpha"], N, depth)
     mat = kron2(P1, P2) @ Rv.mat @ kron2(S1, S2)
     return TensorOperator((N, N), mat)
 
 
-def fn_commutation_residual(z: complex, sc1: Rep, sc2: Rep, R: TensorOperator,
-                            convention: str = "central") -> dict:
+def fn_commutation_residual(z: complex, sc1: Rep, sc2: Rep, R: TensorOperator) -> dict:
     """Residuals of the two exchange relations between R and the N-th power of F.
 
     rel1: R (L2 F^N (x) 1 + 1 (x) F^N) = (L1 1 (x) F^N + F^N (x) 1) R
@@ -164,7 +161,7 @@ def fn_commutation_residual(z: complex, sc1: Rep, sc2: Rep, R: TensorOperator,
     """
     qp = sc1.qp
     N = qp.N
-    L1, L2 = _central_powers(sc1.lam, sc2.lam, qp, convention)
+    L1, L2 = _central_powers(sc1.lam, sc2.lam, qp)
     I1 = np.eye(sc1.dim, dtype=complex)
     I2 = np.eye(sc2.dim, dtype=complex)
     F1N = np.linalg.matrix_power(sc1.F, N)
@@ -182,13 +179,13 @@ def fn_commutation_residual(z: complex, sc1: Rep, sc2: Rep, R: TensorOperator,
 
 
 class UnresolvedConstraints(ValueError):
-    """The nullspace threshold cannot resolve the K0 constraint at this z.
+    """The nullspace threshold cannot resolve the constraints at this z.
 
     The affine images E1 = x F and F1 = E / x make the Gram matrix span about
-    max(|z|, 1/|z|)^2, while the K0 constraint stays at unit scale.  When an
-    eigenvalue below the nullspace threshold lies in a charge block whose K0
-    minimum is positive, Weyl's inequality shows it is no zero, so the count
-    cannot be trusted and the solve is refused.  ``z`` is x / y."""
+    max(|z|, 1/|z|)^2, while E0, F0 and K0 stay at unit scale.  A zero below
+    the threshold is refused when it lies in a charge block whose K0 minimum
+    is positive (Weyl), or when the kept vector misses a constraint on that
+    constraint's own scale.  ``z`` is x / y."""
 
     def __init__(self, message, *, z):
         super().__init__(message)
@@ -254,9 +251,9 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
         X = sum_a R_a[i,i'] conj(L_a)[j,j'],
         P = sum_a conj(L_a) L_a^T,   Q = sum_a R_a^H R_a.
 
-    Certificate.  When both K0 images are diagonal (kl, kr), the K0 term of G
-    is the diagonal |kl[j] - kr[i]|^2, one PSD summand, so by Weyl's
-    inequality its minimum over a block bounds the block's smallest
+    Certificate.  Every Rep's K is diagonal, so the K0 term of G is the
+    diagonal |kl[j] - kr[i]|^2 (kl, kr the K0 images), one PSD summand, so by
+    Weyl's inequality its minimum over a block bounds the block's smallest
     eigenvalue from below; U = sum_a (|L_a|_F + |R_a|_F)^2 bounds the largest
     eigenvalue of G from above.  A block whose K0 minimum exceeds
     NULLSPACE_RATIO^2 U holds no nullspace and is neither assembled nor
@@ -274,21 +271,25 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
     (_block_spectrum: zheevr's zhetrd and dsterf); the reduction of the first
     block holding the smallest eigenvalue is kept, and when the nullspace is
     not empty that eigenvector alone is taken from it (dstebz, dstein,
-    zunmtr).  Returns (R, nullspace_dim), R the eigenvector normalized so
-    its largest entry is 1, or (None, 0) when no intertwiner exists.
+    zunmtr).  The kept unit vector R must meet each constraint on its own
+    scale, |R L_a - R_a R|_F <= NULLSPACE_RATIO (|L_a|_F + |R_a|_F), else
+    UnresolvedConstraints is raised: that catches spurious zeros in charge 0,
+    where K0 gives no bound.
+    Returns (R, nullspace_dim), R the eigenvector normalized so its largest
+    entry is 1, or (None, 0) when no intertwiner exists.
     """
     if rep1.qp != rep2.qp:
         raise ValueError("modules must share the deformation parameter")
     D = rep1.dim * rep2.dim
-    left = affine_coproduct_images(rep1, rep2, x, y, opposite=False)
-    right = affine_coproduct_images(rep1, rep2, x, y, opposite=True)
+    left, right = affine_coproduct_images(rep1, rep2, x, y)
     names = ("E0", "F0", "E1", "F1", "K0")
     conj_left = {a: left[a].conj() for a in names}
     P, Q = _guard_overflow(x / y, "the intertwiner constraints", lambda: (
         sum(conj_left[a] @ left[a].T for a in names),
         sum(right[a].conj().T @ right[a] for a in names)))
-    U = _guard_overflow(x / y, "the Gram bound", lambda: sum(
-        (np.linalg.norm(left[a]) + np.linalg.norm(right[a])) ** 2 for a in names))
+    scale = _guard_overflow(x / y, "the Gram bound", lambda: np.array(
+        [np.linalg.norm(left[a]) + np.linalg.norm(right[a]) for a in names]))
+    U = _guard_overflow(x / y, "the Gram bound", lambda: sum(s**2 for s in scale))
     g = grading_modulus([(M, np.arange(rep.dim), s) for rep in (rep1, rep2)
                          for M, s in ((rep.E, -1), (rep.F, 1), (rep.K, 0))], (rep1.dim, rep2.dim))
     deg = total_degree((rep1.dim, rep2.dim))
@@ -298,13 +299,10 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
 
     floor = NULLSPACE_RATIO**2
     kl, kr = np.diagonal(left["K0"]), np.diagonal(right["K0"])
-    kmin = np.zeros(len(charges))  # no bound unless both K0 images are diagonal
-    positive = np.zeros(len(charges), dtype=bool)
-    if np.array_equal(left["K0"], np.diag(kl)) and np.array_equal(right["K0"], np.diag(kr)):
-        k0 = np.abs(np.subtract.outer(kr, kl)) ** 2  # [i, j]: the K0 term of unknown R[i, j]
-        kmin = np.full(len(charges), np.inf)
-        np.minimum.at(kmin, inverse.ravel(), k0.ravel())
-        positive = kmin > floor * k0.max()  # nonzero on K0's own scale
+    k0 = np.abs(np.subtract.outer(kr, kl)) ** 2  # [i, j]: the K0 term of unknown R[i, j]
+    kmin = np.full(len(charges), np.inf)
+    np.minimum.at(kmin, inverse.ravel(), k0.ravel())
+    positive = kmin > floor * k0.max()  # nonzero on K0's own scale
     keep = kmin <= floor * U  # the rest is certified
     searched, positive = charges[keep], positive[keep]
     if not len(searched):
@@ -357,6 +355,12 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
     _, rows, cols, vector = best
     R = np.zeros((D, D), dtype=complex)
     R[rows, cols] = vector()
+    for a, s in zip(names, scale):  # R is a unit vector here
+        miss = np.linalg.norm(R @ left[a] - right[a] @ R)
+        if not miss <= NULLSPACE_RATIO * s:
+            raise UnresolvedConstraints(
+                f"the nullspace threshold cannot resolve the constraints at z={x / y}: the "
+                f"kept vector misses the {a} constraint by {miss / s:.3g} of its scale", z=x / y)
     # normalize by the first entry within 1e-9 of the largest modulus, so
     # rounding cannot choose between entries of equal modulus
     mag = np.abs(R)
@@ -365,15 +369,14 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
     return TensorOperator((rep1.dim, rep2.dim), R), dim
 
 
-def export_boltzmann(R: TensorOperator, meta: CurveSpec, qp: QParam,
-                     convention: str = "central") -> dict:
+def export_boltzmann(R: TensorOperator, meta: CurveSpec, qp: QParam) -> dict:
     """Weight table of the restricted R-matrix with curve metadata.
 
     Entries are listed as [i, j, i', j', [re, im]] in row-major order; the
     normalization field records the eigenvalue on v_0 (x) v_0.
     """
     d1, d2 = R.dims
-    res = curve_residual(meta, qp, convention)
+    res = curve_residual(meta, qp)
     residuals = {"curve_alpha": res[0], "unimodularity": res[1]}
     if len(res) > 2:
         residuals["curve_beta"] = res[2]

@@ -40,7 +40,8 @@ import numpy as np
 from .qnum import QParam, qexp_truncated, qnumber, qpochhammer_truncated
 from .reps import Rep, _delta, _row_window, commutator_report, safe_window
 from .rfinite import _ladder_table, _table_power, cartan_weight_vector
-from .tensorop import TensorOperator, identity_plus_kron_sum, intertwine_defect, ybe_defect
+from .tensorop import (TensorOperator, identity_plus_kron_sum, intertwine_defect, kron2,
+                       ybe_defect)
 
 CARTAN_MODES = ("normalized", "raw", "none")
 
@@ -141,9 +142,6 @@ def _guard_order(qp: QParam):
         raise UnsupportedOrder("imaginary root vectors need q^4 != 1 ([2]_q nonzero)")
 
 
-IMAGINARY_FAMILIES = ("closed", "loop")
-
-
 def eval_imaginary_prime(rep: Rep, x: complex, n_max: int,
                          family: str = "closed") -> "ImaginaryRootImages":
     """First-kind imaginary root images E'_{nd}, F'_{nd} for n = 1..n_max.
@@ -182,8 +180,7 @@ def eval_imaginary_prime(rep: Rep, x: complex, n_max: int,
         fprime = (F1 @ B - qp.qpow(2) * B @ F1) / two
     else:
         raise ValueError(f"unknown imaginary family {family!r}")
-    return ImaginaryRootImages(qp=qp, order=n_max, family=family,
-                               eprime=eprime, fprime=fprime)
+    return ImaginaryRootImages(qp=qp, eprime=eprime, fprime=fprime)
 
 
 @dataclass(frozen=True)
@@ -192,8 +189,6 @@ class ImaginaryRootImages:
     and their Schur conversion (lists of matrices)."""
 
     qp: QParam
-    order: int
-    family: str = "closed"
     eprime: np.ndarray | list = field(default_factory=list)
     fprime: np.ndarray | list = field(default_factory=list)
     e: list = field(default_factory=list)
@@ -556,16 +551,9 @@ def _qexp_product(z: complex, rep1: Rep, rep2: Rep, order: str, factors,
     mat = np.eye(D, dtype=complex)
     for part in np.split(ns, range(chunk, ns.size, chunk)):
         c = _scalars((q - 1 / q) * z ** (int(n) + shift) for n in part)
-        mat = functools.reduce(np.matmul, qexp_truncated(_scaled_kron_stack(c, *factors(part)),
+        mat = functools.reduce(np.matmul, qexp_truncated(c * kron2(*factors(part)),
                                                          qp.qpow(-2), min(d1, d2)), mat)
     return TensorOperator((d1, d2), mat)
-
-
-def _scaled_kron_stack(c: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """The stack of c_n A_n (x) B_n: entry (i*b + k, j*b + l) of slice n is
-    c_n (A_n[i, j] B_n[k, l]), each product formed once, as np.kron forms it."""
-    (k, a, _), b = A.shape, B.shape[-1]
-    return c * (A[:, :, None, :, None] * B[:, None, :, None, :]).reshape(k, a * b, a * b)
 
 
 def rplus_product(z: complex, rep1: Rep, rep2: Rep, order: str = "ascending") -> TensorOperator:
@@ -653,51 +641,50 @@ def decompos_product(z: complex, rep1: Rep, rep2: Rep,
 # verifiers
 
 
-def affine_coproduct_images(rep1: Rep, rep2: Rep, x: complex, y: complex,
-                            opposite: bool = False) -> dict:
-    """Images of the affine coproduct (or its opposite) on V1(x) (x) V2(y).
+def affine_coproduct_images(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
+    """Images (left, right) of the affine coproduct and of its opposite on V1(x) (x) V2(y).
 
     Each Chevalley triple (E_i, F_i, K_i) goes through the finite coproduct,
-    with K_0 = K and K_1 = K^-1 on each factor."""
+    with K_0 = K and K_1 = K^-1 on each factor; both dicts are keyed E0 .. K1
+    and come from one evaluation of each module's generators."""
     g1 = eval_generators(rep1, x)
     g2 = eval_generators(rep2, y)
-    out = {}
+    left, right = {}, {}
     for i, j in (("0", "1"), ("1", "0")):  # K_i^-1 = K_j
         a, b = ((g["E" + i], g["F" + i], g["K" + i], g["K" + j]) for g in (g1, g2))
         for gen in ("E", "F", "K"):
-            out[gen + i] = _delta(a, b, gen, opposite)
-    return out
+            left[gen + i] = _delta(a, b, gen, False)
+            right[gen + i] = _delta(a, b, gen, True)
+    return left, right
 
 
-def affine_intertwine_residual(z: complex, rep1: Rep, rep2: Rep,
-                               cartan: str = "normalized", margin: int = 1,
+def affine_intertwine_residual(z: complex, rep1: Rep, rep2: Rep, margin: int = 1,
                                R: TensorOperator | None = None) -> float:
-    """max over affine generators of || R(z) D(a) - D'(a) R(z) || on the safe window."""
+    """max over affine generators of || R D(a) - D'(a) R || on the safe window, R the
+    normalized r_spectral(z, rep1, rep2) unless given (say, with another Cartan tail)."""
     if R is None:
-        R = r_spectral(z, rep1, rep2, cartan=cartan)
-    x, y = z, 1.0
-    left = affine_coproduct_images(rep1, rep2, x, y, opposite=False)
-    right = affine_coproduct_images(rep1, rep2, x, y, opposite=True)
+        R = r_spectral(z, rep1, rep2)
+    left, right = affine_coproduct_images(rep1, rep2, z, 1.0)
     return intertwine_defect(R.mat, left, right, safe_window((rep1, rep2), margin))
 
 
 def spectral_ybe_residual(x1: complex, x2: complex, x3: complex,
-                          rep1: Rep, rep2: Rep, rep3: Rep,
-                          cartan: str = "normalized", margin: int = 1) -> float:
-    """|| R12(x1/x2) R13(x1/x3) R23(x2/x3) - reverse || on the safe window."""
+                          rep1: Rep, rep2: Rep, rep3: Rep, margin: int = 1) -> float:
+    """|| R12(x1/x2) R13(x1/x3) R23(x2/x3) - reverse || on the safe window,
+    for the normalized r_spectral."""
     reps = (rep1, rep2, rep3)
 
     def build(za, ra, rb):
-        return r_spectral(za, ra, rb, cartan=cartan).mat
+        return r_spectral(za, ra, rb).mat
 
     return ybe_defect(build(x1 / x2, rep1, rep2), build(x1 / x3, rep1, rep3),
                       build(x2 / x3, rep2, rep3), tuple(r.dim for r in reps),
                       safe_window(reps, margin))
 
 
-def central_affine_check(rep: Rep, x: complex, k_max: int = 1,
-                         margin: int = 1, family: str = "loop") -> list:
-    """Commutator residuals of the order-kN imaginary root images, k = 1..k_max.
+def central_affine_check(rep: Rep, x: complex) -> list:
+    """Commutator residuals of the order-N loop-family imaginary root images
+    E_N and F_N, one row each.
 
     At a root of unity these images are expected to be central (and scalar)
     on honest modules; on truncated modules the defect row is masked.
@@ -706,20 +693,17 @@ def central_affine_check(rep: Rep, x: complex, k_max: int = 1,
     if not qp.is_root:
         raise ValueError("centrality of imaginary root vectors is a root-of-unity statement")
     N = qp.N
-    keep = _row_window(rep, margin)
-    images = schur_to_imaginary(eval_imaginary_prime(rep, x, k_max * N, family=family))
-    out = []
-    for k in range(1, k_max + 1):
-        for fam, mats in (("E", images.e), ("F", images.f)):
-            out.append({"family": fam, "k": k, "order": k * N,
-                        **commutator_report(mats[k * N - 1], rep, keep)})
-    return out
-
-
-def noncentral_residual(rep: Rep, x: complex, n: int, family: str = "loop") -> float:
-    """Commutator residual of the order-n imaginary root image (negative control)."""
     keep = _row_window(rep, 1)
-    images = schur_to_imaginary(eval_imaginary_prime(rep, x, n, family=family))
+    images = schur_to_imaginary(eval_imaginary_prime(rep, x, N, family="loop"))
+    return [{"family": fam, "k": 1, "order": N, **commutator_report(mats[N - 1], rep, keep)}
+            for fam, mats in (("E", images.e), ("F", images.f))]
+
+
+def noncentral_residual(rep: Rep, x: complex, n: int) -> float:
+    """Commutator residual of the order-n loop-family imaginary root image
+    (negative control)."""
+    keep = _row_window(rep, 1)
+    images = schur_to_imaginary(eval_imaginary_prime(rep, x, n, family="loop"))
     return commutator_report(images.e[n - 1], rep, keep)["max_commutator"]
 
 
@@ -758,12 +742,9 @@ def drinfeld_generators(rep: Rep, x: complex, n_max: int = 3) -> dict:
     return out
 
 
-DRINFELD_RELATIONS = ("aa", "kx", "ax", "xx", "xpxm")
-
-
-def drinfeld_relation_check(rep: Rep, x: complex, selection=DRINFELD_RELATIONS,
-                            n_max: int = 2, margin: int = 2) -> dict:
-    """Residuals of selected loop-algebra relations at central charge zero.
+def drinfeld_relation_check(rep: Rep, x: complex, n_max: int = 2, margin: int = 2) -> dict:
+    """Residuals of the five loop-algebra relations at central charge zero, keyed
+    by relation name:
 
     aa:   [a_m, a_n] = 0
     kx:   k x^pm_m k^-1 = q^{pm 2} x^pm_m
@@ -781,51 +762,40 @@ def drinfeld_relation_check(rep: Rep, x: complex, selection=DRINFELD_RELATIONS,
         return np.max(np.abs(M[np.ix_(keep, keep)]))
 
     out = {}
-    if "aa" in selection:
-        pairs = [(1, -1), (1, 2), (2, -1), (2, -2)]
-        out["aa"] = float(np.max([nrm(g[("a", m)] @ g[("a", n)] - g[("a", n)] @ g[("a", m)])
-                                  for m, n in pairs if abs(m) <= n_max and abs(n) <= n_max]))
-    if "kx" in selection:
-        vals = []
-        for sgn, nm in ((1, "xp"), (-1, "xm")):
-            for m in (-1, 0, 1):
-                M = g[(nm, m)]
-                vals.append(nrm(g["k"] @ M @ np.linalg.inv(g["k"]) - qp.qpow(2 * sgn) * M))
-        out["kx"] = float(np.max(vals))
-    if "ax" in selection:
-        vals = []
-        for m in (1, -1, 2, -2):
-            if abs(m) > n_max:
-                continue
-            for nm, sgn in (("xp", 1), ("xm", -1)):
-                for n in (0, 1, -1):
-                    lhs = g[("a", m)] @ g[(nm, n)] - g[(nm, n)] @ g[("a", m)]
-                    rhs = sgn * qnumber(2 * m, qp) / m * g[(nm, m + n)]
-                    vals.append(nrm(lhs - rhs))
-        out["ax"] = float(np.max(vals))
-    if "xx" in selection:
-        vals = []
+    pairs = [(1, -1), (1, 2), (2, -1), (2, -2)]
+    out["aa"] = float(np.max([nrm(g[("a", m)] @ g[("a", n)] - g[("a", n)] @ g[("a", m)])
+                              for m, n in pairs if abs(m) <= n_max and abs(n) <= n_max]))
+    vals = []
+    for sgn, nm in ((1, "xp"), (-1, "xm")):
+        for m in (-1, 0, 1):
+            M = g[(nm, m)]
+            vals.append(nrm(g["k"] @ M @ np.linalg.inv(g["k"]) - qp.qpow(2 * sgn) * M))
+    out["kx"] = float(np.max(vals))
+    vals = []
+    for m in (1, -1, 2, -2):
+        if abs(m) > n_max:
+            continue
         for nm, sgn in (("xp", 1), ("xm", -1)):
-            for m, n in ((0, 0), (1, 0), (0, -1)):
-                t = qp.qpow(2 * sgn)
-                a, b = g[(nm, m + 1)], g[(nm, n)]
-                cc, dd = g[(nm, m)], g[(nm, n + 1)]
-                vals.append(nrm(a @ b - t * b @ a - (t * cc @ dd - dd @ cc)))
-        out["xx"] = float(np.max(vals))
-    if "xpxm" in selection:
-        vals = []
-        for m, n in ((0, 0), (1, 0), (0, 1), (1, 1), (1, -1), (-1, 1), (2, -1), (2, -2)):
-            if abs(m) > n_max + 1 or abs(n) > n_max + 1 or abs(m + n) > n_max:
-                continue
-            lhs = g[("xp", m)] @ g[("xm", n)] - g[("xm", n)] @ g[("xp", m)]
-            s = m + n
-            psi = g.get(("psi", s)) if s >= 0 else None
-            phi = g.get(("phi", s)) if s <= 0 else None
-            rhs = np.zeros_like(lhs)
-            if psi is not None:
-                rhs = rhs + psi
-            if phi is not None:
-                rhs = rhs - phi
-            vals.append(nrm(lhs - rhs / (q - 1 / q)))
-        out["xpxm"] = float(np.max(vals))
+            for n in (0, 1, -1):
+                lhs = g[("a", m)] @ g[(nm, n)] - g[(nm, n)] @ g[("a", m)]
+                rhs = sgn * qnumber(2 * m, qp) / m * g[(nm, m + n)]
+                vals.append(nrm(lhs - rhs))
+    out["ax"] = float(np.max(vals))
+    vals = []
+    for nm, sgn in (("xp", 1), ("xm", -1)):
+        for m, n in ((0, 0), (1, 0), (0, -1)):
+            t = qp.qpow(2 * sgn)
+            a, b = g[(nm, m + 1)], g[(nm, n)]
+            cc, dd = g[(nm, m)], g[(nm, n + 1)]
+            vals.append(nrm(a @ b - t * b @ a - (t * cc @ dd - dd @ cc)))
+    out["xx"] = float(np.max(vals))
+    vals = []
+    for m, n in ((0, 0), (1, 0), (0, 1), (1, 1), (1, -1), (-1, 1), (2, -1), (2, -2)):
+        if abs(m) > n_max + 1 or abs(n) > n_max + 1 or abs(m + n) > n_max:
+            continue
+        lhs = g[("xp", m)] @ g[("xm", n)] - g[("xm", n)] @ g[("xp", m)]
+        s = m + n
+        rhs = (g[("psi", s)] if s >= 0 else 0) - (g[("phi", s)] if s <= 0 else 0)
+        vals.append(nrm(lhs - rhs / (q - 1 / q)))
+    out["xpxm"] = float(np.max(vals))
     return out

@@ -31,7 +31,8 @@ class InadmissibleParameters(ValueError):
 
 @dataclass(frozen=True)
 class Rep:
-    """A finite matrix representation: E, F, K plus the weight vector of K = q^H."""
+    """A finite matrix representation: E, F, K plus the weight vector of K = q^H.
+    K must be diagonal on the basis (Kinv and the solver's K0 bound use that)."""
 
     qp: QParam
     lam: complex
@@ -49,6 +50,8 @@ class Rep:
             if not np.isfinite(M).all():
                 raise ValueError(f"{self.kind} module has non-finite generator entries")
             M.setflags(write=False)
+        if (self.K != np.diag(np.diagonal(self.K))).any():
+            raise ValueError(f"{self.kind} module has a K that is not diagonal on its basis")
         self.hvec.setflags(write=False)
 
     @property

@@ -173,13 +173,10 @@ def r_generic_universal(rep1: Rep, rep2: Rep, terms: int | None = None) -> Tenso
     return TensorOperator((rep1.dim, rep2.dim), mat)
 
 
-#: wrap-constant choices for the product form at a root of unity.  "auto" is the
-#: value (eps - 1/eps)^N calibrated against r_verma_direct; "plus"/"minus" are
-#: +-(1 - eps^-2)^-N, retained for inspection of the alternative convention.
-WRAP_CONSTANTS = ("auto", "plus", "minus")
-
-
 def _wrap_constant(qp: QParam, choice: str) -> complex:
+    """Wrap constant of the product form at a root of unity.  "auto" is the value
+    (eps - 1/eps)^N calibrated against r_verma_direct; "plus"/"minus" are
+    +-(1 - eps^-2)^-N, retained for inspection of the alternative convention."""
     eps = qp.q
     if choice == "auto":
         return (eps - 1 / eps) ** qp.N

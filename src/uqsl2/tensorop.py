@@ -54,15 +54,17 @@ class TensorOperator:
 
 
 def kron2(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """np.kron of two matrices cast to complex, as one broadcast product.
+    """np.kron of two matrices cast to complex, as one broadcast product; on
+    stacks of shape (..., a0, a1) and (..., b0, b1), np.kron of each pair of slices.
 
     Entry (i*b0 + k, j*b1 + l) is the single product A[i, j] * B[k, l], so the
     result equals np.kron's bit for bit without its general-rank bookkeeping.
     """
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
-    (a0, a1), (b0, b1) = A.shape, B.shape
-    return (A[:, None, :, None] * B[None, :, None, :]).reshape(a0 * b0, a1 * b1)
+    (a0, a1), (b0, b1) = A.shape[-2:], B.shape[-2:]
+    out = A[..., :, None, :, None] * B[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], a0 * b0, a1 * b1)
 
 
 def embed_two_site(M: np.ndarray, dims: tuple[int, int, int], pos: tuple[int, int]) -> np.ndarray:

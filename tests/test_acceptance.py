@@ -195,7 +195,7 @@ def test_07_centrality():
         rep = semicyclic(complex(rng.uniform(0.2, 0.8)), _rand_lambda(rng), qp)
         for name, row in central_check(rep).items():
             worst = max(worst, row["max_commutator"])
-        for row in central_affine_check(rep, 1.0, k_max=1):
+        for row in central_affine_check(rep, 1.0):
             worst = max(worst, row["max_commutator"])
         neg = noncentral_residual(rep, 1.0, 1)
         assert neg > 1e-6

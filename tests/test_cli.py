@@ -497,6 +497,21 @@ class TestExitCodeContract:
         assert diag["code"] == 2 and complex(*diag["z"]) == float(z)
         assert "cannot resolve the K0 constraint" in diag["error"]
 
+    def test_sweep_spurious_charge_zero_nullspace_exits_2(self):
+        # at z = 1e-7 the charge-0 block, which K0 cannot bound, holds eigenvalues under
+        # the threshold that are no zeros (the sweep used to report nullspace_dim 2):
+        # the kept vector misses a unit-scale constraint, so the solve is refused
+        argv = ["sweep", "--Nprime", "5", "--z", "1e-7",
+                "--lambda1-range", "0.5:0.5:1", "--alpha1-range", "0.3:0.3:1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = run_main(argv)
+        assert code == 2
+        assert err.count("\n") == 1 and err.endswith("\n")
+        diag = json.loads(err)
+        assert diag["code"] == 2 and complex(*diag["z"]) == 1e-7
+        assert "z=(1e-07+0j)" in diag["error"] and "kept vector" in diag["error"]
+
     @pytest.mark.parametrize("nprime,z", [(5, "1e7"), (5, "1e10"), (7, "1e8")])
     def test_sweep_large_spectral_parameter_keeps_its_count(self, nprime, z, capsys):
         # E1 = z F spans the Gram matrix too, but the cyclic F keeps every eigenvalue

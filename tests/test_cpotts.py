@@ -223,8 +223,7 @@ def dense_intertwiner(rep1, rep2, x, y, sv_ratio=1e-7):
     """
     from scipy.linalg import eigh
     D = rep1.dim * rep2.dim
-    left = affine_coproduct_images(rep1, rep2, x, y, opposite=False)
-    right = affine_coproduct_images(rep1, rep2, x, y, opposite=True)
+    left, right = affine_coproduct_images(rep1, rep2, x, y)
     gram = np.zeros((D * D, D * D), dtype=complex)
     for name in ("E0", "F0", "E1", "F1", "K0"):
         A = np.kron(np.eye(D), left[name].T) - np.kron(right[name], np.eye(D))
@@ -342,8 +341,7 @@ def block_grams(rep1, rep2, x, y):
     K0 bound min |kl[j] - kr[i]|^2.  Also U = sum_a (|L_a|_F + |R_a|_F)^2."""
     from scipy.sparse import csc_matrix
     D = rep1.dim * rep2.dim
-    left = affine_coproduct_images(rep1, rep2, x, y, opposite=False)
-    right = affine_coproduct_images(rep1, rep2, x, y, opposite=True)
+    left, right = affine_coproduct_images(rep1, rep2, x, y)
     names = ("E0", "F0", "E1", "F1", "K0")
     g = module_grading(rep1, rep2)
     deg = np.add.outer(np.arange(rep1.dim), np.arange(rep2.dim)).ravel()
@@ -445,8 +443,7 @@ class TestChargeCertificate:
         |z| the cyclic F in E1 = z F lifts every such eigenvalue, and the count stands."""
         rep1, rep2 = on_curve_pair(QP5)
         blocks, U = block_grams(rep1, rep2, z, 1.0)
-        kl, kr = (np.diag(affine_coproduct_images(rep1, rep2, z, 1.0, opposite=o)["K0"])
-                  for o in (False, True))
+        kl, kr = (np.diag(im["K0"]) for im in affine_coproduct_images(rep1, rep2, z, 1.0))
         floor = NULLSPACE_RATIO**2
         k0max = (np.abs(np.subtract.outer(kr, kl)) ** 2).max()
         searched = {c: np.linalg.eigvalsh(gram) for c, (gram, bound) in blocks.items()
@@ -462,6 +459,29 @@ class TestChargeCertificate:
         else:
             _, dim = solve_intertwiner(rep1, rep2, z, 1.0)
             assert dim == sum(int((w < floor * wmax).sum()) for w in searched.values()) == 0
+
+    @pytest.mark.parametrize("nprime", [3, 5, 7, 9])
+    @pytest.mark.parametrize("z_root", [False, True], ids=["z-one", "z-root"])
+    def test_kept_vector_meets_every_constraint_on_its_scale(self, nprime, z_root):
+        qp = QParam.root_of_unity(nprime)
+        z = cmath.exp(2j * cmath.pi / qp.N) if z_root else 1.0
+        rep1, rep2 = on_curve_pair(qp)
+        R, dim = solve_intertwiner(rep1, rep2, z, 1.0)
+        assert dim == 1
+        R = R.mat / np.linalg.norm(R.mat)
+        left, right = affine_coproduct_images(rep1, rep2, z, 1.0)
+        for a in ("E0", "F0", "E1", "F1", "K0"):
+            scale = np.linalg.norm(left[a]) + np.linalg.norm(right[a])
+            assert np.linalg.norm(R @ left[a] - right[a] @ R) <= 1e-12 * scale, a
+
+    def test_kept_vector_off_its_scale_is_refused(self):
+        # the pair of `uqsl2 sweep --Nprime 5 --z 1e-7 --lambda1-range 0.5:0.5:1
+        # --alpha1-range 0.3:0.3:1`: its spurious zeros sit in the charge-0 block,
+        # which K0 cannot bound, so only the kept-vector check refuses them
+        rep1, rep2 = on_curve_pair(QP5, a1=0.3, lam1=0.5 + 0.1j, lam2=1.3 - 0.11j)
+        with pytest.raises(UnresolvedConstraints, match="kept vector") as exc:
+            solve_intertwiner(rep1, rep2, 1e-7, 1.0)
+        assert exc.value.z == 1e-7
 
     def test_certificate_needs_no_closed_form(self, monkeypatch):
         import uqsl2.cpotts

@@ -46,6 +46,22 @@ class TestTruncatedVerma:
         with pytest.raises(ValueError, match="non-finite"):
             dataclasses.replace(rep, **{gen: bad})
 
+    def test_non_diagonal_cartan_rejected(self):
+        # Kinv and the intertwiner solver's K0 bound read K as its diagonal
+        rep = truncated_verma(0.83 + 0.21j, 3, QP)
+        K = rep.K.copy()
+        K[0, 1] = 1e-3
+        with pytest.raises(ValueError, match="not diagonal"):
+            dataclasses.replace(rep, K=K)
+
+    def test_non_diagonal_cartan_rejected_from_json(self):
+        # from_json's ladder check is an allclose at atol 1e-9, which a 1e-12
+        # off-diagonal entry passes; the Rep itself refuses it
+        doc = truncated_verma(0.83 + 0.21j, 3, QP).to_json()
+        doc["K"][1][0] = [1e-12, 0.0]
+        with pytest.raises(ValueError, match="not diagonal"):
+            Rep.from_json(doc)
+
     def test_spin_half_block_against_direct_solve(self):
         # brute-force the 2x2 module: F fixed, K = diag(q, 1/q), solve [E,F]
         rep = truncated_verma(1.0, 2, QP)

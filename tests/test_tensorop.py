@@ -52,9 +52,13 @@ class TestKron2:
 
     @staticmethod
     def reference(A, B):
-        return np.kron(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
+        A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
+        if A.ndim == 3:  # a stack: np.kron of each pair of slices
+            return np.stack([np.kron(a, b) for a, b in zip(A, B)])
+        return np.kron(A, B)
 
-    @pytest.mark.parametrize("case", ["real-x-complex", "rectangular", "d1-ne-d2", "1x1"])
+    @pytest.mark.parametrize("case", ["real-x-complex", "rectangular", "d1-ne-d2", "1x1",
+                                      "stack"])
     def test_equals_np_kron(self, case):
         rng = np.random.default_rng(7)
         A, B = {
@@ -63,6 +67,8 @@ class TestKron2:
                             rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))),
             "d1-ne-d2": (random_matrix(rng, 2), random_matrix(rng, 5)),
             "1x1": (np.array([[-1.5 + 2j]]), np.array([[-0.0]])),
+            "stack": (np.stack([random_matrix(rng, 3) for _ in range(4)]),
+                      rng.normal(size=(4, 2, 5)) + 1j * rng.normal(size=(4, 2, 5))),
         }[case]
         B[-1, 0] = -0.0  # signed zeros must come out as np.kron gives them
         got, ref = kron2(A, B), self.reference(A, B)
