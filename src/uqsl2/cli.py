@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .qnum import QParam
+from .qnum import PowerOverflow, QParam
 from .reps import central_check, safe_window, semicyclic, truncated_verma
 from .rfinite import (intertwine_residual, quasitriangularity_residual,
                       r_reshetikhin_product, r_verma_direct, ybe_residual)
@@ -142,7 +142,13 @@ def _curve_point(qp, z, lam1, lam2, a1, a2) -> tuple:
 
 
 def cmd_rmatrix(args) -> int:
-    _dump(_rmatrix_doc(args), args.out)
+    with np.errstate(all="ignore"):  # a non-finite entry is refused below, before any write
+        doc = _rmatrix_doc(args)
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise ConfigError(f"non-finite entries in the {args.kind} R-matrix") from None
+    _write(text + "\n", args.out)
     return 0
 
 
@@ -477,7 +483,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DegenerateCurve, EmptySafeWindow, OracleDiverges) as exc:
+    except (ConfigError, DegenerateCurve, EmptySafeWindow, OracleDiverges, PowerOverflow) as exc:
         diag = {"error": str(exc), "code": 2}
     except UnsupportedOrder as exc:
         diag = {"error": f"unsupported order: {exc}", "code": 2}

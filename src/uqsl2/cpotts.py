@@ -24,11 +24,11 @@ charge block at a time instead of the whole D^2 x D^2 system.  The K0
 constraint certifies most blocks free of any nullspace without an
 eigensolve: every K is diagonal, so its term of the Gram matrix is a
 diagonal whose minimum over a block bounds the block's smallest eigenvalue
-from below (Weyl).  Only the blocks that bound cannot clear (charge 0, and
-any charge c with q^2c = 1) are diagonalized, and an eigenvalue counts as
-zero relative to the largest eigenvalue of those blocks.  One tridiagonal
-reduction per block yields its eigenvalues and, for the kept block, the
-intertwiner, which must meet each constraint on that constraint's scale.
+from below (Weyl).  One threshold, NULLSPACE_RATIO^2 times a bound on every
+eigenvalue, certifies each block whose K0 minimum clears it; every other
+block (charge 0, and any charge c with q^2c = 1) is one eigh call for its
+eigenpairs below it, its zeros.  The smallest zero's vector is the
+intertwiner; it must meet each constraint on that constraint's scale.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .raffine import _guard_overflow, affine_coproduct_images, r_spectral
 from .tensorop import TensorOperator, cnum, grading_modulus, kron2, total_degree
 
 SOLVABILITY_TOL = 1e-9  # fn_commutation_residual: solvable when |z^N - L1 L2| exceeds it
-NULLSPACE_RATIO = 1e-7  # solve_intertwiner: eigenvalues below its square (relative) are zero
+NULLSPACE_RATIO = 1e-7  # solve_intertwiner: eigenvalues below its square times U are zero
 
 
 @dataclass(frozen=True)
@@ -192,48 +192,6 @@ class UnresolvedConstraints(ValueError):
         self.z = z
 
 
-def _block_spectrum(gram: np.ndarray) -> tuple:
-    """Ascending eigenvalues of a Hermitian block, read from its lower triangle
-    (``gram`` is overwritten), and a function giving the smallest one's vector.
-
-    One tridiagonal reduction serves both, by the LAPACK steps of zheevr in
-    scipy.linalg.eigh (its n = 1 case and zlansy max-norm scaling, zhetrd,
-    dsterf; then dstebz, dstein and zunmtr for the one vector), so the bits and
-    the errors (ValueError if non-finite, LinAlgError) are those of two eighs.
-    """
-    from scipy.linalg import LinAlgError, lapack
-
-    def run(f, *args, **kwargs):
-        *out, info = f(*args, **kwargs)
-        if info:
-            raise LinAlgError(f"LAPACK {f.__name__} returned info={info}")
-        return out
-
-    gram = np.asarray_chkfinite(gram)
-    n = len(gram)
-    if n == 1:
-        return gram[0].real.copy(), lambda: np.ones(1, dtype=complex)
-    tiny, eps = np.finfo(float).tiny, np.finfo(float).eps
-    rmin, rmax = np.sqrt(tiny / eps), min(np.sqrt(eps / tiny), 1 / np.sqrt(np.sqrt(tiny)))
-    anrm = np.tril(np.abs(gram)).max()
-    sigma = rmin / anrm if 0 < anrm < rmin else rmax / anrm if anrm > rmax else None
-    if sigma is not None:
-        gram *= sigma
-    lwork = int(lapack.zheevr_lwork(n, lower=1)[0].real) - n
-    c, d, e, tau = run(lapack.zhetrd, gram, lower=1, lwork=lwork, overwrite_a=1)
-    w, = run(lapack.dsterf, d.copy(), e.copy())
-    if sigma is not None:
-        w *= 1 / sigma
-
-    def vector():
-        _, w1, iblock, isplit = run(lapack.dstebz, d, e, 2, 0.0, 0.0, 1, 1, 0.0, "B")
-        z, = run(lapack.dstein, d, e, w1[:1], iblock, isplit)
-        zq, _ = run(lapack.zunmqr, "L", "N", c[1:, :-1], tau, z[1:].astype(complex), lwork)
-        return np.concatenate([z[0], zq[:, 0]])
-
-    return w, vector
-
-
 def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
     """Nullspace solve of R D(a) = D'(a) R over the affine generator images.
 
@@ -259,20 +217,15 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
     NULLSPACE_RATIO^2 U holds no nullspace and is neither assembled nor
     diagonalized (every charge c with q^2c != 1 on a (semi)cyclic pair).
 
-    Every other block gets its eigenvalues only; an eigenvalue below
-    NULLSPACE_RATIO^2 times the largest eigenvalue of the diagonalized blocks
-    counts as zero (a certified block clears that threshold, and the one of
-    all blocks, since U is at least their largest eigenvalue).  If such a
-    zero lies in a block whose K0 minimum is positive on K0's own scale
-    (above NULLSPACE_RATIO^2 times the largest K0 entry), the bound shows it
-    is spurious: the threshold cannot resolve the constraints at this z (in
-    practice |z| far below 1) and UnresolvedConstraints is raised.  Each
-    diagonalized block is assembled and reduced to tridiagonal form once
-    (_block_spectrum: zheevr's zhetrd and dsterf); the reduction of the first
-    block holding the smallest eigenvalue is kept, and when the nullspace is
-    not empty that eigenvector alone is taken from it (dstebz, dstein,
-    zunmtr).  The kept unit vector R must meet each constraint on its own
-    scale, |R L_a - R_a R|_F <= NULLSPACE_RATIO (|L_a|_F + |R_a|_F), else
+    Zeros.  Every other block is one scipy.linalg.eigh call for its
+    eigenpairs below the same threshold NULLSPACE_RATIO^2 U, each a zero.
+    A zero in a block whose K0 minimum is positive on K0's own scale (above
+    NULLSPACE_RATIO^2 times the largest K0 entry) is spurious by the bound:
+    the threshold cannot resolve the constraints at this z (in practice |z|
+    far below 1) and UnresolvedConstraints is raised.  The kept unit vector
+    R, the smallest zero's eigenvector in the first block holding it, must
+    meet each constraint on its own scale,
+    |R L_a - R_a R|_F <= NULLSPACE_RATIO (|L_a|_F + |R_a|_F), else
     UnresolvedConstraints is raised: that catches spurious zeros in charge 0,
     where K0 gives no bound.
     Returns (R, nullspace_dim), R the eigenvector normalized so its largest
@@ -298,15 +251,13 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
     charges, inverse = np.unique(charge, return_inverse=True)
 
     floor = NULLSPACE_RATIO**2
+    threshold = floor * U  # an eigenvalue below it counts as zero
     kl, kr = np.diagonal(left["K0"]), np.diagonal(right["K0"])
     k0 = np.abs(np.subtract.outer(kr, kl)) ** 2  # [i, j]: the K0 term of unknown R[i, j]
     kmin = np.full(len(charges), np.inf)
     np.minimum.at(kmin, inverse.ravel(), k0.ravel())
     positive = kmin > floor * k0.max()  # nonzero on K0's own scale
-    keep = kmin <= floor * U  # the rest is certified
-    searched, positive = charges[keep], positive[keep]
-    if not len(searched):
-        return None, 0
+    keep = kmin <= threshold  # the rest is certified; charge 0 never is (kmin 0 at i = j)
 
     def block(c):
         """Indices (rows, cols) of the unknowns of charge c, and their Gram block.
@@ -333,28 +284,26 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
         gram -= X.conj().T
         return rows, cols, gram
 
-    eigvals, best = [], None
-    for c in searched:
+    from scipy.linalg import eigh  # here, so a process that never solves never imports it
+
+    dim, best = 0, None
+    for c, pos in zip(charges[keep], positive[keep]):
         rows, cols, gram = block(c)
-        w, vector = _block_spectrum(gram)
-        if best is None or w[0] < best[0]:  # the first block holding the smallest
-            best = w[0], rows, cols, vector
-        eigvals.append(w)
-        del gram, vector  # only the kept block's reduction stays alive
-    lowest = np.array([v[0] for v in eigvals])
-    w = np.concatenate(eigvals)
-    wmax = float(w.max()) if w.max() > 0 else 1.0
-    if np.any(positive & (lowest < floor * wmax)):
-        raise UnresolvedConstraints(
-            f"the nullspace threshold cannot resolve the K0 constraint at z={x / y}: "
-            f"an eigenvalue below {floor * wmax:.3g} lies in a charge block whose K0 minimum "
-            f"is positive", z=x / y)
-    dim = int((w < floor * wmax).sum())
+        w, v = eigh(gram, overwrite_a=True, subset_by_value=(-np.inf, threshold))
+        del gram
+        if len(w) and pos:
+            raise UnresolvedConstraints(
+                f"the nullspace threshold cannot resolve the K0 constraint at z={x / y}: "
+                f"an eigenvalue below {threshold:.3g} lies in a charge block whose K0 minimum "
+                f"is positive", z=x / y)
+        dim += len(w)
+        if len(w) and (best is None or w[0] < best[0]):  # the first block holding the smallest
+            best = w[0], rows, cols, v[:, 0]
     if dim == 0:
         return None, 0
     _, rows, cols, vector = best
     R = np.zeros((D, D), dtype=complex)
-    R[rows, cols] = vector()
+    R[rows, cols] = vector
     for a, s in zip(names, scale):  # R is a unit vector here
         miss = np.linalg.norm(R @ left[a] - right[a] @ R)
         if not miss <= NULLSPACE_RATIO * s:

@@ -32,6 +32,10 @@ class DenominatorVanishes(ArithmeticError):
     """A q-factorial (or similar) denominator vanished before the series terminated."""
 
 
+class PowerOverflow(ValueError, OverflowError):
+    """q**e is too large for a float; an OverflowError too, so overflow guards still see it."""
+
+
 @dataclass(frozen=True)
 class QParam:
     """Deformation parameter: a generic complex q, or a primitive N'-th root of unity.
@@ -53,12 +57,15 @@ class QParam:
                 raise ValueError(f"q must be finite, got {q}")
             if q == 0:
                 raise ValueError("q must be nonzero")
-            for k in range(1, GENERIC_GUARD_ORDER + 1):
-                if abs(q**k - 1.0) < GENERIC_GUARD_TOL:
-                    raise ValueError(
-                        f"generic q={q} is within {GENERIC_GUARD_TOL} of a root of "
-                        f"unity of order {k}; construct a RootOfUnity QParam instead"
-                    )
+            try:
+                for k in range(1, GENERIC_GUARD_ORDER + 1):
+                    if abs(q**k - 1.0) < GENERIC_GUARD_TOL:
+                        raise ValueError(
+                            f"generic q={q} is within {GENERIC_GUARD_TOL} of a root of "
+                            f"unity of order {k}; construct a RootOfUnity QParam instead"
+                        )
+            except OverflowError:
+                raise PowerOverflow(f"q**e overflows a float at q={q}, e={k}") from None
 
     @classmethod
     def generic(cls, q: complex) -> "QParam":
@@ -88,7 +95,10 @@ class QParam:
 
     def qpow(self, e) -> complex:
         """q**e for arbitrary complex e, principal branch of log q."""
-        return cmath.exp(complex(e) * self.logq)
+        try:
+            return cmath.exp(complex(e) * self.logq)
+        except OverflowError:
+            raise PowerOverflow(f"q**e overflows a float at q={self.q}, e={e}") from None
 
     def qpow_array(self, e) -> np.ndarray:
         """q**e elementwise over an array of exponents, same branch as qpow."""

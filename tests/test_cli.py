@@ -498,10 +498,10 @@ class TestExitCodeContract:
         assert "cannot resolve the K0 constraint" in diag["error"]
 
     def test_sweep_spurious_charge_zero_nullspace_exits_2(self):
-        # at z = 1e-7 the charge-0 block, which K0 cannot bound, holds eigenvalues under
-        # the threshold that are no zeros (the sweep used to report nullspace_dim 2):
-        # the kept vector misses a unit-scale constraint, so the solve is refused
-        argv = ["sweep", "--Nprime", "5", "--z", "1e-7",
+        # at z = 3.2e-7 the charge-0 block, which K0 cannot bound, holds eigenvalues under
+        # the threshold that are no zeros: the kept vector misses a unit-scale
+        # constraint, so the solve is refused
+        argv = ["sweep", "--Nprime", "5", "--z", "3.2e-7",
                 "--lambda1-range", "0.5:0.5:1", "--alpha1-range", "0.3:0.3:1"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -509,8 +509,57 @@ class TestExitCodeContract:
         assert code == 2
         assert err.count("\n") == 1 and err.endswith("\n")
         diag = json.loads(err)
-        assert diag["code"] == 2 and complex(*diag["z"]) == 1e-7
-        assert "z=(1e-07+0j)" in diag["error"] and "kept vector" in diag["error"]
+        assert diag["code"] == 2 and complex(*diag["z"]) == 3.2e-7
+        assert "z=(3.2e-07+0j)" in diag["error"] and "kept vector" in diag["error"]
+
+    @pytest.mark.parametrize("nprime,z,refusal", [
+        (5, "1e-7", "K0 constraint"), (5, "5.6e-7", "kept vector"),
+        (7, "5.6e-7", "K0 constraint"), (7, "1.8e-6", "kept vector")])
+    def test_sweep_tiny_spectral_parameter_band_exits_2(self, nprime, z, refusal):
+        # zeros count against the Gram bound U, 8 to 66 times the largest eigenvalue of
+        # the searched blocks, so at these |z| eigenvalues that are no zeros fall under
+        # the threshold; the K0 bound or the kept-vector check refuses each point
+        code, err = run_main(["sweep", "--Nprime", str(nprime), "--z", z,
+                              "--lambda1-range", "0.5:0.5:1", "--alpha1-range", "0.3:0.3:1"])
+        assert code == 2
+        diag = json.loads(err)
+        assert complex(*diag["z"]) == float(z) and refusal in diag["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ("rmatrix", "--kind", "verma", "--q", "1.2", "--lambda1", "1e5"),
+        ("rmatrix", "--kind", "semicyclic", "--Nprime", "5", "--alpha1", "0.3",
+         "--lambda1", "1e300", "--lambda2", "0.7", "--z", "1"),
+        ("sweep", "--Nprime", "5", "--lambda1-range", "1e300:1e300:1",
+         "--alpha1-range", "0.3:0.3:1"),
+        ("verify", "ybe", "--q", "1e-300"),
+        ("verify", "ybe", "--q", "1e300"),
+    ], ids=["verma", "semicyclic", "sweep", "ybe-small-q", "ybe-large-q"])
+    def test_overflowing_power_of_q_exits_2(self, argv):
+        # a finite weight (or a q far from 1) can still put q**e beyond a float; at
+        # q = 1e300 already the guard against roots of unity, q**k for k <= 64, does
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = run_main(list(argv))
+        assert code == 2
+        assert err.count("\n") == 1
+        diag = json.loads(err)
+        assert diag["code"] == 2 and "q**e overflows a float" in diag["error"]
+        assert ", e=" in diag["error"]  # names the exponent
+
+    def test_non_finite_export_exits_2_and_writes_nothing(self, tmp_path):
+        # alpha1 = 1e300 overflows the projection through the quotient: the Boltzmann
+        # weights would hold NaN, so the document is refused before any write
+        out = tmp_path / "weights.json"
+        argv = ["rmatrix", "--kind", "semicyclic", "--Nprime", "5", "--alpha1", "1e300",
+                "--lambda1", "0.5", "--lambda2", "0.7", "--z", "1", "-o", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = run_main(argv)
+        assert code == 2
+        assert err.count("\n") == 1
+        diag = json.loads(err)
+        assert diag["code"] == 2 and "non-finite" in diag["error"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("nprime,z", [(5, "1e7"), (5, "1e10"), (7, "1e8")])
     def test_sweep_large_spectral_parameter_keeps_its_count(self, nprime, z, capsys):

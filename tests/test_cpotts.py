@@ -1,5 +1,6 @@
 import cmath
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from uqsl2 import (CurveSpec, PoleError, QParam, affine_coproduct_images,
                    fn_commutation_residual, import_boltzmann, on_curve_partner,
                    r_semicyclic, r_spectral, semicyclic, solve_intertwiner,
                    truncated_verma)
-from uqsl2.cpotts import NULLSPACE_RATIO, UnresolvedConstraints, _block_spectrum
+from uqsl2.cpotts import NULLSPACE_RATIO, UnresolvedConstraints
 from uqsl2.tensorop import (embed_two_site, grading_modulus, masked_max_abs, weight_sectors,
                             ybe_defect)
 
@@ -317,9 +318,8 @@ class TestSolverNullspaceCount:
         # While X is summed: the flat index pair (two int64 blocks, the bytes of
         # one complex block), X, one generator product and its other gathered
         # factor.  Then X, the Gram block, one index array, one gathered P or Q
-        # and its product; then the Gram block with its moduli for the scaling
-        # test, or with the copy zhetrd reduces; then that reduction and the
-        # slice of it zunmqr reads.  Six complex blocks bound each stage; the
+        # and its product; then the Gram block and the Fortran-order copy of it
+        # that eigh reduces.  Six complex blocks bound each stage; the
         # whole D^2 x D^2 Gram is g^2 = 49 blocks.
         import tracemalloc
         qp = QParam.root_of_unity(7)
@@ -368,19 +368,20 @@ def block_grams(rep1, rep2, x, y):
     return out, U
 
 
-def count_block_eigensolves(monkeypatch):
-    """Wrap the solver's per-block spectrum helper to record each call's eigenvalues
-    (one call per diagonalized block)."""
-    import uqsl2.cpotts
+def record_block_eigensolves(monkeypatch):
+    """Wrap scipy.linalg.eigh to record, per call, a copy of the block (eigh may
+    overwrite it), the keyword arguments and the eigenpairs it returned."""
+    import scipy.linalg
     calls = []
-    spectrum = uqsl2.cpotts._block_spectrum
+    eigh = scipy.linalg.eigh
 
-    def counting(gram):
-        out = spectrum(gram)
-        calls.append(out[0])
-        return out
+    def recording(gram, *args, **kwargs):
+        block = gram.copy()
+        w, v = eigh(gram, *args, **kwargs)
+        calls.append((block, kwargs, w, v))
+        return w, v
 
-    monkeypatch.setattr(uqsl2.cpotts, "_block_spectrum", counting)
+    monkeypatch.setattr(scipy.linalg, "eigh", recording)
     return calls
 
 
@@ -391,7 +392,8 @@ class TestChargeCertificate:
     def test_certified_blocks_hold_no_nullspace(self, nprime, kind, z_root, monkeypatch):
         """A certified block's smallest eigenvalue is at least its K0 bound and clears
         the threshold of all blocks; the solver diagonalizes exactly the other blocks,
-        and counts zeros against the largest eigenvalue of those."""
+        and its count of zeros against the bound U is also the count against the
+        largest eigenvalue of those blocks."""
         qp = QParam.root_of_unity(nprime)
         z = cmath.exp(2j * cmath.pi / qp.N) if z_root else 1.1 + 0.1j
         rep1, rep2 = solver_pairs(qp)[kind]
@@ -408,13 +410,14 @@ class TestChargeCertificate:
             assert spectra[c][0] > floor * wmax
         if module_grading(rep1, rep2):  # graded mod N: every charge but 0 is certified
             assert searched == [0]
-        calls = count_block_eigensolves(monkeypatch)
+        calls = record_block_eigensolves(monkeypatch)
         _, dim = solve_intertwiner(rep1, rep2, z, 1.0)
         assert len(calls) == len(searched)
-        for w, c in zip(calls, searched):  # the solver's assembly against the definition
-            assert np.allclose(w, spectra[c], rtol=0, atol=1e-12 * wmax)
+        for (gram, *_), c in zip(calls, searched):  # the solver's assembly against the definition
+            assert np.allclose(np.linalg.eigvalsh(gram), spectra[c], rtol=0, atol=1e-12 * wmax)
         wmax_searched = max(spectra[c][-1] for c in searched)
-        assert dim == sum(int((spectra[c] < floor * wmax_searched).sum()) for c in searched)
+        assert dim == sum(int((spectra[c] < floor * U).sum()) for c in searched) \
+            == sum(int((spectra[c] < floor * wmax_searched).sum()) for c in searched)
 
     @pytest.mark.parametrize("qp", [QP3, QP5], ids=["N'=3", "N'=5"])
     @pytest.mark.parametrize("z_root", [False, True], ids=["z-generic", "z-root"])
@@ -428,7 +431,7 @@ class TestChargeCertificate:
         searched = sorted(c for c, (_, bound) in blocks.items()
                           if bound <= NULLSPACE_RATIO**2 * U)
         assert [c for c in searched if c] == [-qp.N, qp.N]
-        calls = count_block_eigensolves(monkeypatch)
+        calls = record_block_eigensolves(monkeypatch)
         R, dim = solve_intertwiner(rep1, rep2, z, 1.0)
         assert len(calls) == len(searched)
         R_ref, dim_ref = dense_intertwiner(rep1, rep2, z, 1.0)
@@ -449,16 +452,19 @@ class TestChargeCertificate:
         searched = {c: np.linalg.eigvalsh(gram) for c, (gram, bound) in blocks.items()
                     if bound <= floor * U}
         wmax = max(w[-1] for w in searched.values())
-        spurious = [c for c, w in searched.items()
-                    if blocks[c][1] > floor * k0max and w[0] < floor * wmax]
-        assert bool(spurious) == (abs(z) < 1)
-        if spurious:
+        # zeros count against U; the largest searched eigenvalue gives the same verdict
+        spurious = {t: [c for c, w in searched.items()
+                        if blocks[c][1] > floor * k0max and w[0] < floor * t] for t in (U, wmax)}
+        assert bool(spurious[U]) == bool(spurious[wmax]) == (abs(z) < 1)
+        if spurious[U]:
             with pytest.raises(UnresolvedConstraints) as exc:
                 solve_intertwiner(rep1, rep2, z, 1.0)
             assert exc.value.z == z
         else:
             _, dim = solve_intertwiner(rep1, rep2, z, 1.0)
-            assert dim == sum(int((w < floor * wmax).sum()) for w in searched.values()) == 0
+            assert dim == 0
+            for t in (U, wmax):
+                assert sum(int((w < floor * t).sum()) for w in searched.values()) == 0
 
     @pytest.mark.parametrize("nprime", [3, 5, 7, 9])
     @pytest.mark.parametrize("z_root", [False, True], ids=["z-one", "z-root"])
@@ -475,13 +481,13 @@ class TestChargeCertificate:
             assert np.linalg.norm(R @ left[a] - right[a] @ R) <= 1e-12 * scale, a
 
     def test_kept_vector_off_its_scale_is_refused(self):
-        # the pair of `uqsl2 sweep --Nprime 5 --z 1e-7 --lambda1-range 0.5:0.5:1
+        # the pair of `uqsl2 sweep --Nprime 5 --z 3.2e-7 --lambda1-range 0.5:0.5:1
         # --alpha1-range 0.3:0.3:1`: its spurious zeros sit in the charge-0 block,
         # which K0 cannot bound, so only the kept-vector check refuses them
         rep1, rep2 = on_curve_pair(QP5, a1=0.3, lam1=0.5 + 0.1j, lam2=1.3 - 0.11j)
         with pytest.raises(UnresolvedConstraints, match="kept vector") as exc:
-            solve_intertwiner(rep1, rep2, 1e-7, 1.0)
-        assert exc.value.z == 1e-7
+            solve_intertwiner(rep1, rep2, 3.2e-7, 1.0)
+        assert exc.value.z == 3.2e-7
 
     def test_certificate_needs_no_closed_form(self, monkeypatch):
         import uqsl2.cpotts
@@ -502,65 +508,83 @@ class TestChargeCertificate:
         assert solve_intertwiner(sc1, semicyclic(1.9, LAM2, QP5), 1.0, 1.0) == (None, 0)
 
 
-def two_eigh_calls(gram):
-    """The reference path: eigenvalues only, then the lowest eigenvector by a second
-    eigh on the same block."""
-    from scipy.linalg import eigh
-    return eigh(gram, eigvals_only=True), eigh(gram, subset_by_index=[0, 0])[1][:, 0]
+def assert_zero_eigenpairs(gram, w, v, threshold, scale):
+    """w, v are exactly the eigenpairs of the Hermitian gram under threshold, in
+    ascending order, with orthonormal vectors (rounding measured against scale)."""
+    full = np.linalg.eigvalsh(gram)
+    zeros = int((full <= threshold).sum())
+    assert len(w) == v.shape[1] == zeros
+    assert np.all(np.diff(w) >= 0)
+    assert np.allclose(w / scale, full[:zeros] / scale, rtol=0, atol=1e-12)
+    assert np.linalg.norm((gram / scale) @ v - v * (w / scale)) <= 1e-12  # no overflow at 1e200
+    assert np.allclose(v.conj().T @ v, np.eye(zeros), rtol=0, atol=1e-12)
 
 
-class TestBlockSpectrum:
-    """The solver's one reduction per block gives the two eigh calls' bits."""
+class TestBlockEigensolve:
+    """Each searched charge block is one eigh call for its eigenpairs under the
+    threshold NULLSPACE_RATIO^2 U; the zeros it returns are the block's."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 125])
     @pytest.mark.parametrize("scale", [1e-200, 1e-80, 1.0, 1e80, 1e200])
-    def test_random_psd_blocks(self, n, scale):
-        # 1e-200 and 1e80, 1e200 take zheevr's two scaling branches
+    def test_the_solver_call_returns_exactly_the_zeros(self, n, scale):
+        # the solver's call shape on a PSD block of known rank: the zero count does not
+        # depend on the block's scale (1e-200 and 1e80, 1e200 take zheevr's two
+        # scaling branches), and the trace stands in for the Gram bound U
+        from scipy.linalg import eigh
         rng = np.random.default_rng(n)
-        B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        rank = n - n // 3
+        B = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
         gram = (B @ B.conj().T) * scale
-        w_ref, v_ref = two_eigh_calls(gram)
-        w, vector = _block_spectrum(gram.copy())
-        assert np.array_equal(w, w_ref)
-        assert np.array_equal(vector(), v_ref)
+        U = np.trace(gram).real
+        threshold = NULLSPACE_RATIO**2 * U
+        w, v = eigh(gram.copy(), overwrite_a=True, subset_by_value=(-np.inf, threshold))
+        assert len(w) == n - rank
+        assert_zero_eigenpairs(gram, w, v, threshold, U)
 
     @pytest.mark.parametrize("kind", ["nilpotent", "on-curve", "off-curve", "cyclic"])
     @pytest.mark.parametrize("nprime", [3, 4, 5, 7])
     def test_solver_blocks(self, nprime, kind, monkeypatch):
-        import uqsl2.cpotts
-        spectrum = uqsl2.cpotts._block_spectrum
-        checked = []
-
-        def compare(gram):
-            w_ref, v_ref = two_eigh_calls(gram)
-            w, vector = spectrum(gram)
-            checked.append(np.array_equal(w, w_ref) and np.array_equal(vector(), v_ref))
-            return w, vector
-
-        monkeypatch.setattr(uqsl2.cpotts, "_block_spectrum", compare)
-        solve_intertwiner(*solver_pairs(QParam.root_of_unity(nprime))[kind], 1.0, 1.0)
-        assert checked and all(checked)
+        # every call gets the threshold of the Gram bound and returns the block's
+        # zeros; the nullspace dimension is their number
+        calls = record_block_eigensolves(monkeypatch)
+        rep1, rep2 = solver_pairs(QParam.root_of_unity(nprime))[kind]
+        _, dim = solve_intertwiner(rep1, rep2, 1.0, 1.0)
+        _, U = block_grams(rep1, rep2, 1.0, 1.0)
+        assert calls
+        for gram, kwargs, w, v in calls:
+            lower, threshold = kwargs["subset_by_value"]
+            assert lower == -np.inf
+            assert threshold == pytest.approx(NULLSPACE_RATIO**2 * U, rel=1e-12)
+            assert_zero_eigenpairs(gram, w, v, threshold, U)
+        assert dim == sum(len(w) for _, _, w, _ in calls)
 
     @pytest.mark.parametrize("qp", [QP3, QP5], ids=["demo-04", "N'=5"])
-    def test_intertwiner_bytes(self, qp, monkeypatch):
-        import uqsl2.cpotts
+    def test_intertwiner_against_the_full_spectrum(self, qp, monkeypatch):
+        # the reference path: every eigenpair of the block, then those under the threshold
+        import scipy.linalg
         pair = on_curve_pair(qp)
         R, dim = solve_intertwiner(*pair, 1.0, 1.0)
+        eigh = scipy.linalg.eigh
 
-        def reference(gram):
-            w, v = two_eigh_calls(gram)
-            return w, lambda: v
+        def reference(gram, subset_by_value, **kwargs):
+            w, v = eigh(gram)
+            zeros = int((w <= subset_by_value[1]).sum())
+            return w[:zeros], v[:, :zeros]
 
-        monkeypatch.setattr(uqsl2.cpotts, "_block_spectrum", reference)
+        monkeypatch.setattr(scipy.linalg, "eigh", reference)
         R_ref, dim_ref = solve_intertwiner(*pair, 1.0, 1.0)
         assert dim == dim_ref == 1
-        assert R.mat.tobytes() == R_ref.mat.tobytes()
+        assert np.allclose(R.mat, R_ref.mat, rtol=0, atol=1e-10)
 
-    def test_nan_block_refused(self):
-        gram = np.eye(3, dtype=complex)
-        gram[1, 0] = np.nan
-        with pytest.raises(ValueError):
-            _block_spectrum(gram)
+    @pytest.mark.parametrize("z", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_z_is_refused_before_any_eigensolve(self, z, monkeypatch):
+        from uqsl2 import SpectralOverflow
+        calls = record_block_eigensolves(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(SpectralOverflow):
+                solve_intertwiner(*on_curve_pair(QP5), z, 1.0)
+        assert calls == []
 
 
 def on_curve_triple(qp):

@@ -9,11 +9,11 @@ pair on the curve (z = 1, alpha1 = 0.7, alpha2 its curve partner) and on one
 off it (alpha2 = 1.9), REPEATS times each, with BLAS pinned to one thread.
 It records the wall times, the nullspace dimension, how many of the N' charge
 blocks (a pair of N'-dimensional semicyclic modules is graded mod N') were
-diagonalized (calls of the solver's per-block helper
-``cpotts._block_spectrum``; a checkout without it is counted by the calls of
-``scipy.linalg.eigh`` with ``eigvals_only``, which it made one per block) and
-so how many were certified without an eigensolve, and the Python, numpy,
-scipy and BLAS versions.  The record goes to
+diagonalized and so how many were certified without an eigensolve, and the
+Python, numpy, scipy and BLAS versions.  A diagonalized block is one call of
+``scipy.linalg.eigh`` with ``subset_by_value`` (or, in older checkouts, with
+``eigvals_only``, or of the solver's helper ``cpotts._block_spectrum``):
+each solver made one such call per block.  The record goes to
 ``OUT/BENCH_solver_<date>_<rev>.json`` (OUT defaults to the root of this
 checkout), <rev> being ``git describe --always --dirty`` of DIR;
 ``source_sha256`` fingerprints the timed ``src/uqsl2/*.py`` either way.
@@ -66,7 +66,7 @@ def time_solve(uqsl2, nprime, rep1, rep2) -> dict:
     calls = []
 
     def counting(a, *args, **kwargs):
-        if owner is cpotts or kwargs.get("eigvals_only"):
+        if owner is cpotts or "subset_by_value" in kwargs or kwargs.get("eigvals_only"):
             calls.append(len(a))
         return original(a, *args, **kwargs)
 
