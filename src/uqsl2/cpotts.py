@@ -284,12 +284,12 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
         gram -= X.conj().T
         return rows, cols, gram
 
-    from scipy.linalg import eigh  # here, so a process that never solves never imports it
+    from scipy.linalg import eigh  # the package's one scipy import: only a solve loads scipy
 
     dim, best = 0, None
     for c, pos in zip(charges[keep], positive[keep]):
         rows, cols, gram = block(c)
-        w, v = eigh(gram, overwrite_a=True, subset_by_value=(-np.inf, threshold))
+        w, v = eigh(gram, subset_by_value=(-np.inf, threshold))
         del gram
         if len(w) and pos:
             raise UnresolvedConstraints(

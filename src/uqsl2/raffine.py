@@ -614,8 +614,7 @@ def rzero_exponential(z: complex, rep1: Rep, rep2: Rep,
     if not top < _LOG_MAX_FLOAT:
         raise OracleDiverges(f"exponential form of the diagonal factor does not converge here "
                              f"(exponent real part {top:.3g} overflows exp)")
-    from scipy.linalg import expm
-    return TensorOperator((rep1.dim, rep2.dim), expm(np.diag(acc)))
+    return TensorOperator((rep1.dim, rep2.dim), np.diag(np.exp(acc)))
 
 
 def _assemble_product(rp: TensorOperator, r0: TensorOperator, rm: TensorOperator,

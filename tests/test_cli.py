@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,6 +288,37 @@ class TestDeterminism:
     def test_bad_env_tolerance_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("UQSL2_TOL", "abc")
         assert_config_error(("verify", "ybe", "--Nprime", "3"), capsys)
+
+
+BOUNDARY_SCRIPT = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from workloads import WORKLOADS
+from uqsl2.cli import main
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([*argv, "--seed", "1"])
+    assert code == 0, (argv, code)
+
+for name in ("cli-mix", "oracle-series", "dense-large"):
+    for config in WORKLOADS[name]["configs"]:
+        if config[0] != "sweep":
+            run(config)
+print("scipy" in sys.modules)
+run(("sweep", "--Nprime", "3", "--lambda1-range", "0.5:0.5:1", "--alpha1-range", "0.3:0.3:1"))
+print("scipy" in sys.modules)
+"""
+
+
+def test_scipy_is_loaded_by_the_solver_alone():
+    """Every benchmark job but a sweep runs on numpy alone, in one fresh process;
+    the sweep's intertwiner solver is what loads scipy."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    res = subprocess.run([sys.executable, "-c", BOUNDARY_SCRIPT, str(perfbench)],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False", "True"]
 
 
 class TestNanResidual:
