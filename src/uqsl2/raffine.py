@@ -119,22 +119,21 @@ def _scalars(values) -> np.ndarray:
     return np.array(list(values), dtype=complex).reshape(-1, 1, 1)
 
 
+def _root_family(rep: Rep, x: complex, n_max: int, key: str) -> np.ndarray:
+    """The family E0, F0, E1 or F1 of eval_root_vectors alone, a stack (n_max+1, d, d)."""
+    s = 1 if key[0] == "E" else -1  # E: x^n, q^{-nH}; F: x^-n, q^{nH}; a1: one more x
+    diag = rep.qpow_h(-s * np.arange(n_max + 1)[:, None])
+    mat = diag[:, :, None] * rep.E if key in ("E0", "F1") else rep.F * diag[:, None, :]
+    return _scalars((-1) ** n * x ** (s * (n + int(key[1]))) for n in range(n_max + 1)) * mat
+
+
 def eval_root_vectors(rep: Rep, x: complex, n_max: int) -> dict:
     """Real root-vector images, n = 0..n_max, each family a stack of shape (n_max+1, d, d).
 
     E_{a0+nd} = (-1)^n x^n  q^{-nH} E,      F_{a0+nd} = (-1)^n x^-n  F q^{nH},
     E_{a1+nd} = (-1)^n x^{n+1} F q^{-nH},   F_{a1+nd} = (-1)^n x^-{n+1} q^{nH} E.
     """
-    ns = range(n_max + 1)
-    column = np.arange(n_max + 1)[:, None]
-    dm = rep.qpow_h(-column)  # row n: the diagonal of q^{-nH}
-    dp = rep.qpow_h(column)
-    return {
-        "E0": _scalars((-1) ** n * x**n for n in ns) * (dm[:, :, None] * rep.E),
-        "F0": _scalars((-1) ** n * x ** (-n) for n in ns) * (rep.F * dp[:, None, :]),
-        "E1": _scalars((-1) ** n * x ** (n + 1) for n in ns) * (rep.F * dm[:, None, :]),
-        "F1": _scalars((-1) ** n * x ** (-n - 1) for n in ns) * (dp[:, :, None] * rep.E),
-    }
+    return {key: _root_family(rep, x, n_max, key) for key in ("E0", "F0", "E1", "F1")}
 
 
 def _guard_order(qp: QParam):
@@ -153,15 +152,15 @@ def eval_imaginary_prime(rep: Rep, x: complex, n_max: int,
     E'_{nd} = [2]^-1 (E_{a0+(n-1)d} E_{a1} - q^-2 E_{a1} E_{a0+(n-1)d}) and its
     mirror F'_{nd} = [2]^-1 (F_{a1} F_{a0+(n-1)d} - q^2 F_{a0+(n-1)d} F_{a1}).
     This family obeys the loop-algebra relations; it coincides with "closed"
-    at n = 1 only.
+    at n = 1 only.  Each primed family reads one real-root family alone.
 
     Both families come as stacks of shape (n_max, d, d), order n at index n-1.
     """
     qp = rep.qp
     _guard_order(qp)
-    two = qnumber(2, qp)
-    ns = range(1, n_max + 1)
     if family == "closed":
+        two = qnumber(2, qp)
+        ns = range(1, n_max + 1)
         q2 = qp.qpow(2)
         W = rep.E @ rep.F - rep.F @ rep.E / q2
         Wf = rep.F @ rep.E - rep.E @ rep.F / q2
@@ -171,16 +170,24 @@ def eval_imaginary_prime(rep: Rep, x: complex, n_max: int,
         fprime = (_scalars((-1) ** (n - 1) / two * x ** (-n) for n in ns)
                   * (rep.qpow_h(shift)[:, :, None] * Wf))
     elif family == "loop":
-        rv = eval_root_vectors(rep, x, n_max)
-        E1 = x * rep.F
-        F1 = rep.E / x
-        A = rv["E0"][:n_max]  # E_{a0+(n-1)d}
-        B = rv["F0"][:n_max]
-        eprime = (A @ E1 - E1 @ A / qp.qpow(2)) / two
-        fprime = (F1 @ B - qp.qpow(2) * B @ F1) / two
+        eprime, fprime = _loop_eprime(rep, x, n_max), _loop_fprime(rep, x, n_max)
     else:
         raise ValueError(f"unknown imaginary family {family!r}")
     return ImaginaryRootImages(qp=qp, eprime=eprime, fprime=fprime)
+
+
+def _loop_eprime(rep: Rep, x: complex, n_max: int) -> np.ndarray:
+    """Loop-family E'_{nd}, n = 1..n_max, from the one real-root family it reads."""
+    A = _root_family(rep, x, n_max - 1, "E0")  # E_{a0+(n-1)d}
+    E1 = x * rep.F
+    return (A @ E1 - E1 @ A / rep.qp.qpow(2)) / qnumber(2, rep.qp)
+
+
+def _loop_fprime(rep: Rep, x: complex, n_max: int) -> np.ndarray:
+    """Loop-family F'_{nd}, n = 1..n_max, from the one real-root family it reads."""
+    B = _root_family(rep, x, n_max - 1, "F0")  # F_{a0+(n-1)d}
+    F1 = rep.E / x
+    return (F1 @ B - rep.qp.qpow(2) * B @ F1) / qnumber(2, rep.qp)
 
 
 @dataclass(frozen=True)
@@ -231,14 +238,13 @@ def _log_series_diagonal(u: np.ndarray, c: complex) -> np.ndarray:
     return kl / np.arange(1, M + 1)[:, None]
 
 
-def _imaginary_diagonals(primes, c: complex, mirrored: bool) -> np.ndarray:
-    """Diagonals (M, d) of the unprimed images from the primed ones, E' or (mirrored) F'.
-
-    The images are checked to be weight-diagonal (_weight_diagonals), and
-    the log is taken weight by weight (_log_series_diagonal); the mirrored
-    family carries the sign flip of q -> q^-1."""
-    u = _weight_diagonals(primes, DIAGONAL_TOL)
-    return -_log_series_diagonal(-u, c) if mirrored else _log_series_diagonal(u, c)
+def _imaginary_diagonals(eprime, fprime, c: complex) -> tuple:
+    """Diagonals (M, d1), (M, d2) of the unprimed images from E' and F', checked to be
+    weight-diagonal, by one log series over the columns [E' | -F'] (column by column;
+    the mirrored family carries the sign flip of q -> q^-1)."""
+    ue, uf = _weight_diagonals(eprime, DIAGONAL_TOL), _weight_diagonals(fprime, DIAGONAL_TOL)
+    logs = _log_series_diagonal(np.concatenate([ue, -uf], axis=1), c)
+    return logs[:, :ue.shape[1]], -logs[:, ue.shape[1]:]
 
 
 def schur_to_imaginary(images: ImaginaryRootImages) -> ImaginaryRootImages:
@@ -247,17 +253,15 @@ def schur_to_imaginary(images: ImaginaryRootImages) -> ImaginaryRootImages:
     With P(z) = sum E'_{nd} z^n the generating identity reads
     1 + (q^2 - q^-2) P(z) = exp((q^2 - q^-2) Q(z)).  The images are diagonal
     on the weight basis (EF and q^{nH} are), so the log is taken weight by
-    weight as a truncated scalar series; inputs not diagonal to DIAGONAL_TOL raise.
-    The mirrored family carries the sign flip of q -> q^-1.
+    weight, one truncated series for both families (_imaginary_diagonals);
+    inputs not diagonal to DIAGONAL_TOL raise.
     Returns a copy with ``e`` and ``f`` filled in.
     """
     qp = images.qp
     _guard_order(qp)
     if not len(images.eprime):
         return images
-    c = qp.qpow(2) - qp.qpow(-2)
-    e = _imaginary_diagonals(images.eprime, c, mirrored=False)
-    f = _imaginary_diagonals(images.fprime, c, mirrored=True)
+    e, f = _imaginary_diagonals(images.eprime, images.fprime, qp.qpow(2) - qp.qpow(-2))
     return replace(images, e=[np.diag(v) for v in e], f=[np.diag(v) for v in f])
 
 
@@ -587,7 +591,8 @@ def rzero_exponential(z: complex, rep1: Rep, rep2: Rep,
     exp( sum_{n>0} (q^2-q^-2)^2 n z^n / (q^{2n}-q^{-2n}) E_{nd} (x) F_{nd} )
     over the loop-bracket imaginary family; equivalently the pairing
     (q-q^-1)^2 n/(q^{2n}-q^{-2n}) of the rescaled Cartan-current modes.
-    Only the diagonals it pairs are converted: E_{nd} on V1, F_{nd} on V2.
+    Only the images it pairs, E'_{nd} of V1 and F'_{nd} of V2, are built and
+    converted (one log series); [2]_q = 0 raises UnsupportedOrder.
     The exponent is summed over n = 1, 2, ... in order, starting from zero.
     The truncation order follows the geometric tail of the mode norms
     unless given explicitly.  An exponent whose real part would overflow exp
@@ -597,13 +602,11 @@ def rzero_exponential(z: complex, rep1: Rep, rep2: Rep,
     qp = rep1.qp
     if n_max is None:
         n_max = max(30, _auto_terms(z, rep1, rep2))
+    _guard_order(qp)
     c = qp.qpow(2) - qp.qpow(-2)
-    e1 = _imaginary_diagonals(eval_imaginary_prime(rep1, 1.0, n_max, family="loop").eprime,
-                              c, mirrored=False)
-    f2 = _imaginary_diagonals(eval_imaginary_prime(rep2, 1.0, n_max, family="loop").fprime,
-                              c, mirrored=True)
-    C = c**2
-    coeff = _scalars(C * n * z**n / (qp.qpow(2 * n) - qp.qpow(-2 * n))
+    e1, f2 = _imaginary_diagonals(_loop_eprime(rep1, 1.0, n_max),
+                                  _loop_fprime(rep2, 1.0, n_max), c)
+    coeff = _scalars(c**2 * n * z**n / (qp.qpow(2 * n) - qp.qpow(-2 * n))
                      for n in range(1, n_max + 1))
     terms = coeff * (e1[:, :, None] * f2[:, None, :])
     # the exponent is diagonal; row k of the cumulative sum adds term k to the

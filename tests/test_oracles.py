@@ -104,6 +104,13 @@ def rzero_exponential_kron(z, rep1, rep2, n_max):
     return expm(np.diag(acc))
 
 
+def imaginary_diagonals_per_family(eprime, fprime, c):
+    """One log series per family: E' as it is, F' mirrored (q -> q^-1 flips the sign)."""
+    ue = raffine._weight_diagonals(eprime, raffine.DIAGONAL_TOL)
+    uf = raffine._weight_diagonals(fprime, raffine.DIAGONAL_TOL)
+    return raffine._log_series_diagonal(ue, c), -raffine._log_series_diagonal(-uf, c)
+
+
 PAIRS = {
     "4x4": lambda: (truncated_verma(L1, 4, QP), truncated_verma(L2, 4, QP)),
     "3x5": lambda: (truncated_verma(L1, 3, QP), truncated_verma(L2, 5, QP)),
@@ -160,6 +167,24 @@ class TestStackedAgainstPerOrder:
         else:  # the series diverges here (6x2 at |z| = 1/4, n_max = 70)
             with pytest.raises(raffine.OracleDiverges):
                 rzero_exponential(z, r1, r2, n_max=n_max)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 30, 70])
+    @pytest.mark.parametrize("x", [1.0, 0.8 + 0.3j])
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_one_log_series_for_both_families(self, pair, x, n_max):
+        r1, r2 = PAIRS[pair]()
+        c = r1.qp.qpow(2) - r1.qp.qpow(-2)
+        im1, im2 = (eval_imaginary_prime(r, x, n_max, family="loop") for r in (r1, r2))
+        # the exponential form's pairing, E' of V1 with F' of V2, and each
+        # module's own pair, as schur_to_imaginary converts it
+        for (ea, eprime), (fa, fprime) in (((r1, im1.eprime), (r2, im2.fprime)),
+                                           ((r1, im1.eprime), (r1, im1.fprime)),
+                                           ((r2, im2.eprime), (r2, im2.fprime))):
+            got = raffine._imaginary_diagonals(eprime, fprime, c)
+            ref = imaginary_diagonals_per_family(eprime, fprime, c)
+            for g, r, rep in zip(got, ref, (ea, fa), strict=True):
+                assert g.shape == r.shape == (n_max, rep.dim)
+                assert np.isfinite(g).all() and np.array_equal(g, r)
 
     def test_exponential_of_no_terms_is_the_identity(self):
         r1, r2 = PAIRS["3x5"]()
@@ -239,6 +264,60 @@ class TestChunks:
             finally:
                 tracemalloc.stop()
             assert peak < 4 * stack + 4 * 16 * D * D
+
+
+# ---------------------------------------------------------------------------
+# work done per call
+
+
+class TestWork:
+    def count(self, monkeypatch, *names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counting(*args, _name=name, _fn=getattr(raffine, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(raffine, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("n_max", [None, 30])
+    def test_exponential_form_takes_one_log_series_and_no_root_vector_set(self, monkeypatch,
+                                                                          n_max):
+        calls = self.count(monkeypatch, "_log_series_diagonal", "eval_root_vectors",
+                           "eval_imaginary_prime")
+        r1, r2 = PAIRS["3x5"]()
+        rzero_exponential(0.2, r1, r2, n_max=n_max)
+        assert calls == {"_log_series_diagonal": 1, "eval_root_vectors": 0,
+                         "eval_imaginary_prime": 0}
+
+    def test_exponential_form_builds_one_real_root_family_per_module(self, monkeypatch):
+        built = []
+
+        def recording(rep, x, n_max, key):
+            built.append((rep.dim, n_max, key))
+            return root_family(rep, x, n_max, key)
+
+        root_family = raffine._root_family
+        monkeypatch.setattr(raffine, "_root_family", recording)
+        r1, r2 = PAIRS["3x5"]()
+        rzero_exponential(0.2, r1, r2, n_max=30)
+        assert built == [(3, 29, "E0"), (5, 29, "F0")]  # E_{a0+nd} and F_{a0+nd}, n < 30
+
+    @pytest.mark.parametrize("family", ["closed", "loop"])
+    def test_schur_conversion_takes_one_log_series(self, monkeypatch, family):
+        im = eval_imaginary_prime(PAIRS["3x5"]()[1], 0.8 + 0.3j, 12, family=family)
+        calls = self.count(monkeypatch, "_log_series_diagonal")
+        out = schur_to_imaginary(im)
+        assert calls == {"_log_series_diagonal": 1}
+        assert len(out.e) == len(out.f) == 12
+
+    @pytest.mark.parametrize("n_max", [None, 5])
+    def test_exponential_form_refuses_where_two_q_vanishes(self, n_max):
+        qp4 = QParam.root_of_unity(4)  # q = i: [2]_q = 0
+        r1, r2 = truncated_verma(1.0 + 0.2j, 2, qp4), truncated_verma(0.3, 3, qp4)
+        with pytest.raises(raffine.UnsupportedOrder):
+            rzero_exponential(0.2, r1, r2, n_max=n_max)
 
 
 # ---------------------------------------------------------------------------
