@@ -525,14 +525,18 @@ def r_spectral(z: complex, rep1: Rep, rep2: Rep, cartan: str = "normalized") -> 
 # independent product/series oracles
 
 
+def _tail_order(r: float) -> int:
+    """Factors after which a geometric tail of ratio r drops below TAIL_TOL; 0 unless 0 < r < 1."""
+    return int(math.log(TAIL_TOL) / math.log(r)) + 5 if 0 < r < 1 else 0
+
+
 def _auto_terms(z, rep1, rep2):
     """Truncation order of the ordered products, from the growth ratio of their factors."""
     r = abs(z) * max(abs(rep1.qp.qpow(hj - hi)) for hi in rep1.hvec for hj in rep2.hvec)
     if not r < 0.999:
         raise OracleDiverges(
             f"ordered-product oracle does not converge here (growth ratio {r:.3f})")
-    n = max(10, int(math.log(TAIL_TOL) / math.log(r)) + 5) if r > 0 else 10
-    return min(n, MAX_PRODUCT_TERMS)
+    return min(max(10, _tail_order(r)), MAX_PRODUCT_TERMS)
 
 
 def _qexp_product(z: complex, rep1: Rep, rep2: Rep, order: str, factors,

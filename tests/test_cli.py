@@ -487,7 +487,8 @@ class TestExitCodeContract:
         ("verify", "product-oracle", "--q", "0.9,-0.2"),
         ("verify", "product-oracle", "--q", "1.3", "--seed", "3"),
         ("verify", "product-oracle", "--q", "-1.1"),
-    ], ids=["pochhammer-base", "growth-ratio", "exponent-overflow"])
+        ("verify", "product-oracle", "--q", "1.001,0"),
+    ], ids=["pochhammer-base", "growth-ratio", "exponent-overflow", "scalar-factor-tail"])
     def test_diverging_oracle_exits_2(self, argv):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # refused before any overflow, not after
@@ -495,6 +496,16 @@ class TestExitCodeContract:
         assert code == 2
         assert err.count("\n") == 1
         assert "converge" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("q", ["1.01,0", "1.02,0.01"])
+    def test_product_oracle_near_one_takes_the_scalar_factor_tail(self, q, tmp_path):
+        # f(z)'s (.; q^-4) products need about log(TAIL_TOL)/log|q^-4| factors (699
+        # and 353 here); a fixed 90 left residuals of 4e-5 and 2e-6 (exit 1)
+        out = tmp_path / "report.json"
+        code, err = run_main(["verify", "product-oracle", "--q", q, "--seed", "1",
+                              "-o", str(out)])
+        assert code == 0, err
+        assert json.loads(out.read_text())["all_pass"]
 
     @pytest.mark.parametrize("z,argv", [
         ("1e200", ("rmatrix", "--kind", "spectral", "--Nprime", "3")),

@@ -372,3 +372,11 @@ class TestNonFiniteSpectralParameter:
         r1, r2 = PAIRS["4x4"]()
         with pytest.raises(raffine.OracleDiverges):
             raffine._auto_terms(z, r1, r2)
+
+
+@pytest.mark.parametrize("r,order", [(0.5, 44), (0.2, 22), (0.0, 0), (1.0, 0), (1.5, 0),
+                                     (math.nan, 0)])
+def test_tail_order(r, order):
+    # int(log(1e-12) / log(r)) is 39 and 17, plus five factors; outside
+    # 0 < r < 1 there is no geometric tail, and the callers refuse or need none
+    assert raffine._tail_order(r) == order
