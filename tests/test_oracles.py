@@ -2,8 +2,9 @@
 
 Each stacked form is checked bit for bit (np.array_equal) against the
 per-order loop it replaced, kept here as the reference: one kron2 and one
-q-exponential per factor, one pair of matmuls per imaginary root image, and
-one np.kron per term of the diagonal exponent.
+q-exponential per factor, one pair of matmuls per imaginary root image,
+one np.kron per term of the diagonal exponent, and one log series per
+family of imaginary root images.
 """
 
 import cmath
@@ -292,13 +293,12 @@ class TestWork:
                          "eval_imaginary_prime": 0}
 
     def test_exponential_form_builds_one_real_root_family_per_module(self, monkeypatch):
-        built = []
+        built, root_family = [], raffine._root_family
 
         def recording(rep, x, n_max, key):
             built.append((rep.dim, n_max, key))
             return root_family(rep, x, n_max, key)
 
-        root_family = raffine._root_family
         monkeypatch.setattr(raffine, "_root_family", recording)
         r1, r2 = PAIRS["3x5"]()
         rzero_exponential(0.2, r1, r2, n_max=30)
