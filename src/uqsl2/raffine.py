@@ -89,6 +89,14 @@ class OracleDiverges(ValueError):
     """An independent series or product oracle does not converge at these parameters."""
 
 
+def _finite_rows(stack: np.ndarray, orders, what: str) -> np.ndarray:
+    """stack, one entry per order in orders; OracleDiverges names the first entry not finite."""
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        raise OracleDiverges(f"{what} of order {orders[np.argmin(finite)]} is not finite")
+    return stack
+
+
 class UnsupportedOrder(ValueError):
     """The construction needs [2]_q != 0 (root order N' with q^4 != 1)."""
 
@@ -214,8 +222,8 @@ def _weight_diagonals(mats: list, tol: float) -> np.ndarray:
     """Stack the diagonals of weight-diagonal images as an (M, d) array.
 
     Raises ValueError when an image has an off-diagonal entry above tol times
-    its own scale (or any non-finite entry)."""
-    stack = np.asarray(mats, dtype=complex)
+    its own scale, OracleDiverges when it has a non-finite entry."""
+    stack = _finite_rows(np.asarray(mats, complex), range(1, len(mats) + 1), "imaginary root image")
     diag = np.diagonal(stack, axis1=1, axis2=2)
     off = np.abs(stack - diag[:, :, None] * np.eye(stack.shape[1])).max(axis=(1, 2))
     bound = tol * np.maximum(1.0, np.abs(diag).max(axis=1))
@@ -539,6 +547,7 @@ def _auto_terms(z, rep1, rep2):
     return min(max(10, _tail_order(r)), MAX_PRODUCT_TERMS)
 
 
+@np.errstate(all="ignore")  # a non-finite factor is refused, naming its order
 def _qexp_product(z: complex, rep1: Rep, rep2: Rep, order: str, factors,
                   shift: int) -> TensorOperator:
     """prod_n exp_{q^-2}((q-1/q) z^{n+shift} A_n (x) B_n) over n = 0..n_max, in order,
@@ -559,8 +568,8 @@ def _qexp_product(z: complex, rep1: Rep, rep2: Rep, order: str, factors,
     mat = np.eye(D, dtype=complex)
     for part in np.split(ns, range(chunk, ns.size, chunk)):
         c = _scalars((q - 1 / q) * z ** (int(n) + shift) for n in part)
-        mat = functools.reduce(np.matmul, qexp_truncated(c * kron2(*factors(part)),
-                                                         qp.qpow(-2), min(d1, d2)), mat)
+        exps = qexp_truncated(c * kron2(*factors(part)), qp.qpow(-2), min(d1, d2))
+        mat = functools.reduce(np.matmul, _finite_rows(exps, part, "ordered-product factor"), mat)
     return TensorOperator((d1, d2), mat)
 
 
@@ -588,6 +597,7 @@ def rminus_product(z: complex, rep1: Rep, rep2: Rep, order: str = "descending") 
     return _qexp_product(z, rep1, rep2, order, factors, 1)
 
 
+@np.errstate(all="ignore")  # a non-finite image or exponent term is refused, naming its order
 def rzero_exponential(z: complex, rep1: Rep, rep2: Rep,
                       n_max: int | None = None) -> TensorOperator:
     """Exponential form of the full diagonal factor R^0(z) = f(z) Rbar^0(z).
@@ -599,8 +609,9 @@ def rzero_exponential(z: complex, rep1: Rep, rep2: Rep,
     converted (one log series); [2]_q = 0 raises UnsupportedOrder.
     The exponent is summed over n = 1, 2, ... in order, starting from zero.
     The truncation order follows the geometric tail of the mode norms
-    unless given explicitly.  An exponent whose real part would overflow exp
-    raises OracleDiverges.
+    unless given explicitly.
+    A non-finite image or exponent term, or an exponent whose real part would
+    overflow exp, raises OracleDiverges.
     """
     _require_finite(z)
     qp = rep1.qp
@@ -612,7 +623,8 @@ def rzero_exponential(z: complex, rep1: Rep, rep2: Rep,
                                   _loop_fprime(rep2, 1.0, n_max), c)
     coeff = _scalars(c**2 * n * z**n / (qp.qpow(2 * n) - qp.qpow(-2 * n))
                      for n in range(1, n_max + 1))
-    terms = coeff * (e1[:, :, None] * f2[:, None, :])
+    terms = _finite_rows(coeff * (e1[:, :, None] * f2[:, None, :]), range(1, n_max + 1),
+                         "exponent term")
     # the exponent is diagonal; row k of the cumulative sum adds term k to the
     # sum of the terms before it, and row 0 is the zero it starts from
     acc = np.cumsum(np.concatenate([np.zeros((1, rep1.dim, rep2.dim)), terms]),

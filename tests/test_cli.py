@@ -497,6 +497,18 @@ class TestExitCodeContract:
         assert err.count("\n") == 1
         assert "converge" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("q,seed", [("1.29", 7), ("1.25", 2), ("1.32", 10), ("1.25", 11)])
+    def test_overflowing_oracle_exits_2(self, q, seed):
+        # the factors q^{-nH} of a long ordered product, the loop images built from
+        # them, or the diagonal exponent's terms overflow float64: refused by order
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning before the diagnostic
+            code, err = run_main(["verify", "product-oracle", "--q", q, "--seed", str(seed)])
+        assert code == 2
+        assert err.count("\n") == 1
+        diag = json.loads(err)
+        assert diag["code"] == 2
+
     @pytest.mark.parametrize("q", ["1.01,0", "1.02,0.01"])
     def test_product_oracle_near_one_takes_the_scalar_factor_tail(self, q, tmp_path):
         # f(z)'s (.; q^-4) products need about log(TAIL_TOL)/log|q^-4| factors (699

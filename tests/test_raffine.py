@@ -14,6 +14,7 @@ from uqsl2 import (EmptySafeWindow, PoleError, QParam, UnsupportedOrder,
                    rzero_bar_eigenvalue, rzero_exponential, schur_forward,
                    schur_to_imaginary, semicyclic, spectral_ybe_residual, safe_mask,
                    masked_max_abs, truncated_verma)
+from uqsl2 import raffine
 from uqsl2.reps import _delta
 
 QP = QParam.generic(1.13 + 0.03j)
@@ -211,6 +212,12 @@ class TestSchur:
         im.eprime[1] = self.rep.E.copy()  # breaks commutativity
         with pytest.raises(ValueError):
             schur_to_imaginary(im)
+
+    def test_non_finite_image_diverges_naming_its_order(self):
+        stack = eval_imaginary_prime(self.rep, self.x, 3).eprime.copy()
+        stack[1, 2, 2] = np.inf  # a diagonal entry: the image is still diagonal
+        with pytest.raises(raffine.OracleDiverges, match="image of order 2 is not finite"):
+            raffine._weight_diagonals(stack, raffine.DIAGONAL_TOL)
 
 
 def _formal_log_series(coeffs: list, c: complex) -> list:
