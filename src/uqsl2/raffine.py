@@ -47,8 +47,9 @@ CARTAN_MODES = ("normalized", "raw", "none")
 
 POLE_TOL = 1e-12  # a denominator factor of smaller modulus raises PoleError
 DIAGONAL_TOL = 1e-10  # relative off-diagonal part allowed in an imaginary root image
-TAIL_TOL = 1e-12  # the ordered-product oracles truncate where their tail drops below
-MAX_PRODUCT_TERMS = 2000  # and never take more factors than this
+TAIL_TOL = 1e-12  # each series or product oracle truncates where its geometric tail drops below,
+MAX_PRODUCT_TERMS = 2000  # refuses a tail longer than this, and takes at least its floor of terms:
+PRODUCT_FLOOR, EXPONENT_FLOOR, SCALAR_FLOOR = 10, 70, 90  # R^+ and R^-, R^0's exponent, f(z)
 ORACLE_STACK_ENTRIES = 1 << 14  # entries per stack of ordered-product factors (256 KiB)
 
 #: exp overflows float64 above this argument
@@ -456,7 +457,7 @@ def rzero_bar(z: complex, rep1: Rep, rep2: Rep) -> TensorOperator:
 
 
 def f_scalar(z: complex, lam1: complex, lam2: complex, qp: QParam,
-             terms: int = 40, form: str = "pochhammer") -> complex:
+             terms: int | None = None, form: str = "pochhammer") -> complex:
     """Scalar factor relating the diagonal factor to its exponential form.
 
     form="exponential": exp sum_n (q-1/q) [l1 n][l2 n]/[2n] z^n/n.
@@ -465,10 +466,12 @@ def f_scalar(z: complex, lam1: complex, lam2: complex, qp: QParam,
     each truncated at `terms` factors.  (The numerator arguments are the
     symmetric pair; the exponential sum forces that symmetry.)  Singular as q
     approaches a root of unity; generic q is required and divergence raises.
+    By default either form takes the products' tail order (|q^-4|, SCALAR_FLOOR).
     """
     _require_finite(z)
     if qp.is_root:
         raise ValueError("the scalar factor is singular at roots of unity")
+    terms = _tail_terms(abs(qp.qpow(-4)), SCALAR_FLOOR) if terms is None else terms
     if terms < 1:
         raise ValueError("terms must be >= 1")
     if form == "exponential":
@@ -533,18 +536,19 @@ def r_spectral(z: complex, rep1: Rep, rep2: Rep, cartan: str = "normalized") -> 
 # independent product/series oracles
 
 
-def _tail_order(r: float) -> int:
-    """Factors after which a geometric tail of ratio r drops below TAIL_TOL; 0 unless 0 < r < 1."""
-    return int(math.log(TAIL_TOL) / math.log(r)) + 5 if 0 < r < 1 else 0
+def _tail_terms(r: float, floor: int) -> int:
+    """Every oracle's truncation order: max(floor, the terms after which a geometric tail of
+    ratio r drops below TAIL_TOL); r >= 1, NaN or a tail over MAX_PRODUCT_TERMS diverges."""
+    n = int(math.log(TAIL_TOL) / math.log(r)) + 5 if 0 < r < 1 else 0
+    if not (r < 1 and n <= MAX_PRODUCT_TERMS):
+        raise OracleDiverges(f"tail of ratio {r:.3g} needs > {MAX_PRODUCT_TERMS} terms to converge")
+    return max(floor, n)
 
 
-def _auto_terms(z, rep1, rep2):
+def _auto_terms(z, rep1, rep2, floor: int = PRODUCT_FLOOR):
     """Truncation order of the ordered products, from the growth ratio of their factors."""
     r = abs(z) * max(abs(rep1.qp.qpow(hj - hi)) for hi in rep1.hvec for hj in rep2.hvec)
-    if not r < 0.999:
-        raise OracleDiverges(
-            f"ordered-product oracle does not converge here (growth ratio {r:.3f})")
-    return min(max(10, _tail_order(r)), MAX_PRODUCT_TERMS)
+    return _tail_terms(r, floor)
 
 
 @np.errstate(all="ignore")  # a non-finite factor is refused, naming its order
@@ -608,15 +612,14 @@ def rzero_exponential(z: complex, rep1: Rep, rep2: Rep,
     Only the images it pairs, E'_{nd} of V1 and F'_{nd} of V2, are built and
     converted (one log series); [2]_q = 0 raises UnsupportedOrder.
     The exponent is summed over n = 1, 2, ... in order, starting from zero.
-    The truncation order follows the geometric tail of the mode norms
-    unless given explicitly.
+    Unless given, n_max is the ordered products' order, at least EXPONENT_FLOOR.
     A non-finite image or exponent term, or an exponent whose real part would
     overflow exp, raises OracleDiverges.
     """
     _require_finite(z)
     qp = rep1.qp
     if n_max is None:
-        n_max = max(30, _auto_terms(z, rep1, rep2))
+        n_max = _auto_terms(z, rep1, rep2, EXPONENT_FLOOR)
     _guard_order(qp)
     c = qp.qpow(2) - qp.qpow(-2)
     e1, f2 = _imaginary_diagonals(_loop_eprime(rep1, 1.0, n_max),

@@ -519,6 +519,15 @@ class TestExitCodeContract:
         assert code == 0, err
         assert json.loads(out.read_text())["all_pass"]
 
+    def test_product_oracle_takes_the_exponent_tail(self, tmp_path):
+        # the diagonal exponent's partial sum at a fixed 70 orders overflowed exp
+        # (exit 2); at the products' tail order the series has converged
+        out = tmp_path / "report.json"
+        code, err = run_main(["verify", "product-oracle", "--q", "1.27", "--seed", "8",
+                              "-o", str(out)])
+        assert code == 0, err
+        assert json.loads(out.read_text())["all_pass"]
+
     @pytest.mark.parametrize("z,argv", [
         ("1e200", ("rmatrix", "--kind", "spectral", "--Nprime", "3")),
         ("1e60", ("rmatrix", "--kind", "semicyclic", "--Nprime", "3", "--lambda1", "0.8,0.05",

@@ -194,7 +194,7 @@ class TestStackedAgainstPerOrder:
     def test_full_product_is_the_three_factors(self):
         r1, r2 = PAIRS["3x5"]()
         z = 0.2
-        n_imag = max(30, raffine._auto_terms(z, r1, r2))
+        n_imag = max(raffine.EXPONENT_FLOOR, raffine._auto_terms(z, r1, r2))
         ref = (rplus_per_factor(z, r1, r2) @ rzero_exponential_kron(z, r1, r2, n_imag)
                @ rminus_per_factor(z, r1, r2))
         ref = ref * rfinite.cartan_weight_vector(r1, r2)[None, :]
@@ -304,6 +304,14 @@ class TestWork:
         rzero_exponential(0.2, r1, r2, n_max=30)
         assert built == [(3, 29, "E0"), (5, 29, "F0")]  # E_{a0+nd} and F_{a0+nd}, n < 30
 
+    def test_product_oracle_job_builds_the_exponential_form_once(self, monkeypatch, tmp_path):
+        from uqsl2 import cli
+        calls = self.count(monkeypatch, "_log_series_diagonal", "rzero_exponential")
+        monkeypatch.setattr(cli, "rzero_exponential", raffine.rzero_exponential)  # the counter
+        assert cli.main(["verify", "product-oracle", "--q", "1.1,0.02",
+                         "-o", str(tmp_path / "report.json")]) == 0
+        assert calls == {"_log_series_diagonal": 1, "rzero_exponential": 1}
+
     @pytest.mark.parametrize("family", ["closed", "loop"])
     def test_schur_conversion_takes_one_log_series(self, monkeypatch, family):
         im = eval_imaginary_prime(PAIRS["3x5"]()[1], 0.8 + 0.3j, 12, family=family)
@@ -374,9 +382,18 @@ class TestNonFiniteSpectralParameter:
             raffine._auto_terms(z, r1, r2)
 
 
-@pytest.mark.parametrize("r,order", [(0.5, 44), (0.2, 22), (0.0, 0), (1.0, 0), (1.5, 0),
-                                     (math.nan, 0)])
-def test_tail_order(r, order):
-    # int(log(1e-12) / log(r)) is 39 and 17, plus five factors; outside
-    # 0 < r < 1 there is no geometric tail, and the callers refuse or need none
-    assert raffine._tail_order(r) == order
+@pytest.mark.parametrize("r,floor,order", [(0.5, 0, 44), (0.2, 0, 22), (0.5, 10, 44),
+                                           (0.2, 30, 30), (0.0, 0, 0), (0.0, 90, 90)])
+def test_tail_terms(r, floor, order):
+    # int(log(1e-12) / log(r)) is 39 and 17, plus five terms, unless the floor is
+    # larger; r = 0 has no tail and takes the floor
+    assert raffine._tail_terms(r, floor) == order
+
+
+@pytest.mark.parametrize("r", [1.0, 1.5, math.nan, 0.99])
+def test_tail_terms_refuses_a_tail_it_cannot_take(r):
+    # no geometric tail at r >= 1 or NaN; at 0.99 the tail needs 2754 terms
+    assert int(math.log(raffine.TAIL_TOL) / math.log(0.99)) + 5 == 2754 > raffine.MAX_PRODUCT_TERMS
+    with pytest.raises(raffine.OracleDiverges, match="converge") as exc:
+        raffine._tail_terms(r, 10)
+    assert f"ratio {r:.3g}" in str(exc.value)

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -597,6 +598,18 @@ class TestScalarFactor:
     def test_rejected_at_root(self):
         with pytest.raises(ValueError):
             f_scalar(0.2, 1.0, 1.0, QParam.root_of_unity(3))
+
+    @pytest.mark.parametrize("q", [1.05 + 0.02j, 1.2 + 0.05j])
+    def test_default_order_is_the_products_tail(self, q):
+        # the (.; q^-4) products' geometric tail, and never fewer than 90 factors
+        qp = QParam.generic(q)
+        tail = int(math.log(1e-12) / math.log(abs(q) ** -4)) + 5
+        assert f_scalar(0.2, L1, L2, qp) == f_scalar(0.2, L1, L2, qp, terms=max(90, tail))
+
+    def test_default_order_refuses_a_tail_over_the_cap(self):
+        # |q^-4| = 0.996 needs about 6900 factors
+        with pytest.raises(raffine.OracleDiverges, match="converge"):
+            f_scalar(0.2, L1, L2, QParam.generic(1.001))
 
 
 class TestSpectralR:
