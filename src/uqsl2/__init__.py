@@ -9,10 +9,10 @@ from .tensorop import (EmptySafeWindow, TensorOperator, embed_two_site, kron2,
 from .reps import (InadmissibleParameters, Rep, casimir, central_check, coproduct,
                    cyclic, defining_relations_residual, opposite_coproduct,
                    semicyclic, tensor_rep, truncated_verma)
-from .rfinite import (RFiniteOptions, cartan_weight_vector, e_derivation_matrix,
-                      intertwine_residual, quasitriangularity_residual,
-                      r_generic_universal, r_reshetikhin_product, r_verma_direct,
-                      renormalized_raising_power, ybe_residual)
+from .rfinite import (cartan_weight_vector, e_derivation_matrix, intertwine_residual,
+                      quasitriangularity_residual, r_generic_universal,
+                      r_reshetikhin_product, r_verma_direct, renormalized_raising_power,
+                      ybe_residual)
 from .raffine import (ImaginaryRootImages, OracleDiverges, PoleError, SpectralOverflow,
                       UnsupportedOrder, affine_coproduct_images, affine_intertwine_residual,
                       central_affine_check, decompos_product, drinfeld_generators,

@@ -18,7 +18,6 @@ import cmath
 import functools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -41,15 +40,6 @@ from .tensorop import EmptySafeWindow, cnum, masked_max_abs
 
 class ConfigError(ValueError):
     pass
-
-
-def _default_tol() -> float:
-    """The --tol default: $UQSL2_TOL if set, else 1e-9."""
-    raw = os.environ.get("UQSL2_TOL", "1e-9")
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"cannot parse UQSL2_TOL={raw!r} as a number") from None
 
 
 def _parse_complex(s: str) -> complex:
@@ -349,7 +339,7 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
-    tol = _default_tol() if args.tol is None else args.tol
+    tol = args.tol
     qp = _qparam(args)
     if not (tol > 0) or math.isinf(tol):
         raise ConfigError("tolerance must be positive and finite")
@@ -461,8 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run a residual suite")
     common(sp)
     sp.add_argument("suite", choices=sorted(SUITES))
-    sp.add_argument("--tol", type=float, default=None,
-                    help="residual tolerance (default: $UQSL2_TOL, else 1e-9)")
+    sp.add_argument("--tol", type=float, default=1e-9, help="residual tolerance (default 1e-9)")
     sp.add_argument("--depths", default=None)
     sp.add_argument("--sweep", choices=("on-curve", "off-curve"), default=None)
     sp.add_argument("--draws", type=int, default=5)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .qnum import QParam
 from .reps import Rep, truncated_verma
-from .raffine import _guard_overflow, affine_coproduct_images, r_spectral
+from .raffine import SpectralOverflow, _guard_overflow, affine_coproduct_images, r_spectral
 from .tensorop import TensorOperator, cnum, grading_modulus, kron2, total_degree
 
 SOLVABILITY_TOL = 1e-9  # fn_commutation_residual: solvable when |z^N - L1 L2| exceeds it
@@ -131,7 +131,8 @@ def r_semicyclic(z: complex, sc1: Rep, sc2: Rep) -> TensorOperator:
     v_{i+N} = alpha v_i.
     On the curve this is the intertwiner of the semicyclic pair; off the
     curve it is representative-dependent and fails the intertwining check,
-    which is the detection contract.
+    which is the detection contract.  A fold that leaves float64 (alpha1 alpha2
+    near 1e308) raises SpectralOverflow naming both alphas.
     """
     if sc1.kind != "semicyclic" or sc2.kind != "semicyclic":
         raise ValueError("both modules must be semicyclic quotients")
@@ -143,9 +144,14 @@ def r_semicyclic(z: complex, sc1: Rep, sc2: Rep) -> TensorOperator:
     v1 = truncated_verma(sc1.lam, depth, qp)
     v2 = truncated_verma(sc2.lam, depth, qp)
     Rv = r_spectral(z, v1, v2)
-    P1, S1 = _quotient_maps(sc1.params["alpha"], N, depth)
-    P2, S2 = _quotient_maps(sc2.params["alpha"], N, depth)
-    mat = kron2(P1, P2) @ Rv.mat @ kron2(S1, S2)
+    a1, a2 = sc1.params["alpha"], sc2.params["alpha"]
+    P1, S1 = _quotient_maps(a1, N, depth)
+    P2, S2 = _quotient_maps(a2, N, depth)
+    with np.errstate(all="ignore"):
+        mat = kron2(P1, P2) @ Rv.mat @ kron2(S1, S2)
+    if not np.isfinite(mat).all():
+        raise SpectralOverflow(f"non-finite restricted R-matrix at alpha1={a1}, alpha2={a2}, "
+                               f"z={z}", z=z)
     return TensorOperator((N, N), mat)
 
 
@@ -286,6 +292,10 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
 
     from scipy.linalg import eigh  # the package's one scipy import: only a solve loads scipy
 
+    # the module parameters a refusal names next to z
+    modules = "".join(f", {k}{i}={rep.params[k]}" for i, rep in ((1, rep1), (2, rep2))
+                      for k in ("alpha", "beta") if k in rep.params)
+
     dim, best = 0, None
     for c, pos in zip(charges[keep], positive[keep]):
         rows, cols, gram = block(c)
@@ -293,7 +303,7 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
         del gram
         if len(w) and pos:
             raise UnresolvedConstraints(
-                f"the nullspace threshold cannot resolve the K0 constraint at z={x / y}: "
+                f"the nullspace threshold cannot resolve the K0 constraint at z={x / y}{modules}: "
                 f"an eigenvalue below {threshold:.3g} lies in a charge block whose K0 minimum "
                 f"is positive", z=x / y)
         dim += len(w)
@@ -308,8 +318,9 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
         miss = np.linalg.norm(R @ left[a] - right[a] @ R)
         if not miss <= NULLSPACE_RATIO * s:
             raise UnresolvedConstraints(
-                f"the nullspace threshold cannot resolve the constraints at z={x / y}: the "
-                f"kept vector misses the {a} constraint by {miss / s:.3g} of its scale", z=x / y)
+                f"the nullspace threshold cannot resolve the constraints at z={x / y}{modules}: "
+                f"the kept vector misses the {a} constraint by {miss / s:.3g} of its scale",
+                z=x / y)
     # normalize by the first entry within 1e-9 of the largest modulus, so
     # rounding cannot choose between entries of equal modulus
     mag = np.abs(R)

@@ -17,6 +17,7 @@ conventions).  Vanishing factorials are never divided.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, factorial
@@ -26,6 +27,8 @@ import numpy as np
 #: a Generic QParam is rejected when q is this close to a low-order root of unity
 GENERIC_GUARD_ORDER = 64
 GENERIC_GUARD_TOL = 1e-6
+#: exp overflows float64 above this real part of its argument
+LOG_MAX_FLOAT = math.log(np.finfo(float).max)
 
 
 class DenominatorVanishes(ArithmeticError):
@@ -101,8 +104,13 @@ class QParam:
             raise PowerOverflow(f"q**e overflows a float at q={self.q}, e={e}") from None
 
     def qpow_array(self, e) -> np.ndarray:
-        """q**e elementwise over an array of exponents, same branch as qpow."""
-        return np.exp(np.asarray(e, dtype=complex) * self.logq)
+        """q**e elementwise over an array of exponents, same branch as qpow; PowerOverflow,
+        naming the exponent of the largest power, where a power leaves float64."""
+        x = np.asarray(e, dtype=complex) * self.logq
+        if x.size and x.real.max() > LOG_MAX_FLOAT:
+            e = complex(np.ravel(e)[np.argmax(x.real)])
+            raise PowerOverflow(f"q**e overflows a float at q={self.q}, e={e}")
+        return np.exp(x)
 
     def perturbed(self, h: float) -> "QParam":
         """Generic parameter q = eps * e^h, used by limit oracles near a root."""

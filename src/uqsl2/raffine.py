@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .qnum import QParam, qexp_truncated, qnumber, qpochhammer_truncated
+from .qnum import LOG_MAX_FLOAT, QParam, qexp_truncated, qnumber, qpochhammer_truncated
 from .reps import Rep, _delta, _row_window, commutator_report, safe_window
 from .rfinite import _ladder_table, _table_power, cartan_weight_vector
 from .tensorop import (TensorOperator, identity_plus_kron_sum, intertwine_defect, kron2,
@@ -51,9 +51,6 @@ TAIL_TOL = 1e-12  # each series or product oracle truncates where its geometric 
 MAX_PRODUCT_TERMS = 2000  # refuses a tail longer than this, and takes at least its floor of terms:
 PRODUCT_FLOOR, EXPONENT_FLOOR, SCALAR_FLOOR = 10, 70, 90  # R^+ and R^-, R^0's exponent, f(z)
 ORACLE_STACK_ENTRIES = 1 << 14  # entries per stack of ordered-product factors (256 KiB)
-
-#: exp overflows float64 above this argument
-_LOG_MAX_FLOAT = math.log(np.finfo(float).max)
 
 
 class PoleError(ArithmeticError):
@@ -112,11 +109,8 @@ def eval_generators(rep: Rep, x: complex) -> dict:
     """Images of the affine Chevalley generators under evaluation at x."""
     if x == 0:
         raise ValueError("the evaluation parameter must be nonzero")
-    return {
-        "E0": rep.E, "F0": rep.F, "H0": np.diag(rep.hvec.astype(complex)),
-        "E1": x * rep.F, "F1": rep.E / x, "H1": -np.diag(rep.hvec.astype(complex)),
-        "K0": rep.K, "K1": rep.Kinv,
-    }
+    return {"E0": rep.E, "F0": rep.F, "E1": x * rep.F, "F1": rep.E / x,
+            "K0": rep.K, "K1": rep.Kinv}
 
 
 def _scalars(values) -> np.ndarray:
@@ -334,7 +328,8 @@ def _closed_factor(z: complex, rep1: Rep, rep2: Rep, lowering: bool) -> TensorOp
     diag(w_n) (F^n (x) E^n/(n)_{q^-2}!), the renormalized powers on the second
     factor and w_n at the target.  w_n is taken on the support of term n only:
     the outer product of its factors' column (R^+) or row (R^-) supports,
-    where PoleError reports the first vanishing denominator.
+    where PoleError reports the first vanishing denominator.  A factor that leaves
+    float64 raises SpectralOverflow (_guard_overflow), as r_spectral does.
     """
     _require_finite(z)
     qp = rep1.qp
@@ -344,25 +339,28 @@ def _closed_factor(z: complex, rep1: Rep, rep2: Rep, lowering: bool) -> TensorOp
     ladder, other = (rep2, rep1) if lowering else (rep1, rep2)
     which, axis = ("lowering-factor", 1) if lowering else ("raising-factor", 0)
     table = _ladder_table(ladder)
-    den = np.ones(rep1.dim * d2, dtype=complex)
-    Fn = np.eye(other.dim, dtype=complex)
-    left, right, weights = [], [], []
-    for n in range(1, ladder.dim):
-        En = _table_power(table, n)
-        if not En.any():
-            break
-        Fn = Fn @ other.F
-        if not Fn.any():
-            break
-        A, B = (Fn, En) if lowering else (En, Fn)
-        den = den * (1 - z * qp.qpow(-2 * n) * W)
-        support = np.outer(A.any(axis=axis), B.any(axis=axis)).reshape(-1)
-        weights.append(_inverse_on_support(den, support, d2, z, which))
-        coeff = z**n * (q - 1 / q) ** n if lowering else (q - 1 / q) ** n
-        left.append(coeff * A)
-        right.append(B)
-    mat = identity_plus_kron_sum(left, right, rep1.dim, d2, weights, at_target=lowering)
-    return TensorOperator((rep1.dim, d2), mat)
+
+    def build():
+        den = np.ones(rep1.dim * d2, dtype=complex)
+        Fn = np.eye(other.dim, dtype=complex)
+        left, right, weights = [], [], []
+        for n in range(1, ladder.dim):
+            En = _table_power(table, n)
+            if not En.any():
+                break
+            Fn = Fn @ other.F
+            if not Fn.any():
+                break
+            A, B = (Fn, En) if lowering else (En, Fn)
+            den = den * (1 - z * qp.qpow(-2 * n) * W)
+            support = np.outer(A.any(axis=axis), B.any(axis=axis)).reshape(-1)
+            weights.append(_inverse_on_support(den, support, d2, z, which))
+            coeff = z**n * (q - 1 / q) ** n if lowering else (q - 1 / q) ** n
+            left.append(coeff * A)
+            right.append(B)
+        return identity_plus_kron_sum(left, right, rep1.dim, d2, weights, at_target=lowering)
+
+    return TensorOperator((rep1.dim, d2), _guard_overflow(z, f"the {which} series", build))
 
 
 def rplus_closed(z: complex, rep1: Rep, rep2: Rep) -> TensorOperator:
@@ -552,22 +550,22 @@ def _auto_terms(z, rep1, rep2, floor: int = PRODUCT_FLOOR):
 
 
 @np.errstate(all="ignore")  # a non-finite factor is refused, naming its order
-def _qexp_product(z: complex, rep1: Rep, rep2: Rep, order: str, factors,
+def _qexp_product(z: complex, rep1: Rep, rep2: Rep, ascending: bool, factors,
                   shift: int) -> TensorOperator:
-    """prod_n exp_{q^-2}((q-1/q) z^{n+shift} A_n (x) B_n) over n = 0..n_max, in order,
-    with n_max from the geometric tail (_auto_terms).
+    """prod_n exp_{q^-2}((q-1/q) z^{n+shift} A_n (x) B_n) over n = 0..n_max, in ascending
+    or descending order of n, with n_max from the geometric tail (_auto_terms).
 
     factors(ns) returns the stacks A_n and B_n for the orders ns.  The factors
     are built and exponentiated as stacks of at most ORACLE_STACK_ENTRIES
     entries (at least one factor each), so memory stays O(D^2) at any n_max;
-    the exponentials are then multiplied one by one in the given order."""
+    the exponentials are then multiplied one by one in that order."""
     _require_finite(z)
     qp = rep1.qp
     q = qp.q
     n_max = _auto_terms(z, rep1, rep2)
     d1, d2 = rep1.dim, rep2.dim
     D = d1 * d2
-    ns = np.arange(n_max + 1) if order == "ascending" else np.arange(n_max, -1, -1)
+    ns = np.arange(n_max + 1) if ascending else np.arange(n_max, -1, -1)
     chunk = max(1, ORACLE_STACK_ENTRIES // (D * D))
     mat = np.eye(D, dtype=complex)
     for part in np.split(ns, range(chunk, ns.size, chunk)):
@@ -577,7 +575,7 @@ def _qexp_product(z: complex, rep1: Rep, rep2: Rep, order: str, factors,
     return TensorOperator((d1, d2), mat)
 
 
-def rplus_product(z: complex, rep1: Rep, rep2: Rep, order: str = "ascending") -> TensorOperator:
+def rplus_product(z: complex, rep1: Rep, rep2: Rep) -> TensorOperator:
     """Ordered product prod_n exp_{q^-2}((q-1/q) z^n (q^{-nH}E (x) F q^{nH})).
 
     The raising family multiplies in ascending order of n (the closed form
@@ -586,10 +584,10 @@ def rplus_product(z: complex, rep1: Rep, rep2: Rep, order: str = "ascending") ->
         return (rep1.qpow_h(-ns[:, None])[:, :, None] * rep1.E,
                 rep2.F * rep2.qpow_h(ns[:, None])[:, None, :])
 
-    return _qexp_product(z, rep1, rep2, order, factors, 0)
+    return _qexp_product(z, rep1, rep2, True, factors, 0)
 
 
-def rminus_product(z: complex, rep1: Rep, rep2: Rep, order: str = "descending") -> TensorOperator:
+def rminus_product(z: complex, rep1: Rep, rep2: Rep) -> TensorOperator:
     """Ordered product prod_n exp_{q^-2}((q-1/q) z^{n+1} (F q^{-nH} (x) q^{nH}E)).
 
     The lowering family multiplies in descending order of n (normal order runs
@@ -598,7 +596,7 @@ def rminus_product(z: complex, rep1: Rep, rep2: Rep, order: str = "descending") 
         return (rep1.F * rep1.qpow_h(-ns[:, None])[:, None, :],
                 rep2.qpow_h(ns[:, None])[:, :, None] * rep2.E)
 
-    return _qexp_product(z, rep1, rep2, order, factors, 1)
+    return _qexp_product(z, rep1, rep2, False, factors, 1)
 
 
 @np.errstate(all="ignore")  # a non-finite image or exponent term is refused, naming its order
@@ -633,7 +631,7 @@ def rzero_exponential(z: complex, rep1: Rep, rep2: Rep,
     acc = np.cumsum(np.concatenate([np.zeros((1, rep1.dim, rep2.dim)), terms]),
                     axis=0)[-1].reshape(-1)
     top = acc.real.max()
-    if not top < _LOG_MAX_FLOAT:
+    if not top < LOG_MAX_FLOAT:
         raise OracleDiverges(f"exponential form of the diagonal factor does not converge here "
                              f"(exponent real part {top:.3g} overflows exp)")
     return TensorOperator((rep1.dim, rep2.dim), np.diag(np.exp(acc)))
@@ -679,19 +677,20 @@ def affine_coproduct_images(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tup
     return left, right
 
 
-def affine_intertwine_residual(z: complex, rep1: Rep, rep2: Rep, margin: int = 1,
+def affine_intertwine_residual(z: complex, rep1: Rep, rep2: Rep,
                                R: TensorOperator | None = None) -> float:
-    """max over affine generators of || R D(a) - D'(a) R || on the safe window, R the
-    normalized r_spectral(z, rep1, rep2) unless given (say, with another Cartan tail)."""
+    """max over affine generators of || R D(a) - D'(a) R || on the safe window (one
+    generator application: margin 1), R the normalized r_spectral(z, rep1, rep2)
+    unless given (say, with another Cartan tail)."""
     if R is None:
         R = r_spectral(z, rep1, rep2)
     left, right = affine_coproduct_images(rep1, rep2, z, 1.0)
-    return intertwine_defect(R.mat, left, right, safe_window((rep1, rep2), margin))
+    return intertwine_defect(R.mat, left, right, safe_window((rep1, rep2), 1))
 
 
 def spectral_ybe_residual(x1: complex, x2: complex, x3: complex,
-                          rep1: Rep, rep2: Rep, rep3: Rep, margin: int = 1) -> float:
-    """|| R12(x1/x2) R13(x1/x3) R23(x2/x3) - reverse || on the safe window,
+                          rep1: Rep, rep2: Rep, rep3: Rep) -> float:
+    """|| R12(x1/x2) R13(x1/x3) R23(x2/x3) - reverse || on the safe window (margin 1),
     for the normalized r_spectral."""
     reps = (rep1, rep2, rep3)
 
@@ -700,7 +699,7 @@ def spectral_ybe_residual(x1: complex, x2: complex, x3: complex,
 
     return ybe_defect(build(x1 / x2, rep1, rep2), build(x1 / x3, rep1, rep3),
                       build(x2 / x3, rep2, rep3), tuple(r.dim for r in reps),
-                      safe_window(reps, margin))
+                      safe_window(reps, 1))
 
 
 def central_affine_check(rep: Rep, x: complex) -> list:
@@ -763,9 +762,10 @@ def drinfeld_generators(rep: Rep, x: complex, n_max: int = 3) -> dict:
     return out
 
 
-def drinfeld_relation_check(rep: Rep, x: complex, n_max: int = 2, margin: int = 2) -> dict:
+def drinfeld_relation_check(rep: Rep, x: complex, n_max: int = 2) -> dict:
     """Residuals of the five loop-algebra relations at central charge zero, keyed
-    by relation name:
+    by relation name, on the rows and columns kept by a row window of margin 2
+    (each relation multiplies two loop generators):
 
     aa:   [a_m, a_n] = 0
     kx:   k x^pm_m k^-1 = q^{pm 2} x^pm_m
@@ -777,7 +777,7 @@ def drinfeld_relation_check(rep: Rep, x: complex, n_max: int = 2, margin: int = 
     qp = rep.qp
     q = qp.q
     g = drinfeld_generators(rep, x, n_max + 2)
-    keep = _row_window(rep, margin)
+    keep = _row_window(rep, 2)
 
     def nrm(M):
         return np.max(np.abs(M[np.ix_(keep, keep)]))

@@ -221,8 +221,6 @@ def _delta(a: tuple, b: tuple, gen: str, opposite: bool) -> np.ndarray:
     E2, F2, K2, Ki2 = b
     if gen == "K":
         return kron2(K1, K2)
-    if gen == "Kinv":
-        return kron2(Ki1, Ki2)
     I1 = np.eye(len(E1), dtype=complex)
     I2 = np.eye(len(E2), dtype=complex)
     if gen == "E":

@@ -17,13 +17,14 @@ and the result is summed as sum_k c_k E^k (x) F^k, since X^k = E^k (x) F^k;
 no dense power of X is ever formed.
 
 Verifiers for the intertwining property, the Yang-Baxter equation and
-quasitriangularity, all restricted to safe source windows of the
-truncations, round out the module.
+quasitriangularity round out the module.  Each compares the source columns
+whose images under one generator or R-matrix application stay inside every
+truncation (reps.safe_window at margin 1); the window is fixed by the check,
+not by the caller.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -33,11 +34,6 @@ from .qnum import (DenominatorVanishes, QParam, gen_binom, qbinom_table, qnumber
 from .reps import Rep, coproduct, opposite_coproduct, safe_window, tensor_rep
 from .tensorop import (TensorOperator, identity_plus_kron_sum, intertwine_defect,
                        masked_max_abs, weight_sectors, ybe_defect)
-
-
-@dataclass(frozen=True)
-class RFiniteOptions:
-    include_cartan_factor: bool = True
 
 
 def cartan_weight_vector(rep1: Rep, rep2: Rep) -> np.ndarray:
@@ -93,7 +89,7 @@ def e_derivation_matrix(rep: Rep) -> np.ndarray:
     return renormalized_raising_power(rep, rep.qp.N)
 
 
-def r_verma_direct(rep1: Rep, rep2: Rep, opts: RFiniteOptions | None = None) -> TensorOperator:
+def r_verma_direct(rep1: Rep, rep2: Rep) -> TensorOperator:
     """Weightwise R-matrix on V1 (x) V2.
 
     R(v_s (x) v_s') = sum_n q^{(l1-2s)(l2-2s')/2} q^{n(n-1)/2} (q-q^-1)^n
@@ -101,15 +97,13 @@ def r_verma_direct(rep1: Rep, rep2: Rep, opts: RFiniteOptions | None = None) -> 
     terms leaving the second truncation dropped.  The coefficients come from
     the raising table of V1 and are scattered to every s' at once.
     """
-    opts = opts or RFiniteOptions()
     if rep1.qp != rep2.qp:
         raise ValueError("both modules must share the deformation parameter")
     q = rep1.qp.q
     d1, d2 = rep1.dim, rep2.dim
     s, sp, n = np.meshgrid(np.arange(d1), np.arange(d2), np.arange(d1), indexing="ij")
-    coeff = (_raising_table(rep1) * (q - 1 / q) ** np.arange(d1))[s, n]
-    if opts.include_cartan_factor:
-        coeff = coeff * cartan_weight_vector(rep1, rep2).reshape(d1, d2)[:, :, None]
+    coeff = ((_raising_table(rep1) * (q - 1 / q) ** np.arange(d1))[s, n]
+             * cartan_weight_vector(rep1, rep2).reshape(d1, d2)[:, :, None])
     keep = (n <= s) & (sp + n < d2)
     mat = np.zeros((d1 * d2, d1 * d2), dtype=complex)
     mat[((s - n) * d2 + sp + n)[keep], (s * d2 + sp)[keep]] = coeff[keep]
@@ -145,20 +139,18 @@ def _exp_terms(A: np.ndarray, B: np.ndarray) -> tuple:
     return [1 / factorial(k) for k in range(len(powers) + 1)], powers
 
 
-def r_generic_universal(rep1: Rep, rep2: Rep, terms: int | None = None) -> TensorOperator:
+def r_generic_universal(rep1: Rep, rep2: Rep) -> TensorOperator:
     """exp_{q^-2}((q - q^-1) E (x) F) times the Cartan weight factor; generic q only.
 
     The q-exponential is summed as sum_n (q - q^-1)^n / (n)_{q^-2}! E^n (x) F^n
-    up to `terms`; DenominatorVanishes is raised when a q-factorial vanishes
-    while E^n (x) F^n is still nonzero.
+    up to min(d1, d2) terms; DenominatorVanishes is raised when a q-factorial
+    vanishes while E^n (x) F^n is still nonzero.
     """
     qp = rep1.qp
     if qp.is_root:
         raise ValueError("the q-exponential form is singular at roots of unity")
-    if terms is None:
-        terms = min(rep1.dim, rep2.dim)
     q = qp.q
-    powers = _kron_powers(rep1.E, rep2.F, terms)
+    powers = _kron_powers(rep1.E, rep2.F, min(rep1.dim, rep2.dim))
     base = qp.qpow(-2)
     coeffs = [1.0 + 0j]
     for n in range(1, len(powers) + 1):
@@ -239,25 +231,23 @@ def r_reshetikhin_product(rep1: Rep, rep2: Rep, wrap_constant: str = "auto",
     return TensorOperator((rep1.dim, rep2.dim), mat)
 
 
-def intertwine_residual(R: TensorOperator, rep1: Rep, rep2: Rep,
-                        margin: int = 1) -> float:
-    """max_a || R D(a) - D'(a) R || over a in {E, F, K}, on safe source columns."""
-    mask = safe_window((rep1, rep2), margin)
+def intertwine_residual(R: TensorOperator, rep1: Rep, rep2: Rep) -> float:
+    """max_a || R D(a) - D'(a) R || over a in {E, F, K}, on the safe window."""
+    mask = safe_window((rep1, rep2), 1)
     left = {gen: coproduct(rep1, rep2, gen).mat for gen in ("E", "F", "K")}
     right = {gen: opposite_coproduct(rep1, rep2, gen).mat for gen in ("E", "F", "K")}
     return intertwine_defect(R.mat, left, right, mask)
 
 
-def ybe_residual(rep1: Rep, rep2: Rep, rep3: Rep, margin: int = 1) -> float:
+def ybe_residual(rep1: Rep, rep2: Rep, rep3: Rep) -> float:
     """|| R12 R13 R23 - R23 R13 R12 || of r_verma_direct on the safe window."""
     reps = (rep1, rep2, rep3)
     return ybe_defect(r_verma_direct(rep1, rep2).mat, r_verma_direct(rep1, rep3).mat,
                       r_verma_direct(rep2, rep3).mat, tuple(r.dim for r in reps),
-                      safe_window(reps, margin))
+                      safe_window(reps, 1))
 
 
-def quasitriangularity_residual(rep1: Rep, rep2: Rep, rep3: Rep,
-                                margin: int = 1) -> float:
+def quasitriangularity_residual(rep1: Rep, rep2: Rep, rep3: Rep) -> float:
     """Residuals of (D(x)1)R = R13 R23 and (1(x)D)R = R13 R12 at generic q.
 
     R_(12)3 and R_1(23) act on the whole product; each side is compared
@@ -267,7 +257,7 @@ def quasitriangularity_residual(rep1: Rep, rep2: Rep, rep3: Rep,
     if rep1.qp.is_root:
         raise ValueError("quasitriangularity checks run at generic q only")
     dims = (rep1.dim, rep2.dim, rep3.dim)
-    mask = safe_window((rep1, rep2, rep3), margin)
+    mask = safe_window((rep1, rep2, rep3), 1)
     R13 = r_generic_universal(rep1, rep3).mat
 
     def defects(lhs, R, sites):  # lhs - R13 R, one max per sector

@@ -224,7 +224,7 @@ def test_09_drinfeld_relations():
     qp = QParam.generic(1.13 + 0.03j)
     rng = np.random.default_rng(9)
     rep = truncated_verma(_rand_lambda(rng), 4, qp)
-    out = drinfeld_relation_check(rep, 0.8 + 0.3j, n_max=1, margin=2)
+    out = drinfeld_relation_check(rep, 0.8 + 0.3j, n_max=1)
     worst = max(out.values())
     assert worst < 1e-8, out
     rep6 = truncated_verma(_rand_lambda(rng), 6, qp)

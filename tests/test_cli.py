@@ -184,11 +184,10 @@ class TestVerify:
         ("verify", "product-oracle", "--q", "1.1,0.02", "--depths", "5,5"),
         ("verify", "central", "--Nprime", "13"),
     ], ids=["product-oracle-depth-5", "central-13"])
-    def test_imaginary_root_suites_pass_at_default_tolerance(self, argv, tmp_path, monkeypatch):
+    def test_imaginary_root_suites_pass_at_default_tolerance(self, argv, tmp_path):
         # the dense log series failed both: a false commutator alarm, and
         # 2.8e-9 of rounding in the loop-F centrality residual
         from uqsl2.cli import main
-        monkeypatch.delenv("UQSL2_TOL", raising=False)
         out = tmp_path / "report.json"
         assert main([*argv, "-o", str(out)]) == 0
         doc = json.loads(out.read_text())
@@ -273,21 +272,6 @@ class TestDeterminism:
         run_cli("verify", "ybe", "--Nprime", "3", "--seed", "1", "-o", str(a))
         run_cli("verify", "ybe", "--Nprime", "3", "--seed", "2", "-o", str(b))
         assert a.read_bytes() != b.read_bytes()
-
-    def test_env_var_overrides_default_tolerance(self, tmp_path):
-        import os
-        out = tmp_path / "r.json"
-        env = dict(os.environ, UQSL2_TOL="1e-5")
-        res = subprocess.run(
-            [sys.executable, "-m", "uqsl2.cli", "verify", "ybe", "--Nprime", "3",
-             "--seed", "1", "-o", str(out)],
-            capture_output=True, text=True, env=env)
-        assert res.returncode == 0
-        assert json.loads(out.read_text())["tolerance"] == 1e-5
-
-    def test_bad_env_tolerance_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("UQSL2_TOL", "abc")
-        assert_config_error(("verify", "ybe", "--Nprime", "3"), capsys)
 
 
 BOUNDARY_SCRIPT = """
@@ -440,7 +424,48 @@ def run_main(argv):
     return code, err.getvalue()
 
 
+#: argv templates of the extreme-input grid, one finite magnitude in place of {x}
+EXTREME_TEMPLATES = {
+    "rmatrix-semicyclic": ("rmatrix", "--kind", "semicyclic", "--Nprime", "5",
+                           "--lambda1", "0.5", "--lambda2", "0.7", "--alpha1", "{x}"),
+    "rmatrix-semicyclic-z": ("rmatrix", "--kind", "semicyclic", "--Nprime", "5",
+                             "--lambda1", "0.5", "--lambda2", "0.7", "--alpha1", "0.3",
+                             "--z", "{x}"),
+    "rmatrix-spectral": ("rmatrix", "--kind", "spectral", "--Nprime", "3", "--z", "{x}"),
+    "rmatrix-spectral-q": ("rmatrix", "--kind", "spectral", "--q", "{x}"),
+    "rmatrix-verma": ("rmatrix", "--kind", "verma", "--q", "{x}"),
+    "rmatrix-reshetikhin": ("rmatrix", "--kind", "reshetikhin", "--Nprime", "3",
+                            "--lambda1", "{x}"),
+    **{f"sweep-{name}": ("sweep", "--Nprime", "3", *flags) for name, flags in (
+        ("alpha", ("--lambda1-range", "0.5:0.5:1", "--alpha1-range", "{x}:{x}:1")),
+        ("lambda", ("--lambda1-range", "{x}:{x}:1", "--alpha1-range", "0.5:0.5:1")),
+        ("lambda2", ("--lambda1-range", "0.5:0.5:1", "--alpha1-range", "0.5:0.5:1",
+                     "--lambda2", "{x}")),
+        ("lambda-imag", ("--lambda1-range", "0.5:0.5:1", "--alpha1-range", "0.5:0.5:1",
+                         "--lambda-imag", "{x}")),
+        ("z", ("--lambda1-range", "0.5:0.5:1", "--alpha1-range", "0.5:0.5:1", "--z", "{x}")))},
+    **{f"verify-{suite}": ("verify", suite, "--q", "{x}") for suite in (
+        "ybe", "quasi", "product-oracle", "drinfeld", "schur-oracle", "intertwine")},
+}
+EXTREME_MAGNITUDES = ["1e300", "-1e300", "1e-300", "1e-150", "1e-20", "1e20", "1e150", "1e200"]
+
+
 class TestExitCodeContract:
+    @pytest.mark.parametrize("x", EXTREME_MAGNITUDES)
+    @pytest.mark.parametrize("name", sorted(EXTREME_TEMPLATES))
+    def test_extreme_finite_input(self, name, x):
+        # a finite input computes a result or is refused with one line; with warnings
+        # as errors, a numpy warning on the way fails the case
+        argv = [a.replace("{x}", x) for a in EXTREME_TEMPLATES[name]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = run_main(argv)
+        assert code in (0, 1, 2, 3), (argv, code)
+        if code in (2, 3):
+            assert err.count("\n") == 1 and json.loads(err)["code"] == code, (argv, err)
+        else:
+            assert err == "", (argv, err)
+
     @given(CLI_ARGS)
     @settings(max_examples=60, deadline=None)
     def test_exit_codes_and_diagnostics(self, argv):
@@ -597,7 +622,8 @@ class TestExitCodeContract:
          "--alpha1-range", "0.3:0.3:1"),
         ("verify", "ybe", "--q", "1e-300"),
         ("verify", "ybe", "--q", "1e300"),
-    ], ids=["verma", "semicyclic", "sweep", "ybe-small-q", "ybe-large-q"])
+        ("verify", "drinfeld", "--q", "1e-10"),
+    ], ids=["verma", "semicyclic", "sweep", "ybe-small-q", "ybe-large-q", "drinfeld-small-q"])
     def test_overflowing_power_of_q_exits_2(self, argv):
         # a finite weight (or a q far from 1) can still put q**e beyond a float; at
         # q = 1e300 already the guard against roots of unity, q**k for k <= 64, does
@@ -649,6 +675,18 @@ class TestExitCodeContract:
         diag = json.loads(err)
         assert diag["code"] == 2 and complex(*diag["z"]) == float(z)
         assert f"z=({float(z)!r}+0j)" in diag["error"]
+
+    @pytest.mark.parametrize("alpha,refusal", [("1e150", "cannot resolve the K0 constraint"),
+                                               ("1e200", "non-finite restricted R-matrix")])
+    def test_sweep_huge_alpha_names_both_alphas(self, alpha, refusal):
+        # the solver's refusal (1e150) and the fold's (1e200) name the module
+        # parameters at fault next to z
+        code, err = run_main(["sweep", "--Nprime", "3", "--lambda1-range", "0.5:0.5:1",
+                              "--alpha1-range", f"{alpha}:{alpha}:1"])
+        assert code == 2
+        diag = json.loads(err)
+        assert refusal in diag["error"] and "z=(1+0j)" in diag["error"]
+        assert f"alpha1=({float(alpha):g}+0j), alpha2=(" in diag["error"]
 
     def test_sweep_at_zero_spectral_parameter_exits_2(self):
         code, err = run_main(["sweep", "--Nprime", "3", "--lambda1-range", "0.5:0.5:1",

@@ -130,6 +130,44 @@ class TestCyclic:
         with pytest.raises(InadmissibleParameters):
             cyclic(0.5, 0.0, 1.0, QP3)
 
+    @staticmethod
+    def bracket_scale(qp, xs):
+        """The scale (|q^x| + |q^-x|) / |q - q^-1| on which each bracket [x] is rounded."""
+        q = qp.q
+        return max((abs(qp.qpow(x)) + abs(qp.qpow(-x))) / abs(q - 1 / q) for x in xs)
+
+    @pytest.mark.parametrize("nprime", [3, 5, 7])
+    def test_alpha_and_beta_zero_is_the_semicyclic_module(self, nprime):
+        # E v_m sums m brackets [lam - 2k] where semicyclic multiplies [m][lam - m + 1]:
+        # both are N rounded brackets and N roundings of a sum or product apart
+        qp = QParam.root_of_unity(nprime)
+        N, lam = qp.N, 0.91 - 0.08j
+        cy, sc = cyclic(0.0, 0.0, lam, qp), semicyclic(0.0, lam, qp)
+        assert np.array_equal(cy.F, sc.F) and np.array_equal(cy.K, sc.K)
+        s = self.bracket_scale(qp, [lam - 2 * k for k in range(N)] + list(range(N + 1))
+                               + [lam - m + 1 for m in range(N)])
+        assert np.max(np.abs(cy.E - sc.E)) <= 8 * N**2 * np.finfo(float).eps * max(s, s * s)
+
+    @pytest.mark.parametrize("nprime", [3, 5, 7])
+    def test_alpha_zero_wraps_e_to_beta(self, nprime):
+        # E^N is diagonal, each entry the product of the N ladder entries and the
+        # wrap beta / prod_e: at most 3N rounded complex products and one quotient
+        qp = QParam.root_of_unity(nprime)
+        N, lam, beta = qp.N, 0.91 - 0.08j, 0.3 + 0.2j
+        cy = cyclic(beta, 0.0, lam, qp)
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(np.linalg.matrix_power(cy.E, N) - beta * np.eye(N))) <= (
+            12 * N * eps * abs(beta))
+        s = self.bracket_scale(qp, [lam - 2 * k for k in range(N)])
+        assert defining_relations_residual(cy) <= 16 * N**2 * eps * max(
+            s, np.abs(cy.E).max())
+
+    @pytest.mark.parametrize("nprime", [3, 5, 7])
+    def test_alpha_zero_at_weight_zero_is_inadmissible(self, nprime):
+        # e_1 = [0] = 0 kills the ladder product, so E^N = beta != 0 is unreachable
+        with pytest.raises(InadmissibleParameters, match="ladder product vanishes"):
+            cyclic(1.0, 0.0, 0.0, QParam.root_of_unity(nprime))
+
     @pytest.mark.parametrize("beta,alpha,lam", [
         (float("nan"), 0.7, 0.8 + 0.05j),
         (float("nan"), 0.0, 0.8 + 0.05j),

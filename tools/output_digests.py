@@ -1,12 +1,14 @@
-"""Exit code and stdout digest of every benchmark job, known failure and demo.
+"""Exit code and stdout digest of every benchmark job, known failure, extra job and
+demo.
 
     python3 tools/output_digests.py --src DIR --out FILE [--against BEFORE]
 
 DIR is a checkout of this repository (default: the one holding this script).
 Its ``src/uqsl2`` runs every job of every workload in ``perfbench/workloads.py``
-in-process, through ``perfbench/jobs.run_job``, and its ``demos/*.py`` run as
-subprocesses.  The job list always comes from this script's own checkout, so
-two checkouts are compared on the same jobs.  FILE receives
+in-process, through ``perfbench/jobs.run_job``, and so does each job of
+``EXTRA_JOBS`` below; its ``demos/*.py`` run as subprocesses.  The job list
+always comes from this script's own checkout, so two checkouts are compared
+on the same jobs.  FILE receives
 ``{job: [exit_code, sha256 of stdout, records]}``, where records lists each
 ``verify`` record as ``[check, residual, pass]`` (empty for other outputs);
 two runs with identical CLI output give identical files:
@@ -38,6 +40,19 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from jobs import run_job  # noqa: E402
 from workloads import KNOWN_FAILURES, WORKLOADS, cycle_jobs, job_key  # noqa: E402
+
+#: end-to-end commands no workload runs: the default sweeps at N' = 5 and 7, Yang-Baxter
+#: at N' = 13 and 17 (17 exits 1), and extreme finite inputs that must exit 2
+EXTRA_JOBS = [
+    ("sweep", "--Nprime", "5"),
+    ("sweep", "--Nprime", "7"),
+    ("verify", "ybe", "--Nprime", "13"),
+    ("verify", "ybe", "--Nprime", "17"),
+    *(("sweep", "--Nprime", "3", "--lambda1-range", "0.5:0.5:1", "--alpha1-range", f"{a}:{a}:1")
+      for a in ("1e200", "1e300")),
+    *(("verify", suite, "--q", "1e-20")
+      for suite in ("drinfeld", "schur-oracle", "product-oracle")),
+]
 
 
 def import_cli(src: Path):
@@ -129,7 +144,8 @@ def main(argv=None) -> int:
         with open(args.against) as fh:
             before = json.load(fh)
     cli = import_cli(args.src)
-    jobs = [argv for w in WORKLOADS for argv in cycle_jobs(w)] + [list(a) for a in KNOWN_FAILURES]
+    jobs = ([argv for w in WORKLOADS for argv in cycle_jobs(w)]
+            + [list(a) for a in (*KNOWN_FAILURES, *EXTRA_JOBS)])
     digests = {}
     for argv in jobs:
         key = job_key(argv)
