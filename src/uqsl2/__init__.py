@@ -1,6 +1,6 @@
 """Representations and R-matrices of quantized sl2, at generic q and at roots of unity."""
 
-from .qnum import (DenominatorVanishes, QParam, gauss_binom, gen_binom,
+from .qnum import (DenominatorVanishes, QParam, RefusedInput, gauss_binom, gen_binom,
                    matrix_fractional_power, nilpotent_expm, qbinom, qbinom_table, qbracket,
                    qexp_truncated, qfact, qint, qnumber, qpochhammer_truncated,
                    unsym_qfact, unsym_qnum)

@@ -22,23 +22,21 @@ import sys
 
 import numpy as np
 
-from .qnum import PowerOverflow, QParam
+from .qnum import QParam, RefusedInput
 from .reps import central_check, safe_window, semicyclic, truncated_verma
 from .rfinite import (intertwine_residual, quasitriangularity_residual,
                       r_reshetikhin_product, r_verma_direct, ybe_residual)
-from .raffine import (CARTAN_MODES, OracleDiverges, PoleError, SpectralOverflow, UnsupportedOrder,
-                      _assemble_product, affine_intertwine_residual, central_affine_check,
-                      drinfeld_relation_check, eval_imaginary_prime, f_scalar, noncentral_residual,
-                      r_spectral, rminus_closed, rminus_product, rplus_closed, rplus_product,
-                      rzero_bar, rzero_exponential, schur_forward, schur_to_imaginary,
-                      spectral_ybe_residual)
-from .cpotts import (CurveSpec, DegenerateCurve, UnresolvedConstraints, curve_residual,
-                     export_boltzmann, fn_commutation_residual, on_curve_partner,
-                     r_semicyclic, solve_intertwiner)
-from .tensorop import EmptySafeWindow, cnum, masked_max_abs
+from .raffine import (CARTAN_MODES, _assemble_product, affine_intertwine_residual,
+                      central_affine_check, drinfeld_relation_check, eval_imaginary_prime,
+                      f_scalar, noncentral_residual, r_spectral, rminus_closed, rminus_product,
+                      rplus_closed, rplus_product, rzero_bar, rzero_exponential, schur_forward,
+                      schur_to_imaginary, spectral_ybe_residual)
+from .cpotts import (CurveSpec, DegenerateCurve, curve_residual, export_boltzmann,
+                     fn_commutation_residual, on_curve_partner, r_semicyclic, solve_intertwiner)
+from .tensorop import cnum, masked_max_abs
 
 
-class ConfigError(ValueError):
+class ConfigError(RefusedInput, ValueError):
     pass
 
 
@@ -86,10 +84,7 @@ def _qparam(args) -> QParam:
             raise ConfigError(f"unsupported order: N' = {args.Nprime} needs N' >= 3")
         return QParam.root_of_unity(args.Nprime)
     if args.q:
-        try:
-            return QParam.generic(_parse_complex(args.q))
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        return QParam.generic(_parse_complex(args.q))
     raise ConfigError("one of --q or --Nprime is required")
 
 
@@ -472,14 +467,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DegenerateCurve, EmptySafeWindow, OracleDiverges, PowerOverflow) as exc:
-        diag = {"error": str(exc), "code": 2}
-    except UnsupportedOrder as exc:
-        diag = {"error": f"unsupported order: {exc}", "code": 2}
-    except (SpectralOverflow, UnresolvedConstraints) as exc:
-        diag = {"error": str(exc), "code": 2, "z": cnum(exc.z)}
-    except PoleError as exc:
-        diag = {"error": str(exc), "code": 3}
+    except RefusedInput as exc:  # every refusal of input, whatever module raised it
+        diag = {"error": str(exc), "code": exc.code}
         if exc.z is not None:
             diag["z"] = cnum(exc.z)
         if exc.weight_pair is not None:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qnum import QParam
+from .qnum import QParam, RefusedInput
 from .reps import Rep, truncated_verma
 from .raffine import SpectralOverflow, _guard_overflow, affine_coproduct_images, r_spectral
 from .tensorop import TensorOperator, cnum, grading_modulus, kron2, total_degree
@@ -70,7 +70,7 @@ class CurveSpec:
         }
 
 
-class DegenerateCurve(ValueError):
+class DegenerateCurve(RefusedInput, ValueError):
     """K^N takes the value 1 on a module, so a curve denominator 1 - L vanishes.
 
     ``module`` is 1 or 2, the first module of the pair where it happens."""
@@ -184,7 +184,7 @@ def fn_commutation_residual(z: complex, sc1: Rep, sc2: Rep, R: TensorOperator) -
     }
 
 
-class UnresolvedConstraints(ValueError):
+class UnresolvedConstraints(RefusedInput, ValueError):
     """The nullspace threshold cannot resolve the constraints at this z.
 
     The affine images E1 = x F and F1 = E / x make the Gram matrix span about
@@ -192,10 +192,6 @@ class UnresolvedConstraints(ValueError):
     the threshold is refused when it lies in a charge block whose K0 minimum
     is positive (Weyl), or when the kept vector misses a constraint on that
     constraint's own scale.  ``z`` is x / y."""
-
-    def __init__(self, message, *, z):
-        super().__init__(message)
-        self.z = z
 
 
 def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:

@@ -31,11 +31,27 @@ GENERIC_GUARD_TOL = 1e-6
 LOG_MAX_FLOAT = math.log(np.finfo(float).max)
 
 
-class DenominatorVanishes(ArithmeticError):
+class RefusedInput(Exception):
+    """Input the package refuses: the CLI exits with ``code`` (PoleError's is 3) and one JSON
+    line, with ``z`` and ``weight_pair`` when set.  Each subclass keeps a built-in base too."""
+
+    code = 2
+
+    def __init__(self, message, *, z=None, weight_pair=None):
+        super().__init__(message)
+        self.z = z
+        self.weight_pair = weight_pair
+
+
+class InadmissibleParameters(RefusedInput, ValueError):
+    """No module or operator exists for the requested parameters."""
+
+
+class DenominatorVanishes(RefusedInput, ArithmeticError):
     """A q-factorial (or similar) denominator vanished before the series terminated."""
 
 
-class PowerOverflow(ValueError, OverflowError):
+class PowerOverflow(RefusedInput, ValueError, OverflowError):
     """q**e is too large for a float; an OverflowError too, so overflow guards still see it."""
 
 
@@ -53,17 +69,17 @@ class QParam:
     def __post_init__(self):
         if self.nprime:
             if self.nprime < 3:
-                raise ValueError(f"root-of-unity order must be >= 3, got {self.nprime}")
+                raise InadmissibleParameters(f"root-of-unity order must be >= 3, got {self.nprime}")
         else:
             q = complex(self.q)
             if not cmath.isfinite(q):
-                raise ValueError(f"q must be finite, got {q}")
+                raise InadmissibleParameters(f"q must be finite, got {q}")
             if q == 0:
-                raise ValueError("q must be nonzero")
+                raise InadmissibleParameters("q must be nonzero")
             try:
                 for k in range(1, GENERIC_GUARD_ORDER + 1):
                     if abs(q**k - 1.0) < GENERIC_GUARD_TOL:
-                        raise ValueError(
+                        raise InadmissibleParameters(
                             f"generic q={q} is within {GENERIC_GUARD_TOL} of a root of "
                             f"unity of order {k}; construct a RootOfUnity QParam instead"
                         )

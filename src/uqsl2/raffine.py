@@ -37,9 +37,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .qnum import LOG_MAX_FLOAT, QParam, qexp_truncated, qnumber, qpochhammer_truncated
+from .qnum import (LOG_MAX_FLOAT, InadmissibleParameters, QParam, RefusedInput, qexp_truncated,
+                   qnumber, qpochhammer_truncated)
 from .reps import Rep, _delta, _row_window, commutator_report, safe_window
-from .rfinite import _ladder_table, _table_power, cartan_weight_vector
+from .rfinite import _raising_table, _table_power, cartan_weight_vector
 from .tensorop import (TensorOperator, identity_plus_kron_sum, intertwine_defect, kron2,
                        ybe_defect)
 
@@ -53,21 +54,14 @@ PRODUCT_FLOOR, EXPONENT_FLOOR, SCALAR_FLOOR = 10, 70, 90  # R^+ and R^-, R^0's e
 ORACLE_STACK_ENTRIES = 1 << 14  # entries per stack of ordered-product factors (256 KiB)
 
 
-class PoleError(ArithmeticError):
+class PoleError(RefusedInput, ArithmeticError):
     """A denominator factor vanished on the requested weight window."""
 
-    def __init__(self, message, *, z=None, weight_pair=None):
-        super().__init__(message)
-        self.z = z
-        self.weight_pair = weight_pair
+    code = 3
 
 
-class SpectralOverflow(ArithmeticError):
+class SpectralOverflow(RefusedInput, ArithmeticError):
     """A value built at spectral parameter z is not finite in float64."""
-
-    def __init__(self, message, *, z):
-        super().__init__(message)
-        self.z = z
 
 
 def _guard_overflow(z, what: str, build):
@@ -83,7 +77,7 @@ def _guard_overflow(z, what: str, build):
     return out
 
 
-class OracleDiverges(ValueError):
+class OracleDiverges(RefusedInput, ValueError):
     """An independent series or product oracle does not converge at these parameters."""
 
 
@@ -95,14 +89,14 @@ def _finite_rows(stack: np.ndarray, orders, what: str) -> np.ndarray:
     return stack
 
 
-class UnsupportedOrder(ValueError):
+class UnsupportedOrder(RefusedInput, ValueError):
     """The construction needs [2]_q != 0 (root order N' with q^4 != 1)."""
 
 
 def _require_finite(z):
     """Refuse a non-finite spectral parameter where it enters a factor or an oracle."""
     if not cmath.isfinite(complex(z)):
-        raise ValueError(f"the spectral parameter z must be finite, got {z}")
+        raise InadmissibleParameters(f"the spectral parameter z must be finite, got {z}")
 
 
 def eval_generators(rep: Rep, x: complex) -> dict:
@@ -141,7 +135,8 @@ def eval_root_vectors(rep: Rep, x: complex, n_max: int) -> dict:
 
 def _guard_order(qp: QParam):
     if abs(qnumber(2, qp)) < 1e-9 or abs(qp.qpow(2) - qp.qpow(-2)) < 1e-9:
-        raise UnsupportedOrder("imaginary root vectors need q^4 != 1 ([2]_q nonzero)")
+        raise UnsupportedOrder("unsupported order: imaginary root vectors need q^4 != 1 "
+                               "([2]_q nonzero)")
 
 
 def eval_imaginary_prime(rep: Rep, x: complex, n_max: int,
@@ -301,13 +296,6 @@ def schur_forward(e_images: list, qp: QParam, n: int) -> np.ndarray:
     return out
 
 
-def _kinv_k_vector(rep1: Rep, rep2: Rep) -> np.ndarray:
-    """Eigenvalues of K^-1 (x) K over the flat weight-pair basis."""
-    v1 = rep1.qpow_h(-1)
-    v2 = rep2.qpow_h(1)
-    return (v1[:, None] * v2[None, :]).reshape(-1)
-
-
 def _inverse_on_support(den: np.ndarray, support: np.ndarray, d2: int, z: complex,
                         which: str) -> np.ndarray:
     """1/den on the support (1 elsewhere); PoleError at the first vanishing entry."""
@@ -335,12 +323,12 @@ def _closed_factor(z: complex, rep1: Rep, rep2: Rep, lowering: bool) -> TensorOp
     qp = rep1.qp
     q = qp.q
     d2 = rep2.dim
-    W = _kinv_k_vector(rep1, rep2)
     ladder, other = (rep2, rep1) if lowering else (rep1, rep2)
     which, axis = ("lowering-factor", 1) if lowering else ("raising-factor", 0)
-    table = _ladder_table(ladder)
+    table = _raising_table(ladder)
 
     def build():
+        W = np.outer(rep1.qpow_h(-1), rep2.qpow_h(1)).reshape(-1)  # K^-1 (x) K, flat
         den = np.ones(rep1.dim * d2, dtype=complex)
         Fn = np.eye(other.dim, dtype=complex)
         left, right, weights = [], [], []

@@ -18,15 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qnum import QParam, qnumber
+from .qnum import InadmissibleParameters, QParam, qnumber
 from .tensorop import EmptySafeWindow, TensorOperator, cmat, cnum, from_cmat, kron2, safe_mask
 
 CYCLIC_RESIDUAL_TOL = 1e-7  # largest defining-relations residual of a cyclic module
 SCALAR_TOL = 1e-9  # central_check calls a power scalar below this deviation
-
-
-class InadmissibleParameters(ValueError):
-    """No module exists for the requested (beta, alpha, lambda)."""
 
 
 @dataclass(frozen=True)
@@ -45,10 +41,10 @@ class Rep:
 
     def __post_init__(self):
         if not np.isfinite(self.lam):
-            raise ValueError(f"weight lambda must be finite, got {self.lam}")
+            raise InadmissibleParameters(f"weight lambda must be finite, got {self.lam}")
         for M in (self.E, self.F, self.K):
             if not np.isfinite(M).all():
-                raise ValueError(f"{self.kind} module has non-finite generator entries")
+                raise InadmissibleParameters(f"{self.kind} module has non-finite generator entries")
             M.setflags(write=False)
         if (self.K != np.diag(np.diagonal(self.K))).any():
             raise ValueError(f"{self.kind} module has a K that is not diagonal on its basis")
@@ -234,7 +230,11 @@ def _rep_delta(rep1: Rep, rep2: Rep, gen: str, opposite: bool) -> TensorOperator
     if rep1.qp != rep2.qp:
         raise ValueError("coproduct factors must share the deformation parameter")
     a, b = ((r.E, r.F, r.K, r.Kinv) for r in (rep1, rep2))
-    return TensorOperator((rep1.dim, rep2.dim), _delta(a, b, gen, opposite))
+    with np.errstate(all="ignore"):  # a non-finite image is refused below
+        mat = _delta(a, b, gen, opposite)
+    if not np.isfinite(mat).all():
+        raise InadmissibleParameters(f"the coproduct of {gen} leaves float64 at q={rep1.qp.q}")
+    return TensorOperator((rep1.dim, rep2.dim), mat)
 
 
 def coproduct(rep1: Rep, rep2: Rep, gen: str) -> TensorOperator:

@@ -29,8 +29,8 @@ from math import factorial
 
 import numpy as np
 
-from .qnum import (DenominatorVanishes, QParam, gen_binom, qbinom_table, qnumber_array,
-                   unsym_qnum)
+from .qnum import (DenominatorVanishes, PowerOverflow, QParam, gen_binom, qbinom_table,
+                   qnumber_array, unsym_qnum)
 from .reps import Rep, coproduct, opposite_coproduct, safe_window, tensor_rep
 from .tensorop import (TensorOperator, identity_plus_kron_sum, intertwine_defect,
                        masked_max_abs, weight_sectors, ybe_defect)
@@ -42,26 +42,27 @@ def cartan_weight_vector(rep1: Rep, rep2: Rep) -> np.ndarray:
 
 
 def _raising_table(rep: Rep) -> np.ndarray:
-    """T[s, n] = q^{n(n-1)/2} qbinom(s, n) prod_{r=1}^n [lam - s + r], zero for n > s.
+    """T[s, n] = q^{n(n-1)/2} qbinom(s, n) prod_{r=1}^n [lam - s + r], zero for n > s,
+    of a ladder (Verma or semicyclic) module.
 
     Column n holds the entries (s-n, s) of E^n / (n)_{q^-2}!; the q-binomial
     is the root-of-unity limit value where applicable, so no vanishing
-    factorial is ever divided.  The ladder products accumulate over n.
+    factorial is ever divided.  The ladder products accumulate over r <= s
+    only; PowerOverflow, naming q, where one leaves float64.
     """
+    if rep.kind not in ("verma", "semicyclic"):
+        raise ValueError("renormalized raising powers need a ladder module")
     qp = rep.qp
     d = rep.dim
     n = np.arange(d)
     ladder = np.ones((d, d), dtype=complex)
     brackets = qnumber_array(rep.lam - n[:, None] + n[None, 1:], qp)  # [lam - s + r]
-    ladder[:, 1:] = np.cumprod(brackets, axis=1)
+    with np.errstate(all="ignore"):  # a non-finite product is refused below
+        ladder[:, 1:] = np.cumprod(np.where(n[1:] <= n[:, None], brackets, 1), axis=1)
+    if not np.isfinite(ladder).all():
+        raise PowerOverflow(f"the raising powers of a depth-{d} module overflow a float "
+                            f"at q={qp.q}")
     return qp.qpow_array(0.5 * n * (n - 1)) * qbinom_table(d, qp) * ladder
-
-
-def _ladder_table(rep: Rep) -> np.ndarray:
-    """The raising table of a ladder (Verma or semicyclic) module."""
-    if rep.kind not in ("verma", "semicyclic"):
-        raise ValueError("renormalized raising powers need a ladder module")
-    return _raising_table(rep)
 
 
 def _table_power(table: np.ndarray, n: int) -> np.ndarray:
@@ -79,7 +80,7 @@ def renormalized_raising_power(rep: Rep, n: int) -> np.ndarray:
     the q-binomial is the root-of-unity limit value where applicable, so the
     expression is never assembled from vanishing factorials.
     """
-    return _table_power(_ladder_table(rep), n)
+    return _table_power(_raising_table(rep), n)
 
 
 def e_derivation_matrix(rep: Rep) -> np.ndarray:
@@ -154,7 +155,10 @@ def r_generic_universal(rep1: Rep, rep2: Rep) -> TensorOperator:
     base = qp.qpow(-2)
     coeffs = [1.0 + 0j]
     for n in range(1, len(powers) + 1):
-        bracket = unsym_qnum(n, base)
+        try:
+            bracket = unsym_qnum(n, base)
+        except OverflowError:  # base**n
+            raise PowerOverflow(f"q**e overflows a float at q={q}, e={-2 * n}") from None
         if abs(bracket) < 1e-9:
             raise DenominatorVanishes(
                 f"q-factorial vanished at order {n} before the series terminated"

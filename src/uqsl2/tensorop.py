@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .qnum import RefusedInput
+
 
 def cnum(v) -> list:
     """A complex number as its JSON pair [re, im]."""
@@ -207,7 +209,7 @@ def total_degree_mask(depths, max_total: int) -> np.ndarray:
     return total_degree(depths) <= max_total
 
 
-class EmptySafeWindow(ValueError):
+class EmptySafeWindow(RefusedInput, ValueError):
     """The truncation depths are too small for the margin: no source is safe."""
 
 

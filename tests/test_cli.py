@@ -1,7 +1,10 @@
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import math
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -447,7 +450,20 @@ EXTREME_TEMPLATES = {
     **{f"verify-{suite}": ("verify", suite, "--q", "{x}") for suite in (
         "ybe", "quasi", "product-oracle", "drinfeld", "schur-oracle", "intertwine")},
 }
-EXTREME_MAGNITUDES = ["1e300", "-1e300", "1e-300", "1e-150", "1e-20", "1e20", "1e150", "1e200"]
+EXTREME_MAGNITUDES = ["1e300", "-1e300", "1e-300", "1e-150", "1e-100", "1e-50", "1e-20", "1e20",
+                      "1e150", "1e200"]
+
+
+def refusal_classes():
+    """Every exception class defined in a module of the package, found by walking the
+    module namespaces, so that a new class cannot be left out."""
+    import uqsl2
+    found = set()
+    for info in pkgutil.iter_modules(uqsl2.__path__):
+        module = importlib.import_module(f"uqsl2.{info.name}")
+        found.update(obj for _, obj in inspect.getmembers(module, inspect.isclass)
+                     if issubclass(obj, BaseException) and obj.__module__ == module.__name__)
+    return sorted(found, key=lambda cls: cls.__name__)
 
 
 class TestExitCodeContract:
@@ -465,6 +481,62 @@ class TestExitCodeContract:
             assert err.count("\n") == 1 and json.loads(err)["code"] == code, (argv, err)
         else:
             assert err == "", (argv, err)
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "quasi", "--q", "1e-50"),
+        ("verify", "quasi", "--q", "0.9954719225730846,0.09505604330418266",
+         "--depths", "34,34,34"),
+    ], ids=["coproduct-overflow", "q-factorial-vanishes"])
+    def test_refusal_off_the_old_list_exits_2(self, argv):
+        # the coproduct of the Verma pair leaves float64 at q = 1e-50; at q = e^{2 pi i/66},
+        # which passes the guard against roots of unity of order <= 64, a q-factorial of
+        # the universal form vanishes at order 33: both ended in a traceback with exit 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = run_main(list(argv))
+        assert code == 2
+        assert err.count("\n") == 1 and json.loads(err)["code"] == 2
+
+    def test_every_exception_class_is_a_refusal(self):
+        from uqsl2.qnum import RefusedInput
+        classes = refusal_classes()
+        assert len(classes) >= 12  # the base and eleven refusal classes
+        assert [c.__name__ for c in classes if not issubclass(c, RefusedInput)] == []
+
+    @pytest.mark.parametrize("where", [{}, {"z": 0.5 - 2j}, {"weight_pair": (1, 2)},
+                                       {"z": 3.0, "weight_pair": (0, 4)}],
+                             ids=["bare", "z", "weight-pair", "both"])
+    @pytest.mark.parametrize("cls", refusal_classes(), ids=lambda cls: cls.__name__)
+    def test_main_maps_each_refusal_by_its_type(self, cls, where, monkeypatch):
+        from uqsl2 import cli
+
+        def suite(*args):
+            exc = cls("refused")
+            exc.z, exc.weight_pair = where.get("z"), where.get("weight_pair")
+            raise exc
+
+        monkeypatch.setitem(cli.SUITES, "ybe", suite)
+        code, err = run_main(["verify", "ybe", "--q", "1.1"])
+        assert code == cls.code == (3 if cls.__name__ == "PoleError" else 2)
+        assert err.count("\n") == 1 and err.endswith("\n")
+        expected = {"error": "refused", "code": code}
+        if "z" in where:
+            expected["z"] = [where["z"].real, where["z"].imag]
+        if "weight_pair" in where:
+            expected["weight_pair"] = list(where["weight_pair"])
+        assert list(json.loads(err).items()) == list(expected.items())
+
+    def test_a_defect_is_not_a_refusal(self, monkeypatch):
+        # an error that is no refusal of input propagates out of main: exit 1 with a
+        # traceback, never hidden as exit 2
+        from uqsl2 import cli
+
+        def suite(*args):
+            raise RuntimeError("a defect")
+
+        monkeypatch.setitem(cli.SUITES, "ybe", suite)
+        with pytest.raises(RuntimeError, match="a defect"):
+            run_main(["verify", "ybe", "--q", "1.1"])
 
     @given(CLI_ARGS)
     @settings(max_examples=60, deadline=None)

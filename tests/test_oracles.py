@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from uqsl2 import (QParam, decompos_product, eval_imaginary_prime, eval_root_vectors, f_scalar,
-                   kron2, qexp_truncated, qnumber, r_spectral, rminus_closed, rminus_product,
-                   rplus_closed, rplus_product, rzero_bar, rzero_bar_eigenvalue,
-                   rzero_exponential, schur_to_imaginary, truncated_verma)
+from uqsl2 import (InadmissibleParameters, QParam, decompos_product, eval_imaginary_prime,
+                   eval_root_vectors, f_scalar, kron2, qexp_truncated, qnumber, r_spectral,
+                   rminus_closed, rminus_product, rplus_closed, rplus_product, rzero_bar,
+                   rzero_bar_eigenvalue, rzero_exponential, schur_to_imaginary, truncated_verma)
 from uqsl2 import raffine, rfinite
 
 QP = QParam.generic(1.13 + 0.03j)
@@ -336,8 +336,8 @@ class TestIndependence:
             raise AssertionError("an oracle called the code it checks")
 
         for module, name in ((raffine, "identity_plus_kron_sum"), (raffine, "_closed_factor"),
-                             (raffine, "_ladder_table"), (raffine, "_table_power"),
-                             (rfinite, "r_verma_direct"), (rfinite, "_ladder_table")):
+                             (raffine, "_raising_table"), (raffine, "_table_power"),
+                             (rfinite, "r_verma_direct"), (rfinite, "_raising_table")):
             monkeypatch.setattr(module, name, refuse)
         r1, r2 = PAIRS["4x4"]()
         with pytest.raises(AssertionError):
@@ -371,7 +371,7 @@ class TestNonFiniteSpectralParameter:
         r1, r2 = PAIRS["4x4"]()
         with pytest.raises(ValueError, match="spectral parameter z must be finite") as exc:
             self.CALLS[call](z, r1, r2)
-        assert type(exc.value) is ValueError
+        assert type(exc.value) is InadmissibleParameters
 
     @pytest.mark.parametrize("z", NON_FINITE, ids=["nan", "inf", "nan-imag"])
     def test_truncation_rule_lets_no_nan_through(self, z):

@@ -1,4 +1,5 @@
 import cmath
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from uqsl2 import (DenominatorVanishes, EmptySafeWindow, QParam, cartan_weight_v
                    r_generic_universal, r_reshetikhin_product, r_verma_direct,
                    renormalized_raising_power, safe_mask, semicyclic, tensor_rep,
                    truncated_verma, ybe_defect, ybe_residual)
-from uqsl2.qnum import unsym_qfact
+from uqsl2.qnum import PowerOverflow, unsym_qfact
 from uqsl2.rfinite import _exp_terms, _kron_power_sum, _kron_powers, _wrap_constant
 from uqsl2.tensorop import weight_sectors
 
@@ -59,6 +60,21 @@ class TestDirectForm:
         reps = vermas((3, 3), qp)
         with pytest.raises(ValueError):
             r_generic_universal(reps[0], reps[1])
+
+    def test_refuses_a_tensor_module(self):
+        # the weightwise sum reads V1's raising table, which only a ladder module has
+        r1, r2, r3 = vermas((2, 2, 2))
+        with pytest.raises(ValueError, match="need a ladder module"):
+            r_verma_direct(tensor_rep(r1, r2), r3)
+
+    def test_refuses_a_raising_table_beyond_float64(self):
+        # at q = 1e-3 the ladder products of a depth-30 module leave float64, though the
+        # module itself is finite: refused, naming q, before numpy warns
+        r1, r2 = vermas((30, 30), QParam.generic(1e-3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PowerOverflow, match=r"overflow a float at q=\(0\.001"):
+                r_verma_direct(r1, r2)
 
 
 class TestRenormalizedPowers:

@@ -1,5 +1,5 @@
-"""Exit code and stdout digest of every benchmark job, known failure, extra job and
-demo.
+"""Exit code, stdout digest and stderr summary of every benchmark job, known failure,
+extra job and demo.
 
     python3 tools/output_digests.py --src DIR --out FILE [--against BEFORE]
 
@@ -9,17 +9,22 @@ in-process, through ``perfbench/jobs.run_job``, and so does each job of
 ``EXTRA_JOBS`` below; its ``demos/*.py`` run as subprocesses.  The job list
 always comes from this script's own checkout, so two checkouts are compared
 on the same jobs.  FILE receives
-``{job: [exit_code, sha256 of stdout, records]}``, where records lists each
-``verify`` record as ``[check, residual, pass]`` (empty for other outputs);
-two runs with identical CLI output give identical files:
+``{job: [exit_code, sha256 of stdout, records, stderr_lines, diagnostic]}``, where
+records lists each ``verify`` record as ``[check, residual, pass]`` (empty for other
+outputs), stderr_lines counts the lines written to stderr with every warning shown,
+and diagnostic is the one-line JSON diagnostic of a refusal, the exception of a job
+that ends in a traceback, or null.  Warning text holds checkout paths, so only its
+lines are counted.  Two runs with identical CLI output give identical files:
 
     python3 tools/output_digests.py --src ../parent --out before.json
     python3 tools/output_digests.py --out after.json --against before.json
 
 With ``--against``, the outputs whose digest differs from BEFORE are
 summarized: per check name, how many records moved and the largest relative
-move of a residual, then every change of exit code or of a record's pass
-flag.  The exit status is 1 when any exit code or pass flag changed.
+move of a residual.  Then every change of stderr line count or diagnostic is
+listed, and every change of exit code or of a record's pass flag.  BEFORE must
+come from this version of the script.  The exit status is 1 when any exit code
+or pass flag changed.
 """
 
 import os
@@ -29,10 +34,13 @@ PINS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
 os.environ.update(PINS)
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import hashlib  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
+import warnings  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,7 +50,8 @@ from jobs import run_job  # noqa: E402
 from workloads import KNOWN_FAILURES, WORKLOADS, cycle_jobs, job_key  # noqa: E402
 
 #: end-to-end commands no workload runs: the default sweeps at N' = 5 and 7, Yang-Baxter
-#: at N' = 13 and 17 (17 exits 1), and extreme finite inputs that must exit 2
+#: at N' = 13 and 17 (17 exits 1), and extreme finite inputs that must exit 2 with no
+#: warning, among them q = e^{2 pi i/66}, where a q-factorial of the universal form vanishes
 EXTRA_JOBS = [
     ("sweep", "--Nprime", "5"),
     ("sweep", "--Nprime", "7"),
@@ -52,6 +61,8 @@ EXTRA_JOBS = [
       for a in ("1e200", "1e300")),
     *(("verify", suite, "--q", "1e-20")
       for suite in ("drinfeld", "schur-oracle", "product-oracle")),
+    *(("verify", suite, "--q", "1e-50") for suite in ("quasi", "intertwine", "product-oracle")),
+    ("verify", "quasi", "--q", "0.9954719225730846,0.09505604330418266", "--depths", "34,34,34"),
 ]
 
 
@@ -67,6 +78,32 @@ def import_cli(src: Path):
     return uqsl2.cli
 
 
+class StderrKept:
+    """The cli module, its ``main`` keeping each call's stderr in ``err``, where
+    ``perfbench/jobs.run_job`` discards it.  Every warning is shown, not only the first
+    one from its line of code."""
+
+    def __init__(self, cli):
+        self.cli, self.err = cli, ""
+
+    def main(self, argv):
+        buf = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(buf), warnings.catch_warnings():
+                warnings.simplefilter("always")
+                return self.cli.main(argv)
+        finally:
+            self.err = buf.getvalue()
+
+
+def stderr_summary(err: str, raised=None) -> list:
+    """[line count, diagnostic] of a job's stderr: the diagnostic is its last line when
+    that is a JSON diagnostic, else the exception that ended the job, else None."""
+    lines = err.splitlines()
+    diag = lines[-1] if lines and lines[-1].startswith('{"error": ') else raised
+    return [len(lines), diag]
+
+
 def demo_digests(src: Path) -> dict:
     env = {**os.environ, **PINS, "PYTHONPATH": str(src / "src")}
     out = {}
@@ -74,7 +111,8 @@ def demo_digests(src: Path) -> dict:
         proc = subprocess.run([sys.executable, str(script)], capture_output=True,
                               env=env, cwd=src, timeout=600)
         digest = hashlib.sha256(proc.stdout).hexdigest()
-        out[f"demo {script.name}"] = [proc.returncode, digest, []]
+        out[f"demo {script.name}"] = [proc.returncode, digest, [],
+                                      *stderr_summary(proc.stderr.decode())]
     return out
 
 
@@ -97,16 +135,18 @@ def relative_move(before: float, after: float) -> float:
 
 def compare(before: dict, after: dict) -> int:
     """Print what moved between two digest files; 1 if a verdict changed."""
-    changed = sorted(k for k in after if k in before and before[k][1] != after[k][1])
+    common = sorted(k for k in after if k in before)
+    changed = [k for k in common if before[k][1] != after[k][1]]
     print(f"{len(changed)} of {len(after)} outputs differ from the earlier run")
     for k in sorted(set(before) ^ set(after)):
         print(f"  only in {'the earlier' if k in before else 'this'} run: {k}")
+    verdicts = [f"  exit code {before[k][0]} -> {after[k][0]}: {k}"
+                for k in common if before[k][0] != after[k][0]]
+    stderr = [f"  {k}: {before[k][3:]} -> {after[k][3:]}"
+              for k in common if before[k][3:] != after[k][3:]]
     moved = {}        # check -> [records moved, largest relative move, job, before, after]
-    verdicts = []
     for k in changed:
-        (code0, _, recs0), (code1, _, recs1) = before[k], after[k]
-        if code0 != code1:
-            verdicts.append(f"  exit code {code0} -> {code1}: {k}")
+        recs0, recs1 = before[k][2], after[k][2]
         if not recs0 and not recs1:
             print(f"  differs, no verify records: {k}")
         if [r[0] for r in recs0] != [r[0] for r in recs1]:
@@ -124,6 +164,9 @@ def compare(before: dict, after: dict) -> int:
     print("moved residuals, by check (records moved, largest relative move, where):")
     for check, (n, rel, k, res0, res1) in sorted(moved.items()):
         print(f"  {check:28s} {n:4d}  {rel:9.3g}  {res0:.4g} -> {res1:.4g}  ({k})")
+    print("stderr changes, [line count, diagnostic]:" if stderr else "stderr: unchanged")
+    for line in stderr:
+        print(line)
     if not verdicts:
         print("exit codes and pass flags: unchanged")
         return 0
@@ -143,7 +186,7 @@ def main(argv=None) -> int:
     if args.against:
         with open(args.against) as fh:
             before = json.load(fh)
-    cli = import_cli(args.src)
+    cli = StderrKept(import_cli(args.src))
     jobs = ([argv for w in WORKLOADS for argv in cycle_jobs(w)]
             + [list(a) for a in (*KNOWN_FAILURES, *EXTRA_JOBS)])
     digests = {}
@@ -151,7 +194,8 @@ def main(argv=None) -> int:
         key = job_key(argv)
         if key not in digests:
             res = run_job(cli, argv)
-            digests[key] = [res.exit_code, res.digest, verify_records(res.output)]
+            digests[key] = [res.exit_code, res.digest, verify_records(res.output),
+                            *stderr_summary(cli.err, res.raised)]
     digests.update(demo_digests(args.src))
     lines = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in sorted(digests.items())]
     with open(args.out, "w") as fh:
