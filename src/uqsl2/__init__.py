@@ -1,9 +1,8 @@
 """Representations and R-matrices of quantized sl2, at generic q and at roots of unity."""
 
 from .qnum import (DenominatorVanishes, QParam, RefusedInput, gauss_binom, gen_binom,
-                   matrix_fractional_power, nilpotent_expm, qbinom, qbinom_table, qbracket,
-                   qexp_truncated, qfact, qint, qnumber, qpochhammer_truncated,
-                   unsym_qfact, unsym_qnum)
+                   matrix_fractional_power, nilpotent_expm, qbinom, qbinom_table,
+                   qexp_truncated, qfact, qint, qnumber, qpochhammer_truncated, unsym_qnum)
 from .tensorop import (EmptySafeWindow, TensorOperator, embed_two_site, kron2,
                        masked_max_abs, safe_mask, ybe_defect)
 from .reps import (InadmissibleParameters, Rep, casimir, central_check, coproduct,

@@ -31,8 +31,9 @@ from .raffine import (CARTAN_MODES, _assemble_product, affine_intertwine_residua
                       f_scalar, noncentral_residual, r_spectral, rminus_closed, rminus_product,
                       rplus_closed, rplus_product, rzero_bar, rzero_exponential, schur_forward,
                       schur_to_imaginary, spectral_ybe_residual)
-from .cpotts import (CurveSpec, DegenerateCurve, curve_residual, export_boltzmann,
-                     fn_commutation_residual, on_curve_partner, r_semicyclic, solve_intertwiner)
+from .cpotts import (CurveSpec, DegenerateCurve, _fold, _parent_spectral, curve_residual,
+                     export_boltzmann, fn_commutation_residual, on_curve_partner, r_semicyclic,
+                     solve_intertwiner)
 from .tensorop import cnum, masked_max_abs
 
 
@@ -111,15 +112,6 @@ def _vermas(args, qp, rng, default: list) -> list:
     depths = _parse_depths(args.depths, len(default)) if args.depths else default
     lams = [_random_lambda(rng) for _ in depths]
     return [truncated_verma(lam, d, qp) for lam, d in zip(lams, depths)]
-
-
-def _curve_point(qp, z, lam1, lam2, a1, a2) -> tuple:
-    """The semicyclic pair at one curve point, its curve residuals (r1, r2), the
-    restricted R-matrix and that R's affine intertwining residual."""
-    sc1, sc2 = semicyclic(a1, lam1, qp), semicyclic(a2, lam2, qp)
-    r1, r2 = curve_residual(CurveSpec(z, lam1, lam2, a1, a2, N=qp.N), qp)
-    R = r_semicyclic(z, sc1, sc2)
-    return (sc1, sc2), (r1, r2), R, affine_intertwine_residual(z, sc1, sc2, R=R)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +252,10 @@ def _suite_curve(args, qp, rng, records, tol):
         if sweep != "on-curve":
             a2 = a2 * 1.9 + 0.3
         z = cmath.exp(2j * cmath.pi * int(rng.integers(0, N)) / N)
-        (sc1, sc2), (r1, r2), R, resid = _curve_point(qp, z, lam1, lam2, a1, a2)
+        sc1, sc2 = semicyclic(a1, lam1, qp), semicyclic(a2, lam2, qp)
+        r1, r2 = curve_residual(CurveSpec(z, lam1, lam2, a1, a2, N=N), qp)
+        R = r_semicyclic(z, sc1, sc2)
+        resid = affine_intertwine_residual(z, sc1, sc2, R=R)
         params = {"draw": t, "alpha1": cnum(a1), "alpha2": cnum(a2), "z": cnum(z)}
         if sweep == "on-curve":
             _record(records, "curve-alpha", params, r1, tol)
@@ -388,10 +383,18 @@ def cmd_sweep(args) -> int:
     a1s = _range(args.alpha1_range)
     lines = ["nprime,lambda1,lambda2,alpha1,alpha2,z,r1,r2,intertwine_residual,nullspace_dim"]
     for l1 in lam1s:
-        for a1 in a1s:
-            lam1 = complex(l1, args.lambda_imag)
+        lam1 = complex(l1, args.lambda_imag)
+        parent = None  # R(z) of the row's parent pair, built at its first point
+        for k, a1 in enumerate(a1s, start=1):
             a2 = on_curve_partner(a1, lam1, lam2, qp)
-            (sc1, sc2), (r1, r2), _, resid = _curve_point(qp, z, lam1, lam2, a1, a2)
+            sc1, sc2 = semicyclic(a1, lam1, qp), semicyclic(a2, lam2, qp)
+            r1, r2 = curve_residual(CurveSpec(z, lam1, lam2, a1, a2, N=qp.N), qp)
+            if parent is None:
+                parent = _parent_spectral(z, lam1, lam2, qp)
+            R = _fold(z, parent, sc1, sc2)
+            if k == len(a1s):
+                parent = None  # not held through the row's last solve
+            resid = affine_intertwine_residual(z, sc1, sc2, R=R)
             _, dim = solve_intertwiner(sc1, sc2, z, 1.0)
             lines.append(
                 f"{qp.nprime},{lam1.real:.12g}{lam1.imag:+.12g}j,"

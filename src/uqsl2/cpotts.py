@@ -127,8 +127,8 @@ def r_semicyclic(z: complex, sc1: Rep, sc2: Rep) -> TensorOperator:
     """Spectral R-matrix carried to the semicyclic quotient pair.
 
     Evaluates the normalized R(z) on depth-2N truncations of the parent
-    highest-weight modules and conjugates by the quotient identification
-    v_{i+N} = alpha v_i.
+    highest-weight modules (_parent_spectral) and conjugates by the quotient
+    identification v_{i+N} = alpha v_i (_fold).
     On the curve this is the intertwiner of the semicyclic pair; off the
     curve it is representative-dependent and fails the intertwining check,
     which is the detection contract.  A fold that leaves float64 (alpha1 alpha2
@@ -138,15 +138,25 @@ def r_semicyclic(z: complex, sc1: Rep, sc2: Rep) -> TensorOperator:
         raise ValueError("both modules must be semicyclic quotients")
     if sc1.qp != sc2.qp:
         raise ValueError("modules must share the deformation parameter")
-    qp = sc1.qp
-    N = qp.N
-    depth = 2 * N
-    v1 = truncated_verma(sc1.lam, depth, qp)
-    v2 = truncated_verma(sc2.lam, depth, qp)
-    Rv = r_spectral(z, v1, v2)
+    return _fold(z, _parent_spectral(z, sc1.lam, sc2.lam, sc1.qp), sc1, sc2)
+
+
+def _parent_spectral(z: complex, lam1: complex, lam2: complex, qp: QParam) -> TensorOperator:
+    """The normalized R(z) of the parent highest-weight pair, truncated at depth 2N.
+
+    It depends on the weights and z alone, so every semicyclic pair with
+    these weights folds the same operator, whatever its alphas."""
+    depth = 2 * qp.N
+    return r_spectral(z, truncated_verma(lam1, depth, qp), truncated_verma(lam2, depth, qp))
+
+
+def _fold(z: complex, Rv: TensorOperator, sc1: Rep, sc2: Rep) -> TensorOperator:
+    """The parent R-matrix Rv conjugated to the semicyclic pair through the
+    quotient maps of its alphas; SpectralOverflow when that leaves float64."""
+    N = sc1.qp.N
     a1, a2 = sc1.params["alpha"], sc2.params["alpha"]
-    P1, S1 = _quotient_maps(a1, N, depth)
-    P2, S2 = _quotient_maps(a2, N, depth)
+    P1, S1 = _quotient_maps(a1, N, 2 * N)
+    P2, S2 = _quotient_maps(a2, N, 2 * N)
     with np.errstate(all="ignore"):
         mat = kron2(P1, P2) @ Rv.mat @ kron2(S1, S2)
     if not np.isfinite(mat).all():

@@ -159,24 +159,11 @@ def unsym_qnum(n: int, base: complex) -> complex:
     return (1 - base**n) / (1 - base)
 
 
-def qbracket(n: int, qp: QParam) -> complex:
-    """(n)_q in the unsymmetric convention, with base q itself."""
-    return unsym_qnum(n, qp.q)
-
-
 def qfact(n: int, qp: QParam) -> complex:
     """Symmetric factorial [n]! (vanishes at roots of unity once n >= N)."""
     out = 1.0 + 0j
     for k in range(2, n + 1):
         out *= qnumber(k, qp)
-    return out
-
-
-def unsym_qfact(n: int, base: complex) -> complex:
-    """(n)_b! = prod_{k=1}^{n} (1-b^k)/(1-b)."""
-    out = 1.0 + 0j
-    for k in range(2, n + 1):
-        out *= unsym_qnum(k, base)
     return out
 
 

@@ -37,8 +37,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .qnum import (LOG_MAX_FLOAT, InadmissibleParameters, QParam, RefusedInput, qexp_truncated,
-                   qnumber, qpochhammer_truncated)
+from .qnum import (LOG_MAX_FLOAT, InadmissibleParameters, PowerOverflow, QParam, RefusedInput,
+                   qexp_truncated, qnumber, qpochhammer_truncated)
 from .reps import Rep, _delta, _row_window, commutator_report, safe_window
 from .rfinite import _raising_table, _table_power, cartan_weight_vector
 from .tensorop import (TensorOperator, identity_plus_kron_sum, intertwine_defect, kron2,
@@ -89,6 +89,13 @@ def _finite_rows(stack: np.ndarray, orders, what: str) -> np.ndarray:
     return stack
 
 
+def _finite_images(stack: np.ndarray, what: str, qp: QParam) -> np.ndarray:
+    """stack of generator images; PowerOverflow, naming q, when an entry left float64."""
+    if not np.isfinite(stack).all():
+        raise PowerOverflow(f"{what} overflow a float at q={qp.q}")
+    return stack
+
+
 class UnsupportedOrder(RefusedInput, ValueError):
     """The construction needs [2]_q != 0 (root order N' with q^4 != 1)."""
 
@@ -120,8 +127,10 @@ def _root_family(rep: Rep, x: complex, n_max: int, key: str) -> np.ndarray:
     """The family E0, F0, E1 or F1 of eval_root_vectors alone, a stack (n_max+1, d, d)."""
     s = 1 if key[0] == "E" else -1  # E: x^n, q^{-nH}; F: x^-n, q^{nH}; a1: one more x
     diag = rep.qpow_h(-s * np.arange(n_max + 1)[:, None])
-    mat = diag[:, :, None] * rep.E if key in ("E0", "F1") else rep.F * diag[:, None, :]
-    return _scalars((-1) ** n * x ** (s * (n + int(key[1]))) for n in range(n_max + 1)) * mat
+    with np.errstate(all="ignore"):  # a non-finite image is refused below
+        mat = diag[:, :, None] * rep.E if key in ("E0", "F1") else rep.F * diag[:, None, :]
+        stack = _scalars((-1) ** n * x ** (s * (n + int(key[1]))) for n in range(n_max + 1)) * mat
+    return _finite_images(stack, f"the {key} root vectors", rep.qp)
 
 
 def eval_root_vectors(rep: Rep, x: complex, n_max: int) -> dict:
@@ -163,10 +172,13 @@ def eval_imaginary_prime(rep: Rep, x: complex, n_max: int,
         W = rep.E @ rep.F - rep.F @ rep.E / q2
         Wf = rep.F @ rep.E - rep.E @ rep.F / q2
         shift = np.arange(n_max)[:, None]  # n - 1
-        eprime = (_scalars((-1) ** (n - 1) / two * x**n for n in ns)
-                  * (rep.qpow_h(-shift)[:, :, None] * W))
-        fprime = (_scalars((-1) ** (n - 1) / two * x ** (-n) for n in ns)
-                  * (rep.qpow_h(shift)[:, :, None] * Wf))
+        with np.errstate(all="ignore"):  # a non-finite image is refused below
+            eprime = (_scalars((-1) ** (n - 1) / two * x**n for n in ns)
+                      * (rep.qpow_h(-shift)[:, :, None] * W))
+            fprime = (_scalars((-1) ** (n - 1) / two * x ** (-n) for n in ns)
+                      * (rep.qpow_h(shift)[:, :, None] * Wf))
+        eprime = _finite_images(eprime, "the closed E' images", qp)
+        fprime = _finite_images(fprime, "the closed F' images", qp)
     elif family == "loop":
         eprime, fprime = _loop_eprime(rep, x, n_max), _loop_fprime(rep, x, n_max)
     else:
@@ -198,14 +210,6 @@ class ImaginaryRootImages:
     fprime: np.ndarray | list = field(default_factory=list)
     e: list = field(default_factory=list)
     f: list = field(default_factory=list)
-
-    def commutativity_defect(self) -> float:
-        vals = [0.0]
-        for fam in (self.eprime, self.fprime):
-            for i in range(len(fam)):
-                for j in range(i + 1, len(fam)):
-                    vals.append(np.max(np.abs(fam[i] @ fam[j] - fam[j] @ fam[i])))
-        return float(np.max(vals))
 
 
 def _weight_diagonals(mats: list, tol: float) -> np.ndarray:

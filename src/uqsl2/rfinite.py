@@ -103,9 +103,14 @@ def r_verma_direct(rep1: Rep, rep2: Rep) -> TensorOperator:
     q = rep1.qp.q
     d1, d2 = rep1.dim, rep2.dim
     s, sp, n = np.meshgrid(np.arange(d1), np.arange(d2), np.arange(d1), indexing="ij")
-    coeff = ((_raising_table(rep1) * (q - 1 / q) ** np.arange(d1))[s, n]
-             * cartan_weight_vector(rep1, rep2).reshape(d1, d2)[:, :, None])
+    table, weights = _raising_table(rep1), cartan_weight_vector(rep1, rep2)
+    with np.errstate(all="ignore"):  # a non-finite coefficient is refused below
+        coeff = ((table * (q - 1 / q) ** np.arange(d1))[s, n]
+                 * weights.reshape(d1, d2)[:, :, None])
     keep = (n <= s) & (sp + n < d2)
+    if not np.isfinite(coeff[keep]).all():
+        raise PowerOverflow(f"the R-matrix coefficients of a depth-{d1} module overflow a float "
+                            f"at q={q}")
     mat = np.zeros((d1 * d2, d1 * d2), dtype=complex)
     mat[((s - n) * d2 + sp + n)[keep], (s * d2 + sp)[keep]] = coeff[keep]
     return TensorOperator((d1, d2), mat)

@@ -261,6 +261,62 @@ class TestSweep:
             assert float(cols[8]) < 1e-6   # intertwine residual
             assert int(cols[9]) == 1       # nullspace dimension
 
+    #: two lambda1 rows of three alpha1 points each, at N' = 5
+    GRID = ["sweep", "--Nprime", "5", "--lambda1-range", "0.5:1.5:2",
+            "--alpha1-range", "0.2:1.0:3"]
+
+    def test_parent_r_matrix_built_once_per_row(self, monkeypatch):
+        # alpha enters only through the quotient maps, so the parent pair's R(z)
+        # is built at a row's first point and folded for each of its alphas
+        import uqsl2.cpotts
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return r_spectral(*args, **kwargs)
+
+        r_spectral = uqsl2.cpotts.r_spectral
+        monkeypatch.setattr(uqsl2.cpotts, "r_spectral", counted)
+        code, err = run_main(list(self.GRID))
+        assert (code, err) == (0, "")
+        assert len(calls) == 2
+
+    def test_rows_match_a_point_by_point_build(self):
+        from uqsl2 import (CurveSpec, QParam, affine_intertwine_residual, curve_residual,
+                           on_curve_partner, r_semicyclic, semicyclic, solve_intertwiner)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            from uqsl2.cli import main
+            assert main(list(self.GRID)) == 0
+        qp, lam2, z = QParam.root_of_unity(5), complex(1.3, -0.11), complex(1.0)
+        lines = ["nprime,lambda1,lambda2,alpha1,alpha2,z,r1,r2,intertwine_residual,"
+                 "nullspace_dim"]
+        for l1 in np.linspace(0.5, 1.5, 2):
+            lam1 = complex(l1, 0.1)
+            for a1 in np.linspace(0.2, 1.0, 3):
+                a2 = on_curve_partner(a1, lam1, lam2, qp)
+                sc1, sc2 = semicyclic(a1, lam1, qp), semicyclic(a2, lam2, qp)
+                r1, r2 = curve_residual(CurveSpec(z, lam1, lam2, a1, a2, N=qp.N), qp)
+                resid = affine_intertwine_residual(z, sc1, sc2, R=r_semicyclic(z, sc1, sc2))
+                _, dim = solve_intertwiner(sc1, sc2, z, 1.0)
+                lines.append(f"5,{lam1.real:.12g}{lam1.imag:+.12g}j,"
+                             f"{lam2.real:.12g}{lam2.imag:+.12g}j,"
+                             f"{a1:.12g},{a2.real:.12g}{a2.imag:+.12g}j,"
+                             f"{z.real:.12g}{z.imag:+.12g}j,"
+                             f"{r1:.6e},{r2:.6e},{resid:.6e},{dim}")
+        assert out.getvalue() == "\n".join(lines) + "\n"
+
+    def test_fold_overflow_at_a_rows_last_point_names_both_alphas(self):
+        # the row's parent R-matrix is built at alpha1 = 0.5; the fold at 1e200 leaves float64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = run_main(["sweep", "--Nprime", "5", "--lambda1-range", "0.5:0.5:1",
+                                  "--alpha1-range", "0.5:1e200:2"])
+        assert code == 2 and err.count("\n") == 1
+        diag = json.loads(err)
+        assert "non-finite restricted R-matrix" in diag["error"]
+        assert "alpha1=(1e+200+0j), alpha2=(" in diag["error"]
+
 
 class TestDeterminism:
     def test_verify_reports_byte_identical(self, tmp_path):
@@ -496,6 +552,24 @@ class TestExitCodeContract:
             code, err = run_main(list(argv))
         assert code == 2
         assert err.count("\n") == 1 and json.loads(err)["code"] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "ybe", "--q", "1e-70"),
+        ("verify", "ybe", "--q", "1e-80"),
+        ("verify", "drinfeld", "--q", "1e-45"),
+        ("verify", "schur-oracle", "--q", "1e-15"),
+    ], ids=["ybe-1e-70", "ybe-1e-80", "drinfeld-1e-45", "schur-oracle-1e-15"])
+    def test_overflow_between_grid_magnitudes_names_q(self, argv):
+        # the R-matrix coefficients of r_verma_direct, the real root vectors and the
+        # closed imaginary root images leave float64 here, magnitudes the grid above
+        # steps over; each is refused where it is built, naming q, with no warning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = run_main(list(argv))
+        assert code == 2
+        assert err.count("\n") == 1
+        diag = json.loads(err)
+        assert diag["code"] == 2 and f"q=({float(argv[-1])!r}+0j)" in diag["error"]
 
     def test_every_exception_class_is_a_refusal(self):
         from uqsl2.qnum import RefusedInput

@@ -5,8 +5,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uqsl2 import (DenominatorVanishes, QParam, gauss_binom, qbinom, qbinom_table,
-                   qbracket, qexp_truncated, qint, qnumber, qpochhammer_truncated,
-                   unsym_qfact)
+                   qexp_truncated, qint, qnumber, qpochhammer_truncated, unsym_qnum)
+
+
+def qbracket(n, qp):
+    """(n)_q in the unsymmetric convention, with base q itself."""
+    return unsym_qnum(n, qp.q)
+
+
+def unsym_qfact(n, base):
+    """(n)_b! = prod_{k=1}^{n} (1-b^k)/(1-b)."""
+    out = 1.0 + 0j
+    for k in range(2, n + 1):
+        out *= unsym_qnum(k, base)
+    return out
 
 
 def qbinom_generic_product(s, n, qp):

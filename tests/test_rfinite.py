@@ -11,9 +11,11 @@ from uqsl2 import (DenominatorVanishes, EmptySafeWindow, QParam, cartan_weight_v
                    r_generic_universal, r_reshetikhin_product, r_verma_direct,
                    renormalized_raising_power, safe_mask, semicyclic, tensor_rep,
                    truncated_verma, ybe_defect, ybe_residual)
-from uqsl2.qnum import PowerOverflow, unsym_qfact
+from uqsl2.qnum import PowerOverflow
 from uqsl2.rfinite import _exp_terms, _kron_power_sum, _kron_powers, _wrap_constant
 from uqsl2.tensorop import weight_sectors
+
+from test_qnum import unsym_qfact
 
 QP = QParam.generic(1.17 + 0.06j)
 LAMS = (0.43 + 0.11j, 1.27 - 0.23j, 0.9 + 0.05j)

@@ -49,12 +49,14 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from jobs import run_job  # noqa: E402
 from workloads import KNOWN_FAILURES, WORKLOADS, cycle_jobs, job_key  # noqa: E402
 
-#: end-to-end commands no workload runs: the default sweeps at N' = 5 and 7, Yang-Baxter
-#: at N' = 13 and 17 (17 exits 1), and extreme finite inputs that must exit 2 with no
-#: warning, among them q = e^{2 pi i/66}, where a q-factorial of the universal form vanishes
+#: end-to-end commands no workload runs: the default sweeps at N' = 5 and 7, one sweep of
+#: two lambda1 rows of three alpha1 points, Yang-Baxter at N' = 13 and 17 (17 exits 1), and
+#: extreme finite inputs that must exit 2 with no warning, among them q = e^{2 pi i/66},
+#: where a q-factorial of the universal form vanishes
 EXTRA_JOBS = [
     ("sweep", "--Nprime", "5"),
     ("sweep", "--Nprime", "7"),
+    ("sweep", "--Nprime", "5", "--lambda1-range", "0.5:1.5:2", "--alpha1-range", "0.2:1.0:3"),
     ("verify", "ybe", "--Nprime", "13"),
     ("verify", "ybe", "--Nprime", "17"),
     *(("sweep", "--Nprime", "3", "--lambda1-range", "0.5:0.5:1", "--alpha1-range", f"{a}:{a}:1")
@@ -63,6 +65,9 @@ EXTRA_JOBS = [
       for suite in ("drinfeld", "schur-oracle", "product-oracle")),
     *(("verify", suite, "--q", "1e-50") for suite in ("quasi", "intertwine", "product-oracle")),
     ("verify", "quasi", "--q", "0.9954719225730846,0.09505604330418266", "--depths", "34,34,34"),
+    *(("verify", "ybe", "--q", q) for q in ("1e-70", "1e-80")),
+    ("verify", "drinfeld", "--q", "1e-45"),
+    ("verify", "schur-oracle", "--q", "1e-15"),
 ]
 
 
