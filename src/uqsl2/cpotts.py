@@ -25,10 +25,13 @@ constraint certifies most blocks free of any nullspace without an
 eigensolve: every K is diagonal, so its term of the Gram matrix is a
 diagonal whose minimum over a block bounds the block's smallest eigenvalue
 from below (Weyl).  One threshold, NULLSPACE_RATIO^2 times a bound on every
-eigenvalue, certifies each block whose K0 minimum clears it; every other
-block (charge 0, and any charge c with q^2c = 1) is one eigh call for its
-eigenpairs below it, its zeros.  The smallest zero's vector is the
-intertwiner; it must meet each constraint on that constraint's scale.
+eigenvalue, certifies each block whose K0 minimum clears it.  Every other
+block (charge 0, and any charge c with q^2c = 1) is assembled from the
+generators' nonzero entries, and its zeros, the eigenvalues below the
+threshold, are counted by the inertia of one LDL^H factorization; only a
+block that holds zeros has their vectors found, by inverse iteration.  The
+smallest zero's vector is the intertwiner; it must meet each constraint on
+that constraint's scale.
 """
 
 from __future__ import annotations
@@ -204,6 +207,86 @@ class UnresolvedConstraints(RefusedInput, ValueError):
     constraint's own scale.  ``z`` is x / y."""
 
 
+def _nonzeros(M: np.ndarray) -> tuple:
+    """Row indices, column indices and values of the nonzero entries of M."""
+    i, j = np.nonzero(M)
+    return i, j, M[i, j]
+
+
+def _equal_pairs(key: np.ndarray) -> tuple:
+    """Every index pair (k, l) with key[k] == key[l] (key holds indices)."""
+    order = np.argsort(key, kind="stable")
+    sizes = np.bincount(key)
+    start = np.repeat(np.cumsum(sizes) - sizes, sizes)  # per sorted index: its group's start
+    size = np.repeat(sizes, sizes)
+    offset = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+    return np.repeat(order, size), order[np.repeat(start, size) + offset]
+
+
+def _nonpositive_pivots(ldu: np.ndarray, ipiv: np.ndarray) -> int:
+    """The number of eigenvalues <= 0 of the block-diagonal D of a lower LAPACK
+    hetrf factorization: a 1x1 pivot counts by its sign, a 2x2 pivot by its
+    determinant and trace."""
+    d = ldu.diagonal().real
+    count = int((d[ipiv > 0] <= 0).sum())
+    first = np.flatnonzero(ipiv < 0)[::2]  # a 2x2 pivot marks both its rows negative
+    if len(first):
+        a, c, b = d[first], d[first + 1], ldu[first + 1, first]
+        s = np.maximum(np.maximum(abs(a), abs(c)), abs(b))  # scaled, so det cannot overflow
+        s[s == 0] = 1
+        det, trace = (a / s) * (c / s) - abs(b / s) ** 2, a + c
+        count += int(((det <= 0) | (trace <= 0)).sum())  # the smaller eigenvalue is <= 0
+        count += int(((det >= 0) & (trace <= 0)).sum())  # and the larger one
+    return count
+
+
+def _block_zeros(gram: np.ndarray, threshold: float) -> tuple:
+    """The eigenpairs (w, v) of the Hermitian block at or below threshold, as
+    scipy.linalg.eigh(gram, subset_by_value=(-inf, threshold)) gives them.
+
+    Their number k is the inertia of gram - threshold I (Sylvester's law), read
+    off the pivots of its LDL^H factorization (LAPACK hetrf, lower triangle).
+    For k > 0, k fixed start vectors take two steps of inverse iteration with
+    the Cholesky factor of gram + threshold I, a shift below the spectrum (one
+    at the threshold would converge to the eigenvalue nearest it, maybe just
+    above); Gram-Schmidt and Rayleigh-Ritz on gram then give the pairs.  Each
+    step shrinks an eigenvalue lambda's share by 2 threshold / (lambda +
+    threshold).  The diagonal is
+    shifted in place and restored bit for bit, and each factor is dropped
+    before the next is made.  A failed factorization raises LinAlgError.
+    """
+    from scipy.linalg import lapack  # the package's one scipy import: only a solve loads scipy
+
+    n = len(gram)
+    diag, at = gram.diagonal().copy(), np.diag_indices(n)
+    try:
+        gram[at] = diag - threshold
+        ldu, ipiv, info = lapack.zhetrf(gram, lower=1, lwork=64 * n)
+        if info < 0:
+            raise np.linalg.LinAlgError(f"hetrf argument {-info} is invalid")
+        k = _nonpositive_pivots(ldu, ipiv)
+        del ldu
+        if k == 0:
+            return np.zeros(0), np.zeros((n, 0), dtype=complex)
+        gram[at] = diag + threshold
+        chol, info = lapack.zpotrf(gram, lower=1, clean=0)
+        if info:
+            raise np.linalg.LinAlgError("the shifted block is not positive definite")
+    finally:
+        gram[at] = diag
+    v = np.random.default_rng(0).standard_normal((n, k)).astype(complex)
+    for _ in range(2):
+        v = lapack.zpotrs(chol, v, lower=1)[0]
+        v /= abs(v).max(axis=0)  # largest entry 1: no norm below over- or underflows
+    del chol
+    for c in range(k):  # Gram-Schmidt, twice
+        for _ in range(2):
+            v[:, c] -= v[:, :c] @ (v[:, :c].conj().T @ v[:, c])
+        v[:, c] /= np.linalg.norm(v[:, c])
+    w, s = np.linalg.eigh(v.conj().T @ (gram @ v))
+    return w, v @ s
+
+
 def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
     """Nullspace solve of R D(a) = D'(a) R over the affine generator images.
 
@@ -214,8 +297,8 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
     g = gcd(d1, d2), and 0 for every unknown when they are not graded.
     Every image is homogeneous, so G is exactly block-diagonal with one block
     per charge (g blocks of N^3 unknowns for a pair of N-dimensional
-    (semi)cyclic modules).  Each block is assembled by index arithmetic from
-    D x D matrices,
+    (semi)cyclic modules).  Each block is assembled from D x D matrices, X
+    from the nonzero entries of the images,
 
         G[(i,j),(i',j')] = d_ii' P[j,j'] + Q[i,i'] d_jj' - X - X^H,
         X = sum_a R_a[i,i'] conj(L_a)[j,j'],
@@ -229,8 +312,12 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
     NULLSPACE_RATIO^2 U holds no nullspace and is neither assembled nor
     diagonalized (every charge c with q^2c != 1 on a (semi)cyclic pair).
 
-    Zeros.  Every other block is one scipy.linalg.eigh call for its
-    eigenpairs below the same threshold NULLSPACE_RATIO^2 U, each a zero.
+    Zeros.  Every other block is one call of _block_zeros for its eigenpairs
+    at or below the same threshold NULLSPACE_RATIO^2 U, each a zero: their
+    number is the inertia of the block minus the threshold (LAPACK hetrf),
+    and their vectors, when there are any, come from inverse iteration with
+    the Cholesky factor of the block plus the threshold.  A factorization
+    that fails raises UnresolvedConstraints.
     A zero in a block whose K0 minimum is positive on K0's own scale (above
     NULLSPACE_RATIO^2 times the largest K0 entry) is spurious by the bound:
     the threshold cannot resolve the constraints at this z (in practice |z|
@@ -271,32 +358,32 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
     positive = kmin > floor * k0.max()  # nonzero on K0's own scale
     keep = kmin <= threshold  # the rest is certified; charge 0 never is (kmin 0 at i = j)
 
+    nonzeros = [(_nonzeros(right[a]), _nonzeros(conj_left[a])) for a in names]
+
     def block(c):
         """Indices (rows, cols) of the unknowns of charge c, and their Gram block.
 
-        X is gathered through one pair of flat-index arrays; the two Kronecker
-        delta terms are scattered onto their coinciding-index pairs only.
-        Every buffer is dropped once used, so a few blocks are alive at a time.
+        X adds each product of nonzeros R_a[i,i'] conj(L_a)[j,j'] whose unknowns
+        (i, j) and (i', j') both lie in the block once, at the block positions
+        in place; the delta terms go onto the unknowns sharing a row or a column.
         """
         rows, cols = np.nonzero(charge == c)
-        ii = np.add.outer(rows * D, rows)  # flat indices of [rows[k], rows[l]]
-        jj = np.add.outer(cols * D, cols)
-        X = np.zeros(ii.shape, dtype=complex)
-        for a in names:  # from zero, in generator order: the bits sum() would give
-            t = right[a].take(ii)
-            t *= conj_left[a].take(jj)
-            X += t
-        del t, ii, jj
-        gram = np.zeros(X.shape, dtype=complex)
-        k, l = np.nonzero(np.equal.outer(rows, rows))
+        n = len(rows)
+        place = np.full((D, D), -1)  # the block position of unknown R[i, j], or -1
+        place[rows, cols] = np.arange(n)
+        X = np.zeros((n, n), dtype=complex)
+        for (i, i2, r), (j, j2, s) in nonzeros:  # from zero, in generator order
+            k, l = place[i[:, None], j], place[i2[:, None], j2]
+            u, v = np.nonzero((k >= 0) & (l >= 0))
+            X[k[u, v], l[u, v]] += r[u] * s[v]
+        gram = np.zeros((n, n), dtype=complex)
+        k, l = _equal_pairs(rows)
         gram[k, l] = P[cols[k], cols[l]]
-        k, l = np.nonzero(np.equal.outer(cols, cols))
+        k, l = _equal_pairs(cols)
         gram[k, l] += Q[rows[k], rows[l]]
         gram -= X
-        gram -= X.conj().T
+        gram -= np.conjugate(X, out=X).T
         return rows, cols, gram
-
-    from scipy.linalg import eigh  # the package's one scipy import: only a solve loads scipy
 
     # the module parameters a refusal names next to z
     modules = "".join(f", {k}{i}={rep.params[k]}" for i, rep in ((1, rep1), (2, rep2))
@@ -305,7 +392,11 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
     dim, best = 0, None
     for c, pos in zip(charges[keep], positive[keep]):
         rows, cols, gram = block(c)
-        w, v = eigh(gram, subset_by_value=(-np.inf, threshold))
+        try:
+            w, v = _block_zeros(gram, threshold)
+        except np.linalg.LinAlgError as exc:
+            raise UnresolvedConstraints(f"the nullspace threshold cannot resolve the constraints "
+                                        f"at z={x / y}{modules}: {exc}", z=x / y) from None
         del gram
         if len(w) and pos:
             raise UnresolvedConstraints(

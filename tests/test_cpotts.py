@@ -315,12 +315,13 @@ class TestSolverNullspaceCount:
 
     def test_peak_memory_is_a_few_blocks(self):
         # The solver holds a fixed number of block-sized buffers at a time.
-        # While X is summed: the flat index pair (two int64 blocks, the bytes of
-        # one complex block), X, one generator product and its other gathered
-        # factor.  Then X, the Gram block, one index array, one gathered P or Q
-        # and its product; then the Gram block and the Fortran-order copy of it
-        # that eigh reduces.  Six complex blocks bound each stage; the
-        # whole D^2 x D^2 Gram is g^2 = 49 blocks.
+        # While X is summed: X and one generator's tables of block positions
+        # (nnz(R_a) x nnz(L_a) integers, far below a block).  Then X and the Gram
+        # block, X conjugated in place.  Then the Gram block and the Fortran-order
+        # LDL^H factor that hetrf writes, dropped before the Gram block's Cholesky
+        # factor is made.  Two complex blocks and small tables make each stage
+        # (2.6 blocks measured at N' = 7); the bound stays at six, and the whole
+        # D^2 x D^2 Gram is g^2 = 49 blocks.
         import tracemalloc
         qp = QParam.root_of_unity(7)
         sc1, sc2 = on_curve_pair(qp)
@@ -369,20 +370,67 @@ def block_grams(rep1, rep2, x, y):
 
 
 def record_block_eigensolves(monkeypatch):
-    """Wrap scipy.linalg.eigh to record, per call, a copy of the block (eigh may
-    overwrite it), the keyword arguments and the eigenpairs it returned."""
-    import scipy.linalg
+    """Wrap the solver's per-block eigensolve cpotts._block_zeros to record, per
+    call, a copy of the block, the threshold and the eigenpairs it returned."""
+    import uqsl2.cpotts
     calls = []
-    eigh = scipy.linalg.eigh
+    block_zeros = uqsl2.cpotts._block_zeros
 
-    def recording(gram, *args, **kwargs):
+    def recording(gram, threshold):
         block = gram.copy()
-        w, v = eigh(gram, *args, **kwargs)
-        calls.append((block, kwargs, w, v))
+        w, v = block_zeros(gram, threshold)
+        calls.append((block, threshold, w, v))
         return w, v
 
-    monkeypatch.setattr(scipy.linalg, "eigh", recording)
+    monkeypatch.setattr(uqsl2.cpotts, "_block_zeros", recording)
     return calls
+
+
+def eigh_block_zeros(gram, threshold):
+    """The reference for cpotts._block_zeros, and the solver's eigensolve before
+    it: one scipy.linalg.eigh call for the eigenpairs at or below the threshold."""
+    from scipy.linalg import eigh
+    return eigh(gram, subset_by_value=(-np.inf, threshold))
+
+
+def gathered_blocks(rep1, rep2, x, y):
+    """The Gram block of each charge that the K0 bound leaves uncertified, gathered
+    as the solver once did: X through one pair of flat-index arrays over the whole
+    block, the Kronecker-delta terms on the np.equal.outer pairs of coinciding
+    indices.  The reference for the solver's assembly from the nonzeros."""
+    D = rep1.dim * rep2.dim
+    left, right = affine_coproduct_images(rep1, rep2, x, y)
+    names = ("E0", "F0", "E1", "F1", "K0")
+    conj_left = {a: left[a].conj() for a in names}
+    P = sum(conj_left[a] @ left[a].T for a in names)
+    Q = sum(right[a].conj().T @ right[a] for a in names)
+    U = sum((np.linalg.norm(left[a]) + np.linalg.norm(right[a])) ** 2 for a in names)
+    g = module_grading(rep1, rep2)
+    deg = np.add.outer(np.arange(rep1.dim), np.arange(rep2.dim)).ravel()
+    diff = np.subtract.outer(deg, deg)
+    charge = diff % g if g else diff
+    k0 = np.abs(np.subtract.outer(np.diag(right["K0"]), np.diag(left["K0"]))) ** 2
+    out = {}
+    for c in np.unique(charge):
+        rows, cols = np.nonzero(charge == c)
+        if k0[rows, cols].min() > NULLSPACE_RATIO**2 * U:
+            continue
+        ii = np.add.outer(rows * D, rows)  # flat indices of [rows[k], rows[l]]
+        jj = np.add.outer(cols * D, cols)
+        X = np.zeros(ii.shape, dtype=complex)
+        for a in names:
+            t = right[a].take(ii)
+            t *= conj_left[a].take(jj)
+            X += t
+        gram = np.zeros(X.shape, dtype=complex)
+        k, l = np.nonzero(np.equal.outer(rows, rows))
+        gram[k, l] = P[cols[k], cols[l]]
+        k, l = np.nonzero(np.equal.outer(cols, cols))
+        gram[k, l] += Q[rows[k], rows[l]]
+        gram -= X
+        gram -= X.conj().T
+        out[c] = gram
+    return out
 
 
 class TestChargeCertificate:
@@ -521,24 +569,27 @@ def assert_zero_eigenpairs(gram, w, v, threshold, scale):
 
 
 class TestBlockEigensolve:
-    """Each searched charge block is one eigh call for its eigenpairs under the
-    threshold NULLSPACE_RATIO^2 U; the zeros it returns are the block's."""
+    """Each searched charge block is one call of cpotts._block_zeros for its
+    eigenpairs under the threshold NULLSPACE_RATIO^2 U; the zeros it returns are
+    the block's."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 125])
     @pytest.mark.parametrize("scale", [1e-200, 1e-80, 1.0, 1e80, 1e200])
     def test_the_solver_call_returns_exactly_the_zeros(self, n, scale):
-        # the solver's call shape on a PSD block of known rank: the zero count does not
-        # depend on the block's scale (1e-200 and 1e80, 1e200 take zheevr's two
-        # scaling branches), and the trace stands in for the Gram bound U
-        from scipy.linalg import eigh
+        # the solver's call on a PSD block of known rank: the zero count does not
+        # depend on the block's scale, and the trace stands in for the Gram bound U;
+        # eigh (1e-200 and 1e80, 1e200 take zheevr's two scaling branches) agrees
+        from uqsl2.cpotts import _block_zeros
         rng = np.random.default_rng(n)
         rank = n - n // 3
         B = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
         gram = (B @ B.conj().T) * scale
+        before = gram.tobytes()
         U = np.trace(gram).real
         threshold = NULLSPACE_RATIO**2 * U
-        w, v = eigh(gram.copy(), overwrite_a=True, subset_by_value=(-np.inf, threshold))
-        assert len(w) == n - rank
+        w, v = _block_zeros(gram, threshold)
+        assert gram.tobytes() == before  # the diagonal shifts are undone bit for bit
+        assert len(w) == len(eigh_block_zeros(gram, threshold)[0]) == n - rank
         assert_zero_eigenpairs(gram, w, v, threshold, U)
 
     @pytest.mark.parametrize("kind", ["nilpotent", "on-curve", "off-curve", "cyclic"])
@@ -551,9 +602,7 @@ class TestBlockEigensolve:
         _, dim = solve_intertwiner(rep1, rep2, 1.0, 1.0)
         _, U = block_grams(rep1, rep2, 1.0, 1.0)
         assert calls
-        for gram, kwargs, w, v in calls:
-            lower, threshold = kwargs["subset_by_value"]
-            assert lower == -np.inf
+        for gram, threshold, w, v in calls:
             assert threshold == pytest.approx(NULLSPACE_RATIO**2 * U, rel=1e-12)
             assert_zero_eigenpairs(gram, w, v, threshold, U)
         assert dim == sum(len(w) for _, _, w, _ in calls)
@@ -561,17 +610,17 @@ class TestBlockEigensolve:
     @pytest.mark.parametrize("qp", [QP3, QP5], ids=["demo-04", "N'=5"])
     def test_intertwiner_against_the_full_spectrum(self, qp, monkeypatch):
         # the reference path: every eigenpair of the block, then those under the threshold
-        import scipy.linalg
+        import uqsl2.cpotts
+        from scipy.linalg import eigh
         pair = on_curve_pair(qp)
         R, dim = solve_intertwiner(*pair, 1.0, 1.0)
-        eigh = scipy.linalg.eigh
 
-        def reference(gram, subset_by_value, **kwargs):
+        def reference(gram, threshold):
             w, v = eigh(gram)
-            zeros = int((w <= subset_by_value[1]).sum())
+            zeros = int((w <= threshold).sum())
             return w[:zeros], v[:, :zeros]
 
-        monkeypatch.setattr(scipy.linalg, "eigh", reference)
+        monkeypatch.setattr(uqsl2.cpotts, "_block_zeros", reference)
         R_ref, dim_ref = solve_intertwiner(*pair, 1.0, 1.0)
         assert dim == dim_ref == 1
         assert np.allclose(R.mat, R_ref.mat, rtol=0, atol=1e-10)
@@ -585,6 +634,80 @@ class TestBlockEigensolve:
             with pytest.raises(SpectralOverflow):
                 solve_intertwiner(*on_curve_pair(QP5), z, 1.0)
         assert calls == []
+
+
+def inertia_count(gram, threshold):
+    """The solver's count of eigenvalues at or below the threshold, from the
+    LDL^H factorization of gram - threshold I, and whether it took a 2x2 pivot."""
+    from scipy.linalg import lapack
+
+    from uqsl2.cpotts import _nonpositive_pivots
+    ldu, ipiv, info = lapack.zhetrf(gram - threshold * np.eye(len(gram)), lower=1)
+    assert info >= 0
+    return _nonpositive_pivots(ldu, ipiv), bool((ipiv < 0).any())
+
+
+class TestInertiaCount:
+    @pytest.mark.parametrize("m", [1, 2, 5, 40])
+    def test_zero_diagonal_takes_two_by_two_pivots(self, m):
+        # [[0, B], [B^H, 0]] has eigenvalues +-sigma(B): no 1x1 pivot can start it
+        rng = np.random.default_rng(m)
+        B = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        gram = np.block([[np.zeros((m, m)), B], [B.conj().T, np.zeros((m, m))]])
+        sigma = np.linalg.svd(B, compute_uv=False)
+        for threshold in (-2 * sigma[0], -sigma[-1] / 2, sigma[-1] / 2, 2 * sigma[0]):
+            count = inertia_count(gram, threshold)[0]
+            assert count == int((np.linalg.eigvalsh(gram) <= threshold).sum())
+        assert inertia_count(gram, 0.0) == (m, True)  # a zero diagonal takes 2x2 pivots
+
+    def test_an_eigenvalue_exactly_at_the_threshold_counts(self):
+        # [[1, 1], [1, 1]] has eigenvalues 0 and 2; shifted by t = 2^-40 and back
+        # (exact in binary), its LDL^H factorization ends on an exact zero pivot
+        from uqsl2.cpotts import _block_zeros
+        t = 2.0**-40
+        gram = t * np.eye(2) + np.ones((2, 2))
+        assert inertia_count(gram, t) == (1, False)
+        w, v = _block_zeros(gram.astype(complex), t)
+        assert len(w) == 1 and abs(w[0] - t) < 1e-15
+        assert np.allclose(abs(v[:, 0]), np.sqrt(0.5), rtol=0, atol=1e-15)
+
+    def test_exact_zeros_inside_two_by_two_pivots(self):
+        # a singular B puts two exact zero eigenvalues in a zero-diagonal matrix
+        B = np.ones((2, 2))
+        gram = np.block([[np.zeros((2, 2)), B], [B.T, np.zeros((2, 2))]])  # -2, 0, 0, 2
+        assert inertia_count(gram, 0.0) == (3, True)
+        assert inertia_count(gram, -1.0)[0] == 1
+        assert inertia_count(gram, 2.0)[0] == 4
+
+
+class TestBlockAssembly:
+    @pytest.mark.parametrize("kind", ["nilpotent", "on-curve", "off-curve", "cyclic"])
+    @pytest.mark.parametrize("nprime", [3, 4, 5, 7])
+    @pytest.mark.parametrize("z", [1.0, 0.9 * cmath.exp(0.7j)], ids=["z-one", "z-generic"])
+    def test_blocks_match_the_flat_index_gather(self, nprime, kind, z, monkeypatch):
+        # the same products summed in the same order give the same bytes; blocks equal
+        # as numbers but not in bytes would differ in a zero's sign, counted here
+        rep1, rep2 = solver_pairs(QParam.root_of_unity(nprime))[kind]
+        calls = record_block_eigensolves(monkeypatch)
+        solve_intertwiner(rep1, rep2, z, 1.0)
+        reference = gathered_blocks(rep1, rep2, z, 1.0)
+        assert len(calls) == len(reference)
+        signed_zeros = 0
+        for (gram, *_), ref in zip(calls, reference.values()):
+            assert gram.shape == ref.shape and np.array_equal(gram, ref)
+            signed_zeros += int((gram.view(np.uint64) != ref.view(np.uint64)).sum())
+        assert signed_zeros == 0, f"{signed_zeros} words differ in the sign of a zero"
+
+    def test_repeated_solves_are_identical_and_leave_the_global_rng(self):
+        state = np.random.get_state()
+        pair = on_curve_pair(QP5)
+        R1, dim1 = solve_intertwiner(*pair, 1.0, 1.0)
+        R2, dim2 = solve_intertwiner(*pair, 1.0, 1.0)
+        assert dim1 == dim2 == 1
+        assert R1.mat.tobytes() == R2.mat.tobytes()
+        after = np.random.get_state()
+        assert state[0] == after[0] and np.array_equal(state[1], after[1])
+        assert state[2:] == after[2:]
 
 
 def on_curve_triple(qp):

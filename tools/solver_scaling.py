@@ -11,9 +11,10 @@ It records the wall times, the nullspace dimension, how many of the N' charge
 blocks (a pair of N'-dimensional semicyclic modules is graded mod N') were
 diagonalized and so how many were certified without an eigensolve, and the
 Python, numpy, scipy and BLAS versions.  A diagonalized block is one call of
-``scipy.linalg.eigh`` with ``subset_by_value`` (or, in older checkouts, with
-``eigvals_only``, or of the solver's helper ``cpotts._block_spectrum``):
-each solver made one such call per block.  The record goes to
+the solver's per-block function ``cpotts._block_zeros`` (or, in older
+checkouts, of ``scipy.linalg.eigh`` with ``subset_by_value`` or
+``eigvals_only``, or of the helper ``cpotts._block_spectrum``): each solver
+made one such call per block.  The record goes to
 ``OUT/BENCH_solver_<date>_<rev>.json`` (OUT defaults to the root of this
 checkout), <rev> being ``git describe --always --dirty`` of DIR;
 ``source_sha256`` fingerprints the timed ``src/uqsl2/*.py`` either way.
@@ -60,8 +61,9 @@ def source_digest(src: Path) -> str:
 
 def time_solve(uqsl2, nprime, rep1, rep2) -> dict:
     cpotts = uqsl2.cpotts
-    owner, name = ((cpotts, "_block_spectrum") if hasattr(cpotts, "_block_spectrum")
-                   else (scipy.linalg, "eigh"))  # the solver looks either up at call time
+    seam = next((name for name in ("_block_zeros", "_block_spectrum") if hasattr(cpotts, name)),
+                None)  # the solver looks its per-block function up at call time
+    owner, name = (cpotts, seam) if seam else (scipy.linalg, "eigh")
     original = getattr(owner, name)
     calls = []
 
