@@ -27,8 +27,8 @@ diagonal whose minimum over a block bounds the block's smallest eigenvalue
 from below (Weyl).  One threshold, NULLSPACE_RATIO^2 times a bound on every
 eigenvalue, certifies each block whose K0 minimum clears it.  Every other
 block (charge 0, and any charge c with q^2c = 1) is assembled from the
-generators' nonzero entries, and its zeros, the eigenvalues below the
-threshold, are counted by the inertia of one LDL^H factorization; only a
+generators' nonzero entries, and its zeros, the eigenvalues at or below
+the threshold, are counted by the inertia of one LDL^H factorization; only a
 block that holds zeros has their vectors found, by inverse iteration.  The
 smallest zero's vector is the intertwiner; it must meet each constraint on
 that constraint's scale.
@@ -251,9 +251,9 @@ def _block_zeros(gram: np.ndarray, threshold: float) -> tuple:
     at the threshold would converge to the eigenvalue nearest it, maybe just
     above); Gram-Schmidt and Rayleigh-Ritz on gram then give the pairs.  Each
     step shrinks an eigenvalue lambda's share by 2 threshold / (lambda +
-    threshold).  The diagonal is
-    shifted in place and restored bit for bit, and each factor is dropped
-    before the next is made.  A failed factorization raises LinAlgError.
+    threshold).  The diagonal is shifted in place and restored bit for bit,
+    and each factor is dropped before the next is made.  A failed
+    factorization raises LinAlgError.
     """
     from scipy.linalg import lapack  # the package's one scipy import: only a solve loads scipy
 
