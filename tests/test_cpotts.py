@@ -625,6 +625,16 @@ class TestBlockEigensolve:
         assert dim == dim_ref == 1
         assert np.allclose(R.mat, R_ref.mat, rtol=0, atol=1e-10)
 
+    def test_a_failed_factorization_is_refused(self, monkeypatch):
+        # the Cholesky factor of the block plus the threshold reports a non-positive
+        # pivot: the solve is refused naming z, with no other eigensolve to fall back on
+        from scipy.linalg import lapack
+        potrf = lapack.zpotrf
+        monkeypatch.setattr(lapack, "zpotrf", lambda a, **kwargs: (potrf(a, **kwargs)[0], 1))
+        with pytest.raises(UnresolvedConstraints, match="not positive definite") as exc:
+            solve_intertwiner(*on_curve_pair(QP5), 1.0, 1.0)
+        assert exc.value.z == 1.0
+
     @pytest.mark.parametrize("z", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_non_finite_z_is_refused_before_any_eigensolve(self, z, monkeypatch):
         from uqsl2 import SpectralOverflow
