@@ -26,11 +26,12 @@ from .qnum import QParam, RefusedInput
 from .reps import central_check, safe_window, semicyclic, truncated_verma
 from .rfinite import (intertwine_residual, quasitriangularity_residual,
                       r_reshetikhin_product, r_verma_direct, ybe_residual)
-from .raffine import (CARTAN_MODES, _assemble_product, affine_intertwine_residual,
-                      central_affine_check, drinfeld_relation_check, eval_imaginary_prime,
-                      f_scalar, noncentral_residual, r_spectral, rminus_closed, rminus_product,
-                      rplus_closed, rplus_product, rzero_bar, rzero_exponential, schur_forward,
-                      schur_to_imaginary, spectral_ybe_residual)
+from .raffine import (CARTAN_MODES, _assemble_product, _spectral_product,
+                      affine_intertwine_residual, central_affine_check, drinfeld_relation_check,
+                      eval_imaginary_prime, f_scalar, noncentral_residual, r_spectral,
+                      rminus_closed, rminus_product, rplus_closed, rplus_product, rzero_bar,
+                      rzero_exponential, schur_forward, schur_to_imaginary,
+                      spectral_ybe_residual)
 from .cpotts import (CurveSpec, DegenerateCurve, _fold, _parent_spectral, curve_residual,
                      export_boltzmann, fn_commutation_residual, on_curve_partner, r_semicyclic,
                      solve_intertwiner)
@@ -283,26 +284,29 @@ def _suite_product_oracle(args, qp, rng, records, tol):
         raise ConfigError("the ordered-product oracle runs at generic q")
     r1, r2 = _vermas(args, qp, rng, [4, 4])
     z = 0.2
-    # each ordered product is built once, for its record and for the full product.
-    # R^- comes before its closed form, so that no closed factor is alive while it
-    # is built; that cannot change which error a job reports, because R^- cannot
-    # fail once R^+ was built (the same truncation order and q-factorials)
+    # each factor, ordered product or closed form, is built once, for its record and
+    # for the full product, whose closed side is r_spectral(cartan="raw") of the held
+    # closed factors (raffine._spectral_product).  R^- comes before its closed form;
+    # that cannot change which error a job reports, because R^- cannot fail once R^+
+    # was built (the same truncation order and q-factorials)
+    rp_closed = rplus_closed(z, r1, r2)
     _record(records, "product-raising", {"z": cnum(z)},
-            float(np.max(np.abs(rplus_closed(z, r1, r2).mat
-                                - (rp := rplus_product(z, r1, r2)).mat))), tol)
+            float(np.max(np.abs(rp_closed.mat - (rp := rplus_product(z, r1, r2)).mat))), tol)
     rm = rminus_product(z, r1, r2)
+    rm_closed = rminus_closed(z, r1, r2)
     _record(records, "product-lowering", {"z": cnum(z)},
-            float(np.max(np.abs(rminus_closed(z, r1, r2).mat - rm.mat))), tol)
+            float(np.max(np.abs(rm_closed.mat - rm.mat))), tol)
     f = f_scalar(z, r1.lam, r2.lam, qp)
     mask = safe_window((r1, r2), 1)
-    lhs = f * np.diag(rzero_bar(z, r1, r2).mat)
+    r0_closed = rzero_bar(z, r1, r2)
+    lhs = f * np.diag(r0_closed.mat)
     r0 = rzero_exponential(z, r1, r2)  # one build for both records
     _record(records, "product-diagonal", {"z": cnum(z)},
             masked_max_abs(np.diag(lhs - np.diag(r0.mat)), mask), tol)
     full = _assemble_product(rp, r0, rm, r1, r2)  # decompos_product
-    del rp, r0, rm  # not alive while r_spectral is built
+    closed = _spectral_product(z, r1, r2, "raw", lambda: (rp_closed, r0_closed, rm_closed))
     _record(records, "product-full", {"z": cnum(z)},
-            masked_max_abs(f * r_spectral(z, r1, r2, cartan="raw").mat - full.mat, mask), tol)
+            masked_max_abs(f * closed.mat - full.mat, mask), tol)
 
 
 def _suite_coincidence(args, qp, rng, records, tol):

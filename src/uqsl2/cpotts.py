@@ -36,6 +36,7 @@ that constraint's scale.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,6 +241,14 @@ def _nonpositive_pivots(ldu: np.ndarray, ipiv: np.ndarray) -> int:
     return count
 
 
+@functools.lru_cache(maxsize=64)
+def _start_vectors(n: int, k: int) -> np.ndarray:
+    """_block_zeros' k fixed start vectors in C^n, drawn once per (n, k), read-only."""
+    v = np.random.default_rng(0).standard_normal((n, k)).astype(complex)
+    v.setflags(write=False)
+    return v
+
+
 def _block_zeros(gram: np.ndarray, threshold: float) -> tuple:
     """The eigenpairs (w, v) of the Hermitian block at or below threshold, as
     scipy.linalg.eigh(gram, subset_by_value=(-inf, threshold)) gives them.
@@ -274,7 +283,7 @@ def _block_zeros(gram: np.ndarray, threshold: float) -> tuple:
             raise np.linalg.LinAlgError("the shifted block is not positive definite")
     finally:
         gram[at] = diag
-    v = np.random.default_rng(0).standard_normal((n, k)).astype(complex)
+    v = _start_vectors(n, k)
     for _ in range(2):
         v = lapack.zpotrs(chol, v, lower=1)[0]
         v /= abs(v).max(axis=0)  # largest entry 1: no norm below over- or underflows

@@ -40,9 +40,8 @@ import numpy as np
 from .qnum import (LOG_MAX_FLOAT, InadmissibleParameters, PowerOverflow, QParam, RefusedInput,
                    qexp_truncated, qnumber, qpochhammer_truncated)
 from .reps import Rep, _delta, _row_window, commutator_report, safe_window
-from .rfinite import _raising_table, _table_power, cartan_weight_vector
-from .tensorop import (TensorOperator, identity_plus_kron_sum, intertwine_defect, kron2,
-                       ybe_defect)
+from .rfinite import cartan_weight_vector
+from .tensorop import TensorOperator, intertwine_defect, kron2, ybe_defect
 
 CARTAN_MODES = ("normalized", "raw", "none")
 
@@ -300,59 +299,64 @@ def schur_forward(e_images: list, qp: QParam, n: int) -> np.ndarray:
     return out
 
 
-def _inverse_on_support(den: np.ndarray, support: np.ndarray, d2: int, z: complex,
-                        which: str) -> np.ndarray:
-    """1/den on the support (1 elsewhere); PoleError at the first vanishing entry."""
-    bad = support & (np.abs(den) < POLE_TOL)
-    if bad.any():
-        i, j = divmod(int(np.argmax(bad)), d2)
-        raise PoleError(f"{which} denominator vanished at weight pair ({i},{j}), z={z}",
-                        z=z, weight_pair=(i, j))
-    return 1 / np.where(support, den, 1.0)
-
-
 def _closed_factor(z: complex, rep1: Rep, rep2: Rep, lowering: bool) -> TensorOperator:
-    """R^+(z) or, with lowering, its mirror R^-(z), as one contraction.
+    """R^+(z) or, with lowering, its mirror R^-(z), one term per entry.
 
-    R^+ = 1 + sum_n (q-q^-1)^n (E^n/(n)_{q^-2}! (x) F^n) diag(w_n), with the
-    renormalized powers on the first factor and w_n = 1 / prod_{k=1}^n
-    (1 - z q^-2k K^-1 (x) K) at the source; R^- = 1 + sum_n z^n (q-q^-1)^n
-    diag(w_n) (F^n (x) E^n/(n)_{q^-2}!), the renormalized powers on the second
-    factor and w_n at the target.  w_n is taken on the support of term n only:
-    the outer product of its factors' column (R^+) or row (R^-) supports,
-    where PoleError reports the first vanishing denominator.  A factor that leaves
-    float64 raises SpectralOverflow (_guard_overflow), as r_spectral does.
+    R^+ = 1 + sum_n (q-q^-1)^n (E^n/(n)_{q^-2}! (x) F^n) diag(w_n) and
+    R^- = 1 + sum_n z^n (q-q^-1)^n diag(w_n) (F^n (x) E^n/(n)_{q^-2}!), with
+    w_n = 1 / prod_{k=1}^n (1 - z q^-2k K^-1 (x) K) at the source of R^+ and the
+    target of R^-.  E^n/(n)_{q^-2}! sends v_s of its ladder module to T[s, n] v_{s-n}
+    (Rep.raising_table), so the entry of R^+ from (s, o) to (s-n, o') is the one term
+    (q-q^-1)^n T[s, n] (F^n)[o', o] w_n(s, o), R^- mirrors it, and each pair (s, n <= s)
+    is scattered once into the identity, for the orders n before E^n or F^n vanishes.
+    w_n is taken on the support of term n (its factors' column (R^+) or row (R^-)
+    supports), where PoleError reports the first vanishing denominator: first n, then
+    the first weight pair in row-major order.  A factor that leaves float64 raises
+    SpectralOverflow (_guard_overflow), as r_spectral does.
     """
     _require_finite(z)
     qp = rep1.qp
     q = qp.q
-    d2 = rep2.dim
+    d1, d2 = rep1.dim, rep2.dim
     ladder, other = (rep2, rep1) if lowering else (rep1, rep2)
-    which, axis = ("lowering-factor", 1) if lowering else ("raising-factor", 0)
-    table = _raising_table(ladder)
+    which = "lowering-factor" if lowering else "raising-factor"
+    table = ladder.raising_table
 
     def build():
-        W = np.outer(rep1.qpow_h(-1), rep2.qpow_h(1)).reshape(-1)  # K^-1 (x) K, flat
-        den = np.ones(rep1.dim * d2, dtype=complex)
-        Fn = np.eye(other.dim, dtype=complex)
-        left, right, weights = [], [], []
-        for n in range(1, ladder.dim):
-            En = _table_power(table, n)
-            if not En.any():
-                break
+        powers, Fn = [], np.eye(other.dim, dtype=complex)
+        for n in range(1, ladder.dim):  # F^n of the other module, while term n is nonzero
             Fn = Fn @ other.F
-            if not Fn.any():
+            if not (table[n:, n].any() and Fn.any()):
                 break
-            A, B = (Fn, En) if lowering else (En, Fn)
-            den = den * (1 - z * qp.qpow(-2 * n) * W)
-            support = np.outer(A.any(axis=axis), B.any(axis=axis)).reshape(-1)
-            weights.append(_inverse_on_support(den, support, d2, z, which))
-            coeff = z**n * (q - 1 / q) ** n if lowering else (q - 1 / q) ** n
-            left.append(coeff * A)
-            right.append(B)
-        return identity_plus_kron_sum(left, right, rep1.dim, d2, weights, at_target=lowering)
+            powers.append(Fn)
+        orders = range(1, len(powers) + 1)
+        W = np.outer(rep1.qpow_h(-1), rep2.qpow_h(1))  # K^-1 (x) K on the weight pairs
+        den = np.cumprod(1 - _scalars(z * qp.qpow(-2 * n) for n in orders) * W, axis=0)
+        # the pairs (s, n = k + 1 <= s): E^n/(n)_{q^-2}! sends v_s to T[s, n] v_t, t = s - n
+        s, k = np.nonzero(np.arange(ladder.dim)[:, None] > np.arange(len(powers)))
+        t, T = s - k - 1, table[s, k + 1]
+        F = np.array(powers).reshape(-1, other.dim, other.dim)  # (0, d, d) for no term
+        e_support = np.zeros((len(powers), ladder.dim), dtype=bool)
+        e_support[k, t if lowering else s] = T != 0
+        f_support = F.any(axis=2 if lowering else 1)
+        support = (f_support[:, :, None] & e_support[:, None, :] if lowering
+                   else e_support[:, :, None] & f_support[:, None, :])
+        bad = support & (np.abs(den) < POLE_TOL)
+        if bad.any():
+            _, i, j = (int(v) for v in np.unravel_index(np.argmax(bad), bad.shape))
+            raise PoleError(f"{which} denominator vanished at weight pair ({i},{j}), z={z}",
+                            z=z, weight_pair=(i, j))
+        w = 1 / np.where(support, den, 1.0)
+        coeff = _scalars((z**n if lowering else 1) * (q - 1 / q) ** n for n in orders)[k]
+        out = np.eye(d1 * d2, dtype=complex)
+        R4 = out.reshape(d1, d2, d1, d2)
+        if lowering:
+            R4[:, t, :, s] = coeff * F[k] * w[k, :, t][:, :, None] * T[:, None, None]
+        else:
+            R4[t, :, s, :] = coeff * T[:, None, None] * (F[k] * w[k, s][:, None, :])
+        return out
 
-    return TensorOperator((rep1.dim, d2), _guard_overflow(z, f"the {which} series", build))
+    return TensorOperator((d1, d2), _guard_overflow(z, f"the {which} series", build))
 
 
 def rplus_closed(z: complex, rep1: Rep, rep2: Rep) -> TensorOperator:
@@ -506,11 +510,16 @@ def r_spectral(z: complex, rep1: Rep, rep2: Rep, cartan: str = "normalized") -> 
     """
     if cartan not in CARTAN_MODES:
         raise ValueError(f"unknown cartan mode {cartan!r}")
+    return _spectral_product(z, rep1, rep2, cartan, lambda: (
+        rplus_closed(z, rep1, rep2), rzero_bar(z, rep1, rep2), rminus_closed(z, rep1, rep2)))
 
+
+def _spectral_product(z: complex, rep1: Rep, rep2: Rep, cartan: str, factors) -> TensorOperator:
+    """R^+ Rbar^0 R^- times the Cartan tail of `cartan`, for factors() = (R^+, Rbar^0, R^-),
+    built and multiplied under one overflow guard: r_spectral's product, also read by a
+    caller that already holds the three closed factors."""
     def build():
-        rp = rplus_closed(z, rep1, rep2)
-        r0 = rzero_bar(z, rep1, rep2)
-        rm = rminus_closed(z, rep1, rep2)
+        rp, r0, rm = factors()
         mat = rp.mat @ (np.diag(r0.mat)[:, None] * rm.mat)
         if cartan != "none":
             cart = cartan_weight_vector(rep1, rep2)

@@ -14,11 +14,13 @@ Semicyclic and cyclic modules are honest representations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qnum import InadmissibleParameters, QParam, qnumber
+from .qnum import (InadmissibleParameters, PowerOverflow, QParam, qbinom_table, qnumber,
+                   qnumber_array)
 from .tensorop import EmptySafeWindow, TensorOperator, cmat, cnum, from_cmat, kron2, safe_mask
 
 CYCLIC_RESIDUAL_TOL = 1e-7  # largest defining-relations residual of a cyclic module
@@ -69,6 +71,13 @@ class Rep:
         """Diagonal of q^{a*H} as a vector."""
         return self.qp.qpow_array(a * self.hvec)
 
+    @functools.cached_property
+    def raising_table(self) -> np.ndarray:
+        """The module's _raising_table, built on first use, then kept read-only."""
+        table = _raising_table(self)
+        table.setflags(write=False)
+        return table
+
     def to_json(self) -> dict:
         if self.kind == "tensor":
             raise ValueError("tensor-product representations are not serialized")
@@ -106,6 +115,30 @@ def _ladder_weights(lam: complex, dim: int) -> np.ndarray:
     return np.array([lam - 2 * m for m in range(dim)], dtype=complex)
 
 
+def _raising_table(rep: Rep) -> np.ndarray:
+    """T[s, n] = q^{n(n-1)/2} qbinom(s, n) prod_{r=1}^n [lam - s + r], zero for n > s,
+    of a ladder (Verma or semicyclic) module; read through Rep.raising_table.
+
+    Column n holds the entries (s-n, s) of E^n / (n)_{q^-2}!; the q-binomial
+    is the root-of-unity limit value where applicable, so no vanishing
+    factorial is ever divided.  The ladder products accumulate over r <= s
+    only; PowerOverflow, naming q, where one leaves float64.
+    """
+    if rep.kind not in ("verma", "semicyclic"):
+        raise ValueError("renormalized raising powers need a ladder module")
+    qp = rep.qp
+    d = rep.dim
+    n = np.arange(d)
+    ladder = np.ones((d, d), dtype=complex)
+    brackets = qnumber_array(rep.lam - n[:, None] + n[None, 1:], qp)  # [lam - s + r]
+    with np.errstate(all="ignore"):  # a non-finite product is refused below
+        ladder[:, 1:] = np.cumprod(np.where(n[1:] <= n[:, None], brackets, 1), axis=1)
+    if not np.isfinite(ladder).all():
+        raise PowerOverflow(f"the raising powers of a depth-{d} module overflow a float "
+                            f"at q={qp.q}")
+    return qp.qpow_array(0.5 * n * (n - 1)) * qbinom_table(d, qp) * ladder
+
+
 def truncated_verma(lam: complex, depth: int, qp: QParam) -> Rep:
     """Highest-weight module truncated to depth basis vectors v_0..v_{depth-1}.
 
@@ -116,13 +149,10 @@ def truncated_verma(lam: complex, depth: int, qp: QParam) -> Rep:
         raise ValueError("depth must be >= 1")
     lam = complex(lam)
     h = _ladder_weights(lam, depth)
-    K = np.diag([qp.qpow(x) for x in h])
-    F = np.zeros((depth, depth), dtype=complex)
-    E = np.zeros((depth, depth), dtype=complex)
-    for m in range(depth - 1):
-        F[m + 1, m] = 1.0
-    for m in range(1, depth):
-        E[m - 1, m] = qnumber(m, qp) * qnumber(lam - m + 1, qp)
+    m = np.arange(1, depth)
+    E = np.diag(qnumber_array(m, qp) * qnumber_array(lam - m + 1, qp), 1)
+    K = np.diag(qp.qpow_array(h))
+    F = np.eye(depth, k=-1, dtype=complex)
     return Rep(qp=qp, lam=lam, E=E, F=F, K=K, hvec=h, kind="verma",
                params={"depth": depth})
 

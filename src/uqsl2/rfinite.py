@@ -29,8 +29,7 @@ from math import factorial
 
 import numpy as np
 
-from .qnum import (DenominatorVanishes, PowerOverflow, QParam, gen_binom, qbinom_table,
-                   qnumber_array, unsym_qnum)
+from .qnum import DenominatorVanishes, PowerOverflow, QParam, gen_binom, unsym_qnum
 from .reps import Rep, coproduct, opposite_coproduct, safe_window, tensor_rep
 from .tensorop import (TensorOperator, identity_plus_kron_sum, intertwine_defect,
                        masked_max_abs, weight_sectors, ybe_defect)
@@ -41,46 +40,16 @@ def cartan_weight_vector(rep1: Rep, rep2: Rep) -> np.ndarray:
     return rep1.qp.qpow_array(0.5 * np.outer(rep1.hvec, rep2.hvec)).reshape(-1)
 
 
-def _raising_table(rep: Rep) -> np.ndarray:
-    """T[s, n] = q^{n(n-1)/2} qbinom(s, n) prod_{r=1}^n [lam - s + r], zero for n > s,
-    of a ladder (Verma or semicyclic) module.
-
-    Column n holds the entries (s-n, s) of E^n / (n)_{q^-2}!; the q-binomial
-    is the root-of-unity limit value where applicable, so no vanishing
-    factorial is ever divided.  The ladder products accumulate over r <= s
-    only; PowerOverflow, naming q, where one leaves float64.
-    """
-    if rep.kind not in ("verma", "semicyclic"):
-        raise ValueError("renormalized raising powers need a ladder module")
-    qp = rep.qp
-    d = rep.dim
-    n = np.arange(d)
-    ladder = np.ones((d, d), dtype=complex)
-    brackets = qnumber_array(rep.lam - n[:, None] + n[None, 1:], qp)  # [lam - s + r]
-    with np.errstate(all="ignore"):  # a non-finite product is refused below
-        ladder[:, 1:] = np.cumprod(np.where(n[1:] <= n[:, None], brackets, 1), axis=1)
-    if not np.isfinite(ladder).all():
-        raise PowerOverflow(f"the raising powers of a depth-{d} module overflow a float "
-                            f"at q={qp.q}")
-    return qp.qpow_array(0.5 * n * (n - 1)) * qbinom_table(d, qp) * ladder
-
-
-def _table_power(table: np.ndarray, n: int) -> np.ndarray:
-    """E^n / (n)_{q^-2}! from column n of a raising table (zero once n >= dim)."""
-    d = table.shape[0]
-    if n >= d:
-        return np.zeros((d, d), dtype=complex)
-    return np.diag(table[n:, n], n)
-
-
 def renormalized_raising_power(rep: Rep, n: int) -> np.ndarray:
     """Matrix of E^n / (n)_{q^-2}! on a ladder module, valid at roots of unity.
 
-    Entry at (s-n, s) is q^{n(n-1)/2} qbinom(s, n) prod_{r=1}^n [lam - s + r];
-    the q-binomial is the root-of-unity limit value where applicable, so the
-    expression is never assembled from vanishing factorials.
+    Entry at (s-n, s) is q^{n(n-1)/2} qbinom(s, n) prod_{r=1}^n [lam - s + r],
+    column n of Rep.raising_table (zero once n >= dim); the q-binomial is the
+    root-of-unity limit value where applicable, so the expression is never
+    assembled from vanishing factorials.
     """
-    return _table_power(_raising_table(rep), n)
+    d = rep.dim
+    return np.diag(rep.raising_table[n:, n], n) if n < d else np.zeros((d, d), dtype=complex)
 
 
 def e_derivation_matrix(rep: Rep) -> np.ndarray:
@@ -103,7 +72,7 @@ def r_verma_direct(rep1: Rep, rep2: Rep) -> TensorOperator:
     q = rep1.qp.q
     d1, d2 = rep1.dim, rep2.dim
     s, sp, n = np.meshgrid(np.arange(d1), np.arange(d2), np.arange(d1), indexing="ij")
-    table, weights = _raising_table(rep1), cartan_weight_vector(rep1, rep2)
+    table, weights = rep1.raising_table, cartan_weight_vector(rep1, rep2)
     with np.errstate(all="ignore"):  # a non-finite coefficient is refused below
         coeff = ((table * (q - 1 / q) ** np.arange(d1))[s, n]
                  * weights.reshape(d1, d2)[:, :, None])

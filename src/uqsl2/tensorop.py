@@ -85,18 +85,13 @@ def embed_two_site(M: np.ndarray, dims: tuple[int, int, int], pos: tuple[int, in
     raise ValueError(f"unsupported embedding positions {pos}")
 
 
-def identity_plus_kron_sum(As, Bs, d1: int, d2: int, weights=None,
-                           at_target: bool = False) -> np.ndarray:
+def identity_plus_kron_sum(As, Bs, d1: int, d2: int) -> np.ndarray:
     """1 + sum_n As[n] (x) Bs[n], for d1 x d1 matrices As[n] and d2 x d2 matrices Bs[n].
 
-    With weights (one vector over the d1*d2 pair basis per term), term n is
-    multiplied by diag(weights[n]) at its source (on the right) or, with
-    at_target, at its target (on the left).  Entry ((i, j), (k, l)) of the
-    sum is sum_n As[n][i, k] Bs[n][j, l] (times the weight at (k, l) or at
-    (i, j)): for each (j, k) one (d1, K) @ (K, d2) product over the stacked
-    terms, all of them in one batched matmul written straight into a
-    (d1, d2, d1, d2) view of the result.  No Kronecker product and no
-    transposed copy is formed.
+    Entry ((i, j), (k, l)) of the sum is sum_n As[n][i, k] Bs[n][j, l]: for
+    each (j, k) one (d1, K) @ (K, d2) product over the stacked terms, all of
+    them in one batched matmul written straight into a (d1, d2, d1, d2) view
+    of the result.  No Kronecker product and no transposed copy is formed.
     """
     D = d1 * d2
     if not len(As):
@@ -104,12 +99,6 @@ def identity_plus_kron_sum(As, Bs, d1: int, d2: int, weights=None,
     left = np.stack(As, axis=-1).astype(complex, copy=False).transpose(1, 0, 2)[None]
     right = np.stack(Bs).astype(complex, copy=False).transpose(1, 0, 2)[:, None]
     # left is indexed [., k, i, n] and right [j, ., n, l]: the product is [j, k, i, l]
-    if weights is not None:
-        w = np.reshape(weights, (len(As), d1, d2))
-        if at_target:
-            left = left * w.transpose(2, 1, 0)[:, None]  # w[n, i, j] at [j, ., i, n]
-        else:
-            right = right * w.transpose(1, 0, 2)[None]   # w[n, k, l] at [., k, n, l]
     out = np.empty((D, D), dtype=complex)
     np.matmul(left, right, out=out.reshape(d1, d2, d1, d2).transpose(1, 2, 0, 3))
     out.reshape(-1)[::D + 1] += 1

@@ -318,6 +318,31 @@ class TestSweep:
         assert "alpha1=(1e+200+0j), alpha2=(" in diag["error"]
 
 
+class TestWorkCounts:
+    """How often one job builds what it could build once."""
+
+    def test_ybe_builds_one_raising_table_per_module(self, monkeypatch):
+        # three modules, each read by two of the three spectral R-matrices
+        from uqsl2 import reps
+        calls = []
+        table = reps._raising_table
+        monkeypatch.setattr(reps, "_raising_table", lambda rep: calls.append(rep) or table(rep))
+        code, _ = run_main(["verify", "ybe", "--Nprime", "9"])
+        assert code == 0 and len(calls) == 3
+
+    def test_product_oracle_builds_each_closed_factor_once(self, monkeypatch):
+        from uqsl2 import cli, raffine
+        calls = []
+        for name in ("rplus_closed", "rminus_closed", "rzero_bar"):
+            build = getattr(raffine, name)
+            counted = (lambda b, n: lambda *a, **k: calls.append(n) or b(*a, **k))(build, name)
+            for module in (cli, raffine):
+                monkeypatch.setattr(module, name, counted)
+        code, _ = run_main(["verify", "product-oracle", "--q", "1.1,0.02"])
+        assert code == 0
+        assert sorted(calls) == ["rminus_closed", "rplus_closed", "rzero_bar"]
+
+
 class TestDeterminism:
     def test_verify_reports_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

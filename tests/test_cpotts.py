@@ -11,7 +11,7 @@ from uqsl2 import (CurveSpec, PoleError, QParam, affine_coproduct_images,
                    fn_commutation_residual, import_boltzmann, on_curve_partner,
                    r_semicyclic, r_spectral, semicyclic, solve_intertwiner,
                    truncated_verma)
-from uqsl2.cpotts import NULLSPACE_RATIO, UnresolvedConstraints
+from uqsl2.cpotts import NULLSPACE_RATIO, UnresolvedConstraints, _start_vectors
 from uqsl2.tensorop import (embed_two_site, grading_modulus, masked_max_abs, weight_sectors,
                             ybe_defect)
 
@@ -707,6 +707,11 @@ class TestBlockAssembly:
             assert gram.shape == ref.shape and np.array_equal(gram, ref)
             signed_zeros += int((gram.view(np.uint64) != ref.view(np.uint64)).sum())
         assert signed_zeros == 0, f"{signed_zeros} words differ in the sign of a zero"
+
+    def test_start_vectors_are_drawn_once_and_read_only(self):
+        v = _start_vectors(27, 2)
+        assert _start_vectors(27, 2) is v and not v.flags.writeable
+        assert np.array_equal(v, np.random.default_rng(0).standard_normal((27, 2)))
 
     def test_repeated_solves_are_identical_and_leave_the_global_rng(self):
         state = np.random.get_state()

@@ -19,7 +19,7 @@ from uqsl2 import (InadmissibleParameters, QParam, decompos_product, eval_imagin
                    eval_root_vectors, f_scalar, kron2, qexp_truncated, qnumber, r_spectral,
                    rminus_closed, rminus_product, rplus_closed, rplus_product, rzero_bar,
                    rzero_bar_eigenvalue, rzero_exponential, schur_to_imaginary, truncated_verma)
-from uqsl2 import raffine, rfinite
+from uqsl2 import raffine, reps, rfinite
 
 QP = QParam.generic(1.13 + 0.03j)
 L1, L2 = 0.63 + 0.17j, 1.21 - 0.09j
@@ -335,10 +335,12 @@ class TestIndependence:
         def refuse(*args, **kwargs):
             raise AssertionError("an oracle called the code it checks")
 
-        for module, name in ((raffine, "identity_plus_kron_sum"), (raffine, "_closed_factor"),
-                             (raffine, "_raising_table"), (raffine, "_table_power"),
-                             (rfinite, "r_verma_direct"), (rfinite, "_raising_table")):
+        # the closed factors read the raising table (reps._raising_table, cached as
+        # Rep.raising_table); the finite forms read it through r_verma_direct
+        for module, name in ((raffine, "_closed_factor"), (reps, "_raising_table"),
+                             (rfinite, "r_verma_direct")):
             monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(reps.Rep, "raising_table", property(refuse))
         r1, r2 = PAIRS["4x4"]()
         with pytest.raises(AssertionError):
             rplus_closed(0.2, r1, r2)

@@ -14,7 +14,7 @@ from uqsl2 import (EmptySafeWindow, PoleError, QParam, UnsupportedOrder,
                    rminus_product, rplus_closed, rplus_product, rzero_bar,
                    rzero_bar_eigenvalue, rzero_exponential, schur_forward,
                    schur_to_imaginary, semicyclic, spectral_ybe_residual, safe_mask,
-                   masked_max_abs, truncated_verma)
+                   masked_max_abs, renormalized_raising_power, truncated_verma)
 from uqsl2 import raffine
 from uqsl2.reps import _delta
 
@@ -565,6 +565,99 @@ class TestClosedFactorContraction:
             build(z, r1, r2)
         assert got.value.weight_pair == ref.value.weight_pair
         assert str(got.value) == str(ref.value)
+
+
+def weighted_kron_sum(As, Bs, d1, d2, weights, at_target):
+    """1 + sum_n (As[n] (x) Bs[n]) diag(weights[n]), the diagonal at the source or, with
+    at_target, (on the left) at the target; all terms in one batched matmul, written into
+    a (d1, d2, d1, d2) view of the result."""
+    D = d1 * d2
+    if not len(As):
+        return np.eye(D, dtype=complex)
+    left = np.stack(As, axis=-1).astype(complex, copy=False).transpose(1, 0, 2)[None]
+    right = np.stack(Bs).astype(complex, copy=False).transpose(1, 0, 2)[:, None]
+    # left is indexed [., k, i, n] and right [j, ., n, l]: the product is [j, k, i, l]
+    w = np.reshape(weights, (len(As), d1, d2))
+    if at_target:
+        left = left * w.transpose(2, 1, 0)[:, None]  # w[n, i, j] at [j, ., i, n]
+    else:
+        right = right * w.transpose(1, 0, 2)[None]   # w[n, k, l] at [., k, n, l]
+    out = np.empty((D, D), dtype=complex)
+    np.matmul(left, right, out=out.reshape(d1, d2, d1, d2).transpose(1, 2, 0, 3))
+    out.reshape(-1)[::D + 1] += 1
+    return out
+
+
+def contracted_closed_factor(z, rep1, rep2, lowering):
+    """R^+(z) or R^-(z) as the weighted Kronecker contraction over the orders n: the former
+    implementation, kept as the reference of the scattered one.  w_n is taken on the
+    support of term n, and PoleError reports the first vanishing denominator."""
+    qp = rep1.qp
+    q = qp.q
+    d2 = rep2.dim
+    ladder, other = (rep2, rep1) if lowering else (rep1, rep2)
+    which, axis = ("lowering-factor", 1) if lowering else ("raising-factor", 0)
+    W = np.outer(rep1.qpow_h(-1), rep2.qpow_h(1)).reshape(-1)
+    den = np.ones(rep1.dim * d2, dtype=complex)
+    Fn = np.eye(other.dim, dtype=complex)
+    left, right, weights = [], [], []
+    for n in range(1, ladder.dim):
+        En = renormalized_raising_power(ladder, n)
+        if not En.any():
+            break
+        Fn = Fn @ other.F
+        if not Fn.any():
+            break
+        A, B = (Fn, En) if lowering else (En, Fn)
+        den = den * (1 - z * qp.qpow(-2 * n) * W)
+        support = np.outer(A.any(axis=axis), B.any(axis=axis)).reshape(-1)
+        bad = support & (np.abs(den) < raffine.POLE_TOL)
+        if bad.any():
+            i, j = divmod(int(np.argmax(bad)), d2)
+            raise PoleError(f"{which} denominator vanished at weight pair ({i},{j}), z={z}",
+                            z=z, weight_pair=(i, j))
+        weights.append(1 / np.where(support, den, 1.0))
+        left.append((z**n * (q - 1 / q) ** n if lowering else (q - 1 / q) ** n) * A)
+        right.append(B)
+    return weighted_kron_sum(left, right, rep1.dim, d2, weights, lowering)
+
+
+#: float64's unit roundoff
+UNIT_ROUNDOFF = 2.0**-53
+
+
+class TestClosedFactorScatter:
+    """R^+ and R^- scattered one term per entry, against the weighted Kronecker contraction.
+
+    Both sides form each entry of order n from the same coefficient, raising-table
+    entry and F-power entry, and a weight 1/w_n whose denominator is a product of n
+    identically rounded factors.  Each side is the exact value times at most n + 3
+    rounding factors (1 + delta): n - 1 products in the denominator, one quotient and
+    three products, each with |delta| <= 4u (a complex product's bound is sqrt(5) u).
+    So the two differ entrywise by at most 2 (n + 3) 4u relative to the entry, to
+    first order; n < d, the ladder module's dimension, gives the growth factor
+    8 (d + 2).  An entry the reference holds as an exact zero must be one here too.
+    """
+
+    @pytest.mark.parametrize("rid,rep1,rep2,z", CLOSED_PAIRS, ids=[c[0] for c in CLOSED_PAIRS])
+    @pytest.mark.parametrize("factor", ["raising", "lowering"])
+    def test_matches_the_weighted_contraction(self, rid, rep1, rep2, z, factor):
+        lowering = factor == "lowering"
+        build = rminus_closed if lowering else rplus_closed
+        for a, b in ((rep1, rep2), (rep2, rep1)):
+            got = build(z, a, b).mat
+            ref = contracted_closed_factor(z, a, b, lowering)
+            growth = 8 * ((b if lowering else a).dim + 2)
+            assert np.all(np.abs(got - ref) <= growth * UNIT_ROUNDOFF * np.abs(ref))
+
+    def test_spectral_product_of_held_factors_is_r_spectral(self):
+        # the product-oracle suite multiplies the closed factors it already holds
+        r1, r2 = truncated_verma(L1, 4, QP), truncated_verma(L2, 4, QP)
+        z = 0.2
+        held = (rplus_closed(z, r1, r2), rzero_bar(z, r1, r2), rminus_closed(z, r1, r2))
+        for cartan in raffine.CARTAN_MODES:
+            got = raffine._spectral_product(z, r1, r2, cartan, lambda: held).mat
+            assert got.tobytes() == r_spectral(z, r1, r2, cartan=cartan).mat.tobytes()
 
 
 class TestDiagonalFactor:

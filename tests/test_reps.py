@@ -25,6 +25,25 @@ class TestTruncatedVerma:
         assert np.allclose(rep.E @ np.eye(5)[:, 0], 0)
         assert np.allclose(rep.F @ np.eye(5)[:, 4], 0)  # truncation cut
 
+    @pytest.mark.parametrize("qp", [QP, QP5], ids=["generic", "root-5"])
+    def test_matches_the_entrywise_build(self, qp):
+        # the former build, entry by entry with cmath.exp.  Each power of q differs from
+        # np.exp's by at most 4u relative (u the unit roundoff); a bracket [x] then by
+        # 8u B(x), B(x) = (|q^x| + |q^-x|) / |q - q^-1| (one subtraction, one quotient),
+        # and a product of two brackets by 20u B(x) B(y)
+        lam, depth, u = 0.83 + 0.21j, 7, 2.0**-53
+        rep = truncated_verma(lam, depth, qp)
+        F, E, bound = (np.zeros((depth, depth), dtype=complex) for _ in range(3))
+        for m in range(1, depth):
+            F[m, m - 1] = 1.0
+            E[m - 1, m] = qnumber(m, qp) * qnumber(lam - m + 1, qp)
+            bound[m - 1, m] = 20 * u * np.prod([(abs(qp.qpow(x)) + abs(qp.qpow(-x)))
+                                                / abs(qp.q - 1 / qp.q) for x in (m, lam - m + 1)])
+        K = np.diag([qp.qpow(lam - 2 * m) for m in range(depth)])
+        assert rep.F.dtype == complex and np.array_equal(rep.F, F)
+        assert np.all(np.abs(rep.K - K) <= 4 * u * np.abs(K))
+        assert np.all(np.abs(rep.E - E) <= bound.real)
+
     def test_defining_relations_outside_defect(self):
         rep = truncated_verma(0.83 + 0.21j, 6, QP)
         assert defining_relations_residual(rep, skip_cols=(5,)) < 1e-12

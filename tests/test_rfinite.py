@@ -12,6 +12,7 @@ from uqsl2 import (DenominatorVanishes, EmptySafeWindow, QParam, cartan_weight_v
                    renormalized_raising_power, safe_mask, semicyclic, tensor_rep,
                    truncated_verma, ybe_defect, ybe_residual)
 from uqsl2.qnum import PowerOverflow
+from uqsl2.reps import _raising_table
 from uqsl2.rfinite import _exp_terms, _kron_power_sum, _kron_powers, _wrap_constant
 from uqsl2.tensorop import weight_sectors
 
@@ -85,6 +86,12 @@ class TestRenormalizedPowers:
         for n in (1, 2, 3):
             plain = np.linalg.matrix_power(rep.E, n) / unsym_qfact(n, QP.qpow(-2))
             assert np.max(np.abs(plain - renormalized_raising_power(rep, n))) < 1e-10
+
+    def test_raising_table_is_built_once_and_read_only(self):
+        rep = truncated_verma(0.77 + 0.21j, 5, QP)
+        table = rep.raising_table
+        assert rep.raising_table is table and not table.flags.writeable
+        assert np.array_equal(table, _raising_table(rep))
 
     def test_e_derivation_vanishes_below_N(self):
         qp = QParam.root_of_unity(3)
