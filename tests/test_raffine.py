@@ -630,7 +630,7 @@ class TestClosedFactorScatter:
     """R^+ and R^- scattered one term per entry, against the weighted Kronecker contraction.
 
     Both sides form each entry of order n from the same coefficient, raising-table
-    entry and F-power entry, and a weight 1/w_n whose denominator is a product of n
+    entry and F-power entry, and a weight w_n = 1/den_n, den_n the product of n
     identically rounded factors.  Each side is the exact value times at most n + 3
     rounding factors (1 + delta): n - 1 products in the denominator, one quotient and
     three products, each with |delta| <= 4u (a complex product's bound is sqrt(5) u).
