@@ -551,6 +551,20 @@ class TestClosedFactorContraction:
             assert np.array_equal(rplus_closed(0.3, a, b).mat, np.eye(4))
             assert np.array_equal(rminus_closed(0.3, a, b).mat, np.eye(4))
 
+    @pytest.mark.parametrize("factor", ["raising", "lowering"])
+    def test_vanishing_denominator_where_the_table_vanishes_is_no_pole(self, factor):
+        # at weight 1 the ladder factor [1 - s + r] vanishes at s = 2, r = 1, so E and
+        # E^2/(2)! send v_2 to zero; z on the order-1 denominator at the pair E^1 would
+        # reach from v_2 (source (2, 0) of R^+, target (1, 1) of R^-) is off every term
+        raising = factor == "raising"
+        r1 = truncated_verma(1.0 if raising else L1, 3, QP)
+        r2 = truncated_verma(L2 if raising else 1.0, 3, QP)
+        i, j = (2, 0) if raising else (1, 1)
+        z = QP.qpow(2) / (QP.qpow(-r1.hvec[i]) * QP.qpow(r2.hvec[j]))
+        build, ref = ((rplus_closed, scalar_rplus_closed) if raising
+                      else (rminus_closed, scalar_rminus_closed))
+        assert_close_to_scale(build(z, r1, r2).mat, ref(z, r1, r2))
+
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("factor", ["raising", "lowering"])
     def test_pole_reports_the_kron_loops_weight_pair(self, factor, order):
