@@ -6,8 +6,10 @@
 For each workload (default: all four) and each seed (default: 1), PAIRS pairs
 are run, numbered on across the seeds.  Each pair runs
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once from each
-checkout, each in its own process with
-``PYTHONDONTWRITEBYTECODE=1`` (run.py pins BLAS to one thread); odd pairs run
+checkout, each in its own process with ``PYTHONDONTWRITEBYTECODE=1`` and
+``PYTHONPYCACHEPREFIX`` set to an empty directory, so neither side reads a
+bytecode cache an earlier run left in its checkout and both compile from
+source, as a fresh checkout does (run.py pins BLAS to one thread); odd pairs run
 the parent first, even pairs the change first, so a drift of the host falls
 on both sides alike.  The last line of each run's output, its end-to-end
 metrics, becomes one entry of ``runs`` with the pair, the side, the workload
@@ -29,6 +31,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -47,9 +50,10 @@ def revision(src: Path) -> str:
     return out.stdout.strip() or "unknown"
 
 
-def run_once(src: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run from checkout src: its closing JSON line, flattened."""
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+def run_once(src: Path, workload: str, seed: int, seconds: float, pycache: str) -> dict:
+    """One perfbench run from checkout src, bytecode looked up under the empty pycache:
+    its closing JSON line, flattened."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": pycache}
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                           cwd=src, env=env, capture_output=True, text=True, timeout=900)
@@ -100,22 +104,26 @@ def main(argv=None) -> int:
     seeds = args.seed or [1]
     if args.pairs * len(seeds) < 2:
         p.error("quartiles need at least two pairs per workload")
+    if not args.outdir.is_dir():
+        p.error(f"no directory {args.outdir}")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = []
-    for workload in workloads:
-        for pair in range(1, args.pairs * len(seeds) + 1):
-            seed = seeds[(pair - 1) // args.pairs]
-            order = ("parent", "change") if pair % 2 else ("change", "parent")
-            for side in order:
-                row = run_once(checkouts[side], workload, seed, args.seconds)
-                runs.append({"pair": pair, "side": side, "workload": workload, "seed": seed,
-                             **row})
-                print(f"{workload} pair {pair} {side}: {row['jobs_per_s']:.1f} jobs/s",
-                      file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_pycache_") as pycache:
+        for workload in workloads:
+            for pair in range(1, args.pairs * len(seeds) + 1):
+                seed = seeds[(pair - 1) // args.pairs]
+                order = ("parent", "change") if pair % 2 else ("change", "parent")
+                for side in order:
+                    row = run_once(checkouts[side], workload, seed, args.seconds, pycache)
+                    runs.append({"pair": pair, "side": side, "workload": workload,
+                                 "seed": seed, **row})
+                    print(f"{workload} pair {pair} {side}: {row['jobs_per_s']:.1f} jobs/s",
+                          file=sys.stderr)
     record = {
         "what": (f"alternating parent/change pairs (odd pairs run the parent first), python3 "
                  f"perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0, "
-                 f"PYTHONDONTWRITEBYTECODE=1, BLAS pinned to one thread by run.py; each side "
+                 f"PYTHONDONTWRITEBYTECODE=1 and PYTHONPYCACHEPREFIX an empty directory (no "
+                 f"bytecode cache read), BLAS pinned to one thread by run.py; each side "
                  f"from its own checkout; {args.pairs} pairs per seed S in "
                  f"{', '.join(map(str, seeds))} on each of {', '.join(workloads)}"),
         "parent": args.parent_label or revision(checkouts["parent"]),
