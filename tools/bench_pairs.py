@@ -1,26 +1,29 @@
 """Alternating before/after runs of perfbench/run.py from two checkouts.
 
     python3 tools/bench_pairs.py --parent DIR [--change DIR] --name NAME
-        [--workload W ...] [--seed S ...] [--pairs 5] [--seconds 10] [--outdir OUT]
+        [--workload W ...] [--seed S ...] [--outdir OUT]
 
-For each workload (default: all four) and each seed (default: 1), PAIRS pairs
-are run, numbered on across the seeds.  Each pair runs
-``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once from each
-checkout, each in its own process with ``PYTHONDONTWRITEBYTECODE=1`` and
-``PYTHONPYCACHEPREFIX`` set to an empty directory, so neither side reads a
-bytecode cache an earlier run left in its checkout and both compile from
-source, as a fresh checkout does (run.py pins BLAS to one thread); odd pairs run
-the parent first, even pairs the change first, so a drift of the host falls
-on both sides alike.  The last line of each run's output, its end-to-end
-metrics, becomes one entry of ``runs`` with the pair, the side, the workload
-and the seed.  The record goes to ``OUT/BENCH_pairs_<date>_<NAME>.json`` (OUT
-defaults to the root of this checkout) with ``what`` (the protocol),
-``parent`` and ``change`` (each checkout's ``git describe --always --dirty``
-unless a label is given), ``host`` (CPUs and the Python, numpy and scipy
-versions) and ``runs``.  At the end, per workload and metric, each side's
-median and quartiles are printed, with the number of pairs in which the change
-was better and whether that makes a gain: better in at least nine tenths of
-the pairs, and medians further apart than the parent's quartiles.
+For each workload (default: all four) and each seed (default: 1), PAIRS = 5
+pairs are run, numbered on across the seeds.  Each pair runs
+``perfbench/run.py --workload W --seed S --trace 0`` once from each checkout,
+at run.py's own run length, each in its own process with
+``PYTHONDONTWRITEBYTECODE=1`` and ``PYTHONPYCACHEPREFIX`` set to an empty
+directory, so neither side reads a bytecode cache an earlier run left in its
+checkout and both compile from source, as a fresh checkout does (run.py pins
+BLAS to one thread); odd pairs run the parent first, even pairs the change
+first, so a drift of the host falls on both sides alike.  The last line of
+each run's output, its end-to-end metrics, becomes one entry of ``runs`` with
+the pair, the side, the workload and the seed; a run that exits non-zero or
+passes TIMEOUT_S becomes an entry with ``error`` in place of the metrics, and
+the session goes on.  The record goes to ``OUT/BENCH_pairs_<date>_<NAME>.json``
+(OUT defaults to the root of this checkout), rewritten after every run, with
+``what`` (the protocol), ``parent`` and ``change`` (each checkout's
+``git describe --always --dirty``), ``host`` (CPUs and the Python, numpy and
+scipy versions) and ``runs``.  At the end, per workload and metric, each
+side's median and quartiles over the pairs that both sides completed are
+printed, with the number of pairs in which the change was better and whether
+that makes a gain: better in at least nine tenths of the pairs, and medians
+further apart than the parent's quartiles.
 """
 
 import argparse
@@ -39,6 +42,8 @@ import scipy
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("cli-mix", "oracle-series", "sweep-solver", "dense-large")
+PAIRS = 5
+TIMEOUT_S = 900
 #: end-to-end metrics and whether a higher value is better
 METRICS = {"setup_s": False, "jobs_per_s": True, "job_p50_s": False, "job_tail_s": False,
            "peak_rss_mb": False}
@@ -50,29 +55,39 @@ def revision(src: Path) -> str:
     return out.stdout.strip() or "unknown"
 
 
-def run_once(src: Path, workload: str, seed: int, seconds: float, pycache: str) -> dict:
+def run_once(src: Path, workload: str, seed: int, pycache: str) -> dict:
     """One perfbench run from checkout src, bytecode looked up under the empty pycache:
-    its closing JSON line, flattened."""
+    its closing JSON line, flattened, or ``error`` if it failed or ran out of time."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": pycache}
-    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                          cwd=src, env=env, capture_output=True, text=True, timeout=900)
+    try:
+        proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                               "--seed", str(seed), "--trace", "0"],
+                              cwd=src, env=env, capture_output=True, text=True,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {"error": f"timed out after {TIMEOUT_S} s"}
     if proc.returncode:
-        raise SystemExit(f"perfbench/run.py failed in {src} ({workload}):\n{proc.stderr}")
+        return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-2000:]}"}
     doc = json.loads(proc.stdout.strip().splitlines()[-1])
     return {"failed": doc["failed"], "attempted": doc["attempted"], "correct": doc["correct"],
             **{k: v["value"] for k, v in doc["metrics"].items()}}
 
 
 def summary(runs: list) -> list:
-    """Per workload and metric: each side's median and quartiles, the pairs the change won,
-    and whether that is a gain."""
+    """Per workload and metric: each side's median and quartiles over the pairs both sides
+    completed, the pairs the change won, and whether that is a gain."""
     lines = []
     for workload in dict.fromkeys(r["workload"] for r in runs):
         sides = {side: {r["pair"]: r for r in runs
-                        if r["workload"] == workload and r["side"] == side}
+                        if r["workload"] == workload and r["side"] == side and "error" not in r}
                  for side in ("parent", "change")}
         pairs = sorted(set(sides["parent"]) & set(sides["change"]))
+        errors = sum(r["workload"] == workload and "error" in r for r in runs)
+        if errors:
+            lines.append(f"{workload:14s} {errors} failed run(s), their pairs left out")
+        if len(pairs) < 2:
+            lines.append(f"{workload:14s} fewer than two complete pairs")
+            continue
         for metric, higher in METRICS.items():
             a = [sides["parent"][p][metric] for p in pairs]
             b = [sides["change"][p][metric] for p in pairs]
@@ -93,48 +108,41 @@ def main(argv=None) -> int:
     p.add_argument("--workload", action="append", choices=WORKLOADS,
                    help="workload to run (repeatable; default: all four)")
     p.add_argument("--seed", type=int, action="append",
-                   help="perfbench seed (repeatable; default: 1)")
-    p.add_argument("--pairs", type=int, default=5, help="pairs per workload and seed")
-    p.add_argument("--seconds", type=float, default=10.0)
-    p.add_argument("--parent-label", help="parent's name in the record (default: git describe)")
-    p.add_argument("--change-label", help="change's name in the record (default: git describe)")
+                   help=f"perfbench seed, {PAIRS} pairs each (repeatable; default: 1)")
     p.add_argument("--outdir", type=Path, default=ROOT)
     args = p.parse_args(argv)
     workloads = args.workload or list(WORKLOADS)
     seeds = args.seed or [1]
-    if args.pairs * len(seeds) < 2:
-        p.error("quartiles need at least two pairs per workload")
     if not args.outdir.is_dir():
         p.error(f"no directory {args.outdir}")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    runs = []
-    with tempfile.TemporaryDirectory(prefix="bench_pairs_pycache_") as pycache:
-        for workload in workloads:
-            for pair in range(1, args.pairs * len(seeds) + 1):
-                seed = seeds[(pair - 1) // args.pairs]
-                order = ("parent", "change") if pair % 2 else ("change", "parent")
-                for side in order:
-                    row = run_once(checkouts[side], workload, seed, args.seconds, pycache)
-                    runs.append({"pair": pair, "side": side, "workload": workload,
-                                 "seed": seed, **row})
-                    print(f"{workload} pair {pair} {side}: {row['jobs_per_s']:.1f} jobs/s",
-                          file=sys.stderr)
+    out = args.outdir / f"BENCH_pairs_{datetime.date.today():%Y%m%d}_{args.name}.json"
     record = {
-        "what": (f"alternating parent/change pairs (odd pairs run the parent first), python3 "
-                 f"perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0, "
-                 f"PYTHONDONTWRITEBYTECODE=1 and PYTHONPYCACHEPREFIX an empty directory (no "
-                 f"bytecode cache read), BLAS pinned to one thread by run.py; each side "
-                 f"from its own checkout; {args.pairs} pairs per seed S in "
+        "what": ("alternating parent/change pairs (odd pairs run the parent first), python3 "
+                 "perfbench/run.py --workload W --seed S --trace 0 at run.py's own run "
+                 "length, PYTHONDONTWRITEBYTECODE=1 and PYTHONPYCACHEPREFIX an empty "
+                 "directory (no bytecode cache read), BLAS pinned to one thread by run.py; "
+                 f"each side from its own checkout; {PAIRS} pairs per seed S in "
                  f"{', '.join(map(str, seeds))} on each of {', '.join(workloads)}"),
-        "parent": args.parent_label or revision(checkouts["parent"]),
-        "change": args.change_label or revision(checkouts["change"]),
+        "parent": revision(checkouts["parent"]),
+        "change": revision(checkouts["change"]),
         "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
                  "numpy": np.__version__, "scipy": scipy.__version__},
-        "runs": runs,
+        "runs": [],
     }
-    out = args.outdir / f"BENCH_pairs_{datetime.date.today():%Y%m%d}_{args.name}.json"
-    out.write_text(json.dumps(record, indent=1) + "\n")
-    print("\n".join(summary(runs)))
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_pycache_") as pycache:
+        for workload in workloads:
+            for pair in range(1, PAIRS * len(seeds) + 1):
+                seed = seeds[(pair - 1) // PAIRS]
+                order = ("parent", "change") if pair % 2 else ("change", "parent")
+                for side in order:
+                    row = run_once(checkouts[side], workload, seed, pycache)
+                    record["runs"].append({"pair": pair, "side": side, "workload": workload,
+                                           "seed": seed, **row})
+                    out.write_text(json.dumps(record, indent=1) + "\n")
+                    print(f"{workload} pair {pair} {side}: "
+                          f"{row.get('jobs_per_s', row.get('error'))}", file=sys.stderr)
+    print("\n".join(summary(record["runs"])))
     print(f"wrote {out}")
     return 0
 
