@@ -1,20 +1,21 @@
 """Exit code, stdout digest and stderr summary of every benchmark job, known failure,
 extra job and demo.
 
-    python3 tools/output_digests.py --src DIR --out FILE [--against BEFORE]
+    python3 tools/output_digests.py --src DIR --out FILE [--against BEFORE] [--no-demos]
 
 DIR is a checkout of this repository (default: the one holding this script).
 Its ``src/uqsl2`` runs every job of every workload in ``perfbench/workloads.py``
 in-process, through ``perfbench/jobs.run_job``, and so does each job of
-``EXTRA_JOBS`` below; its ``demos/*.py`` run as subprocesses.  The job list
-always comes from this script's own checkout, so two checkouts are compared
-on the same jobs.  FILE receives
-``{job: [exit_code, sha256 of stdout, records, stderr_lines, diagnostic]}``, where
-records lists each ``verify`` record as ``[check, residual, pass]`` (empty for other
-outputs), stderr_lines counts the lines written to stderr with every warning shown,
-and diagnostic is the one-line JSON diagnostic of a refusal, the exception of a job
-that ends in a traceback, or null.  Warning text holds checkout paths, so only its
-lines are counted.  Two runs with identical CLI output give identical files:
+``EXTRA_JOBS`` below; its ``demos/*.py`` run as subprocesses, unless ``--no-demos``.
+The job list always comes from this script's own checkout, so two checkouts are
+compared on the same jobs.  FILE receives ``{"env": ENV, "outputs": {job: [exit_code,
+sha256 of stdout, records, stderr_lines, diagnostic]}}``, where records lists each
+``verify`` record as ``[check, residual, pass]`` (empty for other outputs),
+stderr_lines counts the lines written to stderr with every warning shown, and
+diagnostic is the one-line JSON diagnostic of a refusal, the exception of a job that
+ends in a traceback, or null.  Warning text holds checkout paths, so only its lines
+are counted.  ENV names the Python, numpy, scipy and BLAS that ran (``env_block``).
+Two runs with identical CLI output give identical files:
 
     python3 tools/output_digests.py --src ../parent --out before.json
     python3 tools/output_digests.py --out after.json --against before.json
@@ -25,6 +26,12 @@ move of a residual.  Then every change of stderr line count or diagnostic is
 listed, and every change of exit code or of a record's pass flag.  BEFORE must
 come from this version of the script.  The exit status is 1 when any exit code
 or pass flag changed.
+
+``tests/data/output_ledger.json`` is this file for the CLI jobs alone
+(``--no-demos``); ``tests/test_output_ledger.py`` regenerates it and compares.
+A change that moves an output re-records it in the same commit:
+
+    python3 tools/output_digests.py --no-demos --out tests/data/output_ledger.json
 """
 
 import os
@@ -38,6 +45,7 @@ import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import platform  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import warnings  # noqa: E402
@@ -181,17 +189,28 @@ def compare(before: dict, after: dict) -> int:
     return 1
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--src", type=Path, default=ROOT, help="repository checkout to run")
-    p.add_argument("--out", required=True, help="JSON file to write")
-    p.add_argument("--against", help="digest file of an earlier run to compare with")
-    args = p.parse_args(argv)
-    before = None
-    if args.against:
-        with open(args.against) as fh:
-            before = json.load(fh)
-    cli = StderrKept(import_cli(args.src))
+def env_block() -> dict:
+    """What an output's bytes depend on besides the source: the Python, numpy and scipy
+    versions, the BLAS and LAPACK of each (their build directories left out) and the
+    CPU features numpy found (OpenBLAS picks its kernels by CPU too)."""
+    import numpy as np
+    import scipy
+
+    def libs(config):
+        return {name: {k: v for k, v in config["Build Dependencies"][name].items()
+                       if "directory" not in k} for name in ("blas", "lapack")}
+
+    numpy_config = np.show_config(mode="dicts")
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "numpy_libs": libs(numpy_config),
+            "scipy_libs": libs(scipy.show_config(mode="dicts")),
+            "cpu_features": numpy_config["SIMD Extensions"]["found"]}
+
+
+def cli_digests(cli_module) -> dict:
+    """{job: [exit_code, sha256, records, stderr_lines, diagnostic]} of every workload
+    job, known failure and extra job, each run once in-process by ``cli_module``."""
+    cli = StderrKept(cli_module)
     jobs = ([argv for w in WORKLOADS for argv in cycle_jobs(w)]
             + [list(a) for a in (*KNOWN_FAILURES, *EXTRA_JOBS)])
     digests = {}
@@ -201,10 +220,27 @@ def main(argv=None) -> int:
             res = run_job(cli, argv)
             digests[key] = [res.exit_code, res.digest, verify_records(res.output),
                             *stderr_summary(cli.err, res.raised)]
-    digests.update(demo_digests(args.src))
+    return digests
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--src", type=Path, default=ROOT, help="repository checkout to run")
+    p.add_argument("--out", required=True, help="JSON file to write")
+    p.add_argument("--against", help="digest file of an earlier run to compare with")
+    p.add_argument("--no-demos", action="store_true", help="leave out the demo scripts")
+    args = p.parse_args(argv)
+    before = None
+    if args.against:
+        with open(args.against) as fh:
+            before = json.load(fh)["outputs"]
+    digests = cli_digests(import_cli(args.src))
+    if not args.no_demos:
+        digests.update(demo_digests(args.src))
     lines = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in sorted(digests.items())]
-    with open(args.out, "w") as fh:
-        fh.write("{\n" + ",\n".join(lines) + "\n}\n")  # one job per line, for diff
+    with open(args.out, "w") as fh:  # the env block on one line, then one job per line, for diff
+        fh.write(f'{{"env": {json.dumps(env_block())},\n"outputs": {{\n'
+                 + ",\n".join(lines) + "\n}}\n")
     print(f"{len(digests)} outputs written to {args.out}")
     return 0 if before is None else compare(before, digests)
 
