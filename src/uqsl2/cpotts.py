@@ -36,7 +36,6 @@ that constraint's scale.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,14 +240,6 @@ def _nonpositive_pivots(ldu: np.ndarray, ipiv: np.ndarray) -> int:
     return count
 
 
-@functools.lru_cache(maxsize=64)
-def _start_vectors(n: int, k: int) -> np.ndarray:
-    """_block_zeros' k fixed start vectors in C^n, drawn once per (n, k), read-only."""
-    v = np.random.default_rng(0).standard_normal((n, k)).astype(complex)
-    v.setflags(write=False)
-    return v
-
-
 def _block_zeros(gram: np.ndarray, threshold: float) -> tuple:
     """The eigenpairs (w, v) of the Hermitian block at or below threshold, as
     scipy.linalg.eigh(gram, subset_by_value=(-inf, threshold)) gives them.
@@ -260,30 +251,28 @@ def _block_zeros(gram: np.ndarray, threshold: float) -> tuple:
     at the threshold would converge to the eigenvalue nearest it, maybe just
     above); Gram-Schmidt and Rayleigh-Ritz on gram then give the pairs.  Each
     step shrinks an eigenvalue lambda's share by 2 threshold / (lambda +
-    threshold).  The diagonal is shifted in place and restored bit for bit,
-    and each factor is dropped before the next is made.  A failed
-    factorization raises LinAlgError.
+    threshold).  gram is never written: each factorization overwrites its own
+    shifted copy, dropped before the next is made; a failed one raises LinAlgError.
     """
     from scipy.linalg import lapack  # the package's one scipy import: only a solve loads scipy
-
     n = len(gram)
-    diag, at = gram.diagonal().copy(), np.diag_indices(n)
-    try:
-        gram[at] = diag - threshold
-        ldu, ipiv, info = lapack.zhetrf(gram, lower=1, lwork=64 * n)
-        if info < 0:
-            raise np.linalg.LinAlgError(f"hetrf argument {-info} is invalid")
-        k = _nonpositive_pivots(ldu, ipiv)
-        del ldu
-        if k == 0:
-            return np.zeros(0), np.zeros((n, 0), dtype=complex)
-        gram[at] = diag + threshold
-        chol, info = lapack.zpotrf(gram, lower=1, clean=0)
-        if info:
-            raise np.linalg.LinAlgError("the shifted block is not positive definite")
-    finally:
-        gram[at] = diag
-    v = _start_vectors(n, k)
+
+    def shifted(op):  # a Fortran-order copy of gram, its diagonal x made op(x, threshold)
+        a = np.array(gram, order="F")
+        a[np.diag_indices(n)] = op(gram.diagonal(), threshold)
+        return a
+
+    ldu, ipiv, info = lapack.zhetrf(shifted(np.subtract), lower=1, lwork=64 * n, overwrite_a=1)
+    if info < 0:
+        raise np.linalg.LinAlgError(f"hetrf argument {-info} is invalid")
+    k = _nonpositive_pivots(ldu, ipiv)
+    del ldu
+    if k == 0:
+        return np.zeros(0), np.zeros((n, 0), dtype=complex)
+    chol, info = lapack.zpotrf(shifted(np.add), lower=1, clean=0, overwrite_a=1)
+    if info:
+        raise np.linalg.LinAlgError("the shifted block is not positive definite")
+    v = np.random.default_rng(0).standard_normal((n, k)).astype(complex)
     for _ in range(2):
         v = lapack.zpotrs(chol, v, lower=1)[0]
         v /= abs(v).max(axis=0)  # largest entry 1: no norm below over- or underflows

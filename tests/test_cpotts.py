@@ -11,7 +11,7 @@ from uqsl2 import (CurveSpec, PoleError, QParam, affine_coproduct_images,
                    fn_commutation_residual, import_boltzmann, on_curve_partner,
                    r_semicyclic, r_spectral, semicyclic, solve_intertwiner,
                    truncated_verma)
-from uqsl2.cpotts import NULLSPACE_RATIO, UnresolvedConstraints, _start_vectors
+from uqsl2.cpotts import NULLSPACE_RATIO, UnresolvedConstraints
 from uqsl2.tensorop import (embed_two_site, grading_modulus, masked_max_abs, weight_sectors,
                             ybe_defect)
 
@@ -317,10 +317,11 @@ class TestSolverNullspaceCount:
         # The solver holds a fixed number of block-sized buffers at a time.
         # While X is summed: X and one generator's tables of block positions
         # (nnz(R_a) x nnz(L_a) integers, far below a block).  Then X and the Gram
-        # block, X conjugated in place.  Then the Gram block and the Fortran-order
-        # LDL^H factor that hetrf writes, dropped before the Gram block's Cholesky
-        # factor is made.  Two complex blocks and small tables make each stage
-        # (2.6 blocks measured at N' = 7); the bound stays at six, and the whole
+        # block, X conjugated in place.  Then the Gram block, never written, and one
+        # shifted Fortran-order copy of it, which hetrf overwrites with the LDL^H
+        # factor; it is dropped before the second shifted copy is made, which zpotrf
+        # overwrites with the Cholesky factor.  Two complex blocks and small tables
+        # make each stage (2.6 blocks measured at N' = 7); the bound stays at six, and the whole
         # D^2 x D^2 Gram is g^2 = 49 blocks.
         import tracemalloc
         qp = QParam.root_of_unity(7)
@@ -588,9 +589,24 @@ class TestBlockEigensolve:
         U = np.trace(gram).real
         threshold = NULLSPACE_RATIO**2 * U
         w, v = _block_zeros(gram, threshold)
-        assert gram.tobytes() == before  # the diagonal shifts are undone bit for bit
+        assert gram.tobytes() == before  # the shifts go onto copies, never onto gram
         assert len(w) == len(eigh_block_zeros(gram, threshold)[0]) == n - rank
         assert_zero_eigenpairs(gram, w, v, threshold, U)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_a_read_only_block_gives_the_same_bits(self, order):
+        # the kernel never writes its argument: each factorization shifts its own copy
+        from uqsl2.cpotts import _block_zeros
+        rng = np.random.default_rng(17)
+        B = rng.standard_normal((17, 12)) + 1j * rng.standard_normal((17, 12))
+        gram = B @ B.conj().T
+        threshold = NULLSPACE_RATIO**2 * np.trace(gram).real
+        frozen = np.array(gram, order=order)
+        frozen.setflags(write=False)
+        w, v = _block_zeros(frozen, threshold)
+        w_ref, v_ref = _block_zeros(gram.copy(), threshold)
+        assert len(w) == 5
+        assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
 
     @pytest.mark.parametrize("kind", ["nilpotent", "on-curve", "off-curve", "cyclic"])
     @pytest.mark.parametrize("nprime", [3, 4, 5, 7])
@@ -707,11 +723,6 @@ class TestBlockAssembly:
             assert gram.shape == ref.shape and np.array_equal(gram, ref)
             signed_zeros += int((gram.view(np.uint64) != ref.view(np.uint64)).sum())
         assert signed_zeros == 0, f"{signed_zeros} words differ in the sign of a zero"
-
-    def test_start_vectors_are_drawn_once_and_read_only(self):
-        v = _start_vectors(27, 2)
-        assert _start_vectors(27, 2) is v and not v.flags.writeable
-        assert np.array_equal(v, np.random.default_rng(0).standard_normal((27, 2)))
 
     def test_repeated_solves_are_identical_and_leave_the_global_rng(self):
         state = np.random.get_state()
