@@ -337,6 +337,8 @@ def cmd_verify(args) -> int:
     qp = _qparam(args)
     if not (tol > 0) or math.isinf(tol):
         raise ConfigError("tolerance must be positive and finite")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     records = []
     SUITES[args.suite](args, qp, rng, records, tol)

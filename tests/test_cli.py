@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 
 def run_cli(*args):
@@ -483,7 +483,8 @@ VERIFY_ARGS = st.tuples(
     st.just(["verify"]),
     st.sampled_from(["ybe", "intertwine", "quasi", "central", "drinfeld", "curve",
                      "schur-oracle", "product-oracle", "coincidence", "x"]).map(lambda s: [s]),
-    QFLAGS, optional("--depths", DEPTHS), optional("--seed", st.sampled_from(["0", "3", "x"])),
+    QFLAGS, optional("--depths", DEPTHS),
+    optional("--seed", st.sampled_from(["0", "3", "-1", "x"])),
     optional("--tol", st.sampled_from(["1e-9", "1e-3", "0", "-1", "nan", "inf", "1e-300", "x"])),
     optional("--sweep", st.sampled_from(["on-curve", "off-curve"])),
     st.sampled_from(["0", "1", "2", "-1", "x"]).map(lambda v: ["--draws", v]))
@@ -567,11 +568,13 @@ class TestExitCodeContract:
         ("verify", "quasi", "--q", "1e-50"),
         ("verify", "quasi", "--q", "0.9954719225730846,0.09505604330418266",
          "--depths", "34,34,34"),
-    ], ids=["coproduct-overflow", "q-factorial-vanishes"])
+        ("verify", "ybe", "--Nprime", "3", "--seed", "-1"),
+    ], ids=["coproduct-overflow", "q-factorial-vanishes", "negative-seed"])
     def test_refusal_off_the_old_list_exits_2(self, argv):
         # the coproduct of the Verma pair leaves float64 at q = 1e-50; at q = e^{2 pi i/66},
         # which passes the guard against roots of unity of order <= 64, a q-factorial of
-        # the universal form vanishes at order 33: both ended in a traceback with exit 1
+        # the universal form vanishes at order 33; numpy's default_rng rejects a negative
+        # seed: each ended in a traceback with exit 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, err = run_main(list(argv))
@@ -638,6 +641,7 @@ class TestExitCodeContract:
             run_main(["verify", "ybe", "--q", "1.1"])
 
     @given(CLI_ARGS)
+    @example(["verify", "ybe", "--Nprime", "3", "--seed", "-1", "--draws", "1"])
     @settings(max_examples=60, deadline=None)
     def test_exit_codes_and_diagnostics(self, argv):
         code, err = run_main(argv)

@@ -10,11 +10,9 @@ off it (alpha2 = 1.9), REPEATS times each, with BLAS pinned to one thread.
 It records the wall times, the nullspace dimension, how many of the N' charge
 blocks (a pair of N'-dimensional semicyclic modules is graded mod N') were
 diagonalized and so how many were certified without an eigensolve, and the
-Python, numpy, scipy and BLAS versions.  A diagonalized block is one call of
-the solver's per-block function ``cpotts._block_zeros`` (or, in older
-checkouts, of ``scipy.linalg.eigh`` with ``subset_by_value`` or
-``eigvals_only``, or of the helper ``cpotts._block_spectrum``): each solver
-made one such call per block.  The record goes to
+Python, numpy, scipy and BLAS versions (``output_digests.env_block``).  A
+diagonalized block is one call of the solver's per-block function
+``cpotts._block_zeros``, so DIR must be a checkout that has it.  The record goes to
 ``OUT/BENCH_solver_<date>_<rev>.json`` (OUT defaults to the root of this
 checkout), <rev> being ``git describe --always --dirty`` of DIR;
 ``source_sha256`` fingerprints the timed ``src/uqsl2/*.py`` either way.
@@ -25,7 +23,7 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from output_digests import PINS, ROOT, import_cli  # noqa: E402  (pins BLAS threads first)
+from output_digests import PINS, ROOT, env_block, import_cli  # noqa: E402  (pins BLAS first)
 
 import argparse  # noqa: E402
 import datetime  # noqa: E402
@@ -37,9 +35,6 @@ import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import time  # noqa: E402
 
-import numpy as np  # noqa: E402
-import scipy  # noqa: E402
-import scipy.linalg  # noqa: E402
 
 NPRIMES = (5, 7, 9, 11)
 REPEATS = 3
@@ -61,19 +56,15 @@ def source_digest(src: Path) -> str:
 
 def time_solve(uqsl2, nprime, rep1, rep2) -> dict:
     cpotts = uqsl2.cpotts
-    seam = next((name for name in ("_block_zeros", "_block_spectrum") if hasattr(cpotts, name)),
-                None)  # the solver looks its per-block function up at call time
-    owner, name = (cpotts, seam) if seam else (scipy.linalg, "eigh")
-    original = getattr(owner, name)
+    original = cpotts._block_zeros  # the solver looks it up at call time
     calls = []
 
-    def counting(a, *args, **kwargs):
-        if owner is cpotts or "subset_by_value" in kwargs or kwargs.get("eigvals_only"):
-            calls.append(len(a))
-        return original(a, *args, **kwargs)
+    def counting(gram, threshold):
+        calls.append(len(gram))
+        return original(gram, threshold)
 
     walls = []
-    setattr(owner, name, counting)
+    cpotts._block_zeros = counting
     try:
         for _ in range(REPEATS):
             calls.clear()
@@ -81,7 +72,7 @@ def time_solve(uqsl2, nprime, rep1, rep2) -> dict:
             _, dim = uqsl2.solve_intertwiner(rep1, rep2, 1.0, 1.0)
             walls.append(time.perf_counter() - t0)
     finally:
-        setattr(owner, name, original)
+        cpotts._block_zeros = original
     return {"wall_s": walls, "wall_s_min": min(walls), "wall_s_median": statistics.median(walls),
             "nullspace_dim": dim, "blocks": nprime, "diagonalized": len(calls),
             "certified": nprime - len(calls), "unknowns": (rep1.dim * rep2.dim) ** 2}
@@ -110,9 +101,6 @@ def main() -> None:
             print(f"N'={nprime:2d} {kind:9s} dim {rec['nullspace_dim']}  "
                   f"{rec['certified']}/{rec['blocks']} blocks certified  "
                   f"min {rec['wall_s_min']:.3f} s", flush=True)
-    # library names and versions; the build-time directories describe the build, not the run
-    libs = {name: {k: v for k, v in np.show_config(mode="dicts")["Build Dependencies"][name].items()
-                   if "directory" not in k} for name in ("blas", "lapack")}
     doc = {
         "benchmark": "solver_scaling",
         "date": datetime.date.today().isoformat(),
@@ -125,8 +113,7 @@ def main() -> None:
         "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "thread_pins": {k: os.environ.get(k) for k in PINS},
         "machine": {"cpus": os.cpu_count(), "platform": platform.platform()},
-        "versions": {"python": platform.python_version(), "numpy": np.__version__,
-                     "scipy": scipy.__version__, **libs},
+        "versions": env_block(),
     }
     out = args.outdir / f"BENCH_solver_{doc['date'].replace('-', '')}_{doc['revision']}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
