@@ -35,7 +35,6 @@ import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import time  # noqa: E402
 
-
 NPRIMES = (5, 7, 9, 11)
 REPEATS = 3
 LAM1, LAM2 = 0.8 + 0.05j, 1.3 - 0.11j
