@@ -21,7 +21,7 @@ from .raffine import (ImaginaryRootImages, OracleDiverges, PoleError, SpectralOv
                       rzero_bar, rzero_bar_eigenvalue, rzero_exponential,
                       schur_forward, schur_to_imaginary, spectral_ybe_residual)
 from .cpotts import (CurveSpec, DegenerateCurve, UnresolvedConstraints, curve_residual,
-                     export_boltzmann, fn_commutation_residual, import_boltzmann,
-                     on_curve_partner, r_semicyclic, solve_intertwiner)
+                     export_boltzmann, fn_commutation_residual, on_curve_partner,
+                     r_semicyclic, solve_intertwiner)
 
 __version__ = "0.1.0"

@@ -448,12 +448,3 @@ def export_boltzmann(R: TensorOperator, meta: CurveSpec, qp: QParam) -> dict:
         "normalization": cnum(R.mat[0, 0]),
         "weights": weights,
     }
-
-
-def import_boltzmann(doc: dict) -> TensorOperator:
-    """Rebuild the weight table exported by export_boltzmann, bit-exactly."""
-    d1, d2 = doc["dims"]
-    mat = np.zeros((d1 * d2, d1 * d2), dtype=complex)
-    for i, j, ip, jp, (re, im) in doc["weights"]:
-        mat[ip * d2 + jp, i * d2 + j] = complex(re, im)
-    return TensorOperator((d1, d2), mat)

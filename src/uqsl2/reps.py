@@ -21,7 +21,7 @@ import numpy as np
 
 from .qnum import (InadmissibleParameters, PowerOverflow, QParam, qbinom_table, qnumber,
                    qnumber_array)
-from .tensorop import EmptySafeWindow, TensorOperator, cmat, cnum, from_cmat, kron2, safe_mask
+from .tensorop import EmptySafeWindow, TensorOperator, cmat, cnum, kron2, safe_mask
 
 CYCLIC_RESIDUAL_TOL = 1e-7  # largest defining-relations residual of a cyclic module
 SCALAR_TOL = 1e-9  # central_check calls a power scalar below this deviation
@@ -94,26 +94,6 @@ class Rep:
             "K": cmat(self.K),
         }
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "Rep":
-        qdoc = doc["qparam"]
-        qp = (QParam.root_of_unity(qdoc["nprime"]) if qdoc["nprime"]
-              else QParam.generic(complex(*qdoc["q"])))
-        lam = complex(*doc["lambda"])
-        K = from_cmat(doc["K"])
-        hvec = _ladder_weights(lam, doc["dim"])
-        params = {k: (complex(v[0], v[1]) if isinstance(v, list) else v)
-                  for k, v in doc["params"].items()}
-        rep = cls(qp=qp, lam=lam, E=from_cmat(doc["E"]), F=from_cmat(doc["F"]), K=K,
-                  hvec=hvec, kind=doc["kind"], params=params)
-        if not np.allclose(np.diag(rep.qpow_h(1.0)), K, atol=1e-9):
-            raise ValueError("K matrix inconsistent with weight ladder")
-        return rep
-
-
-def _ladder_weights(lam: complex, dim: int) -> np.ndarray:
-    return np.array([lam - 2 * m for m in range(dim)], dtype=complex)
-
 
 def _raising_table(rep: Rep) -> np.ndarray:
     """T[s, n] = q^{n(n-1)/2} qbinom(s, n) prod_{r=1}^n [lam - s + r], zero for n > s,
@@ -148,7 +128,7 @@ def truncated_verma(lam: complex, depth: int, qp: QParam) -> Rep:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     lam = complex(lam)
-    h = _ladder_weights(lam, depth)
+    h = np.array([lam - 2 * m for m in range(depth)], dtype=complex)
     m = np.arange(1, depth)
     E = np.diag(qnumber_array(m, qp) * qnumber_array(lam - m + 1, qp), 1)
     K = np.diag(qp.qpow_array(h))

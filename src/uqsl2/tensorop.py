@@ -26,11 +26,6 @@ def cmat(M) -> list:
     return [[cnum(v) for v in row] for row in M]
 
 
-def from_cmat(rows) -> np.ndarray:
-    """The inverse of cmat."""
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
-
-
 @dataclass(frozen=True)
 class TensorOperator:
     """A dense complex operator on V1 (x) V2."""
@@ -49,10 +44,6 @@ class TensorOperator:
             "dims": list(self.dims),
             "matrix": cmat(self.mat),
         }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "TensorOperator":
-        return cls(tuple(doc["dims"]), from_cmat(doc["matrix"]))
 
 
 def kron2(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ import pytest
 
 from uqsl2 import (CurveSpec, PoleError, QParam, affine_coproduct_images,
                    affine_intertwine_residual, curve_residual, cyclic, export_boltzmann,
-                   fn_commutation_residual, import_boltzmann, on_curve_partner,
+                   fn_commutation_residual, on_curve_partner,
                    r_semicyclic, r_spectral, semicyclic, solve_intertwiner,
                    truncated_verma)
 from uqsl2.cpotts import NULLSPACE_RATIO, UnresolvedConstraints
@@ -793,10 +793,14 @@ class TestBoltzmannExport:
         self.R = r_semicyclic(1.0, self.sc1, self.sc2)
 
     def test_round_trip_bit_exact(self):
-        doc = export_boltzmann(self.R, self.spec, QP3)
-        doc2 = json.loads(json.dumps(doc))
-        back = import_boltzmann(doc2)
-        assert np.array_equal(back.mat, self.R.mat)
+        # each [i, j, i', j', [re, im]] row is scattered back to R[(i', j'), (i, j)]
+        doc = json.loads(json.dumps(export_boltzmann(self.R, self.spec, QP3)))
+        d1, d2 = doc["dims"]
+        *index, pairs = zip(*doc["weights"])
+        i, j, ip, jp = map(np.array, index)
+        back = np.full((d1 * d2, d1 * d2), np.nan, dtype=complex)
+        back[ip * d2 + jp, i * d2 + j] = np.array(pairs, float).view(complex)[:, 0]
+        assert len(pairs) == back.size and back.tobytes() == self.R.mat.tobytes()
 
     def test_schema_validates(self):
         import importlib.resources as res

@@ -4,8 +4,19 @@ import numpy as np
 import pytest
 
 from uqsl2 import TensorOperator
-from uqsl2.tensorop import (cmat, cnum, from_cmat, grading_modulus, identity_plus_kron_sum,
+from uqsl2.tensorop import (cmat, cnum, grading_modulus, identity_plus_kron_sum,
                             intertwine_defect, kron2, total_degree, total_degree_mask)
+
+
+def decoded(pairs) -> np.ndarray:
+    """Parsed [re, im] pairs as complex, every bit kept (signed zeros and subnormals too)."""
+    return np.array(pairs, float).view(complex)[..., 0]
+
+
+def operator_schema() -> dict:
+    import importlib.resources as res
+    return json.loads(
+        res.files("uqsl2.schemas").joinpath("tensor_operator.schema.json").read_text())
 
 
 class TestComplexCodec:
@@ -15,16 +26,27 @@ class TestComplexCodec:
         assert all(type(v) is float for v in cnum(np.complex128(3 + 4j)))
 
     def test_matrix_roundtrip_is_bit_exact(self):
+        import jsonschema
         rng = np.random.default_rng(3)
         M = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-        back = from_cmat(json.loads(json.dumps(cmat(M))))
-        assert back.dtype == complex and np.array_equal(back, M)
+        M[0, 0] = complex(-0.0, 5e-324)  # a signed zero and the smallest subnormal
+        M[2, 1] = complex(1e-310, -0.0)
+        doc = json.loads(json.dumps(cmat(M)))
+        jsonschema.validate(doc, operator_schema()["properties"]["matrix"])
+        back = decoded(doc)
+        assert back.shape == M.shape and back.tobytes() == M.tobytes()
+        assert np.signbit(back[0, 0].real) and np.signbit(back[2, 1].imag)
 
     def test_operator_roundtrip(self):
+        import jsonschema
         rng = np.random.default_rng(4)
         R = TensorOperator((2, 3), rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
-        back = TensorOperator.from_json(json.loads(json.dumps(R.to_json())))
-        assert back.dims == (2, 3) and np.array_equal(back.mat, R.mat)
+        R.mat[1, 4] = complex(-0.0, -0.0)
+        doc = json.loads(json.dumps(R.to_json()))
+        jsonschema.validate(doc, operator_schema())
+        back = decoded(doc["matrix"])
+        assert doc["dims"] == [2, 3]
+        assert back.shape == R.mat.shape and back.tobytes() == R.mat.tobytes()
 
 
 class TestIntertwineDefect:
