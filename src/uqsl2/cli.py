@@ -135,8 +135,6 @@ def _rmatrix_doc(args) -> dict:
     lam1 = _parse_complex(args.lambda1)
     lam2 = _parse_complex(args.lambda2)
     kind = args.kind  # one of the parser's choices
-    if kind in ("spectral", "semicyclic") and qp.is_root and qp.N < 3:
-        raise ConfigError(f"unsupported order: N' = {qp.nprime} makes [2]_q = 0")
     if kind == "semicyclic":
         if not qp.is_root:
             raise ConfigError("semicyclic modules need a root of unity (--Nprime)")

@@ -68,6 +68,46 @@ class TestRMatrix:
         jsonschema.validate(doc, schema)
         assert doc["residuals"]["curve_alpha"] < 1e-12
 
+    def test_semicyclic_at_nprime_4(self, tmp_path):
+        # N' = 4 makes [2]_q = 0, which the imaginary root vectors need but these
+        # R-matrices do not: the export is on the curve and intertwines
+        import importlib.resources as res_
+        import jsonschema
+        from uqsl2 import QParam, TensorOperator, affine_intertwine_residual, semicyclic
+        from uqsl2.cli import main
+        out = tmp_path / "b.json"
+        assert main(["rmatrix", "--kind", "semicyclic", "--Nprime", "4",
+                     "--lambda1", "0.8,0.05", "--lambda2", "1.3,-0.11",
+                     "--alpha1", "0.7", "--z", "1.0", "-o", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        jsonschema.validate(doc, json.loads(
+            res_.files("uqsl2.schemas").joinpath("boltzmann.schema.json").read_text()))
+        assert doc["residuals"]["curve_alpha"] < 1e-12
+        d1, d2 = doc["dims"]
+        *index, pairs = zip(*doc["weights"])
+        i, j, ip, jp = map(np.array, index)
+        R = np.full((d1 * d2, d1 * d2), np.nan, dtype=complex)
+        R[ip * d2 + jp, i * d2 + j] = np.array(pairs, float).view(complex)[:, 0]
+        c = {k: complex(*v) for k, v in doc["parameters"].items() if isinstance(v, list)}
+        qp = QParam.root_of_unity(4)
+        sc1 = semicyclic(c["alpha1"], c["lambda1"], qp)
+        sc2 = semicyclic(c["alpha2"], c["lambda2"], qp)
+        assert affine_intertwine_residual(c["z"], sc1, sc2,
+                                          R=TensorOperator((d1, d2), R)) <= 1e-9
+
+    def test_spectral_at_nprime_4(self, tmp_path):
+        from uqsl2 import QParam, TensorOperator, affine_intertwine_residual, truncated_verma
+        from uqsl2.cli import main
+        out = tmp_path / "r.json"
+        assert main(["rmatrix", "--kind", "spectral", "--Nprime", "4",
+                     "--lambda1", "0.8,0.05", "--lambda2", "1.3,-0.11",
+                     "--depths", "6,6", "--z", "0.6,0.8", "-o", str(out)]) == 0
+        op = json.loads(out.read_text())["operator"]
+        R = TensorOperator(tuple(op["dims"]), np.array(op["matrix"], float).view(complex)[..., 0])
+        qp = QParam.root_of_unity(4)
+        reps = truncated_verma(0.8 + 0.05j, 6, qp), truncated_verma(1.3 - 0.11j, 6, qp)
+        assert affine_intertwine_residual(0.6 + 0.8j, *reps, R=R) <= 1e-9
+
     def test_unsupported_order_exits_2(self):
         res = run_cli("rmatrix", "--kind", "spectral", "--Nprime", "2",
                       "--lambda1", "1", "--lambda2", "1", "--depths", "3,3")
