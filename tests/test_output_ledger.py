@@ -11,19 +11,14 @@ The demos are left out: tests/test_demos.py runs them.
 """
 
 import json
-import os
 import sys
 from pathlib import Path
-
-import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 LEDGER = ROOT / "tests" / "data" / "output_ledger.json"
 sys.path.insert(0, str(ROOT / "tools"))
 
-with pytest.MonkeyPatch.context() as mp:  # the BLAS pins the tool sets on import stay with it
-    mp.setattr(os, "environ", dict(os.environ))
-    import output_digests
+import output_digests  # noqa: E402  (its BLAS pins are conftest.py's)
 
 # Under another env a residual may move by this many times itself.  Another BLAS,
 # numpy or CPU reorders floating-point sums; a change that only reordered sums (the
