@@ -18,8 +18,9 @@ passes TIMEOUT_S becomes an entry with ``error`` in place of the metrics, and
 the session goes on.  The record goes to ``OUT/BENCH_pairs_<date>_<NAME>.json``
 (OUT defaults to the root of this checkout), rewritten after every run, with
 ``what`` (the protocol), ``parent`` and ``change`` (each checkout's
-``git describe --always --dirty``), ``host`` (CPUs and the Python, numpy and
-scipy versions) and ``runs``.  At the end, per workload and metric, each
+``git describe --always --dirty``), ``host`` (the CPU count and
+``output_digests.env_block``: Python, numpy, scipy, their BLAS and LAPACK, and
+the CPU features) and ``runs``.  At the end, per workload and metric, each
 side's median and quartiles over the pairs that both sides completed are
 printed, with the number of pairs in which the change was better and whether
 that makes a gain: better in at least nine tenths of the pairs, and medians
@@ -30,29 +31,20 @@ import argparse
 import datetime
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-import scipy
+from output_digests import ROOT, env_block, revision
 
-ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("cli-mix", "oracle-series", "sweep-solver", "dense-large")
 PAIRS = 5
 TIMEOUT_S = 900
 #: end-to-end metrics and whether a higher value is better
 METRICS = {"setup_s": False, "jobs_per_s": True, "job_p50_s": False, "job_tail_s": False,
            "peak_rss_mb": False}
-
-
-def revision(src: Path) -> str:
-    out = subprocess.run(["git", "-C", str(src), "describe", "--always", "--dirty"],
-                         capture_output=True, text=True)
-    return out.stdout.strip() or "unknown"
 
 
 def run_once(src: Path, workload: str, seed: int, pycache: str) -> dict:
@@ -126,8 +118,7 @@ def main(argv=None) -> int:
                  f"{', '.join(map(str, seeds))} on each of {', '.join(workloads)}"),
         "parent": revision(checkouts["parent"]),
         "change": revision(checkouts["change"]),
-        "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
-                 "numpy": np.__version__, "scipy": scipy.__version__},
+        "host": {"cpus": os.cpu_count(), **env_block()},
         "runs": [],
     }
     with tempfile.TemporaryDirectory(prefix="bench_pairs_pycache_") as pycache:

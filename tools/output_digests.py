@@ -207,6 +207,13 @@ def env_block() -> dict:
             "cpu_features": numpy_config["SIMD Extensions"]["found"]}
 
 
+def revision(src: Path) -> str:
+    """``git describe --always --dirty`` of the checkout src, or "unknown"."""
+    out = subprocess.run(["git", "-C", str(src), "describe", "--always", "--dirty"],
+                         capture_output=True, text=True)
+    return out.stdout.strip() or "unknown"
+
+
 def cli_digests(cli_module) -> dict:
     """{job: [exit_code, sha256, records, stderr_lines, diagnostic]} of every workload
     job, known failure and extra job, each run once in-process by ``cli_module``."""

@@ -23,7 +23,8 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from output_digests import PINS, ROOT, env_block, import_cli  # noqa: E402  (pins BLAS first)
+from output_digests import (PINS, ROOT, env_block, import_cli,  # noqa: E402  (pins BLAS first)
+                            revision)
 
 import argparse  # noqa: E402
 import datetime  # noqa: E402
@@ -32,18 +33,11 @@ import json  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
-import subprocess  # noqa: E402
 import time  # noqa: E402
 
 NPRIMES = (5, 7, 9, 11)
 REPEATS = 3
 LAM1, LAM2 = 0.8 + 0.05j, 1.3 - 0.11j
-
-
-def revision(src: Path) -> str:
-    out = subprocess.run(["git", "-C", str(src), "describe", "--always", "--dirty"],
-                         capture_output=True, text=True)
-    return out.stdout.strip() or "unknown"
 
 
 def source_digest(src: Path) -> str:
