@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
 LEDGER = ROOT / "tests" / "data" / "output_ledger.json"
 sys.path.insert(0, str(ROOT / "tools"))
 
-import output_digests  # noqa: E402  (its BLAS pins are conftest.py's)
+import output_digests  # noqa: E402  (the BLAS pins it sets equal conftest.py's)
 
 # Under another env a residual may move by this many times itself.  Another BLAS,
 # numpy or CPU reorders floating-point sums; a change that only reordered sums (the
