@@ -58,13 +58,23 @@ from jobs import run_job  # noqa: E402
 from workloads import KNOWN_FAILURES, WORKLOADS, cycle_jobs, job_key  # noqa: E402
 
 #: end-to-end commands no workload runs: the default sweeps at N' = 5 and 7, one sweep of
-#: two lambda1 rows of three alpha1 points, Yang-Baxter at N' = 13 and 17 (17 exits 1), and
+#: two lambda1 rows of three alpha1 points, Yang-Baxter at N' = 13 and 17 (17 exits 1), the
+#: rmatrix branches no workload reaches (a Verma export, a single-z spectral export under
+#: each Cartan tail, a semicyclic export with an explicit off-curve --alpha2, and a
+#: degenerate weight with --alpha2 given, which exits 2), and
 #: extreme finite inputs that must exit 2 with no warning, among them q = e^{2 pi i/66},
 #: where a q-factorial of the universal form vanishes
 EXTRA_JOBS = [
     ("sweep", "--Nprime", "5"),
     ("sweep", "--Nprime", "7"),
     ("sweep", "--Nprime", "5", "--lambda1-range", "0.5:1.5:2", "--alpha1-range", "0.2:1.0:3"),
+    ("rmatrix", "--kind", "verma", "--q", "1.17,0.06", "--depths", "4,4"),
+    *(("rmatrix", "--kind", "spectral", "--Nprime", "5", "--depths", "5,5", "--z", "0.6,0.8",
+       *cartan) for cartan in ((), ("--cartan", "raw"), ("--cartan", "none"))),
+    ("rmatrix", "--kind", "semicyclic", "--Nprime", "5", "--lambda1", "0.8,0.05",
+     "--lambda2", "1.3,-0.11", "--alpha1", "0.7", "--alpha2", "0.3", "--z", "1"),
+    ("rmatrix", "--kind", "semicyclic", "--Nprime", "3", "--lambda1", "0.5", "--alpha1", "0.5",
+     "--alpha2", "0.3"),
     ("verify", "ybe", "--Nprime", "13"),
     ("verify", "ybe", "--Nprime", "17"),
     *(("sweep", "--Nprime", "3", "--lambda1-range", "0.5:0.5:1", "--alpha1-range", f"{a}:{a}:1")
