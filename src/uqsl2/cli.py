@@ -144,11 +144,10 @@ def _rmatrix_doc(args) -> dict:
             a2 = (_parse_complex(args.alpha2) if args.alpha2
                   else on_curve_partner(a1, lam1, lam2, qp))
             R = r_semicyclic(z, semicyclic(a1, lam1, qp), semicyclic(a2, lam2, qp))
+            return export_boltzmann(R, CurveSpec(z, lam1, lam2, a1, a2, N=qp.N), qp)
         except DegenerateCurve as exc:
             raise DegenerateCurve(f"{exc}; pass another --lambda{exc.module}",
                                   module=exc.module) from exc
-        spec = CurveSpec(z, lam1, lam2, a1, a2, N=qp.N)
-        return export_boltzmann(R, spec, qp)
     meta = {"schema_version": "1", "kind": kind,
             "qparam": {"nprime": qp.nprime, "q": cnum(qp.q)},
             "lambda1": cnum(lam1), "lambda2": cnum(lam2)}

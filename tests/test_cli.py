@@ -723,6 +723,18 @@ class TestExitCodeContract:
         msg = json.loads(err)["error"]
         assert f"module {module}" in msg and f"pass another --lambda{module}" in msg
 
+    @pytest.mark.parametrize("weights,module", [(("--lambda2", "0.7"), 1),
+                                                (("--lambda1", "0.5"), 2)],
+                             ids=["default-lambda1", "default-lambda2"])
+    def test_degenerate_weight_with_alpha2_names_the_flag(self, weights, module):
+        # with --alpha2 given no partner is computed: the export's curve residual
+        # meets the degenerate weight, and its diagnostic names the flag as well
+        code, err = run_main(["rmatrix", "--kind", "semicyclic", "--Nprime", "3", *weights,
+                              "--alpha1", "0.5", "--alpha2", "0.3"])
+        assert code == 2 and err.count("\n") == 1
+        msg = json.loads(err)["error"]
+        assert f"module {module}" in msg and f"pass another --lambda{module}" in msg
+
     @pytest.mark.parametrize("argv", [
         ("verify", "product-oracle", "--q", "0.9,-0.2"),
         ("verify", "product-oracle", "--q", "1.3", "--seed", "3"),
