@@ -387,7 +387,7 @@ def cmd_sweep(args) -> int:
     lines = ["nprime,lambda1,lambda2,alpha1,alpha2,z,r1,r2,intertwine_residual,nullspace_dim"]
     for l1 in lam1s:
         lam1 = complex(l1, args.lambda_imag)
-        parent = None  # R(z) of the row's parent pair, built at its first point
+        parent = None  # kept columns of the row's parent R(z), built at its first point
         for k, a1 in enumerate(a1s, start=1):
             a2 = on_curve_partner(a1, lam1, lam2, qp)
             sc1, sc2 = semicyclic(a1, lam1, qp), semicyclic(a2, lam2, qp)

@@ -9,10 +9,10 @@ quotients exactly when the parameters lie on the integrability curve
 where L_i is the central value of K^N on module i, i.e. q^{N lam_i}
 (curve_residual keeps the raw-power convention L_i = lam_i^N for
 comparison).  The restricted operator is realized by evaluating the
-spectral R-matrix on a depth-2N truncation and projecting through the
-quotient identification v_{i+N} = alpha v_i; folding the module matrices
-first does not work, because the diagonal factor is graded by the
-unquotiented degree.
+spectral R-matrix on a depth-2N truncation, keeping its columns
+v_j1 (x) v_j2 with j1, j2 < N, and folding their rows through the quotient
+identification v_{i+N} = alpha v_i; folding the module matrices first does
+not work, because the diagonal factor is graded by the unquotiented degree.
 
 A nullspace solver recovers intertwiners of arbitrary module pairs
 directly from the coproduct constraints; on cyclic modules it probes
@@ -119,19 +119,12 @@ def on_curve_partner(alpha1: complex, lam1: complex, lam2: complex, qp: QParam) 
     return alpha1 * (1 - L2) / (1 - L1)
 
 
-def _quotient_maps(alpha: complex, N: int, depth: int):
-    P = np.zeros((N, depth), dtype=complex)
-    for i in range(depth):
-        P[i % N, i] = alpha ** (i // N)
-    return P, np.eye(depth, N, dtype=complex)
-
-
 def r_semicyclic(z: complex, sc1: Rep, sc2: Rep) -> TensorOperator:
     """Spectral R-matrix carried to the semicyclic quotient pair.
 
     Evaluates the normalized R(z) on depth-2N truncations of the parent
-    highest-weight modules (_parent_spectral) and conjugates by the quotient
-    identification v_{i+N} = alpha v_i (_fold).
+    highest-weight modules, keeps its columns v_j1 (x) v_j2 with j1, j2 < N
+    (_parent_spectral) and folds their rows by v_{i+N} = alpha v_i (_fold).
     On the curve this is the intertwiner of the semicyclic pair; off the
     curve it is representative-dependent and fails the intertwining check,
     which is the detection contract.  A fold that leaves float64 (alpha1 alpha2
@@ -144,28 +137,29 @@ def r_semicyclic(z: complex, sc1: Rep, sc2: Rep) -> TensorOperator:
     return _fold(z, _parent_spectral(z, sc1.lam, sc2.lam, sc1.qp), sc1, sc2)
 
 
-def _parent_spectral(z: complex, lam1: complex, lam2: complex, qp: QParam) -> TensorOperator:
-    """The normalized R(z) of the parent highest-weight pair, truncated at depth 2N.
+def _parent_spectral(z: complex, lam1: complex, lam2: complex, qp: QParam) -> np.ndarray:
+    """The columns v_j1 (x) v_j2, j1, j2 < N, of the normalized R(z) of the parent
+    highest-weight pair truncated at depth 2N, shape (2, N, 2, N, N^2): row
+    (b1, i1, b2, i2) is v_{b1 N + i1} (x) v_{b2 N + i2}.
 
-    It depends on the weights and z alone, so every semicyclic pair with
-    these weights folds the same operator, whatever its alphas."""
-    depth = 2 * qp.N
-    return r_spectral(z, truncated_verma(lam1, depth, qp), truncated_verma(lam2, depth, qp))
+    They depend on the weights and z alone, so every semicyclic pair with
+    these weights folds the same columns, whatever its alphas."""
+    N = qp.N
+    R = r_spectral(z, truncated_verma(lam1, 2 * N, qp), truncated_verma(lam2, 2 * N, qp))
+    return R.mat.reshape(2, N, 2, N, 2, N, 2, N)[..., 0, :, 0, :].reshape(2, N, 2, N, N * N)
 
 
-def _fold(z: complex, Rv: TensorOperator, sc1: Rep, sc2: Rep) -> TensorOperator:
-    """The parent R-matrix Rv conjugated to the semicyclic pair through the
-    quotient maps of its alphas; SpectralOverflow when that leaves float64."""
+def _fold(z: complex, Q: np.ndarray, sc1: Rep, sc2: Rep) -> TensorOperator:
+    """Q of _parent_spectral folded to the pair: row (b1, i1, b2, i2) onto (i1, i2)
+    times alpha1^b1 alpha2^b2; SpectralOverflow when that leaves float64."""
     N = sc1.qp.N
     a1, a2 = sc1.params["alpha"], sc2.params["alpha"]
-    P1, S1 = _quotient_maps(a1, N, 2 * N)
-    P2, S2 = _quotient_maps(a2, N, 2 * N)
     with np.errstate(all="ignore"):
-        mat = kron2(P1, P2) @ Rv.mat @ kron2(S1, S2)
+        mat = Q[0, :, 0] + a2 * Q[0, :, 1] + a1 * Q[1, :, 0] + a1 * a2 * Q[1, :, 1]
     if not np.isfinite(mat).all():
         raise SpectralOverflow(f"non-finite restricted R-matrix at alpha1={a1}, alpha2={a2}, "
                                f"z={z}", z=z)
-    return TensorOperator((N, N), mat)
+    return TensorOperator((N, N), mat.reshape(N * N, N * N))
 
 
 def fn_commutation_residual(z: complex, sc1: Rep, sc2: Rep, R: TensorOperator) -> dict:

@@ -134,6 +134,55 @@ class TestSemicyclicRestriction:
         assert np.max(np.abs(diff)) < 1e-6
 
 
+def quotient_maps(alpha, N, depth):
+    """The quotient map P (v_i -> alpha^(i // N) v_(i mod N)) of a depth-2N truncation
+    onto the semicyclic module, and the embedding S of v_0..v_(N-1) into it."""
+    P = np.zeros((N, depth), dtype=complex)
+    for i in range(depth):
+        P[i % N, i] = alpha ** (i // N)
+    return P, np.eye(depth, N, dtype=complex)
+
+
+class TestFoldAgainstDense:
+    """r_semicyclic's quadrant fold against the dense conjugation
+    kron2(P1, P2) @ R @ kron2(S1, S2) of the whole parent R."""
+
+    U = 2.0 ** -53
+    # Both sides evaluate, per entry, the four-term sum  sum_k c_k Q_k  with
+    # c = (1, a2, a1, a1 a2) and Q_k the parent entries of rows (b1, i1, b2, i2),
+    # in their own order, fused or not (BLAS for the dense side).  The real and the
+    # imaginary part of that sum are each a real sum of at most 8 products, within
+    # gamma_8 ~ 8u of the sum of the products' moduli (Higham, Accuracy and
+    # Stability of Numerical Algorithms, section 3.1), which is at most
+    # T = sum_k |c_k||Q_k| (|cr qr| + |ci qi| <= |c||q|): so within 8 sqrt(2) u T
+    # as a complex number.  The coefficient a1 a2 is itself a rounded complex
+    # product, within sqrt(5) u of it (Brent, Percival and Zimmermann, 2007), one
+    # more sqrt(5) u T.  Two sums, each within (8 sqrt(2) + sqrt(5)) u T of the
+    # exact one, are within twice that of each other.
+    RATIO = 2 * (8 * np.sqrt(2) + np.sqrt(5))
+
+    @pytest.mark.parametrize("nprime", range(3, 10))
+    def test_matches_the_dense_conjugation(self, nprime):
+        from uqsl2.tensorop import kron2
+        qp = QParam.root_of_unity(nprime)
+        N = qp.N
+        a1 = 0.7 + 0.2j
+        on = on_curve_partner(a1, LAM1, LAM2, qp)
+        alphas = [(a1, on), (a1, 1.9 * on + 0.3 - 0.4j), (-1.3 + 0.5j, 0.4 - 1.1j)]
+        zs = [1.0, cmath.exp(2j * cmath.pi / N), cmath.exp(0.41j), 0.8 * cmath.exp(1.3j)]
+        for z in zs:
+            R = r_spectral(z, truncated_verma(LAM1, 2 * N, qp), truncated_verma(LAM2, 2 * N, qp))
+            Q = np.abs(R.mat.reshape(2, N, 2, N, 2 * N, 2 * N)[..., :N, :N])
+            for b1, b2 in alphas:
+                P1, S1 = quotient_maps(b1, N, 2 * N)
+                P2, S2 = quotient_maps(b2, N, 2 * N)
+                dense = kron2(P1, P2) @ R.mat @ kron2(S1, S2)
+                got = r_semicyclic(z, semicyclic(b1, LAM1, qp), semicyclic(b2, LAM2, qp)).mat
+                terms = (Q[0, :, 0] + abs(b2) * Q[0, :, 1] + abs(b1) * Q[1, :, 0]
+                         + abs(b1 * b2) * Q[1, :, 1]).reshape(N * N, N * N)
+                assert (np.abs(got - dense) <= self.RATIO * self.U * terms).all(), (z, b1, b2)
+
+
 class TestExchangeRelations:
     def test_nilpotent_trivial(self):
         sc1 = semicyclic(0.0, LAM1, QP3)
