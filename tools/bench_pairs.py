@@ -24,13 +24,15 @@ the CPU features) and ``runs``.  At the end, per workload and metric, each
 side's median and quartiles over the pairs that both sides completed are
 printed, with the number of pairs in which the change was better and whether
 that makes a gain: better in at least nine tenths of the pairs, and medians
-further apart than the parent's quartiles.
+further apart than the parent's quartiles.  A SIGTERM ends the session with exit
+status 143, and the run it was waiting for is killed with it.
 """
 
 import argparse
 import datetime
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -103,6 +105,8 @@ def main(argv=None) -> int:
                    help=f"perfbench seed, {PAIRS} pairs each (repeatable; default: 1)")
     p.add_argument("--outdir", type=Path, default=ROOT)
     args = p.parse_args(argv)
+    # an exception, unlike SIGTERM's default action, makes subprocess.run kill its child
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     workloads = args.workload or list(WORKLOADS)
     seeds = args.seed or [1]
     if not args.outdir.is_dir():
