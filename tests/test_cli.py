@@ -713,24 +713,16 @@ class TestExitCodeContract:
         assert "degenerate curve" in json.loads(err)["error"]
 
     @pytest.mark.parametrize("nprime", [3, 5])
-    @pytest.mark.parametrize("weights,module", [((), 1), (("--lambda1", "0.8,0.05"), 2)],
-                             ids=["defaults", "default-lambda2"])
+    @pytest.mark.parametrize("weights,module", [
+        ((), 1), (("--lambda1", "0.8,0.05"), 2),
+        # with --alpha2 given no partner is computed: the export's curve residual
+        # meets the degenerate weight
+        (("--lambda2", "0.7", "--alpha2", "0.3"), 1), (("--lambda1", "0.5", "--alpha2", "0.3"), 2),
+    ], ids=["defaults", "default-lambda2", "alpha2-default-lambda1", "alpha2-default-lambda2"])
     def test_semicyclic_default_weight_names_module_and_flag(self, nprime, weights, module):
         # at odd N' the default weight 1 gives K^N = q^N' = 1 on its module
         code, err = run_main(["rmatrix", "--kind", "semicyclic", "--Nprime", str(nprime),
                               "--z", "1", *weights])
-        assert code == 2
-        msg = json.loads(err)["error"]
-        assert f"module {module}" in msg and f"pass another --lambda{module}" in msg
-
-    @pytest.mark.parametrize("weights,module", [(("--lambda2", "0.7"), 1),
-                                                (("--lambda1", "0.5"), 2)],
-                             ids=["default-lambda1", "default-lambda2"])
-    def test_degenerate_weight_with_alpha2_names_the_flag(self, weights, module):
-        # with --alpha2 given no partner is computed: the export's curve residual
-        # meets the degenerate weight, and its diagnostic names the flag as well
-        code, err = run_main(["rmatrix", "--kind", "semicyclic", "--Nprime", "3", *weights,
-                              "--alpha1", "0.5", "--alpha2", "0.3"])
         assert code == 2 and err.count("\n") == 1
         msg = json.loads(err)["error"]
         assert f"module {module}" in msg and f"pass another --lambda{module}" in msg
