@@ -320,13 +320,9 @@ class TestSolverAgainstDense:
             assert np.max(np.abs(R.mat - R_ref)) < 1e-8
 
     def test_ungraded_basis_uses_one_block(self):
-        # swapping v_0 and v_1 of a 5-dimensional module is not affine mod 5,
-        # so its E and F no longer shift the index by a fixed amount
         qp = QP5
         sc1, sc2 = on_curve_pair(qp)
-        p = [1, 0, 2, 3, 4]
-        swapped = replace(sc1, E=sc1.E[np.ix_(p, p)], F=sc1.F[np.ix_(p, p)],
-                          K=sc1.K[np.ix_(p, p)], hvec=sc1.hvec[p])
+        swapped = swapped_basis(sc1)
         assert module_grading(sc1, sc2) == 5
         assert module_grading(swapped, sc2) == 1
         # alpha = 0 drops the wrap entry F^N = alpha: the exact degree holds
@@ -336,6 +332,14 @@ class TestSolverAgainstDense:
         R, dim = solve_intertwiner(swapped, sc2, z, 1.0)
         assert dim == dim_ref == solve_intertwiner(sc1, sc2, z, 1.0)[1] == 1
         assert np.max(np.abs(R.mat - R_ref)) < 1e-8
+
+
+def swapped_basis(rep):
+    """The module with v_0 and v_1 swapped: for N >= 3 that is not affine mod N, so
+    its E and F no longer shift the index by a fixed amount (grading modulus 1)."""
+    p = [1, 0, *range(2, rep.dim)]
+    return replace(rep, E=rep.E[np.ix_(p, p)], F=rep.F[np.ix_(p, p)],
+                   K=rep.K[np.ix_(p, p)], hvec=rep.hvec[p])
 
 
 def doubled(rep):
@@ -755,23 +759,39 @@ class TestInertiaCount:
         assert inertia_count(gram, 2.0)[0] == 4
 
 
+def assert_blocks_match_the_gather(rep1, rep2, z, monkeypatch):
+    """The solver's blocks are gathered_blocks' byte for byte: the same products summed
+    in the same order give the same bytes; blocks equal as numbers but not in bytes
+    would differ in a zero's sign, counted here."""
+    calls = record_block_eigensolves(monkeypatch)
+    solve_intertwiner(rep1, rep2, z, 1.0)
+    reference = gathered_blocks(rep1, rep2, z, 1.0)
+    assert len(calls) == len(reference)
+    signed_zeros = 0
+    for (gram, *_), ref in zip(calls, reference.values()):
+        assert gram.shape == ref.shape and np.array_equal(gram, ref)
+        signed_zeros += int((gram.view(np.uint64) != ref.view(np.uint64)).sum())
+    assert signed_zeros == 0, f"{signed_zeros} words differ in the sign of a zero"
+
+
 class TestBlockAssembly:
     @pytest.mark.parametrize("kind", ["nilpotent", "on-curve", "off-curve", "cyclic"])
     @pytest.mark.parametrize("nprime", [3, 4, 5, 7])
     @pytest.mark.parametrize("z", [1.0, 0.9 * cmath.exp(0.7j)], ids=["z-one", "z-generic"])
     def test_blocks_match_the_flat_index_gather(self, nprime, kind, z, monkeypatch):
-        # the same products summed in the same order give the same bytes; blocks equal
-        # as numbers but not in bytes would differ in a zero's sign, counted here
         rep1, rep2 = solver_pairs(QParam.root_of_unity(nprime))[kind]
-        calls = record_block_eigensolves(monkeypatch)
-        solve_intertwiner(rep1, rep2, z, 1.0)
-        reference = gathered_blocks(rep1, rep2, z, 1.0)
-        assert len(calls) == len(reference)
-        signed_zeros = 0
-        for (gram, *_), ref in zip(calls, reference.values()):
-            assert gram.shape == ref.shape and np.array_equal(gram, ref)
-            signed_zeros += int((gram.view(np.uint64) != ref.view(np.uint64)).sum())
-        assert signed_zeros == 0, f"{signed_zeros} words differ in the sign of a zero"
+        assert_blocks_match_the_gather(rep1, rep2, z, monkeypatch)
+
+    @pytest.mark.parametrize("kind", ["ungraded", "doubled"])
+    @pytest.mark.parametrize("nprime", [3, 5])  # the gather's index arrays grow as n^2
+    @pytest.mark.parametrize("z", [1.0, 0.9 * cmath.exp(0.7j)], ids=["z-one", "z-generic"])
+    def test_other_gradings_match_the_flat_index_gather(self, nprime, kind, z, monkeypatch):
+        # ungraded: one block of all D^2 unknowns; doubled: a 2N x N pair graded mod N
+        qp = QParam.root_of_unity(nprime)
+        sc1, sc2 = on_curve_pair(qp)
+        rep1 = swapped_basis(sc1) if kind == "ungraded" else doubled(sc1)
+        assert module_grading(rep1, sc2) == (1 if kind == "ungraded" else qp.N)
+        assert_blocks_match_the_gather(rep1, sc2, z, monkeypatch)
 
     def test_repeated_solves_are_identical_and_leave_the_global_rng(self):
         state = np.random.get_state()
