@@ -12,7 +12,10 @@ blocks (a pair of N'-dimensional semicyclic modules is graded mod N') were
 diagonalized and so how many were certified without an eigensolve, and the
 Python, numpy, scipy and BLAS versions (``output_digests.env_block``).  A
 diagonalized block is one call of the solver's per-block function
-``cpotts._block_zeros``, so DIR must be a checkout that has it.  The record goes to
+``cpotts._block_zeros``, so DIR must be a checkout that has it.  Each solve's
+wall time is split into ``kernel_s``, the seconds spent inside those calls,
+and ``rest_s``, the rest: the affine images, the block assembly and the
+checks.  The record goes to
 ``OUT/BENCH_solver_<date>_<rev>.json`` (OUT defaults to the root of this
 checkout), <rev> being ``git describe --always --dirty`` of DIR;
 ``source_sha256`` fingerprints the timed ``src/uqsl2/*.py`` either way.
@@ -50,23 +53,30 @@ def source_digest(src: Path) -> str:
 def time_solve(uqsl2, nprime, rep1, rep2) -> dict:
     cpotts = uqsl2.cpotts
     original = cpotts._block_zeros  # the solver looks it up at call time
-    calls = []
+    calls = []  # per kernel call of the current solve: its seconds
 
-    def counting(gram, threshold):
-        calls.append(len(gram))
-        return original(gram, threshold)
+    def timed(gram, threshold):
+        t0 = time.perf_counter()
+        try:
+            return original(gram, threshold)
+        finally:
+            calls.append(time.perf_counter() - t0)
 
-    walls = []
-    cpotts._block_zeros = counting
+    walls, kernels = [], []
+    cpotts._block_zeros = timed
     try:
         for _ in range(REPEATS):
             calls.clear()
             t0 = time.perf_counter()
             _, dim = uqsl2.solve_intertwiner(rep1, rep2, 1.0, 1.0)
             walls.append(time.perf_counter() - t0)
+            kernels.append(sum(calls))
     finally:
         cpotts._block_zeros = original
+    rest = [w - k for w, k in zip(walls, kernels)]
     return {"wall_s": walls, "wall_s_min": min(walls), "wall_s_median": statistics.median(walls),
+            "kernel_s": kernels, "kernel_s_median": statistics.median(kernels),
+            "rest_s": rest, "rest_s_median": statistics.median(rest),
             "nullspace_dim": dim, "blocks": nprime, "diagonalized": len(calls),
             "certified": nprime - len(calls), "unknowns": (rep1.dim * rep2.dim) ** 2}
 
@@ -93,7 +103,8 @@ def main() -> None:
             runs.append({"nprime": nprime, "kind": kind, **rec})
             print(f"N'={nprime:2d} {kind:9s} dim {rec['nullspace_dim']}  "
                   f"{rec['certified']}/{rec['blocks']} blocks certified  "
-                  f"min {rec['wall_s_min']:.3f} s", flush=True)
+                  f"min {rec['wall_s_min']:.3f} s  median kernel {rec['kernel_s_median']:.4f} s "
+                  f"+ rest {rec['rest_s_median']:.4f} s", flush=True)
     doc = {
         "benchmark": "solver_scaling",
         "date": datetime.date.today().isoformat(),
