@@ -207,16 +207,6 @@ def _nonzeros(M: np.ndarray) -> tuple:
     return i, j, M[i, j]
 
 
-def _equal_pairs(key: np.ndarray) -> tuple:
-    """Every index pair (k, l) with key[k] == key[l] (key holds indices)."""
-    order = np.argsort(key, kind="stable")
-    sizes = np.bincount(key)
-    start = np.repeat(np.cumsum(sizes) - sizes, sizes)  # per sorted index: its group's start
-    size = np.repeat(sizes, sizes)
-    offset = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
-    return np.repeat(order, size), order[np.repeat(start, size) + offset]
-
-
 def _nonpositive_pivots(ldu: np.ndarray, ipiv: np.ndarray) -> int:
     """The number of eigenvalues <= 0 of the block-diagonal D of a lower LAPACK
     hetrf factorization: a 1x1 pivot counts by its sign, a 2x2 pivot by its
@@ -290,7 +280,8 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
     Every image is homogeneous, so G is exactly block-diagonal with one block
     per charge (g blocks of N^3 unknowns for a pair of N-dimensional
     (semi)cyclic modules).  Each block is assembled from D x D matrices, X
-    from the nonzero entries of the images,
+    from the nonzero entries of the images and the Kronecker-delta terms through
+    the table of each unknown's block position,
 
         G[(i,j),(i',j')] = d_ii' P[j,j'] + Q[i,i'] d_jj' - X - X^H,
         X = sum_a R_a[i,i'] conj(L_a)[j,j'],
@@ -357,7 +348,8 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
 
         X adds each product of nonzeros R_a[i,i'] conj(L_a)[j,j'] whose unknowns
         (i, j) and (i', j') both lie in the block once, at the block positions
-        in place; the delta terms go onto the unknowns sharing a row or a column.
+        in place; the delta terms are read through the same positions, P onto the
+        unknowns in unknown k's row, then Q onto those in its column.
         """
         rows, cols = np.nonzero(charge == c)
         n = len(rows)
@@ -369,10 +361,10 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
             u, v = np.nonzero((k >= 0) & (l >= 0))
             X[k[u, v], l[u, v]] += r[u] * s[v]
         gram = np.zeros((n, n), dtype=complex)
-        k, l = _equal_pairs(rows)
-        gram[k, l] = P[cols[k], cols[l]]
-        k, l = _equal_pairs(cols)
-        gram[k, l] += Q[rows[k], rows[l]]
+        k, j = np.nonzero(place[rows] >= 0)  # unknown (rows[k], j) is in the block
+        gram[k, place[rows[k], j]] = P[cols[k], j]
+        i, k = np.nonzero(place[:, cols] >= 0)  # unknown (i, cols[k]) is in the block
+        gram[k, place[i, cols[k]]] += Q[rows[k], i]
         gram -= X
         gram -= np.conjugate(X, out=X).T
         return rows, cols, gram
