@@ -166,8 +166,8 @@ def fn_commutation_residual(z: complex, sc1: Rep, sc2: Rep, R: TensorOperator) -
     """Residuals of the two exchange relations between R and the N-th power of F.
 
     rel1: R (L2 F^N (x) 1 + 1 (x) F^N) = (L1 1 (x) F^N + F^N (x) 1) R
-    rel2: R (x^N F^N (x) 1 + y^N L1 1 (x) F^N)
-            = (y^N 1 (x) F^N + x^N L2 F^N (x) 1) R, with x/y = z.
+    rel2: R (z^N F^N (x) 1 + L1 1 (x) F^N) = (1 (x) F^N + z^N L2 F^N (x) 1) R,
+    the relation in x^N and y^N at x = z, y = 1: it depends on x/y = z alone.
 
     Also reports whether z^N differs from L1 L2, the solvability condition
     for expressing the mixed products one way around the other.
@@ -181,13 +181,13 @@ def fn_commutation_residual(z: complex, sc1: Rep, sc2: Rep, R: TensorOperator) -
     F2N = np.linalg.matrix_power(sc2.F, N)
     A = kron2(F1N, I2)
     B = kron2(I1, F2N)
-    xN, yN = z**N, 1.0
+    zN = z**N
     rel1 = R.mat @ (L2 * A + B) - (L1 * B + A) @ R.mat
-    rel2 = R.mat @ (xN * A + yN * L1 * B) - (yN * B + xN * L2 * A) @ R.mat
+    rel2 = R.mat @ (zN * A + L1 * B) - (B + zN * L2 * A) @ R.mat
     return {
         "ideal_exchange": float(np.max(np.abs(rel1))),
         "spectral_exchange": float(np.max(np.abs(rel2))),
-        "solvable": bool(abs(xN / yN - L1 * L2) > SOLVABILITY_TOL),
+        "solvable": bool(abs(zN - L1 * L2) > SOLVABILITY_TOL),
     }
 
 
