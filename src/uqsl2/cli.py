@@ -438,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", required=True,
                     choices=("verma", "reshetikhin", "spectral", "semicyclic"))
     weight = ("weight of V%d as 're' or 're,im'; at odd N' the default 1 gives K^N = 1, so "
-              "--kind semicyclic needs another weight (else exit 2)")
+              "--kind semicyclic needs another weight (else exit 2, or exit 3 where "
+              "--alpha2 is given and R(z) has a pole, which is met first)")
     sp.add_argument("--lambda1", default="1", help=weight % 1)
     sp.add_argument("--lambda2", default="1", help=weight % 2)
     sp.add_argument("--depths", default="3,3")
