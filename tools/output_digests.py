@@ -60,8 +60,9 @@ from workloads import KNOWN_FAILURES, WORKLOADS, cycle_jobs, job_key  # noqa: E4
 #: end-to-end commands no workload runs: the default sweeps at N' = 5 and 7, one sweep of
 #: two lambda1 rows of three alpha1 points, Yang-Baxter at N' = 13 and 17 (17 exits 1), the
 #: rmatrix branches no workload reaches (a Verma export, a single-z spectral export under
-#: each Cartan tail, a semicyclic export with an explicit off-curve --alpha2, and a
-#: degenerate weight with --alpha2 given, which exits 2), and
+#: each Cartan tail, a semicyclic export with an explicit off-curve --alpha2, a
+#: degenerate weight with --alpha2 given, which exits 2, and both weights degenerate
+#: with --alpha2 given at z = 1, where the pole of R(z) is met first and exits 3), and
 #: extreme finite inputs that must exit 2 with no warning, among them q = e^{2 pi i/66},
 #: where a q-factorial of the universal form vanishes
 EXTRA_JOBS = [
@@ -75,6 +76,8 @@ EXTRA_JOBS = [
      "--lambda2", "1.3,-0.11", "--alpha1", "0.7", "--alpha2", "0.3", "--z", "1"),
     ("rmatrix", "--kind", "semicyclic", "--Nprime", "3", "--lambda1", "0.5", "--alpha1", "0.5",
      "--alpha2", "0.3"),
+    ("rmatrix", "--kind", "semicyclic", "--Nprime", "3", "--alpha1", "0.5", "--alpha2", "0.3",
+     "--z", "1"),
     ("verify", "ybe", "--Nprime", "13"),
     ("verify", "ybe", "--Nprime", "17"),
     *(("sweep", "--Nprime", "3", "--lambda1-range", "0.5:0.5:1", "--alpha1-range", f"{a}:{a}:1")
