@@ -789,8 +789,8 @@ class TestBlockAssembly:
         # ungraded: one block of all D^2 unknowns; doubled: a 2N x N pair graded mod N
         qp = QParam.root_of_unity(nprime)
         sc1, sc2 = on_curve_pair(qp)
-        rep1 = swapped_basis(sc1) if kind == "ungraded" else doubled(sc1)
-        assert module_grading(rep1, sc2) == (1 if kind == "ungraded" else qp.N)
+        rep1, g = {"ungraded": (swapped_basis(sc1), 1), "doubled": (doubled(sc1), qp.N)}[kind]
+        assert module_grading(rep1, sc2) == g
         assert_blocks_match_the_gather(rep1, sc2, z, monkeypatch)
 
     def test_repeated_solves_are_identical_and_leave_the_global_rng(self):
