@@ -25,13 +25,13 @@ constraint certifies most blocks free of any nullspace without an
 eigensolve: every K is diagonal, so its term of the Gram matrix is a
 diagonal whose minimum over a block bounds the block's smallest eigenvalue
 from below (Weyl).  One threshold, NULLSPACE_RATIO^2 times a bound on every
-eigenvalue, certifies each block whose K0 minimum clears it.  Every other
-block (charge 0, and any charge c with q^2c = 1) is assembled from the
-generators' nonzero entries, and its zeros, the eigenvalues at or below
-the threshold, are counted by the inertia of one LDL^H factorization; only a
-block that holds zeros has their vectors found, by inverse iteration.  The
-smallest zero's vector is the intertwiner; it must meet each constraint on
-that constraint's scale.
+eigenvalue, certifies each block whose K0 minimum, read as the solve reaches
+the block, clears it.  Every other block (charge 0, and any charge c with
+q^2c = 1) is assembled from the generators' nonzero entries, and its zeros,
+the eigenvalues at or below the threshold, are counted by the inertia of one
+LDL^H factorization, a 2x2 pivot counting once; only a block that holds zeros
+has their vectors found, by inverse iteration.  The smallest zero's vector is
+the intertwiner; it must meet each constraint on that constraint's scale.
 """
 
 from __future__ import annotations
@@ -209,19 +209,16 @@ def _nonzeros(M: np.ndarray) -> tuple:
 
 def _nonpositive_pivots(ldu: np.ndarray, ipiv: np.ndarray) -> int:
     """The number of eigenvalues <= 0 of the block-diagonal D of a lower LAPACK
-    hetrf factorization: a 1x1 pivot counts by its sign, a 2x2 pivot by its
-    determinant and trace."""
+    hetrf factorization: a 1x1 pivot counts by its sign, a 2x2 pivot once.
+
+    Bunch-Kaufman pivoting takes the 2x2 pivot [[a, b], [conj(b), c]] (ipiv < 0
+    on both its rows) only when |a| r < alpha m^2 and |c| < alpha r, where
+    alpha = (1 + sqrt(17)) / 8, m = cabs1(b) = |Re b| + |Im b| is the column
+    maximum and r >= m the row maximum.  So |a c| < alpha^2 m^2 < m^2 / 2 <=
+    |b|^2: the determinant is negative, one eigenvalue below 0 and one above.
+    """
     d = ldu.diagonal().real
-    count = int((d[ipiv > 0] <= 0).sum())
-    first = np.flatnonzero(ipiv < 0)[::2]  # a 2x2 pivot marks both its rows negative
-    if len(first):
-        a, c, b = d[first], d[first + 1], ldu[first + 1, first]
-        s = np.maximum(np.maximum(abs(a), abs(c)), abs(b))  # scaled, so det cannot overflow
-        s[s == 0] = 1
-        det, trace = (a / s) * (c / s) - abs(b / s) ** 2, a + c
-        count += int(((det <= 0) | (trace <= 0)).sum())  # the smaller eigenvalue is <= 0
-        count += int(((det >= 0) & (trace <= 0)).sum())  # and the larger one
-    return count
+    return int((d[ipiv > 0] <= 0).sum()) + int((ipiv < 0).sum()) // 2
 
 
 def _block_zeros(gram: np.ndarray, threshold: float) -> tuple:
@@ -261,7 +258,9 @@ def _block_zeros(gram: np.ndarray, threshold: float) -> tuple:
         v = lapack.zpotrs(chol, v, lower=1)[0]
         v /= abs(v).max(axis=0)  # largest entry 1: no norm below over- or underflows
     del chol
-    for c in range(k):  # Gram-Schmidt, twice
+    # Gram-Schmidt, twice: at k = 1 the loop only normalizes; for k > 1 (the doubled module has
+    # 4 zeros) the second classical pass restores the orthogonality the first loses to cancellation
+    for c in range(k):
         for _ in range(2):
             v[:, c] -= v[:, :c] @ (v[:, :c].conj().T @ v[:, c])
         v[:, c] /= np.linalg.norm(v[:, c])
@@ -291,16 +290,16 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
     diagonal |kl[j] - kr[i]|^2 (kl, kr the K0 images), one PSD summand, so by
     Weyl's inequality its minimum over a block bounds the block's smallest
     eigenvalue from below; U = sum_a (|L_a|_F + |R_a|_F)^2 bounds the largest
-    eigenvalue of G from above.  A block whose K0 minimum exceeds
-    NULLSPACE_RATIO^2 U holds no nullspace and is neither assembled nor
-    diagonalized (every charge c with q^2c != 1 on a (semi)cyclic pair).
+    eigenvalue of G from above.  Each block's K0 minimum is read as the loop
+    reaches it; one above NULLSPACE_RATIO^2 U holds no nullspace, and its block is
+    neither assembled nor diagonalized (every charge c with q^2c != 1 on a (semi)cyclic pair).
 
     Zeros.  Every other block is one call of _block_zeros for its eigenpairs
     at or below the same threshold NULLSPACE_RATIO^2 U, each a zero: their
-    number is the inertia of the block minus the threshold (LAPACK hetrf),
-    and their vectors, when there are any, come from inverse iteration with
-    the Cholesky factor of the block plus the threshold.  A factorization
-    that fails raises UnresolvedConstraints.
+    number is the inertia of the block minus the threshold (LAPACK hetrf, a
+    2x2 pivot counting once), and their vectors, when there are any, come from
+    inverse iteration with the Cholesky factor of the block plus the
+    threshold.  A factorization that fails raises UnresolvedConstraints.
     A zero in a block whose K0 minimum is positive on K0's own scale (above
     NULLSPACE_RATIO^2 times the largest K0 entry) is spurious by the bound:
     the threshold cannot resolve the constraints at this z (in practice |z|
@@ -330,28 +329,23 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
     deg = total_degree((rep1.dim, rep2.dim))
     diff = np.subtract.outer(deg, deg)
     charge = diff % g if g else diff
-    charges, inverse = np.unique(charge, return_inverse=True)
 
     floor = NULLSPACE_RATIO**2
     threshold = floor * U  # an eigenvalue below it counts as zero
     kl, kr = np.diagonal(left["K0"]), np.diagonal(right["K0"])
     k0 = np.abs(np.subtract.outer(kr, kl)) ** 2  # [i, j]: the K0 term of unknown R[i, j]
-    kmin = np.full(len(charges), np.inf)
-    np.minimum.at(kmin, inverse.ravel(), k0.ravel())
-    positive = kmin > floor * k0.max()  # nonzero on K0's own scale
-    keep = kmin <= threshold  # the rest is certified; charge 0 never is (kmin 0 at i = j)
+    k0_floor = floor * k0.max()  # a K0 minimum above it is nonzero on K0's own scale
 
     nonzeros = [(_nonzeros(right[a]), _nonzeros(conj_left[a])) for a in names]
 
-    def block(c):
-        """Indices (rows, cols) of the unknowns of charge c, and their Gram block.
+    def block(rows, cols):
+        """The Gram block of the unknowns R[rows, cols], one charge's.
 
         X adds each product of nonzeros R_a[i,i'] conj(L_a)[j,j'] whose unknowns
         (i, j) and (i', j') both lie in the block once, at the block positions
         in place; the delta terms are read through the same positions, P onto the
         unknowns in unknown k's row, then Q onto those in its column.
         """
-        rows, cols = np.nonzero(charge == c)
         n = len(rows)
         place = np.full((D, D), -1)  # the block position of unknown R[i, j], or -1
         place[rows, cols] = np.arange(n)
@@ -367,22 +361,26 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
         gram[k, place[i, cols[k]]] += Q[rows[k], i]
         gram -= X
         gram -= np.conjugate(X, out=X).T
-        return rows, cols, gram
+        return gram
 
     # the module parameters a refusal names next to z
     modules = "".join(f", {k}{i}={rep.params[k]}" for i, rep in ((1, rep1), (2, rep2))
                       for k in ("alpha", "beta") if k in rep.params)
 
     dim, best = 0, None
-    for c, pos in zip(charges[keep], positive[keep]):
-        rows, cols, gram = block(c)
+    for c in np.unique(charge):
+        rows, cols = np.nonzero(charge == c)
+        kmin = k0[rows, cols].min()
+        if kmin > threshold:  # certified; charge 0 never is (kmin 0 at i = j)
+            continue
+        gram = block(rows, cols)
         try:
             w, v = _block_zeros(gram, threshold)
         except np.linalg.LinAlgError as exc:
             raise UnresolvedConstraints(f"the nullspace threshold cannot resolve the constraints "
                                         f"at z={x / y}{modules}: {exc}", z=x / y) from None
         del gram
-        if len(w) and pos:
+        if len(w) and kmin > k0_floor:
             raise UnresolvedConstraints(
                 f"the nullspace threshold cannot resolve the K0 constraint at z={x / y}{modules}: "
                 f"an eigenvalue below {threshold:.3g} lies in a charge block whose K0 minimum "

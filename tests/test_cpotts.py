@@ -758,6 +758,37 @@ class TestInertiaCount:
         assert inertia_count(gram, -1.0)[0] == 1
         assert inertia_count(gram, 2.0)[0] == 4
 
+    @pytest.mark.parametrize("n", [27, 216])
+    @pytest.mark.parametrize("lwork", [None, 64], ids=["default-lwork", "lwork-64n"])
+    def test_every_two_by_two_pivot_is_indefinite(self, n, lwork):
+        # Bunch-Kaufman takes a 2x2 pivot only with a negative determinant, so it
+        # counts once; lwork = 64 n at n = 216 runs the blocked factorization.
+        # Every shift lies between two eigenvalues: on one, a rounding-level
+        # eigenvalue of either sign would decide the count.
+        from scipy.linalg import lapack
+
+        from uqsl2.cpotts import _nonpositive_pivots
+        rng = np.random.default_rng(n)
+        kwargs = {} if lwork is None else {"lwork": lwork * n}
+        pivots = 0
+        for zero_diagonal in (False, True):
+            A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            gram = A + A.conj().T
+            if zero_diagonal:
+                gram[np.diag_indices(n)] = 0
+            w = np.linalg.eigvalsh(gram)
+            mid = (w[:-1] + w[1:]) / 2
+            for shift in (w[0] - 1, *mid[::max(1, n // 27)], w[-1] + 1):
+                ldu, ipiv, info = lapack.zhetrf(gram - shift * np.eye(n), lower=1, **kwargs)
+                assert info >= 0
+                first = np.flatnonzero(ipiv < 0)[::2]
+                idx = first[:, None] + np.arange(2)
+                e = np.linalg.eigvalsh(ldu[idx[:, :, None], idx[:, None, :]], UPLO="L")
+                assert np.all(e[:, 0] < 0) and np.all(e[:, 1] > 0)
+                assert _nonpositive_pivots(ldu, ipiv) == int((w <= shift).sum())
+                pivots += len(first)
+        assert pivots > 0
+
 
 def assert_blocks_match_the_gather(rep1, rep2, z, monkeypatch):
     """The solver's blocks are gathered_blocks' byte for byte: the same products summed

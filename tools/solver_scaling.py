@@ -1,4 +1,4 @@
-"""Wall time of the intertwiner solver at N' = 5, 7, 9 and 11, on and off the curve.
+"""Wall time of the intertwiner solver at N' = 3, 5, 7, 9 and 11, on and off the curve.
 
     python3 tools/solver_scaling.py [--src DIR] [--outdir OUT]
 
@@ -7,9 +7,10 @@ its ``src/uqsl2`` is imported, so two checkouts are timed by the same script.
 For each N' the script solves ``cpotts.solve_intertwiner`` on a semicyclic
 pair on the curve (z = 1, alpha1 = 0.7, alpha2 its curve partner) and on one
 off it (alpha2 = 1.9), REPEATS times each, with BLAS pinned to one thread.
-It records the wall times, the nullspace dimension, how many of the N' charge
-blocks (a pair of N'-dimensional semicyclic modules is graded mod N') were
-diagonalized and so how many were certified without an eigensolve, and the
+It records the wall times, the nullspace dimension, how many of the N charge
+blocks (a pair of N-dimensional semicyclic modules is graded mod N, where N,
+the order of q^2, is N' at odd N' and N'/2 at even) were diagonalized and so
+how many were certified without an eigensolve, and the
 Python, numpy, scipy and BLAS versions (``output_digests.env_block``).  A
 diagonalized block is one call of the solver's per-block function
 ``cpotts._block_zeros``, so DIR must be a checkout that has it.  Each solve's
@@ -38,7 +39,7 @@ import resource  # noqa: E402
 import statistics  # noqa: E402
 import time  # noqa: E402
 
-NPRIMES = (5, 7, 9, 11)
+NPRIMES = (3, 5, 7, 9, 11)  # 3: cli-mix's sweep size, where the work outside the kernel weighs most
 REPEATS = 3
 LAM1, LAM2 = 0.8 + 0.05j, 1.3 - 0.11j
 
@@ -50,7 +51,7 @@ def source_digest(src: Path) -> str:
     return h.hexdigest()
 
 
-def time_solve(uqsl2, nprime, rep1, rep2) -> dict:
+def time_solve(uqsl2, blocks, rep1, rep2) -> dict:
     cpotts = uqsl2.cpotts
     original = cpotts._block_zeros  # the solver looks it up at call time
     calls = []  # per kernel call of the current solve: its seconds
@@ -77,8 +78,8 @@ def time_solve(uqsl2, nprime, rep1, rep2) -> dict:
     return {"wall_s": walls, "wall_s_min": min(walls), "wall_s_median": statistics.median(walls),
             "kernel_s": kernels, "kernel_s_median": statistics.median(kernels),
             "rest_s": rest, "rest_s_median": statistics.median(rest),
-            "nullspace_dim": dim, "blocks": nprime, "diagonalized": len(calls),
-            "certified": nprime - len(calls), "unknowns": (rep1.dim * rep2.dim) ** 2}
+            "nullspace_dim": dim, "blocks": blocks, "diagonalized": len(calls),
+            "certified": blocks - len(calls), "unknowns": (rep1.dim * rep2.dim) ** 2}
 
 
 def main() -> None:
@@ -99,7 +100,7 @@ def main() -> None:
         sc1 = semicyclic(0.7, LAM1, qp)
         partners = {"on-curve": uqsl2.on_curve_partner(0.7, LAM1, LAM2, qp), "off-curve": 1.9}
         for kind, alpha2 in partners.items():
-            rec = time_solve(uqsl2, nprime, sc1, semicyclic(alpha2, LAM2, qp))
+            rec = time_solve(uqsl2, qp.N, sc1, semicyclic(alpha2, LAM2, qp))
             runs.append({"nprime": nprime, "kind": kind, **rec})
             print(f"N'={nprime:2d} {kind:9s} dim {rec['nullspace_dim']}  "
                   f"{rec['certified']}/{rec['blocks']} blocks certified  "
