@@ -290,9 +290,10 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
     diagonal |kl[j] - kr[i]|^2 (kl, kr the K0 images), one PSD summand, so by
     Weyl's inequality its minimum over a block bounds the block's smallest
     eigenvalue from below; U = sum_a (|L_a|_F + |R_a|_F)^2 bounds the largest
-    eigenvalue of G from above.  Each block's K0 minimum is read as the loop
-    reaches it; one above NULLSPACE_RATIO^2 U holds no nullspace, and its block is
-    neither assembled nor diagonalized (every charge c with q^2c != 1 on a (semi)cyclic pair).
+    eigenvalue of G from above.  The loop over charges reads each block's K0
+    minimum as it reaches the block; a block whose minimum exceeds
+    NULLSPACE_RATIO^2 U holds no nullspace and is neither assembled nor
+    diagonalized (every charge c with q^2c != 1 on a (semi)cyclic pair).
 
     Zeros.  Every other block is one call of _block_zeros for its eigenpairs
     at or below the same threshold NULLSPACE_RATIO^2 U, each a zero: their

@@ -763,7 +763,7 @@ class TestInertiaCount:
     def test_every_two_by_two_pivot_is_indefinite(self, n, lwork):
         # Bunch-Kaufman takes a 2x2 pivot only with a negative determinant, so it
         # counts once; lwork = 64 n at n = 216 runs the blocked factorization.
-        # Every shift lies between two eigenvalues: on one, a rounding-level
+        # No shift lies on an eigenvalue: on one, a rounding-level
         # eigenvalue of either sign would decide the count.
         from scipy.linalg import lapack
 
