@@ -41,12 +41,12 @@ Rb = r_semicyclic(1.0, sc1, bad)
 print("off-curve residual (detection):",
       round(affine_intertwine_residual(1.0, sc1, bad, R=Rb), 3))
 
-Rs, dim = solve_intertwiner(sc1, sc2, 1.0, 1.0)
+Rs, dim = solve_intertwiner(sc1, sc2, 1.0)
 S = R.mat / R.mat.flat[np.argmax(np.abs(R.mat))]
 print(f"independent nullspace solve: dimension {dim}, "
       f"matches the restriction to {np.max(np.abs(Rs.mat - S)):.2e}")
 
-_, dim_off = solve_intertwiner(sc1, bad, 1.0, 1.0)
+_, dim_off = solve_intertwiner(sc1, bad, 1.0)
 print("nullspace dimension off the curve:", dim_off)
 
 print()
@@ -56,7 +56,7 @@ b1 = 0.3
 b2 = b1 * (1 - 1 / L2) / (1 - 1 / L1)
 cy1 = cyclic(b1, a1, lam1, qp)
 cy2 = cyclic(b2, a2, lam2, qp)
-_, dim_cyc = solve_intertwiner(cy1, cy2, 1.0, 1.0)
+_, dim_cyc = solve_intertwiner(cy1, cy2, 1.0)
 print(f"  on both curve lines: nullspace dimension {dim_cyc} (recorded)")
 
 doc = export_boltzmann(R, spec, qp)

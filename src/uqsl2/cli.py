@@ -224,11 +224,11 @@ def _suite_central(args, qp, rng, records, tol):
     for name, row in chk.items():
         _record(records, f"central-{name}", {"lambda": cnum(lam)},
                 row["max_commutator"], tol)
-    for row in central_affine_check(rep, 1.0):
+    for row in central_affine_check(rep):
         _record(records, f"central-loop-{row['family']}",
                 {"order": row["order"]}, row["max_commutator"], tol)
     _record(records, "central-negative-control", {"order": 1},
-            noncentral_residual(rep, 1.0, 1), tol, invert=True)
+            noncentral_residual(rep), tol, invert=True)
 
 
 def _suite_drinfeld(args, qp, rng, records, tol):
@@ -398,7 +398,7 @@ def cmd_sweep(args) -> int:
             if k == len(a1s):
                 parent = None  # not held through the row's last solve
             resid = affine_intertwine_residual(z, sc1, sc2, R=R)
-            _, dim = solve_intertwiner(sc1, sc2, z, 1.0)
+            _, dim = solve_intertwiner(sc1, sc2, z)
             lines.append(
                 f"{qp.nprime},{lam1.real:.12g}{lam1.imag:+.12g}j,"
                 f"{lam2.real:.12g}{lam2.imag:+.12g}j,"

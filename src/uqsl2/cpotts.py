@@ -194,11 +194,11 @@ def fn_commutation_residual(z: complex, sc1: Rep, sc2: Rep, R: TensorOperator) -
 class UnresolvedConstraints(RefusedInput, ValueError):
     """The nullspace threshold cannot resolve the constraints at this z.
 
-    The affine images E1 = x F and F1 = E / x make the Gram matrix span about
+    The affine images E1 = z F and F1 = E / z make the Gram matrix span about
     max(|z|, 1/|z|)^2, while E0, F0 and K0 stay at unit scale.  A zero below
     the threshold is refused when it lies in a charge block whose K0 minimum
     is positive (Weyl), or when the kept vector misses a constraint on that
-    constraint's own scale.  ``z`` is x / y."""
+    constraint's own scale."""
 
 
 def _nonzeros(M: np.ndarray) -> tuple:
@@ -268,8 +268,8 @@ def _block_zeros(gram: np.ndarray, threshold: float) -> tuple:
     return w, v @ s
 
 
-def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
-    """Nullspace solve of R D(a) = D'(a) R over the affine generator images.
+def solve_intertwiner(rep1: Rep, rep2: Rep, z: complex) -> tuple:
+    """Nullspace solve of R D(a) = D'(a) R over the affine images on V1(z) (x) V2(1).
 
     The constraints for a in {E0, F0, E1, F1, K0} are collected in the Gram
     matrix G = sum_a A_a^H A_a of L(R) = R L_a - R_a R.  Unknown R[i, j] has
@@ -316,15 +316,15 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
     if rep1.qp != rep2.qp:
         raise ValueError("modules must share the deformation parameter")
     D = rep1.dim * rep2.dim
-    left, right = affine_coproduct_images(rep1, rep2, x, y)
+    left, right = affine_coproduct_images(rep1, rep2, z)
     names = ("E0", "F0", "E1", "F1", "K0")
     conj_left = {a: left[a].conj() for a in names}
-    P, Q = _guard_overflow(x / y, "the intertwiner constraints", lambda: (
+    P, Q = _guard_overflow(z, "the intertwiner constraints", lambda: (
         sum(conj_left[a] @ left[a].T for a in names),
         sum(right[a].conj().T @ right[a] for a in names)))
-    scale = _guard_overflow(x / y, "the Gram bound", lambda: np.array(
+    scale = _guard_overflow(z, "the Gram bound", lambda: np.array(
         [np.linalg.norm(left[a]) + np.linalg.norm(right[a]) for a in names]))
-    U = _guard_overflow(x / y, "the Gram bound", lambda: sum(s**2 for s in scale))
+    U = _guard_overflow(z, "the Gram bound", lambda: sum(s**2 for s in scale))
     g = grading_modulus([(M, np.arange(rep.dim), s) for rep in (rep1, rep2)
                          for M, s in ((rep.E, -1), (rep.F, 1), (rep.K, 0))], (rep1.dim, rep2.dim))
     deg = total_degree((rep1.dim, rep2.dim))
@@ -379,13 +379,13 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
             w, v = _block_zeros(gram, threshold)
         except np.linalg.LinAlgError as exc:
             raise UnresolvedConstraints(f"the nullspace threshold cannot resolve the constraints "
-                                        f"at z={x / y}{modules}: {exc}", z=x / y) from None
+                                        f"at z={z}{modules}: {exc}", z=z) from None
         del gram
         if len(w) and kmin > k0_floor:
             raise UnresolvedConstraints(
-                f"the nullspace threshold cannot resolve the K0 constraint at z={x / y}{modules}: "
+                f"the nullspace threshold cannot resolve the K0 constraint at z={z}{modules}: "
                 f"an eigenvalue below {threshold:.3g} lies in a charge block whose K0 minimum "
-                f"is positive", z=x / y)
+                f"is positive", z=z)
         dim += len(w)
         if len(w) and (best is None or w[0] < best[0]):  # the first block holding the smallest
             best = w[0], rows, cols, v[:, 0]
@@ -398,9 +398,8 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
         miss = np.linalg.norm(R @ left[a] - right[a] @ R)
         if not miss <= NULLSPACE_RATIO * s:
             raise UnresolvedConstraints(
-                f"the nullspace threshold cannot resolve the constraints at z={x / y}{modules}: "
-                f"the kept vector misses the {a} constraint by {miss / s:.3g} of its scale",
-                z=x / y)
+                f"the nullspace threshold cannot resolve the constraints at z={z}{modules}: "
+                f"the kept vector misses the {a} constraint by {miss / s:.3g} of its scale", z=z)
     # normalize by the first entry within 1e-9 of the largest modulus, so
     # rounding cannot choose between entries of equal modulus
     mag = np.abs(R)

@@ -661,20 +661,20 @@ def decompos_product(z: complex, rep1: Rep, rep2: Rep,
 # verifiers
 
 
-def affine_coproduct_images(rep1: Rep, rep2: Rep, x: complex, y: complex) -> tuple:
-    """Images (left, right) of the affine coproduct and of its opposite on V1(x) (x) V2(y).
+def affine_coproduct_images(rep1: Rep, rep2: Rep, z: complex) -> tuple:
+    """Images (left, right) of the affine coproduct and of its opposite on V1(z) (x) V2(1).
 
     Each Chevalley triple (E_i, F_i, K_i) goes through the finite coproduct,
     with K_0 = K and K_1 = K^-1 on each factor; both dicts are keyed E0 .. K1
     and come from one evaluation of each module's generators."""
-    g1 = eval_generators(rep1, x)
-    g2 = eval_generators(rep2, y)
+    g1 = eval_generators(rep1, z)
+    g2 = eval_generators(rep2, 1.0)  # not rep2's own: a product with 1.0 can flip a zero's sign
     left, right = {}, {}
     for i, j in (("0", "1"), ("1", "0")):  # K_i^-1 = K_j
         a, b = ((g["E" + i], g["F" + i], g["K" + i], g["K" + j]) for g in (g1, g2))
-        for gen in ("E", "F", "K"):
-            left[gen + i] = _delta(a, b, gen, False)
-            right[gen + i] = _delta(a, b, gen, True)
+        D, Dp = _delta(a, b)
+        left.update((gen + i, D[gen]) for gen in "EFK")
+        right.update((gen + i, Dp[gen]) for gen in "EFK")
     return left, right
 
 
@@ -685,7 +685,7 @@ def affine_intertwine_residual(z: complex, rep1: Rep, rep2: Rep,
     unless given (say, with another Cartan tail)."""
     if R is None:
         R = r_spectral(z, rep1, rep2)
-    left, right = affine_coproduct_images(rep1, rep2, z, 1.0)
+    left, right = affine_coproduct_images(rep1, rep2, z)
     return intertwine_defect(R.mat, left, right, safe_window((rep1, rep2), 1))
 
 
@@ -703,9 +703,9 @@ def spectral_ybe_residual(x1: complex, x2: complex, x3: complex,
                       safe_window(reps, 1))
 
 
-def central_affine_check(rep: Rep, x: complex) -> list:
+def central_affine_check(rep: Rep) -> list:
     """Commutator residuals of the order-N loop-family imaginary root images
-    E_N and F_N, one row each.
+    E_N and F_N at x = 1, one row each.
 
     At a root of unity these images are expected to be central (and scalar)
     on honest modules; on truncated modules the defect row is masked.
@@ -715,17 +715,17 @@ def central_affine_check(rep: Rep, x: complex) -> list:
         raise ValueError("centrality of imaginary root vectors is a root-of-unity statement")
     N = qp.N
     keep = _row_window(rep, 1)
-    images = schur_to_imaginary(eval_imaginary_prime(rep, x, N, family="loop"))
+    images = schur_to_imaginary(eval_imaginary_prime(rep, 1.0, N, family="loop"))
     return [{"family": fam, "k": 1, "order": N, **commutator_report(mats[N - 1], rep, keep)}
             for fam, mats in (("E", images.e), ("F", images.f))]
 
 
-def noncentral_residual(rep: Rep, x: complex, n: int) -> float:
-    """Commutator residual of the order-n loop-family imaginary root image
+def noncentral_residual(rep: Rep) -> float:
+    """Commutator residual of the order-1 loop-family imaginary root image at x = 1
     (negative control)."""
     keep = _row_window(rep, 1)
-    images = schur_to_imaginary(eval_imaginary_prime(rep, x, n, family="loop"))
-    return commutator_report(images.e[n - 1], rep, keep)["max_commutator"]
+    images = schur_to_imaginary(eval_imaginary_prime(rep, 1.0, 1, family="loop"))
+    return commutator_report(images.e[0], rep, keep)["max_commutator"]
 
 
 # ---------------------------------------------------------------------------

@@ -209,9 +209,7 @@ def cyclic(beta: complex, alpha: complex, lam: complex, qp: QParam) -> Rep:
 
 def tensor_rep(rep1: Rep, rep2: Rep) -> Rep:
     """The tensor-product representation, generators acting through the coproduct."""
-    E = coproduct(rep1, rep2, "E").mat
-    F = coproduct(rep1, rep2, "F").mat
-    K = coproduct(rep1, rep2, "K").mat
+    E, F, K = _rep_delta(rep1, rep2, [(0, gen) for gen in "EFK"])[0].values()
     h = (rep1.hvec[:, None] + rep2.hvec[None, :]).reshape(-1)
     truncated_factor = any(r.kind == "verma" or r.params.get("truncated_factor", False)
                            for r in (rep1, rep2))
@@ -219,43 +217,45 @@ def tensor_rep(rep1: Rep, rep2: Rep) -> Rep:
                params={"dims": (rep1.dim, rep2.dim), "truncated_factor": truncated_factor})
 
 
-def _delta(a: tuple, b: tuple, gen: str, opposite: bool) -> np.ndarray:
-    """Image of generator gen under the coproduct (or, with opposite=True, the
-    opposite coproduct), from the (E, F, K, K^-1) images a and b of the two
-    tensor factors.  The one place both coproducts are written down."""
+def _delta(a: tuple, b: tuple) -> tuple:
+    """Dicts (D, D') of E, F, K under the coproduct and its opposite, from the (E, F, K,
+    K^-1) images a and b of the two tensor factors; both K are one array, K(x)K.
+    The one place both coproducts are written down."""
     E1, F1, K1, Ki1 = a
     E2, F2, K2, Ki2 = b
-    if gen == "K":
-        return kron2(K1, K2)
     I1 = np.eye(len(E1), dtype=complex)
     I2 = np.eye(len(E2), dtype=complex)
-    if gen == "E":
-        return kron2(I1, E2) + kron2(E1, Ki2) if opposite else kron2(E1, I2) + kron2(Ki1, E2)
-    if gen == "F":
-        return kron2(F1, I2) + kron2(K1, F2) if opposite else kron2(F1, K2) + kron2(I1, F2)
-    raise ValueError(f"unknown generator {gen!r}")
+    E, Ep = kron2(E1, I2) + kron2(Ki1, E2), kron2(I1, E2) + kron2(E1, Ki2)
+    F, Fp = kron2(F1, K2) + kron2(I1, F2), kron2(F1, I2) + kron2(K1, F2)
+    K = kron2(K1, K2)
+    return {"E": E, "F": F, "K": K}, {"E": Ep, "F": Fp, "K": K}
 
 
-def _rep_delta(rep1: Rep, rep2: Rep, gen: str, opposite: bool) -> TensorOperator:
+def _rep_delta(rep1: Rep, rep2: Rep, checked) -> tuple:
+    """_delta of the modules; refuses in turn each checked (side, gen) that leaves float64."""
     if rep1.qp != rep2.qp:
         raise ValueError("coproduct factors must share the deformation parameter")
     a, b = ((r.E, r.F, r.K, r.Kinv) for r in (rep1, rep2))
     with np.errstate(all="ignore"):  # a non-finite image is refused below
-        mat = _delta(a, b, gen, opposite)
-    if not np.isfinite(mat).all():
-        raise InadmissibleParameters(f"the coproduct of {gen} leaves float64 at q={rep1.qp.q}")
-    return TensorOperator((rep1.dim, rep2.dim), mat)
+        pair = _delta(a, b)
+    for side, gen in checked:
+        if gen not in ("E", "F", "K"):
+            raise ValueError(f"unknown generator {gen!r}")
+        if not np.isfinite(pair[side][gen]).all():
+            raise InadmissibleParameters(f"the coproduct of {gen} leaves float64 at q={rep1.qp.q}")
+    return pair
 
 
 def coproduct(rep1: Rep, rep2: Rep, gen: str) -> TensorOperator:
     """Coproduct action on V1 (x) V2:  D(E) = E(x)1 + K^-1(x)E,
     D(F) = F(x)K + 1(x)F,  D(K) = K(x)K."""
-    return _rep_delta(rep1, rep2, gen, False)
+    return TensorOperator((rep1.dim, rep2.dim), _rep_delta(rep1, rep2, [(0, gen)])[0][gen])
 
 
 def opposite_coproduct(rep1: Rep, rep2: Rep, gen: str) -> TensorOperator:
-    """Opposite coproduct (tensor factors swapped): D'(E) = 1(x)E + E(x)K^-1, etc."""
-    return _rep_delta(rep1, rep2, gen, True)
+    """Opposite coproduct (tensor factors swapped): D'(E) = 1(x)E + E(x)K^-1,
+    D'(F) = F(x)1 + K(x)F,  D'(K) = K(x)K."""
+    return TensorOperator((rep1.dim, rep2.dim), _rep_delta(rep1, rep2, [(1, gen)])[1][gen])
 
 
 def casimir(rep: Rep) -> np.ndarray:

@@ -30,7 +30,7 @@ from math import factorial
 import numpy as np
 
 from .qnum import DenominatorVanishes, PowerOverflow, QParam, gen_binom, unsym_qnum
-from .reps import Rep, coproduct, opposite_coproduct, safe_window, tensor_rep
+from .reps import Rep, _rep_delta, safe_window, tensor_rep
 from .tensorop import (TensorOperator, identity_plus_kron_sum, intertwine_defect,
                        masked_max_abs, weight_sectors, ybe_defect)
 
@@ -212,8 +212,7 @@ def r_reshetikhin_product(rep1: Rep, rep2: Rep, wrap_constant: str = "auto",
 def intertwine_residual(R: TensorOperator, rep1: Rep, rep2: Rep) -> float:
     """max_a || R D(a) - D'(a) R || over a in {E, F, K}, on the safe window."""
     mask = safe_window((rep1, rep2), 1)
-    left = {gen: coproduct(rep1, rep2, gen).mat for gen in ("E", "F", "K")}
-    right = {gen: opposite_coproduct(rep1, rep2, gen).mat for gen in ("E", "F", "K")}
+    left, right = _rep_delta(rep1, rep2, [(side, gen) for side in (0, 1) for gen in "EFK"])
     return intertwine_defect(R.mat, left, right, mask)
 
 

@@ -195,9 +195,9 @@ def test_07_centrality():
         rep = semicyclic(complex(rng.uniform(0.2, 0.8)), _rand_lambda(rng), qp)
         for name, row in central_check(rep).items():
             worst = max(worst, row["max_commutator"])
-        for row in central_affine_check(rep, 1.0):
+        for row in central_affine_check(rep):
             worst = max(worst, row["max_commutator"])
-        neg = noncentral_residual(rep, 1.0, 1)
+        neg = noncentral_residual(rep)
         assert neg > 1e-6
     assert worst < 1e-8
     report(7, f"central powers and order-N loop images; worst commutator {worst:.2e} < 1e-8, "
@@ -240,7 +240,7 @@ def test_10_intertwiner_solver():
     lam1, lam2 = 0.8 + 0.05j, 1.3 - 0.11j
     # nilpotent pair
     sc1, sc2 = semicyclic(0.0, lam1, qp), semicyclic(0.0, lam2, qp)
-    R, dim = solve_intertwiner(sc1, sc2, 1.0, 1.0)
+    R, dim = solve_intertwiner(sc1, sc2, 1.0)
     S = r_semicyclic(1.0, sc1, sc2).mat
     S = S / S.flat[np.argmax(np.abs(S))]
     assert dim == 1 and np.max(np.abs(R.mat - S)) < 1e-5
@@ -248,12 +248,12 @@ def test_10_intertwiner_solver():
     a1 = 0.7
     a2 = on_curve_partner(a1, lam1, lam2, qp)
     sc1, sc2 = semicyclic(a1, lam1, qp), semicyclic(a2, lam2, qp)
-    R, dim = solve_intertwiner(sc1, sc2, 1.0, 1.0)
+    R, dim = solve_intertwiner(sc1, sc2, 1.0)
     S = r_semicyclic(1.0, sc1, sc2).mat
     S = S / S.flat[np.argmax(np.abs(S))]
     assert dim == 1 and np.max(np.abs(R.mat - S)) < 1e-5
     # off-curve pair
-    _, dim_off = solve_intertwiner(sc1, semicyclic(1.9, lam2, qp), 1.0, 1.0)
+    _, dim_off = solve_intertwiner(sc1, semicyclic(1.9, lam2, qp), 1.0)
     assert dim_off == 0
     # cyclic on-curve: empirical probe, recorded not asserted
     L1, L2 = qp.qpow(3 * lam1), qp.qpow(3 * lam2)
@@ -261,7 +261,7 @@ def test_10_intertwiner_solver():
     b2 = b1 * (1 - 1 / L2) / (1 - 1 / L1)
     cy1 = cyclic(b1, a1, lam1, qp)
     cy2 = cyclic(b2, a2, lam2, qp)
-    _, dim_cyc = solve_intertwiner(cy1, cy2, 1.0, 1.0)
+    _, dim_cyc = solve_intertwiner(cy1, cy2, 1.0)
     verdict = "supports" if dim_cyc == 1 else "does not support"
     report(10, f"semicyclic solver dim 1 and matches restriction to 1e-5; off-curve dim 0; "
                f"cyclic on-curve probe: nullspace dim {dim_cyc} ({verdict} the sufficiency expectation; recorded)")

@@ -1,6 +1,7 @@
-"""tools/bench_pairs.py: the rule that decides a paired record's gain, and a stopped
-session that leaves no benchmark run behind."""
+"""tools/bench_pairs.py: the rule that decides a paired record's gain, a stopped
+session that leaves no benchmark run behind, and runs whose output holds no metrics."""
 
+import json
 import os
 import signal
 import subprocess
@@ -102,11 +103,16 @@ def alive(pid: int) -> bool:
     return True
 
 
+def fake_checkout(path: Path, run_py: str) -> Path:
+    """A checkout at path holding only perfbench/run.py with the text run_py."""
+    (path / "perfbench").mkdir(parents=True)
+    (path / "perfbench" / "run.py").write_text(run_py)
+    return path
+
+
 def test_sigterm_ends_the_running_benchmark(tmp_path):
     # a fake checkout whose perfbench/run.py writes its pid and sleeps
-    fake = tmp_path / "checkout"
-    (fake / "perfbench").mkdir(parents=True)
-    (fake / "perfbench" / "run.py").write_text(FAKE_RUN)
+    fake = fake_checkout(tmp_path / "checkout", FAKE_RUN)
     pidfile = fake / "pid"
     session = subprocess.Popen(
         [sys.executable, str(ROOT / "tools" / "bench_pairs.py"), "--parent", str(fake),
@@ -131,3 +137,27 @@ def test_sigterm_ends_the_running_benchmark(tmp_path):
             session.wait()
         if child is not None and alive(child):
             os.kill(child, signal.SIGKILL)
+
+
+def test_a_run_without_its_metrics_line_is_recorded_and_the_session_goes_on(tmp_path):
+    # both runs exit 0: the parent's run.py prints nothing, the change's "not json"
+    parent = fake_checkout(tmp_path / "parent", "")
+    change = fake_checkout(tmp_path / "change", "print('not json')\n")
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench_pairs.py"), "--parent", str(parent),
+         "--change", str(change), "--name", "malformed", "--workload", "cli-mix",
+         "--outdir", str(tmp_path)], capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    runs = json.loads(next(tmp_path.glob("BENCH_pairs_*_malformed.json")).read_text())["runs"]
+    assert len(runs) == 2 * bench_pairs.PAIRS
+    for r in runs:
+        last = "''" if r["side"] == "parent" else "'not json'"
+        assert r["error"].startswith(f"malformed: last stdout line {last}: "), r
+    assert f"{'cli-mix':14s} {2 * bench_pairs.PAIRS} failed run(s)" in done.stdout
+
+
+def test_a_json_line_without_metrics_is_an_error(tmp_path):
+    printed = '{"failed": 0, "attempted": 1, "correct": true}'
+    fake = fake_checkout(tmp_path, f"print({printed!r})\n")
+    row = bench_pairs.run_once(fake, "cli-mix", 1, str(tmp_path / "pycache"))
+    assert row == {"error": f"malformed: last stdout line {printed!r}: KeyError: 'metrics'"}

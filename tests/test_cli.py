@@ -338,7 +338,7 @@ class TestSweep:
                 sc1, sc2 = semicyclic(a1, lam1, qp), semicyclic(a2, lam2, qp)
                 r1, r2 = curve_residual(CurveSpec(z, lam1, lam2, a1, a2, N=qp.N), qp)
                 resid = affine_intertwine_residual(z, sc1, sc2, R=r_semicyclic(z, sc1, sc2))
-                _, dim = solve_intertwiner(sc1, sc2, z, 1.0)
+                _, dim = solve_intertwiner(sc1, sc2, z)
                 lines.append(f"5,{lam1.real:.12g}{lam1.imag:+.12g}j,"
                              f"{lam2.real:.12g}{lam2.imag:+.12g}j,"
                              f"{a1:.12g},{a2.real:.12g}{a2.imag:+.12g}j,"

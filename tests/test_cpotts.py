@@ -227,7 +227,7 @@ class TestIntertwinerSolver:
         sc1 = semicyclic(0.0, LAM1, QP3)
         sc2 = semicyclic(0.0, LAM2, QP3)
         z = 1.0
-        R, dim = solve_intertwiner(sc1, sc2, z, 1.0)
+        R, dim = solve_intertwiner(sc1, sc2, z)
         assert dim == 1
         S = r_semicyclic(z, sc1, sc2).mat
         S = S / S.flat[np.argmax(np.abs(S))]
@@ -235,7 +235,7 @@ class TestIntertwinerSolver:
 
     def test_on_curve_semicyclic_pair(self):
         sc1, sc2 = on_curve_pair(QP3)
-        R, dim = solve_intertwiner(sc1, sc2, 1.0, 1.0)
+        R, dim = solve_intertwiner(sc1, sc2, 1.0)
         assert dim == 1
         S = r_semicyclic(1.0, sc1, sc2).mat
         S = S / S.flat[np.argmax(np.abs(S))]
@@ -244,7 +244,7 @@ class TestIntertwinerSolver:
     def test_off_curve_empty(self):
         sc1, _ = on_curve_pair(QP3)
         bad = semicyclic(1.9, LAM2, QP3)
-        R, dim = solve_intertwiner(sc1, bad, 1.0, 1.0)
+        R, dim = solve_intertwiner(sc1, bad, 1.0)
         assert dim == 0 and R is None
 
     @pytest.mark.parametrize("nprime", [3, 5, 7])
@@ -253,7 +253,7 @@ class TestIntertwinerSolver:
         # (Bazhanov-Stroganov, J. Stat. Phys. 59, 1990): the result is
         # recorded, not asserted
         cy1, cy2 = on_curve_cyclic_pair(QParam.root_of_unity(nprime))
-        _, dim = solve_intertwiner(cy1, cy2, 1.0, 1.0)
+        _, dim = solve_intertwiner(cy1, cy2, 1.0)
         print(f"[probe] N'={nprime} cyclic on-curve intertwiner: nullspace dim {dim}")
         assert dim >= 0  # probe only: the outcome is recorded, not asserted
 
@@ -261,11 +261,11 @@ class TestIntertwinerSolver:
         qp = QP3
         cy1 = cyclic(0.3, 0.7, LAM1, qp)
         cy2 = cyclic(0.45, 1.3, LAM2, qp)
-        _, dim = solve_intertwiner(cy1, cy2, 1.0, 1.0)
+        _, dim = solve_intertwiner(cy1, cy2, 1.0)
         assert dim == 0
 
 
-def dense_intertwiner(rep1, rep2, x, y, sv_ratio=1e-7):
+def dense_intertwiner(rep1, rep2, z, sv_ratio=1e-7):
     """Reference solver: one eigh over all D^2 unknowns of the Kronecker constraints.
 
     Independent of the charge grading solve_intertwiner uses; only the
@@ -273,7 +273,7 @@ def dense_intertwiner(rep1, rep2, x, y, sv_ratio=1e-7):
     """
     from scipy.linalg import eigh
     D = rep1.dim * rep2.dim
-    left, right = affine_coproduct_images(rep1, rep2, x, y)
+    left, right = affine_coproduct_images(rep1, rep2, z)
     gram = np.zeros((D * D, D * D), dtype=complex)
     for name in ("E0", "F0", "E1", "F1", "K0"):
         A = np.kron(np.eye(D), left[name].T) - np.kron(right[name], np.eye(D))
@@ -313,8 +313,8 @@ class TestSolverAgainstDense:
         qp = QParam.root_of_unity(nprime)
         z = cmath.exp(2j * cmath.pi / qp.N) if z_root else 1.1 + 0.1j
         rep1, rep2 = solver_pairs(qp)[kind]
-        R_ref, dim_ref = dense_intertwiner(rep1, rep2, z, 1.0)
-        R, dim = solve_intertwiner(rep1, rep2, z, 1.0)
+        R_ref, dim_ref = dense_intertwiner(rep1, rep2, z)
+        R, dim = solve_intertwiner(rep1, rep2, z)
         assert dim == dim_ref
         if dim == 1:
             assert np.max(np.abs(R.mat - R_ref)) < 1e-8
@@ -328,9 +328,9 @@ class TestSolverAgainstDense:
         # alpha = 0 drops the wrap entry F^N = alpha: the exact degree holds
         assert module_grading(*solver_pairs(qp)["nilpotent"]) == 0
         z = cmath.exp(2j * cmath.pi / qp.N)
-        R_ref, dim_ref = dense_intertwiner(swapped, sc2, z, 1.0)
-        R, dim = solve_intertwiner(swapped, sc2, z, 1.0)
-        assert dim == dim_ref == solve_intertwiner(sc1, sc2, z, 1.0)[1] == 1
+        R_ref, dim_ref = dense_intertwiner(swapped, sc2, z)
+        R, dim = solve_intertwiner(swapped, sc2, z)
+        assert dim == dim_ref == solve_intertwiner(sc1, sc2, z)[1] == 1
         assert np.max(np.abs(R.mat - R_ref)) < 1e-8
 
 
@@ -357,12 +357,12 @@ class TestSolverNullspaceCount:
         sc1, sc2 = on_curve_pair(qp)
         rep1, rep2 = (doubled(sc1), sc2) if doubled_first else (sc2, doubled(sc1))
         assert module_grading(rep1, rep2) == qp.N
-        R, dim = solve_intertwiner(rep1, rep2, 1.0, 1.0)
+        R, dim = solve_intertwiner(rep1, rep2, 1.0)
         if qp.N == 3:
-            dim_ref = dense_intertwiner(rep1, rep2, 1.0, 1.0)[1]
+            dim_ref = dense_intertwiner(rep1, rep2, 1.0)[1]
         else:  # the dense D^2 = 2500 system costs ~20 s; use the 2 x 2 copies instead
             dim_ref = 4 * dense_intertwiner(*((sc1, sc2) if doubled_first else (sc2, sc1)),
-                                            1.0, 1.0)[1]
+                                            1.0)[1]
         assert dim == dim_ref == 4
         assert affine_intertwine_residual(1.0, rep1, rep2, R=R) < 1e-12
 
@@ -382,7 +382,7 @@ class TestSolverNullspaceCount:
         n = (sc1.dim * sc2.dim) ** 2 // qp.N  # unknowns per charge block
         tracemalloc.start()
         try:
-            _, dim = solve_intertwiner(sc1, sc2, 1.0, 1.0)
+            _, dim = solve_intertwiner(sc1, sc2, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -390,13 +390,13 @@ class TestSolverNullspaceCount:
         assert peak < 6 * n * n * np.dtype(complex).itemsize
 
 
-def block_grams(rep1, rep2, x, y):
+def block_grams(rep1, rep2, z):
     """Each charge block's Gram matrix A^H A, the columns of A built from the
     definition L_a(E_ij) = E_ij L_a - R_a E_ij (stacked over a), and the block's
     K0 bound min |kl[j] - kr[i]|^2.  Also U = sum_a (|L_a|_F + |R_a|_F)^2."""
     from scipy.sparse import csc_matrix
     D = rep1.dim * rep2.dim
-    left, right = affine_coproduct_images(rep1, rep2, x, y)
+    left, right = affine_coproduct_images(rep1, rep2, z)
     names = ("E0", "F0", "E1", "F1", "K0")
     g = module_grading(rep1, rep2)
     deg = np.add.outer(np.arange(rep1.dim), np.arange(rep2.dim)).ravel()
@@ -447,13 +447,13 @@ def eigh_block_zeros(gram, threshold):
     return eigh(gram, subset_by_value=(-np.inf, threshold))
 
 
-def gathered_blocks(rep1, rep2, x, y):
+def gathered_blocks(rep1, rep2, z):
     """The Gram block of each charge that the K0 bound leaves uncertified, gathered
     as the solver once did: X through one pair of flat-index arrays over the whole
     block, the Kronecker-delta terms on the np.equal.outer pairs of coinciding
     indices.  The reference for the solver's assembly from the nonzeros."""
     D = rep1.dim * rep2.dim
-    left, right = affine_coproduct_images(rep1, rep2, x, y)
+    left, right = affine_coproduct_images(rep1, rep2, z)
     names = ("E0", "F0", "E1", "F1", "K0")
     conj_left = {a: left[a].conj() for a in names}
     P = sum(conj_left[a] @ left[a].T for a in names)
@@ -499,7 +499,7 @@ class TestChargeCertificate:
         qp = QParam.root_of_unity(nprime)
         z = cmath.exp(2j * cmath.pi / qp.N) if z_root else 1.1 + 0.1j
         rep1, rep2 = solver_pairs(qp)[kind]
-        blocks, U = block_grams(rep1, rep2, z, 1.0)
+        blocks, U = block_grams(rep1, rep2, z)
         spectra = {c: np.linalg.eigvalsh(gram) for c, (gram, _) in blocks.items()}
         wmax = max(w[-1] for w in spectra.values())
         assert U >= wmax
@@ -513,7 +513,7 @@ class TestChargeCertificate:
         if module_grading(rep1, rep2):  # graded mod N: every charge but 0 is certified
             assert searched == [0]
         calls = record_block_eigensolves(monkeypatch)
-        _, dim = solve_intertwiner(rep1, rep2, z, 1.0)
+        _, dim = solve_intertwiner(rep1, rep2, z)
         assert len(calls) == len(searched)
         for (gram, *_), c in zip(calls, searched):  # the solver's assembly against the definition
             assert np.allclose(np.linalg.eigvalsh(gram), spectra[c], rtol=0, atol=1e-12 * wmax)
@@ -529,14 +529,14 @@ class TestChargeCertificate:
         z = cmath.exp(2j * cmath.pi / qp.N) if z_root else 1.1 + 0.1j
         rep1, rep2 = solver_pairs(qp)["nilpotent"]
         assert module_grading(rep1, rep2) == 0
-        blocks, U = block_grams(rep1, rep2, z, 1.0)
+        blocks, U = block_grams(rep1, rep2, z)
         searched = sorted(c for c, (_, bound) in blocks.items()
                           if bound <= NULLSPACE_RATIO**2 * U)
         assert [c for c in searched if c] == [-qp.N, qp.N]
         calls = record_block_eigensolves(monkeypatch)
-        R, dim = solve_intertwiner(rep1, rep2, z, 1.0)
+        R, dim = solve_intertwiner(rep1, rep2, z)
         assert len(calls) == len(searched)
-        R_ref, dim_ref = dense_intertwiner(rep1, rep2, z, 1.0)
+        R_ref, dim_ref = dense_intertwiner(rep1, rep2, z)
         assert dim == dim_ref == 1
         assert np.max(np.abs(R.mat - R_ref)) < 1e-8
 
@@ -547,8 +547,8 @@ class TestChargeCertificate:
         (so it is no zero): at tiny |z| through the nilpotent part of F1 = E / z. At large
         |z| the cyclic F in E1 = z F lifts every such eigenvalue, and the count stands."""
         rep1, rep2 = on_curve_pair(QP5)
-        blocks, U = block_grams(rep1, rep2, z, 1.0)
-        kl, kr = (np.diag(im["K0"]) for im in affine_coproduct_images(rep1, rep2, z, 1.0))
+        blocks, U = block_grams(rep1, rep2, z)
+        kl, kr = (np.diag(im["K0"]) for im in affine_coproduct_images(rep1, rep2, z))
         floor = NULLSPACE_RATIO**2
         k0max = (np.abs(np.subtract.outer(kr, kl)) ** 2).max()
         searched = {c: np.linalg.eigvalsh(gram) for c, (gram, bound) in blocks.items()
@@ -560,10 +560,10 @@ class TestChargeCertificate:
         assert bool(spurious[U]) == bool(spurious[wmax]) == (abs(z) < 1)
         if spurious[U]:
             with pytest.raises(UnresolvedConstraints) as exc:
-                solve_intertwiner(rep1, rep2, z, 1.0)
+                solve_intertwiner(rep1, rep2, z)
             assert exc.value.z == z
         else:
-            _, dim = solve_intertwiner(rep1, rep2, z, 1.0)
+            _, dim = solve_intertwiner(rep1, rep2, z)
             assert dim == 0
             for t in (U, wmax):
                 assert sum(int((w < floor * t).sum()) for w in searched.values()) == 0
@@ -574,10 +574,10 @@ class TestChargeCertificate:
         qp = QParam.root_of_unity(nprime)
         z = cmath.exp(2j * cmath.pi / qp.N) if z_root else 1.0
         rep1, rep2 = on_curve_pair(qp)
-        R, dim = solve_intertwiner(rep1, rep2, z, 1.0)
+        R, dim = solve_intertwiner(rep1, rep2, z)
         assert dim == 1
         R = R.mat / np.linalg.norm(R.mat)
-        left, right = affine_coproduct_images(rep1, rep2, z, 1.0)
+        left, right = affine_coproduct_images(rep1, rep2, z)
         for a in ("E0", "F0", "E1", "F1", "K0"):
             scale = np.linalg.norm(left[a]) + np.linalg.norm(right[a])
             assert np.linalg.norm(R @ left[a] - right[a] @ R) <= 1e-12 * scale, a
@@ -588,7 +588,7 @@ class TestChargeCertificate:
         # which K0 cannot bound, so only the kept-vector check refuses them
         rep1, rep2 = on_curve_pair(QP5, a1=0.3, lam1=0.5 + 0.1j, lam2=1.3 - 0.11j)
         with pytest.raises(UnresolvedConstraints, match="kept vector") as exc:
-            solve_intertwiner(rep1, rep2, 3.2e-7, 1.0)
+            solve_intertwiner(rep1, rep2, 3.2e-7)
         assert exc.value.z == 3.2e-7
 
     def test_certificate_needs_no_closed_form(self, monkeypatch):
@@ -604,10 +604,10 @@ class TestChargeCertificate:
                              (uqsl2.raffine, "rzero_bar")):
             monkeypatch.setattr(module, name, refuse)
         sc1, sc2 = on_curve_pair(QP5)
-        R, dim = solve_intertwiner(sc1, sc2, 1.0, 1.0)
+        R, dim = solve_intertwiner(sc1, sc2, 1.0)
         assert dim == 1
         assert affine_intertwine_residual(1.0, sc1, sc2, R=R) < 1e-9
-        assert solve_intertwiner(sc1, semicyclic(1.9, LAM2, QP5), 1.0, 1.0) == (None, 0)
+        assert solve_intertwiner(sc1, semicyclic(1.9, LAM2, QP5), 1.0) == (None, 0)
 
 
 def assert_zero_eigenpairs(gram, w, v, threshold, scale):
@@ -668,8 +668,8 @@ class TestBlockEigensolve:
         # zeros; the nullspace dimension is their number
         calls = record_block_eigensolves(monkeypatch)
         rep1, rep2 = solver_pairs(QParam.root_of_unity(nprime))[kind]
-        _, dim = solve_intertwiner(rep1, rep2, 1.0, 1.0)
-        _, U = block_grams(rep1, rep2, 1.0, 1.0)
+        _, dim = solve_intertwiner(rep1, rep2, 1.0)
+        _, U = block_grams(rep1, rep2, 1.0)
         assert calls
         for gram, threshold, w, v in calls:
             assert threshold == pytest.approx(NULLSPACE_RATIO**2 * U, rel=1e-12)
@@ -682,7 +682,7 @@ class TestBlockEigensolve:
         import uqsl2.cpotts
         from scipy.linalg import eigh
         pair = on_curve_pair(qp)
-        R, dim = solve_intertwiner(*pair, 1.0, 1.0)
+        R, dim = solve_intertwiner(*pair, 1.0)
 
         def reference(gram, threshold):
             w, v = eigh(gram)
@@ -690,7 +690,7 @@ class TestBlockEigensolve:
             return w[:zeros], v[:, :zeros]
 
         monkeypatch.setattr(uqsl2.cpotts, "_block_zeros", reference)
-        R_ref, dim_ref = solve_intertwiner(*pair, 1.0, 1.0)
+        R_ref, dim_ref = solve_intertwiner(*pair, 1.0)
         assert dim == dim_ref == 1
         assert np.allclose(R.mat, R_ref.mat, rtol=0, atol=1e-10)
 
@@ -701,7 +701,7 @@ class TestBlockEigensolve:
         potrf = lapack.zpotrf
         monkeypatch.setattr(lapack, "zpotrf", lambda a, **kwargs: (potrf(a, **kwargs)[0], 1))
         with pytest.raises(UnresolvedConstraints, match="not positive definite") as exc:
-            solve_intertwiner(*on_curve_pair(QP5), 1.0, 1.0)
+            solve_intertwiner(*on_curve_pair(QP5), 1.0)
         assert exc.value.z == 1.0
 
     @pytest.mark.parametrize("z", [float("nan"), float("inf")], ids=["nan", "inf"])
@@ -711,7 +711,7 @@ class TestBlockEigensolve:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(SpectralOverflow):
-                solve_intertwiner(*on_curve_pair(QP5), z, 1.0)
+                solve_intertwiner(*on_curve_pair(QP5), z)
         assert calls == []
 
 
@@ -795,8 +795,8 @@ def assert_blocks_match_the_gather(rep1, rep2, z, monkeypatch):
     in the same order give the same bytes; blocks equal as numbers but not in bytes
     would differ in a zero's sign, counted here."""
     calls = record_block_eigensolves(monkeypatch)
-    solve_intertwiner(rep1, rep2, z, 1.0)
-    reference = gathered_blocks(rep1, rep2, z, 1.0)
+    solve_intertwiner(rep1, rep2, z)
+    reference = gathered_blocks(rep1, rep2, z)
     assert len(calls) == len(reference)
     signed_zeros = 0
     for (gram, *_), ref in zip(calls, reference.values()):
@@ -827,8 +827,8 @@ class TestBlockAssembly:
     def test_repeated_solves_are_identical_and_leave_the_global_rng(self):
         state = np.random.get_state()
         pair = on_curve_pair(QP5)
-        R1, dim1 = solve_intertwiner(*pair, 1.0, 1.0)
-        R2, dim2 = solve_intertwiner(*pair, 1.0, 1.0)
+        R1, dim1 = solve_intertwiner(*pair, 1.0)
+        R2, dim2 = solve_intertwiner(*pair, 1.0)
         assert dim1 == dim2 == 1
         assert R1.mat.tobytes() == R2.mat.tobytes()
         after = np.random.get_state()

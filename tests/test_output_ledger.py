@@ -7,10 +7,12 @@ under.  A change that moves an output re-records the ledger in the same commit:
 
     python3 tools/output_digests.py --no-demos --out tests/data/output_ledger.json
 
-The demos are left out: tests/test_demos.py runs them.
+The demos are left out: tests/test_demos.py runs them.  The last test pins the
+revision name (``output_digests.revision``) that the benchmark records carry.
 """
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -79,3 +81,28 @@ def test_another_env_compares_residuals():
     outputs[job][2][0][2] = not outputs[job][2][0][2]
     assert mismatches(ledger, other, outputs) == [
         f"record names or pass flags changed: {job}"]
+
+
+def test_revision_is_dirty_only_when_the_code_differs(tmp_path):
+    # in a fresh repository: an edited record or note leaves the name clean, an
+    # edited file under src/ or perfbench/ marks it
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
+                        "-c", "commit.gpgsign=false", *args], check=True, capture_output=True)
+
+    for name in ("src/m.py", "perfbench/run.py", "NOTES.md"):
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text("1\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "one")
+    head = output_digests.revision(tmp_path)
+    assert head and head != "unknown" and not head.endswith("-dirty")
+    (tmp_path / "NOTES.md").write_text("2\n")
+    (tmp_path / "src" / "untracked.py").write_text("2\n")
+    assert output_digests.revision(tmp_path) == head
+    for name in ("src/m.py", "perfbench/run.py"):
+        (tmp_path / name).write_text("2\n")
+        assert output_digests.revision(tmp_path) == head + "-dirty"
+        (tmp_path / name).write_text("1\n")
+        assert output_digests.revision(tmp_path) == head

@@ -58,7 +58,7 @@ def test_trace_hooks_read_parameters_that_exist(spans):
     try:  # looked up after install, so the wrapped functions run
         raffine.eval_imaginary_prime(truncated_verma(0.7 + 0.1j, 3, qp), 1.0, 4, family="loop")
         cpotts.solve_intertwiner(semicyclic(0.4, 0.8 + 0.05j, qp),
-                                 semicyclic(0.6, 1.3 - 0.11j, qp), 1.0, 1.0)
+                                 semicyclic(0.6, 1.3 - 0.11j, qp), 1.0)
     finally:
         assert tracer.restore() == []
     assert tracer.counts["raffine.schur.order_sum"] == 4

@@ -16,7 +16,6 @@ from uqsl2 import (EmptySafeWindow, PoleError, QParam, UnsupportedOrder,
                    schur_to_imaginary, semicyclic, spectral_ybe_residual, safe_mask,
                    masked_max_abs, renormalized_raising_power, truncated_verma)
 from uqsl2 import raffine
-from uqsl2.reps import _delta
 
 from test_oracles import rminus_per_factor, rplus_per_factor
 
@@ -42,38 +41,45 @@ class TestAffineCoproduct:
     @pytest.mark.parametrize("opposite", [False, True])
     def test_index_zero_is_the_finite_coproduct(self, opposite):
         r1, r2 = truncated_verma(L1, 3, QP), truncated_verma(L2, 4, QP)
-        images = affine_coproduct_images(r1, r2, 0.7, 1.3)[opposite]  # (left, right)
+        images = affine_coproduct_images(r1, r2, 0.7)[opposite]  # (left, right)
         delta = opposite_coproduct if opposite else coproduct
         for gen in ("E", "F", "K"):
             assert np.array_equal(images[gen + "0"], delta(r1, r2, gen).mat)
 
     @pytest.mark.parametrize("mod", ["verma", "semicyclic"])
-    def test_pair_equals_the_one_sided_images(self, mod):
-        # reference: each side built on its own through the finite coproduct,
-        # from the generator images of one evaluation per module
+    def test_pair_equals_the_coproduct_formulas(self, mod):
+        # reference: each Chevalley triple (E_i, F_i, K_i), K_i^-1 = K_j, of V1(z) and
+        # V2(1) through D(E) = E(x)1 + K^-1(x)E, D(F) = F(x)K + 1(x)F, D(K) = K(x)K and
+        # D'(E) = 1(x)E + E(x)K^-1, D'(F) = F(x)1 + K(x)F, D'(K) = K(x)K by np.kron,
+        # with complex identities as the images use (a float eye can round a signed
+        # zero differently), compared byte for byte
         if mod == "verma":
             r1, r2 = truncated_verma(L1, 3, QP), truncated_verma(L2, 4, QP)
         else:
             qp = QParam.root_of_unity(5)
             r1, r2 = semicyclic(0.4, L1, qp), semicyclic(0.7 - 0.2j, L2, qp)
-        x, y = 0.7 + 0.2j, 1.3
-        g1, g2 = eval_generators(r1, x), eval_generators(r2, y)
-        pair = affine_coproduct_images(r1, r2, x, y)
-        for side, opposite in zip(pair, (False, True)):
-            ref = {}
-            for i, j in (("0", "1"), ("1", "0")):
-                a, b = ((g["E" + i], g["F" + i], g["K" + i], g["K" + j]) for g in (g1, g2))
-                ref.update({gen + i: _delta(a, b, gen, opposite) for gen in "EFK"})
-            assert side.keys() == ref.keys()
-            for name, M in ref.items():
-                assert np.array_equal(side[name], M), (opposite, name)
+        z = 0.7 + 0.2j
+        g1, g2 = eval_generators(r1, z), eval_generators(r2, 1.0)
+        I1, I2 = (np.eye(r.dim, dtype=complex) for r in (r1, r2))
+        ref = ({}, {})
+        for i, j in (("0", "1"), ("1", "0")):
+            (E1, F1, K1, Ki1), (E2, F2, K2, Ki2) = (
+                (g["E" + i], g["F" + i], g["K" + i], g["K" + j]) for g in (g1, g2))
+            ref[0].update({"E" + i: np.kron(E1, I2) + np.kron(Ki1, E2),
+                           "F" + i: np.kron(F1, K2) + np.kron(I1, F2), "K" + i: np.kron(K1, K2)})
+            ref[1].update({"E" + i: np.kron(I1, E2) + np.kron(E1, Ki2),
+                           "F" + i: np.kron(F1, I2) + np.kron(K1, F2), "K" + i: np.kron(K1, K2)})
+        for side, want in zip(affine_coproduct_images(r1, r2, z), ref):
+            assert list(side) == list(want)
+            for name, M in want.items():
+                assert side[name].shape == M.shape and side[name].tobytes() == M.tobytes(), name
 
     def test_index_one_uses_the_inverse_cartan(self):
-        # D(E_1) = E_1 (x) 1 + K (x) E_1 with E_1 = x F and K_1^-1 = K
+        # D(E_1) = E_1 (x) 1 + K (x) E_1 with E_1 = z F on V1(z), F on V2(1), and K_1^-1 = K
         r1, r2 = truncated_verma(L1, 3, QP), truncated_verma(L2, 4, QP)
-        x, y = 0.7, 1.3
-        images, _ = affine_coproduct_images(r1, r2, x, y)
-        ref = np.kron(x * r1.F, np.eye(4)) + np.kron(r1.K, y * r2.F)
+        z = 0.7
+        images, _ = affine_coproduct_images(r1, r2, z)
+        ref = np.kron(z * r1.F, np.eye(4)) + np.kron(r1.K, r2.F)
         assert np.max(np.abs(images["E1"] - ref)) < 1e-14
         assert np.max(np.abs(images["K1"] - np.kron(r1.Kinv, r2.Kinv))) == 0
 
@@ -813,32 +819,32 @@ class TestLoopCentrality:
     def test_central_at_multiples_of_N(self, nprime):
         qp = QParam.root_of_unity(nprime)
         rep = semicyclic(0.0, 1.0, qp)
-        for row in central_affine_check(rep, 1.0):
+        for row in central_affine_check(rep):
             assert row["max_commutator"] < 1e-8
             assert row["scalar_deviation"] < 1e-8
 
     def test_wrapping_module(self):
         qp = QParam.root_of_unity(3)
         rep = semicyclic(0.6, 0.9 + 0.2j, qp)
-        for row in central_affine_check(rep, 1.0):
+        for row in central_affine_check(rep):
             assert row["max_commutator"] < 1e-8
 
     def test_noncentral_below_N(self):
         qp = QParam.root_of_unity(3)
         rep = semicyclic(0.0, 1.0, qp)
-        assert noncentral_residual(rep, 1.0, 1) > 1e-6
+        assert noncentral_residual(rep) > 1e-6
 
     def test_depth_one_module_leaves_no_window(self):
         rep = truncated_verma(0.5, 1, QParam.root_of_unity(3))
         with pytest.raises(EmptySafeWindow):
-            noncentral_residual(rep, 1.0, 1)
+            noncentral_residual(rep)
         with pytest.raises(EmptySafeWindow):
-            central_affine_check(rep, 1.0)
+            central_affine_check(rep)
 
     def test_generic_not_central(self):
         rep = truncated_verma(L1, 4, QP)
         with pytest.raises(ValueError):
-            central_affine_check(rep, 1.0)
+            central_affine_check(rep)
         im = schur_to_imaginary(eval_imaginary_prime(rep, 1.0, 3))
         M = im.e[2]
         assert np.max(np.abs((M @ rep.F - rep.F @ M)[:3, :3])) > 1e-6

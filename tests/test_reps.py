@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from uqsl2 import (InadmissibleParameters, QParam, casimir, central_check,
-                   coproduct, cyclic, defining_relations_residual, opposite_coproduct,
-                   qnumber, semicyclic, tensor_rep, truncated_verma)
+                   coproduct, cyclic, defining_relations_residual, intertwine_residual,
+                   opposite_coproduct, qnumber, semicyclic, tensor_rep, truncated_verma)
 from uqsl2.reps import _row_window, safe_window
-from uqsl2.tensorop import EmptySafeWindow, safe_mask
+from uqsl2.tensorop import EmptySafeWindow, TensorOperator, safe_mask
 
 QP = QParam.generic(1.17 + 0.06j)
 QP3 = QParam.root_of_unity(3)
@@ -251,6 +251,44 @@ class TestCoproduct:
             coproduct(self.r1, truncated_verma(1.0, 3, QP3), "E")
         with pytest.raises(ValueError):
             opposite_coproduct(self.r1, truncated_verma(1.0, 3, QP3), "E")
+
+
+class TestCoproductRefusals:
+    """Each finite-path function refuses exactly when an image it returns or reads
+    leaves float64, and names the first such generator: D's E, F, K, then D''s."""
+
+    R = TensorOperator((3, 3), np.eye(9, dtype=complex))
+
+    def _pair(self, K1, K2):
+        return tuple(dataclasses.replace(truncated_verma(lam, 3, QP), K=np.diag(K).astype(complex))
+                     for lam, K in ((0.83 + 0.21j, K1), (1.27 - 0.33j, K2)))
+
+    def _refuses(self, gen, call):
+        with pytest.raises(InadmissibleParameters, match=f"the coproduct of {gen} leaves float64"):
+            call()
+
+    def test_an_infinite_inverse_cartan_in_the_second_factor(self):
+        # V2's K^-1 is inf + nan i at its last vector (a warning of Rep.Kinv, silenced
+        # here): only D'(E) = 1(x)E + E(x)K^-1 reads it
+        with np.errstate(all="ignore"):
+            r1, r2 = self._pair([1, 1, 1], [1, 1, 1e-320])
+            assert tensor_rep(r1, r2).dim == 9
+            for gen in "EFK":
+                assert np.isfinite(coproduct(r1, r2, gen).mat).all()
+            for gen in "FK":
+                assert np.isfinite(opposite_coproduct(r1, r2, gen).mat).all()
+            self._refuses("E", lambda: opposite_coproduct(r1, r2, "E"))
+            self._refuses("E", lambda: intertwine_residual(self.R, r1, r2))
+
+    def test_a_huge_cartan_in_both_factors(self):
+        # K (x) K = 1e400 I leaves float64; every E and F image stays finite
+        r1, r2 = self._pair([1e200] * 3, [1e200] * 3)
+        for delta in (coproduct, opposite_coproduct):
+            for gen in "EF":
+                assert np.isfinite(delta(r1, r2, gen).mat).all()
+            self._refuses("K", lambda: delta(r1, r2, "K"))
+        self._refuses("K", lambda: tensor_rep(r1, r2))
+        self._refuses("K", lambda: intertwine_residual(self.R, r1, r2))
 
 
 class TestCasimir:

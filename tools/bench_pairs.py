@@ -1,31 +1,31 @@
 """Alternating before/after runs of perfbench/run.py from two checkouts.
 
     python3 tools/bench_pairs.py --parent DIR [--change DIR] --name NAME
-        [--workload W ...] [--seed S ...] [--outdir OUT]
+        [--workload W [--workload W2 ...]] [--seed S [--seed S2 ...]] [--outdir OUT]
 
-For each workload (default: all four) and each seed (default: 1), PAIRS = 5
-pairs are run, numbered on across the seeds.  Each pair runs
-``perfbench/run.py --workload W --seed S --trace 0`` once from each checkout,
-at run.py's own run length, each in its own process with
+Each workload and each seed takes a flag of its own.  For each workload (default:
+all four) and each seed (default: 1), PAIRS = 5 pairs are run, numbered on across
+the seeds.  Each pair runs ``perfbench/run.py --workload W --seed S --trace 0``
+once from each checkout, at run.py's own run length, each in its own process with
 ``PYTHONDONTWRITEBYTECODE=1`` and ``PYTHONPYCACHEPREFIX`` set to an empty
 directory, so neither side reads a bytecode cache an earlier run left in its
-checkout and both compile from source, as a fresh checkout does (run.py pins
-BLAS to one thread); odd pairs run the parent first, even pairs the change
-first, so a drift of the host falls on both sides alike.  The last line of
-each run's output, its end-to-end metrics, becomes one entry of ``runs`` with
-the pair, the side, the workload and the seed; a run that exits non-zero or
-passes TIMEOUT_S becomes an entry with ``error`` in place of the metrics, and
-the session goes on.  The record goes to ``OUT/BENCH_pairs_<date>_<NAME>.json``
-(OUT defaults to the root of this checkout), rewritten after every run, with
-``what`` (the protocol), ``parent`` and ``change`` (each checkout's
-``git describe --always --dirty``), ``host`` (the CPU count and
-``output_digests.env_block``: Python, numpy, scipy, their BLAS and LAPACK, and
-the CPU features) and ``runs``.  At the end, per workload and metric, each
-side's median and quartiles over the pairs that both sides completed are
-printed, with the number of pairs in which the change was better and whether
-that makes a gain: better in at least nine tenths of the pairs, and medians
-further apart than the parent's quartiles.  A SIGTERM ends the session with exit
-status 143, and the run it was waiting for is killed with it.
+checkout and both compile from source, as a fresh checkout does (run.py pins BLAS
+to one thread); odd pairs run the parent first, even pairs the change first, so a
+drift of the host falls on both sides alike.  The last line of each run's output,
+its end-to-end metrics, becomes one entry of ``runs`` with the pair, the side, the
+workload and the seed; a run that exits non-zero, passes TIMEOUT_S or ends without
+that line becomes an entry with ``error`` in place of the metrics, and the session
+goes on.  The record goes to ``OUT/BENCH_pairs_<date>_<NAME>.json`` (OUT defaults
+to the root of this checkout), rewritten after every run, with ``what`` (the
+protocol), ``parent`` and ``change`` (each checkout's
+``output_digests.revision``), ``host`` (the CPU count and
+``output_digests.env_block``: Python, numpy, scipy, their BLAS and LAPACK, and the
+CPU features) and ``runs``.  At the end, per workload and metric, each side's
+median and quartiles over the pairs that both sides completed are printed, with
+the number of pairs in which the change was better and whether that makes a gain:
+better in at least nine tenths of the pairs, and medians further apart than the
+parent's quartiles.  A SIGTERM ends the session with exit status 143, and the run
+it was waiting for is killed with it.
 """
 
 import argparse
@@ -51,7 +51,8 @@ METRICS = {"setup_s": False, "jobs_per_s": True, "job_p50_s": False, "job_tail_s
 
 def run_once(src: Path, workload: str, seed: int, pycache: str) -> dict:
     """One perfbench run from checkout src, bytecode looked up under the empty pycache:
-    its closing JSON line, flattened, or ``error`` if it failed or ran out of time."""
+    its closing JSON line, flattened, or ``error`` if it failed, ran out of time or
+    ended without that line."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": pycache}
     try:
         proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
@@ -62,9 +63,14 @@ def run_once(src: Path, workload: str, seed: int, pycache: str) -> dict:
         return {"error": f"timed out after {TIMEOUT_S} s"}
     if proc.returncode:
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-2000:]}"}
-    doc = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {"failed": doc["failed"], "attempted": doc["attempted"], "correct": doc["correct"],
-            **{k: v["value"] for k, v in doc["metrics"].items()}}
+    last = (proc.stdout.strip().splitlines() or [""])[-1]
+    try:
+        doc = json.loads(last)
+        return {"failed": doc["failed"], "attempted": doc["attempted"], "correct": doc["correct"],
+                **{k: v["value"] for k, v in doc["metrics"].items()}}
+    except (ValueError, KeyError, TypeError) as exc:  # not JSON, a field missing, not an object
+        return {"error": f"malformed: last stdout line {last[-200:]!r}: "
+                         f"{type(exc).__name__}: {exc}"}
 
 
 def summary(runs: list) -> list:

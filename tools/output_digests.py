@@ -221,10 +221,15 @@ def env_block() -> dict:
 
 
 def revision(src: Path) -> str:
-    """``git describe --always --dirty`` of the checkout src, or "unknown"."""
-    out = subprocess.run(["git", "-C", str(src), "describe", "--always", "--dirty"],
-                         capture_output=True, text=True)
-    return out.stdout.strip() or "unknown"
+    """``git describe --always`` of the checkout src, or "unknown"; suffixed ``-dirty``
+    when a tracked file under ``src/`` or ``perfbench/``, the code that runs, differs
+    from HEAD (other files, such as the records, leave it off)."""
+    git = ["git", "-C", str(src)]
+    out = subprocess.run([*git, "describe", "--always"], capture_output=True, text=True)
+    if not out.stdout.strip():
+        return "unknown"
+    diff = subprocess.run([*git, "diff", "--quiet", "HEAD", "--", "src", "perfbench"])
+    return out.stdout.strip() + ("-dirty" if diff.returncode == 1 else "")
 
 
 def cli_digests(cli_module) -> dict:

@@ -18,7 +18,7 @@ wall time is split into ``kernel_s``, the seconds spent inside those calls,
 and ``rest_s``, the rest: the affine images, the block assembly and the
 checks.  The record goes to
 ``OUT/BENCH_solver_<date>_<rev>.json`` (OUT defaults to the root of this
-checkout), <rev> being ``git describe --always --dirty`` of DIR;
+checkout), <rev> being ``output_digests.revision`` of DIR;
 ``source_sha256`` fingerprints the timed ``src/uqsl2/*.py`` either way.
 """
 
@@ -69,7 +69,7 @@ def time_solve(uqsl2, blocks, rep1, rep2) -> dict:
         for _ in range(REPEATS):
             calls.clear()
             t0 = time.perf_counter()
-            _, dim = uqsl2.solve_intertwiner(rep1, rep2, 1.0, 1.0)
+            _, dim = uqsl2.solve_intertwiner(rep1, rep2, 1.0)
             walls.append(time.perf_counter() - t0)
             kernels.append(sum(calls))
     finally:
@@ -93,7 +93,7 @@ def main() -> None:
 
     QParam, semicyclic = uqsl2.QParam, uqsl2.semicyclic
     qp3 = QParam.root_of_unity(3)  # warm-up: the lazy scipy imports
-    uqsl2.solve_intertwiner(semicyclic(0.7, LAM1, qp3), semicyclic(0.3, LAM2, qp3), 1.0, 1.0)
+    uqsl2.solve_intertwiner(semicyclic(0.7, LAM1, qp3), semicyclic(0.3, LAM2, qp3), 1.0)
     runs = []
     for nprime in NPRIMES:
         qp = QParam.root_of_unity(nprime)
