@@ -231,7 +231,7 @@ def _delta(a: tuple, b: tuple) -> tuple:
     return {"E": E, "F": F, "K": K}, {"E": Ep, "F": Fp, "K": K}
 
 
-def _rep_delta(rep1: Rep, rep2: Rep, checked) -> tuple:
+def _rep_delta(rep1: Rep, rep2: Rep, checked: list) -> tuple:
     """_delta of the modules; refuses in turn each checked (side, gen) that leaves float64."""
     if rep1.qp != rep2.qp:
         raise ValueError("coproduct factors must share the deformation parameter")
