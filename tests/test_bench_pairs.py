@@ -156,8 +156,11 @@ def test_a_run_without_its_metrics_line_is_recorded_and_the_session_goes_on(tmp_
     assert f"{'cli-mix':14s} {2 * bench_pairs.PAIRS} failed run(s)" in done.stdout
 
 
-def test_a_json_line_without_metrics_is_an_error(tmp_path):
-    printed = '{"failed": 0, "attempted": 1, "correct": true}'
+@pytest.mark.parametrize("metrics, why", [
+    ("", "KeyError: 'metrics'"),
+    (', "metrics": [1]', "AttributeError: 'list' object has no attribute 'items'")])
+def test_a_json_line_without_metrics_is_an_error(tmp_path, metrics, why):
+    printed = '{"failed": 0, "attempted": 1, "correct": true' + metrics + '}'
     fake = fake_checkout(tmp_path, f"print({printed!r})\n")
     row = bench_pairs.run_once(fake, "cli-mix", 1, str(tmp_path / "pycache"))
-    assert row == {"error": f"malformed: last stdout line {printed!r}: KeyError: 'metrics'"}
+    assert row == {"error": f"malformed: last stdout line {printed!r}: {why}"}

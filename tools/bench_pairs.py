@@ -68,7 +68,8 @@ def run_once(src: Path, workload: str, seed: int, pycache: str) -> dict:
         doc = json.loads(last)
         return {"failed": doc["failed"], "attempted": doc["attempted"], "correct": doc["correct"],
                 **{k: v["value"] for k, v in doc["metrics"].items()}}
-    except (ValueError, KeyError, TypeError) as exc:  # not JSON, a field missing, not an object
+    # not JSON, a field missing, or a field not of the expected kind
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         return {"error": f"malformed: last stdout line {last[-200:]!r}: "
                          f"{type(exc).__name__}: {exc}"}
 
