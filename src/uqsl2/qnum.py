@@ -255,6 +255,9 @@ def gen_binom(a: complex, k: int) -> complex:
     return out
 
 
+QFACTORIAL_TOL = 1e-9  #: a smaller q-factorial bracket has vanished (also in rfinite)
+
+
 def qexp_truncated(X: np.ndarray, base: complex, terms: int) -> np.ndarray:
     """Truncated q-exponential sum_{n=0}^{terms} X^n / (n)_base!, of X or of each
     d x d slice of a stack X of shape (..., d, d).
@@ -273,7 +276,7 @@ def qexp_truncated(X: np.ndarray, base: complex, terms: int) -> np.ndarray:
         if not power.any():
             break
         bracket = unsym_qnum(n, base)
-        if abs(bracket) < 1e-9:
+        if abs(bracket) < QFACTORIAL_TOL:
             raise DenominatorVanishes(
                 f"q-factorial vanished at order {n} before the series terminated"
             )
@@ -292,37 +295,26 @@ def qpochhammer_truncated(z: complex, base: complex, terms: int) -> complex:
     return out
 
 
+def _nilpotent_sum(X: np.ndarray, term, name: str) -> np.ndarray:
+    """1 + sum_k term(k, X^k) over k = 1, 2, ... until X^k = 0; a ValueError naming `name`
+    once more than 4*d powers are nonzero (X is then not nilpotent)."""
+    X = np.asarray(X, dtype=complex)
+    out = np.eye(len(X), dtype=complex)
+    power, k = out.copy(), 0
+    while (power := power @ X).any():
+        k += 1
+        if k > 4 * len(X):
+            raise ValueError(f"{name} requires a nilpotent argument")
+        out += term(k, power)
+    return out
+
+
 def matrix_fractional_power(a: complex, X: np.ndarray, p: complex) -> np.ndarray:
     """(1 - a*X)^p for nilpotent X, by the terminating generalized binomial series."""
-    X = np.asarray(X, dtype=complex)
-    d = X.shape[0]
-    out = np.eye(d, dtype=complex)
-    power = np.eye(d, dtype=complex)
-    k = 0
-    while True:
-        k += 1
-        power = power @ X
-        if not power.any():
-            break
-        if k > 4 * d:
-            raise ValueError("matrix_fractional_power requires a nilpotent argument")
-        out += gen_binom(p, k) * (-a) ** k * power
-    return out
+    return _nilpotent_sum(X, lambda k, P: gen_binom(p, k) * (-a) ** k * P,
+                          "matrix_fractional_power")
 
 
 def nilpotent_expm(X: np.ndarray) -> np.ndarray:
     """exp(X) for nilpotent X by the terminating Taylor series."""
-    X = np.asarray(X, dtype=complex)
-    d = X.shape[0]
-    out = np.eye(d, dtype=complex)
-    power = np.eye(d, dtype=complex)
-    k = 0
-    while True:
-        k += 1
-        power = power @ X
-        if not power.any():
-            break
-        if k > 4 * d:
-            raise ValueError("nilpotent_expm requires a nilpotent argument")
-        out += power / factorial(k)
-    return out
+    return _nilpotent_sum(X, lambda k, P: P / factorial(k), "nilpotent_expm")

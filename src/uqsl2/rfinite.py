@@ -14,7 +14,8 @@ Three routes to the same operator:
 The series and the fractional powers are all functions of the one nilpotent
 X = E (x) F.  Their factors are multiplied as truncated scalar series in X,
 and the result is summed as sum_k c_k E^k (x) F^k, since X^k = E^k (x) F^k;
-no dense power of X is ever formed.
+no dense power of X is ever formed.  Each series stops at its first zero power and
+is refused past 4*d nonzero ones (_kron_powers), so a non-nilpotent X is never cut short.
 
 Verifiers for the intertwining property, the Yang-Baxter equation and
 quasitriangularity round out the module.  Each compares the source columns
@@ -29,7 +30,7 @@ from math import factorial
 
 import numpy as np
 
-from .qnum import DenominatorVanishes, PowerOverflow, QParam, gen_binom, unsym_qnum
+from .qnum import QFACTORIAL_TOL, DenominatorVanishes, PowerOverflow, QParam, gen_binom, unsym_qnum
 from .reps import Rep, _rep_delta, safe_window, tensor_rep
 from .tensorop import (TensorOperator, identity_plus_kron_sum, intertwine_defect,
                        masked_max_abs, weight_sectors, ybe_defect)
@@ -85,15 +86,18 @@ def r_verma_direct(rep1: Rep, rep2: Rep) -> TensorOperator:
     return TensorOperator((d1, d2), mat)
 
 
-def _kron_powers(A: np.ndarray, B: np.ndarray, limit: int) -> list:
-    """The pairs (A^k, B^k), k = 1, 2, ..., at most `limit`, while A^k (x) B^k != 0.
+def _kron_powers(A: np.ndarray, B: np.ndarray, refusal: str) -> list:
+    """The pairs (A^k, B^k), k = 1, 2, ..., while A^k (x) B^k != 0; ValueError(refusal)
+    once more than 4*d pairs are nonzero, d the size of A (x) B (it is then not nilpotent).
 
     By the mixed-product rule (A (x) B)^k = A^k (x) B^k, so the powers of the
     tensor operator never have to be formed.
     """
     out = []
     Ak, Bk = A, B
-    while len(out) < limit and Ak.any() and Bk.any():
+    while Ak.any() and Bk.any():
+        if len(out) == 4 * len(A) * len(B):
+            raise ValueError(refusal)
         out.append((Ak, Bk))
         Ak, Bk = Ak @ A, Bk @ B
     return out
@@ -107,10 +111,7 @@ def _kron_power_sum(coeffs, powers: list, d1: int, d2: int) -> np.ndarray:
 
 def _exp_terms(A: np.ndarray, B: np.ndarray) -> tuple:
     """(coeffs, powers) of exp(A (x) B) = sum_k A^k (x) B^k / k!, for nilpotent A (x) B."""
-    d = A.shape[0] * B.shape[0]
-    powers = _kron_powers(A, B, 4 * d + 1)
-    if len(powers) > 4 * d:
-        raise ValueError("the wrap exponential requires a nilpotent argument")
+    powers = _kron_powers(A, B, "the wrap exponential requires a nilpotent argument")
     return [1 / factorial(k) for k in range(len(powers) + 1)], powers
 
 
@@ -118,14 +119,14 @@ def r_generic_universal(rep1: Rep, rep2: Rep) -> TensorOperator:
     """exp_{q^-2}((q - q^-1) E (x) F) times the Cartan weight factor; generic q only.
 
     The q-exponential is summed as sum_n (q - q^-1)^n / (n)_{q^-2}! E^n (x) F^n
-    up to min(d1, d2) terms; DenominatorVanishes is raised when a q-factorial
-    vanishes while E^n (x) F^n is still nonzero.
+    while E^n (x) F^n is nonzero, and refused if E (x) F is not nilpotent;
+    DenominatorVanishes is raised when a q-factorial vanishes first.
     """
     qp = rep1.qp
     if qp.is_root:
         raise ValueError("the q-exponential form is singular at roots of unity")
     q = qp.q
-    powers = _kron_powers(rep1.E, rep2.F, min(rep1.dim, rep2.dim))
+    powers = _kron_powers(rep1.E, rep2.F, "the q-exponential form requires a nilpotent E (x) F")
     base = qp.qpow(-2)
     coeffs = [1.0 + 0j]
     for n in range(1, len(powers) + 1):
@@ -133,7 +134,7 @@ def r_generic_universal(rep1: Rep, rep2: Rep) -> TensorOperator:
             bracket = unsym_qnum(n, base)
         except OverflowError:  # base**n
             raise PowerOverflow(f"q**e overflows a float at q={q}, e={-2 * n}") from None
-        if abs(bracket) < 1e-9:
+        if abs(bracket) < QFACTORIAL_TOL:
             raise DenominatorVanishes(
                 f"q-factorial vanished at order {n} before the series terminated"
             )
@@ -180,10 +181,7 @@ def r_reshetikhin_product(rep1: Rep, rep2: Rep, wrap_constant: str = "auto",
         raise ValueError("the product form is a root-of-unity construction")
     N = qp.N
     eps = qp.q
-    d = rep1.dim * rep2.dim
-    powers = _kron_powers(rep1.E, rep2.F, 4 * d + 1)
-    if len(powers) > 4 * d:
-        raise ValueError("the product form requires a nilpotent E (x) F")
+    powers = _kron_powers(rep1.E, rep2.F, "the product form requires a nilpotent E (x) F")
     if literal_factors:
         factors = [(qp.qpow(r), -r / N) for r in range(1, N)]
     else:

@@ -466,7 +466,7 @@ class TestKronPowerSum:
     @pytest.mark.parametrize("depths", [(4, 6), (6, 3)])
     def test_matches_kron_loop(self, depths):
         r1, r2 = vermas(depths)
-        powers = _kron_powers(r1.E, r2.F, 10)
+        powers = _kron_powers(r1.E, r2.F, "E (x) F is not nilpotent")
         coeffs = [1.0] + [0.3 - 0.1j * k for k in range(1, len(powers) + 1)]
         ref = kron_loop_power_sum(coeffs, powers, *depths)
         assert_close_to_scale(_kron_power_sum(coeffs, powers, *depths), ref, rel=1e-14)
@@ -480,7 +480,7 @@ class TestKronPowerSum:
         qp = QParam.root_of_unity(nprime)
         r1 = truncated_verma(LAMS[0], 2 * qp.N + 1, qp)
         r2 = semicyclic(0.6 + 0.2j, LAMS[1], qp)
-        powers = _kron_powers(r1.E, r2.F, 100)
+        powers = _kron_powers(r1.E, r2.F, "E (x) F is not nilpotent")
         assert len(powers) == 2 * qp.N
         coeffs = [1.0] + [1 / (k + 0.5) for k in range(1, len(powers) + 1)]
         ref = kron_loop_power_sum(coeffs, powers, r1.dim, r2.dim)
