@@ -90,6 +90,11 @@ class TestSemicyclicRestriction:
             R = r_semicyclic(z, sc1, sc2)
             assert affine_intertwine_residual(z, sc1, sc2, R=R) < 1e-7
 
+    def test_refuses_modules_at_different_q(self):
+        sc1, _ = on_curve_pair(QP3)
+        with pytest.raises(ValueError, match="share the deformation parameter"):
+            r_semicyclic(1.0, sc1, semicyclic(0.5, LAM2, QP5))
+
     @pytest.mark.parametrize("qp", [QP3, QP5])
     def test_off_curve_detected(self, qp):
         sc1, sc2 = on_curve_pair(qp)
@@ -256,6 +261,11 @@ class TestIntertwinerSolver:
         _, dim = solve_intertwiner(cy1, cy2, 1.0)
         print(f"[probe] N'={nprime} cyclic on-curve intertwiner: nullspace dim {dim}")
         assert dim >= 0  # probe only: the outcome is recorded, not asserted
+
+    def test_refuses_modules_at_different_q(self):
+        sc1, _ = on_curve_pair(QP3)
+        with pytest.raises(ValueError, match="share the deformation parameter"):
+            solve_intertwiner(sc1, semicyclic(0.5, LAM2, QP5), 1.0)
 
     def test_off_curve_cyclic_empty(self):
         qp = QP3
@@ -909,6 +919,18 @@ class TestBoltzmannExport:
             res.files("uqsl2.schemas").joinpath("boltzmann.schema.json").read_text())
         jsonschema.validate(json.loads(json.dumps(export_boltzmann(self.R, self.spec, QP3))),
                             schema)
+
+    def test_beta_residual_with_both_betas(self):
+        # demo 04's cyclic pair, on the beta curve line as well
+        import importlib.resources as res
+        import jsonschema
+        cy1, cy2 = on_curve_cyclic_pair(QP3)
+        spec = replace(self.spec, beta1=cy1.params["beta"], beta2=cy2.params["beta"])
+        doc = json.loads(json.dumps(export_boltzmann(self.R, spec, QP3)))
+        jsonschema.validate(doc, json.loads(
+            res.files("uqsl2.schemas").joinpath("boltzmann.schema.json").read_text()))
+        assert doc["residuals"]["curve_beta"] < 1e-12
+        assert doc["parameters"]["beta1"] == [0.3, 0.0]
 
     def test_normalization_field(self):
         doc = export_boltzmann(self.R, self.spec, QP3)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uqsl2 import (DenominatorVanishes, QParam, gauss_binom, qbinom, qbinom_table,
-                   qexp_truncated, qint, qnumber, qpochhammer_truncated, unsym_qnum)
+from uqsl2 import (DenominatorVanishes, QParam, gauss_binom, matrix_fractional_power,
+                   nilpotent_expm, qbinom, qbinom_table, qexp_truncated, qint, qnumber,
+                   qpochhammer_truncated, unsym_qnum)
 
 
 def qbracket(n, qp):
@@ -225,6 +226,21 @@ class TestQExponential:
             qexp_truncated(shift, base, 6)
         with pytest.raises(DenominatorVanishes):
             qexp_truncated(np.array([short, shift, np.zeros((6, 6))]), base, 6)
+
+
+class TestNilpotentSeries:
+    """The dense references: each series stops at its first zero power and is refused
+    once more than 4*d powers are nonzero."""
+
+    def test_zero_argument_gives_identity(self):
+        assert np.array_equal(nilpotent_expm(np.zeros((3, 3))), np.eye(3))
+        assert np.array_equal(matrix_fractional_power(0.5, np.zeros((3, 3)), 0.5), np.eye(3))
+
+    @pytest.mark.parametrize("call", [lambda X: matrix_fractional_power(0.5, X, 0.5),
+                                      nilpotent_expm], ids=["fractional-power", "expm"])
+    def test_refuses_a_non_nilpotent_argument(self, call):
+        with pytest.raises(ValueError, match="requires a nilpotent argument"):
+            call(np.eye(3))
 
 
 class TestQPochhammer:

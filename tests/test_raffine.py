@@ -727,6 +727,19 @@ class TestScalarFactor:
         with pytest.raises(ValueError):
             f_scalar(0.2, 1.0, 1.0, QParam.root_of_unity(3))
 
+    def test_refuses_no_terms(self):
+        with pytest.raises(ValueError, match="terms must be >= 1"):
+            f_scalar(0.2, 1.0, 2.0, QParam.generic(1.1), terms=0)
+
+    def test_exponential_form_refuses_a_divergent_sum(self):
+        with pytest.raises(raffine.OracleDiverges, match="diverges here"):
+            f_scalar(5.0, 1.0, 2.0, QParam.generic(1.1), terms=80, form="exponential")
+
+    def test_product_form_refuses_a_base_outside_the_unit_disc(self):
+        # |q| < 1 puts q^-4 outside the unit disc, where the (.; q^-4) products diverge
+        with pytest.raises(raffine.OracleDiverges, match=r"needs \|q\^-4\| < 1"):
+            f_scalar(0.2, 1.0, 2.0, QParam.generic(0.9), terms=10)
+
     @pytest.mark.parametrize("q", [1.05 + 0.02j, 1.2 + 0.05j])
     def test_default_order_is_the_products_tail(self, q):
         # the (.; q^-4) products' geometric tail, and never fewer than 90 factors

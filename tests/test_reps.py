@@ -291,6 +291,12 @@ class TestCoproductRefusals:
         self._refuses("K", lambda: intertwine_residual(self.R, r1, r2))
 
 
+    def test_an_unknown_generator(self):
+        rep = truncated_verma(0.83 + 0.21j, 3, QP)
+        with pytest.raises(ValueError, match="unknown generator 'H'"):
+            coproduct(rep, rep, "H")
+
+
 class TestCasimir:
     def test_scalar_on_nondefect_block(self):
         rep = truncated_verma(0.83 + 0.21j, 5, QP)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from uqsl2 import (DenominatorVanishes, EmptySafeWindow, QParam, cartan_weight_vector,
+from uqsl2 import (DenominatorVanishes, EmptySafeWindow, QParam, Rep, cartan_weight_vector,
                    coproduct, cyclic, e_derivation_matrix, embed_two_site,
                    intertwine_residual, kron2, masked_max_abs, matrix_fractional_power,
                    nilpotent_expm, qbinom, qexp_truncated, qnumber, quasitriangularity_residual,
@@ -63,6 +63,11 @@ class TestDirectForm:
         reps = vermas((3, 3), qp)
         with pytest.raises(ValueError):
             r_generic_universal(reps[0], reps[1])
+
+    def test_refuses_modules_at_different_q(self):
+        r1, r2 = vermas((3, 3))
+        with pytest.raises(ValueError, match="share the deformation parameter"):
+            r_verma_direct(r1, truncated_verma(LAMS[1], 3, QParam.generic(1.3)))
 
     def test_refuses_a_tensor_module(self):
         # the weightwise sum reads V1's raising table, which only a ladder module has
@@ -239,6 +244,15 @@ class TestSeriesFormsAgainstDense:
         with pytest.raises(ValueError, match="nilpotent"):
             r_reshetikhin_product(rep, rep)
 
+    def test_universal_form_refuses_non_nilpotent_argument(self):
+        # cyclic shifts as E and F: E (x) F is a permutation, whose powers never vanish,
+        # so the series has no last term and is refused rather than cut short
+        shift = np.roll(np.eye(3, dtype=complex), 1, axis=1)
+        rep = Rep(qp=QP, lam=0j, E=shift, F=shift.T.copy(), K=np.eye(3, dtype=complex),
+                  hvec=np.zeros(3), kind="cyclic")
+        with pytest.raises(ValueError, match=r"the q-exponential form requires a nilpotent E \(x\) F"):
+            r_generic_universal(rep, rep)
+
     @pytest.mark.parametrize("depths", [(3, 3), (4, 6), (6, 4), (5, 5), (3, 4)])
     def test_universal_form(self, depths):
         r1, r2 = vermas(depths)
@@ -256,8 +270,8 @@ class TestSeriesFormsAgainstDense:
         r1, r2 = vermas((34, 34), qp)
         with pytest.raises(DenominatorVanishes):
             r_generic_universal(r1, r2)
-        # F^2 = 0 on a depth-2 factor ends the series (at min(34, 2) = 2 terms) long
-        # before order 33
+        # F^2 = 0 on a depth-2 factor ends the series (after one term) long before
+        # order 33
         r2 = truncated_verma(LAMS[1], 2, qp)
         assert np.isfinite(r_generic_universal(r1, r2).mat).all()
 
