@@ -290,7 +290,6 @@ class TestCoproductRefusals:
         self._refuses("K", lambda: tensor_rep(r1, r2))
         self._refuses("K", lambda: intertwine_residual(self.R, r1, r2))
 
-
     def test_an_unknown_generator(self):
         rep = truncated_verma(0.83 + 0.21j, 3, QP)
         with pytest.raises(ValueError, match="unknown generator 'H'"):

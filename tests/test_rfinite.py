@@ -65,9 +65,9 @@ class TestDirectForm:
             r_generic_universal(reps[0], reps[1])
 
     def test_refuses_modules_at_different_q(self):
-        r1, r2 = vermas((3, 3))
+        r1, r2 = truncated_verma(LAMS[0], 3, QP), truncated_verma(LAMS[1], 3, QParam.generic(1.3))
         with pytest.raises(ValueError, match="share the deformation parameter"):
-            r_verma_direct(r1, truncated_verma(LAMS[1], 3, QParam.generic(1.3)))
+            r_verma_direct(r1, r2)
 
     def test_refuses_a_tensor_module(self):
         # the weightwise sum reads V1's raising table, which only a ladder module has
