@@ -297,16 +297,22 @@ def qpochhammer_truncated(z: complex, base: complex, terms: int) -> complex:
 
 def _nilpotent_sum(X: np.ndarray, term, name: str) -> np.ndarray:
     """1 + sum_k term(k, X^k) over k = 1, 2, ... until X^k = 0; a ValueError naming `name`
-    once more than 4*d powers are nonzero (X is then not nilpotent)."""
+    once more than 4*d powers are nonzero (X is then not nilpotent), PowerOverflow once
+    X^k leaves float64 (its structural zeros would turn NaN and never vanish)."""
     X = np.asarray(X, dtype=complex)
     out = np.eye(len(X), dtype=complex)
     power, k = out.copy(), 0
-    while (power := power @ X).any():
+    while True:
+        with np.errstate(all="ignore"):  # a non-finite power is refused below
+            power = power @ X
+        if not power.any():
+            return out
         k += 1
+        if not np.isfinite(power).all():
+            raise PowerOverflow(f"{name}: the power of order {k} overflows a float")
         if k > 4 * len(X):
             raise ValueError(f"{name} requires a nilpotent argument")
         out += term(k, power)
-    return out
 
 
 def matrix_fractional_power(a: complex, X: np.ndarray, p: complex) -> np.ndarray:

@@ -88,7 +88,8 @@ def r_verma_direct(rep1: Rep, rep2: Rep) -> TensorOperator:
 
 def _kron_powers(A: np.ndarray, B: np.ndarray, refusal: str) -> list:
     """The pairs (A^k, B^k), k = 1, 2, ..., while A^k (x) B^k != 0; ValueError(refusal)
-    once more than 4*d pairs are nonzero, d the size of A (x) B (it is then not nilpotent).
+    once more than 4*d pairs are nonzero, d the size of A (x) B (it is then not nilpotent),
+    PowerOverflow once a power leaves float64 (its structural zeros would turn NaN).
 
     By the mixed-product rule (A (x) B)^k = A^k (x) B^k, so the powers of the
     tensor operator never have to be formed.
@@ -96,10 +97,14 @@ def _kron_powers(A: np.ndarray, B: np.ndarray, refusal: str) -> list:
     out = []
     Ak, Bk = A, B
     while Ak.any() and Bk.any():
+        if not (np.isfinite(Ak).all() and np.isfinite(Bk).all()):
+            raise PowerOverflow(f"a Kronecker factor's power of order {len(out) + 1} "
+                                f"overflows a float")
         if len(out) == 4 * len(A) * len(B):
             raise ValueError(refusal)
         out.append((Ak, Bk))
-        Ak, Bk = Ak @ A, Bk @ B
+        with np.errstate(all="ignore"):  # a non-finite power is refused above
+            Ak, Bk = Ak @ A, Bk @ B
     return out
 
 

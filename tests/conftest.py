@@ -5,8 +5,11 @@ BLAS runs on one thread, as in ``tools/output_digests.py`` and
 wall time follows the load of the host more than the code.  The pins must be set
 before numpy loads, which pytest does not do before reading this file.
 
-``pyproject.toml`` puts ``src`` on this process's import path; the tests that
-run ``python -m uqsl2.cli`` in a subprocess need it on the child's
+``pyproject.toml`` puts ``src`` on this process's import path.  The CLI tests run
+``uqsl2.cli.main`` in-process; the few whose subject is a fresh interpreter
+start one (``tests/test_cli.py``'s ``test_pole_exits_3``, ``TestDeterminism``
+and ``test_scipy_is_loaded_by_the_solver_alone``, and the ``python -m uqsl2.cli``
+runs of ``tests/test_acceptance.py``), and need ``src`` on the child's
 ``PYTHONPATH`` as well, so that plain ``pytest`` works without an install.
 """
 

@@ -1,67 +1,88 @@
-import contextlib
+"""The ``uqsl2`` command line.
+
+Every test runs ``uqsl2.cli.main`` in-process through ``run``, the runner that
+``tools/output_digests.py`` records the output ledger with; it writes every warning
+to the captured stderr, so a test that asserts stderr's lines also refuses a
+warning on the way.  A subprocess is started only where the process is the
+subject: ``test_pole_exits_3`` (the exit status of ``python -m uqsl2.cli``),
+``TestDeterminism`` (bytes across fresh interpreters) and
+``test_scipy_is_loaded_by_the_solver_alone`` (a fresh process's imports).
+"""
+
 import importlib
 import inspect
-import io
 import json
 import math
 import pkgutil
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
-def run_cli(*args):
+from output_digests import run_cli  # noqa: E402  (the BLAS pins it sets equal conftest.py's)
+from uqsl2.cli import main  # noqa: E402
+
+
+def run(*argv):
+    """(exit code, stdout, stderr) of ``main(argv)`` in-process; an exception other
+    than argparse's exit propagates."""
+    return run_cli(main, argv)
+
+
+def refusal(*argv, code=2):
+    """The JSON diagnostic of an argv that main refuses with exit ``code``, after
+    checking that stderr holds that one line and nothing more."""
+    got, _, err = run(*argv)
+    assert got == code, (argv, got, err)
+    assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+    diag = json.loads(err)
+    assert diag["code"] == code, (argv, err)
+    return diag
+
+
+def run_python_m(*args):
+    """``python -m uqsl2.cli`` in a fresh interpreter."""
     return subprocess.run([sys.executable, "-m", "uqsl2.cli", *args],
                           capture_output=True, text=True)
-
-
-def assert_config_error(argv, capsys):
-    from uqsl2.cli import main
-    assert main(list(argv)) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and json.loads(err)["code"] == 2
 
 
 class TestRMatrix:
     def test_verma_top_entry(self, tmp_path):
         out = tmp_path / "r.json"
-        res = run_cli("rmatrix", "--kind", "verma", "--q", "1.3,0",
-                      "--depths", "2,2", "-o", str(out))
-        assert res.returncode == 0
+        code, _, _ = run("rmatrix", "--kind", "verma", "--q", "1.3,0",
+                         "--depths", "2,2", "-o", str(out))
+        assert code == 0
         doc = json.loads(out.read_text())
         top = complex(*doc["operator"]["matrix"][0][0])
         assert abs(top - 1.3**0.5) < 1e-12
 
     def test_spectral_normalization_recorded(self, tmp_path):
         out = tmp_path / "r.json"
-        res = run_cli("rmatrix", "--kind", "spectral", "--Nprime", "3",
-                      "--lambda1", "0.8,0.05", "--lambda2", "1.3,-0.11",
-                      "--depths", "3,3", "--z", "1.0", "-o", str(out))
-        assert res.returncode == 0
+        code, _, _ = run("rmatrix", "--kind", "spectral", "--Nprime", "3",
+                         "--lambda1", "0.8,0.05", "--lambda2", "1.3,-0.11",
+                         "--depths", "3,3", "--z", "1.0", "-o", str(out))
+        assert code == 0
         doc = json.loads(out.read_text())
         assert abs(complex(*doc["normalization"]) - 1) < 1e-12
 
     def test_spectral_coincident_weights_report_pole(self):
         # equal weights with z on the unit lattice sit on the excluded locus
-        res = run_cli("rmatrix", "--kind", "spectral", "--Nprime", "3",
-                      "--lambda1", "1", "--lambda2", "1", "--depths", "3,3",
-                      "--z", "1.0")
-        assert res.returncode == 3
-        assert json.loads(res.stderr.strip())["code"] == 3
+        refusal("rmatrix", "--kind", "spectral", "--Nprime", "3", "--lambda1", "1",
+                "--lambda2", "1", "--depths", "3,3", "--z", "1.0", code=3)
 
     def test_semicyclic_writes_schema_valid_weights(self, tmp_path):
         import importlib.resources as res_
         import jsonschema
         out = tmp_path / "b.json"
-        res = run_cli("rmatrix", "--kind", "semicyclic", "--Nprime", "3",
-                      "--lambda1", "0.8,0.05", "--lambda2", "1.3,-0.11",
-                      "--alpha1", "0.7", "--z", "1.0", "-o", str(out))
-        assert res.returncode == 0
+        code, _, _ = run("rmatrix", "--kind", "semicyclic", "--Nprime", "3",
+                         "--lambda1", "0.8,0.05", "--lambda2", "1.3,-0.11",
+                         "--alpha1", "0.7", "--z", "1.0", "-o", str(out))
+        assert code == 0
         doc = json.loads(out.read_text())
         schema = json.loads(
             res_.files("uqsl2.schemas").joinpath("boltzmann.schema.json").read_text())
@@ -74,7 +95,6 @@ class TestRMatrix:
         import importlib.resources as res_
         import jsonschema
         from uqsl2 import QParam, TensorOperator, affine_intertwine_residual, semicyclic
-        from uqsl2.cli import main
         out = tmp_path / "b.json"
         assert main(["rmatrix", "--kind", "semicyclic", "--Nprime", "4",
                      "--lambda1", "0.8,0.05", "--lambda2", "1.3,-0.11",
@@ -97,7 +117,6 @@ class TestRMatrix:
 
     def test_spectral_at_nprime_4(self, tmp_path):
         from uqsl2 import QParam, TensorOperator, affine_intertwine_residual, truncated_verma
-        from uqsl2.cli import main
         out = tmp_path / "r.json"
         assert main(["rmatrix", "--kind", "spectral", "--Nprime", "4",
                      "--lambda1", "0.8,0.05", "--lambda2", "1.3,-0.11",
@@ -109,15 +128,13 @@ class TestRMatrix:
         assert affine_intertwine_residual(0.6 + 0.8j, *reps, R=R) <= 1e-9
 
     def test_unsupported_order_exits_2(self):
-        res = run_cli("rmatrix", "--kind", "spectral", "--Nprime", "2",
-                      "--lambda1", "1", "--lambda2", "1", "--depths", "3,3")
-        assert res.returncode == 2
-        diag = json.loads(res.stderr.strip())
+        diag = refusal("rmatrix", "--kind", "spectral", "--Nprime", "2",
+                       "--lambda1", "1", "--lambda2", "1", "--depths", "3,3")
         assert "unsupported order" in diag["error"]
-        assert diag["code"] == 2
 
     def test_pole_exits_3(self):
-        res = run_cli("rmatrix", "--kind", "semicyclic", "--Nprime", "3",
+        # through `python -m`, whose sys.exit(main()) makes main's return the exit status
+        res = run_python_m("rmatrix", "--kind", "semicyclic", "--Nprime", "3",
                       "--lambda1", "1.0", "--lambda2", "1.0",
                       "--alpha1", "0.7", "--alpha2", "0.7", "--z", "1.0")
         assert res.returncode == 3
@@ -126,12 +143,10 @@ class TestRMatrix:
         assert "weight_pair" in diag
 
     def test_conflicting_qparams_exit_2(self):
-        res = run_cli("rmatrix", "--kind", "verma", "--q", "1.3", "--Nprime", "5")
-        assert res.returncode == 2
+        refusal("rmatrix", "--kind", "verma", "--q", "1.3", "--Nprime", "5")
 
     def test_tolerance_flag_rejected(self):
         # an export has no residual bound to apply a tolerance to
-        from uqsl2.cli import main
         with pytest.raises(SystemExit) as exc:
             main(["rmatrix", "--kind", "verma", "--q", "1.3", "--depths", "2,2",
                   "--tol", "nan"])
@@ -141,10 +156,10 @@ class TestRMatrix:
         import importlib.resources as res_
         import jsonschema
         out = tmp_path / "r.json"
-        res = run_cli("rmatrix", "--kind", "spectral", "--Nprime", "3",
-                      "--lambda1", "0.8,0.05", "--lambda2", "1.3,-0.11",
-                      "--depths", "3,3", "--z", "roots:3", "-o", str(out))
-        assert res.returncode == 0
+        code, _, _ = run("rmatrix", "--kind", "spectral", "--Nprime", "3",
+                         "--lambda1", "0.8,0.05", "--lambda2", "1.3,-0.11",
+                         "--depths", "3,3", "--z", "roots:3", "-o", str(out))
+        assert code == 0
         doc = json.loads(out.read_text())
         assert len(doc["operators"]) == 3
         schema = json.loads(
@@ -157,8 +172,8 @@ class TestRMatrix:
         base = ("rmatrix", "--kind", "spectral", "--q", "1.13,0.03",
                 "--lambda1", "0.8,0.05", "--lambda2", "1.3,-0.11",
                 "--depths", "2,2", "--z", "0.3")
-        run_cli(*base, "--cartan", "normalized", "-o", str(a))
-        run_cli(*base, "--cartan", "none", "-o", str(b))
+        assert run(*base, "--cartan", "normalized", "-o", str(a))[0] == 0
+        assert run(*base, "--cartan", "none", "-o", str(b))[0] == 0
         assert json.loads(a.read_text())["operator"] != json.loads(b.read_text())["operator"]
 
 
@@ -177,9 +192,9 @@ class TestVerify:
     ])
     def test_suites_pass(self, suite, flags, tmp_path):
         out = tmp_path / "report.json"
-        res = run_cli("verify", suite, *flags, "--seed", "7", "--tol", "1e-7",
-                      "-o", str(out))
-        assert res.returncode == 0, res.stderr
+        code, _, err = run("verify", suite, *flags, "--seed", "7", "--tol", "1e-7",
+                           "-o", str(out))
+        assert code == 0, err
         doc = json.loads(out.read_text())
         assert doc["all_pass"]
         assert doc["records"]
@@ -188,7 +203,7 @@ class TestVerify:
         import importlib.resources as res_
         import jsonschema
         out = tmp_path / "report.json"
-        run_cli("verify", "ybe", "--Nprime", "3", "--seed", "1", "-o", str(out))
+        assert run("verify", "ybe", "--Nprime", "3", "--seed", "1", "-o", str(out))[0] == 0
         doc = json.loads(out.read_text())
         schema = json.loads(
             res_.files("uqsl2.schemas").joinpath("report.schema.json").read_text())
@@ -196,19 +211,17 @@ class TestVerify:
 
     def test_detection_records_count_as_pass(self, tmp_path):
         out = tmp_path / "report.json"
-        res = run_cli("verify", "curve", "--Nprime", "3", "--draws", "2",
-                      "--sweep", "off-curve", "--seed", "5", "-o", str(out))
-        assert res.returncode == 0
+        code, _, _ = run("verify", "curve", "--Nprime", "3", "--draws", "2",
+                         "--sweep", "off-curve", "--seed", "5", "-o", str(out))
+        assert code == 0
         doc = json.loads(out.read_text())
         assert all(r["mode"] == "detect" for r in doc["records"])
 
     def test_wrong_mode_exits_2(self):
-        res = run_cli("verify", "quasi", "--Nprime", "3")
-        assert res.returncode == 2
+        refusal("verify", "quasi", "--Nprime", "3")
 
     def test_nonpositive_tolerance_exits_2(self):
-        res = run_cli("verify", "ybe", "--Nprime", "3", "--tol", "-1")
-        assert res.returncode == 2
+        refusal("verify", "ybe", "--Nprime", "3", "--tol", "-1")
 
     @pytest.mark.parametrize("argv", [
         ("verify", "ybe", "--q", "nan"),
@@ -220,8 +233,8 @@ class TestVerify:
          "--alpha1-range", "0.2:0.2:1"),
         ("rmatrix", "--kind", "spectral", "--Nprime", "3", "--lambda1", "inf"),
     ], ids=["q-nan", "tol-nan", "tol-inf", "lambda2-nan", "lambda-imag-nan", "lambda1-inf"])
-    def test_non_finite_input_exits_2(self, argv, capsys):
-        assert_config_error(argv, capsys)
+    def test_non_finite_input_exits_2(self, argv):
+        refusal(*argv)
 
     @pytest.mark.parametrize("argv", [
         ("verify", "product-oracle", "--q", "1.1,0.02", "--depths", "5,5"),
@@ -230,7 +243,6 @@ class TestVerify:
     def test_imaginary_root_suites_pass_at_default_tolerance(self, argv, tmp_path):
         # the dense log series failed both: a false commutator alarm, and
         # 2.8e-9 of rounding in the loop-F centrality residual
-        from uqsl2.cli import main
         out = tmp_path / "report.json"
         assert main([*argv, "-o", str(out)]) == 0
         doc = json.loads(out.read_text())
@@ -240,16 +252,14 @@ class TestVerify:
     def test_no_checks_exits_2(self, draws, tmp_path):
         # a report with no records in it must not pass
         out = tmp_path / "report.json"
-        res = run_cli("verify", "curve", "--Nprime", "3", "--draws", draws, "-o", str(out))
-        assert res.returncode == 2
-        assert json.loads(res.stderr.strip())["code"] == 2
+        refusal("verify", "curve", "--Nprime", "3", "--draws", draws, "-o", str(out))
         assert not out.exists()
 
     def test_failing_check_exits_1(self, tmp_path):
         out = tmp_path / "r.json"
-        res = run_cli("verify", "ybe", "--Nprime", "3", "--seed", "1",
-                      "--tol", "1e-300", "-o", str(out))
-        assert res.returncode == 1
+        code, _, _ = run("verify", "ybe", "--Nprime", "3", "--seed", "1",
+                         "--tol", "1e-300", "-o", str(out))
+        assert code == 1
         assert not json.loads(out.read_text())["all_pass"]
 
 
@@ -258,8 +268,7 @@ class TestSweep:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ("sweep", "--Nprime", "3", "--lambda1-range", "0.5:1.5:3",
                 "--alpha1-range", "0.3:0.9:2", "--seed", "9")
-        run_cli(*args, "-o", str(a))
-        run_cli(*args, "-o", str(b))
+        assert run(*args, "-o", str(a))[0] == run(*args, "-o", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
         lines = a.read_text().strip().split("\n")
         assert lines[0].startswith("nprime,lambda1")
@@ -267,8 +276,9 @@ class TestSweep:
 
     def test_empty_grid_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"
-        run_cli("sweep", "--Nprime", "3", "--lambda1-range", "0.5:1.5:0",
-                "--alpha1-range", "0.3:0.9:0", "-o", str(out))
+        code, _, _ = run("sweep", "--Nprime", "3", "--lambda1-range", "0.5:1.5:0",
+                         "--alpha1-range", "0.3:0.9:0", "-o", str(out))
+        assert code == 0
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 1
 
@@ -276,26 +286,23 @@ class TestSweep:
                                            ("--alpha1-range", "0.2:1.0:x"),
                                            ("--lambda1-range", "nan:1:2")])
     def test_bad_range_exits_2(self, flag, spec):
-        res = run_cli("sweep", "--Nprime", "3", flag, spec)
-        assert res.returncode == 2
-        diag = json.loads(res.stderr.strip())
-        assert diag["code"] == 2 and spec in diag["error"]
+        assert spec in refusal("sweep", "--Nprime", "3", flag, spec)["error"]
 
     def test_tolerance_flag_rejected(self):
         # sweep has no residual bound to apply a tolerance to
-        from uqsl2.cli import main
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--Nprime", "3", "--tol", "-1", "--lambda1-range", "1:1:1",
                   "--alpha1-range", "0.2:0.2:1"])
         assert exc.value.code == 2
 
-    def test_bad_root_count_exits_2(self, capsys):
-        assert_config_error(("sweep", "--Nprime", "3", "--z", "roots:abc"), capsys)
+    def test_bad_root_count_exits_2(self):
+        refusal("sweep", "--Nprime", "3", "--z", "roots:abc")
 
     def test_on_curve_rows(self, tmp_path):
         out = tmp_path / "s.csv"
-        run_cli("sweep", "--Nprime", "3", "--lambda1-range", "0.5:1.5:2",
-                "--alpha1-range", "0.3:0.9:2", "-o", str(out))
+        code, _, _ = run("sweep", "--Nprime", "3", "--lambda1-range", "0.5:1.5:2",
+                         "--alpha1-range", "0.3:0.9:2", "-o", str(out))
+        assert code == 0
         for line in out.read_text().strip().split("\n")[1:]:
             cols = line.split(",")
             assert float(cols[8]) < 1e-6   # intertwine residual
@@ -317,17 +324,15 @@ class TestSweep:
 
         r_spectral = uqsl2.cpotts.r_spectral
         monkeypatch.setattr(uqsl2.cpotts, "r_spectral", counted)
-        code, err = run_main(list(self.GRID))
+        code, _, err = run(*self.GRID)
         assert (code, err) == (0, "")
         assert len(calls) == 2
 
     def test_rows_match_a_point_by_point_build(self):
         from uqsl2 import (CurveSpec, QParam, affine_intertwine_residual, curve_residual,
                            on_curve_partner, r_semicyclic, semicyclic, solve_intertwiner)
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            from uqsl2.cli import main
-            assert main(list(self.GRID)) == 0
+        code, out, err = run(*self.GRID)
+        assert (code, err) == (0, "")
         qp, lam2, z = QParam.root_of_unity(5), complex(1.3, -0.11), complex(1.0)
         lines = ["nprime,lambda1,lambda2,alpha1,alpha2,z,r1,r2,intertwine_residual,"
                  "nullspace_dim"]
@@ -344,16 +349,12 @@ class TestSweep:
                              f"{a1:.12g},{a2.real:.12g}{a2.imag:+.12g}j,"
                              f"{z.real:.12g}{z.imag:+.12g}j,"
                              f"{r1:.6e},{r2:.6e},{resid:.6e},{dim}")
-        assert out.getvalue() == "\n".join(lines) + "\n"
+        assert out == "\n".join(lines) + "\n"
 
     def test_fold_overflow_at_a_rows_last_point_names_both_alphas(self):
         # the row's parent R-matrix is built at alpha1 = 0.5; the fold at 1e200 leaves float64
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, err = run_main(["sweep", "--Nprime", "5", "--lambda1-range", "0.5:0.5:1",
-                                  "--alpha1-range", "0.5:1e200:2"])
-        assert code == 2 and err.count("\n") == 1
-        diag = json.loads(err)
+        diag = refusal("sweep", "--Nprime", "5", "--lambda1-range", "0.5:0.5:1",
+                       "--alpha1-range", "0.5:1e200:2")
         assert "non-finite restricted R-matrix" in diag["error"]
         assert "alpha1=(1e+200+0j), alpha2=(" in diag["error"]
 
@@ -367,7 +368,7 @@ class TestWorkCounts:
         calls = []
         table = reps._raising_table
         monkeypatch.setattr(reps, "_raising_table", lambda rep: calls.append(rep) or table(rep))
-        code, _ = run_main(["verify", "ybe", "--Nprime", "9"])
+        code, _, _ = run("verify", "ybe", "--Nprime", "9")
         assert code == 0 and len(calls) == 3
 
     def test_product_oracle_builds_each_closed_factor_once(self, monkeypatch):
@@ -378,35 +379,37 @@ class TestWorkCounts:
             counted = (lambda b, n: lambda *a, **k: calls.append(n) or b(*a, **k))(build, name)
             for module in (cli, raffine):
                 monkeypatch.setattr(module, name, counted)
-        code, _ = run_main(["verify", "product-oracle", "--q", "1.1,0.02"])
+        code, _, _ = run("verify", "product-oracle", "--q", "1.1,0.02")
         assert code == 0
         assert sorted(calls) == ["rminus_closed", "rplus_closed", "rzero_bar"]
 
 
 class TestDeterminism:
+    """Report bytes across two fresh interpreters, not only within one process."""
+
     def test_verify_reports_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ("verify", "ybe", "--Nprime", "3", "--seed", "42")
-        run_cli(*args, "-o", str(a))
-        run_cli(*args, "-o", str(b))
+        run_python_m(*args, "-o", str(a))
+        run_python_m(*args, "-o", str(b))
         assert a.read_bytes() == b.read_bytes()
 
     def test_seed_changes_draws(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        run_cli("verify", "ybe", "--Nprime", "3", "--seed", "1", "-o", str(a))
-        run_cli("verify", "ybe", "--Nprime", "3", "--seed", "2", "-o", str(b))
+        run_python_m("verify", "ybe", "--Nprime", "3", "--seed", "1", "-o", str(a))
+        run_python_m("verify", "ybe", "--Nprime", "3", "--seed", "2", "-o", str(b))
         assert a.read_bytes() != b.read_bytes()
 
 
 BOUNDARY_SCRIPT = """
-import contextlib, io, sys
-sys.path.insert(0, sys.argv[1])
+import sys
+sys.path[:0] = sys.argv[1:]
+from output_digests import run_cli
 from workloads import WORKLOADS
 from uqsl2.cli import main
 
 def run(argv):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main([*argv, "--seed", "1"])
+    code, _, _ = run_cli(main, [*argv, "--seed", "1"])
     assert code == 0, (argv, code)
 
 for name in ("cli-mix", "oracle-series", "dense-large"):
@@ -422,23 +425,28 @@ print("scipy" in sys.modules)
 def test_scipy_is_loaded_by_the_solver_alone():
     """Every benchmark job but a sweep runs on numpy alone, in one fresh process;
     the sweep's intertwiner solver is what loads scipy."""
-    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
-    res = subprocess.run([sys.executable, "-c", BOUNDARY_SCRIPT, str(perfbench)],
-                         capture_output=True, text=True)
+    root = Path(__file__).resolve().parents[1]
+    res = subprocess.run([sys.executable, "-c", BOUNDARY_SCRIPT, str(root / "tools"),
+                          str(root / "perfbench")], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["False", "True"]
+
+
+def nan_r_verma_direct(rep1, rep2):
+    """r_verma_direct with NaN in its first entry."""
+    from uqsl2 import TensorOperator, r_verma_direct
+    mat = r_verma_direct(rep1, rep2).mat.copy()
+    mat[0, 0] = np.nan
+    return TensorOperator((rep1.dim, rep2.dim), mat)
 
 
 class TestNanResidual:
     """A NaN residual fails its record and the report exits 1: it never reads as 0."""
 
     @staticmethod
-    def report(argv):
-        from uqsl2.cli import main
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(argv)
-        return code, {r["check"]: r for r in json.loads(out.getvalue())["records"]}
+    def report(*argv):
+        code, out, _ = run(*argv)
+        return code, {r["check"]: r for r in json.loads(out)["records"]}
 
     @staticmethod
     def assert_nan_fails(code, records, check):
@@ -447,15 +455,8 @@ class TestNanResidual:
 
     def test_intertwine_with_nan_rmatrix(self, monkeypatch):
         import uqsl2.cli
-        from uqsl2 import TensorOperator, r_verma_direct
-
-        def nan_r(rep1, rep2):
-            mat = r_verma_direct(rep1, rep2).mat.copy()
-            mat[0, 0] = np.nan
-            return TensorOperator((rep1.dim, rep2.dim), mat)
-
-        monkeypatch.setattr(uqsl2.cli, "r_verma_direct", nan_r)
-        self.assert_nan_fails(*self.report(["verify", "intertwine", "--Nprime", "3"]),
+        monkeypatch.setattr(uqsl2.cli, "r_verma_direct", nan_r_verma_direct)
+        self.assert_nan_fails(*self.report("verify", "intertwine", "--Nprime", "3"),
                               "intertwine-finite")
 
     def test_schur_oracle_with_nan_forward_image(self, monkeypatch):
@@ -468,7 +469,7 @@ class TestNanResidual:
             return out
 
         monkeypatch.setattr(uqsl2.cli, "schur_forward", nan_forward)
-        code, records = self.report(["verify", "schur-oracle", "--q", "1.13,0.03"])
+        code, records = self.report("verify", "schur-oracle", "--q", "1.13,0.03")
         self.assert_nan_fails(code, records, "schur-roundtrip-closed")
 
     def test_drinfeld_with_nan_generator(self, monkeypatch):
@@ -482,7 +483,7 @@ class TestNanResidual:
             return g
 
         monkeypatch.setattr(uqsl2.raffine, "drinfeld_generators", nan_generators)
-        code, records = self.report(["verify", "drinfeld", "--q", "1.13,0.03"])
+        code, records = self.report("verify", "drinfeld", "--q", "1.13,0.03")
         self.assert_nan_fails(code, records, "drinfeld-aa")
 
 
@@ -537,18 +538,6 @@ CLI_ARGS = st.one_of(RMATRIX_ARGS, VERIFY_ARGS, SWEEP_ARGS).map(
     lambda parts: [a for part in parts for a in part])
 
 
-def run_main(argv):
-    """cli.main in-process: (exit code, stderr); an uncaught exception propagates."""
-    from uqsl2.cli import main
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, err.getvalue()
-
-
 #: argv templates of the extreme-input grid, one finite magnitude in place of {x}
 EXTREME_TEMPLATES = {
     "rmatrix-semicyclic": ("rmatrix", "--kind", "semicyclic", "--Nprime", "5",
@@ -592,12 +581,10 @@ class TestExitCodeContract:
     @pytest.mark.parametrize("x", EXTREME_MAGNITUDES)
     @pytest.mark.parametrize("name", sorted(EXTREME_TEMPLATES))
     def test_extreme_finite_input(self, name, x):
-        # a finite input computes a result or is refused with one line; with warnings
-        # as errors, a numpy warning on the way fails the case
+        # a finite input computes a result or is refused with one line; a numpy warning
+        # on the way adds lines to stderr and fails the case
         argv = [a.replace("{x}", x) for a in EXTREME_TEMPLATES[name]]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, err = run_main(argv)
+        code, _, err = run(*argv)
         assert code in (0, 1, 2, 3), (argv, code)
         if code in (2, 3):
             assert err.count("\n") == 1 and json.loads(err)["code"] == code, (argv, err)
@@ -615,11 +602,7 @@ class TestExitCodeContract:
         # which passes the guard against roots of unity of order <= 64, a q-factorial of
         # the universal form vanishes at order 33; numpy's default_rng rejects a negative
         # seed: each ended in a traceback with exit 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, err = run_main(list(argv))
-        assert code == 2
-        assert err.count("\n") == 1 and json.loads(err)["code"] == 2
+        refusal(*argv)
 
     @pytest.mark.parametrize("argv", [
         ("verify", "ybe", "--q", "1e-70"),
@@ -631,13 +614,7 @@ class TestExitCodeContract:
         # the R-matrix coefficients of r_verma_direct, the real root vectors and the
         # closed imaginary root images leave float64 here, magnitudes the grid above
         # steps over; each is refused where it is built, naming q, with no warning first
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, err = run_main(list(argv))
-        assert code == 2
-        assert err.count("\n") == 1
-        diag = json.loads(err)
-        assert diag["code"] == 2 and f"q=({float(argv[-1])!r}+0j)" in diag["error"]
+        assert f"q=({float(argv[-1])!r}+0j)" in refusal(*argv)["error"]
 
     def test_every_exception_class_is_a_refusal(self):
         from uqsl2.qnum import RefusedInput
@@ -658,7 +635,7 @@ class TestExitCodeContract:
             raise exc
 
         monkeypatch.setitem(cli.SUITES, "ybe", suite)
-        code, err = run_main(["verify", "ybe", "--q", "1.1"])
+        code, _, err = run("verify", "ybe", "--q", "1.1")
         assert code == cls.code == (3 if cls.__name__ == "PoleError" else 2)
         assert err.count("\n") == 1 and err.endswith("\n")
         expected = {"error": "refused", "code": code}
@@ -678,13 +655,13 @@ class TestExitCodeContract:
 
         monkeypatch.setitem(cli.SUITES, "ybe", suite)
         with pytest.raises(RuntimeError, match="a defect"):
-            run_main(["verify", "ybe", "--q", "1.1"])
+            run("verify", "ybe", "--q", "1.1")
 
     @given(CLI_ARGS)
     @example(["verify", "ybe", "--Nprime", "3", "--seed", "-1", "--draws", "1"])
     @settings(max_examples=60, deadline=None)
     def test_exit_codes_and_diagnostics(self, argv):
-        code, err = run_main(argv)
+        code, _, err = run(*argv)
         assert code in (0, 1, 2, 3), (argv, code)
         assert "Traceback" not in err, argv
         if code in (2, 3):
@@ -697,7 +674,7 @@ class TestExitCodeContract:
         ("verify", "drinfeld", "--q", "1.17,0.06", "--depths", "2"),
     ], ids=["ybe", "intertwine", "drinfeld"])
     def test_depths_without_safe_window_exit_2(self, argv):
-        code, err = run_main(list(argv))
+        code, _, err = run(*argv)
         assert code == 2
         assert "safe window" in json.loads(err)["error"]
 
@@ -708,7 +685,7 @@ class TestExitCodeContract:
     ], ids=["rmatrix", "sweep"])
     def test_degenerate_curve_exits_2(self, argv):
         # lambda = 1 at N' = 3 makes K^N = 1, where the curve has no denominator
-        code, err = run_main(list(argv))
+        code, _, err = run(*argv)
         assert code == 2
         assert "degenerate curve" in json.loads(err)["error"]
 
@@ -721,10 +698,8 @@ class TestExitCodeContract:
     ], ids=["defaults", "default-lambda2", "alpha2-default-lambda1", "alpha2-default-lambda2"])
     def test_semicyclic_default_weight_names_module_and_flag(self, nprime, weights, module):
         # at odd N' the default weight 1 gives K^N = q^N' = 1 on its module
-        code, err = run_main(["rmatrix", "--kind", "semicyclic", "--Nprime", str(nprime),
-                              "--z", "1", *weights])
-        assert code == 2 and err.count("\n") == 1
-        msg = json.loads(err)["error"]
+        msg = refusal("rmatrix", "--kind", "semicyclic", "--Nprime", str(nprime),
+                      "--z", "1", *weights)["error"]
         assert f"module {module}" in msg and f"pass another --lambda{module}" in msg
 
     @pytest.mark.parametrize("argv", [
@@ -734,32 +709,23 @@ class TestExitCodeContract:
         ("verify", "product-oracle", "--q", "1.001,0"),
     ], ids=["pochhammer-base", "growth-ratio", "exponent-overflow", "scalar-factor-tail"])
     def test_diverging_oracle_exits_2(self, argv):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # refused before any overflow, not after
-            code, err = run_main(list(argv))
-        assert code == 2
-        assert err.count("\n") == 1
-        assert "converge" in json.loads(err)["error"]
+        # refused before any overflow, not after: no warning comes first
+        assert "converge" in refusal(*argv)["error"]
 
     @pytest.mark.parametrize("q,seed", [("1.29", 7), ("1.25", 2), ("1.32", 10), ("1.25", 11)])
     def test_overflowing_oracle_exits_2(self, q, seed):
         # the factors q^{-nH} of a long ordered product, the loop images built from
-        # them, or the diagonal exponent's terms overflow float64: refused by order
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no numpy warning before the diagnostic
-            code, err = run_main(["verify", "product-oracle", "--q", q, "--seed", str(seed)])
-        assert code == 2
-        assert err.count("\n") == 1
-        diag = json.loads(err)
-        assert diag["code"] == 2
+        # them, or the diagonal exponent's terms overflow float64: refused by order,
+        # with no numpy warning before the diagnostic
+        refusal("verify", "product-oracle", "--q", q, "--seed", str(seed))
 
     @pytest.mark.parametrize("q", ["1.01,0", "1.02,0.01"])
     def test_product_oracle_near_one_takes_the_scalar_factor_tail(self, q, tmp_path):
         # f(z)'s (.; q^-4) products need about log(TAIL_TOL)/log|q^-4| factors (699
         # and 353 here); a fixed 90 left residuals of 4e-5 and 2e-6 (exit 1)
         out = tmp_path / "report.json"
-        code, err = run_main(["verify", "product-oracle", "--q", q, "--seed", "1",
-                              "-o", str(out)])
+        code, _, err = run("verify", "product-oracle", "--q", q, "--seed", "1",
+                           "-o", str(out))
         assert code == 0, err
         assert json.loads(out.read_text())["all_pass"]
 
@@ -767,8 +733,8 @@ class TestExitCodeContract:
         # the diagonal exponent's partial sum at a fixed 70 orders overflowed exp
         # (exit 2); at the products' tail order the series has converged
         out = tmp_path / "report.json"
-        code, err = run_main(["verify", "product-oracle", "--q", "1.27", "--seed", "8",
-                              "-o", str(out)])
+        code, _, err = run("verify", "product-oracle", "--q", "1.27", "--seed", "8",
+                           "-o", str(out))
         assert code == 0, err
         assert json.loads(out.read_text())["all_pass"]
 
@@ -794,30 +760,18 @@ class TestExitCodeContract:
         # F1 = E / z makes the Gram matrix span ~1/|z|^2, so the nullspace threshold
         # lies above the unit-scale K0 constraint; the solve used to report every
         # unknown of charge 0 (N'=7) or a spurious intertwiner (N'=5) as nullspace
-        argv = ["sweep", "--Nprime", str(nprime), "--z", z,
-                "--lambda1-range", "0.5:0.5:1", "--alpha1-range", "0.3:0.3:1"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, err = run_main(argv)
-        assert code == 2
-        assert err.count("\n") == 1
-        diag = json.loads(err)
-        assert diag["code"] == 2 and complex(*diag["z"]) == float(z)
+        diag = refusal("sweep", "--Nprime", str(nprime), "--z", z,
+                       "--lambda1-range", "0.5:0.5:1", "--alpha1-range", "0.3:0.3:1")
+        assert complex(*diag["z"]) == float(z)
         assert "cannot resolve the K0 constraint" in diag["error"]
 
     def test_sweep_spurious_charge_zero_nullspace_exits_2(self):
         # at z = 3.2e-7 the charge-0 block, which K0 cannot bound, holds eigenvalues under
         # the threshold that are no zeros: the kept vector misses a unit-scale
         # constraint, so the solve is refused
-        argv = ["sweep", "--Nprime", "5", "--z", "3.2e-7",
-                "--lambda1-range", "0.5:0.5:1", "--alpha1-range", "0.3:0.3:1"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, err = run_main(argv)
-        assert code == 2
-        assert err.count("\n") == 1 and err.endswith("\n")
-        diag = json.loads(err)
-        assert diag["code"] == 2 and complex(*diag["z"]) == 3.2e-7
+        diag = refusal("sweep", "--Nprime", "5", "--z", "3.2e-7",
+                       "--lambda1-range", "0.5:0.5:1", "--alpha1-range", "0.3:0.3:1")
+        assert complex(*diag["z"]) == 3.2e-7
         assert "z=(3.2e-07+0j)" in diag["error"] and "kept vector" in diag["error"]
 
     @pytest.mark.parametrize("nprime,z,refusal", [
@@ -827,8 +781,8 @@ class TestExitCodeContract:
         # zeros count against the Gram bound U, 8 to 66 times the largest eigenvalue of
         # the searched blocks, so at these |z| eigenvalues that are no zeros fall under
         # the threshold; the K0 bound or the kept-vector check refuses each point
-        code, err = run_main(["sweep", "--Nprime", str(nprime), "--z", z,
-                              "--lambda1-range", "0.5:0.5:1", "--alpha1-range", "0.3:0.3:1"])
+        code, _, err = run("sweep", "--Nprime", str(nprime), "--z", z,
+                           "--lambda1-range", "0.5:0.5:1", "--alpha1-range", "0.3:0.3:1")
         assert code == 2
         diag = json.loads(err)
         assert complex(*diag["z"]) == float(z) and refusal in diag["error"]
@@ -846,53 +800,34 @@ class TestExitCodeContract:
     def test_overflowing_power_of_q_exits_2(self, argv):
         # a finite weight (or a q far from 1) can still put q**e beyond a float; at
         # q = 1e300 already the guard against roots of unity, q**k for k <= 64, does
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, err = run_main(list(argv))
-        assert code == 2
-        assert err.count("\n") == 1
-        diag = json.loads(err)
-        assert diag["code"] == 2 and "q**e overflows a float" in diag["error"]
+        diag = refusal(*argv)
+        assert "q**e overflows a float" in diag["error"]
         assert ", e=" in diag["error"]  # names the exponent
 
     def test_non_finite_export_exits_2_and_writes_nothing(self, tmp_path):
         # alpha1 = 1e300 overflows the projection through the quotient: the Boltzmann
         # weights would hold NaN, so the document is refused before any write
         out = tmp_path / "weights.json"
-        argv = ["rmatrix", "--kind", "semicyclic", "--Nprime", "5", "--alpha1", "1e300",
-                "--lambda1", "0.5", "--lambda2", "0.7", "--z", "1", "-o", str(out)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, err = run_main(argv)
-        assert code == 2
-        assert err.count("\n") == 1
-        diag = json.loads(err)
-        assert diag["code"] == 2 and "non-finite" in diag["error"]
+        diag = refusal("rmatrix", "--kind", "semicyclic", "--Nprime", "5", "--alpha1", "1e300",
+                       "--lambda1", "0.5", "--lambda2", "0.7", "--z", "1", "-o", str(out))
+        assert "non-finite" in diag["error"]
         assert not out.exists()
 
     @pytest.mark.parametrize("nprime,z", [(5, "1e7"), (5, "1e10"), (7, "1e8")])
-    def test_sweep_large_spectral_parameter_keeps_its_count(self, nprime, z, capsys):
+    def test_sweep_large_spectral_parameter_keeps_its_count(self, nprime, z):
         # E1 = z F spans the Gram matrix too, but the cyclic F keeps every eigenvalue
         # on that scale, so no zero is spurious: the solve answers, with the count
-        # the solver gave before the K0 certificate (nullspace_dim 0)
-        from uqsl2.cli import main
-        argv = ["sweep", "--Nprime", str(nprime), "--z", z,
-                "--lambda1-range", "0.5:0.5:1", "--alpha1-range", "0.3:0.3:1"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(argv) == 0
-        header, row = capsys.readouterr().out.strip().split("\n")
+        # the solver gave before the K0 certificate (nullspace_dim 0), and no warning
+        code, out, err = run("sweep", "--Nprime", str(nprime), "--z", z,
+                             "--lambda1-range", "0.5:0.5:1", "--alpha1-range", "0.3:0.3:1")
+        assert (code, err) == (0, "")
+        header, row = out.strip().split("\n")
         assert header.endswith(",nullspace_dim") and row.endswith(",0")
 
     @staticmethod
     def assert_overflow_names_z(argv, z):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no RuntimeWarning besides the diagnostic
-            code, err = run_main(argv)
-        assert code == 2
-        assert err.count("\n") == 1
-        diag = json.loads(err)
-        assert diag["code"] == 2 and complex(*diag["z"]) == float(z)
+        diag = refusal(*argv)  # no RuntimeWarning besides the diagnostic
+        assert complex(*diag["z"]) == float(z)
         assert f"z=({float(z)!r}+0j)" in diag["error"]
 
     @pytest.mark.parametrize("alpha,refusal", [("1e150", "cannot resolve the K0 constraint"),
@@ -900,19 +835,47 @@ class TestExitCodeContract:
     def test_sweep_huge_alpha_names_both_alphas(self, alpha, refusal):
         # the solver's refusal (1e150) and the fold's (1e200) name the module
         # parameters at fault next to z
-        code, err = run_main(["sweep", "--Nprime", "3", "--lambda1-range", "0.5:0.5:1",
-                              "--alpha1-range", f"{alpha}:{alpha}:1"])
+        code, _, err = run("sweep", "--Nprime", "3", "--lambda1-range", "0.5:0.5:1",
+                           "--alpha1-range", f"{alpha}:{alpha}:1")
         assert code == 2
         diag = json.loads(err)
         assert refusal in diag["error"] and "z=(1+0j)" in diag["error"]
         assert f"alpha1=({float(alpha):g}+0j), alpha2=(" in diag["error"]
 
     def test_sweep_at_zero_spectral_parameter_exits_2(self):
-        code, err = run_main(["sweep", "--Nprime", "3", "--lambda1-range", "0.5:0.5:1",
-                              "--alpha1-range", "0.5:0.5:1", "--z", "0"])
+        code, _, err = run("sweep", "--Nprime", "3", "--lambda1-range", "0.5:0.5:1",
+                           "--alpha1-range", "0.5:0.5:1", "--z", "0")
         assert code == 2 and json.loads(err)["code"] == 2
 
     def test_usage_error_writes_one_json_line(self):
-        code, err = run_main(["verify", "ybe", "--Nprime", "x"])
-        assert code == 2
-        assert err.count("\n") == 1 and json.loads(err)["code"] == 2
+        refusal("verify", "ybe", "--Nprime", "x")
+
+    @pytest.mark.parametrize("argv,cause", [
+        (("rmatrix", "--kind", "verma", "--q", "1.2", "--depths", "2,x"), "cannot parse depths"),
+        (("rmatrix", "--kind", "verma", "--q", "1.2", "--depths", "0,2"), "depths must be >= 1"),
+        (("rmatrix", "--kind", "verma", "--q", "1.2", "--depths", "2,2,2"),
+         "expected 2 depths, got 3"),
+        (("rmatrix", "--kind", "spectral", "--Nprime", "3", "--z", "roots:0"),
+         "roots:N needs N >= 1"),
+        (("rmatrix", "--kind", "semicyclic", "--q", "1.2"), "semicyclic modules need a root"),
+        (("rmatrix", "--kind", "reshetikhin", "--q", "1.2"), "the product form needs a root"),
+        (("verify", "central", "--q", "1.2"), "the centrality suite needs a root"),
+        (("verify", "curve", "--q", "1.2"), "the curve suite needs a root"),
+        (("verify", "product-oracle", "--Nprime", "3"), "oracle runs at generic q"),
+        (("verify", "coincidence", "--q", "1.2"), "compares root-of-unity forms"),
+        (("sweep", "--q", "1.2"), "curve sweeps need a root"),
+        (("sweep", "--Nprime", "3", "--lambda1-range", "0:1:-1"), "grid size must be >= 0"),
+    ], ids=["depths-parse", "depths-zero", "depths-count", "roots-zero", "semicyclic-generic",
+            "reshetikhin-generic", "central-generic", "curve-generic", "product-oracle-root",
+            "coincidence-generic", "sweep-generic", "grid-negative"])
+    def test_refusal_names_its_cause(self, argv, cause):
+        assert cause in refusal(*argv)["error"]
+
+    def test_non_finite_export_document_is_refused_before_writing(self, monkeypatch, tmp_path):
+        # the document of a non-semicyclic kind is checked as a whole when it is written
+        import uqsl2.cli
+        monkeypatch.setattr(uqsl2.cli, "r_verma_direct", nan_r_verma_direct)
+        out = tmp_path / "r.json"
+        diag = refusal("rmatrix", "--kind", "verma", "--q", "1.2", "-o", str(out))
+        assert diag["error"] == "non-finite entries in the verma R-matrix"
+        assert not out.exists()

@@ -961,3 +961,9 @@ class TestBiconditional:
             resid_bad = affine_intertwine_residual(z, sc1, bad, R=r_semicyclic(z, sc1, bad))
             assert rb > 1e-2
             assert resid_bad > 1e-3
+
+
+def test_unknown_curve_convention_is_refused():
+    spec = CurveSpec(1.0, LAM1, LAM2, 0.7, on_curve_partner(0.7, LAM1, LAM2, QP3), N=QP3.N)
+    with pytest.raises(ValueError, match="unknown curve convention 'x'"):
+        curve_residual(spec, QP3, convention="x")

@@ -7,14 +7,19 @@ under.  A change that moves an output re-records the ledger in the same commit:
 
     python3 tools/output_digests.py --no-demos --out tests/data/output_ledger.json
 
-The demos are left out: tests/test_demos.py runs them.  The last test pins the
-revision name (``output_digests.revision``) that the benchmark records carry.
+The demos are left out: tests/test_demos.py runs them.  The runner the ledger is
+recorded with, ``output_digests.run_cli``, is pinned under pytest's own warning
+capture; the last test pins the revision name (``output_digests.revision``) that
+the benchmark records carry.
 """
 
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 LEDGER = ROOT / "tests" / "data" / "output_ledger.json"
@@ -64,6 +69,35 @@ def test_cli_outputs_match_the_ledger():
     if problems:
         output_digests.compare(ledger["outputs"], outputs)  # the --against summary
     assert not problems, "\n".join(problems)
+
+
+def test_runner_writes_every_warning_before_the_diagnostic():
+    # pytest records the warnings of each test; inside the runner each one is still
+    # written to the job's stderr, in order, and none reaches the recorder outside
+    import numpy as np
+
+    def main(argv):
+        for _ in range(2):  # twice from one line of code: shown twice
+            np.float64(1e300) * np.float64(1e300)
+        sys.stderr.write('{"error": "refused", "code": 2}\n')
+        return 2
+
+    with warnings.catch_warnings(record=True) as outside:
+        code, out, err = output_digests.run_cli(main, [])
+    lines = err.splitlines()
+    assert (code, out, outside) == (2, "", [])
+    assert len(lines) == 5
+    assert all("RuntimeWarning: overflow encountered" in line for line in lines[0:4:2])
+    assert output_digests.stderr_summary(err) == [5, '{"error": "refused", "code": 2}']
+
+
+@pytest.mark.parametrize("exit_arg,code", [(3, 3), ("a message", 2)])
+def test_runner_gives_the_code_of_an_exit(exit_arg, code):
+    # an int code is kept; an exit with a message counts as argparse's usage error, 2
+    def main(argv):
+        raise SystemExit(exit_arg)
+
+    assert output_digests.run_cli(main, [])[0] == code
 
 
 def test_another_env_compares_residuals():

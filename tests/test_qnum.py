@@ -1,12 +1,14 @@
 import cmath
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uqsl2 import (DenominatorVanishes, QParam, gauss_binom, matrix_fractional_power,
-                   nilpotent_expm, qbinom, qbinom_table, qexp_truncated, qint, qnumber,
-                   qpochhammer_truncated, unsym_qnum)
+from uqsl2 import (DenominatorVanishes, InadmissibleParameters, QParam, gauss_binom,
+                   matrix_fractional_power, nilpotent_expm, qbinom, qbinom_table,
+                   qexp_truncated, qfact, qint, qnumber, qpochhammer_truncated, unsym_qnum)
+from uqsl2.qnum import PowerOverflow
 
 
 def qbracket(n, qp):
@@ -228,19 +230,31 @@ class TestQExponential:
             qexp_truncated(np.array([short, shift, np.zeros((6, 6))]), base, 6)
 
 
+SERIES = pytest.mark.parametrize("call", [lambda X: matrix_fractional_power(0.5, X, 0.5),
+                                          nilpotent_expm], ids=["fractional-power", "expm"])
+
+
 class TestNilpotentSeries:
-    """The dense references: each series stops at its first zero power and is refused
-    once more than 4*d powers are nonzero."""
+    """The dense references: each series stops at its first zero power, is refused once
+    more than 4*d powers are nonzero, and once a power leaves float64."""
 
     def test_zero_argument_gives_identity(self):
         assert np.array_equal(nilpotent_expm(np.zeros((3, 3))), np.eye(3))
         assert np.array_equal(matrix_fractional_power(0.5, np.zeros((3, 3)), 0.5), np.eye(3))
 
-    @pytest.mark.parametrize("call", [lambda X: matrix_fractional_power(0.5, X, 0.5),
-                                      nilpotent_expm], ids=["fractional-power", "expm"])
+    @SERIES
     def test_refuses_a_non_nilpotent_argument(self, call):
         with pytest.raises(ValueError, match="requires a nilpotent argument"):
             call(np.eye(3))
+
+    @SERIES
+    def test_refuses_an_overflowing_power_by_its_order(self, call):
+        # X^2 leaves float64; X^3 would hold inf*0 = NaN where its zeros belong and never
+        # vanish.  No RuntimeWarning comes before the refusal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PowerOverflow, match="the power of order 2 overflows a float"):
+                call(1e200 * np.eye(3, k=1))
 
 
 class TestQPochhammer:
@@ -267,3 +281,30 @@ class TestQPochhammer:
                 sym = qbinom(s, n, qp)
                 gauss = gauss_binom(s, n, qp.qpow(2))
                 assert abs(gauss - qp.qpow(n * (s - n)) * sym) < 1e-10
+
+
+class TestArgumentGuards:
+    """One row per argument the q-combinatorics refuse."""
+
+    @pytest.mark.parametrize("call,exc,match", [
+        (lambda: QParam.generic(0), InadmissibleParameters, "q must be nonzero"),
+        (lambda: QParam.generic(1.17).N, ValueError, "only at a root of unity"),
+        (lambda: QParam.generic(1.17).perturbed(0.1), ValueError, "only makes sense at a root"),
+        (lambda: unsym_qnum(3, 1), DenominatorVanishes, "undefined at base 1"),
+        (lambda: gauss_binom(3, 2, -1), DenominatorVanishes, "vanished at k=2"),
+    ], ids=["zero-q", "generic-N", "generic-perturbed", "unsym-base-1", "gauss-base-minus-1"])
+    def test_refused(self, call, exc, match):
+        with pytest.raises(exc, match=match):
+            call()
+
+    def test_gauss_binom_outside_zero_to_s_is_zero(self):
+        assert gauss_binom(2, 3, 0.5) == gauss_binom(2, -1, 0.5) == 0
+
+    def test_qfact_vanishes_from_order_n_at_a_root(self):
+        # [n]! = [2][3]...[n], and [N] = 0 at a root of unity of order N
+        qp = QParam.root_of_unity(5)
+        assert min(abs(qfact(n, qp)) for n in range(5)) > 0.3
+        assert max(abs(qfact(n, qp)) for n in (5, 6, 9)) < 1e-12
+        gen = QParam.generic(1.17 + 0.06j)
+        assert qfact(1, gen) == 1
+        assert qfact(4, gen) == qnumber(2, gen) * qnumber(3, gen) * qnumber(4, gen)

@@ -882,3 +882,21 @@ class TestDrinfeldRelations:
         q = QP.q
         lhs = rep.Kinv @ rep.F @ rep.K
         assert np.max(np.abs(lhs - q**2 * rep.F)) < 1e-12
+
+
+class TestArgumentGuards:
+    """One row per option value the affine builders refuse, and the empty Schur input."""
+
+    @pytest.mark.parametrize("call,match", [
+        (lambda: eval_imaginary_prime(pair()[0], 0.8, 3, family="x"),
+         "unknown imaginary family 'x'"),
+        (lambda: f_scalar(0.2, L1, L2, QP, form="x"), "unknown form 'x'"),
+        (lambda: r_spectral(0.3, *pair(3), cartan="x"), "unknown cartan mode 'x'"),
+    ], ids=["family", "scalar-form", "cartan"])
+    def test_refused(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+    def test_schur_conversion_of_no_orders_is_empty(self):
+        images = schur_to_imaginary(eval_imaginary_prime(pair()[0], 0.8, 0))
+        assert len(images.eprime) == len(images.fprime) == 0 and images.e == images.f == []

@@ -433,3 +433,20 @@ class TestTensorRep:
         t = tensor_rep(r1, r2)
         assert t.dim == 6
         assert np.allclose(np.diag(t.K), [QP.qpow(h) for h in t.hvec])
+
+
+class TestArgumentGuards:
+    """One row per argument the module builders refuse."""
+
+    @pytest.mark.parametrize("call,exc,match", [
+        (lambda: tensor_rep(truncated_verma(0.8, 2, QP), truncated_verma(1.3, 2, QP)).to_json(),
+         ValueError, "tensor-product representations are not serialized"),
+        (lambda: truncated_verma(0.8, 0, QP), ValueError, "depth must be >= 1"),
+        (lambda: cyclic(0.3, 0.5, 0.7, QP), ValueError, "cyclic modules need q at a root"),
+        # at alpha = 1e8 rounding breaks the defining relations of the built module
+        (lambda: cyclic(0.3, 1e8, 0.7, QP3), InadmissibleParameters,
+         r"no cyclic module at \(beta=\(0\.3\+0j\), alpha=\(100000000\+0j\)"),
+    ], ids=["tensor-to-json", "depth-0", "cyclic-generic-q", "cyclic-relations-fail"])
+    def test_refused(self, call, exc, match):
+        with pytest.raises(exc, match=match):
+            call()

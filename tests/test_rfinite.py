@@ -500,6 +500,20 @@ class TestKronPowerSum:
         ref = kron_loop_power_sum(coeffs, powers, r1.dim, r2.dim)
         assert_close_to_scale(_kron_power_sum(coeffs, powers, r1.dim, r2.dim), ref, rel=1e-14)
 
+    @pytest.mark.parametrize("build", [
+        lambda: quasitriangularity_residual(*vermas((7, 7, 7), QParam.generic(10**-7.5),
+                                                    (-5, -4.5, -4))),
+        lambda: r_generic_universal(*vermas((5, 7), QParam.generic(1e-10), (10, 11))),
+    ], ids=["quasi-depth-7", "universal-5x7"])
+    def test_overflowing_power_is_refused_by_its_order(self, build):
+        # an overflowing E^k or F^k holds inf*0 = NaN where its structural zeros belong,
+        # so the pairs would never vanish: refused at the first non-finite power, with no
+        # RuntimeWarning before it, not as a non-nilpotent argument or a NaN operator
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PowerOverflow, match="power of order 4 overflows a float"):
+                build()
+
 
 #: Verma triples for the sector kernel: generic q and N' = 3, 5, 9, mostly unequal depths
 SECTOR_CASES = [("generic", (3, 4, 5)), ("generic", (5, 3, 4)), (3, (3, 3, 3)), (3, (4, 2, 5)),
@@ -665,3 +679,27 @@ class TestSafeWindow:
             safe_mask((3, 3), 3)
         mask = safe_mask((3, 3), 1)
         assert mask.sum() == 3  # total degree <= 1 on a 3x3 grid
+
+
+class TestArgumentGuards:
+    """One row per argument the finite forms refuse."""
+
+    @staticmethod
+    def long_ladder():
+        # E and F shift a 40-dimensional basis: 39 powers, every one finite, while
+        # (33)_{q^-2} = (1 - q^-66) / (1 - q^-2) leaves float64 at q = 10^-4.7
+        shift = np.eye(40, k=1, dtype=complex)
+        return Rep(qp=QParam.generic(10**-4.7), lam=0j, E=shift, F=shift.T.copy(),
+                   K=np.eye(40, dtype=complex), hvec=np.zeros(40), kind="cyclic")
+
+    @pytest.mark.parametrize("call,exc,match", [
+        (lambda: e_derivation_matrix(truncated_verma(LAMS[0], 3, QP)), ValueError,
+         "the renormalized N-th power lives at roots of unity"),
+        (lambda: _wrap_constant(QParam.root_of_unity(3), "x"), ValueError,
+         "unknown wrap constant choice 'x'"),
+        (lambda: r_generic_universal(*[TestArgumentGuards.long_ladder()] * 2), PowerOverflow,
+         r"q\*\*e overflows a float at q=\(1\.99\d*e-05\+0j\), e=-66"),
+    ], ids=["derivation-generic-q", "wrap-constant", "universal-q-factorial-overflow"])
+    def test_refused(self, call, exc, match):
+        with pytest.raises(exc, match=match):
+            call()

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from uqsl2 import TensorOperator
-from uqsl2.tensorop import (cmat, cnum, grading_modulus, identity_plus_kron_sum,
-                            intertwine_defect, kron2, total_degree, total_degree_mask)
+from uqsl2.tensorop import (cmat, cnum, embed_two_site, grading_modulus,
+                            identity_plus_kron_sum, intertwine_defect, kron2, masked_max_abs,
+                            safe_mask, total_degree, total_degree_mask)
 
 
 def decoded(pairs) -> np.ndarray:
@@ -163,3 +164,20 @@ class TestGradingRule:
         M = np.eye(4, dtype=complex)
         M[2, 2] = bad  # on the diagonal, where a finite entry would keep the degree
         assert grading_modulus([(M, np.arange(4), 0)], (4,)) == 1
+
+
+class TestArgumentGuards:
+    """One row per argument the tensor-operator helpers refuse."""
+
+    @pytest.mark.parametrize("call,match", [
+        (lambda: TensorOperator((2, 2), np.eye(3)), r"matrix shape \(3, 3\) inconsistent"),
+        (lambda: embed_two_site(np.eye(4), (2, 2, 2), (1, 0)), "unsupported embedding positions"),
+        (lambda: safe_mask((3, 3), -1), "margin must be >= 0, got -1"),
+    ], ids=["shape", "embedding-order", "negative-margin"])
+    def test_refused(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+    def test_masked_max_abs_over_no_columns_is_zero(self):
+        # an empty comparison adds nothing to the maximum it is taken into
+        assert masked_max_abs(np.ones((2, 2)), np.zeros(2, dtype=bool)) == 0.0

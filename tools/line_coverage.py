@@ -11,12 +11,14 @@ Afterwards it clears the trace and prints, file by file, each line that the
 ``co_lines()`` of some code object compiled from that file holds but the run
 never executed, then a count per file.  The exit status is pytest's.
 
-Only this process is traced.  The CLI tests that run ``python -m uqsl2.cli`` in
-a subprocess (``tests/test_cli.py``'s ``run_cli``) go untraced, which is why
-most of the ``ConfigError`` lines of ``cli.py`` show as unexecuted although
-those tests reach them.  Lines that only hypothesis-drawn inputs reach (some of
-``cli.py``'s parsers) can come and go between runs.  A ``lambda`` or comprehension
-counts as executed once its line runs, called or not.
+Only this process is traced.  The CLI tests call ``uqsl2.cli.main`` in-process,
+so their lines are seen; the few tests whose subject is a fresh process go
+untraced: ``tests/test_cli.py``'s ``test_pole_exits_3`` (``python -m uqsl2.cli``,
+hence ``cli.py``'s ``sys.exit(main())`` line), ``TestDeterminism`` and
+``test_scipy_is_loaded_by_the_solver_alone``, ``tests/test_demos.py`` and the
+``python -m`` runs of ``tests/test_acceptance.py``.  Lines that only
+hypothesis-drawn inputs reach can come and go between runs.  A ``lambda`` or
+comprehension counts as executed once its line runs, called or not.
 
 The script imports nothing that loads numpy before ``pytest.main``:
 ``tests/conftest.py`` pins BLAS threads and refuses to run once numpy is loaded.

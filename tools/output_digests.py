@@ -5,13 +5,14 @@ extra job and demo.
 
 DIR is a checkout of this repository (default: the one holding this script).
 Its ``src/uqsl2`` runs every job of every workload in ``perfbench/workloads.py``
-in-process, through ``perfbench/jobs.run_job``, and so does each job of
-``EXTRA_JOBS`` below; its ``demos/*.py`` run as subprocesses, unless ``--no-demos``.
+in-process, through ``run_cli`` below, and so does each job of ``EXTRA_JOBS``; its
+``demos/*.py`` run as subprocesses, unless ``--no-demos``.
 The job list always comes from this script's own checkout, so two checkouts are
 compared on the same jobs.  FILE receives ``{"env": ENV, "outputs": {job: [exit_code,
 sha256 of stdout, records, stderr_lines, diagnostic]}}``, where records lists each
 ``verify`` record as ``[check, residual, pass]`` (empty for other outputs),
-stderr_lines counts the lines written to stderr with every warning shown, and
+stderr_lines counts the lines written to stderr with every warning shown (under
+pytest too, whose own warning capture would otherwise swallow them), and
 diagnostic is the one-line JSON diagnostic of a refusal, the exception of a job that
 ends in a traceback, or null.  Warning text holds checkout paths, so only its lines
 are counted.  ENV names the Python, numpy, scipy and BLAS that ran (``env_block``).
@@ -29,7 +30,8 @@ or pass flag changed.
 
 ``tests/data/output_ledger.json`` is this file for the CLI jobs alone
 (``--no-demos``); ``tests/test_output_ledger.py`` regenerates it and compares.
-A change that moves an output re-records it in the same commit:
+``tests/test_cli.py`` runs the CLI through the same ``run_cli``.  A change that
+moves an output re-records the ledger in the same commit:
 
     python3 tools/output_digests.py --no-demos --out tests/data/output_ledger.json
 """
@@ -54,7 +56,6 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from jobs import run_job  # noqa: E402
 from workloads import KNOWN_FAILURES, WORKLOADS, cycle_jobs, job_key  # noqa: E402
 
 #: end-to-end commands no workload runs: the default sweeps at N' = 5 and 7, one sweep of
@@ -104,22 +105,27 @@ def import_cli(src: Path):
     return uqsl2.cli
 
 
-class StderrKept:
-    """The cli module, its ``main`` keeping each call's stderr in ``err``, where
-    ``perfbench/jobs.run_job`` discards it.  Every warning is shown, not only the first
-    one from its line of code."""
+def run_cli(main, argv) -> tuple:
+    """(exit code, stdout, stderr) of ``main(argv)``, run in-process with both streams
+    captured.  argparse's ``SystemExit`` gives its code (2 when that is no int); any
+    other exception propagates.  Every warning is written to the captured stderr, in
+    order, not only the first one from its line of code: ``showwarning`` is replaced,
+    since a surrounding ``catch_warnings(record=True)``, as pytest keeps around each
+    test, would otherwise take the warnings before they reach stderr."""
+    out, err = io.StringIO(), io.StringIO()
 
-    def __init__(self, cli):
-        self.cli, self.err = cli, ""
+    def show(message, category, filename, lineno, file=None, line=None):
+        err.write(warnings.formatwarning(message, category, filename, lineno, line))
 
-    def main(self, argv):
-        buf = io.StringIO()
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings()):
+        warnings.simplefilter("always")
+        warnings.showwarning = show
         try:
-            with contextlib.redirect_stderr(buf), warnings.catch_warnings():
-                warnings.simplefilter("always")
-                return self.cli.main(argv)
-        finally:
-            self.err = buf.getvalue()
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else 2
+    return code, out.getvalue(), err.getvalue()
 
 
 def stderr_summary(err: str, raised=None) -> list:
@@ -234,17 +240,29 @@ def revision(src: Path) -> str:
 
 def cli_digests(cli_module) -> dict:
     """{job: [exit_code, sha256, records, stderr_lines, diagnostic]} of every workload
-    job, known failure and extra job, each run once in-process by ``cli_module``."""
-    cli = StderrKept(cli_module)
+    job, known failure and extra job, each run once in-process by ``cli_module``.  An
+    exception escaping ``main`` ends its job as exit 1, the code ``python -m uqsl2.cli``
+    would end with, and is the job's diagnostic."""
+    raised = []
+
+    def main(argv):
+        try:
+            return cli_module.main(argv)
+        except Exception as exc:
+            raised.append(f"{type(exc).__name__}: {exc}")
+            return 1
+
     jobs = ([argv for w in WORKLOADS for argv in cycle_jobs(w)]
             + [list(a) for a in (*KNOWN_FAILURES, *EXTRA_JOBS)])
     digests = {}
     for argv in jobs:
         key = job_key(argv)
         if key not in digests:
-            res = run_job(cli, argv)
-            digests[key] = [res.exit_code, res.digest, verify_records(res.output),
-                            *stderr_summary(cli.err, res.raised)]
+            raised.clear()
+            code, out, err = run_cli(main, argv)
+            digests[key] = [code, hashlib.sha256(out.encode()).hexdigest(),
+                            verify_records(out),
+                            *stderr_summary(err, raised[0] if raised else None)]
     return digests
 
 
