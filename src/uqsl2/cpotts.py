@@ -25,12 +25,21 @@ constraint certifies most blocks free of any nullspace without an
 eigensolve: every K is diagonal, so its term of the Gram matrix is a
 diagonal whose minimum over a block bounds the block's smallest eigenvalue
 from below (Weyl).  One threshold, NULLSPACE_RATIO^2 times a bound on every
-eigenvalue, certifies each block whose K0 minimum, read as the solve reaches
-the block, clears it.  Every other block (charge 0, and any charge c with
-q^2c = 1) is assembled from the generators' nonzero entries, and its zeros,
-the eigenvalues at or below the threshold, are counted by the inertia of one
-LDL^H factorization, a 2x2 pivot counting once; only a block that holds zeros
-has their vectors found, by inverse iteration.  The smallest zero's vector is
+eigenvalue, certifies each block whose K0 minimum clears it.
+
+When it leaves only charge 0 on a pair of N-dimensional modules graded mod
+N, and F0's N x N sector blocks are invertible and well conditioned, the
+charge-0 block's N^3 unknowns are cut to N^2 by a transfer over the N weight
+sectors: R commutes with K (x) K, so it is block-diagonal over them, and
+F0's constraint carries R's block on one sector to the next.  The
+remaining constraints then form a pencil (G0, M0), the Gram and the norm of
+R on the transfer's N^2 unknowns, whose eigenvalues interlace the block's
+from above, so it counts no zero the block would reject.  Every other block
+(charge 0 of the other pairs, and any charge c with q^2c = 1) is assembled
+from the generators' nonzero entries.  The zeros, the eigenvalues at or below
+the threshold, are counted by the inertia of one LDL^H factorization, a 2x2
+pivot counting once; only a block or pencil that holds zeros has their vectors
+found, by inverse iteration.  The smallest zero's vector is
 the intertwiner; it must meet each constraint on that constraint's scale.
 """
 
@@ -47,6 +56,10 @@ from .tensorop import TensorOperator, cnum, grading_modulus, kron2, total_degree
 
 SOLVABILITY_TOL = 1e-9  # fn_commutation_residual: solvable when |z^N - L1 L2| exceeds it
 NULLSPACE_RATIO = 1e-7  # solve_intertwiner: eigenvalues below its square times U are zero
+# solve_intertwiner's sector transfer: it takes F0 sector blocks of a 1-norm condition number
+# below TRANSFER_COND, and a pencil whose zero count is the same at these multiples of the threshold
+TRANSFER_COND = 300.0
+TRANSFER_BAND = (0.1, 100.0)
 
 
 @dataclass(frozen=True)
@@ -221,51 +234,161 @@ def _nonpositive_pivots(ldu: np.ndarray, ipiv: np.ndarray) -> int:
     return int((d[ipiv > 0] <= 0).sum()) + int((ipiv < 0).sum()) // 2
 
 
-def _block_zeros(gram: np.ndarray, threshold: float) -> tuple:
-    """The eigenpairs (w, v) of the Hermitian block at or below threshold, as
-    scipy.linalg.eigh(gram, subset_by_value=(-inf, threshold)) gives them.
+def _start_vectors(n: int, k: int) -> np.ndarray:
+    """k fixed start vectors of length n, built by a formula and no generator: column c
+    holds frac(m^2 phi) - 1/2 for m = c n + 1 .. c n + n, phi the golden ratio.  The
+    quadratic Weyl sequence is equidistributed in [-1/2, 1/2) and, unlike the linear
+    one, whose columns differ by steps, leaves no k of them near a common subspace."""
+    m = np.arange(1, n * k + 1, dtype=float)
+    return (np.modf(m * m * 0.6180339887498949)[0] - 0.5).reshape(k, n).T.astype(complex)
 
-    Their number k is the inertia of gram - threshold I (Sylvester's law), read
-    off the pivots of its LDL^H factorization (LAPACK hetrf, lower triangle).
-    For k > 0, k fixed start vectors take two steps of inverse iteration with
-    the Cholesky factor of gram + threshold I, a shift below the spectrum (one
-    at the threshold would converge to the eigenvalue nearest it, maybe just
-    above); Gram-Schmidt and Rayleigh-Ritz on gram then give the pairs.  Each
+
+def _shifted(gram: np.ndarray, threshold: float, metric, op) -> np.ndarray:
+    """A Fortran-order copy of gram made op(gram, threshold M), M the metric or the identity.
+    With the identity only the diagonal is written, so no off-diagonal zero changes its sign."""
+    a = np.array(gram, order="F")
+    if metric is None:
+        a[np.diag_indices(len(a))] = op(gram.diagonal(), threshold)
+    else:
+        op(a, threshold * metric, out=a)
+    return a
+
+
+def _zeros_count(gram: np.ndarray, threshold: float, metric: np.ndarray | None = None) -> int:
+    """The number of eigenvalues of the Hermitian block, or of the pencil (gram, metric)
+    for a positive definite metric M, at or below threshold: the inertia of
+    gram - threshold M (Sylvester's law: with M = L L^H it is congruent to
+    L^-1 gram L^-H - threshold I), read off the pivots of its LDL^H factorization
+    (LAPACK hetrf, lower triangle), which overwrites its own shifted copy."""
+    from scipy.linalg import lapack  # here and in _block_zeros alone: only a solve loads scipy
+    ldu, ipiv, info = lapack.zhetrf(_shifted(gram, threshold, metric, np.subtract), lower=1,
+                                    lwork=64 * len(gram), overwrite_a=1)
+    if info < 0:
+        raise np.linalg.LinAlgError(f"hetrf argument {-info} is invalid")
+    return _nonpositive_pivots(ldu, ipiv)
+
+
+def _block_zeros(gram: np.ndarray, threshold: float, metric: np.ndarray | None = None) -> tuple:
+    """The eigenpairs (w, v) of the Hermitian block at or below threshold, as
+    scipy.linalg.eigh(gram, metric, subset_by_value=(-inf, threshold)) gives them:
+    given the positive definite metric M, those of the pencil gram v = w M v, with
+    v M-orthonormal; without it M is the identity.
+
+    Their number k is _zeros_count's.  For k > 0, k fixed start vectors
+    (_start_vectors) take two steps of inverse iteration
+    v <- (gram + threshold M)^-1 M v with the Cholesky factor of
+    gram + threshold M, a shift below the spectrum (one at the threshold would
+    converge to the eigenvalue nearest it, maybe just above); Gram-Schmidt in
+    the M inner product and Rayleigh-Ritz on gram then give the pairs.  Each
     step shrinks an eigenvalue lambda's share by 2 threshold / (lambda +
     threshold).  gram is never written: each factorization overwrites its own
     shifted copy, dropped before the next is made; a failed one raises LinAlgError.
     """
-    from scipy.linalg import lapack  # the package's one scipy import: only a solve loads scipy
+    from scipy.linalg import lapack
     n = len(gram)
 
-    def shifted(op):  # a Fortran-order copy of gram, its diagonal x made op(x, threshold)
-        a = np.array(gram, order="F")
-        a[np.diag_indices(n)] = op(gram.diagonal(), threshold)
-        return a
+    def times_metric(x):
+        return x if metric is None else metric @ x
 
-    ldu, ipiv, info = lapack.zhetrf(shifted(np.subtract), lower=1, lwork=64 * n, overwrite_a=1)
-    if info < 0:
-        raise np.linalg.LinAlgError(f"hetrf argument {-info} is invalid")
-    k = _nonpositive_pivots(ldu, ipiv)
-    del ldu
+    k = _zeros_count(gram, threshold, metric)
     if k == 0:
         return np.zeros(0), np.zeros((n, 0), dtype=complex)
-    chol, info = lapack.zpotrf(shifted(np.add), lower=1, clean=0, overwrite_a=1)
+    chol, info = lapack.zpotrf(_shifted(gram, threshold, metric, np.add), lower=1, clean=0,
+                               overwrite_a=1)
     if info:
         raise np.linalg.LinAlgError("the shifted block is not positive definite")
-    v = np.random.default_rng(0).standard_normal((n, k)).astype(complex)
+    v = _start_vectors(n, k)
     for _ in range(2):
-        v = lapack.zpotrs(chol, v, lower=1)[0]
+        v = lapack.zpotrs(chol, times_metric(v), lower=1)[0]
         v /= abs(v).max(axis=0)  # largest entry 1: no norm below over- or underflows
     del chol
     # Gram-Schmidt, twice: at k = 1 the loop only normalizes; for k > 1 (the doubled module has
     # 4 zeros) the second classical pass restores the orthogonality the first loses to cancellation
     for c in range(k):
         for _ in range(2):
-            v[:, c] -= v[:, :c] @ (v[:, :c].conj().T @ v[:, c])
-        v[:, c] /= np.linalg.norm(v[:, c])
+            v[:, c] -= v[:, :c] @ (v[:, :c].conj().T @ times_metric(v[:, c]))
+        v[:, c] /= np.sqrt(np.vdot(v[:, c], times_metric(v[:, c])).real)
     w, s = np.linalg.eigh(v.conj().T @ (gram @ v))
     return w, v @ s
+
+
+_SHIFTS = np.array([-1, 1, 1, -1, 0])  # the degree shifts of E0, F0, E1, F1 and K0
+
+
+def _kron_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """sum_k A[k] (x) B[k] for stacks of n x n matrices, as one (n^2, K) @ (K, n^2) product:
+    entry ((i, j), (i', j')) is sum_k A[k][i, i'] B[k][j, j']."""
+    K, n, _ = A.shape
+    out = A.reshape(K, n * n).T @ B.reshape(K, n * n)  # [(i, i'), (j, j')]
+    return out.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+
+def _sector_transfer(left: list, right: list, P: np.ndarray, Q: np.ndarray, N: int,
+                     threshold: float):
+    """The charge-0 problem of two N-dimensional modules graded mod N, in N^2 unknowns.
+
+    left and right hold the images of E0, F0, E1, F1 and K0.  Sector S_s holds the
+    flat indices (i1, i2) with i1 + i2 = s mod N, ordered by i1; a charge-0 R is
+    block-diagonal over them, R_s = R[S_s, S_s].  Each image maps S_s into S_t,
+    t = s + its degree shift, and F0's constraint there reads R_{s+1} A_s = B_s R_s,
+    A_s and B_s the sector blocks of left and right F0.  With every A_s
+    invertible, R_s = T_s X W_s, T_0 = W_0 = 1, T_{s+1} = B_s T_s,
+    W_{s+1} = W_s A_s^-1, and each constraint block (R L_a - R_a R)[S_t, S_s] is
+    T_t X W_t L - R T_s X W_s (L, R the sector blocks of L_a, R_a).  So for
+    row-major x = vec X, with J the map from x to R, the Gram J^H G J of
+    solve_intertwiner's charge-0 block is a sum of Kronecker products,
+
+        G0 = sum_s (T_s^H T_s) (x) (conj(W_s) P_s W_s^T) + (T_s^H Q_s T_s) (x) (conj(W_s) W_s^T)
+             - Y - Y^H,   Y = sum_(a,s) (T_t^H R T_s) (x) (conj(W_t L) W_s^T),
+
+    P_s, Q_s the sector blocks of P and Q (the squared terms summed over the
+    generators), and J^H J = M0 = sum_s (T_s^H T_s) (x) (conj(W_s) W_s^T).
+    Returns (G0, M0, (rows, cols), lift): the flat positions of the charge-0
+    unknowns R[S_s[p], S_s[p']] in (s, p, p') order, and the map from x to
+    their values.  Returns None when some A_s is singular or has a 1-norm
+    condition number of TRANSFER_COND or more, and when the pencil's zero count
+    changes between the multiples TRANSFER_BAND of the threshold.  Both guard
+    against the transfer's rounding: G0 is a sum of terms as large as
+    |T_s|^2 |W_s|^2 U, and where the intertwiner does not grow with them (an
+    A_s near singular, at small alpha) their rounding moves its eigenvalue
+    from 0 by up to a few times the threshold (measured on semicyclic pairs at
+    N' = 3 .. 9: up to 2.4 times for condition numbers below 300, 48 times below
+    1e3, 215 times below 3e3).  An eigenvalue in the band leaves the count to
+    the block.
+    """
+    s = np.arange(N)
+    idx = (s[:, None] - s) % N + s * N  # idx[t, p]: the flat index (p, t - p) of S_t's p-th vector
+    t = (s + _SHIFTS[:, None]) % N  # [a, s]: the sector that image a maps S_s into
+    rows, cols = idx[:, :, None], idx[:, None, :]  # M[rows, cols]: the blocks M[S_s, S_s]
+    L, R = (np.stack(images)[np.arange(5)[:, None, None, None], idx[t][..., None], cols]
+            for images in (left, right))  # [a, s, p, p'] = image a [S_t[p], S_s[p']]
+    A = L[1]
+    try:
+        Ainv = np.linalg.inv(A)
+    except np.linalg.LinAlgError:  # an exactly singular A_s
+        return None
+    with np.errstate(all="ignore"):  # an inverse that overflows fails the bound
+        cond = abs(A).sum(axis=1).max(axis=1) * abs(Ainv).sum(axis=1).max(axis=1)
+    if not (cond < TRANSFER_COND).all():
+        return None
+    B = R[1]
+    T, W = np.empty((2, N, N, N), dtype=complex)
+    T[0] = W[0] = np.eye(N)
+    for k in range(1, N):
+        T[k] = B[k - 1] @ T[k - 1]
+        W[k] = W[k - 1] @ Ainv[k - 1]
+    TH, Wc, WT = T.conj().swapaxes(1, 2), W.conj(), W.swapaxes(1, 2)
+    TT, WW = TH @ T, Wc @ WT
+    Y = (TH[t] @ R @ T).reshape(-1, N, N), (Wc[t] @ L.conj() @ WT).reshape(-1, N, N)
+    YH = [y.conj().swapaxes(1, 2) for y in Y]
+    gram = _kron_sum(np.concatenate([TT, TH @ Q[rows, cols] @ T, -Y[0], -YH[0]]),
+                     np.concatenate([Wc @ P[rows, cols] @ WT, WW, Y[1], YH[1]]))
+    metric = _kron_sum(TT, WW)
+    low, high = (_zeros_count(gram, f * threshold, metric) for f in TRANSFER_BAND)
+    if low != high:
+        return None
+    unknowns = tuple(np.broadcast_to(i, (N, N, N)).ravel() for i in (rows, cols))
+    return gram, metric, unknowns, lambda x: (T @ x.reshape(N, N) @ W).ravel()
 
 
 def solve_intertwiner(rep1: Rep, rep2: Rep, z: complex) -> tuple:
@@ -278,7 +401,7 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, z: complex) -> tuple:
     g = gcd(d1, d2), and 0 for every unknown when they are not graded.
     Every image is homogeneous, so G is exactly block-diagonal with one block
     per charge (g blocks of N^3 unknowns for a pair of N-dimensional
-    (semi)cyclic modules).  Each block is assembled from D x D matrices, X
+    (semi)cyclic modules).  A block is assembled from D x D matrices, X
     from the nonzero entries of the images and the Kronecker-delta terms through
     the table of each unknown's block position,
 
@@ -290,23 +413,45 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, z: complex) -> tuple:
     diagonal |kl[j] - kr[i]|^2 (kl, kr the K0 images), one PSD summand, so by
     Weyl's inequality its minimum over a block bounds the block's smallest
     eigenvalue from below; U = sum_a (|L_a|_F + |R_a|_F)^2 bounds the largest
-    eigenvalue of G from above.  The loop over charges reads each block's K0
-    minimum as it reaches the block; a block whose minimum exceeds
+    eigenvalue of G from above.  A block whose K0 minimum exceeds
     NULLSPACE_RATIO^2 U holds no nullspace and is neither assembled nor
     diagonalized (every charge c with q^2c != 1 on a (semi)cyclic pair).
 
-    Zeros.  Every other block is one call of _block_zeros for its eigenpairs
-    at or below the same threshold NULLSPACE_RATIO^2 U, each a zero: their
-    number is the inertia of the block minus the threshold (LAPACK hetrf, a
+    Paths.  The sector transfer (_sector_transfer) takes the pair when both
+    modules are N-dimensional, graded mod N, the certificate clears every
+    charge but 0, U is at most F0's squared scale over NULLSPACE_RATIO (|z|
+    within a few decades of 1), and every F0 sector block A_s is invertible
+    with a 1-norm condition number below TRANSFER_COND: the (semi)cyclic pairs
+    the sweep solves.  It writes every charge-0 R as J x, x the N^2 entries of
+    R's block on sector 0, and solves the pencil G0 x = mu M0 x, G0 = J^H G J
+    and M0 = J^H J assembled from Kronecker products of N x N matrices.  Its
+    eigenvalues are the Rayleigh quotients of G on the range of J, which holds
+    every intertwiner, so by interlacing (Courant-Fischer) mu_k >= lambda_k,
+    the k-th eigenvalue of the charge-0 block: in exact arithmetic the transfer
+    counts every exact zero and never one that the block would reject.  Its
+    rounding is larger than the block's, so the block decides whenever the
+    pencil holds an eigenvalue within TRANSFER_BAND of the threshold, its
+    factorization fails, or the lifted vector misses a constraint on its
+    scale.  Every other pair (an exact grading, at alpha = 0; no grading;
+    modules of other dimensions; |z| far from 1; an A_s singular or
+    ill-conditioned, as at small alpha and at alpha = 1e200) takes each block
+    the certificate leaves, assembled as above, with the refusals below.
+
+    Zeros.  Each uncertified block, or the charge-0 pencil, is one call of
+    _block_zeros for its eigenpairs at or below the same threshold
+    NULLSPACE_RATIO^2 U, each a zero: their number is the inertia of the block
+    minus the threshold times the metric (M0, or the identity; LAPACK hetrf, a
     2x2 pivot counting once), and their vectors, when there are any, come from
     inverse iteration with the Cholesky factor of the block plus the
-    threshold.  A factorization that fails raises UnresolvedConstraints.
+    threshold times the metric.  A block factorization that fails raises
+    UnresolvedConstraints.
     A zero in a block whose K0 minimum is positive on K0's own scale (above
     NULLSPACE_RATIO^2 times the largest K0 entry) is spurious by the bound:
     the threshold cannot resolve the constraints at this z (in practice |z|
     far below 1) and UnresolvedConstraints is raised.  The kept unit vector
-    R, the smallest zero's eigenvector in the first block holding it, must
-    meet each constraint on its own scale,
+    R, the smallest zero's eigenvector in the first block holding it (lifted
+    by J on the transfer), must meet each constraint on its own scale in the
+    full D x D coordinates,
     |R L_a - R_a R|_F <= NULLSPACE_RATIO (|L_a|_F + |R_a|_F), else
     UnresolvedConstraints is raised: that catches spurious zeros in charge 0,
     where K0 gives no bound.
@@ -337,8 +482,6 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, z: complex) -> tuple:
     k0 = np.abs(np.subtract.outer(kr, kl)) ** 2  # [i, j]: the K0 term of unknown R[i, j]
     k0_floor = floor * k0.max()  # a K0 minimum above it is nonzero on K0's own scale
 
-    nonzeros = [(_nonzeros(right[a]), _nonzeros(conj_left[a])) for a in names]
-
     def block(rows, cols):
         """The Gram block of the unknowns R[rows, cols], one charge's.
 
@@ -368,38 +511,78 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, z: complex) -> tuple:
     modules = "".join(f", {k}{i}={rep.params[k]}" for i, rep in ((1, rep1), (2, rep2))
                       for k in ("alpha", "beta") if k in rep.params)
 
-    dim, best = 0, None
+    def kept(rows, cols, vector):
+        """R with the unit vector at the unknowns R[rows, cols], and the first constraint it
+        misses on that constraint's own scale, as (generator, miss / scale), or None."""
+        R = np.zeros((D, D), dtype=complex)
+        R[rows, cols] = vector
+        for a, s in zip(names, scale):
+            miss = np.linalg.norm(R @ left[a] - right[a] @ R)
+            if not miss <= NULLSPACE_RATIO * s:
+                return R, (a, miss / s)
+        return R, None
+
+    searched = []  # (rows, cols, K0 minimum) of each charge block the certificate leaves
     for c in np.unique(charge):
         rows, cols = np.nonzero(charge == c)
         kmin = k0[rows, cols].min()
-        if kmin > threshold:  # certified; charge 0 never is (kmin 0 at i = j)
-            continue
-        gram = block(rows, cols)
+        if kmin <= threshold:  # else certified; charge 0 never is (kmin 0 at i = j)
+            searched.append((rows, cols, kmin))
+    transfer = None
+    # charge 0 alone, graded mod N, and F0 resolved: the transfer meets F0 exactly, while the
+    # block's count lets a vector miss it by NULLSPACE_RATIO sqrt(U), which outgrows F0's own
+    # scale as |z| leaves 1 (the block's kept vector then misses F0 from U ~ 6e10 F0's squared
+    # scale at N' = 9, 4e12 at N' = 3: there the block must decide)
+    if len(searched) == 1 and g == rep1.dim == rep2.dim and NULLSPACE_RATIO * U <= scale[1]**2:
+        transfer = _sector_transfer([left[a] for a in names], [right[a] for a in names],
+                                    P, Q, g, threshold)
+
+    def transferred():
+        """(dim, R) from the transfer's pencil, or None when the block path must decide:
+        the pencil's factorization failed, or the lifted vector misses a constraint."""
+        gram, metric, (rows, cols), lift = transfer
         try:
-            w, v = _block_zeros(gram, threshold)
-        except np.linalg.LinAlgError as exc:
-            raise UnresolvedConstraints(f"the nullspace threshold cannot resolve the constraints "
-                                        f"at z={z}{modules}: {exc}", z=z) from None
-        del gram
-        if len(w) and kmin > k0_floor:
-            raise UnresolvedConstraints(
-                f"the nullspace threshold cannot resolve the K0 constraint at z={z}{modules}: "
-                f"an eigenvalue below {threshold:.3g} lies in a charge block whose K0 minimum "
-                f"is positive", z=z)
-        dim += len(w)
-        if len(w) and (best is None or w[0] < best[0]):  # the first block holding the smallest
-            best = w[0], rows, cols, v[:, 0]
-    if dim == 0:
-        return None, 0
-    _, rows, cols, vector = best
-    R = np.zeros((D, D), dtype=complex)
-    R[rows, cols] = vector
-    for a, s in zip(names, scale):  # R is a unit vector here
-        miss = np.linalg.norm(R @ left[a] - right[a] @ R)
-        if not miss <= NULLSPACE_RATIO * s:
+            w, v = _block_zeros(gram, threshold, metric)
+        except np.linalg.LinAlgError:
+            return None
+        if not len(w):
+            return 0, None
+        R, missed = kept(rows, cols, lift(v[:, 0]))
+        return None if missed else (len(w), R)
+
+    answer = None if transfer is None else transferred()
+    del transfer
+    if answer is None:  # every searched block, assembled from the nonzeros
+        nonzeros = [(_nonzeros(right[a]), _nonzeros(conj_left[a])) for a in names]
+        dim, best = 0, None
+        for rows, cols, kmin in searched:
+            gram = block(rows, cols)
+            try:
+                w, v = _block_zeros(gram, threshold)
+            except np.linalg.LinAlgError as exc:
+                raise UnresolvedConstraints(f"the nullspace threshold cannot resolve the "
+                                            f"constraints at z={z}{modules}: {exc}", z=z) from None
+            del gram
+            if len(w) and kmin > k0_floor:
+                raise UnresolvedConstraints(
+                    f"the nullspace threshold cannot resolve the K0 constraint at z={z}{modules}: "
+                    f"an eigenvalue below {threshold:.3g} lies in a charge block whose K0 minimum "
+                    f"is positive", z=z)
+            dim += len(w)
+            if len(w) and (best is None or w[0] < best[0]):  # the first block holding the smallest
+                best = w[0], rows, cols, v[:, 0]
+        if dim == 0:
+            return None, 0
+        R, missed = kept(*best[1:])
+        if missed:
             raise UnresolvedConstraints(
                 f"the nullspace threshold cannot resolve the constraints at z={z}{modules}: "
-                f"the kept vector misses the {a} constraint by {miss / s:.3g} of its scale", z=z)
+                f"the kept vector misses the {missed[0]} constraint by {missed[1]:.3g} of its "
+                f"scale", z=z)
+        answer = dim, R
+    dim, R = answer
+    if dim == 0:
+        return None, 0
     # normalize by the first entry within 1e-9 of the largest modulus, so
     # rounding cannot choose between entries of equal modulus
     mag = np.abs(R)

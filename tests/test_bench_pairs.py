@@ -139,21 +139,26 @@ def test_sigterm_ends_the_running_benchmark(tmp_path):
             os.kill(child, signal.SIGKILL)
 
 
-def test_a_run_without_its_metrics_line_is_recorded_and_the_session_goes_on(tmp_path):
-    # both runs exit 0: the parent's run.py prints nothing, the change's "not json"
+def test_a_run_without_its_metrics_line_is_recorded_and_the_session_goes_on(tmp_path, capsys):
+    # both runs exit 0: the parent's run.py prints nothing, the change's "not json"; the
+    # session runs in this process (its SIGTERM handler put back after), each run.py in its own
     parent = fake_checkout(tmp_path / "parent", "")
     change = fake_checkout(tmp_path / "change", "print('not json')\n")
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "bench_pairs.py"), "--parent", str(parent),
-         "--change", str(change), "--name", "malformed", "--workload", "cli-mix",
-         "--outdir", str(tmp_path)], capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
+    handler = signal.getsignal(signal.SIGTERM)
+    try:
+        code = bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                                 "--name", "malformed", "--workload", "cli-mix",
+                                 "--outdir", str(tmp_path)])
+    finally:
+        signal.signal(signal.SIGTERM, handler)
+    out = capsys.readouterr().out
+    assert code == 0
     runs = json.loads(next(tmp_path.glob("BENCH_pairs_*_malformed.json")).read_text())["runs"]
     assert len(runs) == 2 * bench_pairs.PAIRS
     for r in runs:
         last = "''" if r["side"] == "parent" else "'not json'"
         assert r["error"].startswith(f"malformed: last stdout line {last}: "), r
-    assert f"{'cli-mix':14s} {2 * bench_pairs.PAIRS} failed run(s)" in done.stdout
+    assert f"{'cli-mix':14s} {2 * bench_pairs.PAIRS} failed run(s)" in out
 
 
 @pytest.mark.parametrize("metrics, why", [

@@ -376,8 +376,9 @@ class TestSolverNullspaceCount:
         assert dim == dim_ref == 4
         assert affine_intertwine_residual(1.0, rep1, rep2, R=R) < 1e-12
 
-    def test_peak_memory_is_a_few_blocks(self):
-        # The solver holds a fixed number of block-sized buffers at a time.
+    def test_peak_memory_is_a_few_blocks(self, monkeypatch):
+        # The block path (the sector transfer switched off: it holds no charge block at
+        # all) holds a fixed number of block-sized buffers at a time.
         # While X is summed: X and one generator's tables of block positions
         # (nnz(R_a) x nnz(L_a) integers, far below a block).  Then X and the Gram
         # block, X conjugated in place.  Then the Gram block, never written, and one
@@ -387,6 +388,9 @@ class TestSolverNullspaceCount:
         # make each stage (2.6 blocks measured at N' = 7); the bound stays at six, and the whole
         # D^2 x D^2 Gram is g^2 = 49 blocks.
         import tracemalloc
+
+        import uqsl2.cpotts
+        monkeypatch.setattr(uqsl2.cpotts, "_sector_transfer", lambda *args: None)
         qp = QParam.root_of_unity(7)
         sc1, sc2 = on_curve_pair(qp)
         n = (sc1.dim * sc2.dim) ** 2 // qp.N  # unknowns per charge block
@@ -435,15 +439,16 @@ def block_grams(rep1, rep2, z):
 
 def record_block_eigensolves(monkeypatch):
     """Wrap the solver's per-block eigensolve cpotts._block_zeros to record, per
-    call, a copy of the block, the threshold and the eigenpairs it returned."""
+    call, a copy of the block, the threshold, the eigenpairs it returned and a copy
+    of the metric: None for a charge block, M0 for the sector transfer's pencil."""
     import uqsl2.cpotts
     calls = []
     block_zeros = uqsl2.cpotts._block_zeros
 
-    def recording(gram, threshold):
-        block = gram.copy()
-        w, v = block_zeros(gram, threshold)
-        calls.append((block, threshold, w, v))
+    def recording(gram, threshold, metric=None):
+        block, kept = gram.copy(), None if metric is None else metric.copy()
+        w, v = block_zeros(gram, threshold, metric)
+        calls.append((block, threshold, w, v, kept))
         return w, v
 
     monkeypatch.setattr(uqsl2.cpotts, "_block_zeros", recording)
@@ -497,6 +502,53 @@ def gathered_blocks(rep1, rep2, z):
     return out
 
 
+def transfer_map(rep1, rep2, z):
+    """J of the sector transfer, from its definition: row k gives the k-th charge-0
+    unknown of block_grams (row-major) as a linear function of x, the row-major entries
+    of R's block X on sector S_0.  S_s lists the flat indices (p, s - p mod N) by p;
+    A_s, B_s are the blocks of left and right F0 from S_s to S_s+1, and
+    R_s = T_s X W_s with T_0 = W_0 = 1, T_s+1 = B_s T_s, W_s+1 = W_s A_s^-1.
+    Also returns max_s of A_s's 1-norm condition number."""
+    N = rep1.dim
+    left, right = affine_coproduct_images(rep1, rep2, z)
+    sector = [[p * N + (s - p) % N for p in range(N)] for s in range(N)]
+    A, B = ([M[np.ix_(sector[(s + 1) % N], sector[s])] for s in range(N)]
+            for M in (left["F0"], right["F0"]))
+    T, W = [np.eye(N)], [np.eye(N)]
+    for s in range(N - 1):
+        T.append(B[s] @ T[s])
+        W.append(W[s] @ np.linalg.inv(A[s]))
+    deg = np.add.outer(np.arange(N), np.arange(N)).ravel()
+    rows, cols = np.nonzero(np.subtract.outer(deg, deg) % N == 0)
+    J = np.zeros((len(rows), N * N), dtype=complex)
+    for k, (i, j) in enumerate(zip(rows, cols)):
+        s = deg[i] % N
+        p, q = sector[s].index(i), sector[s].index(j)
+        J[k] = np.outer(T[s][p], W[s][:, q]).ravel()  # R_s[p, q] = T_s[p, :] X W_s[:, q]
+    return J, max(np.linalg.cond(a, 1) for a in A)
+
+
+def assert_pencil_is_the_charge_zero_block(rep1, rep2, z, gram, metric, w, G, U):
+    """The transfer's pencil (gram, metric) is (J^H G J, J^H J), G the charge-0 block of
+    block_grams and J transfer_map's, to a rounding bound; its zeros number the block's.
+
+    Bound: an entry of either side sums products of entries whose moduli add to at most
+    3 |J|_F^2 U (|G| <= |A|^H |A|, |A| <= sum_a (|L_a|_F + |R_a|_F), so | |G| |_2 <= U; G0's
+    Kronecker terms by |T_t||W_t||T_s||W_s| <= (|T_t|^2 |W_t|^2 + |T_s|^2 |W_s|^2) / 2).
+    Each complex inner sum of m terms rounds by at most 2 gamma_m of that: m = N^3 twice
+    here and 10 N^2 in G's sparse product; m = 3 N for a factor and 12 N for the Kronecker
+    sum in G0.  J's inverses add cond(A_s) N u relative per sector, N sectors deep."""
+    N = rep1.dim
+    J, kappa = transfer_map(rep1, rep2, z)
+    u = np.finfo(float).eps / 2
+    m = 2 * N**3 + 10 * N**2 + 15 * N + 2 * N * N * kappa
+    norm2 = np.linalg.norm(J) ** 2
+    gamma = m * u / (1 - m * u)
+    assert np.max(np.abs(gram - J.conj().T @ G @ J)) <= 2 * gamma * 3 * norm2 * U
+    assert np.max(np.abs(metric - J.conj().T @ J)) <= 2 * gamma * norm2
+    assert len(w) == int((np.linalg.eigvalsh(G) < NULLSPACE_RATIO**2 * U).sum())
+
+
 class TestChargeCertificate:
     @pytest.mark.parametrize("kind", ["nilpotent", "on-curve", "off-curve", "cyclic"])
     @pytest.mark.parametrize("nprime", [3, 4, 5, 7])
@@ -525,8 +577,14 @@ class TestChargeCertificate:
         calls = record_block_eigensolves(monkeypatch)
         _, dim = solve_intertwiner(rep1, rep2, z)
         assert len(calls) == len(searched)
-        for (gram, *_), c in zip(calls, searched):  # the solver's assembly against the definition
-            assert np.allclose(np.linalg.eigvalsh(gram), spectra[c], rtol=0, atol=1e-12 * wmax)
+        for (gram, _, w, _, metric), c in zip(calls, searched):
+            assert metric is None or kind != "nilpotent"  # alpha = 0: the exact grading's blocks
+            if metric is None:  # the solver's assembly against the definition
+                assert np.allclose(np.linalg.eigvalsh(gram), spectra[c], rtol=0, atol=1e-12 * wmax)
+            else:
+                assert c == 0
+                assert_pencil_is_the_charge_zero_block(rep1, rep2, z, gram, metric, w,
+                                                       blocks[0][0], U)
         wmax_searched = max(spectra[c][-1] for c in searched)
         assert dim == sum(int((spectra[c] < floor * U).sum()) for c in searched) \
             == sum(int((spectra[c] < floor * wmax_searched).sum()) for c in searched)
@@ -620,16 +678,19 @@ class TestChargeCertificate:
         assert solve_intertwiner(sc1, semicyclic(1.9, LAM2, QP5), 1.0) == (None, 0)
 
 
-def assert_zero_eigenpairs(gram, w, v, threshold, scale):
-    """w, v are exactly the eigenpairs of the Hermitian gram under threshold, in
-    ascending order, with orthonormal vectors (rounding measured against scale)."""
-    full = np.linalg.eigvalsh(gram)
+def assert_zero_eigenpairs(gram, w, v, threshold, scale, metric=None):
+    """w, v are exactly the eigenpairs of the Hermitian gram, or of the pencil (gram,
+    metric), under threshold, in ascending order, with vectors orthonormal (in the
+    metric) (rounding measured against scale)."""
+    from scipy.linalg import eigh
+    full = eigh(gram, metric, eigvals_only=True)
+    Mv = v if metric is None else metric @ v
     zeros = int((full <= threshold).sum())
     assert len(w) == v.shape[1] == zeros
     assert np.all(np.diff(w) >= 0)
     assert np.allclose(w / scale, full[:zeros] / scale, rtol=0, atol=1e-12)
-    assert np.linalg.norm((gram / scale) @ v - v * (w / scale)) <= 1e-12  # no overflow at 1e200
-    assert np.allclose(v.conj().T @ v, np.eye(zeros), rtol=0, atol=1e-12)
+    assert np.linalg.norm((gram / scale) @ v - Mv * (w / scale)) <= 1e-12  # no overflow at 1e200
+    assert np.allclose(v.conj().T @ Mv, np.eye(zeros), rtol=0, atol=1e-12)
 
 
 class TestBlockEigensolve:
@@ -681,10 +742,10 @@ class TestBlockEigensolve:
         _, dim = solve_intertwiner(rep1, rep2, 1.0)
         _, U = block_grams(rep1, rep2, 1.0)
         assert calls
-        for gram, threshold, w, v in calls:
+        for gram, threshold, w, v, metric in calls:
             assert threshold == pytest.approx(NULLSPACE_RATIO**2 * U, rel=1e-12)
-            assert_zero_eigenpairs(gram, w, v, threshold, U)
-        assert dim == sum(len(w) for _, _, w, _ in calls)
+            assert_zero_eigenpairs(gram, w, v, threshold, U, metric)
+        assert dim == sum(len(w) for _, _, w, _, _ in calls)
 
     @pytest.mark.parametrize("qp", [QP3, QP5], ids=["demo-04", "N'=5"])
     def test_intertwiner_against_the_full_spectrum(self, qp, monkeypatch):
@@ -694,8 +755,8 @@ class TestBlockEigensolve:
         pair = on_curve_pair(qp)
         R, dim = solve_intertwiner(*pair, 1.0)
 
-        def reference(gram, threshold):
-            w, v = eigh(gram)
+        def reference(gram, threshold, metric=None):
+            w, v = eigh(gram, metric)
             zeros = int((w <= threshold).sum())
             return w[:zeros], v[:, :zeros]
 
@@ -803,13 +864,19 @@ class TestInertiaCount:
 def assert_blocks_match_the_gather(rep1, rep2, z, monkeypatch):
     """The solver's blocks are gathered_blocks' byte for byte: the same products summed
     in the same order give the same bytes; blocks equal as numbers but not in bytes
-    would differ in a zero's sign, counted here."""
+    would differ in a zero's sign, counted here.  The transfer's pencil, which takes
+    the place of the charge-0 block, is checked against that block's definition."""
     calls = record_block_eigensolves(monkeypatch)
     solve_intertwiner(rep1, rep2, z)
     reference = gathered_blocks(rep1, rep2, z)
     assert len(calls) == len(reference)
     signed_zeros = 0
-    for (gram, *_), ref in zip(calls, reference.values()):
+    for (gram, _, w, _, metric), ref in zip(calls, reference.values()):
+        if metric is not None:
+            blocks, U = block_grams(rep1, rep2, z)
+            assert_pencil_is_the_charge_zero_block(rep1, rep2, z, gram, metric, w,
+                                                   blocks[0][0], U)
+            continue
         assert gram.shape == ref.shape and np.array_equal(gram, ref)
         signed_zeros += int((gram.view(np.uint64) != ref.view(np.uint64)).sum())
     assert signed_zeros == 0, f"{signed_zeros} words differ in the sign of a zero"
@@ -844,6 +911,209 @@ class TestBlockAssembly:
         after = np.random.get_state()
         assert state[0] == after[0] and np.array_equal(state[1], after[1])
         assert state[2:] == after[2:]
+
+
+def random_on_curve(nprime, k):
+    """Draw k of the transfer's case list at N': (alpha1, lambda1, lambda2), seed (N', k)."""
+    rng = np.random.default_rng([nprime, k])
+    lam1, lam2 = (complex(*rng.uniform([0.3, -0.2], [1.7, 0.2])) for _ in range(2))
+    return rng.uniform(0.3, 1.2), lam1, lam2
+
+
+def transfer_pair(nprime, kind):
+    qp = QParam.root_of_unity(nprime)
+    if kind.startswith("draw"):
+        a1, lam1, lam2 = random_on_curve(nprime, int(kind[-1]))
+        return on_curve_pair(qp, a1=a1, lam1=lam1, lam2=lam2)
+    if kind == "cyclic-off":
+        return cyclic(0.3, 0.7, LAM1, qp), cyclic(0.45, 1.3, LAM2, qp)
+    return solver_pairs(qp)[{"semicyclic-on": "on-curve", "semicyclic-off": "off-curve",
+                             "cyclic-on": "cyclic"}[kind]]
+
+
+TRANSFER_Z = {"z-one": lambda N: 1.0, "z-root": lambda N: cmath.exp(2j * cmath.pi / N),
+              "z-generic": lambda N: 0.37 + 0.2j}
+# written down before either path runs: every pair at N' = 3 .. 9 and every z
+TRANSFER_CASES = [(nprime, kind, z) for nprime in range(3, 10)
+                  for kind in ("semicyclic-on", "semicyclic-off", "cyclic-on", "cyclic-off",
+                               "draw-1", "draw-2")
+                  for z in TRANSFER_Z]
+
+def block_path(monkeypatch):
+    """Switch the sector transfer off: every pair takes the charge blocks."""
+    import uqsl2.cpotts
+    monkeypatch.setattr(uqsl2.cpotts, "_sector_transfer", lambda *args: None)
+
+
+class TestSectorTransfer:
+    @pytest.mark.parametrize("nprime, kind, z_name", TRANSFER_CASES)
+    def test_dimension_matches_the_block_path(self, nprime, kind, z_name, monkeypatch):
+        rep1, rep2 = transfer_pair(nprime, kind)
+        z = TRANSFER_Z[z_name](rep1.dim)
+        calls = record_block_eigensolves(monkeypatch)
+        R, dim = solve_intertwiner(rep1, rep2, z)
+        # the transfer answers in one pencil, or leaves the pair to the block (a zero of the
+        # pencil within TRANSFER_BAND of the threshold, which rounding decides, at some N')
+        assert [metric is not None for *_, metric in calls] in ([True], [False], [True, False])
+        block_path(monkeypatch)
+        R_block, dim_block = solve_intertwiner(rep1, rep2, z)
+        assert dim == dim_block
+        if dim:
+            assert np.max(np.abs(R.mat - R_block.mat)) < 1e-8
+
+    def test_the_transfer_answers_most_listed_cases(self, monkeypatch):
+        # which pairs the band hands to the block is decided by rounding; most must not be
+        import uqsl2.cpotts
+        answered = []
+        transfer = uqsl2.cpotts._sector_transfer
+        monkeypatch.setattr(uqsl2.cpotts, "_sector_transfer",
+                            lambda *args: answered.append(transfer(*args)) or answered[-1])
+        for nprime, kind, z_name in TRANSFER_CASES:
+            rep1, rep2 = transfer_pair(nprime, kind)
+            solve_intertwiner(rep1, rep2, TRANSFER_Z[z_name](rep1.dim))
+        assert sum(t is not None for t in answered) >= 0.9 * len(TRANSFER_CASES)
+
+    def test_a_zero_near_the_threshold_is_left_to_the_block(self, monkeypatch):
+        # alpha1 = 0.05 at N' = 3: every A_s is invertible with a condition number of 219,
+        # below TRANSFER_COND, but the pencil's rounding lifts the intertwiner's eigenvalue
+        # above the threshold; it lies in the band, so the block counts the zero
+        import uqsl2.cpotts
+        from uqsl2.cpotts import TRANSFER_COND, _block_zeros, _sector_transfer
+        rep1, rep2 = on_curve_pair(QP3, a1=0.05, lam1=0.5 + 0.1j)
+        assert transfer_map(rep1, rep2, 1.0)[1] < TRANSFER_COND
+        _, U = block_grams(rep1, rep2, 1.0)
+        threshold = NULLSPACE_RATIO**2 * U
+        left, right = affine_coproduct_images(rep1, rep2, 1.0)
+        names = ("E0", "F0", "E1", "F1", "K0")
+        P = sum(left[a].conj() @ left[a].T for a in names)
+        Q = sum(right[a].conj().T @ right[a] for a in names)
+        args = [left[a] for a in names], [right[a] for a in names], P, Q, QP3.N, threshold
+        assert _sector_transfer(*args) is None
+        monkeypatch.setattr(uqsl2.cpotts, "TRANSFER_BAND", (1.0, 1.0))
+        gram, metric, *_ = _sector_transfer(*args)
+        assert len(_block_zeros(gram, threshold, metric)[0]) == 0  # the pencil alone misses it
+        monkeypatch.undo()
+        calls = record_block_eigensolves(monkeypatch)
+        _, dim = solve_intertwiner(rep1, rep2, 1.0)
+        assert dim == 1 and [metric for *_, metric in calls] == [None]
+
+    def test_a_kept_vector_that_misses_is_left_to_the_block(self, monkeypatch):
+        # a lift that scrambles the transfer's vector: the pencil counts the zero, the
+        # lifted R misses a constraint on its scale, and the block answers, byte for byte
+        import uqsl2.cpotts
+        transfer = uqsl2.cpotts._sector_transfer
+
+        def scrambled(*args):
+            gram, metric, unknowns, lift = transfer(*args)
+            return gram, metric, unknowns, lambda x: np.roll(lift(x), 1)
+
+        rep1, rep2 = on_curve_pair(QP5)
+        monkeypatch.setattr(uqsl2.cpotts, "_sector_transfer", scrambled)
+        calls = record_block_eigensolves(monkeypatch)
+        R, dim = solve_intertwiner(rep1, rep2, 1.0)
+        assert [metric is not None for *_, metric in calls] == [True, False]
+        assert len(calls[0][2]) == dim == 1
+        block_path(monkeypatch)
+        assert np.array_equal(R.mat, solve_intertwiner(rep1, rep2, 1.0)[0].mat)
+
+    @pytest.mark.parametrize("nprime", [3, 5])
+    @pytest.mark.parametrize("a1", [0.005, 0.01, 0.02, 0.05])
+    @pytest.mark.parametrize("lam1", [0.5 + 0.1j, 1.0 + 0.1j])
+    def test_small_alpha_matches_the_block_path(self, nprime, a1, lam1, monkeypatch):
+        # near alpha = 0 the A_s approach singular ones: the transfer answers only what the
+        # block would, and a pair it declines (by the condition number, the band, the
+        # pencil's factorization or the kept vector) gets the block's bytes
+        rep1, rep2 = on_curve_pair(QParam.root_of_unity(nprime), a1=a1, lam1=lam1)
+        calls = record_block_eigensolves(monkeypatch)
+        R, dim = solve_intertwiner(rep1, rep2, 1.0)
+        transfer_answered = calls[-1][-1] is not None
+        block_path(monkeypatch)
+        R_block, dim_block = solve_intertwiner(rep1, rep2, 1.0)
+        assert dim == dim_block == 1
+        if transfer_answered:
+            assert np.max(np.abs(R.mat - R_block.mat)) < 1e-8
+        else:
+            assert np.array_equal(R.mat, R_block.mat)
+
+    @pytest.mark.parametrize("rep", ["alpha-30", "alpha-zero-cyclic"])
+    def test_ill_conditioned_or_singular_f0_blocks_take_the_block(self, rep, monkeypatch):
+        # alpha1 = 30 at N' = 5: the largest A_s condition number is 2.4e4; alpha = 0 on a
+        # cyclic pair (graded mod N by E's wrap entry) makes F0 nilpotent, every A_s singular
+        qp = QP5
+        if rep == "alpha-30":
+            rep1, rep2 = on_curve_pair(qp, a1=30.0)
+        else:
+            rep1, rep2 = cyclic(0.3, 0.0, LAM1, qp), cyclic(0.45, 0.0, LAM2, qp)
+        assert module_grading(rep1, rep2) == qp.N
+        calls = record_block_eigensolves(monkeypatch)
+        _, dim = solve_intertwiner(rep1, rep2, 1.0)
+        assert calls and all(metric is None for *_, metric in calls)
+        assert dim == dense_intertwiner(rep1, rep2, 1.0)[1]
+
+
+def power_bound(X, N, u):
+    """The entrywise rounding bound of X^N, formed as N - 1 products in turn, against a
+    scalar: each complex product of inner dimension m rounds by at most 2 gamma_(m+2) times
+    the product of the moduli, the entries themselves (q-powers of the weights) are off
+    by at most 16 u relative each, and |X|^N bounds every product of moduli."""
+    m = len(X) + 2
+    gamma = m * u / (1 - m * u)
+    return (2 * (N - 1) * gamma + 16 * N * u) * np.linalg.matrix_power(abs(X), N)
+
+
+def chain(Ms):
+    """Ms[-1] @ ... @ Ms[0], one product after the other."""
+    out = Ms[0]
+    for M in Ms[1:]:
+        out = M @ out
+    return out
+
+
+class TestZ0Characters:
+    """On (semi)cyclic modules F^N = alpha, K^N = L (and on cyclic ones E^N = beta) act as
+    scalars, so the N-th powers of the coproduct images are scalars too (the q-binomial
+    theorem at a root of unity): the identity the sector transfer's wrap rests on."""
+
+    @pytest.mark.parametrize("nprime", [3, 5, 7])
+    @pytest.mark.parametrize("kind", ["semicyclic-on", "semicyclic-off", "cyclic-on",
+                                      "cyclic-off"])
+    @pytest.mark.parametrize("z", [1.0, 0.37 + 0.2j], ids=["z-one", "z-generic"])
+    def test_nth_powers_are_their_closed_forms(self, nprime, kind, z):
+        qp = QParam.root_of_unity(nprime)
+        N = qp.N
+        rep1, rep2 = transfer_pair(nprime, kind)
+        a1, a2 = rep1.params["alpha"], rep2.params["alpha"]
+        L1, L2 = qp.qpow(N * rep1.lam), qp.qpow(N * rep2.lam)
+        zN = z**N
+        cL, cR = a1 * L2 + a2, a1 + L1 * a2
+        closed = {("left", "F0"): cL, ("right", "F0"): cR,
+                  ("left", "E1"): zN * a1 + L1 * a2, ("right", "E1"): a2 + zN * a1 * L2}
+        if kind.startswith("cyclic"):
+            b1, b2 = rep1.params["beta"], rep2.params["beta"]
+            closed.update({("left", "E0"): b1 + b2 / L1, ("right", "E0"): b2 + b1 / L2})
+        images = dict(zip(("left", "right"), affine_coproduct_images(rep1, rep2, z)))
+        u = np.finfo(float).eps / 2
+        for (side, gen), c in closed.items():
+            X = images[side][gen]
+            power = chain([X] * N)
+            # the closed form rounds by a few u of its terms' moduli
+            scalar_error = 16 * u * (abs(a1) * (1 + abs(L2)) + abs(a2) * (1 + abs(L1))
+                                     + abs(zN) * abs(a1) * (1 + abs(L2)) + abs(c))
+            bound = power_bound(X, N, u) + scalar_error
+            assert np.all(abs(power - c * np.eye(len(X))) <= bound), (side, gen)
+        # curve_residual's r1 is |cL - cR| over |(1 - L1)(1 - L2)|
+        r1 = curve_residual(CurveSpec(z, rep1.lam, rep2.lam, a1, a2, N=N), qp)[0]
+        assert abs(r1 * abs((1 - L1) * (1 - L2)) - abs(cL - cR)) <= \
+            32 * u * (abs(a1) * (1 + abs(L2)) + abs(a2) * (1 + abs(L1)))
+        # the transfer's cycle products on sector S_0: the wrap reads (cR / cL - 1) X = 0
+        sector = [[p * N + (s - p) % N for p in range(N)] for s in range(N)]
+        for side, c in (("left", cL), ("right", cR)):
+            F0 = images[side]["F0"]
+            blocks = [F0[np.ix_(sector[(s + 1) % N], sector[s])] for s in range(N)]
+            m = N + 2
+            gamma = m * u / (1 - m * u)
+            bound = (2 * (N - 1) * gamma + 16 * N * u) * chain([abs(b) for b in blocks])
+            assert np.all(abs(chain(blocks) - c * np.eye(N)) <= bound + 16 * u * abs(c)), side
 
 
 def on_curve_triple(qp):

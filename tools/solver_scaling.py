@@ -1,4 +1,4 @@
-"""Wall time of the intertwiner solver at N' = 3, 5, 7, 9 and 11, on and off the curve.
+"""Wall time of the intertwiner solver at N' = 3, 5, 7, 9, 11 and 13, on and off the curve.
 
     python3 tools/solver_scaling.py [--src DIR] [--outdir OUT]
 
@@ -12,8 +12,11 @@ blocks (a pair of N-dimensional semicyclic modules is graded mod N, where N,
 the order of q^2, is N' at odd N' and N'/2 at even) were diagonalized and so
 how many were certified without an eigensolve, and the
 Python, numpy, scipy and BLAS versions (``output_digests.env_block``).  A
-diagonalized block is one call of the solver's per-block function
-``cpotts._block_zeros``, so DIR must be a checkout that has it.  Each solve's
+diagonalized block, or the sector transfer's pencil in its place, is one call of
+the solver's per-block function ``cpotts._block_zeros``, so DIR must be a
+checkout that has it; ``orders`` lists the order (``len(gram)``) of each call of
+the last repeat: N^3 for a charge-0 block of N-dimensional modules, N^2 for the
+pencil.  Each solve's
 wall time is split into ``kernel_s``, the seconds spent inside those calls,
 and ``rest_s``, the rest: the affine images, the block assembly and the
 checks.  The record goes to
@@ -39,7 +42,8 @@ import resource  # noqa: E402
 import statistics  # noqa: E402
 import time  # noqa: E402
 
-NPRIMES = (3, 5, 7, 9, 11)  # 3: cli-mix's sweep size, where the work outside the kernel weighs most
+# 3: cli-mix's sweep size, where the work outside the kernel weighs most
+NPRIMES = (3, 5, 7, 9, 11, 13)
 REPEATS = 3
 LAM1, LAM2 = 0.8 + 0.05j, 1.3 - 0.11j
 
@@ -54,14 +58,14 @@ def source_digest(src: Path) -> str:
 def time_solve(uqsl2, blocks, rep1, rep2) -> dict:
     cpotts = uqsl2.cpotts
     original = cpotts._block_zeros  # the solver looks it up at call time
-    calls = []  # per kernel call of the current solve: its seconds
+    calls = []  # per kernel call of the current solve: its seconds and the order of its gram
 
-    def timed(gram, threshold):
+    def timed(gram, threshold, *metric):  # a checkout before the transfer passes no metric
         t0 = time.perf_counter()
         try:
-            return original(gram, threshold)
+            return original(gram, threshold, *metric)
         finally:
-            calls.append(time.perf_counter() - t0)
+            calls.append((time.perf_counter() - t0, len(gram)))
 
     walls, kernels = [], []
     cpotts._block_zeros = timed
@@ -71,7 +75,7 @@ def time_solve(uqsl2, blocks, rep1, rep2) -> dict:
             t0 = time.perf_counter()
             _, dim = uqsl2.solve_intertwiner(rep1, rep2, 1.0)
             walls.append(time.perf_counter() - t0)
-            kernels.append(sum(calls))
+            kernels.append(sum(t for t, _ in calls))
     finally:
         cpotts._block_zeros = original
     rest = [w - k for w, k in zip(walls, kernels)]
@@ -79,7 +83,8 @@ def time_solve(uqsl2, blocks, rep1, rep2) -> dict:
             "kernel_s": kernels, "kernel_s_median": statistics.median(kernels),
             "rest_s": rest, "rest_s_median": statistics.median(rest),
             "nullspace_dim": dim, "blocks": blocks, "diagonalized": len(calls),
-            "certified": blocks - len(calls), "unknowns": (rep1.dim * rep2.dim) ** 2}
+            "certified": blocks - len(calls), "unknowns": (rep1.dim * rep2.dim) ** 2,
+            "orders": [n for _, n in calls]}
 
 
 def main() -> None:
@@ -103,7 +108,7 @@ def main() -> None:
             rec = time_solve(uqsl2, qp.N, sc1, semicyclic(alpha2, LAM2, qp))
             runs.append({"nprime": nprime, "kind": kind, **rec})
             print(f"N'={nprime:2d} {kind:9s} dim {rec['nullspace_dim']}  "
-                  f"{rec['certified']}/{rec['blocks']} blocks certified  "
+                  f"{rec['certified']}/{rec['blocks']} blocks certified  orders {rec['orders']}  "
                   f"min {rec['wall_s_min']:.3f} s  median kernel {rec['kernel_s_median']:.4f} s "
                   f"+ rest {rec['rest_s_median']:.4f} s", flush=True)
     doc = {
