@@ -27,24 +27,30 @@ diagonal whose minimum over a block bounds the block's smallest eigenvalue
 from below (Weyl).  One threshold, NULLSPACE_RATIO^2 times a bound on every
 eigenvalue, certifies each block whose K0 minimum clears it.
 
-When it leaves only charge 0 on a pair of N-dimensional modules graded mod
-N, and F0's N x N sector blocks are invertible and well conditioned, the
-charge-0 block's N^3 unknowns are cut to N^2 by a transfer over the N weight
-sectors: R commutes with K (x) K, so it is block-diagonal over them, and
-F0's constraint carries R's block on one sector to the next.  The
-remaining constraints then form a pencil (G0, M0), the Gram and the norm of
-R on the transfer's N^2 unknowns, whose eigenvalues interlace the block's
-from above, so it counts no zero the block would reject.  Every other block
-(charge 0 of the other pairs, and any charge c with q^2c = 1) is assembled
+On a pair of N-dimensional modules graded mod N each image maps one weight
+sector into one other, so the solver first reads only stacks of the images'
+N x N sector blocks: the Gram sums, block-diagonal over the sectors, the
+norms and the K0 minima come from them with no D x D product.  When the K0
+constraint leaves only charge 0, and F0's sector blocks are invertible and
+well conditioned, the charge-0 block's N^3 unknowns are cut to N^2 by a
+transfer over the N weight sectors: R commutes with K (x) K, so it is
+block-diagonal over them, and F0's constraint carries R's block on one
+sector to the next.  The remaining constraints then form a pencil (G0, M0),
+the Gram and the norm of R on the transfer's N^2 unknowns, whose eigenvalues
+interlace the block's from above, so it counts no zero the block would
+reject.  Where the transfer declines or does not apply, the D x D quantities
+are formed and each block the K0 constraint leaves (charge 0 of the other
+pairs and of declined ones, and any charge c with q^2c = 1) is assembled
 from the generators' nonzero entries.  The zeros, the eigenvalues at or below
 the threshold, are counted by the inertia of one LDL^H factorization, a 2x2
 pivot counting once; only a block or pencil that holds zeros has their vectors
-found, by inverse iteration.  The smallest zero's vector is
-the intertwiner; it must meet each constraint on that constraint's scale.
+found, by inverse iteration.  The smallest zero's vector is the intertwiner;
+it must meet each constraint on that constraint's scale.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,13 +274,14 @@ def _zeros_count(gram: np.ndarray, threshold: float, metric: np.ndarray | None =
     return _nonpositive_pivots(ldu, ipiv)
 
 
-def _block_zeros(gram: np.ndarray, threshold: float, metric: np.ndarray | None = None) -> tuple:
+def _block_zeros(gram: np.ndarray, threshold: float, metric: np.ndarray | None = None, *,
+                 count: int | None = None) -> tuple:
     """The eigenpairs (w, v) of the Hermitian block at or below threshold, as
     scipy.linalg.eigh(gram, metric, subset_by_value=(-inf, threshold)) gives them:
     given the positive definite metric M, those of the pencil gram v = w M v, with
     v M-orthonormal; without it M is the identity.
 
-    Their number k is _zeros_count's.  For k > 0, k fixed start vectors
+    Their number k is _zeros_count's, or count when the caller has it already.  For k > 0, k fixed start vectors
     (_start_vectors) take two steps of inverse iteration
     v <- (gram + threshold M)^-1 M v with the Cholesky factor of
     gram + threshold M, a shift below the spectrum (one at the threshold would
@@ -290,7 +297,7 @@ def _block_zeros(gram: np.ndarray, threshold: float, metric: np.ndarray | None =
     def times_metric(x):
         return x if metric is None else metric @ x
 
-    k = _zeros_count(gram, threshold, metric)
+    k = _zeros_count(gram, threshold, metric) if count is None else count
     if k == 0:
         return np.zeros(0), np.zeros((n, 0), dtype=complex)
     chol, info = lapack.zpotrf(_shifted(gram, threshold, metric, np.add), lower=1, clean=0,
@@ -312,6 +319,7 @@ def _block_zeros(gram: np.ndarray, threshold: float, metric: np.ndarray | None =
     return w, v @ s
 
 
+_GENERATORS = ("E0", "F0", "E1", "F1", "K0")
 _SHIFTS = np.array([-1, 1, 1, -1, 0])  # the degree shifts of E0, F0, E1, F1 and K0
 
 
@@ -323,72 +331,142 @@ def _kron_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
-def _sector_transfer(left: list, right: list, P: np.ndarray, Q: np.ndarray, N: int,
-                     threshold: float):
-    """The charge-0 problem of two N-dimensional modules graded mod N, in N^2 unknowns.
+@functools.cache
+def _sector_plan(N: int) -> tuple:
+    """The index side of the sector transfer, which depends on N alone: (gather, shift, t,
+    src, unknowns).  Sector S_s of an N x N pair holds the flat indices (p, s - p mod N), by
+    p.  gather[a, s, p, p'] is the flat index of entry [S_t[p], S_s[p']] of image a, where
+    t = t[a, s] = s + shift_a mod N is the sector image a maps S_s into; src[a, s] =
+    s - shift_a mod N is the sector it maps into S_s; shift[c, s] = s + c mod N; unknowns
+    holds the flat positions of the charge-0 unknowns R[S_s[p], S_s[p']] in (s, p, p') order."""
+    s = np.arange(N)
+    idx = (s[:, None] - s) % N + s * N  # idx[t, p]: the flat index (p, t - p) of S_t's p-th vector
+    shift = (s[:, None] + s) % N
+    t, src = shift[_SHIFTS % N], shift[-_SHIFTS % N]
+    plan = (idx[t][..., None] * (N * N) + idx[:, None, :], shift, t, src,
+            (idx[:, :, None] * (N * N) + idx[:, None, :]).ravel())
+    for a in plan:  # every caller shares the cached arrays
+        a.setflags(write=False)
+    return plan
 
-    left and right hold the images of E0, F0, E1, F1 and K0.  Sector S_s holds the
-    flat indices (i1, i2) with i1 + i2 = s mod N, ordered by i1; a charge-0 R is
-    block-diagonal over them, R_s = R[S_s, S_s].  Each image maps S_s into S_t,
-    t = s + its degree shift, and F0's constraint there reads R_{s+1} A_s = B_s R_s,
-    A_s and B_s the sector blocks of left and right F0.  With every A_s
-    invertible, R_s = T_s X W_s, T_0 = W_0 = 1, T_{s+1} = B_s T_s,
+
+def _sector_stacks(left: dict, right: dict, N: int):
+    """What the transfer reads of the images of two N-dimensional modules graded mod N,
+    from their N x N sector blocks alone: (L, R, P, Q, scale, U, kmin), or None when a value
+    is not finite.  L[a, s] is left image a [S_t, S_s] (_sector_plan), R[a, s] the right one.
+
+    Each image maps S_s into S_t and holds no entry elsewhere, so the D x D quantities of
+    solve_intertwiner come from these blocks: P and Q are block-diagonal over the sectors,
+    P_s = sum_a conj(L_a[S_s, S_u]) L_a[S_s, S_u]^T with u = s - shift_a, and
+    Q_s = sum_a R[a, s]^H R[a, s]; scale[a] = |L_a|_F + |R_a|_F and U = sum_a scale[a]^2
+    read every nonzero entry; kmin[c], the K0 minimum of charge c, is the least
+    |kr[i] - kl[j]|^2 over i in S_{s+c} and j in S_s, from the diagonals of the K0 blocks."""
+    gather, shift, _, src, _ = _sector_plan(N)
+    L, R = (np.stack([images[a].take(g) for a, g in zip(_GENERATORS, gather)])
+            for images in (left, right))
+    Lu = L[np.arange(5)[:, None], src].transpose(1, 2, 0, 3).reshape(N, N, 5 * N)
+    Rt = R.transpose(1, 0, 2, 3).reshape(N, 5 * N, N)  # [s]: the blocks R_a[S_t, S_s] stacked
+    P = Lu.conj() @ Lu.swapaxes(1, 2)  # [s]: Lu[s] holds the blocks L_a[S_s, S_u] side by side
+    Q = Rt.conj().swapaxes(1, 2) @ Rt
+    scale = np.linalg.norm(L.reshape(5, -1), axis=1) + np.linalg.norm(R.reshape(5, -1), axis=1)
+    U = sum(scale**2)
+    kl, kr = (np.diagonal(M[4], axis1=1, axis2=2) for M in (L, R))  # [s, p]: K0 on S_s
+    kmin = (abs(kr[shift][..., None] - kl[:, None, :]) ** 2).min(axis=(1, 2, 3))
+    if not all(np.isfinite(x).all() for x in (L, R, P, Q, U)):
+        return None
+    return L, R, P, Q, scale, U, kmin
+
+
+def _sector_misses(X: np.ndarray, L: np.ndarray, R: np.ndarray, N: int) -> np.ndarray:
+    """|R L_a - R_a R|_F of each generator a, for the charge-0 R whose sector blocks are X[s],
+    from the stacks of _sector_stacks: the root of the sum over s of
+    |X[t] L[a, s] - R[a, s] X[s]|_F^2, t = s + shift_a, since no other block is nonzero."""
+    t = _sector_plan(N)[2]
+    return np.linalg.norm((X[t] @ L - R @ X).reshape(5, -1), axis=1)
+
+
+def _sector_transfer(left: dict, right: dict, N: int):
+    """The charge-0 intertwiner of two N-dimensional modules graded mod N, in N^2 unknowns:
+    (R, dim), R the unit vector before solve_intertwiner normalizes it (None at dim 0), or
+    None to leave the pair to the charge blocks.  It reads _sector_stacks alone.
+
+    A charge-0 R is block-diagonal over the sectors, R_s = R[S_s, S_s], and F0's
+    constraint there reads R_{s+1} A_s = B_s R_s, A_s = L[F0, s] and B_s = R[F0, s].  With
+    every A_s invertible, R_s = T_s X W_s, T_0 = W_0 = 1, T_{s+1} = B_s T_s,
     W_{s+1} = W_s A_s^-1, and each constraint block (R L_a - R_a R)[S_t, S_s] is
-    T_t X W_t L - R T_s X W_s (L, R the sector blocks of L_a, R_a).  So for
-    row-major x = vec X, with J the map from x to R, the Gram J^H G J of
-    solve_intertwiner's charge-0 block is a sum of Kronecker products,
+    T_t X W_t L - R T_s X W_s (L, R the blocks L[a, s], R[a, s]).  So for row-major
+    x = vec X, with J the map from x to R, the Gram J^H G J of solve_intertwiner's
+    charge-0 block is a sum of Kronecker products,
 
         G0 = sum_s (T_s^H T_s) (x) (conj(W_s) P_s W_s^T) + (T_s^H Q_s T_s) (x) (conj(W_s) W_s^T)
              - Y - Y^H,   Y = sum_(a,s) (T_t^H R T_s) (x) (conj(W_t L) W_s^T),
 
-    P_s, Q_s the sector blocks of P and Q (the squared terms summed over the
-    generators), and J^H J = M0 = sum_s (T_s^H T_s) (x) (conj(W_s) W_s^T).
-    Returns (G0, M0, (rows, cols), lift): the flat positions of the charge-0
-    unknowns R[S_s[p], S_s[p']] in (s, p, p') order, and the map from x to
-    their values.  Returns None when some A_s is singular or has a 1-norm
-    condition number of TRANSFER_COND or more, and when the pencil's zero count
-    changes between the multiples TRANSFER_BAND of the threshold.  Both guard
-    against the transfer's rounding: G0 is a sum of terms as large as
-    |T_s|^2 |W_s|^2 U, and where the intertwiner does not grow with them (an
-    A_s near singular, at small alpha) their rounding moves its eigenvalue
-    from 0 by up to a few times the threshold (measured on semicyclic pairs at
-    N' = 3 .. 9: up to 2.4 times for condition numbers below 300, 48 times below
-    1e3, 215 times below 3e3).  An eigenvalue in the band leaves the count to
-    the block.
+    and J^H J = M0 = sum_s (T_s^H T_s) (x) (conj(W_s) W_s^T).  The pencil's zeros, at or
+    below the threshold NULLSPACE_RATIO^2 U, are counted at the multiples TRANSFER_BAND of
+    it: with M0 positive definite the count grows with the shift, so two equal counts are
+    also the count at the threshold, which _block_zeros takes as given.  The smallest zero's
+    x gives every R_s, and the kept vector's misses come from them (_sector_misses).
+
+    Returns None when a value is not finite; when a charge other than 0 is not certified by
+    its K0 minimum, or NULLSPACE_RATIO U exceeds F0's squared scale (the transfer meets F0
+    exactly, while the block's count lets a vector miss it by NULLSPACE_RATIO sqrt(U), which
+    outgrows F0's scale as |z| leaves 1: the block's kept vector misses F0 from U ~ 6e10
+    F0's squared scale at N' = 9, 4e12 at N' = 3, so the block must decide there); when an
+    A_s is singular or has a 1-norm condition number of TRANSFER_COND or more; when the two
+    counts differ; when the pencil's factorization fails; and when the lifted R misses a
+    constraint on its scale, NULLSPACE_RATIO scale[a].  The condition number and the band
+    guard against the transfer's rounding: G0 is a sum of terms as large as
+    |T_s|^2 |W_s|^2 U, and where the intertwiner does not grow with them (an A_s near
+    singular, at small alpha) their rounding moves its eigenvalue from 0 by up to a few times
+    the threshold (measured on semicyclic pairs at N' = 3 .. 9: up to 2.4 times for
+    condition numbers below 300, 48 times below 1e3, 215 times below 3e3).
     """
-    s = np.arange(N)
-    idx = (s[:, None] - s) % N + s * N  # idx[t, p]: the flat index (p, t - p) of S_t's p-th vector
-    t = (s + _SHIFTS[:, None]) % N  # [a, s]: the sector that image a maps S_s into
-    rows, cols = idx[:, :, None], idx[:, None, :]  # M[rows, cols]: the blocks M[S_s, S_s]
-    L, R = (np.stack(images)[np.arange(5)[:, None, None, None], idx[t][..., None], cols]
-            for images in (left, right))  # [a, s, p, p'] = image a [S_t[p], S_s[p']]
-    A = L[1]
+    stacks = _sector_stacks(left, right, N)
+    if stacks is None:
+        return None
+    L, R, P, Q, scale, U, kmin = stacks
+    threshold = NULLSPACE_RATIO**2 * U
+    if not (kmin[0] <= threshold and (kmin[1:] > threshold).all()
+            and NULLSPACE_RATIO * U <= scale[1]**2):
+        return None
+    A, B = L[1], R[1]
     try:
         Ainv = np.linalg.inv(A)
     except np.linalg.LinAlgError:  # an exactly singular A_s
         return None
-    with np.errstate(all="ignore"):  # an inverse that overflows fails the bound
-        cond = abs(A).sum(axis=1).max(axis=1) * abs(Ainv).sum(axis=1).max(axis=1)
+    cond = abs(A).sum(axis=1).max(axis=1) * abs(Ainv).sum(axis=1).max(axis=1)
     if not (cond < TRANSFER_COND).all():
         return None
-    B = R[1]
     T, W = np.empty((2, N, N, N), dtype=complex)
     T[0] = W[0] = np.eye(N)
     for k in range(1, N):
         T[k] = B[k - 1] @ T[k - 1]
         W[k] = W[k - 1] @ Ainv[k - 1]
+    _, _, t, _, unknowns = _sector_plan(N)
     TH, Wc, WT = T.conj().swapaxes(1, 2), W.conj(), W.swapaxes(1, 2)
     TT, WW = TH @ T, Wc @ WT
     Y = (TH[t] @ R @ T).reshape(-1, N, N), (Wc[t] @ L.conj() @ WT).reshape(-1, N, N)
     YH = [y.conj().swapaxes(1, 2) for y in Y]
-    gram = _kron_sum(np.concatenate([TT, TH @ Q[rows, cols] @ T, -Y[0], -YH[0]]),
-                     np.concatenate([Wc @ P[rows, cols] @ WT, WW, Y[1], YH[1]]))
+    gram = _kron_sum(np.concatenate([TT, TH @ Q @ T, -Y[0], -YH[0]]),
+                     np.concatenate([Wc @ P @ WT, WW, Y[1], YH[1]]))
     metric = _kron_sum(TT, WW)
+    if not (np.isfinite(gram).all() and np.isfinite(metric).all()):
+        return None
     low, high = (_zeros_count(gram, f * threshold, metric) for f in TRANSFER_BAND)
     if low != high:
         return None
-    unknowns = tuple(np.broadcast_to(i, (N, N, N)).ravel() for i in (rows, cols))
-    return gram, metric, unknowns, lambda x: (T @ x.reshape(N, N) @ W).ravel()
+    try:
+        w, v = _block_zeros(gram, threshold, metric, count=low)
+    except np.linalg.LinAlgError:
+        return None
+    if not len(w):
+        return None, 0
+    X = T @ v[:, 0].reshape(N, N) @ W  # [s]: R_s
+    if not (_sector_misses(X, L, R, N) <= NULLSPACE_RATIO * scale).all():
+        return None
+    out = np.zeros(N**4, dtype=complex)
+    out[unknowns] = X.ravel()
+    return out.reshape(N * N, N * N), len(w)
 
 
 def solve_intertwiner(rep1: Rep, rep2: Rep, z: complex) -> tuple:
@@ -417,25 +495,35 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, z: complex) -> tuple:
     NULLSPACE_RATIO^2 U holds no nullspace and is neither assembled nor
     diagonalized (every charge c with q^2c != 1 on a (semi)cyclic pair).
 
-    Paths.  The sector transfer (_sector_transfer) takes the pair when both
-    modules are N-dimensional, graded mod N, the certificate clears every
-    charge but 0, U is at most F0's squared scale over NULLSPACE_RATIO (|z|
-    within a few decades of 1), and every F0 sector block A_s is invertible
-    with a 1-norm condition number below TRANSFER_COND: the (semi)cyclic pairs
-    the sweep solves.  It writes every charge-0 R as J x, x the N^2 entries of
-    R's block on sector 0, and solves the pencil G0 x = mu M0 x, G0 = J^H G J
-    and M0 = J^H J assembled from Kronecker products of N x N matrices.  Its
-    eigenvalues are the Rayleigh quotients of G on the range of J, which holds
-    every intertwiner, so by interlacing (Courant-Fischer) mu_k >= lambda_k,
-    the k-th eigenvalue of the charge-0 block: in exact arithmetic the transfer
-    counts every exact zero and never one that the block would reject.  Its
-    rounding is larger than the block's, so the block decides whenever the
-    pencil holds an eigenvalue within TRANSFER_BAND of the threshold, its
-    factorization fails, or the lifted vector misses a constraint on its
-    scale.  Every other pair (an exact grading, at alpha = 0; no grading;
-    modules of other dimensions; |z| far from 1; an A_s singular or
-    ill-conditioned, as at small alpha and at alpha = 1e200) takes each block
-    the certificate leaves, assembled as above, with the refusals below.
+    Paths.  When both modules are N-dimensional and graded mod N, the sector
+    transfer (_sector_transfer) is tried first, and it reads no D x D
+    product.  Sector S_s holds the flat indices of degree s mod N; each image
+    maps S_s into S_(s + its shift) and has no other nonzero entry.  So P and
+    Q are block-diagonal over the sectors, and each block P_s, Q_s, as well as
+    scale, U and each charge's K0 minimum, is summed from the same nonzero
+    entries in (5, N, N, N) stacks of the images' sector blocks
+    (_sector_stacks), as is the kept vector's miss of each constraint
+    (_sector_misses); only the order of the sums differs.  The transfer
+    answers when the certificate clears every charge but 0, U is at most F0's
+    squared scale over NULLSPACE_RATIO (|z| within a few decades of 1), and
+    every F0 sector block A_s is invertible with a 1-norm condition number
+    below TRANSFER_COND: the (semi)cyclic pairs the sweep solves.  It writes
+    every charge-0 R as J x, x the N^2 entries of R's block on sector 0, and
+    solves the pencil G0 x = mu M0 x, G0 = J^H G J and M0 = J^H J assembled
+    from Kronecker products of N x N matrices.  Its eigenvalues are the
+    Rayleigh quotients of G on the range of J, which holds every intertwiner,
+    so by interlacing (Courant-Fischer) mu_k >= lambda_k, the k-th eigenvalue
+    of the charge-0 block: in exact arithmetic the transfer counts every
+    exact zero and never one that the block would reject.  Its rounding is
+    larger than the block's, so the block decides whenever the pencil holds
+    an eigenvalue within TRANSFER_BAND of the threshold, its factorization
+    fails, or the lifted vector misses a constraint on its scale.  The
+    transfer never refuses: a non-finite value declines it too.  Every
+    declined pair, and every other pair (an exact grading, at alpha = 0; no
+    grading; modules of other dimensions; |z| far from 1; an A_s singular or
+    ill-conditioned, as at small alpha and at alpha = 1e200), takes the D x D
+    path: P, Q, scale and U from the full images, then each block the
+    certificate leaves, assembled as above, with the refusals below.
 
     Zeros.  Each uncertified block, or the charge-0 pencil, is one call of
     _block_zeros for its eigenpairs at or below the same threshold
@@ -450,8 +538,8 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, z: complex) -> tuple:
     the threshold cannot resolve the constraints at this z (in practice |z|
     far below 1) and UnresolvedConstraints is raised.  The kept unit vector
     R, the smallest zero's eigenvector in the first block holding it (lifted
-    by J on the transfer), must meet each constraint on its own scale in the
-    full D x D coordinates,
+    by J on the transfer, and checked there sector by sector), must meet each
+    constraint on its own scale,
     |R L_a - R_a R|_F <= NULLSPACE_RATIO (|L_a|_F + |R_a|_F), else
     UnresolvedConstraints is raised: that catches spurious zeros in charge 0,
     where K0 gives no bound.
@@ -460,19 +548,24 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, z: complex) -> tuple:
     """
     if rep1.qp != rep2.qp:
         raise ValueError("modules must share the deformation parameter")
+    dims = (rep1.dim, rep2.dim)
     D = rep1.dim * rep2.dim
     left, right = affine_coproduct_images(rep1, rep2, z)
-    names = ("E0", "F0", "E1", "F1", "K0")
-    conj_left = {a: left[a].conj() for a in names}
-    P, Q = _guard_overflow(z, "the intertwiner constraints", lambda: (
-        sum(conj_left[a] @ left[a].T for a in names),
-        sum(right[a].conj().T @ right[a] for a in names)))
-    scale = _guard_overflow(z, "the Gram bound", lambda: np.array(
-        [np.linalg.norm(left[a]) + np.linalg.norm(right[a]) for a in names]))
-    U = _guard_overflow(z, "the Gram bound", lambda: sum(s**2 for s in scale))
     g = grading_modulus([(M, np.arange(rep.dim), s) for rep in (rep1, rep2)
-                         for M, s in ((rep.E, -1), (rep.F, 1), (rep.K, 0))], (rep1.dim, rep2.dim))
-    deg = total_degree((rep1.dim, rep2.dim))
+                         for M, s in ((rep.E, -1), (rep.F, 1), (rep.K, 0))], dims)
+    if g == rep1.dim == rep2.dim:
+        with np.errstate(all="ignore"):  # a value that leaves float64 only declines the transfer
+            answer = _sector_transfer(left, right, g)
+        if answer is not None:
+            return _normalized(*answer, dims)
+    conj_left = {a: left[a].conj() for a in _GENERATORS}
+    P, Q = _guard_overflow(z, "the intertwiner constraints", lambda: (
+        sum(conj_left[a] @ left[a].T for a in _GENERATORS),
+        sum(right[a].conj().T @ right[a] for a in _GENERATORS)))
+    scale = _guard_overflow(z, "the Gram bound", lambda: np.array(
+        [np.linalg.norm(left[a]) + np.linalg.norm(right[a]) for a in _GENERATORS]))
+    U = _guard_overflow(z, "the Gram bound", lambda: sum(s**2 for s in scale))
+    deg = total_degree(dims)
     diff = np.subtract.outer(deg, deg)
     charge = diff % g if g else diff
 
@@ -516,7 +609,7 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, z: complex) -> tuple:
         misses on that constraint's own scale, as (generator, miss / scale), or None."""
         R = np.zeros((D, D), dtype=complex)
         R[rows, cols] = vector
-        for a, s in zip(names, scale):
+        for a, s in zip(_GENERATORS, scale):
             miss = np.linalg.norm(R @ left[a] - right[a] @ R)
             if not miss <= NULLSPACE_RATIO * s:
                 return R, (a, miss / s)
@@ -528,67 +621,44 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, z: complex) -> tuple:
         kmin = k0[rows, cols].min()
         if kmin <= threshold:  # else certified; charge 0 never is (kmin 0 at i = j)
             searched.append((rows, cols, kmin))
-    transfer = None
-    # charge 0 alone, graded mod N, and F0 resolved: the transfer meets F0 exactly, while the
-    # block's count lets a vector miss it by NULLSPACE_RATIO sqrt(U), which outgrows F0's own
-    # scale as |z| leaves 1 (the block's kept vector then misses F0 from U ~ 6e10 F0's squared
-    # scale at N' = 9, 4e12 at N' = 3: there the block must decide)
-    if len(searched) == 1 and g == rep1.dim == rep2.dim and NULLSPACE_RATIO * U <= scale[1]**2:
-        transfer = _sector_transfer([left[a] for a in names], [right[a] for a in names],
-                                    P, Q, g, threshold)
-
-    def transferred():
-        """(dim, R) from the transfer's pencil, or None when the block path must decide:
-        the pencil's factorization failed, or the lifted vector misses a constraint."""
-        gram, metric, (rows, cols), lift = transfer
+    nonzeros = [(_nonzeros(right[a]), _nonzeros(conj_left[a])) for a in _GENERATORS]
+    dim, best = 0, None
+    for rows, cols, kmin in searched:
+        gram = block(rows, cols)
         try:
-            w, v = _block_zeros(gram, threshold, metric)
-        except np.linalg.LinAlgError:
-            return None
-        if not len(w):
-            return 0, None
-        R, missed = kept(rows, cols, lift(v[:, 0]))
-        return None if missed else (len(w), R)
-
-    answer = None if transfer is None else transferred()
-    del transfer
-    if answer is None:  # every searched block, assembled from the nonzeros
-        nonzeros = [(_nonzeros(right[a]), _nonzeros(conj_left[a])) for a in names]
-        dim, best = 0, None
-        for rows, cols, kmin in searched:
-            gram = block(rows, cols)
-            try:
-                w, v = _block_zeros(gram, threshold)
-            except np.linalg.LinAlgError as exc:
-                raise UnresolvedConstraints(f"the nullspace threshold cannot resolve the "
-                                            f"constraints at z={z}{modules}: {exc}", z=z) from None
-            del gram
-            if len(w) and kmin > k0_floor:
-                raise UnresolvedConstraints(
-                    f"the nullspace threshold cannot resolve the K0 constraint at z={z}{modules}: "
-                    f"an eigenvalue below {threshold:.3g} lies in a charge block whose K0 minimum "
-                    f"is positive", z=z)
-            dim += len(w)
-            if len(w) and (best is None or w[0] < best[0]):  # the first block holding the smallest
-                best = w[0], rows, cols, v[:, 0]
-        if dim == 0:
-            return None, 0
-        R, missed = kept(*best[1:])
-        if missed:
+            w, v = _block_zeros(gram, threshold)
+        except np.linalg.LinAlgError as exc:
+            raise UnresolvedConstraints(f"the nullspace threshold cannot resolve the "
+                                        f"constraints at z={z}{modules}: {exc}", z=z) from None
+        del gram
+        if len(w) and kmin > k0_floor:
             raise UnresolvedConstraints(
-                f"the nullspace threshold cannot resolve the constraints at z={z}{modules}: "
-                f"the kept vector misses the {missed[0]} constraint by {missed[1]:.3g} of its "
-                f"scale", z=z)
-        answer = dim, R
-    dim, R = answer
+                f"the nullspace threshold cannot resolve the K0 constraint at z={z}{modules}: "
+                f"an eigenvalue below {threshold:.3g} lies in a charge block whose K0 minimum "
+                f"is positive", z=z)
+        dim += len(w)
+        if len(w) and (best is None or w[0] < best[0]):  # the first block holding the smallest
+            best = w[0], rows, cols, v[:, 0]
     if dim == 0:
         return None, 0
-    # normalize by the first entry within 1e-9 of the largest modulus, so
-    # rounding cannot choose between entries of equal modulus
+    R, missed = kept(*best[1:])
+    if missed:
+        raise UnresolvedConstraints(
+            f"the nullspace threshold cannot resolve the constraints at z={z}{modules}: "
+            f"the kept vector misses the {missed[0]} constraint by {missed[1]:.3g} of its "
+            f"scale", z=z)
+    return _normalized(R, dim, dims)
+
+
+def _normalized(R: np.ndarray | None, dim: int, dims: tuple) -> tuple:
+    """(R, dim) as solve_intertwiner returns them: R over its first entry within 1e-9 of
+    the largest modulus, so rounding cannot choose between entries of equal modulus, or
+    (None, 0) when dim is 0."""
+    if dim == 0:
+        return None, 0
     mag = np.abs(R)
     k = int(np.argmax(mag >= (1 - 1e-9) * mag.max()))
-    R = R / R.flat[k]
-    return TensorOperator((rep1.dim, rep2.dim), R), dim
+    return TensorOperator(dims, R / R.flat[k]), dim
 
 
 def export_boltzmann(R: TensorOperator, meta: CurveSpec, qp: QParam) -> dict:

@@ -842,6 +842,27 @@ class TestExitCodeContract:
         assert refusal in diag["error"] and "z=(1+0j)" in diag["error"]
         assert f"alpha1=({float(alpha):g}+0j), alpha2=(" in diag["error"]
 
+    @pytest.mark.parametrize("argv,error,z", [
+        (("--Nprime", "5", "--z", "1e-300", "--lambda1-range", "0.5:0.5:1",
+          "--alpha1-range", "0.3:0.3:1"),
+         "overflow in the intertwiner constraints at z=(1e-300+0j)", 1e-300),
+        (("--Nprime", "3", "--lambda1-range", "0.5:0.5:1", "--alpha1-range", "1e150:1e150:1"),
+         "the nullspace threshold cannot resolve the K0 constraint at z=(1+0j), "
+         "alpha1=(1e+150+0j), alpha2=(1.054329108365598e+150-1.2379089866990063e+150j): an "
+         "eigenvalue below 8.27e+287 lies in a charge block whose K0 minimum is positive", 1.0),
+        (("--Nprime", "5", "--z", "1e-7", "--lambda1-range", "0.5:0.5:1",
+          "--alpha1-range", "0.3:0.3:1"),
+         "the nullspace threshold cannot resolve the K0 constraint at z=(1e-07+0j), "
+         "alpha1=(0.3+0j), alpha2=(0.3162987325096794-0.3713726960097019j): an eigenvalue "
+         "below 16.8 lies in a charge block whose K0 minimum is positive", 1e-7),
+    ], ids=["z-1e-300", "alpha-1e150", "z-1e-7"])
+    def test_solver_refusals_keep_their_exact_diagnostics(self, argv, error, z):
+        # the solver's three refusals that the sweep reaches, word for word: a pair the
+        # sector transfer declines gets the charge blocks' refusal, in the old order
+        code, out, err = run("sweep", *argv)
+        assert (code, out) == (2, "")
+        assert err == json.dumps({"error": error, "code": 2, "z": [z, 0.0]}) + "\n"
+
     def test_sweep_at_zero_spectral_parameter_exits_2(self):
         code, _, err = run("sweep", "--Nprime", "3", "--lambda1-range", "0.5:0.5:1",
                            "--alpha1-range", "0.5:0.5:1", "--z", "0")

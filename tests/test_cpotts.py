@@ -445,9 +445,9 @@ def record_block_eigensolves(monkeypatch):
     calls = []
     block_zeros = uqsl2.cpotts._block_zeros
 
-    def recording(gram, threshold, metric=None):
+    def recording(gram, threshold, metric=None, **count):
         block, kept = gram.copy(), None if metric is None else metric.copy()
-        w, v = block_zeros(gram, threshold, metric)
+        w, v = block_zeros(gram, threshold, metric, **count)
         calls.append((block, threshold, w, v, kept))
         return w, v
 
@@ -755,7 +755,7 @@ class TestBlockEigensolve:
         pair = on_curve_pair(qp)
         R, dim = solve_intertwiner(*pair, 1.0)
 
-        def reference(gram, threshold, metric=None):
+        def reference(gram, threshold, metric=None, count=None):
             w, v = eigh(gram, metric)
             zeros = int((w <= threshold).sum())
             return w[:zeros], v[:, :zeros]
@@ -939,6 +939,28 @@ TRANSFER_CASES = [(nprime, kind, z) for nprime in range(3, 10)
                                "draw-1", "draw-2")
                   for z in TRANSFER_Z]
 
+# near alpha = 0, where the A_s approach singular ones; also written down before any run
+SMALL_ALPHA_NPRIMES, SMALL_ALPHAS, SMALL_ALPHA_LAMBDAS = (3, 5), (0.005, 0.01, 0.02, 0.05), \
+    (0.5 + 0.1j, 1.0 + 0.1j)
+STACK_CASES = [(nprime, kind, TRANSFER_Z[z](QParam.root_of_unity(nprime).N))
+               for nprime, kind, z in TRANSFER_CASES] + \
+    [(nprime, f"small-{a1}-{lam1}", 1.0) for nprime in SMALL_ALPHA_NPRIMES
+     for a1 in SMALL_ALPHAS for lam1 in SMALL_ALPHA_LAMBDAS]
+
+
+def stack_pair(nprime, kind):
+    """transfer_pair's pair, or the small-alpha pair named small-<alpha1>-<lambda1>."""
+    if not kind.startswith("small"):
+        return transfer_pair(nprime, kind)
+    _, a1, lam1 = kind.split("-", 2)
+    return on_curve_pair(QParam.root_of_unity(nprime), a1=float(a1), lam1=complex(lam1))
+
+
+def gamma(m):
+    u = np.finfo(float).eps / 2
+    return m * u / (1 - m * u)
+
+
 def block_path(monkeypatch):
     """Switch the sector transfer off: every pair takes the charge blocks."""
     import uqsl2.cpotts
@@ -978,47 +1000,40 @@ class TestSectorTransfer:
         # below TRANSFER_COND, but the pencil's rounding lifts the intertwiner's eigenvalue
         # above the threshold; it lies in the band, so the block counts the zero
         import uqsl2.cpotts
-        from uqsl2.cpotts import TRANSFER_COND, _block_zeros, _sector_transfer
+        from uqsl2.cpotts import TRANSFER_COND, _sector_transfer
         rep1, rep2 = on_curve_pair(QP3, a1=0.05, lam1=0.5 + 0.1j)
         assert transfer_map(rep1, rep2, 1.0)[1] < TRANSFER_COND
-        _, U = block_grams(rep1, rep2, 1.0)
-        threshold = NULLSPACE_RATIO**2 * U
-        left, right = affine_coproduct_images(rep1, rep2, 1.0)
-        names = ("E0", "F0", "E1", "F1", "K0")
-        P = sum(left[a].conj() @ left[a].T for a in names)
-        Q = sum(right[a].conj().T @ right[a] for a in names)
-        args = [left[a] for a in names], [right[a] for a in names], P, Q, QP3.N, threshold
+        args = *affine_coproduct_images(rep1, rep2, 1.0), QP3.N
         assert _sector_transfer(*args) is None
         monkeypatch.setattr(uqsl2.cpotts, "TRANSFER_BAND", (1.0, 1.0))
-        gram, metric, *_ = _sector_transfer(*args)
-        assert len(_block_zeros(gram, threshold, metric)[0]) == 0  # the pencil alone misses it
+        assert _sector_transfer(*args) == (None, 0)  # the pencil alone misses it
         monkeypatch.undo()
         calls = record_block_eigensolves(monkeypatch)
         _, dim = solve_intertwiner(rep1, rep2, 1.0)
         assert dim == 1 and [metric for *_, metric in calls] == [None]
 
     def test_a_kept_vector_that_misses_is_left_to_the_block(self, monkeypatch):
-        # a lift that scrambles the transfer's vector: the pencil counts the zero, the
-        # lifted R misses a constraint on its scale, and the block answers, byte for byte
+        # a scrambled vector of the pencil: the pencil counts the zero, the lifted R
+        # misses a constraint on its scale, and the block answers, byte for byte
         import uqsl2.cpotts
-        transfer = uqsl2.cpotts._sector_transfer
-
-        def scrambled(*args):
-            gram, metric, unknowns, lift = transfer(*args)
-            return gram, metric, unknowns, lambda x: np.roll(lift(x), 1)
-
         rep1, rep2 = on_curve_pair(QP5)
-        monkeypatch.setattr(uqsl2.cpotts, "_sector_transfer", scrambled)
         calls = record_block_eigensolves(monkeypatch)
+        recorded = uqsl2.cpotts._block_zeros
+
+        def scrambled(gram, threshold, metric=None, **count):
+            w, v = recorded(gram, threshold, metric, **count)
+            return w, v if metric is None else np.roll(v, 1, axis=0)
+
+        monkeypatch.setattr(uqsl2.cpotts, "_block_zeros", scrambled)
         R, dim = solve_intertwiner(rep1, rep2, 1.0)
         assert [metric is not None for *_, metric in calls] == [True, False]
         assert len(calls[0][2]) == dim == 1
         block_path(monkeypatch)
         assert np.array_equal(R.mat, solve_intertwiner(rep1, rep2, 1.0)[0].mat)
 
-    @pytest.mark.parametrize("nprime", [3, 5])
-    @pytest.mark.parametrize("a1", [0.005, 0.01, 0.02, 0.05])
-    @pytest.mark.parametrize("lam1", [0.5 + 0.1j, 1.0 + 0.1j])
+    @pytest.mark.parametrize("nprime", SMALL_ALPHA_NPRIMES)
+    @pytest.mark.parametrize("a1", SMALL_ALPHAS)
+    @pytest.mark.parametrize("lam1", SMALL_ALPHA_LAMBDAS)
     def test_small_alpha_matches_the_block_path(self, nprime, a1, lam1, monkeypatch):
         # near alpha = 0 the A_s approach singular ones: the transfer answers only what the
         # block would, and a pair it declines (by the condition number, the band, the
@@ -1049,6 +1064,170 @@ class TestSectorTransfer:
         _, dim = solve_intertwiner(rep1, rep2, 1.0)
         assert calls and all(metric is None for *_, metric in calls)
         assert dim == dense_intertwiner(rep1, rep2, 1.0)[1]
+
+
+def dense_parts(left, right, N):
+    """solve_intertwiner's D x D quantities on a pair graded mod N, from their definitions:
+    P, Q, scale, U and the K0 minimum of each charge c = 0 .. N - 1, the block path's kmin."""
+    names = ("E0", "F0", "E1", "F1", "K0")
+    P = sum(left[a].conj() @ left[a].T for a in names)
+    Q = sum(right[a].conj().T @ right[a] for a in names)
+    scale = np.array([np.linalg.norm(left[a]) + np.linalg.norm(right[a]) for a in names])
+    deg = np.add.outer(np.arange(N), np.arange(N)).ravel()
+    charge = np.subtract.outer(deg, deg) % N
+    k0 = np.abs(np.subtract.outer(np.diag(right["K0"]), np.diag(left["K0"]))) ** 2
+    return P, Q, scale, sum(scale**2), np.array([k0[charge == c].min() for c in range(N)])
+
+
+class TestSectorStacks:
+    """The transfer reads N x N sector blocks alone: each quantity it takes from them equals
+    its D x D counterpart of the block path to a rounding bound from N and the operators'
+    norms, and each pair it declines gets the block path's bytes."""
+
+    @pytest.mark.parametrize("nprime, kind, z", STACK_CASES)
+    def test_stacks_are_the_dense_quantities(self, nprime, kind, z):
+        from uqsl2.cpotts import _sector_stacks
+        rep1, rep2 = stack_pair(nprime, kind)
+        N = rep1.dim
+        left, right = affine_coproduct_images(rep1, rep2, z)
+        L, R, P, Q, scale, U, kmin = _sector_stacks(left, right, N)
+        P_d, Q_d, scale_d, U_d, kmin_d = dense_parts(left, right, N)
+        sector = np.array([[p * N + (s - p) % N for p in range(N)] for s in range(N)])
+        blocks = sector[:, :, None], sector[:, None, :]  # M[blocks][s]: M[S_s, S_s]
+        names = ("E0", "F0", "E1", "F1", "K0")
+        # an entry of P sums, over the generators, products of entries whose moduli add to at
+        # most sum_a |L_a|_F^2 (Cauchy-Schwarz on two rows); each side rounds it by at most
+        # gamma of its inner length, 5 N + 2 here and D + 2 plus the 5-term sum there
+        D = N * N
+        m = D + 5 * N + 9
+        assert np.max(np.abs(P - P_d[blocks])) <= 2 * gamma(m) * sum(
+            np.linalg.norm(left[a]) ** 2 for a in names)
+        assert np.max(np.abs(Q - Q_d[blocks])) <= 2 * gamma(m) * sum(
+            np.linalg.norm(right[a]) ** 2 for a in names)
+        # a norm of at most D^2 terms rounds by gamma(D^2 + 3) relative, U's squares twice that
+        assert np.all(np.abs(scale - scale_d) <= 2 * gamma(D * D + 3) * scale_d)
+        assert abs(U - U_d) <= 6 * gamma(D * D + 8) * U_d
+        assert np.array_equal(kmin, kmin_d)  # the same differences of the same K0 entries
+        for a, (name, shift) in enumerate(zip(names, (-1, 1, 1, -1, 0))):
+            t = (np.arange(N) + shift) % N  # L[a, s] = L_a[S_t, S_s], holding every nonzero
+            assert np.array_equal(L[a], left[name][sector[t][:, :, None], sector[:, None, :]])
+            assert np.array_equal(R[a], right[name][sector[t][:, :, None], sector[:, None, :]])
+            assert np.count_nonzero(L[a]) == np.count_nonzero(left[name])
+            assert np.count_nonzero(R[a]) == np.count_nonzero(right[name])
+
+    @pytest.mark.parametrize("nprime, kind, z", STACK_CASES)
+    def test_sector_misses_are_the_dense_misses(self, nprime, kind, z, monkeypatch):
+        # the kept vector's misses, per sector, against |R L_a - R_a R|_F in D x D; and the
+        # count at the threshold that the pencil's eigensolve takes from the band is its own
+        from uqsl2.cpotts import _sector_misses, _sector_plan, _sector_stacks, _sector_transfer
+        from uqsl2.cpotts import _zeros_count
+        rep1, rep2 = stack_pair(nprime, kind)
+        N = rep1.dim
+        left, right = affine_coproduct_images(rep1, rep2, z)
+        calls = record_block_eigensolves(monkeypatch)
+        answer = _sector_transfer(left, right, N)
+        for gram, threshold, w, _, metric in calls:
+            assert _zeros_count(gram, threshold, metric) == len(w)
+        if answer is None or answer[1] == 0:
+            return
+        R_t = answer[0]
+        L, R, *_, scale, _, _ = _sector_stacks(left, right, N)
+        X = R_t.ravel()[_sector_plan(N)[4]].reshape(N, N, N)
+        assert np.count_nonzero(R_t) == np.count_nonzero(X)  # no entry outside the sectors
+        names = ("E0", "F0", "E1", "F1", "K0")
+        dense = np.array([np.linalg.norm(R_t @ left[a] - right[a] @ R_t) for a in names])
+        # each residual entry is an inner product of at most D + 2 terms a side, rounded by
+        # gamma of that times |R| |L_a| + |R_a| |R|, whose Frobenius norm is at most
+        # scale[a] |R|_F; then a norm of D^2 terms
+        D = N * N
+        bound = 4 * gamma(D * D + 3) * scale * np.linalg.norm(R_t)
+        assert np.all(np.abs(_sector_misses(X, L, R, N) - dense) <= bound)
+        assert np.all(dense <= NULLSPACE_RATIO * scale + bound)
+
+    def test_the_pencil_is_factored_twice(self, monkeypatch):
+        # the band's two counts give the count at the threshold: one LDL^H factorization at
+        # each end of the band and one Cholesky factorization for the vector, no third count
+        from scipy.linalg import lapack
+        counted = {"zhetrf": 0, "zpotrf": 0}
+        for name in counted:
+            def call(*args, _f=getattr(lapack, name), _name=name, **kwargs):
+                counted[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(lapack, name, call)
+        calls = record_block_eigensolves(monkeypatch)
+        _, dim = solve_intertwiner(*on_curve_pair(QP5), 1.0)
+        assert dim == 1 and [metric is not None for *_, metric in calls] == [True]
+        assert counted == {"zhetrf": 2, "zpotrf": 1}
+
+    @pytest.mark.parametrize("decline", ["non-finite-stacks", "uncertified-charge", "f0-scale",
+                                         "singular-f0", "ill-conditioned-f0", "non-finite-pencil",
+                                         "failed-factorization"])
+    def test_each_decline_gives_the_block_paths_bytes(self, decline, monkeypatch):
+        # one pair per guard of the transfer; the band and the kept vector have tests above.
+        # The reason is checked on the stacks, then the solve against the block path alone
+        import uqsl2.cpotts
+        from scipy.linalg import lapack
+
+        from uqsl2.cpotts import TRANSFER_COND, _sector_stacks, _sector_transfer
+        z = {"non-finite-stacks": 1e-300, "f0-scale": 1e-5}.get(decline, 1.0)
+        if decline == "uncertified-charge":  # |K| ~ 0.023 on both: K0's entries nearly meet
+            rep1, rep2 = on_curve_pair(QP5, lam1=0.5 + 3j, lam2=1.3 + 3j)
+        elif decline == "singular-f0":  # alpha = 0 on a cyclic pair: F0 nilpotent
+            rep1, rep2 = cyclic(0.3, 0.0, LAM1, QP5), cyclic(0.45, 0.0, LAM2, QP5)
+        elif decline == "ill-conditioned-f0":
+            rep1, rep2 = on_curve_pair(QP5, a1=30.0)
+        elif decline == "non-finite-pencil":  # |K| ~ 1e44 on module 1: B_s^4 leaves float64
+            rep1, rep2 = semicyclic(0.3, 0.5 - 80j, QP5), semicyclic(0.7, LAM2, QP5)
+        else:
+            rep1, rep2 = on_curve_pair(QP5, a1=0.3, lam1=0.5 + 0.1j)
+        left, right = affine_coproduct_images(rep1, rep2, z)
+        with np.errstate(all="ignore"):
+            stacks = _sector_stacks(left, right, QP5.N)
+            answer = _sector_transfer(left, right, QP5.N)
+        assert (answer is None) == (decline != "failed-factorization")
+        if decline == "non-finite-stacks":
+            assert stacks is None
+        else:
+            L, R, P, Q, scale, U, kmin = stacks
+            threshold = NULLSPACE_RATIO**2 * U
+            certified = bool((kmin[1:] > threshold).all())
+            assert certified == (decline != "uncertified-charge")
+            if certified:  # the guard that follows
+                assert (NULLSPACE_RATIO * U > scale[1] ** 2) == (decline == "f0-scale")
+        if decline == "singular-f0":
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.inv(L[1])
+        elif decline == "ill-conditioned-f0":
+            assert transfer_map(rep1, rep2, z)[1] >= TRANSFER_COND
+
+        def solve():
+            try:
+                R, dim = solve_intertwiner(rep1, rep2, z)
+            except Exception as exc:  # a refusal: its type and message
+                return type(exc), str(exc)
+            return dim, None if R is None else R.mat.tobytes()
+
+        if decline == "failed-factorization":  # the pencil's Cholesky alone fails
+            potrf = lapack.zpotrf
+            factored = []
+
+            def first_fails(a, **kwargs):
+                c, info = potrf(a, **kwargs)
+                factored.append(info)
+                return c, 1 if len(factored) == 1 else info
+
+            monkeypatch.setattr(lapack, "zpotrf", first_fails)
+            calls = record_block_eigensolves(monkeypatch)
+            got = solve()
+            # the pencil's call raised inside the recorder; the block's call was recorded
+            assert len(factored) == 2 and [metric is not None for *_, metric in calls] == [False]
+            monkeypatch.undo()
+        else:
+            got = solve()
+        block_path(monkeypatch)
+        assert got == solve()
+        if decline == "non-finite-stacks":
+            assert got[0] is uqsl2.cpotts.SpectralOverflow
 
 
 def power_bound(X, N, u):

@@ -1,6 +1,6 @@
 """Lines of ``src/uqsl2`` that the Tier-1 tests never execute in-process.
 
-    python3 tools/line_coverage.py [--src DIR] [PYTEST_ARG ...]
+    python3 tools/line_coverage.py [--src DIR] [--check] [PYTEST_ARG ...]
 
 DIR is a checkout of this repository (default: the one holding this script).
 The script runs ``pytest.main`` on DIR's ``tests``, as the Tier-1 command does,
@@ -10,6 +10,13 @@ every other frame.  Arguments it does not know go to pytest (``-k``, ``-x``).
 Afterwards it clears the trace and prints, file by file, each line that the
 ``co_lines()`` of some code object compiled from that file holds but the run
 never executed, then a count per file.  The exit status is pytest's.
+
+With ``--check`` the run is also held against ``unexecuted_lines.json`` beside this
+script, the lines known to be out of reach, keyed by file name and stripped line
+text (so an edit elsewhere in a file does not move them): each unexecuted line
+not on that list is printed again after ``new:``, and the exit status is 1 when
+there is one (pytest's status when that is not 0).  A listed line that did run is
+printed after ``ran:``, and is no failure.
 
 Only this process is traced.  The CLI tests call ``uqsl2.cli.main`` in-process,
 so their lines are seen; the few tests whose subject is a fresh process go
@@ -26,11 +33,13 @@ It needs no package beyond pytest and the standard library.
 """
 
 import argparse
+import json
 import sys
 import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+KNOWN = Path(__file__).resolve().parent / "unexecuted_lines.json"
 
 
 def code_lines(path: Path) -> set:
@@ -75,6 +84,8 @@ def traced_run(pkg: Path, pytest_args: list) -> tuple:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--src", type=Path, default=ROOT, help="repository checkout to test")
+    p.add_argument("--check", action="store_true",
+                   help=f"fail on an unexecuted line that {KNOWN.name} does not list")
     args, pytest_args = p.parse_known_args(argv)
     src = args.src.resolve()
     pkg = src / "src" / "uqsl2"
@@ -87,16 +98,25 @@ def main(argv=None) -> int:
     imported = sys.modules.get("uqsl2")
     if imported is not None and Path(imported.__file__).resolve().parent != pkg:
         raise SystemExit(f"error: uqsl2 was imported from {imported.__file__}")
-    counts = {}
+    counts, unlisted = {}, []
+    known = json.loads(KNOWN.read_text()) if args.check else {}
     for path in sorted(pkg.glob("*.py")):
         text = path.read_text().splitlines()
         missed = sorted(code_lines(path) - executed.get(str(path), set()))
         counts[path.name] = len(missed)
+        listed = set(known.get(path.name, ()))
         for line in missed:
-            print(f"{path.relative_to(src)}:{line}: {text[line - 1].strip()}")
+            where = f"{path.relative_to(src)}:{line}: {text[line - 1].strip()}"
+            print(where)
+            if args.check and text[line - 1].strip() not in listed:
+                unlisted.append(where)
+        for line in sorted(listed - {text[line - 1].strip() for line in missed}):
+            print(f"ran: {path.relative_to(src)}: {line}")
     print(", ".join(f"{name} {n}" for name, n in counts.items()),
           f"unexecuted lines; pytest exit status {status}")
-    return status
+    for where in unlisted:
+        print(f"new: {where}")
+    return status or int(bool(unlisted))
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Wall time of the intertwiner solver at N' = 3, 5, 7, 9, 11 and 13, on and off the curve.
+"""Wall time of the intertwiner solver at N' = 3, 5, 7, 9, 11, 13 and 17, on and off the curve.
 
     python3 tools/solver_scaling.py [--src DIR] [--outdir OUT]
 
@@ -16,10 +16,12 @@ diagonalized block, or the sector transfer's pencil in its place, is one call of
 the solver's per-block function ``cpotts._block_zeros``, so DIR must be a
 checkout that has it; ``orders`` lists the order (``len(gram)``) of each call of
 the last repeat: N^3 for a charge-0 block of N-dimensional modules, N^2 for the
-pencil.  Each solve's
-wall time is split into ``kernel_s``, the seconds spent inside those calls,
-and ``rest_s``, the rest: the affine images, the block assembly and the
-checks.  The record goes to
+pencil.  The transfer also counts the pencil's zeros at the two ends of its band
+with ``cpotts._zeros_count`` outside ``_block_zeros``; ``count_orders`` lists the
+order of each such call (none in a checkout that has no such function).  Each
+solve's wall time is split into ``kernel_s``, the seconds spent inside those
+calls of both functions (a count nested in ``_block_zeros`` is timed once), and
+``rest_s``, the rest: the affine images, the block assembly and the checks.  The record goes to
 ``OUT/BENCH_solver_<date>_<rev>.json`` (OUT defaults to the root of this
 checkout), <rev> being ``output_digests.revision`` of DIR;
 ``source_sha256`` fingerprints the timed ``src/uqsl2/*.py`` either way.
@@ -43,7 +45,7 @@ import statistics  # noqa: E402
 import time  # noqa: E402
 
 # 3: cli-mix's sweep size, where the work outside the kernel weighs most
-NPRIMES = (3, 5, 7, 9, 11, 13)
+NPRIMES = (3, 5, 7, 9, 11, 13, 17)
 REPEATS = 3
 LAM1, LAM2 = 0.8 + 0.05j, 1.3 - 0.11j
 
@@ -57,34 +59,47 @@ def source_digest(src: Path) -> str:
 
 def time_solve(uqsl2, blocks, rep1, rep2) -> dict:
     cpotts = uqsl2.cpotts
-    original = cpotts._block_zeros  # the solver looks it up at call time
-    calls = []  # per kernel call of the current solve: its seconds and the order of its gram
+    # the solver looks both up at call time; a checkout before the transfer has no count
+    originals = {name: getattr(cpotts, name) for name in ("_block_zeros", "_zeros_count")
+                 if hasattr(cpotts, name)}
+    calls, counts = [], []  # per kernel call of the current solve: its seconds and its order
+    nested = []  # nonempty inside a _block_zeros call
 
-    def timed(gram, threshold, *metric):  # a checkout before the transfer passes no metric
-        t0 = time.perf_counter()
-        try:
-            return original(gram, threshold, *metric)
-        finally:
-            calls.append((time.perf_counter() - t0, len(gram)))
+    def timed(name, log):
+        def call(gram, threshold, *args, **kwargs):  # metric and count pass through
+            if nested:
+                return originals[name](gram, threshold, *args, **kwargs)
+            nested.append(name)
+            t0 = time.perf_counter()
+            try:
+                return originals[name](gram, threshold, *args, **kwargs)
+            finally:
+                log.append((time.perf_counter() - t0, len(gram)))
+                nested.pop()
+        return call
 
     walls, kernels = [], []
-    cpotts._block_zeros = timed
+    for name, log in (("_block_zeros", calls), ("_zeros_count", counts)):
+        if name in originals:
+            setattr(cpotts, name, timed(name, log))
     try:
         for _ in range(REPEATS):
             calls.clear()
+            counts.clear()
             t0 = time.perf_counter()
             _, dim = uqsl2.solve_intertwiner(rep1, rep2, 1.0)
             walls.append(time.perf_counter() - t0)
-            kernels.append(sum(t for t, _ in calls))
+            kernels.append(sum(t for t, _ in calls + counts))
     finally:
-        cpotts._block_zeros = original
+        for name, original in originals.items():
+            setattr(cpotts, name, original)
     rest = [w - k for w, k in zip(walls, kernels)]
     return {"wall_s": walls, "wall_s_min": min(walls), "wall_s_median": statistics.median(walls),
             "kernel_s": kernels, "kernel_s_median": statistics.median(kernels),
             "rest_s": rest, "rest_s_median": statistics.median(rest),
             "nullspace_dim": dim, "blocks": blocks, "diagonalized": len(calls),
             "certified": blocks - len(calls), "unknowns": (rep1.dim * rep2.dim) ** 2,
-            "orders": [n for _, n in calls]}
+            "orders": [n for _, n in calls], "count_orders": [n for _, n in counts]}
 
 
 def main() -> None:
@@ -109,6 +124,7 @@ def main() -> None:
             runs.append({"nprime": nprime, "kind": kind, **rec})
             print(f"N'={nprime:2d} {kind:9s} dim {rec['nullspace_dim']}  "
                   f"{rec['certified']}/{rec['blocks']} blocks certified  orders {rec['orders']}  "
+                  f"counts {rec['count_orders']}  "
                   f"min {rec['wall_s_min']:.3f} s  median kernel {rec['kernel_s_median']:.4f} s "
                   f"+ rest {rec['rest_s_median']:.4f} s", flush=True)
     doc = {
