@@ -281,8 +281,8 @@ def _block_zeros(gram: np.ndarray, threshold: float, metric: np.ndarray | None =
     given the positive definite metric M, those of the pencil gram v = w M v, with
     v M-orthonormal; without it M is the identity.
 
-    Their number k is _zeros_count's, or count when the caller has it already.  For k > 0, k fixed start vectors
-    (_start_vectors) take two steps of inverse iteration
+    Their number k is _zeros_count's, or count when the caller has it already.
+    For k > 0, k fixed start vectors (_start_vectors) take two steps of inverse iteration
     v <- (gram + threshold M)^-1 M v with the Cholesky factor of
     gram + threshold M, a shift below the spectrum (one at the threshold would
     converge to the eigenvalue nearest it, maybe just above); Gram-Schmidt in
