@@ -940,12 +940,12 @@ TRANSFER_CASES = [(nprime, kind, z) for nprime in range(3, 10)
                   for z in TRANSFER_Z]
 
 # near alpha = 0, where the A_s approach singular ones; also written down before any run
-SMALL_ALPHA_NPRIMES, SMALL_ALPHAS, SMALL_ALPHA_LAMBDAS = (3, 5), (0.005, 0.01, 0.02, 0.05), \
-    (0.5 + 0.1j, 1.0 + 0.1j)
-STACK_CASES = [(nprime, kind, TRANSFER_Z[z](QParam.root_of_unity(nprime).N))
-               for nprime, kind, z in TRANSFER_CASES] + \
-    [(nprime, f"small-{a1}-{lam1}", 1.0) for nprime in SMALL_ALPHA_NPRIMES
-     for a1 in SMALL_ALPHAS for lam1 in SMALL_ALPHA_LAMBDAS]
+SMALL_ALPHA_NPRIMES = (3, 5)
+SMALL_ALPHAS = (0.005, 0.01, 0.02, 0.05)
+SMALL_ALPHA_LAMBDAS = (0.5 + 0.1j, 1.0 + 0.1j)
+STACK_CASES = TRANSFER_CASES + [(nprime, f"small-{a1}-{lam1}", "z-one")
+                                for nprime in SMALL_ALPHA_NPRIMES for a1 in SMALL_ALPHAS
+                                for lam1 in SMALL_ALPHA_LAMBDAS]
 
 
 def stack_pair(nprime, kind):
@@ -1084,11 +1084,12 @@ class TestSectorStacks:
     its D x D counterpart of the block path to a rounding bound from N and the operators'
     norms, and each pair it declines gets the block path's bytes."""
 
-    @pytest.mark.parametrize("nprime, kind, z", STACK_CASES)
-    def test_stacks_are_the_dense_quantities(self, nprime, kind, z):
+    @pytest.mark.parametrize("nprime, kind, z_name", STACK_CASES)
+    def test_stacks_are_the_dense_quantities(self, nprime, kind, z_name):
         from uqsl2.cpotts import _sector_stacks
         rep1, rep2 = stack_pair(nprime, kind)
         N = rep1.dim
+        z = TRANSFER_Z[z_name](N)
         left, right = affine_coproduct_images(rep1, rep2, z)
         L, R, P, Q, scale, U, kmin = _sector_stacks(left, right, N)
         P_d, Q_d, scale_d, U_d, kmin_d = dense_parts(left, right, N)
@@ -1115,14 +1116,15 @@ class TestSectorStacks:
             assert np.count_nonzero(L[a]) == np.count_nonzero(left[name])
             assert np.count_nonzero(R[a]) == np.count_nonzero(right[name])
 
-    @pytest.mark.parametrize("nprime, kind, z", STACK_CASES)
-    def test_sector_misses_are_the_dense_misses(self, nprime, kind, z, monkeypatch):
+    @pytest.mark.parametrize("nprime, kind, z_name", STACK_CASES)
+    def test_sector_misses_are_the_dense_misses(self, nprime, kind, z_name, monkeypatch):
         # the kept vector's misses, per sector, against |R L_a - R_a R|_F in D x D; and the
         # count at the threshold that the pencil's eigensolve takes from the band is its own
         from uqsl2.cpotts import _sector_misses, _sector_plan, _sector_stacks, _sector_transfer
         from uqsl2.cpotts import _zeros_count
         rep1, rep2 = stack_pair(nprime, kind)
         N = rep1.dim
+        z = TRANSFER_Z[z_name](N)
         left, right = affine_coproduct_images(rep1, rep2, z)
         calls = record_block_eigensolves(monkeypatch)
         answer = _sector_transfer(left, right, N)

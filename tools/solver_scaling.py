@@ -21,9 +21,9 @@ with ``cpotts._zeros_count`` outside ``_block_zeros``; ``count_orders`` lists th
 order of each such call (none in a checkout that has no such function).  Each
 solve's wall time is split into ``kernel_s``, the seconds spent inside those
 calls of both functions (a count nested in ``_block_zeros`` is timed once), and
-``rest_s``, the rest: the affine images, the block assembly and the checks.  The record goes to
-``OUT/BENCH_solver_<date>_<rev>.json`` (OUT defaults to the root of this
-checkout), <rev> being ``output_digests.revision`` of DIR;
+``rest_s``, the rest: the affine images, the block assembly and the checks.
+The record goes to ``OUT/BENCH_solver_<date>_<rev>.json`` (OUT defaults to the
+root of this checkout), <rev> being ``output_digests.revision`` of DIR;
 ``source_sha256`` fingerprints the timed ``src/uqsl2/*.py`` either way.
 """
 
@@ -63,7 +63,7 @@ def time_solve(uqsl2, blocks, rep1, rep2) -> dict:
     originals = {name: getattr(cpotts, name) for name in ("_block_zeros", "_zeros_count")
                  if hasattr(cpotts, name)}
     calls, counts = [], []  # per kernel call of the current solve: its seconds and its order
-    nested = []  # nonempty inside a _block_zeros call
+    nested = []  # nonempty inside a timed call, which then times the calls it makes
 
     def timed(name, log):
         def call(gram, threshold, *args, **kwargs):  # metric and count pass through
