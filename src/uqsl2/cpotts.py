@@ -551,7 +551,7 @@ def solve_intertwiner(rep1: Rep, rep2: Rep, z: complex) -> tuple:
     dims = (rep1.dim, rep2.dim)
     D = rep1.dim * rep2.dim
     left, right = affine_coproduct_images(rep1, rep2, z)
-    g = grading_modulus([(M, np.arange(rep.dim), s) for rep in (rep1, rep2)
+    g = grading_modulus([(M, (rep.dim,), s) for rep in (rep1, rep2)
                          for M, s in ((rep.E, -1), (rep.F, 1), (rep.K, 0))], dims)
     if g == rep1.dim == rep2.dim:
         with np.errstate(all="ignore"):  # a value that leaves float64 only declines the transfer

@@ -41,7 +41,8 @@ from .qnum import (LOG_MAX_FLOAT, InadmissibleParameters, PowerOverflow, QParam,
                    qexp_truncated, qnumber, qpochhammer_truncated)
 from .reps import Rep, _delta, _row_window, commutator_report, safe_window
 from .rfinite import cartan_weight_vector
-from .tensorop import TensorOperator, intertwine_defect, kron2, ybe_defect
+from .tensorop import (TensorOperator, grading_modulus, intertwine_defect, kron2,
+                       sector_plan, ybe_defect)
 
 CARTAN_MODES = ("normalized", "raw", "none")
 
@@ -323,20 +324,20 @@ def _closed_factor(z: complex, rep1: Rep, rep2: Rep, lowering: bool) -> TensorOp
     table = ladder.raising_table
 
     def build():
-        powers, Fn = [], np.eye(other.dim, dtype=complex)
-        for n in range(1, ladder.dim):  # F^n of the other module, while term n is nonzero
-            Fn = Fn @ other.F
-            if not (table[n:, n].any() and Fn.any()):
-                break
-            powers.append(Fn)
-        orders = range(1, len(powers) + 1)
+        F = other.f_powers  # F^n of the other module, n = 1 .. other.dim
+        for _ in range(ladder.dim - 1 - len(F)):  # a deeper ladder: F^n on, one product each
+            F = np.concatenate([F, (F[-1] @ other.F)[None]])
+        # term n is nonzero while E^n/(n)_{q^-2}! (column n of the table, zero above its
+        # diagonal) and F^n are
+        alive = table.any(axis=0)[1:] & F[:ladder.dim - 1].any(axis=(1, 2))
+        F = F[:len(alive) if alive.all() else int(alive.argmin())]
+        orders = range(1, len(F) + 1)
         W = np.outer(rep1.qpow_h(-1), rep2.qpow_h(1))  # K^-1 (x) K on the weight pairs
         den = np.cumprod(1 - _scalars(z * qp.qpow(-2 * n) for n in orders) * W, axis=0)
         # the pairs (s, n = k + 1 <= s): E^n/(n)_{q^-2}! sends v_s to T[s, n] v_t, t = s - n
-        s, k = np.nonzero(np.arange(ladder.dim)[:, None] > np.arange(len(powers)))
+        s, k = np.nonzero(np.arange(ladder.dim)[:, None] > np.arange(len(F)))
         t, T = s - k - 1, table[s, k + 1]
-        F = np.array(powers).reshape(-1, other.dim, other.dim)  # (0, d, d) for no term
-        e_support = np.zeros((len(powers), ladder.dim), dtype=bool)
+        e_support = np.zeros((len(F), ladder.dim), dtype=bool)
         e_support[k, t if lowering else s] = T != 0
         f_support = F.any(axis=2 if lowering else 1)
         support = (f_support[:, :, None] & e_support[:, None, :] if lowering
@@ -517,16 +518,24 @@ def r_spectral(z: complex, rep1: Rep, rep2: Rep, cartan: str = "normalized") -> 
 def _spectral_product(z: complex, rep1: Rep, rep2: Rep, cartan: str, factors) -> TensorOperator:
     """R^+ Rbar^0 R^- times the Cartan tail of `cartan`, for factors() = (R^+, Rbar^0, R^-),
     built and multiplied under one overflow guard: r_spectral's product, also read by a
-    caller that already holds the three closed factors."""
+    caller that already holds the three closed factors.
+
+    R^+ and R^- keep the grading tensorop.grading_modulus measures on them (the total
+    weight, or its value mod N on semicyclic pairs; one sector when they keep none), and
+    Rbar^0 is diagonal, so the product is taken sector by sector: one batched matmul
+    over the padded sector blocks of tensorop.sector_plan, scattered into D x D once."""
     def build():
         rp, r0, rm = factors()
-        mat = rp.mat @ (np.diag(r0.mat)[:, None] * rm.mat)
+        dims = (rep1.dim, rep2.dim)
+        plan = sector_plan(dims, grading_modulus([(rp.mat, dims, 0), (rm.mat, dims, 0)], dims))
+        blocks = plan.stack(rp.mat) @ (r0.mat.diagonal().take(plan.index)[:, :, None]
+                                       * plan.stack(rm.mat))
         if cartan != "none":
             cart = cartan_weight_vector(rep1, rep2)
             if cartan == "normalized":
                 cart = cart / cart[0]
-            mat = mat * cart[None, :]
-        return mat
+            blocks *= cart.take(plan.index)[:, None, :]
+        return plan.scatter(blocks)
 
     return TensorOperator((rep1.dim, rep2.dim), _guard_overflow(z, "the spectral R-matrix", build))
 

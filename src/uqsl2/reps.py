@@ -78,6 +78,18 @@ class Rep:
         table.setflags(write=False)
         return table
 
+    @functools.cached_property
+    def f_powers(self) -> np.ndarray:
+        """F, F^2, ..., F^dim stacked, (dim, dim, dim), each the one before times F; built
+        on first use, then kept read-only.  F^dim is 0 on a truncated Verma module and
+        alpha times 1 on a semicyclic one."""
+        powers = [np.eye(self.dim, dtype=complex) @ self.F]
+        for _ in range(1, self.dim):
+            powers.append(powers[-1] @ self.F)
+        stack = np.array(powers)
+        stack.setflags(write=False)
+        return stack
+
     def to_json(self) -> dict:
         if self.kind == "tensor":
             raise ValueError("tensor-product representations are not serialized")
@@ -217,30 +229,43 @@ def tensor_rep(rep1: Rep, rep2: Rep) -> Rep:
                params={"dims": (rep1.dim, rep2.dim), "truncated_factor": truncated_factor})
 
 
-def _delta(a: tuple, b: tuple) -> tuple:
+#: every (side, generator) of _delta: side 0 the coproduct, side 1 its opposite
+BOTH_SIDES = tuple((side, gen) for side in (0, 1) for gen in "EFK")
+
+
+def _delta(a: tuple, b: tuple, wanted=BOTH_SIDES) -> tuple:
     """Dicts (D, D') of E, F, K under the coproduct and its opposite, from the (E, F, K,
-    K^-1) images a and b of the two tensor factors; both K are one array, K(x)K.
+    K^-1) images a and b of the two tensor factors, each holding the generators wanted
+    of it, in order, and building no other; both K are one array, K(x)K.
     The one place both coproducts are written down."""
     E1, F1, K1, Ki1 = a
     E2, F2, K2, Ki2 = b
     I1 = np.eye(len(E1), dtype=complex)
     I2 = np.eye(len(E2), dtype=complex)
-    E, Ep = kron2(E1, I2) + kron2(Ki1, E2), kron2(I1, E2) + kron2(E1, Ki2)
-    F, Fp = kron2(F1, K2) + kron2(I1, F2), kron2(F1, I2) + kron2(K1, F2)
-    K = kron2(K1, K2)
-    return {"E": E, "F": F, "K": K}, {"E": Ep, "F": Fp, "K": K}
+    K = functools.cache(lambda: kron2(K1, K2))
+    images = {(0, "E"): lambda: kron2(E1, I2) + kron2(Ki1, E2),
+              (1, "E"): lambda: kron2(I1, E2) + kron2(E1, Ki2),
+              (0, "F"): lambda: kron2(F1, K2) + kron2(I1, F2),
+              (1, "F"): lambda: kron2(F1, I2) + kron2(K1, F2),
+              (0, "K"): K, (1, "K"): K}
+    pair = ({}, {})
+    for side, gen in wanted:
+        pair[side][gen] = images[side, gen]()
+    return pair
 
 
 def _rep_delta(rep1: Rep, rep2: Rep, checked: list) -> tuple:
-    """_delta of the modules; refuses in turn each checked (side, gen) that leaves float64."""
+    """_delta of the modules, built for the checked (side, gen) alone; refuses in turn
+    each one that leaves float64."""
     if rep1.qp != rep2.qp:
         raise ValueError("coproduct factors must share the deformation parameter")
-    a, b = ((r.E, r.F, r.K, r.Kinv) for r in (rep1, rep2))
-    with np.errstate(all="ignore"):  # a non-finite image is refused below
-        pair = _delta(a, b)
-    for side, gen in checked:
+    for _, gen in checked:
         if gen not in ("E", "F", "K"):
             raise ValueError(f"unknown generator {gen!r}")
+    a, b = ((r.E, r.F, r.K, r.Kinv) for r in (rep1, rep2))
+    with np.errstate(all="ignore"):  # a non-finite image is refused below
+        pair = _delta(a, b, checked)
+    for side, gen in checked:
         if not np.isfinite(pair[side][gen]).all():
             raise InadmissibleParameters(f"the coproduct of {gen} leaves float64 at q={rep1.qp.q}")
     return pair

@@ -7,6 +7,7 @@ factor, B on the second".
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -79,21 +80,28 @@ def embed_two_site(M: np.ndarray, dims: tuple[int, int, int], pos: tuple[int, in
 def identity_plus_kron_sum(As, Bs, d1: int, d2: int) -> np.ndarray:
     """1 + sum_n As[n] (x) Bs[n], for d1 x d1 matrices As[n] and d2 x d2 matrices Bs[n].
 
-    Entry ((i, j), (k, l)) of the sum is sum_n As[n][i, k] Bs[n][j, l]: for
-    each (j, k) one (d1, K) @ (K, d2) product over the stacked terms, all of
-    them in one batched matmul written straight into a (d1, d2, d1, d2) view
-    of the result.  No Kronecker product and no transposed copy is formed.
+    Entry ((i, j), (k, l)) of term n is the one product As[n][i, k] Bs[n][j, l], so
+    only the products of the two factors' nonzero entries are formed: each nonzero of
+    As[n] is paired with each nonzero of Bs[n] and scattered to its entry, with
+    np.add.at, so that terms whose supports overlap are summed in term order.
     """
     D = d1 * d2
-    if not len(As):
-        return np.eye(D, dtype=complex)
-    left = np.stack(As, axis=-1).astype(complex, copy=False).transpose(1, 0, 2)[None]
-    right = np.stack(Bs).astype(complex, copy=False).transpose(1, 0, 2)[:, None]
-    # left is indexed [., k, i, n] and right [j, ., n, l]: the product is [j, k, i, l]
-    out = np.empty((D, D), dtype=complex)
-    np.matmul(left, right, out=out.reshape(d1, d2, d1, d2).transpose(1, 2, 0, 3))
-    out.reshape(-1)[::D + 1] += 1
-    return out
+    out = np.zeros(D * D, dtype=complex)
+    if len(As):
+        A = np.asarray(As, dtype=complex)
+        B = np.asarray(Bs, dtype=complex)
+        na, i, k = np.nonzero(A)
+        nb, j, l = np.nonzero(B)
+        per_term = np.bincount(nb, minlength=len(B))  # the nonzeros of each Bs[n]
+        reps = per_term[na]  # each nonzero of As[n] meets every nonzero of Bs[n]
+        a = np.repeat(np.arange(len(na)), reps)
+        first = np.cumsum(per_term) - per_term  # where Bs[n]'s nonzeros start
+        b = np.arange(len(a)) + np.repeat(first[na] - (np.cumsum(reps) - reps), reps)
+        i, k, j, l = i[a], k[a], j[b], l[b]
+        np.add.at(out, (i * d2 + j) * D + k * d2 + l,
+                  A[na[a], i, k] * B[nb[b], j, l])
+    out[::D + 1] += 1
+    return out.reshape(D, D)
 
 
 def total_degree(dims) -> np.ndarray:
@@ -101,26 +109,134 @@ def total_degree(dims) -> np.ndarray:
     return sum(np.unravel_index(np.arange(math.prod(dims)), dims))
 
 
-def grading_modulus(triples, dims) -> int:
-    """The finest grading of the flat basis that every (M, deg, shift) triple respects.
+def _read_only(*arrays):
+    """Mark cached arrays read-only: every caller shares them."""
+    for a in arrays:
+        a.setflags(write=False)
 
-    M respects it when each nonzero entry M[i, j] has deg[i] - deg[j] = shift
-    in it.  Returns 0 for the exact degree, else g = gcd(dims) when every
-    triple holds mod g, else 1: the trivial grading, one block.  Only the
-    nonzero entries are read, and a non-finite one (a NaN has no degree)
-    respects the trivial grading alone.
+
+@functools.cache
+def _graded_entries(fdims: tuple, shift: int, g: int) -> np.ndarray:
+    """The flat positions of the entries (i, j) of a matrix on the product of factors of
+    fdims with deg i - deg j = shift, deg = total_degree(fdims): exactly for g = 0, else
+    mod g.  Read-only, cached per shape."""
+    deg = total_degree(fdims)
+    off = np.subtract.outer(deg, deg) - shift
+    pos = np.flatnonzero(off % g == 0 if g else off == 0)
+    _read_only(pos)
+    return pos
+
+
+def _nonzero_parts(M: np.ndarray) -> int:
+    """How many real and imaginary parts of M are nonzero; a NaN counts as nonzero."""
+    return np.count_nonzero(M.view(M.real.dtype))
+
+
+def grading_modulus(triples, dims) -> int:
+    """The finest grading of the flat basis that every (M, fdims, shift) triple respects.
+
+    M acts on the product of factors of fdims, and respects a grading when each
+    nonzero entry M[i, j] has deg i - deg j = shift in it, deg = total_degree(fdims).
+    Returns 0 for the exact degree, else g = gcd(dims) when every triple holds mod g,
+    else 1: the trivial grading, one block.  Every entry is read once, by a count of
+    M's nonzero parts, which the entries at the grading's positions (_graded_entries)
+    must hold all of; a non-finite entry (a NaN has no degree) respects the trivial
+    grading alone.
     """
     g = math.gcd(*dims)
     exact = True
-    for M, deg, shift in triples:
-        rows, cols = np.nonzero(M)
-        if not np.isfinite(M[rows, cols]).all():
+    for M, fdims, shift in triples:
+        M = np.ascontiguousarray(M)
+        count = _nonzero_parts(M)
+        for level in [0] * exact + [g] * (g > 1):  # g = 1 holds every entry
+            held = M.reshape(-1).take(_graded_entries(tuple(fdims), shift, level))
+            if _nonzero_parts(held) == count:
+                break
+            exact = False
+        else:
             return 1
-        off = deg[rows] - deg[cols] - shift
-        exact = exact and not off.any()
-        if not exact and (off % g).any():
+        if not np.isfinite(held).all():
             return 1
     return 0 if exact else g
+
+
+@dataclass(frozen=True)
+class SectorPlan:
+    """The sectors of grading modulus g (0: the exact total degree, 1: one sector) of the
+    product of factors of dims that meet a column mask, as padded index stacks; built and
+    cached by sector_plan, every array read-only.
+
+    index[s] holds sector s's flat indices, ascending, in its first sizes[s] places and
+    then a pad: the first index of another sector.  An operator graded by g holds exact
+    zeros in the pad's rows and columns of each sector block, so a batched product of
+    the blocks (stack) is, on each sector, the block of the product.  cols[s] marks the
+    sector's indices the column mask keeps.  gather holds the flat positions of the
+    blocks' entries in an operator on all factors, and pairs, for three factors, those in
+    an operator on two of them (keyed by their sites) with the Kronecker delta of the
+    spare factor; src and dst are the flat positions of the sector entries in the block
+    stack and in the D x D product.
+    """
+
+    D: int
+    sizes: tuple
+    index: np.ndarray
+    cols: tuple
+    gather: np.ndarray
+    pairs: dict
+    src: np.ndarray
+    dst: np.ndarray
+
+    def block(self, M: np.ndarray, sites: tuple, s: int) -> np.ndarray:
+        """Sector s's block of M on sites, without its pad: weight_sectors' restriction."""
+        n = self.sizes[s]
+        if sites not in self.pairs:
+            return M.take(self.gather[s, :n, :n])
+        flat, delta = self.pairs[sites]
+        return M.take(flat[s, :n, :n]) * delta[s, :n, :n]
+
+    def stack(self, M: np.ndarray) -> np.ndarray:
+        """The padded blocks of M on all factors, one per sector: (S, m, m)."""
+        return M.take(self.gather)
+
+    def scatter(self, blocks: np.ndarray) -> np.ndarray:
+        """The D x D operator whose sector blocks are the padded blocks, zero off them."""
+        out = np.zeros(self.D * self.D, dtype=blocks.dtype)
+        out[self.dst] = blocks.reshape(-1).take(self.src)
+        return out.reshape(self.D, self.D)
+
+
+@functools.cache
+def sector_plan(dims: tuple, g: int, mask: bytes | None = None) -> SectorPlan:
+    """The SectorPlan of the product of factors of dims under grading modulus g, for the
+    column mask whose bytes are mask (None: every column).  Cached per shape: it depends
+    on the dimensions, the modulus and the mask alone, never on an operator's values."""
+    D = math.prod(dims)
+    total = total_degree(dims)
+    label = total % g if g else total
+    keep = np.ones(D, dtype=bool) if mask is None else np.frombuffer(mask, dtype=bool)
+    # the labels the mask meets, ascending (np.unique would import numpy.ma)
+    sectors = [np.flatnonzero(label == t) for t in np.flatnonzero(np.bincount(label[keep]))]
+    sizes = tuple(len(idx) for idx in sectors)
+    index = np.empty((len(sectors), max(sizes, default=0)), dtype=np.intp)
+    for s, idx in enumerate(sectors):
+        index[s] = sectors[(s + 1) % len(sectors)][0]
+        index[s, :len(idx)] = idx
+    gather = index[:, :, None] * D + index[:, None, :]
+    parts = np.unravel_index(index, dims)
+    pairs = {}
+    for sites in ((0, 1), (0, 2), (1, 2)) if len(dims) == 3 else ():
+        (spare,) = {0, 1, 2} - set(sites)
+        pos = np.ravel_multi_index([parts[s] for s in sites], [dims[s] for s in sites])
+        pairs[sites] = (pos[:, :, None] * (D // dims[spare]) + pos[:, None, :],
+                        parts[spare][:, :, None] == parts[spare][:, None, :])
+        _read_only(*pairs[sites])
+    inside = np.arange(index.shape[1]) < np.array(sizes)[:, None]
+    src = np.flatnonzero(inside[:, :, None] & inside[:, None, :])
+    cols = tuple(keep[idx] for idx in sectors)
+    _read_only(index, gather, src, *cols)
+    dst = gather.reshape(-1)[src]
+    _read_only(dst)
+    return SectorPlan(D, sizes, index, cols, gather, pairs, src, dst)
 
 
 def weight_sectors(ops, dims: tuple[int, int, int], col_mask: np.ndarray | None):
@@ -134,28 +250,17 @@ def weight_sectors(ops, dims: tuple[int, int, int], col_mask: np.ndarray | None)
     gcd(dims) (the wrap entries of (semi)cyclic modules), or one sector of
     every index, so the same code gives the dense answer.  Yields, for each
     sector that meets col_mask (all columns when None), the restrictions of
-    the ops, in order, and a boolean mask of the sector's indices in col_mask.
+    the ops, in order, and a boolean mask of the sector's indices in col_mask;
+    each restriction is gathered through the flat positions of the cached
+    sector_plan.
     """
-    ops = list(ops)
-    total = total_degree(dims)
-    g = grading_modulus([(M, total_degree([dims[s] for s in sites]), 0) for M, sites in ops],
-                        dims)
-    sector = total % g if g else total
-    keep = np.ones(total.size, dtype=bool) if col_mask is None else np.asarray(col_mask)
-
-    def restrict(M, sites, idx):
-        if len(sites) == 3:
-            return M[np.ix_(idx, idx)]
-        parts = np.unravel_index(idx, dims)
-        s1, s2 = sites
-        (spare,) = {0, 1, 2} - set(sites)
-        pair = parts[s1] * dims[s2] + parts[s2]
-        other = parts[spare]
-        return M[np.ix_(pair, pair)] * (other[:, None] == other[None, :])
-
-    for t in np.unique(sector[keep]):
-        idx = np.flatnonzero(sector == t)
-        yield [restrict(M, sites, idx) for M, sites in ops], keep[idx]
+    ops = [(M, tuple(sites)) for M, sites in ops]
+    dims = tuple(int(d) for d in dims)
+    g = grading_modulus([(M, tuple(dims[s] for s in sites), 0) for M, sites in ops], dims)
+    plan = sector_plan(dims, g, None if col_mask is None
+                       else np.asarray(col_mask, dtype=bool).tobytes())
+    for s, cols in enumerate(plan.cols):
+        yield [plan.block(M, sites, s) for M, sites in ops], cols
 
 
 def ybe_defect(R12: np.ndarray, R13: np.ndarray, R23: np.ndarray,

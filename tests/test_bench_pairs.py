@@ -139,9 +139,13 @@ def test_sigterm_ends_the_running_benchmark(tmp_path):
             os.kill(child, signal.SIGKILL)
 
 
-def test_a_run_without_its_metrics_line_is_recorded_and_the_session_goes_on(tmp_path, capsys):
+def test_a_run_without_its_metrics_line_is_recorded_and_the_session_goes_on(tmp_path, capsys,
+                                                                            monkeypatch):
     # both runs exit 0: the parent's run.py prints nothing, the change's "not json"; the
-    # session runs in this process (its SIGTERM handler put back after), each run.py in its own
+    # session runs in this process (its SIGTERM handler put back after), each run.py in its
+    # own.  One pair is enough: its parent side runs first, and the change's side after the
+    # parent's malformed line
+    monkeypatch.setattr(bench_pairs, "PAIRS", 1)
     parent = fake_checkout(tmp_path / "parent", "")
     change = fake_checkout(tmp_path / "change", "print('not json')\n")
     handler = signal.getsignal(signal.SIGTERM)
@@ -154,11 +158,11 @@ def test_a_run_without_its_metrics_line_is_recorded_and_the_session_goes_on(tmp_
     out = capsys.readouterr().out
     assert code == 0
     runs = json.loads(next(tmp_path.glob("BENCH_pairs_*_malformed.json")).read_text())["runs"]
-    assert len(runs) == 2 * bench_pairs.PAIRS
+    assert [(r["pair"], r["side"]) for r in runs] == [(1, "parent"), (1, "change")]
     for r in runs:
         last = "''" if r["side"] == "parent" else "'not json'"
         assert r["error"].startswith(f"malformed: last stdout line {last}: "), r
-    assert f"{'cli-mix':14s} {2 * bench_pairs.PAIRS} failed run(s)" in out
+    assert f"{'cli-mix':14s} 2 failed run(s)" in out
 
 
 @pytest.mark.parametrize("metrics, why", [

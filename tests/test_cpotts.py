@@ -300,7 +300,7 @@ def dense_intertwiner(rep1, rep2, z, sv_ratio=1e-7):
 
 def module_grading(rep1, rep2):
     """grading_modulus fed with the generators of both modules, as solve_intertwiner does."""
-    return grading_modulus([(M, np.arange(rep.dim), s) for rep in (rep1, rep2)
+    return grading_modulus([(M, (rep.dim,), s) for rep in (rep1, rep2)
                             for M, s in ((rep.E, -1), (rep.F, 1), (rep.K, 0))],
                            (rep1.dim, rep2.dim))
 

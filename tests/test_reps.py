@@ -7,7 +7,7 @@ import pytest
 from uqsl2 import (InadmissibleParameters, QParam, casimir, central_check,
                    coproduct, cyclic, defining_relations_residual, intertwine_residual,
                    opposite_coproduct, qnumber, semicyclic, tensor_rep, truncated_verma)
-from uqsl2.reps import _row_window, safe_window
+from uqsl2.reps import BOTH_SIDES, _delta, _row_window, safe_window
 from uqsl2.tensorop import EmptySafeWindow, TensorOperator, safe_mask
 
 QP = QParam.generic(1.17 + 0.06j)
@@ -251,6 +251,49 @@ class TestCoproduct:
             coproduct(self.r1, truncated_verma(1.0, 3, QP3), "E")
         with pytest.raises(ValueError):
             opposite_coproduct(self.r1, truncated_verma(1.0, 3, QP3), "E")
+
+
+class TestDeltaSides:
+    """_delta builds only the (side, generator) images asked for, each equal bit for bit to
+    the one the whole pair holds; both K are one array."""
+
+    @staticmethod
+    def images(rep):
+        return rep.E, rep.F, rep.K, rep.Kinv
+
+    def test_each_image_alone_equals_the_pair(self):
+        a, b = (self.images(truncated_verma(lam, d, QP)) for lam, d in ((0.83 + 0.21j, 3),
+                                                                         (1.27 - 0.33j, 4)))
+        both = _delta(a, b)
+        assert [list(side) for side in both] == [list("EFK"), list("EFK")]
+        assert both[0]["K"] is both[1]["K"]
+        for side, gen in BOTH_SIDES:
+            alone = _delta(a, b, [(side, gen)])
+            assert list(alone[side]) == [gen] and not alone[1 - side]
+            assert alone[side][gen].tobytes() == both[side][gen].tobytes()
+
+    def test_the_images_come_in_the_order_asked(self):
+        rep = truncated_verma(0.83 + 0.21j, 2, QP)
+        D, Dp = _delta(self.images(rep), self.images(rep), [(1, "K"), (0, "F"), (1, "E")])
+        assert list(D) == ["F"] and list(Dp) == ["K", "E"]
+
+
+class TestFPowers:
+    @pytest.mark.parametrize("rep", [truncated_verma(0.83 + 0.21j, 5, QP),
+                                     semicyclic(0.4 - 0.3j, 0.7, QP3),
+                                     truncated_verma(0.5, 1, QP)],
+                             ids=["verma", "semicyclic", "one-dimensional"])
+    def test_powers_of_f_built_once_read_only(self, rep):
+        F = rep.f_powers
+        assert F is rep.f_powers and not F.flags.writeable
+        assert F.shape == (rep.dim,) * 3
+        Fn = np.eye(rep.dim, dtype=complex)
+        for n in range(rep.dim):
+            Fn = Fn @ rep.F
+            assert F[n].tobytes() == Fn.tobytes()
+        # F^dim: zero on a truncated Verma module, alpha times 1 on a semicyclic one
+        alpha = rep.params.get("alpha", 0)
+        assert np.array_equal(F[-1], alpha * np.eye(rep.dim))
 
 
 class TestCoproductRefusals:

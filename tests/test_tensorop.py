@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from uqsl2 import TensorOperator
-from uqsl2.tensorop import (cmat, cnum, embed_two_site, grading_modulus,
+from uqsl2 import QParam, TensorOperator, r_verma_direct, semicyclic, truncated_verma
+from uqsl2.reps import BOTH_SIDES, _delta
+from uqsl2.tensorop import (_graded_entries, cmat, cnum, embed_two_site, grading_modulus,
                             identity_plus_kron_sum, intertwine_defect, kron2, masked_max_abs,
-                            safe_mask, total_degree, total_degree_mask)
+                            safe_mask, sector_plan, total_degree, total_degree_mask,
+                            weight_sectors, ybe_defect)
 
 
 def decoded(pairs) -> np.ndarray:
@@ -113,15 +115,36 @@ def random_matrix(rng, n):
 
 
 class TestKronSumContraction:
+    """The scatter forms each product As[n][i, k] Bs[n][j, l] as np.kron does and sums an
+    entry's terms in term order, as kron_loop does, so off the diagonal the two agree bit
+    for bit; on it, kron_loop adds the identity first and the scatter last, so there they
+    differ by at most 2 (K + 1) u of 1 + sum_n |As[n] (x) Bs[n]|, K terms summed each way."""
+
+    @staticmethod
+    def check(As, Bs, d1, d2):
+        got, ref = identity_plus_kron_sum(As, Bs, d1, d2), kron_loop(As, Bs, d1, d2)
+        off = ~np.eye(d1 * d2, dtype=bool)
+        assert got.shape == (d1 * d2, d1 * d2) and got.dtype == complex
+        assert np.array_equal(got[off], ref[off])
+        size = 1 + sum(np.abs(np.kron(A, B)) for A, B in zip(As, Bs))
+        bound = 2 * (len(As) + 1) * 2.0**-53 * np.diagonal(size)
+        assert np.all(np.abs(np.diagonal(got) - np.diagonal(ref)) <= bound)
+
     @pytest.mark.parametrize("d1,d2,terms", [(2, 3, 1), (4, 2, 3), (3, 3, 5), (5, 1, 2)])
     def test_matches_kron_loop(self, d1, d2, terms):
         rng = np.random.default_rng(d1 * 10 + d2)
-        As = [random_matrix(rng, d1) for _ in range(terms)]
-        Bs = [random_matrix(rng, d2) for _ in range(terms)]
-        got = identity_plus_kron_sum(As, Bs, d1, d2)
-        ref = kron_loop(As, Bs, d1, d2)
-        assert got.shape == (d1 * d2, d1 * d2)
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        self.check([random_matrix(rng, d1) for _ in range(terms)],
+                   [random_matrix(rng, d2) for _ in range(terms)], d1, d2)
+
+    def test_overlapping_supports(self):
+        # the wrap terms of r_reshetikhin_product: several terms reach the same entries
+        rng = np.random.default_rng(11)
+        E = np.diag(rng.normal(size=3) + 1j, 1)
+        F = np.diag(rng.normal(size=3) - 1j, -1)
+        F[0, 3] = 0.7 - 0.2j  # a wrap: F^4 is a multiple of 1, on the diagonal
+        As = [E, 2 * E, E @ E, np.linalg.matrix_power(E, 3), np.zeros((4, 4))]
+        Bs = [F, np.linalg.matrix_power(F, 5), F @ F, np.linalg.matrix_power(F, 3), F]
+        self.check(As, Bs, 4, 4)
 
     def test_real_factors_give_a_complex_sum(self):
         got = identity_plus_kron_sum([np.eye(2)], [np.ones((3, 3))], 2, 3)
@@ -152,18 +175,147 @@ class TestGradingRule:
         ((3, 4), 0.5, 1),   # gcd 1: one block
     ])
     def test_finest_grading(self, dims, wrap, expected):
-        triples = [(M, np.arange(d), s) for d in dims
+        triples = [(M, (d,), s) for d in dims
                    for M, s in ((self.cyclic_shift(d, wrap), 1), (np.eye(d), 0))]
         assert grading_modulus(triples, dims) == expected
 
     def test_zero_matrix_respects_every_grading(self):
-        assert grading_modulus([(np.zeros((4, 4)), np.arange(4), 7)], (4,)) == 0
+        assert grading_modulus([(np.zeros((4, 4)), (4,), 7)], (4,)) == 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entry_respects_only_the_trivial_grading(self, bad):
         M = np.eye(4, dtype=complex)
         M[2, 2] = bad  # on the diagonal, where a finite entry would keep the degree
-        assert grading_modulus([(M, np.arange(4), 0)], (4,)) == 1
+        assert grading_modulus([(M, (4,), 0)], (4,)) == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_off_the_degree_respects_only_the_trivial_grading(self, bad):
+        M = np.eye(4, dtype=complex)
+        M[2, 0] = bad  # two degrees off, where a finite entry would keep the degree mod 2
+        assert grading_modulus([(M, (4,), 0)], (4, 2)) == 1
+        M[2, 0] = 1.0
+        assert grading_modulus([(M, (4,), 0)], (4, 2)) == 2
+
+    def test_signed_zeros_and_real_matrices_are_read_as_zeros(self):
+        M = np.eye(4, k=-1)  # real
+        M[0, 3] = -0.0  # a signed zero where a nonzero would break the exact degree
+        assert grading_modulus([(M, (4,), 1)], (4,)) == 0
+        assert grading_modulus([(M.astype(complex) * (-1 - 1j), (4,), 1)], (4,)) == 0
+        M[0, 3] = 0.5
+        assert grading_modulus([(M, (4,), 1)], (4,)) == 4
+
+    def test_graded_entries_are_cached_read_only(self):
+        pos = _graded_entries((3, 2), 1, 0)
+        assert pos is _graded_entries((3, 2), 1, 0) and not pos.flags.writeable
+        deg = total_degree((3, 2))
+        ref = np.flatnonzero(np.subtract.outer(deg, deg) == 1)
+        assert np.array_equal(pos, ref)
+
+
+def uncached_weight_sectors(ops, dims, col_mask):
+    """weight_sectors before its sector plan: unravel_index and np.ix_ per call, kept
+    here as the reference of the cached gathers."""
+    ops = list(ops)
+    total = total_degree(dims)
+    g = grading_modulus([(M, tuple(dims[s] for s in sites), 0) for M, sites in ops], dims)
+    sector = total % g if g else total
+    keep = np.ones(total.size, dtype=bool) if col_mask is None else np.asarray(col_mask)
+
+    def restrict(M, sites, idx):
+        if len(sites) == 3:
+            return M[np.ix_(idx, idx)]
+        parts = np.unravel_index(idx, dims)
+        s1, s2 = sites
+        (spare,) = {0, 1, 2} - set(sites)
+        pair = parts[s1] * dims[s2] + parts[s2]
+        other = parts[spare]
+        return M[np.ix_(pair, pair)] * (other[:, None] == other[None, :])
+
+    for t in np.unique(sector[keep]):
+        idx = np.flatnonzero(sector == t)
+        yield [restrict(M, sites, idx) for M, sites in ops], keep[idx]
+
+
+def verma_triple_ops(depths, qp):
+    reps = [truncated_verma(lam, d, qp) for lam, d in zip((0.63 + 0.17j, 1.21 - 0.09j,
+                                                          0.44 + 0.21j), depths)]
+    R12, R13, R23 = (r_verma_direct(reps[a], reps[b]).mat for a, b in ((0, 1), (0, 2), (1, 2)))
+    whole = np.kron(R12, np.eye(depths[2])) @ embed_two_site(R13, depths, (0, 2))
+    return [(R12, (0, 1)), (R13, (0, 2)), (R23, (1, 2)), (whole, (0, 1, 2))]
+
+
+def semicyclic_triple_ops(qp):
+    """Images of Delta(E) Delta(F) on pairs of semicyclic modules, which keep the total
+    degree mod N only (F wraps), and one on the whole product."""
+    N = qp.N
+    mods = [semicyclic(a, lam, qp) for a, lam in ((0.7, 0.8), (0.3, 1.3 - 0.1j), (0.5, 0.4j))]
+
+    def ef(a, b):
+        D = _delta(*((m.E, m.F, m.K, m.Kinv) for m in (mods[a], mods[b])), BOTH_SIDES)[0]
+        return D["E"] @ D["F"]
+
+    ops = [(ef(0, 1), (0, 1)), (ef(0, 2), (0, 2)), (ef(1, 2), (1, 2))]
+    return ops + [(np.kron(ops[0][0], mods[2].F @ mods[2].E), (0, 1, 2))]
+
+
+class TestWeightSectorPlan:
+    """weight_sectors gathers through the cached sector_plan; its restrictions equal
+    uncached_weight_sectors' bit for bit."""
+
+    @pytest.mark.parametrize("case", ["verma-3-4-5", "verma-4-4-4", "semicyclic-N'=3",
+                                      "semicyclic-N'=5", "ungraded"])
+    @pytest.mark.parametrize("masked", [False, True], ids=["all-columns", "safe-window"])
+    def test_restrictions_are_bit_identical(self, case, masked):
+        qp = QParam.generic(1.13 + 0.03j)
+        if case.startswith("verma"):
+            dims = tuple(int(c) for c in case.split("-")[1:])
+            ops = verma_triple_ops(dims, qp)
+        elif case == "ungraded":
+            dims = (3, 4, 3)
+            ops = verma_triple_ops(dims, qp)
+            ops[0] = (ops[0][0].copy(), (0, 1))
+            ops[0][0][-1, 0] = 0.5  # breaks the grading: one sector of every index
+        else:
+            qp = QParam.root_of_unity(int(case[-1]))
+            dims = (qp.N,) * 3
+            ops = semicyclic_triple_ops(qp)
+        mask = safe_mask(dims, 1) if masked else None
+        got = list(weight_sectors(ops, dims, mask))
+        ref = list(uncached_weight_sectors(ops, dims, mask))
+        assert len(got) == len(ref) and (len(got) == 1) == (case == "ungraded")
+        for (blocks, cols), (ref_blocks, ref_cols) in zip(got, ref):
+            assert np.array_equal(cols, ref_cols)
+            for b, r in zip(blocks, ref_blocks):
+                assert b.shape == r.shape and b.tobytes() == r.tobytes()
+
+    @pytest.mark.parametrize("dims,g,mask", [((3, 4), 0, None), ((3, 3), 3, None),
+                                             ((3, 4, 3), 0, safe_mask((3, 4, 3), 1)),
+                                             ((5, 2), 1, None)])
+    def test_plan_is_cached_and_read_only(self, dims, g, mask):
+        key = None if mask is None else mask.tobytes()
+        plan = sector_plan(dims, g, key)
+        assert plan is sector_plan(dims, g, key)
+        arrays = [plan.index, plan.gather, plan.src, plan.dst, *plan.cols,
+                  *(a for pair in plan.pairs.values() for a in pair)]
+        assert len(plan.pairs) == (3 if len(dims) == 3 else 0)
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a.reshape(-1)[0] = a.reshape(-1)[0]
+
+    def test_a_mask_of_no_column_leaves_no_sector(self):
+        dims = (2, 3, 2)
+        R = np.eye(6, dtype=complex)
+        none = np.zeros(12, dtype=bool)
+        assert list(weight_sectors([(R, (0, 1))], dims, none)) == []
+        assert ybe_defect(R, np.eye(4, dtype=complex), R, dims, none) == 0.0
+
+    def test_pads_point_into_another_sector(self):
+        plan = sector_plan((3, 4), 0)
+        total = total_degree((3, 4))
+        for s, n in enumerate(plan.sizes):
+            assert len(set(total[plan.index[s, :n]])) == 1
+            assert not np.isin(plan.index[s, n:], plan.index[s, :n]).any()
 
 
 class TestArgumentGuards:

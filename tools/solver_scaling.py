@@ -1,4 +1,5 @@
-"""Wall time of the intertwiner solver at N' = 3, 5, 7, 9, 11, 13 and 17, on and off the curve.
+"""Wall time of the intertwiner solver at N' = 3, 5, 7, 9, 11, 13 and 17, on and off the curve,
+and of the dense verifiers' r_spectral and ybe_defect.
 
     python3 tools/solver_scaling.py [--src DIR] [--outdir OUT]
 
@@ -22,6 +23,15 @@ order of each such call (none in a checkout that has no such function).  Each
 solve's wall time is split into ``kernel_s``, the seconds spent inside those
 calls of both functions (a count nested in ``_block_zeros`` is timed once), and
 ``rest_s``, the rest: the affine images, the block assembly and the checks.
+
+Two more tables time the dense verifiers, REPEATS times each: ``spectral`` times
+``r_spectral(1, V1, V2)`` on two truncated Verma modules of depth 9 (dense-large's
+``verify ybe --Nprime 9``), 18, 26 and 34 (the sweep's parent R at N' = 9, 13 and 17),
+at the root of unity of that N', the modules built afresh in each call as the sweep
+builds them; ``ybe`` times ``tensorop.ybe_defect`` on the ``r_verma_direct`` operators
+of three depth-N Verma modules on their safe window (``verify ybe --Nprime N'``'s
+finite record) at N' = 9, 13 and 17, whose first call also builds what the checkout
+caches, and records the defect itself.
 The record goes to ``OUT/BENCH_solver_<date>_<rev>.json`` (OUT defaults to the
 root of this checkout), <rev> being ``output_digests.revision`` of DIR;
 ``source_sha256`` fingerprints the timed ``src/uqsl2/*.py`` either way.
@@ -47,7 +57,10 @@ import time  # noqa: E402
 # 3: cli-mix's sweep size, where the work outside the kernel weighs most
 NPRIMES = (3, 5, 7, 9, 11, 13, 17)
 REPEATS = 3
-LAM1, LAM2 = 0.8 + 0.05j, 1.3 - 0.11j
+LAM1, LAM2, LAM3 = 0.8 + 0.05j, 1.3 - 0.11j, 0.44 + 0.21j
+#: r_spectral's depths, each with the N' of the root of unity it is timed at
+SPECTRAL_DEPTHS = {9: 9, 18: 9, 26: 13, 34: 17}
+YBE_NPRIMES = (9, 13, 17)
 
 
 def source_digest(src: Path) -> str:
@@ -102,8 +115,40 @@ def time_solve(uqsl2, blocks, rep1, rep2) -> dict:
             "orders": [n for _, n in calls], "count_orders": [n for _, n in counts]}
 
 
+def timed(call) -> dict:
+    """Wall times of REPEATS calls, their min and median, and the last call's value."""
+    walls = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        value = call()
+        walls.append(time.perf_counter() - t0)
+    return {"wall_s": walls, "wall_s_min": min(walls), "wall_s_median": statistics.median(walls),
+            "value": value}
+
+
+def time_spectral(uqsl2, depth: int, nprime: int) -> dict:
+    qp = uqsl2.QParam.root_of_unity(nprime)
+    rec = timed(lambda: uqsl2.r_spectral(1.0, uqsl2.truncated_verma(LAM1, depth, qp),
+                                         uqsl2.truncated_verma(LAM2, depth, qp)))
+    rec["value"] = float(abs(rec["value"].mat).max())  # the largest |R| entry
+    print(f"r_spectral depth {depth:2d} (N'={nprime:2d})  min {rec['wall_s_min'] * 1e3:.2f} ms  "
+          f"median {rec['wall_s_median'] * 1e3:.2f} ms", flush=True)
+    return {"depth": depth, "nprime": nprime, **rec}
+
+
+def time_ybe(uqsl2, nprime: int) -> dict:
+    qp = uqsl2.QParam.root_of_unity(nprime)
+    reps = [uqsl2.truncated_verma(lam, qp.N, qp) for lam in (LAM1, LAM2, LAM3)]
+    ops = [uqsl2.r_verma_direct(reps[a], reps[b]).mat for a, b in ((0, 1), (0, 2), (1, 2))]
+    mask = uqsl2.safe_mask([r.dim for r in reps], 1)
+    rec = timed(lambda: uqsl2.ybe_defect(*ops, (qp.N,) * 3, mask))
+    print(f"ybe_defect N'={nprime:2d}  min {rec['wall_s_min'] * 1e3:.2f} ms  "
+          f"median {rec['wall_s_median'] * 1e3:.2f} ms  defect {rec['value']:.3e}", flush=True)
+    return {"nprime": nprime, "depth": qp.N, **rec}
+
+
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", type=Path, default=ROOT)
     ap.add_argument("--outdir", type=Path, default=ROOT)
     args = ap.parse_args()
@@ -127,6 +172,8 @@ def main() -> None:
                   f"counts {rec['count_orders']}  "
                   f"min {rec['wall_s_min']:.3f} s  median kernel {rec['kernel_s_median']:.4f} s "
                   f"+ rest {rec['rest_s_median']:.4f} s", flush=True)
+    spectral = [time_spectral(uqsl2, depth, nprime) for depth, nprime in SPECTRAL_DEPTHS.items()]
+    ybe = [time_ybe(uqsl2, nprime) for nprime in YBE_NPRIMES]
     doc = {
         "benchmark": "solver_scaling",
         "date": datetime.date.today().isoformat(),
@@ -136,6 +183,8 @@ def main() -> None:
                   "alpha1": 0.7, "off_curve_alpha2": 1.9, "z": 1.0},
         "repeats": REPEATS,
         "runs": runs,
+        "spectral": spectral,
+        "ybe": ybe,
         "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "thread_pins": {k: os.environ.get(k) for k in PINS},
         "machine": {"cpus": os.cpu_count(), "platform": platform.platform()},
