@@ -528,8 +528,8 @@ def _spectral_product(z: complex, rep1: Rep, rep2: Rep, cartan: str, factors) ->
         rp, r0, rm = factors()
         dims = (rep1.dim, rep2.dim)
         plan = sector_plan(dims, grading_modulus([(rp.mat, dims, 0), (rm.mat, dims, 0)], dims))
-        blocks = plan.stack(rp.mat) @ (r0.mat.diagonal().take(plan.index)[:, :, None]
-                                       * plan.stack(rm.mat))
+        blocks = rp.mat.take(plan.gather) @ (r0.mat.diagonal().take(plan.index)[:, :, None]
+                                             * rm.mat.take(plan.gather))
         if cartan != "none":
             cart = cartan_weight_vector(rep1, rep2)
             if cartan == "normalized":

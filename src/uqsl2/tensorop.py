@@ -169,7 +169,7 @@ class SectorPlan:
     index[s] holds sector s's flat indices, ascending, in its first sizes[s] places and
     then a pad: the first index of another sector.  An operator graded by g holds exact
     zeros in the pad's rows and columns of each sector block, so a batched product of
-    the blocks (stack) is, on each sector, the block of the product.  cols[s] marks the
+    the padded blocks (M.take(gather)) is, on each sector, the block of the product.  cols[s] marks the
     sector's indices the column mask keeps.  gather holds the flat positions of the
     blocks' entries in an operator on all factors, and pairs, for three factors, those in
     an operator on two of them (keyed by their sites) with the Kronecker delta of the
@@ -193,10 +193,6 @@ class SectorPlan:
             return M.take(self.gather[s, :n, :n])
         flat, delta = self.pairs[sites]
         return M.take(flat[s, :n, :n]) * delta[s, :n, :n]
-
-    def stack(self, M: np.ndarray) -> np.ndarray:
-        """The padded blocks of M on all factors, one per sector: (S, m, m)."""
-        return M.take(self.gather)
 
     def scatter(self, blocks: np.ndarray) -> np.ndarray:
         """The D x D operator whose sector blocks are the padded blocks, zero off them."""
@@ -229,13 +225,11 @@ def sector_plan(dims: tuple, g: int, mask: bytes | None = None) -> SectorPlan:
         pos = np.ravel_multi_index([parts[s] for s in sites], [dims[s] for s in sites])
         pairs[sites] = (pos[:, :, None] * (D // dims[spare]) + pos[:, None, :],
                         parts[spare][:, :, None] == parts[spare][:, None, :])
-        _read_only(*pairs[sites])
     inside = np.arange(index.shape[1]) < np.array(sizes)[:, None]
     src = np.flatnonzero(inside[:, :, None] & inside[:, None, :])
-    cols = tuple(keep[idx] for idx in sectors)
-    _read_only(index, gather, src, *cols)
     dst = gather.reshape(-1)[src]
-    _read_only(dst)
+    cols = tuple(keep[idx] for idx in sectors)
+    _read_only(index, gather, src, dst, *cols, *(a for pair in pairs.values() for a in pair))
     return SectorPlan(D, sizes, index, cols, gather, pairs, src, dst)
 
 

@@ -713,9 +713,13 @@ class TestSectorProduct:
     2 sqrt(2) (m + 2) u, to first order: the growth factor 4 (m + 2) covers it.  The
     Cartan tail multiplies both sides' entries by the same value.
 
-    Measured crossover (in-process, min of 7 x 200 calls, BLAS on one thread, one Verma
-    pair at q = 1.13+0.03i): at depth 3 the sector product, its plan cached, is 0.1-0.2x
-    slower than the dense one, and from depth 5 on it is faster.
+    Measured crossover (in-process, the product of held factors with its plan cached,
+    the least of 3 runs of 7 x 200 calls, BLAS on one thread, one Verma pair at
+    q = 1.13+0.03i, 2 vCPUs): dense 0.021 ms -> sectors 0.042 ms at depth 3, 0.028 ->
+    0.048 at depth 5, 0.057 -> 0.062 at depth 7 and 0.134 -> 0.097 at depth 9.  The
+    fixed cost (the grading count, the gathers and the scatter) is about 20 us, so the
+    sectors win from depth 9 on; r_spectral as a whole reads 0.289 -> 0.293 ms at depth 3
+    and 0.337 -> 0.318 ms at depth 5.
     """
 
     @pytest.mark.parametrize("rid,rep1,rep2,z,g", SECTOR_PAIRS, ids=[c[0] for c in SECTOR_PAIRS])

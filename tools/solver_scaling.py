@@ -24,7 +24,7 @@ solve's wall time is split into ``kernel_s``, the seconds spent inside those
 calls of both functions (a count nested in ``_block_zeros`` is timed once), and
 ``rest_s``, the rest: the affine images, the block assembly and the checks.
 
-Two more tables time the dense verifiers, REPEATS times each: ``spectral`` times
+Two more tables time the dense verifiers, TABLE_REPEATS times each: ``spectral`` times
 ``r_spectral(1, V1, V2)`` on two truncated Verma modules of depth 9 (dense-large's
 ``verify ybe --Nprime 9``), 18, 26 and 34 (the sweep's parent R at N' = 9, 13 and 17),
 at the root of unity of that N', the modules built afresh in each call as the sweep
@@ -61,6 +61,7 @@ LAM1, LAM2, LAM3 = 0.8 + 0.05j, 1.3 - 0.11j, 0.44 + 0.21j
 #: r_spectral's depths, each with the N' of the root of unity it is timed at
 SPECTRAL_DEPTHS = {9: 9, 18: 9, 26: 13, 34: 17}
 YBE_NPRIMES = (9, 13, 17)
+TABLE_REPEATS = 7  # the verifiers' calls take milliseconds: more repeats to take the min of
 
 
 def source_digest(src: Path) -> str:
@@ -116,9 +117,9 @@ def time_solve(uqsl2, blocks, rep1, rep2) -> dict:
 
 
 def timed(call) -> dict:
-    """Wall times of REPEATS calls, their min and median, and the last call's value."""
+    """Wall times of TABLE_REPEATS calls, their min and median, and the last call's value."""
     walls = []
-    for _ in range(REPEATS):
+    for _ in range(TABLE_REPEATS):
         t0 = time.perf_counter()
         value = call()
         walls.append(time.perf_counter() - t0)
@@ -182,6 +183,7 @@ def main() -> None:
         "pairs": {"lambda1": [LAM1.real, LAM1.imag], "lambda2": [LAM2.real, LAM2.imag],
                   "alpha1": 0.7, "off_curve_alpha2": 1.9, "z": 1.0},
         "repeats": REPEATS,
+        "table_repeats": TABLE_REPEATS,
         "runs": runs,
         "spectral": spectral,
         "ybe": ybe,
